@@ -14,7 +14,8 @@ using namespace wlp::bench;
 int main() {
   std::printf("==== Ablation: sliding-window size (TRACK-shaped loop, p = 8) ====\n\n");
 
-  const workloads::TrackLoop loop({5000, 0.93, 7});
+  const workloads::TrackLoop loop(
+      {.candidates = 5000, .error_position = 0.93, .seed = 7});
   const sim::Simulator sim;
   sim::LoopProfile lp = loop.profile();
   sim::SimOptions opts;

@@ -45,7 +45,8 @@ int main() {
 
   // SPICE LOAD loop 40 — General-1 / General-3, RI, no undo machinery.
   {
-    const SpiceLoad load({4000, 4, 24, 42});
+    const SpiceLoad load(
+        {.devices = 4000, .min_terms = 4, .max_terms = 24, .seed = 42});
     const auto lp = load.profile();
     row("SPICE LOAD 40", "General-1 (locks)", "-", 2.9, lp, Method::kGeneral1,
         none, "no");
@@ -55,7 +56,8 @@ int main() {
 
   // TRACK FPTRAK loop 300 — Induction-1, RV, backups + stamps.
   {
-    const TrackLoop loop({5000, 0.93, 7});
+    const TrackLoop loop(
+        {.candidates = 5000, .error_position = 0.93, .seed = 7});
     row("TRACK FPTRAK 300", "Induction-1", "-", 5.8, loop.profile(),
         Method::kInduction1, stamped, "yes");
   }

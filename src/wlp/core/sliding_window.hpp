@@ -40,8 +40,6 @@
 
 namespace wlp {
 
-class WindowController;
-
 struct WindowOptions {
   long window = 64;          ///< initial window size
   long min_window = 2;
@@ -65,11 +63,6 @@ struct WindowOptions {
   /// budget against the process-wide SUM: concurrent budgeted loops then
   /// share one ceiling instead of each assuming it owns the whole budget.
   bool charge_process_budget = false;
-  /// External controller wired by the speculative wrapper (it registers the
-  /// controller as the transaction's footprint listener so backend flips
-  /// clamp the window immediately).  Null = the run builds its own.  A
-  /// controller serves ONE run; construct a fresh one per loop.
-  WindowController* controller = nullptr;
   /// Claim granularity inside the window.  kDynamic issues one iteration
   /// per grab (the original Section 8.2 behavior); kGuided claims
   /// min(remaining/p, window slack) per grab, cutting the lock round-trips
@@ -78,7 +71,7 @@ struct WindowOptions {
   Sched sched = Sched::kDynamic;
   /// Optional cross-run verdict memoization (pd/verdict_cache.hpp): a loop
   /// re-windowed with the same access pattern skips the PD merge.  Same
-  /// contract as SpecOptions::verdict_cache.
+  /// contract as SpecOptions::verdict_cache (speculative wrapper only).
   pdcache::VerdictCache* verdict_cache = nullptr;
 };
 
@@ -226,14 +219,15 @@ struct WindowReport {
   std::size_t cap_bytes = 0;   ///< bytes that cap represents (EWMA estimate)
 };
 
-/// Execute `body(i, vpn) -> IterAction` over [0, u) with windowed dynamic
-/// self-scheduling.  Honors QUIT like the other methods.
+namespace detail {
+
+/// The windowed self-scheduling loop over [0, u), driven by `ctl` (one
+/// controller per run) and writing into `wr`.
 template <class Body>
-WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
-                                  WindowOptions opts = {}) {
-  WindowReport wr;
+void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
+                WindowController& ctl, WindowReport& wr) {
   wr.exec.method = Method::kSlidingWindow;
-  if (u <= 0) return wr;
+  if (u <= 0) return;
   WLP_TRACE_SCOPE("window.run", u, opts.window);
 
   std::mutex mu;
@@ -245,11 +239,6 @@ WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
   // The cap starts from the bytes_per_iteration seed and is re-derived at
   // every claim from the EWMA of the measured footprint, so it tracks what
   // the backups actually pin instead of a static guess.
-  WindowController local_ctl(opts.min_window, opts.max_window,
-                             opts.memory_budget, opts.bytes_per_iteration,
-                             opts.charge_process_budget);
-  WindowController& ctl =
-      opts.controller != nullptr ? *opts.controller : local_ctl;
   long window = std::clamp(opts.window, opts.min_window, ctl.cap());
   std::vector<unsigned char> done(static_cast<std::size_t>(u), 0);
   QuitBound quit;
@@ -356,12 +345,25 @@ WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
     WLP_OBS_GAUGE_SET("wlp.window.cap_bytes",
                       static_cast<long>(wr.cap_bytes));
   }
+}
+
+}  // namespace detail
+
+/// Execute `body(i, vpn) -> IterAction` over [0, u) with windowed dynamic
+/// self-scheduling.  Honors QUIT like the other methods.
+template <class Body>
+WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
+                                  WindowOptions opts = {}) {
+  WindowController ctl(opts.min_window, opts.max_window, opts.memory_budget,
+                       opts.bytes_per_iteration, opts.charge_process_budget);
+  WindowReport wr;
+  detail::window_run(pool, u, body, opts, ctl, wr);
   return wr;
 }
 
 /// Windowed execution of a loop whose accesses are NOT proven independent:
-/// Section 8.2's scheduler combined with Section 5's speculation.  The
-/// window bounds stamp memory during the speculative run; the PD analysis
+/// Section 8.2's scheduler inside one Section 5 SpecRound.  The window
+/// bounds stamp memory during the speculative run; the PD analysis
 /// (trip-filtered) then validates it like any other speculative execution.
 ///
 /// `body(i, vpn) -> IterAction` must route accesses through the registered
@@ -371,103 +373,38 @@ WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
 template <class Body, class SeqRun>
 WindowReport sliding_window_speculative_while(
     ThreadPool& pool, long u, std::span<SpecTarget* const> targets,
-    Body&& body, SeqRun&& run_sequential, WindowOptions wopts = {},
-    bool undo_in_parallel = true) {
+    Body&& body, SeqRun&& run_sequential, WindowOptions wopts = {}) {
   WLP_TRACE_SCOPE("window.spec", u, wopts.window);
-  if (wopts.verdict_cache != nullptr)
-    for (SpecTarget* t : targets) t->enable_access_signatures(true);
-  SpecTransaction txn(targets);
-  double checkpoint_ns = 0;
-  {
-    const auto cp0 = std::chrono::steady_clock::now();
-    txn.begin(&pool);
-    checkpoint_ns = detail::spec_ns_since(cp0);
-  }
+  // Transaction-aware control: the controller is the transaction's
+  // footprint listener (so it outlives the round), and a member flipping
+  // backends mid-run (a step jump in memory_bytes() the per-claim poll can
+  // miss) clamps the window on the very next claim.
+  WindowController ctl(wopts.min_window, wopts.max_window,
+                       wopts.memory_budget, wopts.bytes_per_iteration,
+                       wopts.charge_process_budget);
+  WindowReport wr;
+  SpecRound round(pool, targets, wr.exec, wopts.verdict_cache);
+  round.begin();
+  round.txn().set_footprint_listener(&ctl);
   // Feed the budget controller the backups' MEASURED footprint (Section 8.2
   // against real bytes): sparse targets grow as locations are touched, so
   // the window shrinks when the backup — not a guess — nears the budget.
   // The transaction sums its members (shared stamp indexes counted once).
-  if (wopts.memory_budget != 0 && !wopts.live_bytes) {
-    wopts.live_bytes = [&txn] { return txn.memory_bytes(); };
-  }
-  // Transaction-aware control: the controller is the transaction's
-  // footprint listener, so a member flipping backends mid-run (a step jump
-  // in memory_bytes() the per-claim poll can miss) clamps the window on the
-  // very next claim.
-  WindowController ctl(wopts.min_window, wopts.max_window,
-                       wopts.memory_budget, wopts.bytes_per_iteration,
-                       wopts.charge_process_budget);
-  if (wopts.controller == nullptr) wopts.controller = &ctl;
-  txn.set_footprint_listener(wopts.controller);
+  if (wopts.memory_budget != 0 && !wopts.live_bytes)
+    wopts.live_bytes = [&round] { return round.txn().memory_bytes(); };
+  round.run([&] { detail::window_run(pool, u, body, wopts, ctl, wr); });
 
-  bool failed = false;
-  WindowReport wr;
-  try {
-    wr = sliding_window_while(pool, u, body, wopts);
-  } catch (...) {
-    failed = true;  // Section 5.1: exception == invalid parallel execution
-    WLP_OBS_COUNT("wlp.spec.exceptions", 1);
-  }
-  wr.exec.method = Method::kSlidingWindow;
-  wr.exec.used_checkpoint = true;
-  wr.exec.used_stamps = true;
-  wr.exec.checkpoint_ns = checkpoint_ns;
-
-  wr.exec.shadow_marks = txn.marks();
-  WLP_OBS_COUNT("wlp.pd.marks", wr.exec.shadow_marks);
-
-  if (txn.overflowed()) {
-    wr.exec.backup_overflow = true;
-    failed = true;
-    WLP_OBS_COUNT("wlp.spec.backup_overflow", 1);
-  }
-
-  if (!failed) {
-    WLP_TRACE_SCOPE("pd.analyze", wr.exec.trip, 0);
-    for (SpecTarget* t : targets) {
-      if (!t->shadowed()) continue;
-      wr.exec.pd_tested = true;
-      bool hit = false;
-      const PDVerdict v = pdcache::analyze_with_cache(
-          wopts.verdict_cache, *t, pool, /*base=*/0, wr.exec.trip, &hit);
-      if (wopts.verdict_cache != nullptr) {
-        ++wr.exec.verdict_probes;
-        if (hit) ++wr.exec.verdict_hits;
-      }
-      if (!v.fully_parallel()) {
-        wr.exec.pd_passed = false;
-        failed = true;
-      }
-    }
-    if (wr.exec.pd_tested)
-      WLP_OBS_COUNT(wr.exec.pd_passed ? "wlp.spec.pd_pass" : "wlp.spec.pd_fail",
-                    1);
-  }
-
-  if (failed) {
-    if (wopts.verdict_cache != nullptr) wopts.verdict_cache->invalidate_all();
-    WLP_OBS_COUNT("wlp.spec.seq_reexec", 1);
-    const auto ra0 = std::chrono::steady_clock::now();
-    txn.restore_all(&pool);
-    wr.exec.undo_ns = detail::spec_ns_since(ra0);
-    wr.exec.reexecuted_sequentially = true;
-    wr.exec.trip = run_sequential();
-    // The sequential rerun redefines the trip; the overshoot (speculative
-    // bodies at or past it, all rolled back by the restore) must be
-    // recomputed against it, not left at the abandoned speculative value.
-    wr.exec.overshot = std::max(0L, wr.exec.started - wr.exec.trip);
-    assert(wr.exec.trip >= 0);
-    assert(wr.exec.overshot <= wr.exec.started);
+  if (round.validate(0, wr.exec.trip)) {
+    round.commit(wr.exec.trip);
     return wr;
   }
-
-  {
-    const auto ud0 = std::chrono::steady_clock::now();
-    wr.exec.undone_writes +=
-        txn.undo_beyond(wr.exec.trip, undo_in_parallel ? &pool : nullptr);
-    wr.exec.undo_ns = detail::spec_ns_since(ud0);
-  }
-  WLP_OBS_HIST("wlp.spec.undo_writes", wr.exec.undone_writes);
+  wr.exec.trip = round.rollback(run_sequential);
+  // The sequential rerun redefines the trip; the overshoot (speculative
+  // bodies at or past it, all rolled back by the restore) must be
+  // recomputed against it, not left at the abandoned speculative value.
+  wr.exec.overshot = std::max(0L, wr.exec.started - wr.exec.trip);
+  assert(wr.exec.trip >= 0);
+  assert(wr.exec.overshot <= wr.exec.started);
   return wr;
 }
 

@@ -11,13 +11,13 @@
 //   * on failure (or an exception during the run, Section 5.1), all state is
 //     restored from the checkpoint and the loop re-executes sequentially.
 //
-// All targets of one loop run under ONE SpecTransaction (txn.hpp): one
-// fused checkpoint pass, one fused undo pass, one set of wlp.undo.* obs
-// publications — regardless of how many arrays the loop speculates over.
-// The SpecTarget interface itself lives in spec_target.hpp.
+// The protocol itself — checkpoint, run, validate, commit or roll back —
+// is the SpecRound (spec_round.hpp); all targets of one loop run under its
+// ONE SpecTransaction (txn.hpp).  The SpecTarget interface itself lives in
+// spec_target.hpp.
 #pragma once
 
-#include <chrono>
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -25,8 +25,8 @@
 #include "wlp/obs/obs.hpp"
 #include "wlp/core/report.hpp"
 #include "wlp/core/shadow.hpp"
+#include "wlp/core/spec_round.hpp"
 #include "wlp/core/spec_target.hpp"
-#include "wlp/core/txn.hpp"
 #include "wlp/core/versioned_array.hpp"
 #include "wlp/pd/verdict_cache.hpp"
 #include "wlp/sched/doall.hpp"
@@ -176,21 +176,21 @@ class SpecArray final : public SpecTarget {
 
 struct SpecOptions {
   DoallOptions doall{};
-  bool undo_in_parallel = true;
   /// Memory budget for the transaction's measured footprint (0 = none).
   /// The strip driver adapts its strip length against it — halving the next
   /// strip when the fused memory_bytes() poll crosses half the budget,
   /// growing back additively while comfortable — so callers stop wiring
   /// per-target byte probes by hand; the drivers ask the transaction.
   std::size_t memory_budget = 0;
-  /// Optional cross-strip verdict memoization (pd/verdict_cache.hpp).  The
-  /// drivers enable signature accumulation on every target, consult the
-  /// cache before each PD analysis, and invalidate it on misspeculation or
-  /// a footprint flip.  nullptr = always run the full analysis.
+  /// Optional cross-round verdict memoization (pd/verdict_cache.hpp),
+  /// handed to the SpecRound: every target accumulates access signatures,
+  /// each PD analysis consults the cache first, and misspeculation or a
+  /// footprint flip invalidates it.  nullptr = always run the full analysis.
   pdcache::VerdictCache* verdict_cache = nullptr;
 };
 
-/// Run a WHILE loop speculatively in parallel over [0, u).
+/// Run a WHILE loop speculatively in parallel over [0, u): one SpecRound
+/// over the whole loop.
 ///
 /// `body(i, vpn) -> IterAction` is the instrumented parallel body: it must
 /// route every access to the registered targets through their get/set and
@@ -203,101 +203,18 @@ ExecReport speculative_while(ThreadPool& pool, long u,
                              SeqRun&& run_sequential, SpecOptions opts = {}) {
   ExecReport r;
   r.method = Method::kInduction2;
-  r.used_checkpoint = true;
-  r.used_stamps = true;
   WLP_TRACE_SCOPE("spec.round", u, targets.size());
-  WLP_OBS_COUNT("wlp.spec.rounds", 1);
-
-  if (opts.verdict_cache != nullptr)
-    for (SpecTarget* t : targets) t->enable_access_signatures(true);
-
-  SpecTransaction txn(targets);
-  {
-    WLP_TRACE_SCOPE("spec.checkpoint", u, 0);
-    const auto cp0 = std::chrono::steady_clock::now();
-    txn.begin(&pool);
-    r.checkpoint_ns = detail::spec_ns_since(cp0);
-  }
-
-  bool failed = false;
+  SpecRound round(pool, targets, r, opts.verdict_cache);
+  round.begin();
   QuitResult qr{};
-  try {
-    qr = doall_quit(pool, 0, u, body, opts.doall);
-  } catch (...) {
-    // Section 5.1: treat exceptions like an invalid parallel execution.
-    failed = true;
-    WLP_OBS_COUNT("wlp.spec.exceptions", 1);
-  }
-
-  // Instrumentation volume for the cost model: accessors count marks in
-  // plain per-worker counters during the run; fold them here, off the hot
-  // path, regardless of whether the speculation succeeds.
-  r.shadow_marks = txn.marks();
-  WLP_OBS_COUNT("wlp.pd.marks", r.shadow_marks);
-  // Backups are at their fullest right after the parallel section: one
-  // fused poll is the run's measured peak (same signal the sliding-window
-  // controller budgets against).
-  r.peak_spec_bytes = txn.memory_bytes();
-
-  // A sparse backup that hit capacity dropped writes: the parallel execution
-  // is incomplete regardless of what the PD test would say.  Treat it like a
-  // failed speculation (the backup still restores the exact pre-loop state,
-  // because overflowing writers skipped their data store too).
-  if (txn.overflowed()) {
-    r.backup_overflow = true;
-    failed = true;
-    WLP_OBS_COUNT("wlp.spec.backup_overflow", 1);
-  }
-
-  if (!failed) {
-    r.trip = qr.trip;
-    r.started = qr.started;
-    r.overshot = std::max(0L, qr.started - qr.trip);
-    WLP_OBS_HIST("wlp.spec.overshoot", r.overshot);
-    WLP_TRACE_SCOPE("pd.analyze", qr.trip, 0);
-    for (SpecTarget* t : targets) {
-      if (!t->shadowed()) continue;
-      r.pd_tested = true;
-      bool hit = false;
-      const PDVerdict v = pdcache::analyze_with_cache(
-          opts.verdict_cache, *t, pool, /*base=*/0, qr.trip, &hit);
-      if (opts.verdict_cache != nullptr) {
-        ++r.verdict_probes;
-        if (hit) ++r.verdict_hits;
-      }
-      if (!v.fully_parallel()) {
-        r.pd_passed = false;
-        failed = true;
-      }
-    }
-    if (r.pd_tested)
-      WLP_OBS_COUNT(r.pd_passed ? "wlp.spec.pd_pass" : "wlp.spec.pd_fail", 1);
-  }
-
-  if (failed) {
-    // Misspeculation: whatever the memoized patterns were, the loop's
-    // behavior just diverged from them — drop the table.
-    if (opts.verdict_cache != nullptr) opts.verdict_cache->invalidate_all();
-    WLP_TRACE_SCOPE("spec.seq_reexec", u, 0);
-    WLP_OBS_COUNT("wlp.spec.seq_reexec", 1);
-    const auto ra0 = std::chrono::steady_clock::now();
-    txn.restore_all(&pool);
-    r.undo_ns = detail::spec_ns_since(ra0);
-    r.reexecuted_sequentially = true;
-    r.trip = run_sequential();
-    return r;
-  }
-
-  {
-    WLP_TRACE_SCOPE_NAMED(undo_scope, "undo", qr.trip, 0);
-    const auto ud0 = std::chrono::steady_clock::now();
-    r.undone_writes +=
-        txn.undo_beyond(qr.trip, opts.undo_in_parallel ? &pool : nullptr);
-    r.undo_ns = detail::spec_ns_since(ud0);
-    undo_scope.args(static_cast<std::uint64_t>(qr.trip),
-                    static_cast<std::uint64_t>(r.undone_writes));
-  }
-  WLP_OBS_HIST("wlp.spec.undo_writes", r.undone_writes);
+  round.run([&] { qr = doall_quit(pool, 0, u, body, opts.doall); });
+  r.trip = qr.trip;
+  r.started = qr.started;
+  r.overshot = std::max(0L, qr.started - qr.trip);
+  if (round.validate(0, qr.trip))
+    round.commit(qr.trip);
+  else
+    r.trip = round.rollback(run_sequential);
   return r;
 }
 

@@ -21,8 +21,12 @@
 // starts, a dependence-corrupted terminator can mislead the execution by
 // at most one strip — and the sequential re-execution of that strip fixes
 // it.  The strip length also bounds the time-stamp memory (Section 8.1).
+// Each strip is one begin/run/validate/commit-or-rollback cycle of a
+// single SpecRound (spec_round.hpp); this driver keeps only the strip
+// schedule and its budget control.
 #pragma once
 
+#include <algorithm>
 #include <span>
 
 #include "wlp/obs/obs.hpp"
@@ -43,7 +47,7 @@ struct StripSpecReport {
   // strip and halves the NEXT strip when the measured footprint crosses
   // half the budget (committing more often pins less), growing back
   // additively while comfortable.  exec.peak_spec_bytes carries the max
-  // polled value either way.
+  // footprint over all strips, budget or not.
   long strip_shrinks = 0;  ///< times the next strip was halved
   long final_strip = 0;    ///< strip length in effect when the loop ended
 };
@@ -59,20 +63,15 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
                                         SpecOptions opts = {}) {
   StripSpecReport out;
   out.exec.method = Method::kStripMined;
-  out.exec.used_checkpoint = true;
-  out.exec.used_stamps = true;
   if (strip <= 0) strip = u;
 
-  // ONE transaction for the whole strip sequence: the chunk maps are built
-  // once here, so every strip's begin/undo/restore allocates nothing.
-  SpecTransaction txn(targets);
-
-  // Cross-strip verdict memoization: a steady-state loop touches the same
-  // elements at the same strip-relative iterations every strip, so after
-  // the first strip the PD analysis is one summary fold + one cache probe.
-  if (opts.verdict_cache != nullptr)
-    for (SpecTarget* t : targets) t->enable_access_signatures(true);
-  long footprint_seen = txn.footprint_epochs();
+  // ONE round (and so one transaction) for the whole strip sequence: the
+  // chunk maps are built once here, so every strip's begin/undo/restore
+  // allocates nothing.  With a verdict cache, a steady-state loop touches
+  // the same elements at the same strip-relative iterations every strip,
+  // so after the first strip the PD analysis is one summary fold + one
+  // cache probe.
+  SpecRound round(pool, targets, out.exec, opts.verdict_cache);
 
   long cur_strip = strip;
   out.final_strip = cur_strip;
@@ -83,38 +82,18 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
     WLP_TRACE_SCOPE("strip", base, end - base);
     WLP_OBS_COUNT("wlp.strip.runs", 1);
 
-    {
-      const auto cp0 = std::chrono::steady_clock::now();
-      // Fused reset (O(1) epoch bumps) + ONE parallel checkpoint pass over
-      // every target; no allocation in steady state.
-      txn.begin(&pool);
-      out.exec.checkpoint_ns += detail::spec_ns_since(cp0);
-    }
-
-    bool failed = false;
+    round.begin();
     QuitResult qr{};
-    try {
-      qr = doall_quit(pool, base, end, body, opts.doall);
-      out.claims += qr.claims;
-    } catch (...) {
-      failed = true;
-    }
-
-    // Per-strip instrumentation volume (accessor counters reset with the
-    // strip's reset_marks() above, so this is exactly this strip's marks).
-    const long strip_marks = txn.marks();
-    out.exec.shadow_marks += strip_marks;
-    WLP_OBS_COUNT("wlp.pd.marks", strip_marks);
+    round.run([&] { qr = doall_quit(pool, base, end, body, opts.doall); });
+    out.claims += qr.claims;
+    const bool valid = round.validate(base, qr.trip);
 
     // Transaction-aware strip control: the backups are at their fullest
     // right after the strip's parallel section, so poll the fused footprint
     // here — before commit/restore clears it — and resize the NEXT strip
-    // against the budget.  This retires the hand-wired per-target byte
-    // probes callers used to need: the driver asks the transaction.
+    // against the budget.
     if (opts.memory_budget != 0) {
-      const std::size_t pinned = txn.memory_bytes();
-      out.exec.peak_spec_bytes = std::max(out.exec.peak_spec_bytes, pinned);
-      if (pinned * 2 > opts.memory_budget) {
+      if (round.txn().memory_bytes() * 2 > opts.memory_budget) {
         const long before = cur_strip;
         cur_strip = std::max(1L, cur_strip / 2);
         if (cur_strip != before) ++out.strip_shrinks;
@@ -124,56 +103,16 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
       out.final_strip = cur_strip;
     }
 
-    // Backup overflow inside the strip = incomplete parallel execution:
-    // fail the strip exactly like a PD miss (restore + serial re-run).
-    if (txn.overflowed()) {
-      out.exec.backup_overflow = true;
-      failed = true;
-      WLP_OBS_COUNT("wlp.spec.backup_overflow", 1);
-    }
-
-    // A backend flip (AdaptiveSpecArray hash <-> dense) changes the write
-    // density the signatures embed: drop memoized verdicts from before it.
-    if (opts.verdict_cache != nullptr) {
-      const long fp = txn.footprint_epochs();
-      if (fp != footprint_seen) {
-        footprint_seen = fp;
-        opts.verdict_cache->invalidate_all();
-      }
-    }
-
-    if (!failed) {
-      for (SpecTarget* t : targets) {
-        if (!t->shadowed()) continue;
-        out.exec.pd_tested = true;
-        bool hit = false;
-        const PDVerdict v = pdcache::analyze_with_cache(
-            opts.verdict_cache, *t, pool, base, qr.trip, &hit);
-        if (opts.verdict_cache != nullptr) {
-          ++out.exec.verdict_probes;
-          if (hit) ++out.exec.verdict_hits;
-        }
-        if (!v.fully_parallel()) {
-          out.exec.pd_passed = false;
-          failed = true;
-        }
-      }
-    }
-
-    if (failed) {
-      // Misspeculation (PD miss, overflow, or an exception): the loop's
-      // behavior diverged from the memoized patterns — drop them all.
-      if (opts.verdict_cache != nullptr) opts.verdict_cache->invalidate_all();
+    if (!valid) {
+      // Restore the strip and execute it sequentially, which also
+      // re-evaluates the terminator against committed state.
       ++out.strips_failed;
       WLP_OBS_COUNT("wlp.strip.failures", 1);
-      const auto ra0 = std::chrono::steady_clock::now();
-      txn.restore_all(&pool);
-      out.exec.undo_ns += detail::spec_ns_since(ra0);
-      const long trip = run_strip_sequential(base, end);
+      const long trip =
+          round.rollback([&] { return run_strip_sequential(base, end); });
       out.exec.started += trip - base;
       if (trip < end) {
         out.exec.trip = trip;
-        out.exec.reexecuted_sequentially = true;  // at least one strip was
         return out;
       }
       base = end;
@@ -182,21 +121,12 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
 
     out.exec.started += qr.started;
     if (qr.trip < end) {  // the loop genuinely ends inside this strip
-      {
-        WLP_TRACE_SCOPE_NAMED(undo_scope, "undo", qr.trip, 0);
-        const auto ud0 = std::chrono::steady_clock::now();
-        out.exec.undone_writes +=
-            txn.undo_beyond(qr.trip, opts.undo_in_parallel ? &pool : nullptr);
-        out.exec.undo_ns += detail::spec_ns_since(ud0);
-        undo_scope.args(static_cast<std::uint64_t>(qr.trip),
-                        static_cast<std::uint64_t>(out.exec.undone_writes));
-      }
-      WLP_OBS_HIST("wlp.spec.undo_writes", out.exec.undone_writes);
       out.exec.trip = qr.trip;
       out.exec.overshot += std::max(0L, qr.started - (qr.trip - base));
+      round.commit(qr.trip);
       return out;
     }
-    txn.discard();
+    round.txn().discard();  // nothing overshot: commit without an undo pass
     base = end;
   }
 

@@ -8,6 +8,7 @@
 //     n_i).  If the loop in fact exits before n'_i, unstamped overshot writes
 //     cannot be undone selectively, so the full checkpoint is restored and
 //     the loop re-executes sequentially — the gamble Section 8.1 describes.
+//     The speculation itself is one SpecRound (spec_round.hpp).
 //   * one_processor_hedge: run the loop sequentially and in parallel on
 //     disjoint copies at once; whichever finishes the race defines the
 //     result (Section 8.3's 1/(p-1) solution).  Modeled here as a sequential
@@ -25,11 +26,13 @@
 
 namespace wlp {
 
-/// Strip-mined speculative WHILE loop over [0, u).
-/// `body(i, vpn) -> IterAction`.  Overshoot never exceeds one strip.
-template <class Body>
-ExecReport strip_mined_while(ThreadPool& pool, long u, long strip, Body&& body,
-                             DoallOptions opts = {}) {
+namespace detail {
+
+/// The Section 4 strip loop behind both strip-mined drivers: every strip is
+/// one QUIT-aware DOALL whose options `strip_opts(base, end)` picks.
+template <class Body, class StripOpts>
+ExecReport strip_loop(ThreadPool& pool, long u, long strip, Body&& body,
+                      StripOpts&& strip_opts) {
   ExecReport r;
   r.method = Method::kStripMined;
   if (strip <= 0) strip = u;
@@ -37,7 +40,8 @@ ExecReport strip_mined_while(ThreadPool& pool, long u, long strip, Body&& body,
     const long end = std::min(base + strip, u);
     WLP_TRACE_SCOPE("strip", base, end - base);
     WLP_OBS_COUNT("wlp.strip.runs", 1);
-    const QuitResult qr = doall_quit(pool, base, end, body, opts);
+    const QuitResult qr =
+        doall_quit(pool, base, end, body, strip_opts(base, end));
     r.started += qr.started;
     if (qr.trip < end) {
       r.trip = qr.trip;
@@ -47,6 +51,17 @@ ExecReport strip_mined_while(ThreadPool& pool, long u, long strip, Body&& body,
   }
   r.trip = u;
   return r;
+}
+
+}  // namespace detail
+
+/// Strip-mined speculative WHILE loop over [0, u).
+/// `body(i, vpn) -> IterAction`.  Overshoot never exceeds one strip.
+template <class Body>
+ExecReport strip_mined_while(ThreadPool& pool, long u, long strip, Body&& body,
+                             DoallOptions opts = {}) {
+  return detail::strip_loop(pool, u, strip, body,
+                            [&](long, long) { return opts; });
 }
 
 /// Strip-mined run whose per-strip DOALL schedule is picked by the cost
@@ -59,28 +74,13 @@ template <class Body>
 ExecReport strip_mined_while_tuned(ThreadPool& pool, long u, long strip,
                                    double expected_trip, double iter_cost_cv,
                                    Body&& body) {
-  ExecReport r;
-  r.method = Method::kStripMined;
-  if (strip <= 0) strip = u;
-  for (long base = 0; base < u; base += strip) {
-    const long end = std::min(base + strip, u);
-    WLP_TRACE_SCOPE("strip", base, end - base);
-    WLP_OBS_COUNT("wlp.strip.runs", 1);
+  return detail::strip_loop(pool, u, strip, body, [&](long base, long end) {
     const double trip_in_strip =
         expected_trip <= 0 ? 0 : std::clamp(expected_trip - base, 0.0,
                                             static_cast<double>(end - base));
-    const DoallOptions opts =
-        choose_schedule(end - base, trip_in_strip, iter_cost_cv, pool.size());
-    const QuitResult qr = doall_quit(pool, base, end, body, opts);
-    r.started += qr.started;
-    if (qr.trip < end) {
-      r.trip = qr.trip;
-      r.overshot = std::max(0L, qr.started - (qr.trip - base));
-      return r;
-    }
-  }
-  r.trip = u;
-  return r;
+    return choose_schedule(end - base, trip_in_strip, iter_cost_cv,
+                           pool.size());
+  });
 }
 
 /// Statistics-enhanced stamping threshold (Section 8.1): n'_i as a fraction
@@ -100,72 +100,36 @@ struct StampThreshold {
 };
 
 /// Speculative run in which the body stamps writes only for iterations >=
-/// threshold.  `body(i, vpn, stamped) -> IterAction` where `stamped` tells
-/// the body whether its writes this iteration must go through the stamped
-/// path.  If trip lands below the threshold the speculation is abandoned:
-/// full restore + sequential re-execution via `run_sequential() -> trip`.
+/// threshold: one SpecRound over the whole loop.  `body(i, vpn, stamped) ->
+/// IterAction` where `stamped` tells the body whether its writes this
+/// iteration must go through the stamped path.  A trip below the threshold
+/// leaves unstamped overshot writes, which no selective undo can find, so
+/// the speculation is abandoned like a failed one: full restore +
+/// sequential re-execution via `run_sequential() -> trip`.
 template <class Body, class SeqRun>
 ExecReport stats_enhanced_while(ThreadPool& pool, long u, StampThreshold threshold,
                                 std::span<SpecTarget* const> targets, Body&& body,
                                 SeqRun&& run_sequential, SpecOptions opts = {}) {
   ExecReport r;
   r.method = Method::kInduction2;
-  r.used_checkpoint = true;
-  r.used_stamps = true;
-
-  SpecTransaction txn(targets);
-  {
-    const auto cp0 = std::chrono::steady_clock::now();
-    txn.begin(&pool);
-    r.checkpoint_ns = detail::spec_ns_since(cp0);
-  }
-
-  const QuitResult qr = doall_quit(
-      pool, 0, u,
-      [&](long i, unsigned vpn) { return body(i, vpn, threshold.should_stamp(i)); },
-      opts.doall);
-
-  r.started = qr.started;
+  SpecRound round(pool, targets, r, opts.verdict_cache);
+  round.begin();
+  QuitResult qr{};
+  round.run([&] {
+    qr = doall_quit(
+        pool, 0, u,
+        [&](long i, unsigned vpn) {
+          return body(i, vpn, threshold.should_stamp(i));
+        },
+        opts.doall);
+  });
   r.trip = qr.trip;
+  r.started = qr.started;
   r.overshot = std::max(0L, qr.started - qr.trip);
-  r.shadow_marks = txn.marks();
-  WLP_OBS_COUNT("wlp.pd.marks", r.shadow_marks);
-  // Measured peak via the transaction (backups fullest right after the
-  // parallel section) — the same fused signal every budget-aware driver
-  // reads, replacing any per-target probing by the caller.
-  r.peak_spec_bytes = txn.memory_bytes();
-
-  bool abandon = qr.trip < threshold.value;
-  if (txn.overflowed()) {
-    r.backup_overflow = true;
-    abandon = true;
-    WLP_OBS_COUNT("wlp.spec.backup_overflow", 1);
-  }
-  if (abandon) {
-    // The estimate was wrong on the short side (unstamped overshot writes
-    // exist, so selective undo is impossible) or the backup dropped writes.
-    WLP_OBS_COUNT("wlp.spec.abandoned", 1);
-    WLP_TRACE_SCOPE("spec.seq_reexec", u, 0);
-    // txn.restore_all is a FULL backup->data copy, never a stamp-filtered
-    // undo: iterations below the stamp threshold wrote unstamped.
-    const auto ra0 = std::chrono::steady_clock::now();
-    txn.restore_all(&pool);
-    r.undo_ns = detail::spec_ns_since(ra0);
-    r.reexecuted_sequentially = true;
-    r.trip = run_sequential();
-    return r;
-  }
-
-  {
-    WLP_TRACE_SCOPE_NAMED(undo_scope, "undo", qr.trip, 0);
-    const auto ud0 = std::chrono::steady_clock::now();
-    r.undone_writes +=
-        txn.undo_beyond(qr.trip, opts.undo_in_parallel ? &pool : nullptr);
-    r.undo_ns = detail::spec_ns_since(ud0);
-    undo_scope.args(static_cast<std::uint64_t>(qr.trip),
-                    static_cast<std::uint64_t>(r.undone_writes));
-  }
-  WLP_OBS_HIST("wlp.spec.undo_writes", r.undone_writes);
+  if (round.validate(0, qr.trip) && qr.trip >= threshold.value)
+    round.commit(qr.trip);
+  else
+    r.trip = round.rollback(run_sequential);
   return r;
 }
 

@@ -36,6 +36,7 @@
 #include "wlp/core/privatize.hpp"      // IWYU pragma: export
 #include "wlp/core/sparse_backup.hpp"  // IWYU pragma: export
 #include "wlp/core/shadow.hpp"         // IWYU pragma: export
+#include "wlp/core/spec_round.hpp"    // IWYU pragma: export
 #include "wlp/core/speculative.hpp"    // IWYU pragma: export
 #include "wlp/core/speculative_privatized.hpp"  // IWYU pragma: export
 #include "wlp/core/speculative_strips.hpp"      // IWYU pragma: export

@@ -51,7 +51,8 @@ INSTANTIATE_TEST_SUITE_P(Methods, SpiceMethods, ::testing::Values(0, 1, 2, 3, 4)
                          spice_method_name);
 
 TEST(Spice, ProfileShapesMatchConfig) {
-  const SpiceLoad load({2000, 4, 24, 7});
+  const SpiceLoad load(
+      {.devices = 2000, .min_terms = 4, .max_terms = 24, .seed = 7});
   const auto lp = load.profile();
   EXPECT_EQ(lp.u, 2000);
   EXPECT_EQ(lp.trip, 2000);
@@ -118,7 +119,8 @@ TEST(Track, Induction1UndoesOvershootWrites) {
 
 TEST(Track, IdealOracleMatchesSequentialPrefix) {
   ThreadPool pool(4);
-  const TrackLoop loop({2500, 0.93, 11});
+  const TrackLoop loop(
+      {.candidates = 2500, .error_position = 0.93, .seed = 11});
   std::vector<double> pos_ref = loop.fresh_positions();
   std::vector<double> vel_ref = loop.fresh_velocities();
   loop.run_sequential(pos_ref, vel_ref);

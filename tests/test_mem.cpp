@@ -321,6 +321,11 @@ TEST(MemSteadyState, StripRetriesAllocateNothingOnceWarm) {
   SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                         pool.size(), /*run_pd_test=*/true);
   SpecTarget* targets[] = {&arr};
+  // Static schedule: under kDynamic a worker that claims nothing in the
+  // warm run first-touches its shadow segment inside the measured one.  A
+  // cyclic schedule makes every worker mark in every strip of both runs.
+  SpecOptions opts;
+  opts.doall.sched = Sched::kStaticCyclic;
   auto run_once = [&] {
     return strip_speculative_while(
         pool, n, strip, std::span<SpecTarget* const>(targets, 1),
@@ -329,7 +334,7 @@ TEST(MemSteadyState, StripRetriesAllocateNothingOnceWarm) {
           arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
           return IterAction::kContinue;
         },
-        [&](long, long end) { return end; });
+        [&](long, long end) { return end; }, opts);
   };
 
   const StripSpecReport warm = run_once();

@@ -72,7 +72,12 @@ TEST(SpiceDevices, MosfetCutoffRegionIsZero) {
 }
 
 TEST(SpiceDevices, DefaultConfigIsPureLoop40) {
-  const SpiceLoad load({500, 4, 24, 0.0, 0.0, 9});
+  const SpiceLoad load({.devices = 500,
+                        .min_terms = 4,
+                        .max_terms = 24,
+                        .bjt_fraction = 0.0,
+                        .mosfet_fraction = 0.0,
+                        .seed = 9});
   const auto lp = load.profile();
   for (double w : lp.work) EXPECT_LE(w, 0.55 * 24 + 2 + 1e-9);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <vector>
 
 #include "wlp/core/strategies.hpp"
@@ -141,6 +142,86 @@ TEST(StatsEnhanced, BadEstimateFallsBackToSequential) {
   EXPECT_EQ(r.trip, exit_at);
   for (long i = 0; i < n; ++i)
     EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], i < exit_at ? 1.0 : 0.0) << i;
+}
+
+/// Section 5.1 through the stamping-threshold driver: a body exception is a
+/// failed speculation.  Nothing escapes, the full restore also undoes the
+/// unstamped writes below the threshold, and the sequential re-run (which
+/// exits where the parallel body faulted) defines the state.
+TEST(StatsEnhanced, ExceptionRollsBackAndReexecutes) {
+  ThreadPool pool(4);
+  const long n = 2000, throw_at = 1000;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
+                        pool.size(), false);
+  SpecTarget* targets[] = {&arr};
+  const StampThreshold thr = StampThreshold::from_estimate(n, 0.9);
+
+  ExecReport r;
+  ASSERT_NO_THROW(r = stats_enhanced_while(
+                      pool, n, thr, std::span<SpecTarget* const>(targets, 1),
+                      [&](long i, unsigned vpn, bool stamped) {
+                        arr.begin_iteration(vpn, i);
+                        if (stamped) {
+                          arr.set(vpn, i, static_cast<std::size_t>(i), 99.0);
+                        } else {
+                          arr.data()[static_cast<std::size_t>(i)] = 99.0;
+                        }
+                        if (i == throw_at) throw std::runtime_error("fault");
+                        return IterAction::kContinue;
+                      },
+                      [&] {
+                        for (long i = 0; i < throw_at; ++i)
+                          arr.data()[static_cast<std::size_t>(i)] = 7.0;
+                        return throw_at;
+                      }));
+
+  EXPECT_TRUE(r.reexecuted_sequentially);
+  EXPECT_EQ(r.trip, throw_at);
+  for (long i = 0; i < n; ++i)
+    ASSERT_EQ(arr.data()[static_cast<std::size_t>(i)], i < throw_at ? 7.0 : 0.0)
+        << i;
+}
+
+/// A shadowed target gets the PD test under the stamping threshold too:
+/// a[i] = a[i+1] + 1 reads in iteration i what iteration i+1 writes, so the
+/// verdict fails and the loop re-executes — even where the static blocks
+/// happened to run in sequential order at their boundaries.
+TEST(StatsEnhanced, ShadowedAntiDependenceFailsPDAndReexecutes) {
+  ThreadPool pool(4);
+  const long n = 2000;
+  std::vector<double> init(static_cast<std::size_t>(n + 1));
+  for (long i = 0; i <= n; ++i)
+    init[static_cast<std::size_t>(i)] = static_cast<double>(i);
+  SpecArray<double> arr(init, pool.size(), /*run_pd_test=*/true);
+  SpecTarget* targets[] = {&arr};
+  SpecOptions opts;
+  opts.doall.sched = Sched::kStaticBlock;
+  auto sequential = [n](std::vector<double>& d) {
+    for (long i = 0; i < n; ++i)
+      d[static_cast<std::size_t>(i)] = d[static_cast<std::size_t>(i + 1)] + 1.0;
+    return n;
+  };
+
+  const ExecReport r = stats_enhanced_while(
+      pool, n, StampThreshold::from_estimate(n, 0.9),
+      std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn, bool) {
+        // Stamping below the threshold too is always safe, and only the
+        // stamped path marks the shadow.
+        arr.begin_iteration(vpn, i);
+        const double next = arr.get(vpn, static_cast<std::size_t>(i + 1));
+        arr.set(vpn, i, static_cast<std::size_t>(i), next + 1.0);
+        return IterAction::kContinue;
+      },
+      [&] { return sequential(arr.data()); }, opts);
+
+  EXPECT_TRUE(r.pd_tested);
+  EXPECT_FALSE(r.pd_passed);
+  EXPECT_TRUE(r.reexecuted_sequentially);
+  EXPECT_EQ(r.trip, n);
+  std::vector<double> expect = init;
+  sequential(expect);
+  EXPECT_EQ(arr.data(), expect);
 }
 
 TEST(Hedge, ParallelWinsWhenSpeculationSucceeds) {
