@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "wlp/core/while_general.hpp"
@@ -27,11 +29,15 @@ struct ChainFixture {
   static bool is_end(long c) { return c < 0; }
 };
 
-enum class Gen { k1, k2, k3 };
+// gtest prints a parameter without operator<< as a dump of its bytes, and
+// gtest_discover_tests puts that dump into each ctest name. So the case holds
+// no pointer and no padding: the names then read the same in every build and
+// every run. The name suffix is derived from `which`.
+enum class Gen : std::int64_t { k1, k2, k3 };
 
 struct GeneralCase {
   Gen which;
-  const char* name;
+  std::int64_t procs;
 };
 
 class GeneralMethods : public ::testing::TestWithParam<GeneralCase> {
@@ -51,7 +57,7 @@ class GeneralMethods : public ::testing::TestWithParam<GeneralCase> {
 };
 
 TEST_P(GeneralMethods, VisitsEveryElementExactlyOnce) {
-  ThreadPool pool(4);
+  ThreadPool pool(static_cast<unsigned>(GetParam().procs));
   const long n = 503;
   ChainFixture chain(n);
   std::vector<std::atomic<int>> hit(n);
@@ -66,7 +72,7 @@ TEST_P(GeneralMethods, VisitsEveryElementExactlyOnce) {
 }
 
 TEST_P(GeneralMethods, EmptyList) {
-  ThreadPool pool(4);
+  ThreadPool pool(static_cast<unsigned>(GetParam().procs));
   ChainFixture chain(0);
   std::atomic<int> runs{0};
   const ExecReport r = run(pool, chain, [&](long, long, unsigned) {
@@ -78,7 +84,7 @@ TEST_P(GeneralMethods, EmptyList) {
 }
 
 TEST_P(GeneralMethods, SingleElement) {
-  ThreadPool pool(4);
+  ThreadPool pool(static_cast<unsigned>(GetParam().procs));
   ChainFixture chain(1);
   std::atomic<int> runs{0};
   const ExecReport r = run(pool, chain, [&](long, long, unsigned) {
@@ -90,7 +96,7 @@ TEST_P(GeneralMethods, SingleElement) {
 }
 
 TEST_P(GeneralMethods, RemainderVariantExitRecoversTrip) {
-  ThreadPool pool(4);
+  ThreadPool pool(static_cast<unsigned>(GetParam().procs));
   const long n = 800, exit_at = 390;
   ChainFixture chain(n);
   const ExecReport r = run(pool, chain, [&](long i, long, unsigned) {
@@ -100,10 +106,12 @@ TEST_P(GeneralMethods, RemainderVariantExitRecoversTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, GeneralMethods,
-                         ::testing::Values(GeneralCase{Gen::k1, "General1"},
-                                           GeneralCase{Gen::k2, "General2"},
-                                           GeneralCase{Gen::k3, "General3"}),
-                         [](const auto& info) { return info.param.name; });
+                         ::testing::Values(GeneralCase{Gen::k1, 4}, GeneralCase{Gen::k2, 4},
+                                           GeneralCase{Gen::k3, 4}),
+                         [](const auto& info) {
+                           return "General" +
+                                  std::to_string(static_cast<int>(info.param.which) + 1);
+                         });
 
 TEST(GeneralHops, General2TraversesPerProcessorGeneral13CooperateOrReplay) {
   ThreadPool pool(4);
