@@ -5,15 +5,15 @@
 //   1. Marking throughput — ns per mark_write into cold cells, shared
 //      (atomic loads + striped spinlock) vs privatized (plain stores into
 //      the worker's own segment), for p = 1..8 concurrent markers.
-//   2. Reset cost — the shared policy sweeps O(n) cells; the privatized
+//   2. Reset cost — the shared store sweeps O(n) cells; the privatized
 //      epoch bump must be flat across array sizes 2^14..2^22.
 //   3. Accessor retry cost — 100 short strip retries against one pooled
 //      (shadow, accessor) pair: seed-style per-retry reconstruction (an
 //      O(n) zero-fill each time) vs the epoch-stamped reset().
 //   4. End-to-end — a real speculative WHILE loop (checkpoint + marking +
-//      analysis + undo) under each policy.  The Fig. 8-14 reproductions run
-//      in the simulator and don't execute this code; this is the measured
-//      real-runtime delta the policy switch buys.
+//      analysis + undo) through the production SpecArray.  The Fig. 8-14
+//      reproductions run in the simulator and don't execute this code; this
+//      is the measured real-runtime cost of the instrumented loop.
 //
 // Emits BENCH_pd.json (path overridable via argv[1]) in the same schema
 // family as BENCH_forkjoin.json, plus a human-readable table.
@@ -38,7 +38,7 @@ double seconds_since(Clock::time_point t0) {
 
 // Cache-resident shadow: the marking series measures the instrumentation
 // tax itself (lock + atomics vs plain stores), not DRAM latency.  A larger
-// shadow turns every cold mark into a memory miss for BOTH policies and the
+// shadow turns every cold mark into a memory miss for BOTH stores and the
 // tax difference drowns; that regime is reported separately below.
 constexpr long kHotCells = 1 << 12;
 constexpr long kDramCells = 1 << 18;
@@ -46,7 +46,7 @@ constexpr int kRoundsPerSample = 32;
 
 /// Per-worker index stream: each worker's slice of [0, n) — distinct cells,
 /// scrambled order — the dominant speculative-loop pattern (every element's
-/// FIRST mark, the path that takes the shared policy's stripe lock).
+/// FIRST mark, the path that takes the shared store's stripe lock).
 /// Precomputed so the timed loop is marks only, no index math.
 std::vector<std::vector<std::size_t>> index_streams(unsigned p, long n) {
   const long share = n / p;
@@ -165,9 +165,8 @@ double retry_cost_us(bool rebuild, std::size_t n, int retries) {
 /// SpecArray — the production pattern the epoch reset targets: segments and
 /// last-writer tables are pooled, only the per-invocation costs recur.
 /// Returns ms.
-template <class Shadow>
-double speculative_run_ms(wlp::ThreadPool& pool,
-                          wlp::SpecArray<double, Shadow>& arr, long n) {
+double speculative_run_ms(wlp::ThreadPool& pool, wlp::SpecArray<double>& arr,
+                          long n) {
   wlp::SpecTarget* targets[] = {&arr};
   const long exit_at = n - n / 4;
   const auto t0 = Clock::now();
@@ -204,9 +203,9 @@ int main(int argc, char** argv) {
                 m.shared_ns, m.priv_ns, m.shared_ns / m.priv_ns);
   }
 
-  // The memory-bound regime for honesty: a shadow far larger than cache
-  // makes every cold mark a DRAM miss for both policies, so the tax
-  // difference compresses toward 1x.  Reported, not guarded.
+  // The memory-bound regime: a shadow far larger than cache makes every
+  // cold mark a DRAM miss for both stores, so the lock/atomic tax is no
+  // longer the whole story.  Reported, not guarded.
   const MarkPoint dram = marking_throughput(4, kDramCells, 1);
   std::printf("  [dram regime, n=%ld] p=4  shared %7.2f  privatized %7.2f  (%.1fx)\n",
               kDramCells, dram.shared_ns, dram.priv_ns,
@@ -232,43 +231,23 @@ int main(int argc, char** argv) {
 
   std::printf("\n== end-to-end speculative loop (n=65536, steady-state, ms) ==\n");
   const long e2e_n = 1 << 16;
-  double shared_ms, priv_ms;
-  double shared_lo, shared_hi, priv_lo, priv_hi;
+  double e2e_ms, e2e_lo, e2e_hi;
   {
     wlp::ThreadPool pool(wlp::ThreadPool::default_concurrency());
-    wlp::SpecArray<double, wlp::PDSharedShadow> shared_arr(
-        std::vector<double>(static_cast<std::size_t>(e2e_n), -1.0),
-        pool.size(), /*run_pd_test=*/true);
-    wlp::SpecArray<double, wlp::PDPrivateShadow> priv_arr(
+    wlp::SpecArray<double> arr(
         std::vector<double>(static_cast<std::size_t>(e2e_n), -1.0),
         pool.size(), /*run_pd_test=*/true);
     // Warmup faults in the pooled state (shadow segments, last-writer
     // tables, backup buffers); the timed reps then measure what a repeat
     // invocation of the same loop site actually costs.
-    speculative_run_ms(pool, shared_arr, e2e_n);
-    speculative_run_ms(pool, priv_arr, e2e_n);
-    std::vector<double> s_ms, p_ms;
-    for (int r = 0; r < 15; ++r) {
-      s_ms.push_back(speculative_run_ms(pool, shared_arr, e2e_n));
-      p_ms.push_back(speculative_run_ms(pool, priv_arr, e2e_n));
-    }
-    shared_ms = wlp::median(s_ms);
-    priv_ms = wlp::median(p_ms);
-    // The spread matters as much as the median here: the shared policy's
-    // striped spinlocks are bimodal on an oversubscribed host — a
-    // preempted lock holder stalls every worker spinning on that stripe
-    // for a whole scheduling quantum.  Private segments have no lock to
-    // lose, so their reps cluster tightly.
-    shared_lo = *std::min_element(s_ms.begin(), s_ms.end());
-    shared_hi = *std::max_element(s_ms.begin(), s_ms.end());
-    priv_lo = *std::min_element(p_ms.begin(), p_ms.end());
-    priv_hi = *std::max_element(p_ms.begin(), p_ms.end());
+    speculative_run_ms(pool, arr, e2e_n);
+    std::vector<double> ms;
+    for (int r = 0; r < 15; ++r) ms.push_back(speculative_run_ms(pool, arr, e2e_n));
+    e2e_ms = wlp::median(ms);
+    e2e_lo = *std::min_element(ms.begin(), ms.end());
+    e2e_hi = *std::max_element(ms.begin(), ms.end());
   }
-  std::printf("  shared policy     : %8.2f ms  [%.2f .. %.2f]\n", shared_ms,
-              shared_lo, shared_hi);
-  std::printf("  privatized policy : %8.2f ms  [%.2f .. %.2f]  (%.1f%% faster)\n",
-              priv_ms, priv_lo, priv_hi,
-              100.0 * (shared_ms - priv_ms) / shared_ms);
+  std::printf("  SpecArray : %8.2f ms  [%.2f .. %.2f]\n", e2e_ms, e2e_lo, e2e_hi);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {
@@ -297,7 +276,7 @@ int main(int argc, char** argv) {
                "\"shared_ns_per_mark\": %.3f, \"privatized_ns_per_mark\": %.3f},\n",
                kDramCells, dram.shared_ns, dram.priv_ns);
   std::fprintf(f, "    \"host_note\": \"on a host where workers timeshare "
-               "few cores the shared policy pays no cross-core lock or "
+               "few cores the shared store pays no cross-core lock or "
                "coherence contention, so privatized_speedup is a "
                "contention-free lower bound\"\n");
   std::fprintf(f, "  },\n");
@@ -319,15 +298,12 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"accessor_retry\": {\"retries\": 100, \"n\": %zu, "
                "\"rebuild_us\": %.1f, \"epoch_us\": %.1f, \"speedup\": %.1f},\n",
                retry_n, rebuild_us, epoch_us, rebuild_us / epoch_us);
-  std::fprintf(f, "  \"end_to_end\": {\"n\": %ld, \"shared_ms\": %.3f, "
-               "\"shared_ms_min\": %.3f, \"shared_ms_max\": %.3f, "
-               "\"privatized_ms\": %.3f, \"privatized_ms_min\": %.3f, "
-               "\"privatized_ms_max\": %.3f, \"delta_pct\": %.1f},\n",
-               e2e_n, shared_ms, shared_lo, shared_hi, priv_ms, priv_lo,
-               priv_hi, 100.0 * (shared_ms - priv_ms) / shared_ms);
+  std::fprintf(f, "  \"end_to_end\": {\"n\": %ld, \"ms\": %.3f, "
+               "\"ms_min\": %.3f, \"ms_max\": %.3f},\n",
+               e2e_n, e2e_ms, e2e_lo, e2e_hi);
   std::fprintf(f, "  \"figures_note\": \"Fig. 8-14 reproductions run in the "
                "simulator (wlp::sim) and do not execute the shadow hot path; "
-               "end_to_end above is the measured real-runtime delta.\"\n");
+               "end_to_end above is the measured real-runtime cost.\"\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path);

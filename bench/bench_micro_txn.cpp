@@ -3,9 +3,10 @@
 //
 // Four questions, answered on the real host (not the simulator):
 //   1. Fused undo — ONE pool pass over the concatenated dirty summaries of
-//      k arrays vs the old driver loop (k undo_beyond calls, each its own
-//      pool dispatch and futex join).  k in {2, 4, 8} at constant total
-//      footprint (2^18 elements split across the arrays), in two regimes:
+//      k arrays vs the old driver loop (k undo passes, each its own pool
+//      dispatch and futex join: one single-member transaction per array).
+//      k in {2, 4, 8} at constant total footprint (2^18 elements split
+//      across the arrays), in two regimes:
 //        * dense: every element written, half the range overshot;
 //        * strided: every 8th element written (dirty summaries sparse, the
 //          per-dispatch overhead a larger fraction of the work).
@@ -33,6 +34,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
@@ -68,7 +70,8 @@ struct FusedPoint {
 /// `total_n` elements, every `stride`-th element of each written, half the
 /// written range overshot.  Per rep and per side: untimed begin (reset +
 /// fused checkpoint) + writes, then the timed undo — the fused transaction
-/// pass vs the retired driver loop (one undo_beyond dispatch per array).
+/// pass vs the retired driver loop (one undo dispatch per array, through a
+/// single-member transaction each).
 FusedPoint fused_regime(wlp::ThreadPool& pool, int k, std::size_t total_n,
                         std::size_t stride, int reps) {
   const std::size_t n = total_n / static_cast<std::size_t>(k);
@@ -84,6 +87,10 @@ FusedPoint fused_regime(wlp::ThreadPool& pool, int k, std::size_t total_n,
   }
   wlp::SpecTransaction txn(
       std::span<wlp::SpecTarget* const>(targets.data(), targets.size()));
+  std::vector<std::unique_ptr<wlp::SpecTransaction>> singles;
+  for (wlp::SpecTarget*& t : targets)
+    singles.push_back(std::make_unique<wlp::SpecTransaction>(
+        std::span<wlp::SpecTarget* const>(&t, 1)));
 
   const long writes_per_array = static_cast<long>(n / stride);
   const long trip = writes_per_array / 2;
@@ -106,7 +113,7 @@ FusedPoint fused_regime(wlp::ThreadPool& pool, int k, std::size_t total_n,
     fill();
     const auto t0 = Clock::now();
     loop_undone = 0;
-    for (wlp::SpecTarget* t : targets) loop_undone += t->undo_beyond(trip, &pool);
+    for (auto& single : singles) loop_undone += single->undo_beyond(trip, &pool);
     if (record) p_us.push_back(seconds_since(t0) * 1e6);
   };
   for (int r = -1; r < reps; ++r) {  // rep -1 = warmup, not recorded

@@ -96,7 +96,7 @@ struct ExecState {
   /// exact pre-loop state without a snapshot.
   std::atomic<long> ticket{0};
 
-  // PD machinery for the plan's unknown-access arrays (privatized policy:
+  // PD machinery for the plan's unknown-access arrays (privatized shadow:
   // each worker marks its own segment, merged at analyze time).
   std::map<std::string, std::unique_ptr<PDPrivateShadow>> shadows;
   // accessors[worker][array]

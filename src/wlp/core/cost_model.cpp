@@ -150,42 +150,26 @@ DoallOptions choose_schedule(long upper_bound, double expected_trip,
   return opts;
 }
 
-BackupDecision choose_backup(std::size_t n, std::size_t touched,
-                             double measured_tb, double measured_ta) noexcept {
+BackupDecision choose_backup(std::size_t n, std::size_t touched) noexcept {
   BackupDecision d;
   if (n == 0) return d;
   d.density = static_cast<double>(std::min(touched, n)) /
               static_cast<double>(n);
   // Cost model in checkpoint-copy units (one element copied to the backup
-  // = 1).  The dense path pays the full checkpoint up front plus ~1 unit
-  // per touched location at undo.  The hash path skips the checkpoint but
-  // pays per touched location: a record is a hash + probe + tag CAS +
-  // stamp fetch-max (~kHashOp copies' worth of memory traffic), and the
-  // undo slot scan visits ~2x touched slots (power-of-two table sized with
-  // 2x headroom) at ~kHashScan each.
+  // = 1).  The dense path pays the full checkpoint up front plus ~2 units
+  // per touched location (the stamp on write, the restore at undo).  The
+  // hash path skips the checkpoint but pays per touched location: a record
+  // is a hash + probe + tag CAS + stamp fetch-max (~kHashOp copies' worth
+  // of memory traffic), and the undo slot scan visits ~2x touched slots
+  // (power-of-two table sized with 2x headroom) at ~kHashScan each.
   //
-  //   dense(t) = n + t          hash(t) = kHashOp*t + 2*kHashScan*t
+  //   dense(t) = n + 2t         hash(t) = kHashOp*t + 2*kHashScan*t
   //
-  // Hash wins while t < n / (kHashOp + 2*kHashScan - 1), i.e. below a
-  // density theta = 1/7 with the defaults.  When the runtime has measured
-  // Tb/Ta for this array (LoopStatistics feeds them through), the unit
-  // costs are re-derived from them: an expensive checkpoint (NUMA-remote
-  // data, huge n) raises theta — sparse stays attractive longer — while an
-  // expensive undo pass lowers it.  Theta is clamped to [1/64, 1/2]: below
-  // 1/64 the hash table's constant factors are noise, above 1/2 the table
-  // would outgrow the checkpoint it replaces.
+  // Hash wins while t < n / (kHashOp + 2*kHashScan - 2), i.e. below a
+  // density theta = 1/6.
   constexpr double kHashOp = 4.0;
   constexpr double kHashScan = 2.0;
-  double per_copy = 1.0;  // checkpoint cost per element
-  double per_undo = 1.0;  // dense undo cost per touched location
-  if (measured_tb > 0.0)
-    per_copy = measured_tb / static_cast<double>(n);
-  if (measured_ta > 0.0 && touched > 0)
-    per_undo = measured_ta / static_cast<double>(touched);
-  const double hash_extra =
-      kHashOp * per_copy + 2.0 * kHashScan * per_undo - per_copy - per_undo;
-  d.theta = hash_extra > 0.0 ? per_copy / hash_extra : 0.5;
-  d.theta = std::clamp(d.theta, 1.0 / 64.0, 0.5);
+  d.theta = 1.0 / (kHashOp + 2.0 * kHashScan - 2.0);
   d.kind = d.density < d.theta ? BackupKind::kHash : BackupKind::kDense;
   return d;
 }

@@ -157,13 +157,9 @@ struct BackupDecision {
 
 /// Pick dense VersionedArray vs sparse HashBackup for ONE array's next
 /// retry from its measured touch density (`touched` locations written last
-/// retry, array size `n`), optionally corrected by the measured Tb/Ta the
-/// cost model already collects (negative = unmeasured, use the static
-/// operation-cost model).  Replaces the static per-loop backup flag: the
+/// retry, array size `n`).  Replaces the static per-loop backup flag: the
 /// same loop can run one array dense and a sibling sparse, and flip either
 /// as the observed density drifts (DESIGN.md §9).
-BackupDecision choose_backup(std::size_t n, std::size_t touched,
-                             double measured_tb = -1.0,
-                             double measured_ta = -1.0) noexcept;
+BackupDecision choose_backup(std::size_t n, std::size_t touched) noexcept;
 
 }  // namespace wlp

@@ -87,7 +87,7 @@ namespace {
 
 using MergeClock = std::chrono::steady_clock;
 
-/// Emit the merge-pass metrics shared by both policies' analyze().
+/// Emit the merge-pass metrics shared by both shadow stores' analyze().
 inline void record_merge(MergeClock::time_point t0, std::size_t cells) {
 #if defined(WLP_OBS_ENABLED)
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(

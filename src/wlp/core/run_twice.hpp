@@ -13,10 +13,10 @@
 // stamps, no undo.  Pass 2 then executes exactly [0, trip) — no overshoot
 // by construction.
 //
-// Repeated invocations against the same targets are cheap with the
-// privatized shadow policy: reset_marks() is an O(1) epoch bump (shadow
-// cells and accessor last-writer tables are generation-stamped), so the
-// per-call setup no longer scales with the array size.
+// Repeated invocations against the same targets are cheap: reset_marks()
+// is an O(1) epoch bump (shadow cells and accessor last-writer tables are
+// generation-stamped), so the per-call setup no longer scales with the
+// array size.
 #pragma once
 
 #include <span>

@@ -25,22 +25,23 @@
 // — a same-iteration read-then-write like A[i] = 2*A[i] (the paper's
 // Fig. 5(a)) leaves w0 == r0 as the only marks and correctly passes.
 //
-// Two implementations of the marking store exist, selectable per speculation
-// target (SpecArray<T, Shadow> et al.); both run the same fully parallel
-// O(n/p + log p) analysis:
+// Two implementations of the marking store exist; both run the same fully
+// parallel O(n/p + log p) analysis:
 //
 //   * PDSharedShadow — one cell array shared by all workers; every mark
-//     pays atomic loads plus a striped spinlock.  Kept as the A/B baseline
-//     the benches compare against, and for callers that mark without a
-//     stable worker id.
-//   * PDPrivateShadow — one cache-line-disjoint cell segment per worker;
-//     marks are PLAIN stores into the worker's own segment (no atomics, no
-//     locks), and analyze() merges the per-worker two-smallest sets
-//     cell-block-wise.  The two-smallest set is a semilattice under that
-//     merge (see DESIGN.md §5), so moving the combine into the post-pass is
-//     exact.  reset() is an O(1) epoch bump: cells stamped with an older
-//     generation are treated as unmarked at merge time, so strip /
-//     run-twice / sliding-window retries stop paying an O(n) sweep.
+//     pays atomic loads plus a striped spinlock.  Kept only as the
+//     reference the PD tests and bench_micro_pd check the privatized store
+//     against.
+//   * PDPrivateShadow — the store every speculation target marks into
+//     (through its one PDMarks member): one cache-line-disjoint cell
+//     segment per worker; marks are PLAIN stores into the worker's own
+//     segment (no atomics, no locks), and analyze() merges the per-worker
+//     two-smallest sets cell-block-wise.  The two-smallest set is a
+//     semilattice under that merge (see DESIGN.md §5), so moving the
+//     combine into the post-pass is exact.  reset() is an O(1) epoch bump:
+//     cells stamped with an older generation are treated as unmarked at
+//     merge time, so strip / run-twice / sliding-window retries stop
+//     paying an O(n) sweep.
 #pragma once
 
 #include <algorithm>
@@ -155,14 +156,12 @@ struct PDShadowStats {
 };
 
 /// The original shared-cell shadow: every mark does atomic loads plus a
-/// striped spinlock on a cache line contended by all workers.  Retained
-/// behind the policy switch as the A/B baseline and for vpn-less callers.
+/// striped spinlock on a cache line contended by all workers.  Retained as
+/// the reference the tests and bench_micro_pd compare PDPrivateShadow with.
 class PDSharedShadow {
  public:
-  static constexpr const char* kPolicyName = "shared";
-
   explicit PDSharedShadow(std::size_t n);
-  /// Uniform policy constructor (the worker count is irrelevant here).
+  /// PDPrivateShadow's constructor shape (the worker count is irrelevant here).
   PDSharedShadow(std::size_t n, unsigned /*workers*/) : PDSharedShadow(n) {}
 
   PDSharedShadow(const PDSharedShadow&) = delete;
@@ -184,7 +183,7 @@ class PDSharedShadow {
     mark_exposed_read(iter, idx);
   }
 
-  /// Worker-bound marking view (uniform policy API).  The shared store has
+  /// Worker-bound marking view (PDPrivateShadow's API).  The shared store has
   /// no per-worker state to cache, so this just forwards.
   class Marker {
    public:
@@ -209,7 +208,7 @@ class PDSharedShadow {
   PDVerdict analyze_seq(long trip) const;
 
   /// Clear all marks (reuse across strips / runs).  O(n) sweep — the cost
-  /// the privatized policy's epoch bump exists to remove.
+  /// the privatized store's epoch bump exists to remove.
   void reset() noexcept;
 
   /// Diagnostic accessors (tests).
@@ -264,8 +263,6 @@ class PDSharedShadow {
 /// synchronization-free.
 class PDPrivateShadow {
  public:
-  static constexpr const char* kPolicyName = "privatized";
-
   /// Empty-cell sentinel: +infinity orders after every real iteration, so
   /// the merge and the `< trip` filters need no empty-checks.  (Marks with
   /// iter == LONG_MAX are not representable; no caller produces them.)
@@ -371,14 +368,6 @@ class PDPrivateShadow {
   /// segments actually marked into.
   PDVerdict analyze(ThreadPool& pool, long trip) const;
   PDVerdict analyze_seq(long trip) const;
-
-  /// Signature-emit mode: the same analysis, but also folds the per-worker
-  /// access summaries into `*sum` (O(workers), no extra cell pass) so the
-  /// caller can memoize the verdict under the pattern's signature.
-  PDVerdict analyze(ThreadPool& pool, long trip, PDAccessSummary* sum) const {
-    if (sum != nullptr) *sum = access_summary();
-    return analyze(pool, trip);
-  }
 
   /// Opt in to per-mark summary accumulation (wlp::pdcache).  Off by
   /// default: the cache-off marking hot path pays only one predictable
@@ -587,10 +576,70 @@ class PDAccessorT {
   std::vector<std::uint32_t> lw_gen_;
 };
 
-/// Historical names: the shared policy, which is what these spelled before
-/// the privatized store existed.
-using PDShadow = PDSharedShadow;
-using PDAccessor = PDAccessorT<PDSharedShadow>;
 using PDPrivateAccessor = PDAccessorT<PDPrivateShadow>;
+
+/// The PD marking state of one speculation target: the privatized shadow
+/// plus one accessor per worker.  Every target (SpecArray, SparseSpecArray,
+/// AdaptiveSpecArray, PrivatizedSpecArray) holds one and forwards its
+/// body-side accesses here.  With `on` = false the accesses are statically
+/// analyzable: the accessors (and their O(n) last-writer tables) are never
+/// built and every mark is a predictable no-op.
+class PDMarks {
+ public:
+  PDMarks(std::size_t n, unsigned workers, bool on)
+      : on_(on), shadow_(n, workers) {
+    if (!on_) return;
+    accessors_.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w)
+      accessors_.emplace_back(shadow_, n, w);
+  }
+
+  bool on() const noexcept { return on_; }
+
+  void begin_iteration(unsigned vpn, long iter) noexcept {
+    if (on_) accessors_[vpn].begin_iteration(iter);
+  }
+  void on_read(unsigned vpn, std::size_t idx) {
+    if (on_) accessors_[vpn].on_read(idx);
+  }
+  void on_write(unsigned vpn, std::size_t idx) {
+    if (on_) accessors_[vpn].on_write(idx);
+  }
+
+  /// O(1): the shadow's epoch bump, then every accessor's (in that order,
+  /// so the markers re-snapshot the new epoch).
+  void reset() noexcept {
+    shadow_.reset();
+    for (auto& a : accessors_) a.reset();
+  }
+
+  /// Marks recorded since the last reset() (0 when off).
+  long marks() const noexcept {
+    long m = 0;
+    for (const auto& a : accessors_) m += a.marks();
+    return m;
+  }
+
+  PDVerdict analyze(ThreadPool& pool, long trip) const {
+    return shadow_.analyze(pool, trip);
+  }
+
+  /// Verdict-cache signatures (wlp::pdcache): a no-op when off.
+  void enable_signatures(bool on) noexcept {
+    if (on_) shadow_.enable_signatures(on);
+  }
+  /// Fold the per-worker access summaries into `*out`; false when off or
+  /// signatures are disabled (the caller then runs the full analysis).
+  bool access_summary(PDAccessSummary* out) const noexcept {
+    if (!on_ || !shadow_.signatures_enabled()) return false;
+    *out = shadow_.access_summary();
+    return true;
+  }
+
+ private:
+  bool on_;
+  PDPrivateShadow shadow_;
+  std::vector<PDPrivateAccessor> accessors_;
+};
 
 }  // namespace wlp

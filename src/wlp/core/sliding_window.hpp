@@ -369,7 +369,7 @@ WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
 /// `body(i, vpn) -> IterAction` must route accesses through the registered
 /// targets (begin_iteration first); `run_sequential() -> trip` is the
 /// fallback after a full restore.  Retries against the same targets are
-/// cheap: reset_marks() is an O(1) epoch bump under the privatized policy.
+/// cheap: reset_marks() is an O(1) epoch bump.
 template <class Body, class SeqRun>
 WindowReport sliding_window_speculative_while(
     ThreadPool& pool, long u, std::span<SpecTarget* const> targets,

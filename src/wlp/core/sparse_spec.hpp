@@ -24,7 +24,7 @@
 
 namespace wlp {
 
-template <class T, class Shadow = PDPrivateShadow>
+template <class T>
 class SparseSpecArray final : public SpecTarget {
  public:
   /// `shared` stays owned by the caller and is mutated in place.
@@ -34,30 +34,23 @@ class SparseSpecArray final : public SpecTarget {
                   std::size_t expected_writes, bool run_pd_test)
       : data_(shared),
         backup_(expected_writes * 2),
-        pd_(run_pd_test),
-        shadow_(shared.size(), workers) {
-    if (pd_) {
-      accessors_.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w)
-        accessors_.emplace_back(shadow_, shared.size(), w);
-    }
-  }
+        pd_(shared.size(), workers, run_pd_test) {}
 
   // ---- body-side API -----------------------------------------------------
 
   void begin_iteration(unsigned vpn, long iter) {
-    if (pd_) accessors_[vpn].begin_iteration(iter);
+    pd_.begin_iteration(vpn, iter);
   }
 
   T get(unsigned vpn, std::size_t idx) {
-    if (pd_) accessors_[vpn].on_read(idx);
+    pd_.on_read(vpn, idx);
     return data_[idx];
   }
 
   void set(unsigned vpn, long iter, std::size_t idx, const T& v) {
-    if (pd_) accessors_[vpn].on_write(idx);
+    pd_.on_write(vpn, idx);
     // Save-before-write; when the backup is full the data write is SKIPPED,
-    // so every mutation stays recorded and restore_all() can still
+    // so every mutation stays recorded and a full restore can still
     // reconstruct the exact pre-loop state.  The driver sees overflowed()
     // after the run and falls back to sequential re-execution.
     if (!backup_.record(iter, idx, data_[idx])) return;
@@ -71,55 +64,36 @@ class SparseSpecArray final : public SpecTarget {
 
   // ---- SpecTarget ----------------------------------------------------------
 
-  void checkpoint(ThreadPool*) override {}  // incremental: nothing up front
-  long undo_beyond(long trip, ThreadPool* pool) override {
-    return backup_.undo_into(data_, trip, pool);
-  }
-  void restore_all(ThreadPool* pool) override {
-    backup_.restore_all_into(data_, pool);
-  }
   bool overflowed() const override { return backup_.overflowed(); }
   std::size_t memory_bytes() const override { return backup_.memory_bytes(); }
-  bool shadowed() const override { return pd_; }
+  bool shadowed() const override { return pd_.on(); }
   PDVerdict analyze(ThreadPool& pool, long trip) const override {
-    return shadow_.analyze(pool, trip);
+    return pd_.analyze(pool, trip);
   }
   void reset_marks() override {
-    shadow_.reset();  // O(1) epoch bump for the privatized policy
-    for (auto& a : accessors_) a.reset();
+    pd_.reset();
     backup_.clear();
   }
-  long marks() const override {
-    long m = 0;
-    for (const auto& a : accessors_) m += a.marks();
-    return m;
-  }
+  long marks() const override { return pd_.marks(); }
   void discard() override { backup_.clear(); }
 
   // ---- verdict-cache hooks -------------------------------------------------
 
   void enable_access_signatures(bool on) override {
-    if constexpr (requires(Shadow& s) { s.enable_signatures(on); }) {
-      if (pd_) shadow_.enable_signatures(on);
-    }
+    pd_.enable_signatures(on);
   }
   bool access_summary(PDAccessSummary* out) const override {
-    if constexpr (requires(const Shadow& s) { s.access_summary(); }) {
-      if (pd_ && shadow_.signatures_enabled()) {
-        *out = shadow_.access_summary();
-        return true;
-      }
-    }
-    return false;
+    return pd_.access_summary(out);
   }
   long dirty_block_count() const override {
     return backup_.dirty_block_count();
   }
 
   // ---- fused-transaction hooks --------------------------------------------
-  // No dense index and nothing to checkpoint up front; the fused undo pass
-  // scans this target's slot table in chunks alongside the dense members'
-  // dirty spans (one pool dispatch for the whole transaction).
+  // No dense index and nothing to checkpoint up front (the backup saves on
+  // first touch); the fused undo pass scans this target's slot table in
+  // chunks alongside the dense members' dirty spans (one pool dispatch for
+  // the whole transaction).
 
   std::size_t txn_sparse_slots() const override { return backup_.capacity(); }
   long txn_undo_slots(long trip, std::size_t lo, std::size_t hi) override {
@@ -127,15 +101,13 @@ class SparseSpecArray final : public SpecTarget {
   }
   /// After a fused full restore the recorded set is spent: drop it so the
   /// transaction reads as empty, matching the dense members (whose stamps
-  /// restore_all clears).  The epoch bump keeps this O(1).
+  /// the restore clears).  The epoch bump keeps this O(1).
   void txn_restore_all_done() override { backup_.clear(); }
 
  private:
   std::vector<T>& data_;
   HashBackup<T> backup_;
-  bool pd_;
-  Shadow shadow_;
-  std::vector<PDAccessorT<Shadow>> accessors_;
+  PDMarks pd_;
 };
 
 }  // namespace wlp

@@ -3,19 +3,12 @@
 // fuse checkpoint/undo work across targets without an include cycle with
 // the speculative drivers.
 //
-// Two tiers of API:
-//   * The original per-target virtuals (checkpoint / undo_beyond /
-//     restore_all / ...) — every target implements these; drivers that run
-//     one target, and the transaction's fallback for opaque targets, use
-//     them directly.
-//   * The txn_* hooks — span-granular pieces of the same operations, so a
-//     SpecTransaction can run ONE pool-parallel pass over the concatenated
-//     block ranges of all its members instead of k sequential parallel
-//     passes (ISSUE 8: rollback must be bandwidth-bound in one stream, not
-//     latency-bound in k).  All hooks have conservative defaults: a target
-//     that doesn't implement them reports no index / no spans / no slots,
-//     and the transaction falls back to its per-target virtuals.  Adding
-//     hooks with defaults is non-breaking — no external subclasses exist.
+// Checkpoint, undo and full restore exist only as the txn_* hooks:
+// span-granular pieces a SpecTransaction stitches into ONE pool-parallel
+// pass over the concatenated block ranges of all its members instead of k
+// sequential parallel passes (rollback is bandwidth-bound in one stream,
+// not latency-bound in k).  A target must report a stamp index, sparse
+// slots, or both; the transaction rejects one that reports neither.
 #pragma once
 
 #include <atomic>
@@ -57,11 +50,6 @@ class SpecTarget {
   void set_footprint_listener(FootprintListener* l) noexcept {
     footprint_listener_.store(l, std::memory_order_release);
   }
-  /// Snapshot before the speculative run (the Tb term).  The pool, when
-  /// given, parallelizes the copy; nullptr keeps it serial.
-  virtual void checkpoint(ThreadPool* pool) = 0;
-  virtual long undo_beyond(long trip, ThreadPool* pool) = 0;
-  virtual void restore_all(ThreadPool* pool) = 0;
   virtual bool shadowed() const = 0;
   virtual PDVerdict analyze(ThreadPool& pool, long trip) const = 0;
   virtual void reset_marks() = 0;
@@ -84,15 +72,13 @@ class SpecTarget {
 
   /// Turn per-mark access-summary accumulation on/off in this target's
   /// shadow.  Drivers call it once, before any marking, when a verdict
-  /// cache is attached; targets whose shadow policy has no summary support
-  /// ignore it (their access_summary() stays false and the cache is simply
-  /// bypassed for them).
+  /// cache is attached; an unshadowed target ignores it (its
+  /// access_summary() stays false and the cache is bypassed for it).
   virtual void enable_access_signatures(bool /*on*/) {}
   /// Fold the shadow's per-worker access summaries into `*out` (only valid
   /// after the fork-join barrier, like analyze()).  Returns false when this
-  /// target cannot produce one — signatures disabled, not shadowed, or a
-  /// shadow policy without summaries — in which case the caller must run
-  /// the full analysis.
+  /// target cannot produce one — signatures disabled or not shadowed — in
+  /// which case the caller must run the full analysis.
   virtual bool access_summary(PDAccessSummary* /*out*/) const { return false; }
   /// Write density for the verdict signature: current-epoch dirty blocks
   /// (dense stamps) or the equivalent packed-block count (sparse backups).
@@ -103,11 +89,11 @@ class SpecTarget {
   // ---- fused-transaction hooks (SpecTransaction, txn.hpp) ------------------
 
   /// The trip-indexed stamp/dirty index this target's speculative writes go
-  /// through, or nullptr for a target the transaction must treat as opaque
-  /// (fall back to the per-target virtuals above).  Targets returning the
-  /// SAME index are trip-aligned siblings: the transaction walks their
-  /// shared dirty summary once and dispatches each merged span to every
-  /// member back-to-back.
+  /// through, or nullptr for a target without dense stamps (it must then
+  /// report sparse slots below).  Targets returning the SAME index are
+  /// trip-aligned siblings: the transaction walks their shared dirty
+  /// summary once and dispatches each merged span to every member
+  /// back-to-back.
   virtual StampIndex* txn_index() noexcept { return nullptr; }
   /// Prepare for a fused checkpoint (resize the pooled backup, count the
   /// checkpoint); returns the element count the transaction's single

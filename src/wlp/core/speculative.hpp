@@ -34,15 +34,10 @@
 
 namespace wlp {
 
-/// A shared array under speculation: versioned data + (optionally) a PD
-/// shadow with one accessor per worker.  Loop bodies use the vpn-qualified
+/// A shared array under speculation: versioned data + (optionally) PD
+/// marks with one accessor per worker.  Loop bodies use the vpn-qualified
 /// get/set, which both maintain the stamps and drive the shadow marking.
-///
-/// `Shadow` selects the marking policy: `PDPrivateShadow` (default) marks
-/// into per-worker private segments with plain stores and merges at analyze
-/// time; `PDSharedShadow` is the old striped-lock shared structure, kept for
-/// A/B comparison in benches.
-template <class T, class Shadow = PDPrivateShadow>
+template <class T>
 class SpecArray final : public SpecTarget {
  public:
   /// `run_pd_test` = false means the accesses are statically analyzable
@@ -54,13 +49,8 @@ class SpecArray final : public SpecTarget {
   /// StampIndex class comment for the write-set contract this requires).
   SpecArray(std::vector<T> init, unsigned workers, bool run_pd_test,
             std::shared_ptr<StampIndex> shared = nullptr)
-      : array_(std::move(init), std::move(shared)), pd_(run_pd_test),
-        shadow_(array_.size(), workers) {
-    if (pd_) {
-      accessors_.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w)
-        accessors_.emplace_back(shadow_, array_.size(), w);
-    }
+      : array_(std::move(init), std::move(shared)),
+        pd_(array_.size(), workers, run_pd_test) {
     writers_.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
       writers_.emplace_back(array_.writer());
@@ -70,16 +60,16 @@ class SpecArray final : public SpecTarget {
 
   /// Must be called by the body at the top of every iteration, per worker.
   void begin_iteration(unsigned vpn, long iter) {
-    if (pd_) accessors_[vpn].begin_iteration(iter);
+    pd_.begin_iteration(vpn, iter);
   }
 
   T get(unsigned vpn, std::size_t idx) {
-    if (pd_) accessors_[vpn].on_read(idx);
+    pd_.on_read(vpn, idx);
     return array_.get(idx);
   }
 
   void set(unsigned vpn, long iter, std::size_t idx, const T& v) {
-    if (pd_) accessors_[vpn].on_write(idx);
+    pd_.on_write(vpn, idx);
     // Per-worker Writer view: consecutive writes into the same 64-element
     // block skip the dirty-summary publication entirely.
     writers_[static_cast<std::size_t>(vpn)].value.write(iter, idx, v);
@@ -97,48 +87,28 @@ class SpecArray final : public SpecTarget {
 
   // ---- SpecTarget ----------------------------------------------------------
 
-  void checkpoint(ThreadPool* pool) override { array_.checkpoint(pool); }
-  long undo_beyond(long trip, ThreadPool* pool) override {
-    return array_.undo_beyond(trip, pool);
-  }
-  void restore_all(ThreadPool* pool) override { array_.restore_all(pool); }
-  bool shadowed() const override { return pd_; }
+  bool shadowed() const override { return pd_.on(); }
   PDVerdict analyze(ThreadPool& pool, long trip) const override {
-    return shadow_.analyze(pool, trip);
+    return pd_.analyze(pool, trip);
   }
   void reset_marks() override {
-    shadow_.reset();  // O(1) epoch bump for the privatized policy
-    for (auto& a : accessors_) a.reset();
+    pd_.reset();
     array_.clear_stamps();  // O(1) epoch bump too
     // The Writers' cached blocks belong to the dead epoch: rebind so the
     // first write of the new run re-publishes its dirty bit.
     for (auto& w : writers_) w.value.rebind();
   }
-  long marks() const override {
-    long m = 0;
-    for (const auto& a : accessors_) m += a.marks();
-    return m;
-  }
+  long marks() const override { return pd_.marks(); }
   std::size_t memory_bytes() const override { return array_.memory_bytes(); }
   void discard() override { array_.discard_checkpoint(); }
 
   // ---- verdict-cache hooks -------------------------------------------------
-  // Compiled only for shadow policies with summary support (the privatized
-  // one); the shared policy keeps the defaults and the cache bypasses it.
 
   void enable_access_signatures(bool on) override {
-    if constexpr (requires(Shadow& s) { s.enable_signatures(on); }) {
-      if (pd_) shadow_.enable_signatures(on);
-    }
+    pd_.enable_signatures(on);
   }
   bool access_summary(PDAccessSummary* out) const override {
-    if constexpr (requires(const Shadow& s) { s.access_summary(); }) {
-      if (pd_ && shadow_.signatures_enabled()) {
-        *out = shadow_.access_summary();
-        return true;
-      }
-    }
-    return false;
+    return pd_.access_summary(out);
   }
   long dirty_block_count() const override {
     return array_.dirty_block_count();
@@ -166,9 +136,7 @@ class SpecArray final : public SpecTarget {
 
  private:
   VersionedArray<T> array_;
-  bool pd_;
-  Shadow shadow_;
-  std::vector<PDAccessorT<Shadow>> accessors_;
+  PDMarks pd_;
   /// One dirty-block-caching write view per worker, cache-line padded (the
   /// cached block index mutates on nearly every write).
   std::vector<Padded<typename VersionedArray<T>::Writer>> writers_;

@@ -42,53 +42,43 @@ class PrivTarget {
 
 /// A shared array speculated on through per-processor private copies.
 /// The shared vector stays untouched until copy_out().
-/// `Shadow` selects the marking policy (see SpecArray).
-template <class T, class Shadow = PDPrivateShadow>
+template <class T>
 class PrivatizedSpecArray final : public PrivTarget {
  public:
   PrivatizedSpecArray(std::vector<T>& shared, unsigned workers)
-      : priv_(shared, workers), shadow_(shared.size(), workers),
-        iter_(workers, -1) {
-    accessors_.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-      accessors_.emplace_back(shadow_, shared.size(), w);
-  }
+      : priv_(shared, workers), pd_(shared.size(), workers, true),
+        iter_(workers, -1) {}
 
   // ---- body-side API -----------------------------------------------------
 
   void begin_iteration(unsigned vpn, long iter) {
-    accessors_[vpn].begin_iteration(iter);
+    pd_.begin_iteration(vpn, iter);
     iter_[vpn] = iter;
   }
 
   T get(unsigned vpn, std::size_t idx) {
-    accessors_[vpn].on_read(idx);
+    pd_.on_read(vpn, idx);
     return priv_.read(vpn, idx);
   }
 
   void set(unsigned vpn, std::size_t idx, const T& v) {
-    accessors_[vpn].on_write(idx);
+    pd_.on_write(vpn, idx);
     priv_.write(vpn, iter_[vpn], idx, v);
   }
 
   // ---- PrivTarget ----------------------------------------------------------
 
   PDVerdict analyze(ThreadPool& pool, long trip) const override {
-    return shadow_.analyze(pool, trip);
+    return pd_.analyze(pool, trip);
   }
   long copy_out(long trip) override { return priv_.copy_out(trip); }
-  long marks() const override {
-    long m = 0;
-    for (const auto& a : accessors_) m += a.marks();
-    return m;
-  }
+  long marks() const override { return pd_.marks(); }
 
   std::size_t trail_entries() const { return priv_.trail_entries(); }
 
  private:
   PrivatizedArray<T> priv_;
-  Shadow shadow_;
-  std::vector<PDAccessorT<Shadow>> accessors_;
+  PDMarks pd_;
   // Current iteration per worker (PrivatizedArray wants it on write).
   std::vector<long> iter_;
 };

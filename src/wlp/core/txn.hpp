@@ -18,10 +18,11 @@
 //     per array;
 //   * publishes wlp.undo.{checkpoint_ns,restore_ns,blocks_dirty} once per
 //     transaction operation, not once per target, so multi-array loops
-//     stop inflating the histograms k-fold;
-//   * falls back to the per-target virtuals for opaque targets (no
-//     txn_index(), no sparse slots), so custom SpecTargets keep working
-//     unchanged inside a transaction.
+//     stop inflating the histograms k-fold.
+//
+// These fused passes are the only checkpoint/undo/restore a target has: a
+// target reporting neither a stamp index nor sparse slots would get no
+// checkpoint at all, so the constructor rejects it.
 //
 // Stamp sharing: trip-aligned members (same write set per iteration — see
 // the StampIndex class comment for why that is the aliasing rule) can be
@@ -33,10 +34,10 @@
 // AdaptiveSpecArray is the per-array, per-retry backend picker the ROADMAP
 // calls for: it owns BOTH a dense VersionedArray and a HashBackup and
 // chooses between them at every reset from the measured touch density of
-// the previous retry (cost_model::choose_backup, optionally corrected by
-// measured Tb/Ta), retiring the static dense-vs-sparse plan flag.  A hash
-// overflow permanently bans the hash side for that array — without
-// disturbing sibling arrays in the same transaction.
+// the previous retry (cost_model::choose_backup), retiring the static
+// dense-vs-sparse plan flag.  A hash overflow permanently bans the hash
+// side for that array — without disturbing sibling arrays in the same
+// transaction.
 #pragma once
 
 #include <algorithm>
@@ -47,6 +48,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "wlp/core/cost_model.hpp"
@@ -75,11 +77,17 @@ class SpecTransaction : public FootprintListener {
   /// Hash slots per fused-undo chunk (matches HashBackup::undo_into).
   static constexpr std::size_t kSlotChunk = 1024;
 
+  /// Throws std::invalid_argument for a target that reports neither a stamp
+  /// index nor sparse slots: no fused pass could checkpoint or undo it.
   explicit SpecTransaction(std::span<SpecTarget* const> targets)
       : all_(targets.begin(), targets.end()) {
     for (SpecTarget* t : all_) {
       StampIndex* idx = t->txn_index();
       const std::size_t slots = t->txn_sparse_slots();
+      if (idx == nullptr && slots == 0)
+        throw std::invalid_argument(
+            "SpecTransaction: target reports neither a stamp index nor "
+            "sparse slots");
       if (idx != nullptr) {
         fused_.push_back(t);
         Group* g = nullptr;
@@ -94,7 +102,6 @@ class SpecTransaction : public FootprintListener {
         g->members.push_back(t);
       }
       if (slots != 0) sparse_.push_back(SparseEntry{t, slots});
-      if (idx == nullptr && slots == 0) opaque_.push_back(t);
     }
     // Checkpoint chunk map: one contiguous range of chunk ids per fused
     // member (restore_all reuses the same map for the backup->data copies).
@@ -152,8 +159,7 @@ class SpecTransaction : public FootprintListener {
   }
 
   /// Reset every member's marks and take the fused checkpoint: one parallel
-  /// pass over all members' element ranges (plus the legacy path for opaque
-  /// targets).  Replaces the per-target reset+checkpoint driver loops.
+  /// pass over all members' element ranges.
   void begin(ThreadPool* pool) {
     for (SpecTarget* t : all_) t->reset_marks();
     const auto t0 = std::chrono::steady_clock::now();
@@ -172,7 +178,6 @@ class SpecTransaction : public FootprintListener {
     } else {
       for (long c = 0; c < nchunks; ++c) checkpoint_chunk(c);
     }
-    for (SpecTarget* t : opaque_) t->checkpoint(pool);
     [[maybe_unused]] const double ns = detail::spec_ns_since(t0);
     WLP_OBS_COUNT("wlp.txn.begins", 1);
     WLP_OBS_COUNT("wlp.txn.targets", static_cast<long>(all_.size()));
@@ -198,7 +203,6 @@ class SpecTransaction : public FootprintListener {
     } else {
       for (long u = 0; u < nunits; ++u) undone += undo_unit(u, trip, blocks);
     }
-    for (SpecTarget* t : opaque_) undone += t->undo_beyond(trip, pool);
     [[maybe_unused]] const double ns = detail::spec_ns_since(t0);
     WLP_OBS_COUNT("wlp.undo.restore_ns", static_cast<long>(ns));
     WLP_OBS_COUNT("wlp.undo.blocks_dirty",
@@ -234,9 +238,7 @@ class SpecTransaction : public FootprintListener {
     } else {
       for (long u = 0; u < nunits; ++u) run_unit(u);
     }
-    for (SpecTarget* t : opaque_) t->restore_all(pool);
-    // Every member (fused AND sparse) drops its spent undo state; the hook
-    // defaults to a no-op, so opaque targets are unaffected.
+    // Every member (fused AND sparse) drops its spent undo state.
     for (SpecTarget* t : all_) t->txn_restore_all_done();
     [[maybe_unused]] const double ns = detail::spec_ns_since(t0);
     WLP_OBS_COUNT("wlp.undo.restore_ns", static_cast<long>(ns));
@@ -273,7 +275,6 @@ class SpecTransaction : public FootprintListener {
   /// Shape introspection (tests and the microbench assert on these).
   std::size_t targets() const noexcept { return all_.size(); }
   std::size_t fused_targets() const noexcept { return fused_.size(); }
-  std::size_t opaque_targets() const noexcept { return opaque_.size(); }
   std::size_t shared_groups() const noexcept { return groups_.size(); }
   /// Stamp bytes the index sharing avoided vs one private index per member.
   std::size_t stamp_bytes_saved() const noexcept { return stamp_bytes_saved_; }
@@ -343,7 +344,6 @@ class SpecTransaction : public FootprintListener {
 
   std::vector<SpecTarget*> all_;     ///< registration order
   std::vector<SpecTarget*> fused_;   ///< members with a stamp index
-  std::vector<SpecTarget*> opaque_;  ///< legacy per-target fallback
   std::vector<Group> groups_;        ///< fused members grouped by index
   std::vector<SparseEntry> sparse_;  ///< members with hash-slot chunks
   std::vector<long> cp_prefix_;      ///< chunk-id prefix per fused member
@@ -359,8 +359,7 @@ class SpecTransaction : public FootprintListener {
 ///
 /// The decision (cost_model::choose_backup) runs at every reset_marks()
 /// using the write count the workers tallied during the previous retry
-/// (the first retry uses the caller's `expected_writes` hint), optionally
-/// corrected by measured Tb/Ta fed in via note_measured().  A hash
+/// (the first retry uses the caller's `expected_writes` hint).  A hash
 /// overflow latches a permanent ban on the hash side for THIS array only:
 /// the next retry runs dense, siblings in the same transaction are
 /// untouched.
@@ -371,7 +370,7 @@ class SpecTransaction : public FootprintListener {
 /// of an empty table on dense retries).  Whichever side was active holds
 /// the retry's writes; the other contributes nothing, so mode flips
 /// between retries need no re-registration.
-template <class T, class Shadow = PDPrivateShadow>
+template <class T>
 class AdaptiveSpecArray final : public SpecTarget {
  public:
   /// `expected_writes` sizes the hash table (~2x headroom added by its
@@ -383,13 +382,7 @@ class AdaptiveSpecArray final : public SpecTarget {
       : array_(std::move(init), std::move(shared)),
         hash_(expected_writes * 2),
         expected_writes_(expected_writes),
-        pd_(run_pd_test),
-        shadow_(array_.size(), workers) {
-    if (pd_) {
-      accessors_.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w)
-        accessors_.emplace_back(shadow_, array_.size(), w);
-    }
+        pd_(array_.size(), workers, run_pd_test) {
     writers_.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
       writers_.emplace_back(array_.writer());
@@ -400,16 +393,16 @@ class AdaptiveSpecArray final : public SpecTarget {
   // ---- body-side API -----------------------------------------------------
 
   void begin_iteration(unsigned vpn, long iter) {
-    if (pd_) accessors_[vpn].begin_iteration(iter);
+    pd_.begin_iteration(vpn, iter);
   }
 
   T get(unsigned vpn, std::size_t idx) {
-    if (pd_) accessors_[vpn].on_read(idx);
+    pd_.on_read(vpn, idx);
     return array_.get(idx);
   }
 
   void set(unsigned vpn, long iter, std::size_t idx, const T& v) {
-    if (pd_) accessors_[vpn].on_write(idx);
+    pd_.on_write(vpn, idx);
     // Write tally, not distinct locations: an upper bound on the touched
     // set, which is the conservative direction for the density decision
     // (overcounting pushes toward dense, never toward an overflowing
@@ -428,16 +421,8 @@ class AdaptiveSpecArray final : public SpecTarget {
   std::vector<T>& data() noexcept { return array_.data(); }
   const std::vector<T>& data() const noexcept { return array_.data(); }
 
-  /// Backend chosen for the CURRENT retry, and the decision inputs.
+  /// Backend chosen for the CURRENT retry.
   BackupKind backup_kind() const noexcept { return mode_; }
-  BackupDecision last_decision() const noexcept { return decision_; }
-
-  /// Feed measured checkpoint/undo cost (ns) into the next decisions —
-  /// ExecReport::checkpoint_ns / undo_ns, averaged by LoopStatistics.
-  void note_measured(double tb_ns, double ta_ns) noexcept {
-    measured_tb_ = tb_ns;
-    measured_ta_ = ta_ns;
-  }
 
   UndoStats undo_stats() const { return array_.stats(); }
 
@@ -473,41 +458,18 @@ class AdaptiveSpecArray final : public SpecTarget {
       array_.patch_backup(idx, saved);
     });
     mode_ = BackupKind::kDense;
-    decision_.kind = BackupKind::kDense;
     WLP_OBS_COUNT("wlp.txn.backup_flips", 1);
     footprint_changed();
   }
 
   // ---- SpecTarget ----------------------------------------------------------
 
-  void checkpoint(ThreadPool* pool) override {
-    if (mode_ == BackupKind::kDense) array_.checkpoint(pool);
-  }
-  long undo_beyond(long trip, ThreadPool* pool) override {
-    if (mode_ == BackupKind::kDense) {
-      long undone = array_.undo_beyond(trip, pool);
-      // After a mid-run hash->dense upgrade (flip_to_dense) the pre-flip
-      // writes are stamped only in the hash slots; a plain dense retry
-      // holds no entries, so this costs nothing in the common case.
-      if (hash_.entries() != 0)
-        undone += hash_.undo_into(array_.data(), trip, pool);
-      return undone;
-    }
-    return hash_.undo_into(array_.data(), trip, pool);
-  }
-  void restore_all(ThreadPool* pool) override {
-    if (mode_ == BackupKind::kDense)
-      array_.restore_all(pool);
-    else
-      hash_.restore_all_into(array_.data(), pool);
-  }
-  bool shadowed() const override { return pd_; }
+  bool shadowed() const override { return pd_.on(); }
   PDVerdict analyze(ThreadPool& pool, long trip) const override {
-    return shadow_.analyze(pool, trip);
+    return pd_.analyze(pool, trip);
   }
   void reset_marks() override {
-    shadow_.reset();
-    for (auto& a : accessors_) a.reset();
+    pd_.reset();
     long touched = 0;
     for (auto& c : touches_) {
       touched += c.value;
@@ -523,11 +485,7 @@ class AdaptiveSpecArray final : public SpecTarget {
     for (auto& w : writers_) w.value.rebind();
     hash_.clear();
   }
-  long marks() const override {
-    long m = 0;
-    for (const auto& a : accessors_) m += a.marks();
-    return m;
-  }
+  long marks() const override { return pd_.marks(); }
   bool overflowed() const override {
     return mode_ == BackupKind::kHash && hash_.overflowed();
   }
@@ -553,18 +511,10 @@ class AdaptiveSpecArray final : public SpecTarget {
   // ---- verdict-cache hooks -------------------------------------------------
 
   void enable_access_signatures(bool on) override {
-    if constexpr (requires(Shadow& s) { s.enable_signatures(on); }) {
-      if (pd_) shadow_.enable_signatures(on);
-    }
+    pd_.enable_signatures(on);
   }
   bool access_summary(PDAccessSummary* out) const override {
-    if constexpr (requires(const Shadow& s) { s.access_summary(); }) {
-      if (pd_ && shadow_.signatures_enabled()) {
-        *out = shadow_.access_summary();
-        return true;
-      }
-    }
-    return false;
+    return pd_.access_summary(out);
   }
   long dirty_block_count() const override {
     // Whichever backend held this retry's writes knows the density; the
@@ -577,7 +527,10 @@ class AdaptiveSpecArray final : public SpecTarget {
   // Both personalities are always reported (see the class comment); the
   // mode checks below are load-bearing: on a hash retry the dense restore
   // hooks MUST return nothing, or a SHARED index's sibling stamps would
-  // drive restores from this member's stale dense backup.
+  // drive restores from this member's stale dense backup.  After a mid-run
+  // flip_to_dense the pre-flip writes live only in the hash slots, which
+  // the fused undo scans on every retry (an empty table on plain dense
+  // retries).
 
   StampIndex* txn_index() noexcept override { return array_.index(); }
   std::size_t txn_checkpoint_begin() override {
@@ -609,11 +562,9 @@ class AdaptiveSpecArray final : public SpecTarget {
 
  private:
   void decide(std::size_t touched) {
-    decision_ = choose_backup(array_.size(), touched, measured_tb_,
-                              measured_ta_);
-    if (hash_banned_) decision_.kind = BackupKind::kDense;
     const BackupKind before = mode_;
-    mode_ = decision_.kind;
+    mode_ = hash_banned_ ? BackupKind::kDense
+                         : choose_backup(array_.size(), touched).kind;
     WLP_OBS_COUNT(mode_ == BackupKind::kDense ? "wlp.txn.backup_dense"
                                               : "wlp.txn.backup_hash",
                   1);
@@ -626,16 +577,11 @@ class AdaptiveSpecArray final : public SpecTarget {
   VersionedArray<T> array_;
   HashBackup<T> hash_;
   std::size_t expected_writes_;
-  bool pd_;
-  Shadow shadow_;
-  std::vector<PDAccessorT<Shadow>> accessors_;
+  PDMarks pd_;
   std::vector<Padded<typename VersionedArray<T>::Writer>> writers_;
   /// Per-worker write tallies (cache-line padded: bumped on every set()).
   std::vector<Padded<long>> touches_;
   BackupKind mode_ = BackupKind::kDense;
-  BackupDecision decision_;
-  double measured_tb_ = -1.0;
-  double measured_ta_ = -1.0;
   bool hash_banned_ = false;
   bool ran_once_ = false;
 };

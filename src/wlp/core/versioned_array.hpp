@@ -47,8 +47,6 @@
 //     dominates and a two-phase skip/swallow scan loses the overlap of the
 //     stamp, data and backup streams (measured ~0.9x of the per-element
 //     baseline), so the restore is interleaved with a single-branch scan.
-//     undo_beyond_per_element() keeps the unbatched reference pass public
-//     for cross-checking and benchmarking on identical state.
 //   * checkpoint() is a pool-parallel chunked copy (memcpy per chunk for
 //     trivially-copyable T); the backup buffer is pooled across runs, so a
 //     steady-state strip loop allocates nothing.
@@ -533,26 +531,6 @@ class VersionedArray {
                   blocks_dirty_.load(std::memory_order_relaxed) - blocks_before);
     WLP_OBS_COUNT("wlp.undo.runs_coalesced",
                   runs_coalesced_.load(std::memory_order_relaxed) - runs_before);
-    return undone;
-  }
-
-  /// Reference undo pass: the seed's per-element scheme over the same
-  /// packed stamps — a full-array scan with one element restore per
-  /// qualifying stamp, ignoring the dirty-block summary.  Public so tests
-  /// can cross-check the fused pass against it and the microbenchmark can
-  /// A/B both passes on identical state (comparing across two different
-  /// array objects confounds the measurement with allocation layout).
-  long undo_beyond_per_element(long trip) noexcept {
-    assert(has_checkpoint());
-    const std::uint64_t threshold = index_->threshold(trip);
-    const std::atomic<std::uint64_t>* sp = index_->stamps();
-    const std::size_t n = data_.size();
-    long undone = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (sp[i].load(std::memory_order_relaxed) >= threshold) {
-        data_[i] = backup_[i];
-        ++undone;
-      }
     return undone;
   }
 

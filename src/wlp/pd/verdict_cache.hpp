@@ -175,8 +175,8 @@ class VerdictCache {
 
 /// The drivers' one-call integration point: probe the cache with the
 /// target's summary-derived signature; on a hit return the memoized
-/// verdict, on a miss (or when the target has no summary — shared-policy
-/// shadow, signatures disabled, cache == nullptr) run the full analysis
+/// verdict, on a miss (or when the target has no summary — not shadowed,
+/// signatures disabled, cache == nullptr) run the full analysis
 /// and memoize the result.  `base` is the strip's first iteration; `trip`
 /// is the absolute trip the full analysis would filter by.  `*hit` reports
 /// which path served the verdict.

@@ -150,7 +150,7 @@ TEST(PDPrivateStress, ConcurrentMarkingWithAccessorsMatchesReference) {
 
     // Same accesses, single-threaded, against the shared policy.
     PDSharedShadow ref(n);
-    PDAccessor racc(ref, n);
+    PDAccessorT<PDSharedShadow> racc(ref, n);
     for (long i = 0; i < 200; ++i) {
       racc.begin_iteration(i);
       const auto idx = static_cast<std::size_t>((i * 17 + round) % n);

@@ -396,15 +396,13 @@ TEST(PDCacheDriver, SlidingWindowConsultsCache) {
     EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], 2.0);
 }
 
-TEST(PDCacheDriver, SharedShadowPolicyBypassesCache) {
+TEST(PDCacheDriver, TargetWithoutSignaturesBypassesCache) {
   ThreadPool pool(2);
   VerdictCache cache;
-  // The shared-policy shadow has no summary support: access_summary() stays
-  // false and analyze_with_cache must fall through to the full analysis.
-  SpecArray<double, PDSharedShadow> arr(std::vector<double>(64, 0.0),
-                                        pool.size(), true);
+  // Signatures never enabled: access_summary() stays false and
+  // analyze_with_cache must fall through to the full analysis.
+  SpecArray<double> arr(std::vector<double>(64, 0.0), pool.size(), true);
   SpecTarget* t = &arr;
-  t->enable_access_signatures(true);  // must be a harmless no-op
   t->reset_marks();
   arr.begin_iteration(0, 0);
   arr.set(0, 0, 3, 1.0);
@@ -422,7 +420,6 @@ TEST(PDCacheDirtyBlocks, DenseStampsAndSparseBackupAgreeOnUnits) {
   SpecArray<double> dense(std::vector<double>(1024, 0.0), pool.size(), false);
   SpecTarget* td = &dense;
   EXPECT_EQ(td->dirty_block_count(), 0);
-  td->checkpoint(nullptr);
   // 130 writes into the first 130 elements: blocks 0 and 1 full, block 2
   // partially touched -> 3 dirty 64-element blocks.
   for (long i = 0; i < 130; ++i)
@@ -431,7 +428,7 @@ TEST(PDCacheDirtyBlocks, DenseStampsAndSparseBackupAgreeOnUnits) {
   td->reset_marks();  // epoch bump clears the stamps
   EXPECT_EQ(td->dirty_block_count(), 0);
 
-  std::vector<double> data(1 << 16, 0.0);
+  std::vector<double> data(1 << 17, 0.0);  // holds index 129 * 509
   SparseSpecArray<double> sparse(data, pool.size(), 256, false);
   SpecTarget* ts = &sparse;
   EXPECT_EQ(ts->dirty_block_count(), 0);

@@ -153,46 +153,5 @@ TEST(Speculative, UnshadowedArraySkipsPDButUndoes) {
     EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], i < exit_at ? 1.0 : -2.0);
 }
 
-/// A/B policy switch: the same loop driven through the shared-store policy
-/// must behave identically to the default privatized one, and both must
-/// report the marks the run actually made.
-TEST(Speculative, SharedShadowPolicyIsDropInEquivalent) {
-  ThreadPool pool(4);
-  const long n = 1000, exit_at = 800;
-
-  auto run = [&](auto& arr) {
-    SpecTarget* targets[] = {&arr};
-    return speculative_while(
-        pool, n, std::span<SpecTarget* const>(targets, 1),
-        [&](long i, unsigned vpn) {
-          arr.begin_iteration(vpn, i);
-          if (i >= exit_at) return IterAction::kExit;
-          const auto idx = static_cast<std::size_t>((i * 7901) % n);
-          arr.set(vpn, i, idx, static_cast<double>(i));
-          return IterAction::kContinue;
-        },
-        [&] { return exit_at; });
-  };
-
-  SpecArray<double, PDSharedShadow> shared_arr(
-      std::vector<double>(static_cast<std::size_t>(n), -1.0), pool.size(), true);
-  SpecArray<double, PDPrivateShadow> priv_arr(
-      std::vector<double>(static_cast<std::size_t>(n), -1.0), pool.size(), true);
-
-  const ExecReport rs = run(shared_arr);
-  const ExecReport rp = run(priv_arr);
-
-  for (const ExecReport& r : {rs, rp}) {
-    EXPECT_TRUE(r.pd_tested);
-    EXPECT_TRUE(r.pd_passed);
-    EXPECT_FALSE(r.reexecuted_sequentially);
-    EXPECT_EQ(r.trip, exit_at);
-    // Exactly one write mark per valid iteration; overshot iterations hit
-    // the exit probe before touching the array.
-    EXPECT_EQ(r.shadow_marks, exit_at);
-  }
-  EXPECT_EQ(shared_arr.data(), priv_arr.data());
-}
-
 }  // namespace
 }  // namespace wlp

@@ -1,6 +1,7 @@
 // Multi-array speculation transactions (SpecTransaction, txn.hpp):
-//   * the fused multi-array undo agrees with the per-element reference pass
-//     on every member, shared index or not,
+//   * the fused multi-array undo agrees with a per-element oracle on every
+//     member, shared index or not,
+//   * a target the fused passes cannot checkpoint is rejected up front,
 //   * index sharing between trip-aligned members actually halves stamp
 //     memory and the transaction reports the savings,
 //   * mixed dense+hash transactions survive concurrent writers straddling
@@ -9,14 +10,15 @@
 //     disturbing its siblings,
 //   * epoch wrap with live multi-array stamps sweeps the shared index once
 //     and stays exact,
-//   * cost_model::choose_backup picks the documented sides of the crossover
-//     and clamps the measured theta,
+//   * cost_model::choose_backup picks the documented sides of the 1/6
+//     crossover,
 //   * steady-state strip retries over a 2-array transaction allocate
 //     nothing (wlp.mem Budget deltas pinned to zero).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "wlp/core/sparse_spec.hpp"
@@ -29,11 +31,23 @@
 namespace wlp {
 namespace {
 
+/// Per-element oracle: every location stamped by an iteration >= trip goes
+/// back to its known pre-loop value.  Returns locations restored.
+long undo_oracle(VersionedArray<long>& ref, long trip, long pre) {
+  long undone = 0;
+  for (std::size_t i = 0; i < ref.data().size(); ++i)
+    if (ref.stamp(i) >= trip) {
+      ref.write_raw(i, pre);
+      ++undone;
+    }
+  return undone;
+}
+
 TEST(TxnFused, MultiArrayUndoMatchesPerElementOracle) {
   // Two trip-aligned members over ONE shared index plus a third with its
   // own index, undone by the fused transaction pass; three independent
-  // VersionedArrays with the same writes, undone by the unbatched
-  // per-element reference.  Every element must agree.
+  // VersionedArrays with the same writes, undone by the per-element
+  // oracle.  Every element must agree.
   ThreadPool pool(4);
   const std::size_t n = 1 << 14;
   const long iters = 4000, trip = 1700;
@@ -46,16 +60,12 @@ TEST(TxnFused, MultiArrayUndoMatchesPerElementOracle) {
   SpecTransaction txn(std::span<SpecTarget* const>(targets, 3));
   EXPECT_EQ(txn.shared_groups(), 2u);  // {a,b} and {c}
   EXPECT_EQ(txn.fused_targets(), 3u);
-  EXPECT_EQ(txn.opaque_targets(), 0u);
 
   VersionedArray<long> ra(std::vector<long>(n, -1));
   VersionedArray<long> rb(std::vector<long>(n, -2));
   VersionedArray<long> rc(std::vector<long>(n, -3));
 
   txn.begin(&pool);
-  ra.checkpoint();
-  rb.checkpoint();
-  rc.checkpoint();
 
   Xoshiro256 rng(0x5eedull);
   for (long i = 0; i < iters; ++i) {
@@ -72,15 +82,31 @@ TEST(TxnFused, MultiArrayUndoMatchesPerElementOracle) {
   }
 
   const long fused_undone = txn.undo_beyond(trip, &pool);
-  const long ref_undone = ra.undo_beyond_per_element(trip) +
-                          rb.undo_beyond_per_element(trip) +
-                          rc.undo_beyond_per_element(trip);
+  const long ref_undone = undo_oracle(ra, trip, -1) +
+                          undo_oracle(rb, trip, -2) +
+                          undo_oracle(rc, trip, -3);
   EXPECT_EQ(fused_undone, ref_undone);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(a.data()[i], ra.get(i)) << i;
     ASSERT_EQ(b.data()[i], rb.get(i)) << i;
     ASSERT_EQ(c.data()[i], rc.get(i)) << i;
   }
+}
+
+TEST(TxnShape, TargetWithNeitherIndexNorSlotsIsRejected) {
+  // The fused passes are the only checkpoint/undo a target has: one that
+  // reports neither a stamp index nor sparse slots would silently run
+  // without a checkpoint, so the transaction refuses it.
+  struct Bare final : SpecTarget {
+    bool shadowed() const override { return false; }
+    PDVerdict analyze(ThreadPool&, long) const override { return {}; }
+    void reset_marks() override {}
+    void discard() override {}
+  } bare;
+  SpecArray<double> dense(std::vector<double>(64, 0.0), 1, false);
+  SpecTarget* targets[] = {&dense, &bare};
+  const std::span<SpecTarget* const> members(targets, 2);
+  EXPECT_THROW(SpecTransaction txn(members), std::invalid_argument);
 }
 
 TEST(TxnFused, RestoreAllReturnsEveryMemberToEntryState) {
@@ -300,7 +326,7 @@ TEST(TxnEpochWrap, SharedIndexWrapsOnceAndStaysExact) {
 
 TEST(TxnChooseBackup, CrossoverAndClamps) {
   const std::size_t n = 1 << 16;
-  // Far below the default theta (1/6): hash.
+  // Far below theta (1/6): hash.
   const BackupDecision sparse = choose_backup(n, n / 100);
   EXPECT_EQ(sparse.kind, BackupKind::kHash);
   EXPECT_NEAR(sparse.density, static_cast<double>(n / 100) / n, 1e-12);
@@ -313,15 +339,12 @@ TEST(TxnChooseBackup, CrossoverAndClamps) {
   // Empty loop: nothing touched -> hash (a zero-entry table is free).
   EXPECT_EQ(choose_backup(n, 0).kind, BackupKind::kHash);
 
-  // Measured-cost corrections move theta but never out of [1/64, 1/2].
-  const BackupDecision cheap_copy =
-      choose_backup(n, n / 4, /*measured_tb=*/1.0, /*measured_ta=*/1e9);
-  EXPECT_GE(cheap_copy.theta, 1.0 / 64.0);
-  const BackupDecision dear_copy =
-      choose_backup(n, n / 4, /*measured_tb=*/1e9, /*measured_ta=*/1.0);
-  EXPECT_LE(dear_copy.theta, 0.5);
-  EXPECT_GE(sparse.theta, 1.0 / 64.0);
-  EXPECT_LE(sparse.theta, 0.5);
+  // The crossover is the operation-cost model's fixed 1/6, and the
+  // decision flips exactly there.
+  EXPECT_DOUBLE_EQ(sparse.theta, 1.0 / 6.0);
+  EXPECT_DOUBLE_EQ(dense.theta, 1.0 / 6.0);
+  EXPECT_EQ(choose_backup(n, n / 6).kind, BackupKind::kHash);
+  EXPECT_EQ(choose_backup(n, n / 6 + 1).kind, BackupKind::kDense);
 }
 
 TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
@@ -336,6 +359,11 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   SpecArray<double> b(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                       pool.size(), true, a.shared_index());
   SpecTarget* targets[] = {&a, &b};
+  // Static schedule: under kDynamic a worker that claims nothing in the
+  // warm runs first-touches both shadows' segments inside the measured
+  // one.  A cyclic schedule makes every worker mark in every strip.
+  SpecOptions opts;
+  opts.doall.sched = Sched::kStaticCyclic;
 
   auto run_once = [&] {
     return strip_speculative_while(
@@ -347,7 +375,7 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
           b.set(vpn, i, static_cast<std::size_t>(i), 2.0);
           return IterAction::kContinue;
         },
-        [&](long, long end) { return end; });
+        [&](long, long end) { return end; }, opts);
   };
 
   // Two warm-up rounds: the second covers a worker that sat out the first
