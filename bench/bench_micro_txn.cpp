@@ -1,36 +1,32 @@
 // Multi-array transaction microbenchmark: the fused SpecTransaction paths
 // vs the per-array loops they replaced.
 //
-// Four questions, answered on the real host (not the simulator):
-//   1. Fused undo — ONE pool pass over the concatenated dirty summaries of
-//      k arrays vs the old driver loop (k undo passes, each its own pool
-//      dispatch and futex join: one single-member transaction per array).
+// Three questions, answered on the real host (not the simulator):
+//   1. Fused undo — ONE pool pass with one log-walk unit per array vs the
+//      old driver loop (k undo passes: one single-member transaction per
+//      array, each walking its array's logs on the calling thread).
 //      k in {2, 4, 8} at constant total footprint (2^18 elements split
 //      across the arrays), in two regimes:
 //        * dense: every element written, half the range overshot;
-//        * strided: every 8th element written (dirty summaries sparse, the
-//          per-dispatch overhead a larger fraction of the work).
+//        * strided: every 8th element written (an eighth of the writes, so
+//          the per-dispatch overhead is a larger fraction of the work).
 //      Both sides run on the SAME arrays with identical untimed
 //      reset+checkpoint+write preparation, min over alternating reps.  The
 //      committed flag is PARITY (>= 0.95x): the win is one dispatch chain
 //      and one obs publication instead of k, which only grows with k.
-//   2. Stamp sharing — a trip-aligned 2-array transaction over ONE shared
-//      StampIndex vs the same pair with private indexes: bytes of stamp
-//      state pinned per retry must drop ~2x (flag: ratio >= 1.8).
-//   3. Adaptive backup — AdaptiveSpecArray (measured-density decision,
+//   2. Adaptive backup — AdaptiveSpecArray (measured-density decision,
 //      cost_model::choose_backup) vs forced-dense (SpecArray) and
 //      forced-hash (SparseSpecArray) on a sparse (~1% touched) and a dense
 //      (100% touched) workload.  Timed quantity is the full retry:
 //      reset+checkpoint, the instrumented writes, and the undo.  Flag: the
 //      adaptive picker stays within 1.1x of the better static backend on
 //      BOTH workloads — i.e. it never pays the wrong backend's penalty.
-//   4. Steady state — a warm 2-array strip loop re-run under the process
+//   3. Steady state — a warm 2-array strip loop re-run under the process
 //      mem::Budget: zero arena blocks and zero OS allocations (flag).
 //
 // Emits BENCH_txn.json (path overridable via argv[1]); exit code is the
 // AND of the flags, so CI fails on a fused-undo regression below parity,
-// a lost sharing ratio, a mispicking adaptive backend, or any steady-state
-// allocation.
+// a mispicking adaptive backend, or any steady-state allocation.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -66,7 +62,7 @@ struct FusedPoint {
   long undone = 0;
 };
 
-/// One fused-vs-per-array sample: k private-index arrays totalling
+/// One fused-vs-per-array sample: k arrays totalling
 /// `total_n` elements, every `stride`-th element of each written, half the
 /// written range overshot.  Per rep and per side: untimed begin (reset +
 /// fused checkpoint) + writes, then the timed undo — the fused transaction
@@ -156,7 +152,7 @@ struct AdaptivePoint {
 /// Backup overhead of one backend for one retry: reset+checkpoint (via a
 /// single-member transaction) plus the undo of everything written — the
 /// two costs the backend choice controls.  The `touched` instrumented
-/// writes run between them UNTIMED: per-write instrumentation (stamp CAS
+/// writes run between them UNTIMED: per-write instrumentation (log append
 /// vs hash record vs the adaptive tally) differs by design and is reported
 /// by the undo microbench, not re-measured here.
 template <class Target>
@@ -254,10 +250,7 @@ int main(int argc, char** argv) {
                 p.arrays, p.fused_us, p.per_array_us, p.ratio, p.undone);
   }
   // The flag covers the 2- and 4-array points (the shapes real multi-array
-  // WHILE loops have).  k=8 is reported but unflagged: at 32K elements per
-  // array the OLD loop degenerates to eight serial no-dispatch passes,
-  // which on a low-core host undercuts any pooled pass — fused or not —
-  // by the dispatch cost.
+  // WHILE loops have); k=8 is reported unflagged.
   const auto parity = [](const FusedPoint& p) {
     return p.arrays > 4 || p.ratio >= 0.95;
   };
@@ -265,29 +258,7 @@ int main(int argc, char** argv) {
       std::all_of(dense_pts.begin(), dense_pts.end(), parity) &&
       std::all_of(strided_pts.begin(), strided_pts.end(), parity);
 
-  // ---- 2. stamp bytes per retry: shared vs private indexes ----------------
-  constexpr std::size_t kShareN = 1 << 18;
-  double stamp_ratio;
-  std::size_t shared_stamp_bytes, private_stamp_bytes;
-  {
-    wlp::SpecArray<double> a(std::vector<double>(kShareN, 0.0), pool.size(),
-                             false);
-    wlp::SpecArray<double> b(std::vector<double>(kShareN, 0.0), pool.size(),
-                             false, a.shared_index());
-    wlp::SpecTarget* pair[] = {&a, &b};
-    wlp::SpecTransaction txn(std::span<wlp::SpecTarget* const>(pair, 2));
-    shared_stamp_bytes = a.shared_index()->memory_bytes();
-    private_stamp_bytes = shared_stamp_bytes + txn.stamp_bytes_saved();
-    stamp_ratio = static_cast<double>(private_stamp_bytes) /
-                  static_cast<double>(shared_stamp_bytes);
-  }
-  std::printf("\n== stamp bytes per retry, 2-array txn over 2^18 elements ==\n");
-  std::printf("  private indexes : %zu\n", private_stamp_bytes);
-  std::printf("  shared index    : %zu  (ratio %.2fx)\n", shared_stamp_bytes,
-              stamp_ratio);
-  const bool stamp_halved = stamp_ratio >= 1.8;
-
-  // ---- 3. adaptive vs forced backends -------------------------------------
+  // ---- 2. adaptive vs forced backends -------------------------------------
   constexpr std::size_t kAdaptN = 1 << 18;
   std::printf("\n== adaptive backup vs forced backends (full retry; us) ==\n");
   const AdaptivePoint sparse_pt =
@@ -303,7 +274,7 @@ int main(int argc, char** argv) {
     adaptive_ok = adaptive_ok && p.ratio <= 1.1;
   }
 
-  // ---- 4. steady-state allocations under the fused transaction ------------
+  // ---- 3. steady-state allocations under the fused transaction ------------
   long steady_arena_allocs, steady_slow_allocs;
   {
     const long n = 64 * 256, strip = 256;
@@ -312,8 +283,13 @@ int main(int argc, char** argv) {
         true);
     wlp::SpecArray<double> b(
         std::vector<double>(static_cast<std::size_t>(n), 0.0), pool.size(),
-        true, a.shared_index());
+        true);
     wlp::SpecTarget* targets[] = {&a, &b};
+    // Static schedule, as in TxnSteadyState: under kDynamic a worker that
+    // claims no iteration of these short strips during the warm-up takes
+    // its first shadow and log segments inside the measured rounds.
+    wlp::SpecOptions opts;
+    opts.doall.sched = wlp::Sched::kStaticCyclic;
     auto run_once = [&] {
       return wlp::strip_speculative_while(
           pool, n, strip, std::span<wlp::SpecTarget* const>(targets, 2),
@@ -324,7 +300,7 @@ int main(int argc, char** argv) {
             b.set(vpn, i, static_cast<std::size_t>(i), 2.0);
             return wlp::IterAction::kContinue;
           },
-          [&](long, long end) { return end; });
+          [&](long, long end) { return end; }, opts);
     };
     (void)run_once();  // warm: pooled buffers, shadow segments, worker arenas
     (void)run_once();
@@ -340,8 +316,8 @@ int main(int argc, char** argv) {
   std::printf("  OS allocations          : %ld\n", steady_slow_allocs);
   const bool steady_clean = steady_arena_allocs == 0 && steady_slow_allocs == 0;
 
-  std::printf("\nfused_parity=%d  stamp_halved=%d  adaptive_ok=%d  steady_clean=%d\n",
-              fused_parity, stamp_halved, adaptive_ok, steady_clean);
+  std::printf("\nfused_parity=%d  adaptive_ok=%d  steady_clean=%d\n",
+              fused_parity, adaptive_ok, steady_clean);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {
@@ -353,7 +329,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"host_hw_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"fused_undo\": {\n");
-  std::fprintf(f, "    \"method\": \"%d alternating reps on the SAME k arrays (2^18 elements total, private indexes); per side: untimed begin+writes, timed undo; per_array is the retired driver loop, one undo_beyond pool dispatch per array; speedup is the MEDIAN of per-rep paired per_array/fused ratios (both sides move identical bytes, so pairing cancels host drift the per-side mins keep); parity flag allows 0.95x and covers the 2- and 4-array points (k=8 reported unflagged: the old loop runs serial no-dispatch passes at that per-array size)\",\n",
+  std::fprintf(f, "    \"method\": \"%d alternating reps on the SAME k arrays (2^18 elements total); per side: untimed begin+writes, timed undo; fused is one pool pass over every array's index-stripe log walks, per_array the retired driver loop, one single-member transaction undo_beyond per array; speedup is the MEDIAN of per-rep paired per_array/fused ratios (both sides move identical bytes, so pairing cancels host drift the per-side mins keep); parity flag allows 0.95x and covers the 2- and 4-array points (k=8 reported unflagged)\",\n",
                kReps);
   const auto emit_points = [&](const char* key,
                                const std::vector<FusedPoint>& pts) {
@@ -371,12 +347,6 @@ int main(int argc, char** argv) {
   emit_points("stride8", strided_pts);
   std::fprintf(f, "    \"fused_parity\": %s\n", fused_parity ? "true" : "false");
   std::fprintf(f, "  },\n");
-  std::fprintf(f,
-               "  \"stamp_sharing\": {\"elements\": %zu, "
-               "\"private_bytes\": %zu, \"shared_bytes\": %zu, "
-               "\"ratio\": %.3f, \"halved\": %s},\n",
-               kShareN, private_stamp_bytes, shared_stamp_bytes, stamp_ratio,
-               stamp_halved ? "true" : "false");
   std::fprintf(f, "  \"adaptive\": {\n");
   std::fprintf(f, "    \"method\": \"timed = reset+checkpoint plus undo-all (the costs the backend choice controls); the instrumented writes run untimed between them; all three backends run back-to-back within each rep and vs_best_ratio is the MEDIAN of per-rep adaptive/min(dense,hash); adaptive gets the same expected-writes sizing as the forced-hash backend and re-decides per retry from measured touches; flag requires vs_best_ratio <= 1.1 on both workloads\",\n");
   const AdaptivePoint adaptive_pts[] = {sparse_pt, dense_pt};
@@ -403,5 +373,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path);
-  return !(fused_parity && stamp_halved && adaptive_ok && steady_clean);
+  return !(fused_parity && adaptive_ok && steady_clean);
 }

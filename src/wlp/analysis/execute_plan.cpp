@@ -489,9 +489,9 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
     (void)name;
     PDVerdict v;
     if (opts.verdict_cache != nullptr && shadow->signatures_enabled()) {
-      // No VersionedArray stamps here (the interpreter undoes through its
-      // write log), so the signature's write-density field is 0 — constant
-      // across executions of one plan, which is all it needs to be.
+      // No VersionedArray here (the interpreter undoes through its own
+      // ticketed write log), so the signature's write-density field is 0 —
+      // constant across executions of one plan, which is all it needs to be.
       const pdcache::AccessSignature sig = pdcache::make_signature(
           shadow->access_summary(), /*base=*/0, trip, /*dirty_blocks=*/0);
       pdcache::Verdict cached;

@@ -46,7 +46,9 @@ struct ExecReport {
   long trip = 0;      ///< sequential trip count recovered by the run
   long started = 0;   ///< iteration bodies that actually executed
   long overshot = 0;  ///< bodies executed with index >= trip (to be undone)
-  long undone_writes = 0;  ///< memory locations restored after the run
+  long undone_writes = 0;  ///< overshot writes taken back after the run
+                           ///< (dense: log entries; sparse: recorded
+                           ///< locations)
   long shadow_marks = 0;   ///< PD shadow marks recorded during the run
   long dispatcher_steps = 0;  ///< total recurrence evaluations (hops) across
                               ///< all processors; ~trip for General-1/3,

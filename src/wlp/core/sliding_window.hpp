@@ -2,11 +2,12 @@
 //
 // A sliding window of size w bounds the spread between the minimum
 // not-yet-completed iteration l and the maximum issued iteration h:
-// h - l <= w at all times, so time-stamp memory is bounded by w times the
-// writes per iteration *without* the rigid global barriers of strip-mining.
-// The window is adjusted dynamically at the application level against a
-// memory budget: grown while the stamp footprint is comfortably under
-// budget, shrunk when it approaches it.
+// h - l <= w at all times, so the time-stamp memory (here, write-log
+// entries) is bounded by w times the writes per iteration *without* the
+// rigid global barriers of strip-mining.  The window is adjusted
+// dynamically at the application level against a memory budget: grown
+// while the footprint is comfortably under budget, shrunk when it
+// approaches it.
 //
 // The budget controller is TRANSACTION-AWARE (DESIGN.md §10): instead of
 // capping the window once from a static bytes-per-iteration guess, it keeps
@@ -54,7 +55,7 @@ struct WindowOptions {
   /// span by the bytes_per_iteration guess, and feeds the per-iteration
   /// EWMA that re-derives the window cap.  The speculative wrapper wires it
   /// to the transaction's fused memory_bytes() (sparse backups report their
-  /// live touched set, dense ones their data+backup+stamp footprint), so
+  /// live touched set, dense ones data + backup + their logged writes), so
   /// the window reacts to what the backups actually pinned.  To throttle on
   /// the WHOLE process's speculative footprint instead of one target set's,
   /// prefer charge_process_budget below over hand-wiring probes.
@@ -235,7 +236,7 @@ void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
   long next = 0;  // next iteration to issue
   long low = 0;   // min iteration not yet completed
   // The controller caps the window outright: w * bytes-per-iteration <=
-  // budget is the guarantee (peak stamp memory is bounded by the window).
+  // budget is the guarantee (peak log memory is bounded by the window).
   // The cap starts from the bytes_per_iteration seed and is re-derived at
   // every claim from the EWMA of the measured footprint, so it tracks what
   // the backups actually pin instead of a static guess.
@@ -363,13 +364,13 @@ WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
 
 /// Windowed execution of a loop whose accesses are NOT proven independent:
 /// Section 8.2's scheduler inside one Section 5 SpecRound.  The window
-/// bounds stamp memory during the speculative run; the PD analysis
+/// bounds write-log memory during the speculative run; the PD analysis
 /// (trip-filtered) then validates it like any other speculative execution.
 ///
 /// `body(i, vpn) -> IterAction` must route accesses through the registered
 /// targets (begin_iteration first); `run_sequential() -> trip` is the
 /// fallback after a full restore.  Retries against the same targets are
-/// cheap: reset_marks() is an O(1) epoch bump.
+/// cheap: reset_marks() is an O(1) epoch bump plus a rewind of the logs.
 template <class Body, class SeqRun>
 WindowReport sliding_window_speculative_while(
     ThreadPool& pool, long u, std::span<SpecTarget* const> targets,
@@ -389,7 +390,7 @@ WindowReport sliding_window_speculative_while(
   // Feed the budget controller the backups' MEASURED footprint (Section 8.2
   // against real bytes): sparse targets grow as locations are touched, so
   // the window shrinks when the backup — not a guess — nears the budget.
-  // The transaction sums its members (shared stamp indexes counted once).
+  // The transaction sums its members.
   if (wopts.memory_budget != 0 && !wopts.live_bytes)
     wopts.live_bytes = [&round] { return round.txn().memory_bytes(); };
   round.run([&] { detail::window_run(pool, u, body, wopts, ctl, wr); });

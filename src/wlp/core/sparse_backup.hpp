@@ -11,9 +11,10 @@
 // Epoch-stamped slots: both the slot tag ((epoch << 32) | (key + 1)) and the
 // writer stamp ((epoch << 32) | (iter + 1)) carry the table's clear-epoch in
 // their high bits, so clear() is an O(1) epoch bump instead of an O(capacity)
-// sweep — the generation trick shared with the PD shadow and VersionedArray
-// (mem::EpochClock).  A slot whose tag epoch is stale is free for claiming; a
-// real sweep happens once per 2^32 clears, when the 32-bit epoch wraps.
+// sweep — the generation trick shared with the PD shadow and the verdict
+// cache (mem::EpochClock).  A slot whose tag epoch is stale is free for
+// claiming; a real sweep happens once per 2^32 clears, when the 32-bit
+// epoch wraps.
 // Because the epoch only grows between sweeps, the stamp's numeric fetch-max
 // stays exact even when a slot is reclaimed: every current-epoch stamp
 // dominates every stale one.
@@ -133,10 +134,10 @@ class HashBackup {
     return occupied_.load(std::memory_order_relaxed);
   }
 
-  /// Sparse analogue of StampIndex::dirty_block_count(), same units (one
-  /// block = StampIndex::kBlockSize locations): each live slot is one
-  /// distinct recorded location, so entries()/64 rounded up is the densest
-  /// possible block packing of the touched set.  O(1) — read from the
+  /// Sparse analogue of VersionedArray::dirty_block_count(), same units
+  /// (one block = 64 writes): each live slot is one distinct recorded
+  /// location, so entries()/64 rounded up is the densest possible block
+  /// packing of the touched set.  O(1) — read from the
   /// occupancy counter the records already maintain, no slot sweep — which
   /// is what lets the verdict signature include write density even on a
   /// hash retry.

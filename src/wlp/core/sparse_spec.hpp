@@ -90,17 +90,16 @@ class SparseSpecArray final : public SpecTarget {
   }
 
   // ---- fused-transaction hooks --------------------------------------------
-  // No dense index and nothing to checkpoint up front (the backup saves on
-  // first touch); the fused undo pass scans this target's slot table in
-  // chunks alongside the dense members' dirty spans (one pool dispatch for
-  // the whole transaction).
+  // No dense checkpoint (the backup saves on first touch); the fused undo
+  // pass scans this target's slot table in chunks alongside the dense
+  // members' log walks (one pool dispatch for the whole transaction).
 
   std::size_t txn_sparse_slots() const override { return backup_.capacity(); }
   long txn_undo_slots(long trip, std::size_t lo, std::size_t hi) override {
     return backup_.undo_slots(data_, trip, lo, hi);
   }
   /// After a fused full restore the recorded set is spent: drop it so the
-  /// transaction reads as empty, matching the dense members (whose stamps
+  /// transaction reads as empty, matching the dense members (whose logs
   /// the restore clears).  The epoch bump keeps this O(1).
   void txn_restore_all_done() override { backup_.clear(); }
 

@@ -7,7 +7,7 @@
 //             an exception is a failed speculation (Section 5.1)
 //   validate  marks, peak footprint, backup overflow, then the
 //             trip-filtered PD test through the verdict cache  Td's analysis
-//   commit    undo the overshoot through the time-stamps             Ta
+//   commit    undo the overshoot through the per-worker write logs   Ta
 //   rollback  full restore + sequential re-execution                 Ta
 //
 // Every step writes into the caller's ExecReport by one rule: times, marks,
@@ -121,7 +121,7 @@ class SpecRound {
     return passed;
   }
 
-  /// Keep the valid iterations: undo every write stamped at or past `trip`.
+  /// Keep the valid iterations: undo every write logged at or past `trip`.
   void commit(long trip) {
     WLP_TRACE_SCOPE_NAMED(undo_scope, "undo", trip, 0);
     const auto t0 = std::chrono::steady_clock::now();
@@ -134,8 +134,8 @@ class SpecRound {
     WLP_OBS_HIST("wlp.spec.undo_writes", undone);
   }
 
-  /// Misspeculation: restore the full checkpoint — never a stamp-filtered
-  /// undo, since writes below a stamping threshold carry no stamp — and
+  /// Misspeculation: restore the full checkpoint — never a log-filtered
+  /// undo, since writes below a stamping threshold are not logged — and
   /// return `run_sequential()`, which re-executes against the raw data.
   template <class SeqRun>
   decltype(auto) rollback(SeqRun&& run_sequential) {

@@ -3,18 +3,17 @@
 // fuse checkpoint/undo work across targets without an include cycle with
 // the speculative drivers.
 //
-// Checkpoint, undo and full restore exist only as the txn_* hooks:
-// span-granular pieces a SpecTransaction stitches into ONE pool-parallel
-// pass over the concatenated block ranges of all its members instead of k
-// sequential parallel passes (rollback is bandwidth-bound in one stream,
-// not latency-bound in k).  A target must report a stamp index, sparse
-// slots, or both; the transaction rejects one that reports neither.
+// Checkpoint, undo and full restore exist only as the txn_* hooks: pieces a
+// SpecTransaction stitches into ONE pool-parallel pass over all its members
+// instead of k sequential parallel passes (rollback is bandwidth-bound in
+// one stream, not latency-bound in k).  A target must report a dense
+// checkpoint, sparse slots, or both; the transaction rejects one that
+// reports neither.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 
 #include "wlp/core/shadow.hpp"
 #include "wlp/core/versioned_array.hpp"
@@ -60,7 +59,7 @@ class SpecTarget {
   /// worker; the drivers treat it exactly like a failed PD test (restore and
   /// re-execute sequentially — the dense path never overflows).
   virtual bool overflowed() const { return false; }
-  /// Bytes of state this target pins right now (data + backup + stamps): the
+  /// Bytes of state this target pins right now (data + backup + log): the
   /// quantity the Section 8.2 window budget controller charges, replacing
   /// the window's bytes-per-iteration guess.
   virtual std::size_t memory_bytes() const { return 0; }
@@ -80,21 +79,19 @@ class SpecTarget {
   /// target cannot produce one — signatures disabled or not shadowed — in
   /// which case the caller must run the full analysis.
   virtual bool access_summary(PDAccessSummary* /*out*/) const { return false; }
-  /// Write density for the verdict signature: current-epoch dirty blocks
-  /// (dense stamps) or the equivalent packed-block count (sparse backups).
-  /// Cheap by construction — summary-word popcount or an occupancy read,
-  /// never an element sweep.
+  /// Write density for the verdict signature: ceil(writes / 64), counted
+  /// as logged writes (dense) or recorded locations (sparse backups).
+  /// Cheap by construction — log lengths or an occupancy read, never an
+  /// element sweep.
   virtual long dirty_block_count() const { return 0; }
 
   // ---- fused-transaction hooks (SpecTransaction, txn.hpp) ------------------
 
-  /// The trip-indexed stamp/dirty index this target's speculative writes go
-  /// through, or nullptr for a target without dense stamps (it must then
-  /// report sparse slots below).  Targets returning the SAME index are
-  /// trip-aligned siblings: the transaction walks their shared dirty
-  /// summary once and dispatches each merged span to every member
-  /// back-to-back.
-  virtual StampIndex* txn_index() noexcept { return nullptr; }
+  /// txn_dense_size() of a target without a dense checkpoint.
+  static constexpr std::size_t kNoDense = static_cast<std::size_t>(-1);
+  /// Elements of this target's dense checkpoint, or kNoDense for a target
+  /// without one (it must then report sparse slots below).
+  virtual std::size_t txn_dense_size() const { return kNoDense; }
   /// Prepare for a fused checkpoint (resize the pooled backup, count the
   /// checkpoint); returns the element count the transaction's single
   /// parallel pass must copy for this member.  0 = nothing to copy up
@@ -103,20 +100,20 @@ class SpecTarget {
   /// Copy live elements [b, e) into the backup (one chunk of the fused
   /// checkpoint pass).
   virtual void txn_checkpoint_span(std::size_t /*b*/, std::size_t /*e*/) {}
-  /// Restore overshot stamps in [b, e) against this member's backup; the
-  /// packed `threshold` came from this member's txn_index().  Returns
-  /// locations restored.
-  virtual long txn_restore_span(std::size_t /*b*/, std::size_t /*e*/,
-                                std::uint64_t /*threshold*/) {
+  /// One dense undo unit: walk this member's per-worker write logs from
+  /// their tails, restoring every write by an iteration >= trip whose index
+  /// lies in [lo, hi) from the backup.  Units over disjoint ranges run
+  /// concurrently.  Returns the log entries taken back.
+  virtual long txn_undo(long /*trip*/, std::size_t /*lo*/, std::size_t /*hi*/) {
     return 0;
   }
   /// Full-restore copy of [b, e) from the backup — failed speculation.
-  /// Unlike txn_restore_span this must not consult stamps: targets whose
-  /// bodies write below a stamp threshold (strategies.hpp) leave UNSTAMPED
+  /// Unlike txn_undo this must not consult the logs: targets whose bodies
+  /// write below a stamping threshold (strategies.hpp) leave UNLOGGED
   /// speculative writes that only a full copy rolls back.
   virtual void txn_restore_all_span(std::size_t /*b*/, std::size_t /*e*/) {}
   /// Called once per member after the fused full restore completes (clear
-  /// stamps so the next undo pass sees a clean epoch).
+  /// the logs so the next undo pass sees none of the restored writes).
   virtual void txn_restore_all_done() {}
   /// Sparse members: number of backup slots the fused undo pass must scan
   /// (0 = not sparse).  The transaction partitions [0, slots) into chunks

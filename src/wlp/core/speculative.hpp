@@ -7,7 +7,7 @@
 //   * the last valid iteration (trip) is recovered from the QUIT minima,
 //   * the PD analysis — filtered by trip, so overshot iterations' marks are
 //     ignored — decides whether the parallel execution was valid,
-//   * on success, overshot writes are undone via the time-stamps,
+//   * on success, overshot writes are undone via the per-worker write logs,
 //   * on failure (or an exception during the run, Section 5.1), all state is
 //     restored from the checkpoint and the loop re-executes sequentially.
 //
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -30,31 +29,22 @@
 #include "wlp/core/versioned_array.hpp"
 #include "wlp/pd/verdict_cache.hpp"
 #include "wlp/sched/doall.hpp"
-#include "wlp/support/cacheline.hpp"
 
 namespace wlp {
 
 /// A shared array under speculation: versioned data + (optionally) PD
 /// marks with one accessor per worker.  Loop bodies use the vpn-qualified
-/// get/set, which both maintain the stamps and drive the shadow marking.
+/// get/set, which both append to the worker's write log and drive the
+/// shadow marking.
 template <class T>
 class SpecArray final : public SpecTarget {
  public:
   /// `run_pd_test` = false means the accesses are statically analyzable
-  /// (only time-stamping for undo is needed, no shadow marking) — the
+  /// (only the write log for undo is needed, no shadow marking) — the
   /// accessors (and their O(n) last-writer tables) are not even built.
-  ///
-  /// `shared` optionally aliases a trip-aligned sibling's StampIndex so a
-  /// transaction over both keeps one stamp word per location (see the
-  /// StampIndex class comment for the write-set contract this requires).
-  SpecArray(std::vector<T> init, unsigned workers, bool run_pd_test,
-            std::shared_ptr<StampIndex> shared = nullptr)
-      : array_(std::move(init), std::move(shared)),
-        pd_(array_.size(), workers, run_pd_test) {
-    writers_.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-      writers_.emplace_back(array_.writer());
-  }
+  SpecArray(std::vector<T> init, unsigned workers, bool run_pd_test)
+      : array_(std::move(init), workers),
+        pd_(array_.size(), workers, run_pd_test) {}
 
   // ---- body-side API -----------------------------------------------------
 
@@ -70,20 +60,13 @@ class SpecArray final : public SpecTarget {
 
   void set(unsigned vpn, long iter, std::size_t idx, const T& v) {
     pd_.on_write(vpn, idx);
-    // Per-worker Writer view: consecutive writes into the same 64-element
-    // block skip the dirty-summary publication entirely.
-    writers_[static_cast<std::size_t>(vpn)].value.write(iter, idx, v);
+    array_.write(vpn, iter, idx, v);
   }
 
   // ---- sequential-side API (fallback path, verification) ------------------
 
   std::vector<T>& data() noexcept { return array_.data(); }
   const std::vector<T>& data() const noexcept { return array_.data(); }
-
-  /// The stamp index, for constructing trip-aligned siblings over it.
-  const std::shared_ptr<StampIndex>& shared_index() const noexcept {
-    return array_.shared_index();
-  }
 
   // ---- SpecTarget ----------------------------------------------------------
 
@@ -93,10 +76,7 @@ class SpecArray final : public SpecTarget {
   }
   void reset_marks() override {
     pd_.reset();
-    array_.clear_stamps();  // O(1) epoch bump too
-    // The Writers' cached blocks belong to the dead epoch: rebind so the
-    // first write of the new run re-publishes its dirty bit.
-    for (auto& w : writers_) w.value.rebind();
+    array_.clear_log();
   }
   long marks() const override { return pd_.marks(); }
   std::size_t memory_bytes() const override { return array_.memory_bytes(); }
@@ -116,30 +96,26 @@ class SpecArray final : public SpecTarget {
 
   // ---- fused-transaction hooks --------------------------------------------
 
-  StampIndex* txn_index() noexcept override { return array_.index(); }
+  std::size_t txn_dense_size() const override { return array_.size(); }
   std::size_t txn_checkpoint_begin() override {
     return array_.txn_checkpoint_begin();
   }
   void txn_checkpoint_span(std::size_t b, std::size_t e) override {
     array_.txn_checkpoint_span(b, e);
   }
-  long txn_restore_span(std::size_t b, std::size_t e,
-                        std::uint64_t threshold) override {
-    return array_.restore_span(b, e, threshold);
+  long txn_undo(long trip, std::size_t lo, std::size_t hi) override {
+    return array_.txn_undo(trip, lo, hi);
   }
   void txn_restore_all_span(std::size_t b, std::size_t e) override {
     array_.txn_restore_all_span(b, e);
   }
-  void txn_restore_all_done() override { array_.clear_stamps(); }
+  void txn_restore_all_done() override { array_.clear_log(); }
 
   UndoStats undo_stats() const { return array_.stats(); }
 
  private:
   VersionedArray<T> array_;
   PDMarks pd_;
-  /// One dirty-block-caching write view per worker, cache-line padded (the
-  /// cached block index mutates on nearly every write).
-  std::vector<Padded<typename VersionedArray<T>::Writer>> writers_;
 };
 
 struct SpecOptions {

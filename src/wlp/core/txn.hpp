@@ -2,34 +2,27 @@
 //
 // A loop that speculates over several arrays used to pay k of everything
 // per retry: k parallel checkpoint passes, k parallel undo passes (each
-// with its own pool dispatch, prefetch warm-up and futex join), k stamp
-// allocations and k obs publications.  SpecTransaction registers all of a
-// loop's targets into ONE transaction that:
+// with its own pool dispatch, prefetch warm-up and futex join) and k obs
+// publications.  SpecTransaction registers all of a loop's targets into ONE
+// transaction that:
 //
 //   * runs ONE pool-parallel chunked checkpoint over the concatenated
 //     element ranges of every member (one dispatch, one join, one
 //     bandwidth-bound stream);
-//   * runs ONE fused undo pass: the unit space concatenates every stamp
-//     index's summary-word chunks and every sparse member's slot chunks,
-//     so a mixed dense+hash transaction still costs one dispatch.  For a
-//     SHARED index the dirty summary is walked once and each merged span
-//     is dispatched to every aliasing member back-to-back — the stamp
-//     words stay hot in L1 across members instead of being re-streamed
-//     per array;
-//   * publishes wlp.undo.{checkpoint_ns,restore_ns,blocks_dirty} once per
-//     transaction operation, not once per target, so multi-array loops
-//     stop inflating the histograms k-fold.
+//   * runs ONE fused undo pass: the unit space holds p units per dense
+//     member on a p-worker pool — each the tail walk of that member's
+//     per-worker write logs, restoring one of p disjoint index stripes, so
+//     no two threads restore the same element — and every sparse member's
+//     slot chunks, so a mixed dense+hash transaction still costs one
+//     dispatch.  Workers claim units dynamically: a long dense walk never
+//     queues behind a block of empty hash chunks;
+//   * publishes wlp.undo.{checkpoint_ns,restore_ns} once per transaction
+//     operation, not once per target, so multi-array loops stop inflating
+//     the histograms k-fold.
 //
 // These fused passes are the only checkpoint/undo/restore a target has: a
-// target reporting neither a stamp index nor sparse slots would get no
+// target reporting neither a dense checkpoint nor sparse slots would get no
 // checkpoint at all, so the constructor rejects it.
-//
-// Stamp sharing: trip-aligned members (same write set per iteration — see
-// the StampIndex class comment for why that is the aliasing rule) can be
-// constructed over one StampIndex; a 2-array loop then keeps ONE stamp
-// word and ONE dirty bit per location instead of two, halving stamp
-// memory.  The transaction discovers sharing by grouping members on their
-// txn_index() pointer — no registration order or flags to get wrong.
 //
 // AdaptiveSpecArray is the per-array, per-retry backend picker the ROADMAP
 // calls for: it owns BOTH a dense VersionedArray and a HashBackup and
@@ -45,8 +38,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -57,7 +48,6 @@
 #include "wlp/core/spec_target.hpp"
 #include "wlp/obs/obs.hpp"
 #include "wlp/sched/doall.hpp"
-#include "wlp/sched/reduce.hpp"
 #include "wlp/support/cacheline.hpp"
 
 namespace wlp {
@@ -71,58 +61,37 @@ class SpecTransaction : public FootprintListener {
   /// Elements per fused-checkpoint chunk (matches VersionedArray's
   /// internal checkpoint granularity).
   static constexpr std::size_t kCpChunk = 1u << 15;
-  /// Summary words per fused-undo chunk (matches VersionedArray's
-  /// internal undo granularity: 16 words = 32K elements).
-  static constexpr std::size_t kWordChunk = 16;
   /// Hash slots per fused-undo chunk (matches HashBackup::undo_into).
   static constexpr std::size_t kSlotChunk = 1024;
 
-  /// Throws std::invalid_argument for a target that reports neither a stamp
-  /// index nor sparse slots: no fused pass could checkpoint or undo it.
+  /// Throws std::invalid_argument for a target that reports neither a dense
+  /// checkpoint nor sparse slots: no fused pass could checkpoint or undo it.
   explicit SpecTransaction(std::span<SpecTarget* const> targets)
       : all_(targets.begin(), targets.end()) {
     for (SpecTarget* t : all_) {
-      StampIndex* idx = t->txn_index();
+      const bool dense = t->txn_dense_size() != SpecTarget::kNoDense;
       const std::size_t slots = t->txn_sparse_slots();
-      if (idx == nullptr && slots == 0)
+      if (!dense && slots == 0)
         throw std::invalid_argument(
-            "SpecTransaction: target reports neither a stamp index nor "
+            "SpecTransaction: target reports neither a dense checkpoint nor "
             "sparse slots");
-      if (idx != nullptr) {
-        fused_.push_back(t);
-        Group* g = nullptr;
-        for (Group& have : groups_)
-          if (have.index == idx) g = &have;
-        if (g == nullptr) {
-          groups_.push_back(Group{idx, {}});
-          g = &groups_.back();
-        } else {
-          stamp_bytes_saved_ += idx->memory_bytes();
-        }
-        g->members.push_back(t);
-      }
+      if (dense) fused_.push_back(t);
       if (slots != 0) sparse_.push_back(SparseEntry{t, slots});
     }
-    // Checkpoint chunk map: one contiguous range of chunk ids per fused
+    // Checkpoint chunk map: one contiguous range of chunk ids per dense
     // member (restore_all reuses the same map for the backup->data copies).
     cp_prefix_.push_back(0);
     for (SpecTarget* t : fused_) {
-      const std::size_t n = t->txn_index()->size();
+      const std::size_t n = t->txn_dense_size();
       cp_prefix_.push_back(cp_prefix_.back() +
                            static_cast<long>((n + kCpChunk - 1) / kCpChunk));
     }
-    // Undo unit map: every group's summary-word chunks, then every sparse
-    // member's slot chunks, in one flat unit space.
-    undo_prefix_.push_back(0);
-    for (const Group& g : groups_) {
-      const std::size_t w = g.index->words();
-      undo_prefix_.push_back(
-          undo_prefix_.back() +
-          static_cast<long>((w + kWordChunk - 1) / kWordChunk));
-    }
+    // Sparse unit map: every sparse member's slot chunks, in one flat space
+    // that follows the dense stripes (whose count depends on the pool).
+    sparse_prefix_.push_back(0);
     for (const SparseEntry& s : sparse_)
-      undo_prefix_.push_back(
-          undo_prefix_.back() +
+      sparse_prefix_.push_back(
+          sparse_prefix_.back() +
           static_cast<long>((s.slots + kSlotChunk - 1) / kSlotChunk));
     // Footprint chain: every member reports its step jumps (backend flips)
     // to the transaction, which forwards ONE fused event to whoever
@@ -182,56 +151,56 @@ class SpecTransaction : public FootprintListener {
     WLP_OBS_COUNT("wlp.txn.begins", 1);
     WLP_OBS_COUNT("wlp.txn.targets", static_cast<long>(all_.size()));
     WLP_OBS_COUNT("wlp.undo.checkpoint_ns", static_cast<long>(ns));
-    if (stamp_bytes_saved_ != 0)
-      WLP_OBS_GAUGE_SET("wlp.txn.stamp_bytes_saved",
-                        static_cast<long>(stamp_bytes_saved_));
   }
 
-  /// ONE fused parallel undo pass over every member: shared-index groups
-  /// walk their dirty summary once and dispatch each merged span to every
-  /// aliasing member; sparse members' slot chunks ride in the same unit
-  /// space.  Returns total locations restored.
+  /// ONE fused parallel undo pass over every member: the dense members'
+  /// index-stripe walks and the sparse members' slot chunks, claimed
+  /// dynamically.  Returns the writes taken back (dense: log entries at or
+  /// past `trip`; sparse: recorded locations).
   long undo_beyond(long trip, ThreadPool* pool) {
     const auto t0 = std::chrono::steady_clock::now();
-    std::atomic<long> blocks{0};
-    const long nunits = undo_prefix_.back();
+    const long stripes = pool == nullptr ? 1 : static_cast<long>(pool->size());
+    const long dense_units = static_cast<long>(fused_.size()) * stripes;
+    auto unit = [&](long u) {
+      if (u >= dense_units) return undo_sparse_unit(u - dense_units, trip);
+      SpecTarget* m = fused_[static_cast<std::size_t>(u / stripes)];
+      const auto n = m->txn_dense_size();
+      const auto s = static_cast<std::size_t>(u % stripes);
+      const auto k = static_cast<std::size_t>(stripes);
+      return m->txn_undo(trip, n * s / k, n * (s + 1) / k);
+    };
+    const long nunits = dense_units + sparse_prefix_.back();
     long undone = 0;
-    if (pool != nullptr && nunits > 1) {
-      undone = parallel_sum<long>(*pool, 0, nunits, [&](long u) {
-        return undo_unit(u, trip, blocks);
-      });
+    if (pool == nullptr || nunits <= 1) {
+      for (long u = 0; u < nunits; ++u) undone += unit(u);
     } else {
-      for (long u = 0; u < nunits; ++u) undone += undo_unit(u, trip, blocks);
+      PerWorker<long> part(pool->size(), 0);
+      doall(*pool, 0, nunits,
+            [&](long u, unsigned vpn) { part[vpn] += unit(u); });
+      undone = part.reduce(0L, [](long a, long b) { return a + b; });
     }
     [[maybe_unused]] const double ns = detail::spec_ns_since(t0);
     WLP_OBS_COUNT("wlp.undo.restore_ns", static_cast<long>(ns));
-    WLP_OBS_COUNT("wlp.undo.blocks_dirty",
-                  blocks.load(std::memory_order_relaxed));
     WLP_OBS_HIST("wlp.txn.undone_writes", undone);
     return undone;
   }
 
   /// Fused full restore (failed speculation): every dense member's backup
-  /// is copied back wholesale — stamps are NOT consulted, because targets
-  /// writing below a stamp threshold (strategies.hpp) leave unstamped
+  /// is copied back wholesale — the logs are NOT consulted, because targets
+  /// writing below a stamping threshold (strategies.hpp) leave unlogged
   /// speculative writes — and every sparse member restores everything it
   /// recorded, all in one parallel pass.
   void restore_all(ThreadPool* pool) {
     const auto t0 = std::chrono::steady_clock::now();
     const long ncp = cp_prefix_.back();
-    // Sparse slot chunks live after the group word chunks in the undo unit
-    // space; reuse them with trip = -1 ("restore everything recorded").
-    const long sparse_units =
-        undo_prefix_.back() - undo_prefix_[static_cast<long>(groups_.size())];
-    const long nunits = ncp + sparse_units;
+    // The sparse slot chunks follow the checkpoint chunks; trip = -1
+    // restores everything they recorded.
+    const long nunits = ncp + sparse_prefix_.back();
     auto run_unit = [&](long u) {
-      if (u < ncp) {
+      if (u < ncp)
         restore_chunk(u);
-        return;
-      }
-      std::atomic<long> unused{0};
-      undo_unit(u - ncp + undo_prefix_[static_cast<long>(groups_.size())], -1,
-                unused);
+      else
+        undo_sparse_unit(u - ncp, -1);
     };
     if (pool != nullptr && nunits > 1) {
       doall(*pool, 0, nunits, [&](long u, unsigned) { run_unit(u); });
@@ -251,9 +220,8 @@ class SpecTransaction : public FootprintListener {
     for (SpecTarget* t : all_) t->discard();
   }
 
-  /// Bytes pinned by every member.  Members sharing a StampIndex charge its
-  /// words once (the clearer member owns them), so this is safe to hand to
-  /// the sliding-window budget controller as-is.
+  /// Bytes pinned by every member: safe to hand to the sliding-window
+  /// budget controller as-is.
   std::size_t memory_bytes() const {
     std::size_t b = 0;
     for (const SpecTarget* t : all_) b += t->memory_bytes();
@@ -275,15 +243,8 @@ class SpecTransaction : public FootprintListener {
   /// Shape introspection (tests and the microbench assert on these).
   std::size_t targets() const noexcept { return all_.size(); }
   std::size_t fused_targets() const noexcept { return fused_.size(); }
-  std::size_t shared_groups() const noexcept { return groups_.size(); }
-  /// Stamp bytes the index sharing avoided vs one private index per member.
-  std::size_t stamp_bytes_saved() const noexcept { return stamp_bytes_saved_; }
 
  private:
-  struct Group {
-    StampIndex* index;
-    std::vector<SpecTarget*> members;
-  };
   struct SparseEntry {
     SpecTarget* target;
     std::size_t slots;
@@ -294,7 +255,7 @@ class SpecTransaction : public FootprintListener {
     const std::size_t m = locate(cp_prefix_, c);
     const std::size_t b =
         static_cast<std::size_t>(c - cp_prefix_[m]) * kCpChunk;
-    const std::size_t n = fused_[m]->txn_index()->size();
+    const std::size_t n = fused_[m]->txn_dense_size();
     fused_[m]->txn_checkpoint_span(b, std::min(b + kCpChunk, n));
   }
 
@@ -303,39 +264,22 @@ class SpecTransaction : public FootprintListener {
     const std::size_t m = locate(cp_prefix_, c);
     const std::size_t b =
         static_cast<std::size_t>(c - cp_prefix_[m]) * kCpChunk;
-    const std::size_t n = fused_[m]->txn_index()->size();
+    const std::size_t n = fused_[m]->txn_dense_size();
     fused_[m]->txn_restore_all_span(b, std::min(b + kCpChunk, n));
   }
 
-  /// One unit of the fused undo pass: a group's summary-word chunk (walk
-  /// the shared dirty spans once, restore every member) or a sparse
-  /// member's slot chunk.
-  long undo_unit(long u, long trip, std::atomic<long>& blocks) {
-    const std::size_t r = locate(undo_prefix_, u);
-    const long local = u - undo_prefix_[r];
-    if (r < groups_.size()) {
-      Group& g = groups_[r];
-      const std::size_t wlo = static_cast<std::size_t>(local) * kWordChunk;
-      const std::size_t whi = std::min(wlo + kWordChunk, g.index->words());
-      const std::uint64_t thr = g.index->threshold(trip);
-      const std::size_t n = g.index->size();
-      long undone = 0;
-      const long visited =
-          g.index->scan_spans(wlo, whi, n, [&](std::size_t b, std::size_t e) {
-            for (SpecTarget* m : g.members)
-              undone += m->txn_restore_span(b, e, thr);
-          });
-      blocks.fetch_add(visited, std::memory_order_relaxed);
-      return undone;
-    }
-    const SparseEntry& s = sparse_[r - groups_.size()];
-    const std::size_t lo = static_cast<std::size_t>(local) * kSlotChunk;
+  /// Sparse unit `u`: one chunk of one sparse member's slot table.
+  long undo_sparse_unit(long u, long trip) {
+    const std::size_t r = locate(sparse_prefix_, u);
+    const SparseEntry& s = sparse_[r];
+    const std::size_t lo =
+        static_cast<std::size_t>(u - sparse_prefix_[r]) * kSlotChunk;
     return s.target->txn_undo_slots(trip, lo,
                                     std::min(lo + kSlotChunk, s.slots));
   }
 
   /// Region of a flat id in a prefix-sum map (regions are few: one per
-  /// member or group, so a linear scan beats a binary search in practice).
+  /// member, so a linear scan beats a binary search in practice).
   static std::size_t locate(const std::vector<long>& prefix, long id) {
     std::size_t r = 0;
     while (prefix[r + 1] <= id) ++r;
@@ -343,12 +287,10 @@ class SpecTransaction : public FootprintListener {
   }
 
   std::vector<SpecTarget*> all_;     ///< registration order
-  std::vector<SpecTarget*> fused_;   ///< members with a stamp index
-  std::vector<Group> groups_;        ///< fused members grouped by index
+  std::vector<SpecTarget*> fused_;   ///< members with a dense checkpoint
   std::vector<SparseEntry> sparse_;  ///< members with hash-slot chunks
-  std::vector<long> cp_prefix_;      ///< chunk-id prefix per fused member
-  std::vector<long> undo_prefix_;    ///< unit-id prefix: groups then sparse
-  std::size_t stamp_bytes_saved_ = 0;
+  std::vector<long> cp_prefix_;      ///< chunk-id prefix per dense member
+  std::vector<long> sparse_prefix_;  ///< slot-chunk-id prefix per sparse member
   std::atomic<FootprintListener*> listener_{nullptr};
   std::atomic<long> footprint_epochs_{0};
 };
@@ -365,9 +307,9 @@ class SpecTransaction : public FootprintListener {
 /// untouched.
 ///
 /// Inside a SpecTransaction the target reports both personalities: its
-/// stamp index joins the fused dense walk (a no-op on hash retries — no
-/// stamps were written) and its hash slots join the sparse chunks (a scan
-/// of an empty table on dense retries).  Whichever side was active holds
+/// dense side joins the fused log walk (a no-op on hash retries — nothing
+/// was logged) and its hash slots join the sparse chunks (an empty table on
+/// dense retries returns at once).  Whichever side was active holds
 /// the retry's writes; the other contributes nothing, so mode flips
 /// between retries need no re-registration.
 template <class T>
@@ -375,17 +317,12 @@ class AdaptiveSpecArray final : public SpecTarget {
  public:
   /// `expected_writes` sizes the hash table (~2x headroom added by its
   /// power-of-two rounding) and seeds the first density decision.
-  /// `shared` optionally aliases a sibling's StampIndex (see StampIndex).
   AdaptiveSpecArray(std::vector<T> init, unsigned workers,
-                    std::size_t expected_writes, bool run_pd_test,
-                    std::shared_ptr<StampIndex> shared = nullptr)
-      : array_(std::move(init), std::move(shared)),
+                    std::size_t expected_writes, bool run_pd_test)
+      : array_(std::move(init), workers),
         hash_(expected_writes * 2),
         expected_writes_(expected_writes),
         pd_(array_.size(), workers, run_pd_test) {
-    writers_.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-      writers_.emplace_back(array_.writer());
     touches_.resize(workers);
     decide(expected_writes_);
   }
@@ -414,7 +351,7 @@ class AdaptiveSpecArray final : public SpecTarget {
       if (!hash_.record(iter, idx, array_.get(idx))) return;
       array_.write_raw(idx, v);
     } else {
-      writers_[static_cast<std::size_t>(vpn)].value.write(iter, idx, v);
+      array_.write(vpn, iter, idx, v);
     }
   }
 
@@ -431,8 +368,8 @@ class AdaptiveSpecArray final : public SpecTarget {
   /// the pre-loop view — bulk copy of the current data, then the hash's
   /// saved values grafted over the locations it recorded (their data
   /// elements already hold speculative writes) — so a later undo behaves
-  /// as if the retry had two stamped backends: pre-flip writes restore
-  /// through the hash slots, post-flip writes through the dense stamps.
+  /// as if the retry had two logged backends: pre-flip writes restore
+  /// through the hash slots, post-flip writes through the dense logs.
   ///
   /// The caller must be quiescent: no concurrent body may be mid-iteration
   /// (a claim boundary, or a single-worker pool).  This is the step jump in
@@ -481,8 +418,7 @@ class AdaptiveSpecArray final : public SpecTarget {
     if (hash_.overflowed()) hash_banned_ = true;
     decide(ran_once_ ? static_cast<std::size_t>(touched) : expected_writes_);
     ran_once_ = true;
-    array_.clear_stamps();
-    for (auto& w : writers_) w.value.rebind();
+    array_.clear_log();
     hash_.clear();
   }
   long marks() const override { return pd_.marks(); }
@@ -496,7 +432,7 @@ class AdaptiveSpecArray final : public SpecTarget {
     // minimum for no reason.  The idle side still charges what it actually
     // holds: on a dense retry the hash table is empty (0 bytes) except
     // right after a mid-run flip, when its recorded pre-flip entries stay
-    // pinned until the next clear; on a hash retry the dense data/stamps
+    // pinned until the next clear; on a hash retry the dense data/logs
     // are not speculative state, but a pooled backup buffer allocated by an
     // earlier dense retry remains held.
     if (mode_ == BackupKind::kDense)
@@ -518,37 +454,33 @@ class AdaptiveSpecArray final : public SpecTarget {
   }
   long dirty_block_count() const override {
     // Whichever backend held this retry's writes knows the density; the
-    // idle side reports 0 (empty table / clean stamps), so the sum is the
+    // idle side reports 0 (empty table / empty logs), so the sum is the
     // live count even right after a mid-run flip.
     return array_.dirty_block_count() + hash_.dirty_block_count();
   }
 
   // ---- fused-transaction hooks --------------------------------------------
-  // Both personalities are always reported (see the class comment); the
-  // mode checks below are load-bearing: on a hash retry the dense restore
-  // hooks MUST return nothing, or a SHARED index's sibling stamps would
-  // drive restores from this member's stale dense backup.  After a mid-run
-  // flip_to_dense the pre-flip writes live only in the hash slots, which
-  // the fused undo scans on every retry (an empty table on plain dense
-  // retries).
+  // Both personalities are always reported (see the class comment); on a
+  // hash retry the dense hooks do nothing, since the dense backup holds no
+  // checkpoint of this retry.  After a mid-run flip_to_dense the pre-flip
+  // writes live only in the hash slots, which the fused undo scans on every
+  // retry (an empty table on plain dense retries).
 
-  StampIndex* txn_index() noexcept override { return array_.index(); }
+  std::size_t txn_dense_size() const override { return array_.size(); }
   std::size_t txn_checkpoint_begin() override {
     return mode_ == BackupKind::kDense ? array_.txn_checkpoint_begin() : 0;
   }
   void txn_checkpoint_span(std::size_t b, std::size_t e) override {
     if (mode_ == BackupKind::kDense) array_.txn_checkpoint_span(b, e);
   }
-  long txn_restore_span(std::size_t b, std::size_t e,
-                        std::uint64_t threshold) override {
-    return mode_ == BackupKind::kDense ? array_.restore_span(b, e, threshold)
-                                       : 0;
+  long txn_undo(long trip, std::size_t lo, std::size_t hi) override {
+    return mode_ == BackupKind::kDense ? array_.txn_undo(trip, lo, hi) : 0;
   }
   void txn_restore_all_span(std::size_t b, std::size_t e) override {
     if (mode_ == BackupKind::kDense) array_.txn_restore_all_span(b, e);
   }
   void txn_restore_all_done() override {
-    if (mode_ == BackupKind::kDense) array_.clear_stamps();
+    array_.clear_log();
     // The hash side's recorded set is spent too — but the overflow fact
     // must outlive the clear (reset_marks may not run before the next
     // decision reads it), so latch the ban first.
@@ -569,7 +501,7 @@ class AdaptiveSpecArray final : public SpecTarget {
                                               : "wlp.txn.backup_hash",
                   1);
     // A backend change is a step jump in memory_bytes() (dense pins
-    // data+backup+stamps where hash pinned live slots): tell the window
+    // data+backup+log where hash pinned live slots): tell the window
     // controller instead of letting the next claim's poll discover it late.
     if (mode_ != before) footprint_changed();
   }
@@ -578,7 +510,6 @@ class AdaptiveSpecArray final : public SpecTarget {
   HashBackup<T> hash_;
   std::size_t expected_writes_;
   PDMarks pd_;
-  std::vector<Padded<typename VersionedArray<T>::Writer>> writers_;
   /// Per-worker write tallies (cache-line padded: bumped on every set()).
   std::vector<Padded<long>> touches_;
   BackupKind mode_ = BackupKind::kDense;

@@ -1,7 +1,7 @@
 // wlp::mem — the generation-stamp clock.
 //
-// Every O(1)-reset structure in this runtime (PD shadow segments, versioned
-// checkpoint stamps, hash-backup slots, DOACROSS chain slots) uses the same
+// Every O(1)-reset structure in this runtime (PD shadow segments, hash-backup
+// slots, verdict-cache tags, DOACROSS chain slots) uses the same
 // trick: contents carry a 32-bit generation stamp, a "clear" is one counter
 // bump that makes every old stamp read as empty, and the only real O(n)
 // sweep happens once per 2^32 clears when the counter wraps.  Each of them

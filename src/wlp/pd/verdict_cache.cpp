@@ -204,7 +204,7 @@ void VerdictCache::jump_epoch_for_test(std::uint32_t e) noexcept {
 void VerdictCache::sweep_tags() noexcept {
   // Once per 2^32 invalidations: unstamp every slot so no survivor can
   // alias the restarted epoch counter.  Quiescent with respect to inserts
-  // (same contract as the HashBackup / StampIndex wrap sweeps).
+  // (same contract as the HashBackup / PD shadow wrap sweeps).
   for (std::size_t i = 0; i < cap_; ++i)
     slots_[i].tag.store(0, std::memory_order_relaxed);
 }

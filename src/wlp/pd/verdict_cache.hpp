@@ -13,8 +13,8 @@
 //   * per-array first/last touched index (min_idx / max_idx),
 //   * a stride class derived from marks vs. touched span,
 //   * write / exposed-read / total mark counts,
-//   * write density (current-epoch dirty blocks — StampIndex popcount or
-//     the HashBackup occupancy equivalent, never a second sweep),
+//   * write density (ceil(writes / 64) — VersionedArray log lengths or
+//     the HashBackup occupancy, never a second sweep),
 //   * the strip-relative trip (the analysis filters marks by trip, so the
 //     verdict is only reusable at the same relative trip),
 //   * two base-rebased moment hashes per mark kind binding WHICH iteration
@@ -40,7 +40,7 @@
 // Table: open-addressed, power-of-two, arena-backed (mem::local_arena),
 // epoch-stamped via the shared mem::EpochClock — invalidate_all() is an
 // O(1) bump, stale slots read as free and are recycled in place, and the
-// once-per-2^32 wrap sweeps the tags (the VersionedArray / HashBackup
+// once-per-2^32 wrap sweeps the tags (the HashBackup / PD shadow
 // pattern).  Concurrent strips may share one cache: lookups are wait-free
 // tag reads, inserts claim a slot with one CAS and publish the payload
 // with a release store.

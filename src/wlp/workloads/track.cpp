@@ -66,46 +66,38 @@ long TrackLoop::run_sequential(std::vector<double>& pos,
   return cfg_.candidates;
 }
 
-ExecReport TrackLoop::run_induction1(ThreadPool& pool, std::vector<double>& pos,
-                                     std::vector<double>& vel) const {
-  VersionedArray<double> vpos(std::move(pos));
-  VersionedArray<double> vvel(std::move(vel));
+ExecReport TrackLoop::run_induction(ThreadPool& pool, std::vector<double>& pos,
+                                    std::vector<double>& vel,
+                                    bool use_quit) const {
+  VersionedArray<double> vpos(std::move(pos), pool.size());
+  VersionedArray<double> vvel(std::move(vel), pool.size());
   vpos.checkpoint(&pool);
   vvel.checkpoint(&pool);
-  ExecReport r = while_induction1(pool, cfg_.candidates, [&](long i, unsigned) {
+  const auto body = [&](long i, unsigned vpn) {
     double p, v;
     if (extrapolate(i, p, v)) return IterAction::kExit;
     const auto slot = static_cast<std::size_t>(sub_[static_cast<std::size_t>(i)]);
-    vpos.write(i, slot, p);
-    vvel.write(i, slot, v);
+    vpos.write(vpn, i, slot, p);
+    vvel.write(vpn, i, slot, v);
     return IterAction::kContinue;
-  });
+  };
+  ExecReport r = use_quit ? while_induction2(pool, cfg_.candidates, body)
+                          : while_induction1(pool, cfg_.candidates, body);
   r.used_checkpoint = r.used_stamps = true;
-  r.undone_writes = vpos.undo_beyond(r.trip, &pool) + vvel.undo_beyond(r.trip, &pool);
+  r.undone_writes = vpos.undo_beyond(r.trip) + vvel.undo_beyond(r.trip);
   pos = std::move(vpos.data());
   vel = std::move(vvel.data());
   return r;
 }
 
+ExecReport TrackLoop::run_induction1(ThreadPool& pool, std::vector<double>& pos,
+                                     std::vector<double>& vel) const {
+  return run_induction(pool, pos, vel, /*use_quit=*/false);
+}
+
 ExecReport TrackLoop::run_induction2(ThreadPool& pool, std::vector<double>& pos,
                                      std::vector<double>& vel) const {
-  VersionedArray<double> vpos(std::move(pos));
-  VersionedArray<double> vvel(std::move(vel));
-  vpos.checkpoint(&pool);
-  vvel.checkpoint(&pool);
-  ExecReport r = while_induction2(pool, cfg_.candidates, [&](long i, unsigned) {
-    double p, v;
-    if (extrapolate(i, p, v)) return IterAction::kExit;
-    const auto slot = static_cast<std::size_t>(sub_[static_cast<std::size_t>(i)]);
-    vpos.write(i, slot, p);
-    vvel.write(i, slot, v);
-    return IterAction::kContinue;
-  });
-  r.used_checkpoint = r.used_stamps = true;
-  r.undone_writes = vpos.undo_beyond(r.trip, &pool) + vvel.undo_beyond(r.trip, &pool);
-  pos = std::move(vpos.data());
-  vel = std::move(vvel.data());
-  return r;
+  return run_induction(pool, pos, vel, /*use_quit=*/true);
 }
 
 ExecReport TrackLoop::run_speculative(ThreadPool& pool, std::vector<double>& pos,

@@ -47,8 +47,8 @@ class TrackLoop {
   /// Sequential reference; returns the trip count.
   long run_sequential(std::vector<double>& pos, std::vector<double>& vel) const;
 
-  /// Induction-1 / Induction-2 with checkpoint + time-stamps (the paper's
-  /// Table 2 configuration for this loop).
+  /// Induction-1 / Induction-2 with checkpoint + per-worker write logs (the
+  /// paper's Table 2 configuration for this loop: backups and time-stamps).
   ExecReport run_induction1(ThreadPool& pool, std::vector<double>& pos,
                             std::vector<double>& vel) const;
   ExecReport run_induction2(ThreadPool& pool, std::vector<double>& pos,
@@ -70,6 +70,9 @@ class TrackLoop {
   /// One track extrapolation step; also reports whether this candidate
   /// triggers the error exit.
   bool extrapolate(long i, double& p_out, double& v_out) const;
+  /// The body both Induction methods share; `use_quit` picks Induction-2.
+  ExecReport run_induction(ThreadPool& pool, std::vector<double>& pos,
+                           std::vector<double>& vel, bool use_quit) const;
 
   TrackConfig cfg_;
   std::vector<std::int32_t> sub_;  ///< run-time subscript array (permutation)

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "wlp/sched/doall.hpp"
@@ -10,20 +13,38 @@
 namespace wlp {
 namespace {
 
+// gtest prints a parameter without operator<< as a dump of its bytes, and
+// gtest_discover_tests puts that dump into each ctest name. So the case holds
+// no pointer and no padding: three 64-bit fields (schedule, chunk, pool
+// size), and the name suffix is derived from the schedule and chunk.
 struct DoallSchedCase {
-  Sched sched;
-  long chunk;
-  const char* name;
+  std::int64_t sched;  ///< a Sched value
+  std::int64_t chunk;
+  std::int64_t procs;
 };
+
+std::string sched_case_name(const DoallSchedCase& c) {
+  switch (static_cast<Sched>(c.sched)) {
+    case Sched::kDynamic:
+      return "dyn" + std::to_string(c.chunk);
+    case Sched::kStaticCyclic:
+      return "cyclic";
+    case Sched::kStaticBlock:
+      return "block";
+    case Sched::kGuided:
+      return "guided" + std::to_string(c.chunk);
+  }
+  std::abort();
+}
 
 class DoallAllSchedules : public ::testing::TestWithParam<DoallSchedCase> {};
 
 TEST_P(DoallAllSchedules, PlainDoallCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
+  ThreadPool pool(static_cast<unsigned>(GetParam().procs));
   const long n = 1000;
   std::vector<std::atomic<int>> hits(n);
   DoallOptions opts;
-  opts.sched = GetParam().sched;
+  opts.sched = static_cast<Sched>(GetParam().sched);
   opts.chunk = GetParam().chunk;
   doall(pool, 0, n, [&](long i, unsigned) { hits[static_cast<std::size_t>(i)]++; },
         opts);
@@ -31,12 +52,12 @@ TEST_P(DoallAllSchedules, PlainDoallCoversRangeExactlyOnce) {
 }
 
 TEST_P(DoallAllSchedules, QuitTripIsExactAndPrefixComplete) {
-  ThreadPool pool(4);
+  ThreadPool pool(static_cast<unsigned>(GetParam().procs));
   const long n = 2000;
   const long exit_at = 777;
   std::vector<std::atomic<int>> hits(n);
   DoallOptions opts;
-  opts.sched = GetParam().sched;
+  opts.sched = static_cast<Sched>(GetParam().sched);
   opts.chunk = GetParam().chunk;
   const QuitResult qr = doall_quit(
       pool, 0, n,
@@ -60,13 +81,14 @@ TEST_P(DoallAllSchedules, QuitTripIsExactAndPrefixComplete) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schedules, DoallAllSchedules,
-    ::testing::Values(DoallSchedCase{Sched::kDynamic, 1, "dyn1"},
-                      DoallSchedCase{Sched::kDynamic, 16, "dyn16"},
-                      DoallSchedCase{Sched::kStaticCyclic, 1, "cyclic"},
-                      DoallSchedCase{Sched::kStaticBlock, 1, "block"},
-                      DoallSchedCase{Sched::kGuided, 1, "guided1"},
-                      DoallSchedCase{Sched::kGuided, 8, "guided8"}),
-    [](const auto& info) { return info.param.name; });
+    ::testing::Values(
+        DoallSchedCase{static_cast<std::int64_t>(Sched::kDynamic), 1, 4},
+        DoallSchedCase{static_cast<std::int64_t>(Sched::kDynamic), 16, 4},
+        DoallSchedCase{static_cast<std::int64_t>(Sched::kStaticCyclic), 1, 4},
+        DoallSchedCase{static_cast<std::int64_t>(Sched::kStaticBlock), 1, 4},
+        DoallSchedCase{static_cast<std::int64_t>(Sched::kGuided), 1, 4},
+        DoallSchedCase{static_cast<std::int64_t>(Sched::kGuided), 8, 4}),
+    [](const auto& info) { return sched_case_name(info.param); });
 
 // Guided self-scheduling must deliver identical semantics to kDynamic (the
 // parameterized suite above covers trip/coverage/QUIT) while touching the

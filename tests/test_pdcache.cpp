@@ -420,12 +420,11 @@ TEST(PDCacheDirtyBlocks, DenseStampsAndSparseBackupAgreeOnUnits) {
   SpecArray<double> dense(std::vector<double>(1024, 0.0), pool.size(), false);
   SpecTarget* td = &dense;
   EXPECT_EQ(td->dirty_block_count(), 0);
-  // 130 writes into the first 130 elements: blocks 0 and 1 full, block 2
-  // partially touched -> 3 dirty 64-element blocks.
+  // 130 logged writes -> ceil(130/64) = 3 blocks.
   for (long i = 0; i < 130; ++i)
     dense.set(0, i, static_cast<std::size_t>(i), 1.0);
   EXPECT_EQ(td->dirty_block_count(), 3);
-  td->reset_marks();  // epoch bump clears the stamps
+  td->reset_marks();  // rewinds the write logs
   EXPECT_EQ(td->dirty_block_count(), 0);
 
   std::vector<double> data(1 << 17, 0.0);  // holds index 129 * 509

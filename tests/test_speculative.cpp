@@ -128,7 +128,7 @@ TEST(Speculative, OutputDependenceIsDetected) {
   EXPECT_EQ(arr.data()[3], 99.0);
 }
 
-/// Non-shadowed arrays skip the PD test but still get stamps and undo.
+/// Non-shadowed arrays skip the PD test but still get write logs and undo.
 TEST(Speculative, UnshadowedArraySkipsPDButUndoes) {
   ThreadPool pool(4);
   const long n = 1000, exit_at = 600;

@@ -1,26 +1,32 @@
 // Multi-array speculation transactions (SpecTransaction, txn.hpp):
 //   * the fused multi-array undo agrees with a per-element oracle on every
-//     member, shared index or not,
+//     member,
 //   * a target the fused passes cannot checkpoint is rejected up front,
-//   * index sharing between trip-aligned members actually halves stamp
-//     memory and the transaction reports the savings,
-//   * mixed dense+hash transactions survive concurrent writers straddling
-//     shared stamp words (the TSan job runs these under Txn*),
+//   * mixed dense+hash transactions survive concurrent writers, and two
+//     overshot iterations on different workers writing one index pass the
+//     trip-filtered PD test and are undone (the TSan job runs these under
+//     Txn*),
+//   * every driver schedule hands each worker its iterations in increasing
+//     order, which the log tail walk relies on (TxnTailWalk),
 //   * an AdaptiveSpecArray's hash overflow falls back to dense without
 //     disturbing its siblings,
-//   * epoch wrap with live multi-array stamps sweeps the shared index once
-//     and stays exact,
 //   * cost_model::choose_backup picks the documented sides of the 1/6
 //     crossover,
 //   * steady-state strip retries over a 2-array transaction allocate
 //     nothing (wlp.mem Budget deltas pinned to zero).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "wlp/core/sliding_window.hpp"
 #include "wlp/core/sparse_spec.hpp"
 #include "wlp/core/speculative.hpp"
 #include "wlp/core/speculative_strips.hpp"
@@ -31,71 +37,74 @@
 namespace wlp {
 namespace {
 
-/// Per-element oracle: every location stamped by an iteration >= trip goes
-/// back to its known pre-loop value.  Returns locations restored.
-long undo_oracle(VersionedArray<long>& ref, long trip, long pre) {
-  long undone = 0;
-  for (std::size_t i = 0; i < ref.data().size(); ++i)
-    if (ref.stamp(i) >= trip) {
-      ref.write_raw(i, pre);
-      ++undone;
-    }
-  return undone;
-}
+/// Per-element oracle for one array: replays the writes sequentially, then
+/// sends every location some iteration >= trip wrote back to `pre`.
+struct UndoOracle {
+  std::vector<long> data;
+  std::vector<long> max_writer;
+
+  UndoOracle(std::size_t n, long pre) : data(n, pre), max_writer(n, -1) {}
+  void write(long iter, std::size_t idx, long v) {
+    data[idx] = v;
+    max_writer[idx] = std::max(max_writer[idx], iter);
+  }
+  void undo(long trip, long pre) {
+    for (std::size_t i = 0; i < data.size(); ++i)
+      if (max_writer[i] >= trip) data[i] = pre;
+  }
+};
 
 TEST(TxnFused, MultiArrayUndoMatchesPerElementOracle) {
-  // Two trip-aligned members over ONE shared index plus a third with its
-  // own index, undone by the fused transaction pass; three independent
-  // VersionedArrays with the same writes, undone by the per-element
-  // oracle.  Every element must agree.
+  // Three members with scattered, colliding writes, undone by the fused
+  // transaction pass (one tail-walk unit per member); the per-element
+  // oracle replays the same writes.  Every element and the count of
+  // writes taken back must agree.
   ThreadPool pool(4);
   const std::size_t n = 1 << 14;
   const long iters = 4000, trip = 1700;
 
   SpecArray<long> a(std::vector<long>(n, -1), pool.size(), false);
-  SpecArray<long> b(std::vector<long>(n, -2), pool.size(), false,
-                    a.shared_index());
+  SpecArray<long> b(std::vector<long>(n, -2), pool.size(), false);
   SpecArray<long> c(std::vector<long>(n, -3), pool.size(), false);
   SpecTarget* targets[] = {&a, &b, &c};
   SpecTransaction txn(std::span<SpecTarget* const>(targets, 3));
-  EXPECT_EQ(txn.shared_groups(), 2u);  // {a,b} and {c}
   EXPECT_EQ(txn.fused_targets(), 3u);
 
-  VersionedArray<long> ra(std::vector<long>(n, -1));
-  VersionedArray<long> rb(std::vector<long>(n, -2));
-  VersionedArray<long> rc(std::vector<long>(n, -3));
+  UndoOracle ra(n, -1), rb(n, -2), rc(n, -3);
 
   txn.begin(&pool);
 
   Xoshiro256 rng(0x5eedull);
+  long overshot_writes = 0;
   for (long i = 0; i < iters; ++i) {
-    // a and b are trip-aligned: the SAME indices every iteration (the
-    // shared-index write-set contract).  c scatters independently.
+    // Iterations go round-robin over the workers' logs, in increasing
+    // order per worker as every driver schedule guarantees.
+    const auto vpn = static_cast<unsigned>(i % pool.size());
     const auto idx = static_cast<std::size_t>(rng() % n);
-    a.set(0, i, idx, i);
-    b.set(0, i, idx, 10 * i);
+    a.set(vpn, i, idx, i);
+    b.set(vpn, i, idx, 10 * i);
     ra.write(i, idx, i);
     rb.write(i, idx, 10 * i);
     const auto cidx = static_cast<std::size_t>(rng() % n);
-    c.set(0, i, cidx, -i);
+    c.set(vpn, i, cidx, -i);
     rc.write(i, cidx, -i);
+    if (i >= trip) overshot_writes += 3;
   }
 
-  const long fused_undone = txn.undo_beyond(trip, &pool);
-  const long ref_undone = undo_oracle(ra, trip, -1) +
-                          undo_oracle(rb, trip, -2) +
-                          undo_oracle(rc, trip, -3);
-  EXPECT_EQ(fused_undone, ref_undone);
+  EXPECT_EQ(txn.undo_beyond(trip, &pool), overshot_writes);
+  ra.undo(trip, -1);
+  rb.undo(trip, -2);
+  rc.undo(trip, -3);
   for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(a.data()[i], ra.get(i)) << i;
-    ASSERT_EQ(b.data()[i], rb.get(i)) << i;
-    ASSERT_EQ(c.data()[i], rc.get(i)) << i;
+    ASSERT_EQ(a.data()[i], ra.data[i]) << i;
+    ASSERT_EQ(b.data()[i], rb.data[i]) << i;
+    ASSERT_EQ(c.data()[i], rc.data[i]) << i;
   }
 }
 
 TEST(TxnShape, TargetWithNeitherIndexNorSlotsIsRejected) {
   // The fused passes are the only checkpoint/undo a target has: one that
-  // reports neither a stamp index nor sparse slots would silently run
+  // reports neither a dense checkpoint nor sparse slots would silently run
   // without a checkpoint, so the transaction refuses it.
   struct Bare final : SpecTarget {
     bool shadowed() const override { return false; }
@@ -113,8 +122,7 @@ TEST(TxnFused, RestoreAllReturnsEveryMemberToEntryState) {
   ThreadPool pool(4);
   const std::size_t n = 1 << 12;
   SpecArray<double> a(std::vector<double>(n, 1.5), pool.size(), false);
-  SpecArray<double> b(std::vector<double>(n, 2.5), pool.size(), false,
-                      a.shared_index());
+  SpecArray<double> b(std::vector<double>(n, 2.5), pool.size(), false);
   std::vector<double> sparse_data(n, 3.5);
   SparseSpecArray<double> s(sparse_data, pool.size(), 256, false);
   SpecTarget* targets[] = {&a, &b, &s};
@@ -133,53 +141,21 @@ TEST(TxnFused, RestoreAllReturnsEveryMemberToEntryState) {
     ASSERT_EQ(b.data()[i], 2.5) << i;
     ASSERT_EQ(sparse_data[i], 3.5) << i;
   }
-  // Stamps cleared by the restore: nothing left to undo.
+  // Logs cleared by the restore: nothing left to undo.
   EXPECT_EQ(txn.undo_beyond(0, &pool), 0);
 }
 
-TEST(TxnSharedStamps, SharingHalvesStampMemory) {
-  const std::size_t n = 1 << 14;
-  ThreadPool pool(2);
-  SpecArray<double> a(std::vector<double>(n, 0.0), pool.size(), false);
-  SpecArray<double> b(std::vector<double>(n, 0.0), pool.size(), false,
-                      a.shared_index());
-  SpecTarget* shared_pair[] = {&a, &b};
-  SpecTransaction shared_txn(std::span<SpecTarget* const>(shared_pair, 2));
-
-  SpecArray<double> c(std::vector<double>(n, 0.0), pool.size(), false);
-  SpecArray<double> d(std::vector<double>(n, 0.0), pool.size(), false);
-  SpecTarget* private_pair[] = {&c, &d};
-  SpecTransaction private_txn(std::span<SpecTarget* const>(private_pair, 2));
-
-  // One group, and the saving equals exactly one index's bytes (the second
-  // member would have owned a private one).
-  EXPECT_EQ(shared_txn.shared_groups(), 1u);
-  EXPECT_EQ(shared_txn.stamp_bytes_saved(), a.shared_index()->memory_bytes());
-  EXPECT_EQ(private_txn.stamp_bytes_saved(), 0u);
-
-  // The budget-visible footprint reflects it: the shared pair pins one
-  // index where the private pair pins two.  (Backup buffers are identical
-  // on both sides, so the delta is the index bytes.)
-  EXPECT_EQ(private_txn.memory_bytes() - shared_txn.memory_bytes(),
-            a.shared_index()->memory_bytes());
-  // And the index itself dominates its dense n: ~12.25 bytes/element
-  // (8 stamp + summary) versus twice that unshared.
-  EXPECT_GE(a.shared_index()->memory_bytes(), n * sizeof(std::uint64_t));
-}
-
-TEST(TxnStress, MixedDenseHashConcurrentWritersSharedWords) {
-  // TSan coverage: two dense members share one StampIndex, so concurrent
-  // workers CAS the same stamp and summary words; a hash member's record()
-  // races on its slot tags in the same run.  Chunk 1 dynamic scheduling
-  // maximizes interleaving; the exit lands exactly on a 64-element block
-  // boundary so the undo threshold splits a summary word.
+TEST(TxnStress, MixedDenseHashConcurrentWriters) {
+  // TSan coverage: two dense members take concurrent appends into every
+  // worker's log; a hash member's record() races on its slot tags in the
+  // same run.  Chunk 1 dynamic scheduling maximizes interleaving.
   ThreadPool pool(4);
   const long n = 1 << 14;
-  const long exit_at = 4096;  // 64 * 64: exact block boundary
+  const long exit_at = 4096;
   SpecArray<double> a(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                       pool.size(), true);
   SpecArray<double> b(std::vector<double>(static_cast<std::size_t>(n), 0.0),
-                      pool.size(), true, a.shared_index());
+                      pool.size(), true);
   std::vector<double> sdata(static_cast<std::size_t>(n), 0.0);
   SparseSpecArray<double> s(sdata, pool.size(), static_cast<std::size_t>(n),
                             true);
@@ -218,6 +194,185 @@ TEST(TxnStress, MixedDenseHashConcurrentWritersSharedWords) {
     ASSERT_EQ(sdata[static_cast<std::size_t>(i)], i < exit_at ? 1.0 : 0.0)
         << i;
 }
+
+TEST(TxnStress, OvershotCollisionOnTwoWorkersPassesPDAndIsUndone) {
+  // Concurrent appends, then one fused undo.  Two overshot iterations on
+  // different workers write ONE index: the trip-filtered PD test accepts
+  // that (both writers are past the trip), so the index sits in two logs
+  // and the array's single undo unit restores it from one thread.  The
+  // handshake orders the two data stores, so TSan sees no race.
+  ThreadPool pool(4);
+  const long n = 4096, trip = 3000;
+  const long late = n - 6, later = n - 1;  // workers 2 and 3 under cyclic
+  SpecArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1),
+                    pool.size(), true);
+  SpecArray<long> b(std::vector<long>(static_cast<std::size_t>(n), -2),
+                    pool.size(), true);
+  SpecTarget* targets[] = {&a, &b};
+  SpecTransaction txn(std::span<SpecTarget* const>(targets, 2));
+  txn.begin(&pool);
+
+  std::atomic<bool> late_done{false};
+  DoallOptions opts;
+  opts.sched = Sched::kStaticCyclic;
+  doall(pool, 0, n, [&](long i, unsigned vpn) {
+    a.begin_iteration(vpn, i);
+    b.begin_iteration(vpn, i);
+    auto idx = static_cast<std::size_t>(i);
+    if (i == later) {
+      while (!late_done.load(std::memory_order_acquire)) std::this_thread::yield();
+      idx = static_cast<std::size_t>(late);
+    }
+    a.set(vpn, i, idx, i);
+    b.set(vpn, i, idx, 2 * i);
+    if (i == late) late_done.store(true, std::memory_order_release);
+  }, opts);
+
+  EXPECT_TRUE(a.analyze(pool, trip).fully_parallel());
+  EXPECT_TRUE(b.analyze(pool, trip).fully_parallel());
+  // A trip past both writers would see the output dependence.
+  EXPECT_FALSE(a.analyze(pool, n).fully_parallel());
+  // Oracle: one entry per write by an iteration >= trip, in each array.
+  EXPECT_EQ(txn.undo_beyond(trip, &pool), 2 * (n - trip));
+  for (long i = 0; i < n; ++i) {
+    ASSERT_EQ(a.data()[static_cast<std::size_t>(i)], i < trip ? i : -1) << i;
+    ASSERT_EQ(b.data()[static_cast<std::size_t>(i)], i < trip ? 2 * i : -2)
+        << i;
+  }
+}
+
+// ---- the tail walk's precondition, under every driver schedule -------------
+
+// gtest prints a parameter without operator<< as a dump of its bytes, and
+// gtest_discover_tests puts that dump into each ctest name, so the case is
+// three 64-bit fields: no padding, no pointer.
+enum class Driver : std::int64_t { kLoop, kStrip, kWindow };
+
+struct TailWalkCase {
+  Driver driver;
+  std::int64_t sched;  ///< a Sched value
+  std::int64_t chunk;
+};
+
+std::string tail_walk_name(const TailWalkCase& c) {
+  static const char* const kDrivers[] = {"loop", "strip", "window"};
+  static const char* const kScheds[] = {"dynamic", "cyclic", "block", "guided"};
+  return std::string(kDrivers[static_cast<int>(c.driver)]) + "_" +
+         kScheds[c.sched] + std::to_string(c.chunk);
+}
+
+class TxnTailWalk : public ::testing::TestWithParam<TailWalkCase> {};
+
+TEST_P(TxnTailWalk, StateMatchesSequentialAndUndoneMatchesOracle) {
+  // A two-array loop with a planted exit.  Each worker's log is walked from
+  // its tail and the walk stops at the first entry below the trip, so a
+  // worker that ever received an iteration below one it already ran would
+  // leave an overshot write in place and break the byte comparison.
+  ThreadPool pool(4);
+  const long n = 4096, exit_at = 2999;
+  const auto sched = static_cast<Sched>(GetParam().sched);
+  const auto slot = [](long i) {
+    return static_cast<std::size_t>((i * 7919) & (n - 1));  // a permutation
+  };
+  const auto writes_of = [](long i) { return i % 2 == 0 ? 3L : 2L; };
+  // Iteration i writes a[slot(i)] (twice when i is even) and b[slot(i)];
+  // it exits before any write at exit_at.
+  const auto run_seq = [&](std::vector<long>& a, std::vector<long>& b,
+                           long lo, long hi) {
+    for (long i = lo; i < hi; ++i) {
+      if (i == exit_at) return i;
+      a[slot(i)] = i;
+      if (writes_of(i) == 3) a[slot(i)] = i + n;
+      b[slot(i)] = -i;
+    }
+    return hi;
+  };
+
+  std::vector<long> seq_a(n, -1), seq_b(n, -2);
+  ASSERT_EQ(run_seq(seq_a, seq_b, 0, n), exit_at);
+
+  SpecArray<long> a(std::vector<long>(n, -1), pool.size(), true);
+  SpecArray<long> b(std::vector<long>(n, -2), pool.size(), true);
+  SpecTarget* targets[] = {&a, &b};
+  const std::span<SpecTarget* const> members(targets, 2);
+  std::vector<std::atomic<char>> ran(n);
+  auto body = [&](long i, unsigned vpn) {
+    a.begin_iteration(vpn, i);
+    b.begin_iteration(vpn, i);
+    if (i == exit_at) return IterAction::kExit;
+    ran[static_cast<std::size_t>(i)].store(1, std::memory_order_relaxed);
+    a.set(vpn, i, slot(i), i);
+    if (writes_of(i) == 3) a.set(vpn, i, slot(i), i + n);
+    b.set(vpn, i, slot(i), -i);
+    return IterAction::kContinue;
+  };
+  auto seq_all = [&] { return run_seq(a.data(), b.data(), 0, n); };
+
+  ExecReport r;
+  switch (GetParam().driver) {
+    case Driver::kLoop: {
+      SpecOptions opts;
+      opts.doall.sched = sched;
+      opts.doall.chunk = GetParam().chunk;
+      r = speculative_while(pool, n, members, body, seq_all, opts);
+      break;
+    }
+    case Driver::kStrip: {
+      SpecOptions opts;
+      opts.doall.sched = sched;
+      opts.doall.chunk = GetParam().chunk;
+      r = strip_speculative_while(
+              pool, n, 1024, members, body,
+              [&](long lo, long hi) {
+                return run_seq(a.data(), b.data(), lo, hi);
+              },
+              opts)
+              .exec;
+      break;
+    }
+    case Driver::kWindow: {
+      WindowOptions opts;
+      opts.window = 64;
+      opts.sched = sched;
+      r = sliding_window_speculative_while(pool, n, members, body, seq_all,
+                                           opts)
+              .exec;
+      break;
+    }
+  }
+
+  ASSERT_FALSE(r.reexecuted_sequentially);
+  EXPECT_EQ(r.trip, exit_at);
+  EXPECT_EQ(a.data(), seq_a);
+  EXPECT_EQ(b.data(), seq_b);
+  // Oracle: every write by an iteration past the exit that actually ran.
+  // (The strip driver's logs hold only the exit strip, and iterations of
+  // later strips never run.)
+  long overshot_writes = 0;
+  for (long i = exit_at + 1; i < n; ++i)
+    if (ran[static_cast<std::size_t>(i)].load(std::memory_order_relaxed))
+      overshot_writes += writes_of(i);
+  EXPECT_EQ(r.undone_writes, overshot_writes);
+}
+
+constexpr std::int64_t sched_id(Sched s) { return static_cast<std::int64_t>(s); }
+
+INSTANTIATE_TEST_SUITE_P(
+    TxnDrivers, TxnTailWalk,
+    ::testing::Values(
+        TailWalkCase{Driver::kLoop, sched_id(Sched::kDynamic), 1},
+        TailWalkCase{Driver::kLoop, sched_id(Sched::kDynamic), 16},
+        TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticCyclic), 1},
+        TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticCyclic), 16},
+        TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticBlock), 1},
+        TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticBlock), 16},
+        TailWalkCase{Driver::kLoop, sched_id(Sched::kGuided), 1},
+        TailWalkCase{Driver::kLoop, sched_id(Sched::kGuided), 16},
+        TailWalkCase{Driver::kStrip, sched_id(Sched::kDynamic), 1},
+        TailWalkCase{Driver::kStrip, sched_id(Sched::kGuided), 16},
+        TailWalkCase{Driver::kWindow, sched_id(Sched::kDynamic), 1},
+        TailWalkCase{Driver::kWindow, sched_id(Sched::kGuided), 1}),
+    [](const auto& info) { return tail_walk_name(info.param); });
 
 TEST(TxnAdaptive, PicksHashForSparseAndDenseForDenseTouches) {
   ThreadPool pool(2);
@@ -288,42 +443,6 @@ TEST(TxnAdaptive, HashOverflowFallsBackDenseWithoutDisturbingSibling) {
   EXPECT_EQ(a_arr.backup_kind(), BackupKind::kDense);
 }
 
-TEST(TxnEpochWrap, SharedIndexWrapsOnceAndStaysExact) {
-  // Jump the shared index to the edge of the 32-bit epoch space with LIVE
-  // multi-array state, then cross the wrap: exactly one real sweep, and the
-  // undo after the wrap still restores exactly the overshot writes.
-  const std::size_t n = 4096;
-  VersionedArray<long> a(std::vector<long>(n, -1));
-  VersionedArray<long> b(std::vector<long>(n, -2), a.shared_index());
-  a.set_epoch_for_test(0xffffffffu);  // next bump wraps
-
-  const long sweeps0 = a.shared_index()->sweeps();
-  a.checkpoint();
-  b.checkpoint();
-  a.write(9, 100, 1);
-  b.write(9, 100, 2);
-  // Strip commit: both members clear, the clearer bumps the shared epoch
-  // once — crossing the wrap, which forces the one real sweep.
-  a.clear_stamps();
-  b.clear_stamps();
-  EXPECT_EQ(a.shared_index()->sweeps(), sweeps0 + 1);
-
-  // Post-wrap stamps are exact: stale pre-wrap residue can't alias.
-  a.checkpoint();
-  b.checkpoint();
-  a.write(3, 50, 30);   // valid at trip 5
-  b.write(3, 50, 300);
-  a.write(7, 60, 70);   // overshot
-  b.write(7, 60, 700);
-  EXPECT_EQ(a.undo_beyond(5) + b.undo_beyond(5), 2);
-  EXPECT_EQ(a.get(50), 30);
-  EXPECT_EQ(b.get(50), 300);
-  EXPECT_EQ(a.get(60), -1);
-  EXPECT_EQ(b.get(60), -2);
-  EXPECT_EQ(a.get(100), 1);  // pre-wrap strip committed, not undone
-  EXPECT_EQ(b.get(100), 2);
-}
-
 TEST(TxnChooseBackup, CrossoverAndClamps) {
   const std::size_t n = 1 << 16;
   // Far below theta (1/6): hash.
@@ -350,14 +469,14 @@ TEST(TxnChooseBackup, CrossoverAndClamps) {
 TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   // The multi-array version of StripRetries.SteadyStateAllocatesNothing:
   // the strip driver keeps ONE SpecTransaction across strips, so a warm
-  // 2-array loop must run every later strip with zero arena traffic, zero
-  // O(n) sweeps, and a constant budget-visible footprint.
+  // 2-array loop must run every later strip with zero arena traffic, no new
+  // log segments, and a constant budget-visible footprint.
   ThreadPool pool(4);
   const long n = 64 * 256, strip = 256;
   SpecArray<double> a(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                       pool.size(), true);
   SpecArray<double> b(std::vector<double>(static_cast<std::size_t>(n), 0.0),
-                      pool.size(), true, a.shared_index());
+                      pool.size(), true);
   SpecTarget* targets[] = {&a, &b};
   // Static schedule: under kDynamic a worker that claims nothing in the
   // warm runs first-touches both shadows' segments inside the measured
@@ -386,7 +505,6 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   ASSERT_EQ(warm.strips_failed, 0);
   const std::size_t bytes_warm = a.memory_bytes() + b.memory_bytes();
   const UndoStats stats_warm = a.undo_stats();
-  const long sweeps_warm = a.shared_index()->sweeps();
   const mem::BudgetSnapshot mem_warm = mem::Budget::process().snapshot();
 
   const StripSpecReport hot = run_once();
@@ -395,7 +513,7 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   const mem::BudgetSnapshot mem_hot = mem::Budget::process().snapshot();
 
   EXPECT_EQ(a.memory_bytes() + b.memory_bytes(), bytes_warm);
-  EXPECT_EQ(a.shared_index()->sweeps(), sweeps_warm);
+  EXPECT_EQ(stats_hot.segments, stats_warm.segments);
   EXPECT_EQ(stats_hot.checkpoints - stats_warm.checkpoints, n / strip);
   EXPECT_EQ(stats_hot.resets - stats_warm.resets, n / strip);
   // The process-wide ledger agrees: nothing reached the OS in steady state.

@@ -2,7 +2,7 @@
 //   * sparse-backup capacity overflow degrades into a clean sequential
 //     fall-back (no exception escapes a pool worker),
 //   * steady-state strip retries allocate nothing (pooled checkpoint buffer,
-//     epoch-bump resets),
+//     log segments kept across resets),
 //   * the sliding-window memory budget controller reacts to the backups'
 //     MEASURED footprint (memory_bytes) instead of a bytes-per-iteration
 //     guess,
@@ -103,9 +103,12 @@ TEST(BackupOverflow, StripDriverContainsOverflowToOneStrip) {
 }
 
 TEST(StripRetries, SteadyStateAllocatesNothing) {
-  // PR 3/4 pattern: pin the O(n) work counters.  Across 100 strips the
-  // checkpoint buffer is pooled (memory_bytes constant) and every stamp
-  // reset is the O(1) epoch bump (sweeps stays 0).
+  // PR 3/4 pattern: pin the allocation counters.  Across 100 strips the
+  // checkpoint buffer is pooled (memory_bytes constant) and every log reset
+  // rewinds the kept segments: a strip's 256 writes fit one segment per
+  // worker, so the count never passes one per worker however many strips
+  // run.  (Under kDynamic a worker idle through the warm-up may take its
+  // first segment later, so the count is bounded, not pinned.)
   ThreadPool pool(4);
   const long n = 64 * 256, strip = 256;
   SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
@@ -134,7 +137,7 @@ TEST(StripRetries, SteadyStateAllocatesNothing) {
   const UndoStats hot_stats = arr.undo_stats();
 
   EXPECT_EQ(arr.memory_bytes(), bytes_after_warmup);  // zero new allocation
-  EXPECT_EQ(hot_stats.sweeps, warm_stats.sweeps);     // zero O(n) sweeps
+  EXPECT_LE(hot_stats.segments, static_cast<long>(pool.size()));
   EXPECT_EQ(hot_stats.checkpoints - warm_stats.checkpoints, n / strip);
   EXPECT_EQ(hot_stats.resets - warm_stats.resets, n / strip);
 }

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -13,10 +17,10 @@ namespace {
 TEST(VersionedArray, UndoRestoresExactlyOvershotWrites) {
   VersionedArray<int> a(std::vector<int>(10, 0));
   a.checkpoint();
-  a.write(1, 2, 100);  // valid (trip will be 5)
-  a.write(4, 3, 200);  // valid
-  a.write(5, 4, 300);  // overshot
-  a.write(9, 5, 400);  // overshot
+  a.write(0, 1, 2, 100);  // valid (trip will be 5)
+  a.write(0, 4, 3, 200);  // valid
+  a.write(0, 5, 4, 300);  // overshot
+  a.write(0, 9, 5, 400);  // overshot
   const long undone = a.undo_beyond(5);
   EXPECT_EQ(undone, 2);
   EXPECT_EQ(a.get(2), 100);
@@ -28,12 +32,13 @@ TEST(VersionedArray, UndoRestoresExactlyOvershotWrites) {
 TEST(VersionedArray, ParallelUndoMatchesSequential) {
   ThreadPool pool(4);
   const long n = 10000, trip = 6000;
-  VersionedArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1));
+  VersionedArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1),
+                         pool.size());
   a.checkpoint();
-  doall(pool, 0, n, [&](long i, unsigned) {
-    a.write(i, static_cast<std::size_t>(i), i * 10);
+  doall(pool, 0, n, [&](long i, unsigned vpn) {
+    a.write(vpn, i, static_cast<std::size_t>(i), i * 10);
   });
-  const long undone = a.undo_beyond(trip, &pool);
+  const long undone = a.undo_beyond(trip);
   EXPECT_EQ(undone, n - trip);
   for (long i = 0; i < n; ++i)
     EXPECT_EQ(a.get(static_cast<std::size_t>(i)), i < trip ? i * 10 : -1) << i;
@@ -42,23 +47,26 @@ TEST(VersionedArray, ParallelUndoMatchesSequential) {
 TEST(VersionedArray, RestoreAllAfterFailedSpeculation) {
   VersionedArray<double> a(std::vector<double>{1.0, 2.0, 3.0});
   a.checkpoint();
-  a.write(0, 0, 9.0);
-  a.write(1, 1, 9.0);
+  a.write(0, 0, 0, 9.0);
+  a.write(0, 1, 1, 9.0);
+  a.write_raw(2, 9.0);  // below a stamping threshold: never logged
   a.restore_all();
   EXPECT_EQ(a.get(0), 1.0);
   EXPECT_EQ(a.get(1), 2.0);
-  EXPECT_EQ(a.get(2), 3.0);
-  // Stamps cleared: nothing left to undo.
+  EXPECT_EQ(a.get(2), 3.0);  // the full copy takes unlogged writes back too
+  // Logs cleared: nothing left to undo.
   EXPECT_EQ(a.undo_beyond(0), 0);
 }
 
 TEST(VersionedArray, StampKeepsMaximumWriter) {
-  VersionedArray<int> a(std::vector<int>(4, 0));
+  // A location's effective stamp is its largest writer iteration across
+  // every worker's log: a lower iteration writing later on another worker
+  // (a parallel interleaving) does not save it from the undo.
+  VersionedArray<int> a(std::vector<int>(4, 0), 2);
   a.checkpoint();
-  a.write(7, 1, 70);
-  a.write(3, 1, 30);  // lower iteration writes later (parallel interleaving)
-  EXPECT_EQ(a.stamp(1), 7);
-  // Undo at trip 5: stamp 7 >= 5 -> restored to checkpoint value.
+  a.write(1, 7, 1, 70);
+  a.write(0, 3, 1, 30);
+  // Undo at trip 5: writer 7 >= 5 -> restored to the checkpoint value.
   EXPECT_EQ(a.undo_beyond(5), 1);
   EXPECT_EQ(a.get(1), 0);
 }
@@ -67,7 +75,7 @@ TEST(VersionedArray, WriteRawBypassesStamps) {
   VersionedArray<int> a(std::vector<int>(3, 5));
   a.checkpoint();
   a.write_raw(0, 9);
-  EXPECT_EQ(a.stamp(0), VersionedArray<int>::kNoStamp);
+  EXPECT_EQ(a.logged_writes(), 0u);
   EXPECT_EQ(a.undo_beyond(0), 0);  // raw writes are never undone
   EXPECT_EQ(a.get(0), 9);
 }
@@ -84,7 +92,22 @@ TEST(VersionedArray, DataEscapeHatchAliasesStorage) {
   EXPECT_EQ(a.get(1), 42);
 }
 
-// ---- block-batched layer: dirty summary, Writer views, epochs --------------
+TEST(VersionedArray, EntriesKeepThe32BitIterationLimit) {
+  static_assert(VersionedArray<int>::kMaxIter == 0xfffffffeL);
+  static_assert(VersionedArray<int>::kMaxIndex == 0xfffffffeu);
+  VersionedArray<int> a(std::vector<int>(8, 0));
+  a.checkpoint();
+  a.write(0, 5, 2, 1);
+  a.write(0, VersionedArray<int>::kMaxIter, 3, 1);
+  // The largest iteration survives the round trip through 32 bits.
+  EXPECT_EQ(a.undo_beyond(VersionedArray<int>::kMaxIter + 1), 0);
+  EXPECT_EQ(a.get(3), 1);
+  EXPECT_EQ(a.undo_beyond(VersionedArray<int>::kMaxIter), 1);
+  EXPECT_EQ(a.get(3), 0);
+  EXPECT_EQ(a.get(2), 1);
+}
+
+// ---- per-worker logs: element copies, segments, concurrency ----------------
 
 /// Copy-counting element: NOT trivially copyable, so the memcpy fast paths
 /// of checkpoint/undo must never be taken for it — every transfer goes
@@ -115,7 +138,7 @@ TEST(VersionedArray, NonTriviallyCopyableTakesElementCopyPath) {
   EXPECT_EQ(Tracked::copies, n);
 
   for (long i = 0; i < n; ++i)
-    a.write(i, static_cast<std::size_t>(i), Tracked(i + 1000));
+    a.write(0, i, static_cast<std::size_t>(i), Tracked(i + 1000));
   Tracked::copies = 0;
   EXPECT_EQ(a.undo_beyond(120), n - 120);
   EXPECT_EQ(Tracked::copies, n - 120);  // one copy per restored element
@@ -127,177 +150,127 @@ TEST(VersionedArray, NonTriviallyCopyableTakesElementCopyPath) {
     EXPECT_EQ(a.get(static_cast<std::size_t>(i)).v, i) << i;
 }
 
-TEST(VersionedArray, ConcurrentWritersShareBlocksAndSummaryWords) {
-  // Distinct elements, shared 64-element blocks and shared 2048-element
-  // summary words: the stamp CAS-max and the dirty-word fetch_or/CAS-rebase
-  // race exactly as they do in a real speculative DOALL.  (Run under TSan
-  // in CI via the VersionedArray* filter.)
+TEST(VersionedArray, ConcurrentAppendsUndoOvershotCollision) {
+  // Every worker appends to its own log while the others do; two overshot
+  // iterations on different workers write ONE index (a pattern the
+  // trip-filtered PD test accepts, since both are past the trip).  That
+  // index then sits in two logs, and the array's single undo walk restores
+  // it from one thread.  (Run under TSan in CI via the VersionedArray*
+  // filter; the handshake orders the two data stores.)
   ThreadPool pool(4);
   const long n = 1 << 14, trip = 9000;
-  VersionedArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1));
+  const long late = n - 6, later = n - 1;  // workers 2 and 3 under cyclic
+  VersionedArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1),
+                         pool.size());
   a.checkpoint(&pool);
+  std::atomic<bool> late_done{false};
   DoallOptions opts;
-  opts.sched = Sched::kDynamic;
-  opts.chunk = 1;  // interleave writers across blocks as finely as possible
-  doall(pool, 0, n, [&](long i, unsigned) {
-    a.write(i, static_cast<std::size_t>(i), i * 3);
+  opts.sched = Sched::kStaticCyclic;
+  doall(pool, 0, n, [&](long i, unsigned vpn) {
+    auto idx = static_cast<std::size_t>(i);
+    if (i == later) {
+      while (!late_done.load(std::memory_order_acquire)) std::this_thread::yield();
+      idx = static_cast<std::size_t>(late);
+    }
+    a.write(vpn, i, idx, i * 3);
+    if (i == late) late_done.store(true, std::memory_order_release);
   }, opts);
-  EXPECT_EQ(a.undo_beyond(trip, &pool), n - trip);
+  EXPECT_EQ(a.logged_writes(), static_cast<std::size_t>(n));
+  // Test-local oracle: one entry per write by an iteration >= trip.
+  EXPECT_EQ(a.undo_beyond(trip), n - trip);
   for (long i = 0; i < n; ++i)
     ASSERT_EQ(a.get(static_cast<std::size_t>(i)), i < trip ? i * 3 : -1) << i;
 }
 
-TEST(VersionedArray, ClearStampsIsEpochBumpNotSweep) {
+TEST(VersionedArray, ClearLogKeepsSegmentsForWarmRetries) {
   const long n = 4096;
   VersionedArray<int> a(std::vector<int>(static_cast<std::size_t>(n), 0));
   for (int round = 0; round < 100; ++round) {
     a.checkpoint();
-    a.write(7, 100, round);
-    a.write(9, 2100, round);  // second summary word
+    a.write(0, 7, 100, round);
+    a.write(0, 9, 2100, round);
     ASSERT_EQ(a.undo_beyond(8), 1) << round;
     ASSERT_EQ(a.get(2100), 0) << round;
     ASSERT_EQ(a.get(100), round) << round;
     a.data()[100] = 0;  // reset for the next round
-    a.clear_stamps();
-    ASSERT_EQ(a.stamp(100), VersionedArray<int>::kNoStamp);
+    a.clear_log();
+    ASSERT_EQ(a.logged_writes(), 0u);
   }
   const UndoStats s = a.stats();
   EXPECT_EQ(s.resets, 100);
-  EXPECT_EQ(s.sweeps, 0);  // every reset was the O(1) epoch bump
   EXPECT_EQ(s.checkpoints, 100);
+  EXPECT_EQ(s.segments, 1);  // one segment, allocated once and reused
 }
 
-TEST(VersionedArray, EpochWrapSweepKeepsUndoExact) {
-  VersionedArray<int> a(std::vector<int>(256, 0));
-  a.set_epoch_for_test(0xffffffffu);  // hook performs one sweep itself
+TEST(VersionedArray, SegmentsAreSizedByTheArrayAndChain) {
+  // A small array gets segments no larger than itself; writes past one
+  // segment chain into the next, and the tail walk crosses the boundary.
+  const std::size_t n = 16;
+  VersionedArray<int> a(std::vector<int>(n, 0));
   a.checkpoint();
-  a.write(5, 10, 99);
-  EXPECT_EQ(a.stamp(10), 5);
-  a.clear_stamps();  // epoch wraps to 0: the once-per-2^32 sweep fires
-  EXPECT_EQ(a.stats().sweeps, 2);
-  EXPECT_EQ(a.stamp(10), VersionedArray<int>::kNoStamp);
-  // The post-wrap epoch must not resurrect pre-wrap stamps or dirty bits.
-  EXPECT_EQ(a.undo_beyond(0), 0);
-  a.write(3, 10, 7);
-  a.write(9, 11, 8);
-  EXPECT_EQ(a.undo_beyond(5), 1);
-  EXPECT_EQ(a.get(10), 7);
-  EXPECT_EQ(a.get(11), 0);
+  for (long i = 0; i < 40; ++i)
+    a.write(0, i, static_cast<std::size_t>(i) % n, static_cast<int>(i + 1));
+  EXPECT_EQ(a.stats().segments, 3);  // 40 entries in segments of 16
+  EXPECT_EQ(a.logged_writes(), 40u);
+  // Iterations 30..39 span the last two segments and wrote indices 14, 15
+  // and 0..7; indices 8..13 keep their last write, by iteration i + 16.
+  EXPECT_EQ(a.undo_beyond(30), 10);
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(a.get(i), i >= 8 && i <= 13 ? static_cast<int>(i + 17) : 0) << i;
 }
 
-TEST(VersionedArray, WriterViewUndoesExactlyAndRebinds) {
-  const long n = 512;
-  VersionedArray<int> a(std::vector<int>(static_cast<std::size_t>(n), 0));
-  a.checkpoint();
-  auto w = a.writer();
-  // A run of in-block writes: the cached last-block skips the summary-word
-  // publication after the first write of each block.
-  for (long i = 0; i < 256; ++i)
-    w.write(i, static_cast<std::size_t>(i), 1);
-  EXPECT_EQ(a.undo_beyond(200), 56);
-  for (long i = 0; i < 256; ++i)
-    EXPECT_EQ(a.get(static_cast<std::size_t>(i)), i < 200 ? 1 : 0) << i;
-
-  // After a reset the cached block belongs to the dead epoch; rebind() makes
-  // the next write publish its dirty bit again.
-  a.restore_all();
-  w.rebind();
-  a.checkpoint();
-  for (long i = 0; i < 256; ++i)
-    w.write(i, static_cast<std::size_t>(i), 2);
-  EXPECT_EQ(a.undo_beyond(100), 156);
-  for (long i = 0; i < 256; ++i)
-    EXPECT_EQ(a.get(static_cast<std::size_t>(i)), i < 100 ? 2 : 0) << i;
-}
-
-TEST(VersionedArray, MemoryBytesCountsAllFourComponents) {
+TEST(VersionedArray, MemoryBytesCountsDataBackupAndLog) {
   const std::size_t n = 1000;
-  VersionedArray<long> a(std::vector<long>(n, 0));
+  VersionedArray<long> a(std::vector<long>(n, 0), 2);
   const std::size_t before = a.memory_bytes();
-  // Data + stamps + dirty summary exist up front.
-  EXPECT_GE(before, n * sizeof(long) + n * sizeof(std::uint64_t));
+  EXPECT_EQ(before, n * sizeof(long));  // data only: no backup, no log yet
   a.checkpoint();
   const std::size_t with_backup = a.memory_bytes();
-  EXPECT_GE(with_backup, before + n * sizeof(long));  // + backup
+  EXPECT_EQ(with_backup, before + n * sizeof(long));  // + backup
+  // Each element written once, split across two workers: 8 bytes per
+  // logged write, never more than the 8-byte stamp per element it replaces.
+  for (std::size_t i = 0; i < n; ++i)
+    a.write(static_cast<unsigned>(i % 2), static_cast<long>(i), i, 1);
+  EXPECT_EQ(a.memory_bytes(), with_backup + n * sizeof(std::uint64_t));
+  EXPECT_EQ(a.dirty_block_count(), static_cast<long>((n + 63) / 64));
   // discard keeps the pooled buffer: the footprint (and therefore the
   // window controller's charge) does not shrink.
   a.discard_checkpoint();
-  EXPECT_EQ(a.memory_bytes(), with_backup);
+  EXPECT_EQ(a.memory_bytes(), with_backup + n * sizeof(std::uint64_t));
   EXPECT_FALSE(a.has_checkpoint());
-}
-
-TEST(VersionedArray, UndoStatsCountDirtyBlocksAndCoalescedRuns) {
-  // A payload over two machine words takes the copy-dominated undo path,
-  // where contiguous overshot runs are batched into single copies.
-  struct Wide {
-    double a, b, c, d;
-  };
-  static_assert(VersionedArray<Wide>::kCoalesceRuns);
-  const long n = 4096;
-  VersionedArray<Wide> a(std::vector<Wide>(static_cast<std::size_t>(n)));
-  a.checkpoint();
-  // One fully-dirty block (64 contiguous overshot stamps = 1 run) plus one
-  // isolated overshot element in a distant block (1 more run).
-  for (long i = 128; i < 192; ++i)
-    a.write(50, static_cast<std::size_t>(i), {1, 1, 1, 1});
-  a.write(60, 3000, {2, 2, 2, 2});
-  EXPECT_EQ(a.undo_beyond(0), 65);
-  const UndoStats s = a.stats();
-  EXPECT_EQ(s.blocks_dirty, 2);
-  EXPECT_EQ(s.runs_coalesced, 2);  // 64 contiguous restores = one memcpy
-  EXPECT_EQ(a.get(128).a, 0.0);
-  EXPECT_EQ(a.get(3000).a, 0.0);
-}
-
-TEST(VersionedArray, SmallPayloadUndoRestoresInlineDuringScan) {
-  // Word-sized payloads take the scan-dominated path: the restore happens
-  // inline during the single-branch stamp scan, so no runs are batched —
-  // but dirty blocks are still counted and the undo is exact.
-  static_assert(!VersionedArray<int>::kCoalesceRuns);
-  const long n = 4096;
-  VersionedArray<int> a(std::vector<int>(static_cast<std::size_t>(n), 0));
-  a.checkpoint();
-  for (long i = 128; i < 192; ++i)
-    a.write(50, static_cast<std::size_t>(i), 1);
-  a.write(60, 3000, 1);
-  EXPECT_EQ(a.undo_beyond(0), 65);
-  const UndoStats s = a.stats();
-  EXPECT_EQ(s.blocks_dirty, 2);
-  EXPECT_EQ(s.runs_coalesced, 0);
-  EXPECT_EQ(a.get(128), 0);
-  EXPECT_EQ(a.get(3000), 0);
+  a.clear_log();
+  EXPECT_EQ(a.memory_bytes(), with_backup);
 }
 
 TEST(VersionedArray, FusedUndoMatchesPerElementReference) {
-  // The fused pass (dirty-word skip + adaptive restore) must agree with a
-  // per-element oracle on a scattered pseudo-random write pattern: every
-  // location stamped by an iteration >= trip goes back to its known
-  // pre-loop value.
+  // The tail walk must agree with a per-element oracle on a scattered
+  // pseudo-random write pattern spread over several workers' logs: every
+  // location some iteration >= trip wrote goes back to its known pre-loop
+  // value, and the count is one per such write.
   const std::size_t n = 1 << 14;
   const long trip = 1000;
-  VersionedArray<long> fused(std::vector<long>(n, -7));
-  VersionedArray<long> ref(std::vector<long>(n, -7));
+  const unsigned workers = 3;
+  VersionedArray<long> fused(std::vector<long>(n, -7), workers);
+  std::vector<long> ref(n, -7);
+  std::vector<long> max_writer(n, -1);
   fused.checkpoint();
-  auto wf = fused.writer();
-  auto wr = ref.writer();
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
   for (long iter = 0; iter < 2000; ++iter) {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
     const auto idx = static_cast<std::size_t>(x % n);
-    wf.write(iter, idx, static_cast<long>(iter));
-    wr.write(iter, idx, static_cast<long>(iter));
+    // Cyclic assignment: each worker's iterations arrive in increasing order.
+    fused.write(static_cast<unsigned>(iter % workers), iter, idx, iter);
+    ref[idx] = iter;
+    max_writer[idx] = std::max(max_writer[idx], iter);
   }
-  long ref_undone = 0;
   for (std::size_t i = 0; i < n; ++i)
-    if (ref.stamp(i) >= trip) {
-      ref.write_raw(i, -7);
-      ++ref_undone;
-    }
-  EXPECT_EQ(fused.undo_beyond(trip), ref_undone);
+    if (max_writer[i] >= trip) ref[i] = -7;
+  // One entry per write: iterations trip..1999 wrote once each.
+  EXPECT_EQ(fused.undo_beyond(trip), 2000 - trip);
   for (std::size_t i = 0; i < n; ++i)
-    ASSERT_EQ(fused.get(i), ref.get(i)) << i;
+    ASSERT_EQ(fused.get(i), ref[i]) << i;
 }
 
 }  // namespace

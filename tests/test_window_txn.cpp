@@ -105,7 +105,7 @@ TEST(WindowTxn, FlipNotifiesTransactionAndListener) {
   a.set(0, 7, 30, 77.0);  // post-flip write: dense-stamped
 
   // Fused undo across the flip boundary: iteration 6 restores through the
-  // hash slot it was recorded in, iteration 7 through the dense stamps,
+  // hash slot it was recorded in, iteration 7 through the dense log,
   // iteration 5 survives.
   const long undone = txn.undo_beyond(6, nullptr);
   EXPECT_EQ(undone, 2);
@@ -277,11 +277,11 @@ TEST(WindowAccounting, AdaptiveMemoryBytesReportsLiveBackend) {
   ASSERT_EQ(a.backup_kind(), BackupKind::kDense);
   const std::size_t cp_elems = a.txn_checkpoint_begin();
   a.txn_checkpoint_span(0, cp_elems);
-  // Dense retry pins data + backup (+ stamps); the hash side is empty and
+  // Dense retry pins data + backup (+ log); the hash side is empty and
   // contributes nothing.
   EXPECT_GE(a.memory_bytes(), 2 * n * sizeof(double));
 
-  // Back to a hash retry: the dense data/stamps are no longer speculative
+  // Back to a hash retry: the dense data/log are no longer speculative
   // state, but the pooled backup buffer the dense retry allocated stays
   // held — exactly one n-element slice, not the 3n the old code charged.
   a.discard();
