@@ -1,7 +1,7 @@
 // Checkpoint/undo microbenchmark: the per-worker write log vs the seed's
 // per-element stamp scheme.
 //
-// Five questions, answered on the real host (not the simulator):
+// Four questions, answered on the real host (not the simulator):
 //   1. Undo at a fixed overshoot — a 2^14-iteration strip written inside an
 //      array of n elements, half of it overshot (8192 writes to take back),
 //      for n = 2^16..2^22.  The log tail walk touches only the overshot
@@ -9,13 +9,11 @@
 //      10x rule as clear_flat); the seed's per-element pass scans all n
 //      stamps and is reported next to it.  Per point the MIN over reps: on
 //      a time-sliced host the minimum approaches the uncontended cost.
-//   2. Write path — one logged write (a store into the worker's own log)
-//      vs the seed's stamped write (a CAS-max per element), ns per write.
-//   3. Clear cost — the seed cleared stamps with an O(n) fill per reuse;
+//   2. Clear cost — the seed cleared stamps with an O(n) fill per reuse;
 //      rewinding the logs must be flat across array sizes 2^14..2^22.
-//   4. Checkpoint — chunked memcpy, serial vs pool-parallel, plus the seed's
+//   3. Checkpoint — chunked memcpy, serial vs pool-parallel, plus the seed's
 //      element-assignment loop.
-//   5. Hash backup — record throughput and the slot-partitioned parallel
+//   4. Hash backup — record throughput and the slot-partitioned parallel
 //      undo vs its serial scan.
 //
 // Emits BENCH_undo.json (path overridable via argv[1]) in the same schema
@@ -155,7 +153,7 @@ struct ClearPoint {
 
 ClearPoint clear_cost(int log2_n) {
   const auto n = static_cast<std::size_t>(1) << log2_n;
-  wlp::VersionedArray<double> arr(std::vector<double>(n, 0.0));
+  wlp::VersionedArray<double> arr(std::vector<double>(n, 0.0), 1);
   SeedVersioned seed(n);
   // Dirty a little state so the reset is the realistic reuse path.
   arr.checkpoint();
@@ -198,36 +196,7 @@ int main(int argc, char** argv) {
                 p.undone);
   }
 
-  // ---- 2. write path -------------------------------------------------------
-  constexpr std::size_t kWriteN = 1 << 20;
-  double log_write_ns, seed_write_ns;
-  {
-    wlp::VersionedArray<double> arr(std::vector<double>(kWriteN, 0.0));
-    SeedVersioned seed(kWriteN);
-    std::vector<double> lw, sw;
-    for (int r = -1; r < kReps; ++r) {
-      arr.clear_log();
-      seed.clear_stamps();
-      auto t0 = Clock::now();
-      for (std::size_t i = 0; i < kWriteN; ++i)
-        arr.write(0, static_cast<long>(i), i, 1.0);
-      const double l = seconds_since(t0) * 1e9 / kWriteN;
-      t0 = Clock::now();
-      for (std::size_t i = 0; i < kWriteN; ++i)
-        seed.write(static_cast<long>(i), i, 1.0);
-      const double s = seconds_since(t0) * 1e9 / kWriteN;
-      if (r < 0) continue;
-      lw.push_back(l);
-      sw.push_back(s);
-    }
-    log_write_ns = min_of(lw);
-    seed_write_ns = min_of(sw);
-  }
-  std::printf("\n== write path, 2^20 writes (ns/write) ==\n");
-  std::printf("  logged write     : %6.2f\n", log_write_ns);
-  std::printf("  seed stamped CAS : %6.2f\n", seed_write_ns);
-
-  // ---- 3. clear cost -------------------------------------------------------
+  // ---- 2. clear cost -------------------------------------------------------
   std::printf("\n== reset for reuse (us; the log rewind must stay flat) ==\n");
   std::vector<ClearPoint> clears;
   for (int log2_n : {14, 16, 18, 20, 22}) {
@@ -237,13 +206,13 @@ int main(int argc, char** argv) {
                 c.log2_n, c.log_us, c.seed_fill_us);
   }
 
-  // ---- 4. checkpoint -------------------------------------------------------
+  // ---- 3. checkpoint -------------------------------------------------------
   std::printf("\n== checkpoint of 2^20 doubles (ms) ==\n");
   constexpr std::size_t kCpN = 1 << 20;
   double cp_serial_ms, cp_pool_ms, cp_seed_ms;
   {
     wlp::ThreadPool pool(wlp::ThreadPool::default_concurrency());
-    wlp::VersionedArray<double> arr(std::vector<double>(kCpN, 1.0));
+    wlp::VersionedArray<double> arr(std::vector<double>(kCpN, 1.0), 1);
     SeedVersioned seed(kCpN);
     arr.checkpoint();           // warmup: fault in the pooled buffer
     arr.checkpoint(&pool);
@@ -269,7 +238,7 @@ int main(int argc, char** argv) {
               wlp::ThreadPool::default_concurrency());
   std::printf("  seed vector assign     : %8.3f\n", cp_seed_ms);
 
-  // ---- 5. hash backup ------------------------------------------------------
+  // ---- 4. hash backup ------------------------------------------------------
   std::printf("\n== hash backup (2^16 touched locations) ==\n");
   constexpr std::size_t kTouched = 1 << 16;
   double rec_ns, hundo_serial_ms, hundo_pool_ms;
@@ -336,10 +305,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    ],\n");
   std::fprintf(f, "    \"undo_flat\": %s\n", undo_flat ? "true" : "false");
   std::fprintf(f, "  },\n");
-  std::fprintf(f,
-               "  \"write\": {\"writes\": %zu, \"log_ns_per_write\": %.3f, "
-               "\"seed_cas_ns_per_write\": %.3f},\n",
-               kWriteN, log_write_ns, seed_write_ns);
   std::fprintf(f, "  \"clear\": {\n    \"series\": [\n");
   for (std::size_t i = 0; i < clears.size(); ++i)
     std::fprintf(f,
@@ -358,7 +323,7 @@ int main(int argc, char** argv) {
                "  \"hash\": {\"touched\": %zu, \"record_ns_per_op\": %.1f, "
                "\"undo_serial_ms\": %.3f, \"undo_pooled_ms\": %.3f},\n",
                kTouched, rec_ns, hundo_serial_ms, hundo_pool_ms);
-  std::fprintf(f, "  \"host_note\": \"the log-vs-seed undo, write and clear "
+  std::fprintf(f, "  \"host_note\": \"the log-vs-seed undo and clear "
                "comparisons run on one thread and hold on any host; the "
                "pooled checkpoint and hash undo need more than one core to "
                "show parallelism\"\n");

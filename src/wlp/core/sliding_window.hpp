@@ -55,10 +55,11 @@ struct WindowOptions {
   /// span by the bytes_per_iteration guess, and feeds the per-iteration
   /// EWMA that re-derives the window cap.  The speculative wrapper wires it
   /// to the transaction's fused memory_bytes() (sparse backups report their
-  /// live touched set, dense ones data + backup + their logged writes), so
-  /// the window reacts to what the backups actually pinned.  To throttle on
-  /// the WHOLE process's speculative footprint instead of one target set's,
-  /// prefer charge_process_budget below over hand-wiring probes.
+  /// live touched set, dense ones data + backup + their opened log
+  /// segments), so the window reacts to what the backups actually pinned.
+  /// To throttle on the WHOLE process's speculative footprint instead of
+  /// one target set's, prefer charge_process_budget below over hand-wiring
+  /// probes.
   std::function<std::size_t()> live_bytes;
   /// Settle the measured footprint into wlp::mem::Budget::spec_bytes() and
   /// budget against the process-wide SUM: concurrent budgeted loops then

@@ -35,12 +35,17 @@
 //
 // Concurrency contract: worker vpn appends only to log vpn (the data stores
 // race only when iterations genuinely collide, which the PD test reports);
-// checkpoint / undo_beyond / restore_all / clear_log run only when no writes
-// are in flight — the fork-join barrier of the speculative drivers is the
+// checkpoint / undo_beyond / restore_all / clear_log and the exact
+// logged_writes() / dirty_block_count() run only when no writes are in
+// flight — the fork-join barrier of the speculative drivers is the
 // happens-before edge that publishes the logs to the undo pass.
+// memory_bytes() is the one reader allowed while workers append (the
+// sliding window polls it at every claim): it reads capacities and a
+// relaxed count of opened segments, never a log's fill position.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstddef>
@@ -81,8 +86,8 @@ class VersionedArray {
   static constexpr std::size_t kSegmentEntries = 8192;
 
   /// `workers` is the number of virtual processors that will write (one log
-  /// each); write() takes the writer's vpn.
-  explicit VersionedArray(std::vector<T> init, unsigned workers = 1)
+  /// each); write() takes the writer's vpn, which must be below it.
+  VersionedArray(std::vector<T> init, unsigned workers)
       : data_(std::move(init)),
         backup_(Alloc(mem::local_arena())),
         arena_(&mem::local_arena()),
@@ -114,11 +119,13 @@ class VersionedArray {
   /// must issue its iterations in increasing order (every driver schedule
   /// does); writes within one iteration may come in any order.
   void write(unsigned vpn, long iter, std::size_t idx, const T& v) {
+    assert(vpn < logs_.size());
     assert(iter >= 0 && iter <= kMaxIter);
     data_[idx] = v;
     Log& log = logs_[vpn].value;
-    assert(log.pos == nullptr || log.pos == log.segs[log.open - 1] ||
-           static_cast<long>(log.pos[-1].iter) <= iter);
+    // Checked before a full segment is left, so pos[-1] is the log's newest
+    // entry even when this write opens the next segment.
+    assert(log.pos == nullptr || static_cast<long>(log.pos[-1].iter) <= iter);
     if (log.pos == log.end) open_segment(log);
     *log.pos++ = Entry{static_cast<std::uint32_t>(idx),
                        static_cast<std::uint32_t>(iter)};
@@ -210,6 +217,7 @@ class VersionedArray {
       log.open = 0;
       log.pos = log.end = nullptr;
     }
+    open_segments_.store(0, std::memory_order_relaxed);
     ++stats_.resets;
   }
 
@@ -217,19 +225,25 @@ class VersionedArray {
   /// strip's checkpoint() allocates nothing; memory_bytes() still counts it.
   void discard_checkpoint() noexcept { has_checkpoint_ = false; }
 
-  /// Writes logged since the last clear_log(), across all workers.
+  /// Writes logged since the last clear_log(), across all workers (exact;
+  /// quiescent only).
   std::size_t logged_writes() const noexcept {
     std::size_t n = 0;
     for (const auto& pl : logs_) n += log_length(pl.value);
     return n;
   }
 
-  /// Bytes of state this array pins: data + pooled backup + the logged
-  /// entries — the paper's 3x note, measured.  This is what the Section 8
-  /// sliding-window memory budget controller charges for a dense target.
+  /// Bytes of state this array pins: data + pooled backup + the log
+  /// segments opened since the last clear_log() — the paper's 3x note,
+  /// measured.  This is what the Section 8 sliding-window memory budget
+  /// controller charges for a dense target, polled while workers append, so
+  /// every opened segment counts whole: a run that writes each element at
+  /// most once charges at most 8 bytes per element plus one partly filled
+  /// segment per worker.
   std::size_t memory_bytes() const noexcept {
     return data_.capacity() * sizeof(T) + backup_.capacity() * sizeof(T) +
-           logged_writes() * sizeof(Entry);
+           open_segments_.load(std::memory_order_relaxed) * seg_entries_ *
+               sizeof(Entry);
   }
 
   /// Write density for the verdict signature: ceil(logged writes / 64), the
@@ -297,6 +311,7 @@ class VersionedArray {
   void open_segment(Log& log) {
     if (log.open == log.segs.size())
       log.segs.push_back(arena_->allocate_array<Entry>(seg_entries_));
+    open_segments_.fetch_add(1, std::memory_order_relaxed);
     Entry* s = log.segs[log.open++];
     log.pos = s;
     log.end = s + seg_entries_;
@@ -362,6 +377,10 @@ class VersionedArray {
   mem::Arena* arena_;             ///< the constructing thread's arena
   std::size_t seg_entries_;       ///< entries per log segment
   std::vector<Padded<Log>> logs_;  ///< one per worker, written only by it
+  /// Segments opened since the last clear_log(), summed over the workers:
+  /// the log term of memory_bytes(), safe to read mid-run.  Own cache line,
+  /// so its once-per-segment bump stays off the lines every write reads.
+  alignas(kCacheLine) std::atomic<std::size_t> open_segments_{0};
   bool has_checkpoint_ = false;
   UndoStats stats_;
 };

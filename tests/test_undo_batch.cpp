@@ -5,11 +5,13 @@
 //     log segments kept across resets),
 //   * the sliding-window memory budget controller reacts to the backups'
 //     MEASURED footprint (memory_bytes) instead of a bytes-per-iteration
-//     guess,
+//     guess, and a dense target's footprint is safe to poll while workers
+//     append to their logs,
 //   * ExecReport carries the measured Tb/Ta and LoopStatistics feeds them
 //     into the cost model's overhead terms.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -105,15 +107,17 @@ TEST(BackupOverflow, StripDriverContainsOverflowToOneStrip) {
 TEST(StripRetries, SteadyStateAllocatesNothing) {
   // PR 3/4 pattern: pin the allocation counters.  Across 100 strips the
   // checkpoint buffer is pooled (memory_bytes constant) and every log reset
-  // rewinds the kept segments: a strip's 256 writes fit one segment per
-  // worker, so the count never passes one per worker however many strips
-  // run.  (Under kDynamic a worker idle through the warm-up may take its
-  // first segment later, so the count is bounded, not pinned.)
+  // rewinds the kept segments (segment count constant).  Static schedule:
+  // under kDynamic a worker that claims nothing in the warm-up would take
+  // its first segment inside the measured run; a cyclic schedule makes
+  // every worker write in every strip.
   ThreadPool pool(4);
   const long n = 64 * 256, strip = 256;
   SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                         pool.size(), /*run_pd_test=*/true);
   SpecTarget* targets[] = {&arr};
+  SpecOptions opts;
+  opts.doall.sched = Sched::kStaticCyclic;
 
   auto run_once = [&] {
     return strip_speculative_while(
@@ -123,7 +127,7 @@ TEST(StripRetries, SteadyStateAllocatesNothing) {
           arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
           return IterAction::kContinue;
         },
-        [&](long, long end) { return end; });
+        [&](long, long end) { return end; }, opts);
   };
 
   // Warm-up run allocates the pooled buffers.
@@ -137,7 +141,7 @@ TEST(StripRetries, SteadyStateAllocatesNothing) {
   const UndoStats hot_stats = arr.undo_stats();
 
   EXPECT_EQ(arr.memory_bytes(), bytes_after_warmup);  // zero new allocation
-  EXPECT_LE(hot_stats.segments, static_cast<long>(pool.size()));
+  EXPECT_EQ(hot_stats.segments, warm_stats.segments);  // segments reused
   EXPECT_EQ(hot_stats.checkpoints - warm_stats.checkpoints, n / strip);
   EXPECT_EQ(hot_stats.resets - warm_stats.resets, n / strip);
 }
@@ -178,6 +182,51 @@ TEST(WindowBudget, ControllerUsesMeasuredBackupBytes) {
   EXPECT_EQ(wr.final_window, opts.min_window);
   for (long i = 0; i < n; ++i)
     ASSERT_EQ(state[static_cast<std::size_t>(i)], 1.0) << i;
+}
+
+TEST(WindowBudget, DenseFootprintPolledWhileWorkersAppend) {
+  // The budgeted window polls the dense target's memory_bytes() at every
+  // claim while the other workers append to their logs (this suite runs
+  // under TSan).  The charge must be race-free and bounded: data + backup +
+  // 8 bytes per element + one partly filled log segment per worker.
+  ThreadPool pool(4);
+  const long n = 1 << 15, exit_at = 20000;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), -1.0),
+                        pool.size(), /*run_pd_test=*/true);
+  SpecTarget* targets[] = {&arr};
+
+  WindowOptions opts;
+  opts.window = 64;
+  opts.min_window = 2;
+  opts.memory_budget = 4u << 20;
+
+  const WindowReport wr = sliding_window_speculative_while(
+      pool, n, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        arr.begin_iteration(vpn, i);
+        arr.set(vpn, i, static_cast<std::size_t>(i), static_cast<double>(i));
+        return i == exit_at ? IterAction::kExit : IterAction::kContinue;
+      },
+      [&] { return exit_at; }, opts);
+
+  ASSERT_TRUE(wr.exec.pd_passed);
+  ASSERT_FALSE(wr.exec.reexecuted_sequentially);
+  EXPECT_EQ(wr.exec.trip, exit_at);
+  // Every started iteration at or past the exit wrote once.
+  EXPECT_EQ(wr.exec.undone_writes, wr.exec.started - exit_at);
+
+  const std::size_t elems = static_cast<std::size_t>(n) * sizeof(double);
+  const std::size_t seg_bytes =
+      VersionedArray<double>::kSegmentEntries * sizeof(std::uint64_t);
+  EXPECT_GE(wr.exec.peak_spec_bytes, 2 * elems);  // data + backup
+  EXPECT_LE(wr.exec.peak_spec_bytes,
+            2 * elems + static_cast<std::size_t>(n) * sizeof(std::uint64_t) +
+                pool.size() * seg_bytes);
+
+  for (long i = 0; i < n; ++i)
+    ASSERT_EQ(arr.data()[static_cast<std::size_t>(i)],
+              i < exit_at ? static_cast<double>(i) : -1.0)
+        << i;
 }
 
 TEST(MeasuredOverheads, ReportsFeedCostModelTerms) {

@@ -15,7 +15,7 @@ namespace wlp {
 namespace {
 
 TEST(VersionedArray, UndoRestoresExactlyOvershotWrites) {
-  VersionedArray<int> a(std::vector<int>(10, 0));
+  VersionedArray<int> a(std::vector<int>(10, 0), 1);
   a.checkpoint();
   a.write(0, 1, 2, 100);  // valid (trip will be 5)
   a.write(0, 4, 3, 200);  // valid
@@ -45,7 +45,7 @@ TEST(VersionedArray, ParallelUndoMatchesSequential) {
 }
 
 TEST(VersionedArray, RestoreAllAfterFailedSpeculation) {
-  VersionedArray<double> a(std::vector<double>{1.0, 2.0, 3.0});
+  VersionedArray<double> a(std::vector<double>{1.0, 2.0, 3.0}, 1);
   a.checkpoint();
   a.write(0, 0, 0, 9.0);
   a.write(0, 1, 1, 9.0);
@@ -72,7 +72,7 @@ TEST(VersionedArray, StampKeepsMaximumWriter) {
 }
 
 TEST(VersionedArray, WriteRawBypassesStamps) {
-  VersionedArray<int> a(std::vector<int>(3, 5));
+  VersionedArray<int> a(std::vector<int>(3, 5), 1);
   a.checkpoint();
   a.write_raw(0, 9);
   EXPECT_EQ(a.logged_writes(), 0u);
@@ -81,13 +81,13 @@ TEST(VersionedArray, WriteRawBypassesStamps) {
 }
 
 TEST(VersionedArray, UndoWithNoWritesIsNoop) {
-  VersionedArray<int> a(std::vector<int>(100, 1));
+  VersionedArray<int> a(std::vector<int>(100, 1), 1);
   a.checkpoint();
   EXPECT_EQ(a.undo_beyond(0), 0);
 }
 
 TEST(VersionedArray, DataEscapeHatchAliasesStorage) {
-  VersionedArray<int> a(std::vector<int>{1, 2, 3});
+  VersionedArray<int> a(std::vector<int>{1, 2, 3}, 1);
   a.data()[1] = 42;
   EXPECT_EQ(a.get(1), 42);
 }
@@ -95,7 +95,7 @@ TEST(VersionedArray, DataEscapeHatchAliasesStorage) {
 TEST(VersionedArray, EntriesKeepThe32BitIterationLimit) {
   static_assert(VersionedArray<int>::kMaxIter == 0xfffffffeL);
   static_assert(VersionedArray<int>::kMaxIndex == 0xfffffffeu);
-  VersionedArray<int> a(std::vector<int>(8, 0));
+  VersionedArray<int> a(std::vector<int>(8, 0), 1);
   a.checkpoint();
   a.write(0, 5, 2, 1);
   a.write(0, VersionedArray<int>::kMaxIter, 3, 1);
@@ -128,7 +128,8 @@ static_assert(!std::is_trivially_copyable_v<Tracked>);
 
 TEST(VersionedArray, NonTriviallyCopyableTakesElementCopyPath) {
   const long n = 200;
-  VersionedArray<Tracked> a(std::vector<Tracked>(static_cast<std::size_t>(n)));
+  VersionedArray<Tracked> a(std::vector<Tracked>(static_cast<std::size_t>(n)),
+                            1);
   for (long i = 0; i < n; ++i) a.data()[static_cast<std::size_t>(i)].v = i;
 
   Tracked::copies = 0;
@@ -184,7 +185,7 @@ TEST(VersionedArray, ConcurrentAppendsUndoOvershotCollision) {
 
 TEST(VersionedArray, ClearLogKeepsSegmentsForWarmRetries) {
   const long n = 4096;
-  VersionedArray<int> a(std::vector<int>(static_cast<std::size_t>(n), 0));
+  VersionedArray<int> a(std::vector<int>(static_cast<std::size_t>(n), 0), 1);
   for (int round = 0; round < 100; ++round) {
     a.checkpoint();
     a.write(0, 7, 100, round);
@@ -206,7 +207,7 @@ TEST(VersionedArray, SegmentsAreSizedByTheArrayAndChain) {
   // A small array gets segments no larger than itself; writes past one
   // segment chain into the next, and the tail walk crosses the boundary.
   const std::size_t n = 16;
-  VersionedArray<int> a(std::vector<int>(n, 0));
+  VersionedArray<int> a(std::vector<int>(n, 0), 1);
   a.checkpoint();
   for (long i = 0; i < 40; ++i)
     a.write(0, i, static_cast<std::size_t>(i) % n, static_cast<int>(i + 1));
@@ -220,26 +221,35 @@ TEST(VersionedArray, SegmentsAreSizedByTheArrayAndChain) {
 }
 
 TEST(VersionedArray, MemoryBytesCountsDataBackupAndLog) {
-  const std::size_t n = 1000;
-  VersionedArray<long> a(std::vector<long>(n, 0), 2);
+  using VA = VersionedArray<long>;
+  const std::size_t n = 3 * VA::kSegmentEntries + 5;
+  const unsigned workers = 2;
+  VA a(std::vector<long>(n, 0), workers);
   const std::size_t before = a.memory_bytes();
   EXPECT_EQ(before, n * sizeof(long));  // data only: no backup, no log yet
   a.checkpoint();
   const std::size_t with_backup = a.memory_bytes();
   EXPECT_EQ(with_backup, before + n * sizeof(long));  // + backup
-  // Each element written once, split across two workers: 8 bytes per
-  // logged write, never more than the 8-byte stamp per element it replaces.
+  // Each element written once, split across two workers: 12 291 and 12 290
+  // entries, two segments each.  Opened segments count whole, which stays
+  // within the 8-byte stamp per element the log replaced plus one partly
+  // filled segment per worker.
+  const std::size_t seg_bytes = VA::kSegmentEntries * sizeof(std::uint64_t);
   for (std::size_t i = 0; i < n; ++i)
     a.write(static_cast<unsigned>(i % 2), static_cast<long>(i), i, 1);
-  EXPECT_EQ(a.memory_bytes(), with_backup + n * sizeof(std::uint64_t));
+  EXPECT_EQ(a.memory_bytes(), with_backup + 4 * seg_bytes);
+  EXPECT_LE(a.memory_bytes(),
+            with_backup + n * sizeof(std::uint64_t) + workers * seg_bytes);
+  EXPECT_EQ(a.logged_writes(), n);
   EXPECT_EQ(a.dirty_block_count(), static_cast<long>((n + 63) / 64));
   // discard keeps the pooled buffer: the footprint (and therefore the
   // window controller's charge) does not shrink.
   a.discard_checkpoint();
-  EXPECT_EQ(a.memory_bytes(), with_backup + n * sizeof(std::uint64_t));
+  EXPECT_EQ(a.memory_bytes(), with_backup + 4 * seg_bytes);
   EXPECT_FALSE(a.has_checkpoint());
   a.clear_log();
   EXPECT_EQ(a.memory_bytes(), with_backup);
+  EXPECT_EQ(a.stats().segments, 4);  // kept for the next retry
 }
 
 TEST(VersionedArray, FusedUndoMatchesPerElementReference) {
