@@ -8,7 +8,8 @@
 //      pass of the paper's methods pays.
 //   2. How do the DOALL schedules compare when the per-iteration grain is
 //      tiny — the regime where claim traffic on the shared counter is the
-//      bottleneck that guided self-scheduling exists to remove?
+//      bottleneck that guided self-scheduling and the default self-sized
+//      kDynamic blocks (`DoallOptions{}`) exist to remove?
 //
 // Emits BENCH_forkjoin.json (path overridable via argv[1]) so the perf
 // trajectory is recorded in-repo, plus a human-readable table.
@@ -211,6 +212,8 @@ int main(int argc, char** argv) {
   const int reps = 9;
   std::vector<SweepPoint> sweep;
   sweep.push_back(sweep_schedule(pool, "dynamic_chunk1", wlp::Sched::kDynamic, 1, n, reps));
+  // kDynamic with chunk 0 is DoallOptions{}: blocks sized from measured time.
+  sweep.push_back(sweep_schedule(pool, "dynamic_auto", wlp::Sched::kDynamic, 0, n, reps));
   sweep.push_back(sweep_schedule(pool, "dynamic_chunk64", wlp::Sched::kDynamic, 64, n, reps));
   sweep.push_back(sweep_schedule(pool, "guided", wlp::Sched::kGuided, 1, n, reps));
   sweep.push_back(sweep_schedule(pool, "static_cyclic", wlp::Sched::kStaticCyclic, 1, n, reps));
@@ -219,12 +222,14 @@ int main(int argc, char** argv) {
     std::printf("  %-16s %8.3f ms   %8ld claims\n", pt.label.c_str(), pt.ms,
                 pt.claims);
 
-  double dyn1_ms = 0, guided_ms = 0;
+  double dyn1_ms = 0, auto_ms = 0, guided_ms = 0;
   for (const SweepPoint& pt : sweep) {
     if (pt.label == "dynamic_chunk1") dyn1_ms = pt.ms;
+    if (pt.label == "dynamic_auto") auto_ms = pt.ms;
     if (pt.label == "guided") guided_ms = pt.ms;
   }
   std::printf("  guided vs dynamic{chunk=1}: %.2fx faster\n", dyn1_ms / guided_ms);
+  std::printf("  DoallOptions{} vs dynamic{chunk=1}: %.2fx faster\n", dyn1_ms / auto_ms);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {
@@ -255,8 +260,9 @@ int main(int argc, char** argv) {
                  sweep[i].label.c_str(), sweep[i].ms, sweep[i].claims,
                  i + 1 < sweep.size() ? "," : "");
   std::fprintf(f, "  ] },\n");
-  std::fprintf(f, "  \"guided_over_dynamic_chunk1\": %.3f\n",
+  std::fprintf(f, "  \"guided_over_dynamic_chunk1\": %.3f,\n",
                dyn1_ms / guided_ms);
+  std::fprintf(f, "  \"auto_over_dynamic_chunk1\": %.3f\n", dyn1_ms / auto_ms);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path);

@@ -10,8 +10,10 @@
 //   * General-2: every processor privately traverses the whole structure and
 //     statically executes the iterations congruent to its vpn mod p.
 //   * General-3: every processor privately traverses, but iterations are
-//     claimed dynamically; a processor replays the recurrence from the last
-//     point it held (`prev`) to its newly claimed iteration.
+//     claimed dynamically, in blocks sized from measured time like
+//     doall_quit's default (detail::ClaimBlock); a processor replays the
+//     recurrence from the last point it held (`prev`) to its newly claimed
+//     block and then walks the block.
 //
 // All three are generic over a *cursor*: any copyable value plus a `next`
 // step and an `is_end` predicate (the RI component of the terminator that is
@@ -35,7 +37,7 @@ struct GeneralAccounting {
   PerWorker<long> trip;
   PerWorker<long> started;
   PerWorker<long> hops;
-  QuitBound quit;
+  Padded<QuitBound> quit;  ///< own cache line: every iteration polls it
 
   explicit GeneralAccounting(unsigned p)
       : trip(p, std::numeric_limits<long>::max()), started(p, 0), hops(p, 0) {}
@@ -50,18 +52,18 @@ struct GeneralAccounting {
         break;
       case IterAction::kExit:
         trip[vpn] = std::min(trip[vpn], i);
-        quit.quit(i);
+        quit->quit(i);
         break;
       case IterAction::kExitAfter:
         trip[vpn] = std::min(trip[vpn], i + 1);
-        quit.quit(i + 1);
+        quit->quit(i + 1);
         break;
     }
   }
 
   void record_end(long length, unsigned vpn) {
     trip[vpn] = std::min(trip[vpn], length);
-    quit.quit(length);
+    quit->quit(length);
   }
 
   ExecReport finish(Method m, long u) const {
@@ -108,7 +110,7 @@ ExecReport while_general1(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
         cur = next(cur);
         ++acc.hops[vpn];
       }
-      if (acc.quit.cut(i)) return;  // claims are ordered: nothing lower remains
+      if (acc.quit->cut(i)) return;  // claims are ordered: nothing lower remains
       acc.run_body(body, i, mine, vpn);
     }
   });
@@ -132,7 +134,7 @@ ExecReport while_general2(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
         acc.record_end(i, vpn);
         return;
       }
-      if (acc.quit.cut(i)) return;
+      if (acc.quit->cut(i)) return;
       if (i % static_cast<long>(p) == static_cast<long>(vpn))
         acc.run_body(body, i, pt, vpn);
       pt = next(pt);
@@ -144,15 +146,17 @@ ExecReport while_general2(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
 }
 
 /// General-3: private traversal, dynamic self-scheduling.  Each processor
-/// remembers the last position it held and replays the recurrence only over
-/// the gap to its newly claimed iteration, so hops stay close to the list
-/// length in total while keeping dynamic load balance.
+/// claims a block [base, base + take), replays the recurrence from the last
+/// position it held over the gap to `base`, then walks the block, so hops
+/// stay close to one list length per processor while keeping dynamic load
+/// balance.  The list length is unknown, so only the time target bounds a
+/// block; the QUIT is checked at every iteration inside it.
 template <class Cursor, class Next, class End, class Body>
 ExecReport while_general3(ThreadPool& pool, Cursor head, Next&& next, End&& is_end,
                           Body&& body, long u = std::numeric_limits<long>::max()) {
   const unsigned p = pool.size();
   detail::GeneralAccounting acc(p);
-  std::atomic<long> counter{0};
+  Padded<std::atomic<long>> counter;  // own cache line: the claim counter
 
   pool.parallel([&](unsigned vpn) {
     Cursor pt = head;
@@ -161,19 +165,26 @@ ExecReport while_general3(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
       acc.record_end(0, vpn);
       return;
     }
+    detail::ClaimBlock blk(0);
     for (;;) {
-      const long i = counter.fetch_add(1, std::memory_order_relaxed);
-      if (i >= u || acc.quit.cut(i)) return;
-      while (prev < i) {
-        pt = next(pt);
-        ++acc.hops[vpn];
-        ++prev;
-        if (is_end(pt)) {
-          acc.record_end(prev, vpn);
-          return;
+      const long take = blk.size();
+      const long base = counter->fetch_add(take, std::memory_order_relaxed);
+      if (base >= u || acc.quit->cut(base)) return;
+      const long end = base > u - take ? u : base + take;
+      for (long i = base; i < end; ++i) {
+        if (i > base && acc.quit->cut(i)) return;  // block interior: stop early
+        while (prev < i) {
+          pt = next(pt);
+          ++acc.hops[vpn];
+          ++prev;
+          if (is_end(pt)) {
+            acc.record_end(prev, vpn);
+            return;
+          }
         }
+        acc.run_body(body, i, pt, vpn);
       }
-      acc.run_body(body, i, pt, vpn);
+      blk.ran(end - base);
     }
   });
   return acc.finish(Method::kGeneral3, u);

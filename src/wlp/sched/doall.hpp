@@ -10,6 +10,9 @@
 // Four schedules are provided:
 //   * kDynamic      — self-scheduled from a shared counter (iterations are
 //                     therefore *issued in order*, like the Alliant FX/80).
+//                     With `chunk` 0 (the default) each worker sizes its own
+//                     claim blocks from measured time (ClaimBlock below);
+//                     with `chunk` > 0 every claim takes exactly `chunk`.
 //   * kStaticCyclic — iteration i goes to processor i mod p (General-2's
 //                     static assignment).
 //   * kStaticBlock  — contiguous blocks of u/p iterations per processor.
@@ -21,7 +24,9 @@
 //                     QUIT semantics are identical to kDynamic.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <limits>
 
 #include "wlp/obs/obs.hpp"
@@ -43,7 +48,8 @@ enum class Sched { kDynamic, kStaticCyclic, kStaticBlock, kGuided };
 
 struct DoallOptions {
   Sched sched = Sched::kDynamic;
-  long chunk = 1;       ///< claim granularity for kDynamic; floor for kGuided
+  long chunk = 0;       ///< claim granularity for kDynamic (0 = self-sized
+                        ///< blocks); floor for kGuided (0 counts as 1)
   bool use_quit = true; ///< honor the QUIT (false = machines without it:
                         ///< every iteration in [lo, u) executes, as in the
                         ///< unoptimized Induction-1 of Fig. 2)
@@ -81,7 +87,56 @@ struct QuitResult {
                      ///< guided schedule exists to shrink
 };
 
+/// Target wall time of one self-sized claim block (kDynamic with chunk 0,
+/// General-3).  A claim costs one fetch_add on the shared counter (8 ns
+/// alone, 20-60 ns with 3-4 workers contending, on a 4-vCPU KVM guest) plus
+/// one steady_clock read (33 ns there): 40-90 ns per block.  Blocks of
+/// 8 us keep that near 1 % of the work or below.  Under an RV exit the
+/// blocks in flight when the QUIT lands bound the overshoot at about
+/// p x kBlockTarget of work.
+inline constexpr std::chrono::nanoseconds kBlockTarget{8000};
+
 namespace detail {
+
+/// One worker's claim size under kDynamic and General-3.  A fixed `chunk`
+/// (> 0) is claimed as is and the clock is never read.  With `chunk` 0 the
+/// first block holds one iteration, and each later one doubles the last
+/// while that took less than kBlockTarget.  The clock is read once per
+/// claim: the end of one block is the start of the next, so the time also
+/// covers the claim itself.
+class ClaimBlock {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  explicit ClaimBlock(long chunk) noexcept
+      : size_(std::max(chunk, 1L)), timed_(chunk <= 0) {
+    if (timed_) start_ = Clock::now();
+  }
+
+  long size() const noexcept { return size_; }
+
+  /// The next claim over a finite range: a self-sized block is capped at
+  /// 1/(2p) of the `left()` iterations nobody has claimed yet, so the tail
+  /// still balances.  `left` is not called for a fixed chunk.
+  template <class Left>
+  long take(unsigned p, Left&& left) const {
+    if (!timed_) return size_;
+    return std::clamp(left() / (2 * static_cast<long>(p)), 1L, size_);
+  }
+
+  /// The block just claimed held `taken` iterations, and all of them ran.
+  void ran(long taken) noexcept {
+    if (!timed_) return;
+    const Clock::time_point now = Clock::now();
+    size_ = now - start_ < kBlockTarget ? 2 * taken : taken;
+    start_ = now;
+  }
+
+ private:
+  long size_;
+  bool timed_;
+  Clock::time_point start_{};
+};
 
 /// Runs `body(i, vpn) -> IterAction` over [lo, u) under `opts`, honoring the
 /// QUIT.  Returns per the contract of doall_quit below.
@@ -89,16 +144,19 @@ template <class Body>
 QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
                            const DoallOptions& opts) {
   const unsigned p = pool.size();
-  QuitBound quit;
+  // The QUIT bound and the claim counter each get a cache line of their
+  // own: every worker polls the one and hammers the other.
+  Padded<QuitBound> quit;
   // cut(i) respects opts.use_quit: a machine without QUIT executes every
   // iteration in [lo, u) and relies purely on the post-loop min-reduction.
-  const auto cut = [&](long i) { return opts.use_quit && quit.cut(i); };
+  const auto cut = [&](long i) { return opts.use_quit && quit->cut(i); };
   // Per-processor minimum candidate trip count (the paper's L[vpn], Fig. 2),
   // and per-processor started-iteration counts.
   PerWorker<long> local_trip(p, std::numeric_limits<long>::max());
   PerWorker<long> local_started(p, 0);
   PerWorker<long> local_claims(p, 0);
-  std::atomic<long> next{lo};
+  Padded<std::atomic<long>> next;
+  next->store(lo, std::memory_order_relaxed);
 
   auto run_iter = [&](long i, unsigned vpn) {
     ++local_started[vpn];
@@ -107,11 +165,11 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
         break;
       case IterAction::kExit:
         local_trip[vpn] = std::min(local_trip[vpn], i);
-        quit.quit(i);
+        quit->quit(i);
         break;
       case IterAction::kExitAfter:
         local_trip[vpn] = std::min(local_trip[vpn], i + 1);
-        quit.quit(i + 1);
+        quit->quit(i + 1);
         break;
     }
   };
@@ -120,29 +178,33 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
   switch (opts.sched) {
     case Sched::kDynamic:
       pool.parallel([&](unsigned vpn) {
+        ClaimBlock blk(opts.chunk);
         for (;;) {
-          const long base = next.fetch_add(chunk, std::memory_order_relaxed);
+          const long take = blk.take(
+              p, [&] { return u - next->load(std::memory_order_relaxed); });
+          const long base = next->fetch_add(take, std::memory_order_relaxed);
           if (base >= u || cut(base)) return;
           ++local_claims[vpn];
-          WLP_TRACE_SCOPE("claim", base, chunk);
-          const long end = std::min(base + chunk, u);
+          WLP_TRACE_SCOPE("claim", base, take);
+          const long end = std::min(base + take, u);
           for (long i = base; i < end; ++i) {
             if (cut(i) && i > base) return;  // chunk interior: stop early
             run_iter(i, vpn);
           }
+          blk.ran(end - base);
         }
       });
       break;
     case Sched::kGuided:
       pool.parallel([&](unsigned vpn) {
         for (;;) {
-          long base = next.load(std::memory_order_relaxed);
+          long base = next->load(std::memory_order_relaxed);
           long take;
           do {
             if (base >= u || cut(base)) return;
             take = std::max(chunk, (u - base) / static_cast<long>(p));
-          } while (!next.compare_exchange_weak(base, base + take,
-                                               std::memory_order_relaxed));
+          } while (!next->compare_exchange_weak(base, base + take,
+                                                std::memory_order_relaxed));
           ++local_claims[vpn];
           WLP_TRACE_SCOPE("claim", base, take);
           const long end = std::min(base + take, u);

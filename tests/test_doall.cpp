@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
@@ -82,6 +83,7 @@ TEST_P(DoallAllSchedules, QuitTripIsExactAndPrefixComplete) {
 INSTANTIATE_TEST_SUITE_P(
     Schedules, DoallAllSchedules,
     ::testing::Values(
+        DoallSchedCase{static_cast<std::int64_t>(Sched::kDynamic), 0, 4},
         DoallSchedCase{static_cast<std::int64_t>(Sched::kDynamic), 1, 4},
         DoallSchedCase{static_cast<std::int64_t>(Sched::kDynamic), 16, 4},
         DoallSchedCase{static_cast<std::int64_t>(Sched::kStaticCyclic), 1, 4},
@@ -149,6 +151,53 @@ TEST(DoallGuided, QuitCutsOvershootMidChunk) {
   // The first grabs are ~n/p iterations, but the in-chunk cut must stop
   // them soon after the QUIT lands — the whole range must not execute.
   EXPECT_LT(qr.started, n / 2);
+}
+
+/// A few nanoseconds of work the optimizer cannot elide (xorshift step).
+std::uint64_t tiny_work(std::uint64_t x) {
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  return x;
+}
+
+// The default kDynamic claim sizes its blocks from measured time: on a ~3 ns
+// body they grow until one block takes kBlockTarget, so the shared counter
+// is claimed far less often than once per iteration.
+TEST(DoallQuit, DefaultScheduleClaimsInBlocks) {
+  ThreadPool pool(4);
+  const long n = 1 << 16;
+  std::vector<Padded<std::uint64_t>> sink(pool.size());
+  const QuitResult qr = doall_quit(
+      pool, 0, n,
+      [&](long i, unsigned vpn) {
+        *sink[vpn] += tiny_work(static_cast<std::uint64_t>(i) + 0x9e3779b9u);
+        return IterAction::kContinue;
+      },
+      DoallOptions{});
+  EXPECT_EQ(qr.trip, n);
+  EXPECT_EQ(qr.started, n);
+  EXPECT_LT(qr.claims * 16, n);
+}
+
+// A body far longer than kBlockTarget never earns a second iteration per
+// claim: every block of one already overruns the target.  A slower host
+// only lengthens the iterations, so this holds on any machine.
+TEST(DoallQuit, CoarseBodyKeepsOneIterationPerClaim) {
+  ThreadPool pool(4);
+  const QuitResult qr = doall_quit(
+      pool, 0, 40,
+      [](long, unsigned) {
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(50);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        return IterAction::kContinue;
+      },
+      DoallOptions{});
+  EXPECT_EQ(qr.trip, 40);
+  EXPECT_EQ(qr.started, 40);
+  EXPECT_EQ(qr.claims, qr.started);
 }
 
 TEST(DoallQuit, ExitAfterCountsTheIteration) {

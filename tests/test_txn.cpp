@@ -360,6 +360,7 @@ constexpr std::int64_t sched_id(Sched s) { return static_cast<std::int64_t>(s); 
 INSTANTIATE_TEST_SUITE_P(
     TxnDrivers, TxnTailWalk,
     ::testing::Values(
+        TailWalkCase{Driver::kLoop, sched_id(Sched::kDynamic), 0},
         TailWalkCase{Driver::kLoop, sched_id(Sched::kDynamic), 1},
         TailWalkCase{Driver::kLoop, sched_id(Sched::kDynamic), 16},
         TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticCyclic), 1},
@@ -368,6 +369,7 @@ INSTANTIATE_TEST_SUITE_P(
         TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticBlock), 16},
         TailWalkCase{Driver::kLoop, sched_id(Sched::kGuided), 1},
         TailWalkCase{Driver::kLoop, sched_id(Sched::kGuided), 16},
+        TailWalkCase{Driver::kStrip, sched_id(Sched::kDynamic), 0},
         TailWalkCase{Driver::kStrip, sched_id(Sched::kDynamic), 1},
         TailWalkCase{Driver::kStrip, sched_id(Sched::kGuided), 16},
         TailWalkCase{Driver::kWindow, sched_id(Sched::kDynamic), 1},

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "wlp/core/while_general.hpp"
@@ -58,17 +60,21 @@ class GeneralMethods : public ::testing::TestWithParam<GeneralCase> {
 
 TEST_P(GeneralMethods, VisitsEveryElementExactlyOnce) {
   ThreadPool pool(static_cast<unsigned>(GetParam().procs));
-  const long n = 503;
-  ChainFixture chain(n);
-  std::vector<std::atomic<int>> hit(n);
-  const ExecReport r = run(pool, chain, [&](long i, long cursor, unsigned) {
-    EXPECT_EQ(i, cursor);  // chain identity: position == index
-    hit[static_cast<std::size_t>(cursor)].fetch_add(1);
-    return IterAction::kContinue;
-  });
-  EXPECT_EQ(r.trip, n);
-  EXPECT_EQ(r.overshot, 0);
-  for (long i = 0; i < n; ++i) EXPECT_EQ(hit[static_cast<std::size_t>(i)].load(), 1);
+  // General-3's blocks run 1, 2, 4, ... iterations per worker, so the short
+  // lists end inside a claimed block.
+  for (long n : {503L, 1L, 2L, 3L, 5L, 6L, 7L, 12L, 31L, 64L}) {
+    ChainFixture chain(n);
+    std::vector<std::atomic<int>> hit(static_cast<std::size_t>(n));
+    const ExecReport r = run(pool, chain, [&](long i, long cursor, unsigned) {
+      EXPECT_EQ(i, cursor);  // chain identity: position == index
+      hit[static_cast<std::size_t>(cursor)].fetch_add(1);
+      return IterAction::kContinue;
+    });
+    EXPECT_EQ(r.trip, n);
+    EXPECT_EQ(r.overshot, 0);
+    for (long i = 0; i < n; ++i)
+      EXPECT_EQ(hit[static_cast<std::size_t>(i)].load(), 1) << "n " << n << " i " << i;
+  }
 }
 
 TEST_P(GeneralMethods, EmptyList) {
@@ -97,12 +103,29 @@ TEST_P(GeneralMethods, SingleElement) {
 
 TEST_P(GeneralMethods, RemainderVariantExitRecoversTrip) {
   ThreadPool pool(static_cast<unsigned>(GetParam().procs));
-  const long n = 800, exit_at = 390;
-  ChainFixture chain(n);
-  const ExecReport r = run(pool, chain, [&](long i, long, unsigned) {
-    return i == exit_at ? IterAction::kExit : IterAction::kContinue;
-  });
-  EXPECT_EQ(r.trip, exit_at);
+  // On the longer list General-3's blocks have grown well past one
+  // iteration by the exit, so the exit lands inside a claimed block.
+  for (auto [n, exit_at] : {std::pair{800L, 390L}, std::pair{20000L, 5003L},
+                            std::pair{20000L, 12345L}}) {
+    ChainFixture chain(n);
+    std::vector<std::atomic<int>> hit(static_cast<std::size_t>(n));
+    const ExecReport r = run(pool, chain, [&](long i, long, unsigned) {
+      hit[static_cast<std::size_t>(i)].fetch_add(1);
+      return i == exit_at ? IterAction::kExit : IterAction::kContinue;
+    });
+    EXPECT_EQ(r.trip, exit_at);
+    // Every iteration up to the exit ran once; none ran twice.
+    long started = 0;
+    for (long i = 0; i < n; ++i) {
+      const int h = hit[static_cast<std::size_t>(i)].load();
+      if (i <= exit_at) {
+        EXPECT_EQ(h, 1) << "exit " << exit_at << " i " << i;
+      }
+      EXPECT_LE(h, 1) << "exit " << exit_at << " i " << i;
+      started += h;
+    }
+    EXPECT_EQ(r.started, started);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, GeneralMethods,
@@ -152,17 +175,37 @@ TEST(GeneralOnNodePool, PayloadTraversalMatchesLogicalOrder) {
 
 TEST(GeneralMethodsUpperBound, RespectsU) {
   ThreadPool pool(4);
-  ChainFixture chain(1000);
-  std::atomic<long> runs{0};
-  const ExecReport r = while_general3(
-      pool, chain.head(), chain.next_fn(), &ChainFixture::is_end,
-      [&](long, long, unsigned) {
-        runs.fetch_add(1);
-        return IterAction::kContinue;
-      },
-      100);
-  EXPECT_EQ(r.trip, 100);
-  EXPECT_EQ(runs.load(), 100);
+  const long n = 1000;
+  ChainFixture chain(n);
+  // Bounds that are no multiple of a block cut the claim that straddles
+  // `u`; the last input's RV exit lands inside a block below `u`.
+  for (auto [u, exit_at] : {std::pair{100L, n}, std::pair{1L, n}, std::pair{3L, n},
+                            std::pair{333L, n}, std::pair{999L, n},
+                            std::pair{777L, 401L}}) {
+    std::vector<std::atomic<int>> hit(n);
+    const ExecReport r = while_general3(
+        pool, chain.head(), chain.next_fn(), &ChainFixture::is_end,
+        [&](long i, long, unsigned) {
+          hit[static_cast<std::size_t>(i)].fetch_add(1);
+          return i == exit_at ? IterAction::kExit : IterAction::kContinue;
+        },
+        u);
+    const long trip = std::min(u, exit_at);
+    EXPECT_EQ(r.trip, trip);
+    for (long i = 0; i < n; ++i) {
+      const int h = hit[static_cast<std::size_t>(i)].load();
+      if (i < trip) {
+        EXPECT_EQ(h, 1) << "u " << u << " i " << i;
+      }
+      if (i >= u) {
+        EXPECT_EQ(h, 0) << "u " << u << " i " << i;
+      }
+      EXPECT_LE(h, 1) << "u " << u << " i " << i;
+    }
+    if (exit_at >= u) {
+      EXPECT_EQ(r.started, u);
+    }
+  }
 }
 
 }  // namespace
