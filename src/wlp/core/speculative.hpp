@@ -146,7 +146,8 @@ ExecReport speculative_while(ThreadPool& pool, long u,
                              std::span<SpecTarget* const> targets, Body&& body,
                              SeqRun&& run_sequential, SpecOptions opts = {}) {
   ExecReport r;
-  r.method = Method::kInduction2;
+  // Without the QUIT every iteration in [0, u) runs: Induction-1 (Fig. 2).
+  r.method = opts.doall.use_quit ? Method::kInduction2 : Method::kInduction1;
   WLP_TRACE_SCOPE("spec.round", u, targets.size());
   SpecRound round(pool, targets, r, opts.verdict_cache);
   round.begin();

@@ -42,25 +42,6 @@ struct GeneralAccounting {
   explicit GeneralAccounting(unsigned p)
       : trip(p, std::numeric_limits<long>::max()), started(p, 0), hops(p, 0) {}
 
-  /// Apply the body's verdict for iteration i; returns false if the caller's
-  /// claim loop should stop (the terminator held *before* the work).
-  template <class Body, class Cursor>
-  void run_body(Body& body, long i, const Cursor& c, unsigned vpn) {
-    ++started[vpn];
-    switch (body(i, c, vpn)) {
-      case IterAction::kContinue:
-        break;
-      case IterAction::kExit:
-        trip[vpn] = std::min(trip[vpn], i);
-        quit->quit(i);
-        break;
-      case IterAction::kExitAfter:
-        trip[vpn] = std::min(trip[vpn], i + 1);
-        quit->quit(i + 1);
-        break;
-    }
-  }
-
   void record_end(long length, unsigned vpn) {
     trip[vpn] = std::min(trip[vpn], length);
     quit->quit(length);
@@ -111,7 +92,8 @@ ExecReport while_general1(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
         ++acc.hops[vpn];
       }
       if (acc.quit->cut(i)) return;  // claims are ordered: nothing lower remains
-      acc.run_body(body, i, mine, vpn);
+      ++acc.started[vpn];
+      detail::note_exit(body(i, mine, vpn), i, acc.trip[vpn], *acc.quit);
     }
   });
   return acc.finish(Method::kGeneral1, u);
@@ -135,8 +117,10 @@ ExecReport while_general2(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
         return;
       }
       if (acc.quit->cut(i)) return;
-      if (i % static_cast<long>(p) == static_cast<long>(vpn))
-        acc.run_body(body, i, pt, vpn);
+      if (i % static_cast<long>(p) == static_cast<long>(vpn)) {
+        ++acc.started[vpn];
+        detail::note_exit(body(i, pt, vpn), i, acc.trip[vpn], *acc.quit);
+      }
       pt = next(pt);
       ++acc.hops[vpn];
       ++i;
@@ -144,6 +128,55 @@ ExecReport while_general2(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
   });
   return acc.finish(Method::kGeneral2, u);
 }
+
+namespace detail {
+
+/// General-3's block runner: walks the claimed block [base, end) from the
+/// worker's cursor `pt` at index `prev`, replaying the recurrence over the
+/// gap to `base` first.  The QUIT is checked before every iteration after
+/// the first (the claim checked `base`).  The cursor, hops, started count
+/// and exit minimum stay in locals and are written back once, at the end.
+/// Returns false when the worker must stop: the QUIT cut the block short or
+/// the list ended inside it (recorded like an exit at the list's length).
+/// Out of line and never cloned for the same reasons as doall's run_block.
+template <class Cursor, class Next, class End, class Body>
+[[gnu::noinline, gnu::noclone]] bool general3_block(
+    Next& next, End& is_end, Body& body, long base, long end, unsigned vpn,
+    Cursor& pt_io, long& prev_io, GeneralAccounting& acc) {
+  QuitBound& quit = *acc.quit;
+  Cursor pt = pt_io;
+  long prev = prev_io;  // index pt refers to
+  long hops = 0, ran = 0;
+  long exit_min = std::numeric_limits<long>::max();
+  bool go = true;
+  for (long i = base; i < end; ++i) {
+    if (i > base && quit.cut(i)) {
+      go = false;
+      break;
+    }
+    while (prev < i) {
+      pt = next(pt);
+      ++hops;
+      ++prev;
+      if (is_end(pt)) {
+        note_exit(IterAction::kExit, prev, exit_min, quit);
+        go = false;
+        break;
+      }
+    }
+    if (!go) break;
+    ++ran;
+    note_exit(body(i, pt, vpn), i, exit_min, quit);
+  }
+  pt_io = pt;
+  prev_io = prev;
+  acc.hops[vpn] += hops;
+  acc.started[vpn] += ran;
+  acc.trip[vpn] = std::min(acc.trip[vpn], exit_min);
+  return go;
+}
+
+}  // namespace detail
 
 /// General-3: private traversal, dynamic self-scheduling.  Each processor
 /// claims a block [base, base + take), replays the recurrence from the last
@@ -171,19 +204,9 @@ ExecReport while_general3(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
       const long base = counter->fetch_add(take, std::memory_order_relaxed);
       if (base >= u || acc.quit->cut(base)) return;
       const long end = base > u - take ? u : base + take;
-      for (long i = base; i < end; ++i) {
-        if (i > base && acc.quit->cut(i)) return;  // block interior: stop early
-        while (prev < i) {
-          pt = next(pt);
-          ++acc.hops[vpn];
-          ++prev;
-          if (is_end(pt)) {
-            acc.record_end(prev, vpn);
-            return;
-          }
-        }
-        acc.run_body(body, i, pt, vpn);
-      }
+      if (!detail::general3_block(next, is_end, body, base, end, vpn, pt, prev,
+                                  acc))
+        return;
       blk.ran(end - base);
     }
   });

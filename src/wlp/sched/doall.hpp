@@ -138,8 +138,55 @@ class ClaimBlock {
   Clock::time_point start_{};
 };
 
+/// Applies iteration `i`'s verdict: an exit lowers the worker's exit
+/// minimum `trip` (the paper's L[vpn]) and lands the QUIT at once, so other
+/// workers stop issuing before the exiting worker's block ends.
+inline void note_exit(IterAction act, long i, long& trip, QuitBound& quit) noexcept {
+  if (act == IterAction::kContinue) return;
+  const long at = act == IterAction::kExit ? i : i + 1;
+  trip = std::min(trip, at);
+  quit.quit(at);
+}
+
+/// The block runner: runs the claimed iterations first, first + stride, ...
+/// below `end` on worker `vpn`.  The QUIT is checked before every iteration
+/// after the first (a caller that must also check the first does so itself),
+/// and an exit lands the QUIT at once; the started count and the exit
+/// minimum stay in locals and are added to `started` and `trip` once, at the
+/// end.  Returns false when the QUIT cut the block short.
+///
+/// Kept out of line on purpose: the body is inlined here, away from the
+/// claim loop, so the claim state cannot crowd the body's registers however
+/// a schedule's claim loop is written (DESIGN.md §6 has the measurements of
+/// merged variants).  `noclone` keeps one copy per body: GCC otherwise
+/// clones the runner for the schedules that pass stride 1, the body then has
+/// two call sites, and a large body stays out of line, one call per
+/// iteration.
+template <class Body>
+[[gnu::noinline, gnu::noclone]] bool run_block(Body& body, long first, long end,
+                                               long stride, unsigned vpn,
+                                               QuitBound& quit, bool use_quit,
+                                               long& started, long& trip) {
+  long ran = 0;
+  long exit_min = std::numeric_limits<long>::max();
+  bool whole = true;
+  for (long i = first; i < end; i += stride) {
+    if (i > first && use_quit && quit.cut(i)) {
+      whole = false;
+      break;
+    }
+    ++ran;
+    note_exit(body(i, vpn), i, exit_min, quit);
+  }
+  started += ran;
+  trip = std::min(trip, exit_min);
+  return whole;
+}
+
 /// Runs `body(i, vpn) -> IterAction` over [lo, u) under `opts`, honoring the
-/// QUIT.  Returns per the contract of doall_quit below.
+/// QUIT.  Returns per the contract of doall_quit below.  Every schedule runs
+/// each claimed block through run_block; under the static schedules a block
+/// is a worker's whole share.
 template <class Body>
 QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
                            const DoallOptions& opts) {
@@ -158,20 +205,10 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
   Padded<std::atomic<long>> next;
   next->store(lo, std::memory_order_relaxed);
 
-  auto run_iter = [&](long i, unsigned vpn) {
-    ++local_started[vpn];
-    switch (body(i, vpn)) {
-      case IterAction::kContinue:
-        break;
-      case IterAction::kExit:
-        local_trip[vpn] = std::min(local_trip[vpn], i);
-        quit->quit(i);
-        break;
-      case IterAction::kExitAfter:
-        local_trip[vpn] = std::min(local_trip[vpn], i + 1);
-        quit->quit(i + 1);
-        break;
-    }
+  // Runs [first, end) by `stride` on worker vpn; false once the QUIT cut it.
+  const auto run = [&](long first, long end, long stride, unsigned vpn) {
+    return run_block(body, first, end, stride, vpn, *quit, opts.use_quit,
+                     local_started[vpn], local_trip[vpn]);
   };
 
   const long chunk = opts.chunk > 0 ? opts.chunk : 1;
@@ -187,10 +224,7 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
           ++local_claims[vpn];
           WLP_TRACE_SCOPE("claim", base, take);
           const long end = std::min(base + take, u);
-          for (long i = base; i < end; ++i) {
-            if (cut(i) && i > base) return;  // chunk interior: stop early
-            run_iter(i, vpn);
-          }
+          if (!run(base, end, 1, vpn)) return;
           blk.ran(end - base);
         }
       });
@@ -207,22 +241,16 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
                                                 std::memory_order_relaxed));
           ++local_claims[vpn];
           WLP_TRACE_SCOPE("claim", base, take);
-          const long end = std::min(base + take, u);
-          for (long i = base; i < end; ++i) {
-            if (cut(i) && i > base) return;  // chunk interior: stop early
-            run_iter(i, vpn);
-          }
+          if (!run(base, std::min(base + take, u), 1, vpn)) return;
         }
       });
       break;
     case Sched::kStaticCyclic:
       pool.parallel([&](unsigned vpn) {
-        if (lo + vpn < u) ++local_claims[vpn];
-        WLP_TRACE_SCOPE("claim", lo + vpn, u - lo);
-        for (long i = lo + vpn; i < u; i += p) {
-          if (cut(i)) return;
-          run_iter(i, vpn);
-        }
+        const long first = lo + vpn;
+        if (first < u) ++local_claims[vpn];
+        WLP_TRACE_SCOPE("claim", first, u - lo);
+        if (!cut(first)) run(first, u, p, vpn);
       });
       break;
     case Sched::kStaticBlock:
@@ -233,10 +261,7 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
         const long e = std::min(b + blk, u);
         if (b < e) ++local_claims[vpn];
         WLP_TRACE_SCOPE("claim", b, e - b);
-        for (long i = b; i < e; ++i) {
-          if (cut(i)) return;
-          run_iter(i, vpn);
-        }
+        if (!cut(b)) run(b, e, 1, vpn);
       });
       break;
   }

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "wlp/core/speculative.hpp"
-#include "wlp/core/while_induction.hpp"
 #include "wlp/support/prng.hpp"
 
 namespace wlp::workloads {
@@ -66,45 +65,14 @@ long TrackLoop::run_sequential(std::vector<double>& pos,
   return cfg_.candidates;
 }
 
-ExecReport TrackLoop::run_induction(ThreadPool& pool, std::vector<double>& pos,
-                                    std::vector<double>& vel,
-                                    bool use_quit) const {
-  VersionedArray<double> vpos(std::move(pos), pool.size());
-  VersionedArray<double> vvel(std::move(vel), pool.size());
-  vpos.checkpoint(&pool);
-  vvel.checkpoint(&pool);
-  const auto body = [&](long i, unsigned vpn) {
-    double p, v;
-    if (extrapolate(i, p, v)) return IterAction::kExit;
-    const auto slot = static_cast<std::size_t>(sub_[static_cast<std::size_t>(i)]);
-    vpos.write(vpn, i, slot, p);
-    vvel.write(vpn, i, slot, v);
-    return IterAction::kContinue;
-  };
-  ExecReport r = use_quit ? while_induction2(pool, cfg_.candidates, body)
-                          : while_induction1(pool, cfg_.candidates, body);
-  r.used_checkpoint = r.used_stamps = true;
-  r.undone_writes = vpos.undo_beyond(r.trip) + vvel.undo_beyond(r.trip);
-  pos = std::move(vpos.data());
-  vel = std::move(vvel.data());
-  return r;
-}
-
-ExecReport TrackLoop::run_induction1(ThreadPool& pool, std::vector<double>& pos,
-                                     std::vector<double>& vel) const {
-  return run_induction(pool, pos, vel, /*use_quit=*/false);
-}
-
-ExecReport TrackLoop::run_induction2(ThreadPool& pool, std::vector<double>& pos,
-                                     std::vector<double>& vel) const {
-  return run_induction(pool, pos, vel, /*use_quit=*/true);
-}
-
-ExecReport TrackLoop::run_speculative(ThreadPool& pool, std::vector<double>& pos,
-                                      std::vector<double>& vel) const {
-  SpecArray<double> spos(std::move(pos), pool.size(), /*run_pd_test=*/true);
-  SpecArray<double> svel(std::move(vel), pool.size(), /*run_pd_test=*/true);
+ExecReport TrackLoop::run_round(ThreadPool& pool, std::vector<double>& pos,
+                                std::vector<double>& vel, bool run_pd_test,
+                                bool use_quit) const {
+  SpecArray<double> spos(std::move(pos), pool.size(), run_pd_test);
+  SpecArray<double> svel(std::move(vel), pool.size(), run_pd_test);
   SpecTarget* targets[] = {&spos, &svel};
+  SpecOptions opts;
+  opts.doall.use_quit = use_quit;
 
   ExecReport r = speculative_while(
       pool, cfg_.candidates, std::span<SpecTarget* const>(targets, 2),
@@ -118,24 +86,27 @@ ExecReport TrackLoop::run_speculative(ThreadPool& pool, std::vector<double>& pos
         svel.set(vpn, i, slot, v);
         return IterAction::kContinue;
       },
-      [&] {
-        // Sequential fallback against the restored raw data.
-        long trip = cfg_.candidates;
-        for (long i = 0; i < cfg_.candidates; ++i) {
-          double p, v;
-          if (extrapolate(i, p, v)) {
-            trip = i;
-            break;
-          }
-          const auto slot = static_cast<std::size_t>(sub_[static_cast<std::size_t>(i)]);
-          spos.data()[slot] = p;
-          svel.data()[slot] = v;
-        }
-        return trip;
-      });
+      // Sequential fallback against the restored raw data.
+      [&] { return run_sequential(spos.data(), svel.data()); },
+      opts);
   pos = std::move(spos.data());
   vel = std::move(svel.data());
   return r;
+}
+
+ExecReport TrackLoop::run_induction1(ThreadPool& pool, std::vector<double>& pos,
+                                     std::vector<double>& vel) const {
+  return run_round(pool, pos, vel, /*run_pd_test=*/false, /*use_quit=*/false);
+}
+
+ExecReport TrackLoop::run_induction2(ThreadPool& pool, std::vector<double>& pos,
+                                     std::vector<double>& vel) const {
+  return run_round(pool, pos, vel, /*run_pd_test=*/false, /*use_quit=*/true);
+}
+
+ExecReport TrackLoop::run_speculative(ThreadPool& pool, std::vector<double>& pos,
+                                      std::vector<double>& vel) const {
+  return run_round(pool, pos, vel, /*run_pd_test=*/true, /*use_quit=*/true);
 }
 
 ExecReport TrackLoop::run_ideal(ThreadPool& pool, std::vector<double>& pos,

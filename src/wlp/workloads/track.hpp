@@ -48,7 +48,10 @@ class TrackLoop {
   long run_sequential(std::vector<double>& pos, std::vector<double>& vel) const;
 
   /// Induction-1 / Induction-2 with checkpoint + per-worker write logs (the
-  /// paper's Table 2 configuration for this loop: backups and time-stamps).
+  /// paper's Table 2 configuration for this loop: backups and time-stamps),
+  /// run as one SpecRound with the PD test off.  A body that throws is a
+  /// failed speculation: the state is restored and the loop re-executes
+  /// sequentially.
   ExecReport run_induction1(ThreadPool& pool, std::vector<double>& pos,
                             std::vector<double>& vel) const;
   ExecReport run_induction2(ThreadPool& pool, std::vector<double>& pos,
@@ -70,9 +73,12 @@ class TrackLoop {
   /// One track extrapolation step; also reports whether this candidate
   /// triggers the error exit.
   bool extrapolate(long i, double& p_out, double& v_out) const;
-  /// The body both Induction methods share; `use_quit` picks Induction-2.
-  ExecReport run_induction(ThreadPool& pool, std::vector<double>& pos,
-                           std::vector<double>& vel, bool use_quit) const;
+  /// One SpecRound over the loop, shared by all three speculative methods:
+  /// `run_pd_test` shadows the subscripted writes for the PD test, and
+  /// `use_quit` picks Induction-2's QUIT over Induction-1's full range.
+  ExecReport run_round(ThreadPool& pool, std::vector<double>& pos,
+                       std::vector<double>& vel, bool run_pd_test,
+                       bool use_quit) const;
 
   TrackConfig cfg_;
   std::vector<std::int32_t> sub_;  ///< run-time subscript array (permutation)

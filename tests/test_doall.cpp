@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -78,6 +79,104 @@ TEST_P(DoallAllSchedules, QuitTripIsExactAndPrefixComplete) {
     started += hits[static_cast<std::size_t>(i)].load();
   }
   EXPECT_EQ(started, qr.started);
+}
+
+// One claimed block: iterations first, first + stride, ..., last.
+struct ClaimedBlock {
+  long first, last, stride;
+};
+
+// The blocks `opts` claims over [0, n) on p workers when they do not depend
+// on timing: fixed kDynamic chunks, kGuided's max(chunk, remaining/p) grabs,
+// and each worker's whole share under the static schedules.  Empty for the
+// self-sized kDynamic default.
+std::vector<ClaimedBlock> claimed_blocks(const DoallOptions& opts, long n, long p) {
+  std::vector<ClaimedBlock> out;
+  const long chunk = std::max(opts.chunk, 1L);
+  switch (opts.sched) {
+    case Sched::kDynamic:
+      if (opts.chunk > 0)
+        for (long b = 0; b < n; b += chunk) out.push_back({b, std::min(b + chunk, n) - 1, 1});
+      break;
+    case Sched::kGuided:
+      for (long b = 0, take = 0; b < n; b += take) {
+        take = std::max(chunk, (n - b) / p);
+        out.push_back({b, std::min(b + take, n) - 1, 1});
+      }
+      break;
+    case Sched::kStaticBlock:
+      for (long b = 0, blk = (n + p - 1) / p; b < n; b += blk)
+        out.push_back({b, std::min(b + blk, n) - 1, 1});
+      break;
+    case Sched::kStaticCyclic:
+      for (long v = 0; v < std::min(p, n); ++v) out.push_back({v, v + (n - 1 - v) / p * p, p});
+      break;
+  }
+  return out;
+}
+
+// The block runner keeps `started` and the exit minimum in locals and
+// writes them back once per block.  Exits on a block's first, an interior
+// and its last iteration, and a kExitAfter on its last, must still give the
+// exact trip, a `started` equal to a per-iteration tally, and the claim
+// count of a run that finishes every block (with the QUIT: no more).
+TEST_P(DoallAllSchedules, BlockRunnerExitsAreExactWithAndWithoutQuit) {
+  ThreadPool pool(static_cast<unsigned>(GetParam().procs));
+  const long n = 2000;
+  DoallOptions opts;
+  opts.sched = static_cast<Sched>(GetParam().sched);
+  opts.chunk = GetParam().chunk;
+  const std::vector<ClaimedBlock> blocks = claimed_blocks(opts, n, pool.size());
+  // A block in the middle of the range; the self-sized blocks are unknown,
+  // so there the range's first and last iterations stand in for a block's.
+  const ClaimedBlock b =
+      blocks.empty() ? ClaimedBlock{0, n - 1, 1} : blocks[blocks.size() / 2];
+  const long interior = b.first + (b.last - b.first) / b.stride / 2 * b.stride;
+  struct Exit {
+    long at;
+    IterAction act;
+  };
+  for (const Exit e : {Exit{b.first, IterAction::kExit}, Exit{interior, IterAction::kExit},
+                       Exit{b.last, IterAction::kExit}, Exit{b.last, IterAction::kExitAfter}}) {
+    for (const bool use_quit : {false, true}) {
+      SCOPED_TRACE("exit at " + std::to_string(e.at) +
+                   (e.act == IterAction::kExit ? " (kExit)" : " (kExitAfter)") +
+                   (use_quit ? ", QUIT" : ", no QUIT"));
+      opts.use_quit = use_quit;
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<long> tally{0};
+      const QuitResult qr = doall_quit(
+          pool, 0, n,
+          [&](long i, unsigned) {
+            hits[static_cast<std::size_t>(i)]++;
+            tally.fetch_add(1, std::memory_order_relaxed);
+            return i == e.at ? e.act : IterAction::kContinue;
+          },
+          opts);
+      const long trip = e.act == IterAction::kExit ? e.at : e.at + 1;
+      EXPECT_EQ(qr.trip, trip);
+      EXPECT_EQ(qr.started, tally.load());
+      for (long i = 0; i < n; ++i) {
+        const int h = hits[static_cast<std::size_t>(i)].load();
+        if (i < trip || !use_quit) {
+          EXPECT_EQ(h, 1) << "iteration " << i;
+        }
+        EXPECT_LE(h, 1) << "iteration " << i;
+      }
+      if (!use_quit) {
+        EXPECT_EQ(qr.started, n);
+      }
+      if (!blocks.empty()) {
+        const auto all = static_cast<long>(blocks.size());
+        if (use_quit) {
+          EXPECT_LE(qr.claims, all);
+        } else {
+          EXPECT_EQ(qr.claims, all);
+        }
+      }
+      EXPECT_GE(qr.claims, 1);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -266,6 +365,35 @@ TEST(DoallQuit, NonZeroLowerBound) {
   });
   EXPECT_EQ(qr.trip, 200);
   EXPECT_EQ(sum.load(), (100 + 199) * 100 / 2);
+}
+
+// Launched from a task of the same pool, a DOALL runs its worker shares
+// inline, one after another in vpn order (ThreadPool's re-entrancy rule), so
+// worker 0's exit lands before any other worker begins.  The static
+// schedules check the QUIT before a share's first iteration too, so no
+// other worker runs anything; every share still counts as claimed.
+TEST(DoallStatic, QuitBeforeFirstIterationStopsTheWorker) {
+  ThreadPool pool(4);
+  for (const Sched sched : {Sched::kStaticCyclic, Sched::kStaticBlock}) {
+    DoallOptions opts;
+    opts.sched = sched;
+    std::atomic<long> ran{0};
+    QuitResult qr;
+    pool.parallel([&](unsigned vpn) {
+      if (vpn != 0) return;
+      qr = doall_quit(
+          pool, 0, 400,
+          [&](long, unsigned) {
+            ran.fetch_add(1, std::memory_order_relaxed);
+            return IterAction::kExit;
+          },
+          opts);
+    });
+    EXPECT_EQ(qr.trip, 0);
+    EXPECT_EQ(qr.started, 1);
+    EXPECT_EQ(ran.load(), 1);
+    EXPECT_EQ(qr.claims, 4);
+  }
 }
 
 TEST(QuitBound, FetchMinSemantics) {

@@ -103,6 +103,19 @@ std::string track_method_name(const ::testing::TestParamInfo<int>& info) {
 INSTANTIATE_TEST_SUITE_P(Methods, TrackMethods, ::testing::Values(0, 1, 2),
                          track_method_name);
 
+// Induction-1/2 run as one SpecRound with the PD test off: one fused
+// checkpoint and one fused undo, both timed into the report.
+void expect_track_round(const ExecReport& r, const TrackLoop& loop, Method m) {
+  EXPECT_EQ(r.method, m);
+  EXPECT_EQ(r.trip, loop.expected_trip());
+  EXPECT_TRUE(r.used_checkpoint);
+  EXPECT_TRUE(r.used_stamps);
+  EXPECT_FALSE(r.pd_tested);
+  EXPECT_FALSE(r.reexecuted_sequentially);
+  EXPECT_GT(r.checkpoint_ns, 0);
+  EXPECT_GT(r.undo_ns, 0);
+}
+
 TEST(Track, Induction1UndoesOvershootWrites) {
   ThreadPool pool(4);
   TrackConfig cfg;
@@ -113,8 +126,27 @@ TEST(Track, Induction1UndoesOvershootWrites) {
   const ExecReport r = loop.run_induction1(pool, pos, vel);
   // Induction-1 runs the whole range: overshoot is everything past the trip.
   EXPECT_EQ(r.started, cfg.candidates);
-  EXPECT_GT(r.overshot, 0);
-  EXPECT_GT(r.undone_writes, 0);
+  EXPECT_EQ(r.overshot, cfg.candidates - r.trip);
+  // The exiting iteration stores nothing; every later one stored pos and vel.
+  EXPECT_EQ(r.undone_writes, 2 * (cfg.candidates - r.trip - 1));
+  expect_track_round(r, loop, Method::kInduction1);
+}
+
+TEST(Track, Induction2UndoesOvershootWrites) {
+  ThreadPool pool(4);
+  TrackConfig cfg;
+  cfg.candidates = 2000;
+  const TrackLoop loop(cfg);
+  std::vector<double> pos = loop.fresh_positions();
+  std::vector<double> vel = loop.fresh_velocities();
+  const ExecReport r = loop.run_induction2(pool, pos, vel);
+  // The QUIT may stop the issue anywhere past the exiting iteration, which
+  // itself ran; each iteration begun past it stored pos and vel.
+  EXPECT_GT(r.started, r.trip);
+  EXPECT_LE(r.started, cfg.candidates);
+  EXPECT_EQ(r.overshot, r.started - r.trip);
+  EXPECT_EQ(r.undone_writes, 2 * (r.started - r.trip - 1));
+  expect_track_round(r, loop, Method::kInduction2);
 }
 
 TEST(Track, IdealOracleMatchesSequentialPrefix) {

@@ -153,5 +153,45 @@ TEST(Speculative, UnshadowedArraySkipsPDButUndoes) {
     EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], i < exit_at ? 1.0 : -2.0);
 }
 
+/// Without the QUIT every iteration in [0, u) runs, and the round reports
+/// Induction-1 (Fig. 2), not Induction-2.
+TEST(Speculative, NoQuitRunIsLabelledInduction1) {
+  ThreadPool pool(4);
+  const long n = 1000, exit_at = 600;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), -2.0),
+                        pool.size(), /*run_pd_test=*/false);
+  SpecTarget* targets[] = {&arr};
+  SpecOptions opts;
+  opts.doall.use_quit = false;
+
+  const ExecReport r = speculative_while(
+      pool, n, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        arr.begin_iteration(vpn, i);
+        if (i >= exit_at) return IterAction::kExit;
+        arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
+        return IterAction::kContinue;
+      },
+      [&] { return exit_at; }, opts);
+
+  EXPECT_EQ(r.method, Method::kInduction1);
+  EXPECT_EQ(r.trip, exit_at);
+  EXPECT_EQ(r.started, n);
+  EXPECT_FALSE(r.reexecuted_sequentially);
+  for (long i = 0; i < n; ++i)
+    EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], i < exit_at ? 1.0 : -2.0);
+
+  opts.doall.use_quit = true;
+  const ExecReport q = speculative_while(
+      pool, n, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        arr.begin_iteration(vpn, i);
+        return i >= exit_at ? IterAction::kExit : IterAction::kContinue;
+      },
+      [&] { return exit_at; }, opts);
+  EXPECT_EQ(q.method, Method::kInduction2);
+  EXPECT_EQ(q.trip, exit_at);
+}
+
 }  // namespace
 }  // namespace wlp

@@ -156,6 +156,55 @@ TEST(GeneralHops, General2TraversesPerProcessorGeneral13CooperateOrReplay) {
   EXPECT_LE(g3.dispatcher_steps, n * 4);
 }
 
+// General-3's block runner keeps the hops, the started count and the exit
+// minimum in locals and writes them back once per block.  The reported
+// dispatcher_steps and started must still equal per-hop and per-iteration
+// tallies: on short lists that end inside a claimed block, and with an RV
+// exit inside one.  The second pass launches from a task of the same pool,
+// where the workers run one after another in vpn order: worker 0 then walks
+// the whole list alone and meets its end in a claimed block.
+TEST(GeneralHops, General3CountsMatchPerIterationTallies) {
+  ThreadPool pool(4);
+  for (const bool nested : {false, true}) {
+    for (auto [n, exit_at] : {std::pair{1L, 1L}, std::pair{5L, 5L}, std::pair{12L, 12L},
+                              std::pair{31L, 31L}, std::pair{503L, 503L},
+                              std::pair{20000L, 20000L}, std::pair{20000L, 5003L}}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " exit " + std::to_string(exit_at) +
+                   (nested ? " nested" : ""));
+      ChainFixture chain(n);
+      std::atomic<long> hops{0}, ran{0};
+      ExecReport r;
+      const auto run = [&] {
+        r = while_general3(
+            pool, chain.head(),
+            [&](long c) {
+              hops.fetch_add(1, std::memory_order_relaxed);
+              return chain.next[static_cast<std::size_t>(c)];
+            },
+            &ChainFixture::is_end,
+            [&](long i, long, unsigned) {
+              ran.fetch_add(1, std::memory_order_relaxed);
+              return i == exit_at ? IterAction::kExit : IterAction::kContinue;
+            });
+      };
+      if (nested) {
+        pool.parallel([&](unsigned vpn) {
+          if (vpn == 0) run();
+        });
+      } else {
+        run();
+      }
+      EXPECT_EQ(r.trip, std::min(n, exit_at));
+      EXPECT_EQ(r.dispatcher_steps, hops.load());
+      EXPECT_EQ(r.started, ran.load());
+      if (nested && exit_at == n) {
+        EXPECT_EQ(r.started, n);
+        EXPECT_EQ(r.dispatcher_steps, n);  // worker 0's walk, end included
+      }
+    }
+  }
+}
+
 TEST(GeneralOnNodePool, PayloadTraversalMatchesLogicalOrder) {
   ThreadPool pool(4);
   // Shuffled storage order: the traversal must still see logical order.
