@@ -10,6 +10,7 @@
 #include "bench_common.hpp"
 #include "wlp/core/sparse_backup.hpp"
 #include "wlp/core/versioned_array.hpp"
+#include "wlp/sched/doall.hpp"
 #include "wlp/workloads/track.hpp"
 
 using namespace wlp;

@@ -8,8 +8,8 @@
 //      pass of the paper's methods pays.
 //   2. How do the DOALL schedules compare when the per-iteration grain is
 //      tiny — the regime where claim traffic on the shared counter is the
-//      bottleneck that guided self-scheduling and the default self-sized
-//      kDynamic blocks (`DoallOptions{}`) exist to remove?
+//      bottleneck that the default self-sized kDynamic blocks
+//      (`DoallOptions{}`) exist to remove?
 //
 // Emits BENCH_forkjoin.json (path overridable via argv[1]) so the perf
 // trajectory is recorded in-repo, plus a human-readable table.
@@ -215,20 +215,17 @@ int main(int argc, char** argv) {
   // kDynamic with chunk 0 is DoallOptions{}: blocks sized from measured time.
   sweep.push_back(sweep_schedule(pool, "dynamic_auto", wlp::Sched::kDynamic, 0, n, reps));
   sweep.push_back(sweep_schedule(pool, "dynamic_chunk64", wlp::Sched::kDynamic, 64, n, reps));
-  sweep.push_back(sweep_schedule(pool, "guided", wlp::Sched::kGuided, 1, n, reps));
   sweep.push_back(sweep_schedule(pool, "static_cyclic", wlp::Sched::kStaticCyclic, 1, n, reps));
   sweep.push_back(sweep_schedule(pool, "static_block", wlp::Sched::kStaticBlock, 1, n, reps));
   for (const SweepPoint& pt : sweep)
     std::printf("  %-16s %8.3f ms   %8ld claims\n", pt.label.c_str(), pt.ms,
                 pt.claims);
 
-  double dyn1_ms = 0, auto_ms = 0, guided_ms = 0;
+  double dyn1_ms = 0, auto_ms = 0;
   for (const SweepPoint& pt : sweep) {
     if (pt.label == "dynamic_chunk1") dyn1_ms = pt.ms;
     if (pt.label == "dynamic_auto") auto_ms = pt.ms;
-    if (pt.label == "guided") guided_ms = pt.ms;
   }
-  std::printf("  guided vs dynamic{chunk=1}: %.2fx faster\n", dyn1_ms / guided_ms);
   std::printf("  DoallOptions{} vs dynamic{chunk=1}: %.2fx faster\n", dyn1_ms / auto_ms);
 
   std::FILE* f = std::fopen(out_path, "w");
@@ -260,8 +257,6 @@ int main(int argc, char** argv) {
                  sweep[i].label.c_str(), sweep[i].ms, sweep[i].claims,
                  i + 1 < sweep.size() ? "," : "");
   std::fprintf(f, "  ] },\n");
-  std::fprintf(f, "  \"guided_over_dynamic_chunk1\": %.3f,\n",
-               dyn1_ms / guided_ms);
   std::fprintf(f, "  \"auto_over_dynamic_chunk1\": %.3f\n", dyn1_ms / auto_ms);
   std::fprintf(f, "}\n");
   std::fclose(f);

@@ -11,8 +11,9 @@
 //      a time-sliced host the minimum approaches the uncontended cost.
 //   2. Clear cost — the seed cleared stamps with an O(n) fill per reuse;
 //      rewinding the logs must be flat across array sizes 2^14..2^22.
-//   3. Checkpoint — chunked memcpy, serial vs pool-parallel, plus the seed's
-//      element-assignment loop.
+//   3. Checkpoint — a one-member SpecTransaction's fused chunked memcpy,
+//      begun without a pool (serial) and with one (pool-parallel), plus the
+//      seed's element-assignment loop.
 //   4. Hash backup — record throughput and the slot-partitioned parallel
 //      undo vs its serial scan.
 //
@@ -24,10 +25,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "wlp/core/sparse_backup.hpp"
+#include "wlp/core/speculative.hpp"
+#include "wlp/core/txn.hpp"
 #include "wlp/core/versioned_array.hpp"
 #include "wlp/sched/thread_pool.hpp"
 #include "wlp/support/prng.hpp"
@@ -79,6 +83,11 @@ double min_of(const std::vector<double>& v) {
   return *std::min_element(v.begin(), v.end());
 }
 
+/// The array's checkpoint hooks over the whole array, on this thread.
+void checkpoint(wlp::VersionedArray<double>& arr) {
+  arr.txn_checkpoint_span(0, arr.txn_checkpoint_begin());
+}
+
 constexpr std::size_t kStrip = 1 << 14;  ///< iterations written per rep
 
 struct UndoPoint {
@@ -90,8 +99,9 @@ struct UndoPoint {
 
 /// One array size: per rep, (untimed) reset + checkpoint + a strip of
 /// writes mid-array, then the timed undo of the strip's upper half — the
-/// log tail walk and the seed's full stamp scan alternating.  Writes go
-/// round-robin over four workers' logs, as a cyclic DOALL would issue them.
+/// log tail walk over the whole index range (txn_undo) and the seed's full
+/// stamp scan alternating.  Writes go round-robin over four workers' logs,
+/// as a cyclic DOALL would issue them.
 UndoPoint undo_point(int log2_n, int reps) {
   const auto n = static_cast<std::size_t>(1) << log2_n;
   const std::size_t lo = n / 2;
@@ -106,12 +116,12 @@ UndoPoint undo_point(int log2_n, int reps) {
   long undone = 0, seed_undone = 0;
   const auto log_pass = [&](bool record) {
     arr.clear_log();
-    arr.checkpoint();
+    checkpoint(arr);
     for (std::size_t i = lo; i < lo + kStrip; ++i)
       arr.write(static_cast<unsigned>(i % kWorkers), static_cast<long>(i), i,
                 1.0);
     const auto t0 = Clock::now();
-    undone = arr.undo_beyond(trip);
+    undone = arr.txn_undo(trip, 0, n);
     if (record) l_us.push_back(seconds_since(t0) * 1e6);
   };
   const auto seed_pass = [&](bool record) {
@@ -156,7 +166,7 @@ ClearPoint clear_cost(int log2_n) {
   wlp::VersionedArray<double> arr(std::vector<double>(n, 0.0), 1);
   SeedVersioned seed(n);
   // Dirty a little state so the reset is the realistic reuse path.
-  arr.checkpoint();
+  checkpoint(arr);
   seed.checkpoint();
   for (std::size_t i = 0; i < 64; ++i) {
     arr.write(0, static_cast<long>(i), i, 1.0);
@@ -212,18 +222,20 @@ int main(int argc, char** argv) {
   double cp_serial_ms, cp_pool_ms, cp_seed_ms;
   {
     wlp::ThreadPool pool(wlp::ThreadPool::default_concurrency());
-    wlp::VersionedArray<double> arr(std::vector<double>(kCpN, 1.0), 1);
+    wlp::SpecArray<double> arr(std::vector<double>(kCpN, 1.0), 1, false);
+    wlp::SpecTarget* targets[] = {&arr};
+    wlp::SpecTransaction txn(std::span<wlp::SpecTarget* const>(targets, 1));
     SeedVersioned seed(kCpN);
-    arr.checkpoint();           // warmup: fault in the pooled buffer
-    arr.checkpoint(&pool);
+    txn.begin(nullptr);  // warmup: fault in the pooled buffer
+    txn.begin(&pool);
     seed.checkpoint();
     std::vector<double> ser, par, sed;
     for (int r = 0; r < kReps; ++r) {
       auto t0 = Clock::now();
-      arr.checkpoint();
+      txn.begin(nullptr);
       ser.push_back(seconds_since(t0) * 1e3);
       t0 = Clock::now();
-      arr.checkpoint(&pool);
+      txn.begin(&pool);
       par.push_back(seconds_since(t0) * 1e3);
       t0 = Clock::now();
       seed.checkpoint();
@@ -233,8 +245,8 @@ int main(int argc, char** argv) {
     cp_pool_ms = wlp::median(par);
     cp_seed_ms = wlp::median(sed);
   }
-  std::printf("  chunked memcpy, serial : %8.3f\n", cp_serial_ms);
-  std::printf("  chunked memcpy, pooled : %8.3f  (p=%u)\n", cp_pool_ms,
+  std::printf("  txn begin, no pool     : %8.3f\n", cp_serial_ms);
+  std::printf("  txn begin, pooled      : %8.3f  (p=%u)\n", cp_pool_ms,
               wlp::ThreadPool::default_concurrency());
   std::printf("  seed vector assign     : %8.3f\n", cp_seed_ms);
 

@@ -14,8 +14,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 
 #include "wlp/obs/obs.hpp"
 #include "wlp/core/cost_model.hpp"
@@ -54,23 +52,6 @@ class LoopStatistics {
     WLP_OBS_HIST("wlp.adaptive.trip", r.trip);
   }
 
-  /// Record an execution together with its measured wall time.  The
-  /// per-iteration cost samples feed a running mean/variance (Welford), so
-  /// the site's observed cost variability — not a compiler guess — drives
-  /// the schedule choice in observed_schedule().
-  void record_run(const ExecReport& r, double seconds) {
-    record(r);
-    const long iters = std::max(r.started, r.trip);
-    if (iters <= 0 || seconds <= 0) return;
-    const double cost = seconds / static_cast<double>(iters);
-    ++cost_samples_;
-    const double delta = cost - cost_mean_;
-    cost_mean_ += delta / static_cast<double>(cost_samples_);
-    cost_m2_ += delta * (cost - cost_mean_);
-    WLP_OBS_HIST("wlp.adaptive.iter_ns",
-                 static_cast<long>(cost * 1e9));
-  }
-
   /// Also usable with plain trip observations (profiling runs).
   void record_trip(long trip) {
     ++invocations_;
@@ -96,25 +77,6 @@ class LoopStatistics {
   /// The statistics-enhanced stamping threshold: n'_i = confidence * n_i.
   StampThreshold stamp_threshold() const {
     return StampThreshold::from_estimate(estimated_trip(), confidence());
-  }
-
-  /// Coefficient of variation (stddev/mean) of the observed per-iteration
-  /// cost across record_run() calls.  0 until two timed runs exist — i.e.
-  /// "assume uniform" until the measurements say otherwise, which matches
-  /// choose_schedule's treatment of iter_cost_cv = 0.
-  double iter_cost_cv() const noexcept {
-    if (cost_samples_ < 2 || cost_mean_ <= 0) return 0.0;
-    const double var = cost_m2_ / static_cast<double>(cost_samples_ - 1);
-    return std::sqrt(std::max(0.0, var)) / cost_mean_;
-  }
-
-  /// Pick the DOALL schedule for the next run of this site from what the
-  /// site has actually exhibited: the observed mean trip (Section 8.1's n_i)
-  /// and the observed per-iteration cost variability.
-  DoallOptions observed_schedule(long upper_bound, unsigned p) const {
-    return choose_schedule(upper_bound,
-                           static_cast<double>(estimated_trip()),
-                           iter_cost_cv(), p);
   }
 
   /// Shadow marks per executed iteration, measured across PD-tested runs
@@ -197,9 +159,6 @@ class LoopStatistics {
   long failures_ = 0;
   long marks_sum_ = 0;
   long marked_iters_ = 0;
-  long cost_samples_ = 0;
-  double cost_mean_ = 0;
-  double cost_m2_ = 0;
   long undo_samples_ = 0;
   double checkpoint_ns_sum_ = 0;
   double undo_ns_sum_ = 0;

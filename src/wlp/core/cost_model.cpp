@@ -118,38 +118,6 @@ double expected_speculative_speedup(const Prediction& pred, double p_parallel) {
   return p * pred.spat + (1.0 - p) / (1.0 + pred.failed_slowdown);
 }
 
-DoallOptions choose_schedule(long upper_bound, double expected_trip,
-                             double iter_cost_cv, unsigned p) {
-  DoallOptions opts;
-  const double pd = static_cast<double>(std::max(1u, p));
-  const double u = static_cast<double>(std::max(0L, upper_bound));
-  double trip = expected_trip > 0 ? std::min(expected_trip, u) : u;
-
-  if (trip < 2.0 * pd) {
-    // Not enough iterations for claim traffic to pay for itself; cyclic
-    // issue also caps overshoot at p iterations past the exit.
-    opts.sched = Sched::kStaticCyclic;
-    return opts;
-  }
-  if (iter_cost_cv > 0.5) {
-    // Irregular bodies: any chunking risks a straggler owning the tail.
-    opts.sched = Sched::kDynamic;
-    opts.chunk = 1;
-    return opts;
-  }
-  if (trip < 0.5 * u) {
-    // Early exit is likely: guided grabs computed from the full bound would
-    // be ~u/p iterations of pure overshoot.  Self-schedule at a chunk that
-    // amortizes the counter over the *expected* useful range instead.
-    opts.sched = Sched::kDynamic;
-    opts.chunk = std::max(1L, static_cast<long>(trip / (8.0 * pd)));
-    return opts;
-  }
-  opts.sched = Sched::kGuided;
-  opts.chunk = std::max(1L, static_cast<long>(trip / (16.0 * pd)));
-  return opts;
-}
-
 BackupDecision choose_backup(std::size_t n, std::size_t touched) noexcept {
   BackupDecision d;
   if (n == 0) return d;

@@ -11,7 +11,6 @@
 #pragma once
 
 #include "wlp/core/taxonomy.hpp"
-#include "wlp/sched/doall.hpp"
 
 namespace wlp {
 
@@ -124,25 +123,6 @@ double estimate_trip(const BranchStats& b);
 /// the Section 11 run-time history): successes deliver Spat, failures cost
 /// the sequential re-execution plus the wasted attempt.
 double expected_speculative_speedup(const Prediction& pred, double p_parallel);
-
-/// Pick the DOALL schedule for a speculative run over [0, upper_bound).
-///
-/// The trade-offs the choice balances:
-///   * a trip too short to amortize shared-counter claims → static cyclic
-///     (zero claim traffic, and cyclic issue keeps the QUIT overshoot
-///     bounded by p);
-///   * highly variable iteration cost (coefficient of variation of the
-///     body's runtime) → dynamic, chunk 1 (finest-grain load balancing);
-///   * an exit expected well before the upper bound → guided grabs sized
-///     from `upper_bound` would overshoot massively, so dynamic with a
-///     modest chunk is used instead;
-///   * otherwise → guided self-scheduling: claim-count drops from O(u/chunk)
-///     to O(p log(u/chunk)) while the tail still balances at `chunk`.
-///
-/// `expected_trip <= 0` means "unknown" (treated as running to the bound);
-/// `iter_cost_cv` is stddev/mean of the per-iteration cost (0 = uniform).
-DoallOptions choose_schedule(long upper_bound, double expected_trip,
-                             double iter_cost_cv, unsigned p);
 
 /// Which backup representation a speculated array uses for a retry.
 enum class BackupKind { kDense, kHash };

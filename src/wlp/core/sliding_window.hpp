@@ -65,12 +65,6 @@ struct WindowOptions {
   /// budget against the process-wide SUM: concurrent budgeted loops then
   /// share one ceiling instead of each assuming it owns the whole budget.
   bool charge_process_budget = false;
-  /// Claim granularity inside the window.  kDynamic issues one iteration
-  /// per grab (the original Section 8.2 behavior); kGuided claims
-  /// min(remaining/p, window slack) per grab, cutting the lock round-trips
-  /// on the issue mutex while h - l <= w still holds exactly.  Other
-  /// schedules behave as kDynamic (the window is inherently self-scheduled).
-  Sched sched = Sched::kDynamic;
   /// Optional cross-run verdict memoization (pd/verdict_cache.hpp): a loop
   /// re-windowed with the same access pattern skips the PD merge.  Same
   /// contract as SpecOptions::verdict_cache (speculative wrapper only).
@@ -213,6 +207,7 @@ struct WindowReport {
   long max_span = 0;       ///< max (h - l) observed; must stay <= max window used
   long final_window = 0;   ///< window size when the loop ended
   long claims = 0;         ///< grabs of the issue lock that yielded work
+                           ///< (one iteration each)
   std::size_t peak_stamp_bytes = 0;
   // Controller decisions (zero when no memory_budget was set).
   long window_shrinks = 0;     ///< multiplicative-decrease decisions
@@ -247,30 +242,22 @@ void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
   long trip_candidate = std::numeric_limits<long>::max();
   long started = 0;
   long max_span = 0;
-  long claims = 0;
   std::size_t peak_bytes = 0;
 
+  // Section 8.2's rule: every grab of the issue lock claims one iteration.
   pool.parallel([&](unsigned vpn) {
     for (;;) {
-      long base, take;
+      long i;
       {
         std::unique_lock lock(mu);
         cv.wait(lock, [&] {
           return next >= u || quit.cut(next) || next - low < window;
         });
         if (next >= u || quit.cut(next)) return;
-        const long slack = window - (next - low);
-        take = 1;
-        if (opts.sched == Sched::kGuided) {
-          const long rem = u - next;
-          take = std::clamp(rem / static_cast<long>(pool.size()), 1L, slack);
-        }
-        take = std::min(take, u - next);
-        base = next;
-        next += take;
-        ++claims;
+        i = next++;
+        ++started;
         max_span = std::max(max_span, next - low);
-        WLP_TRACE_INSTANT("window.claim", base, take);
+        WLP_TRACE_INSTANT("window.claim", i, 1);
         if (opts.memory_budget != 0 &&
             (opts.live_bytes || opts.bytes_per_iteration != 0)) {
           // Prefer the measured footprint over the per-iteration guess.
@@ -284,34 +271,15 @@ void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
           window = ctl.adjust(window, next - low, in_use);
           if (window != before) WLP_TRACE_COUNTER("window.size", window);
         }
-        started += take;
       }
 
-      for (long i = base; i < base + take; ++i) {
-        if (i > base && quit.cut(i)) {
-          // QUIT landed mid-claim: retire the unexecuted tail so `low` can
-          // advance past it (the bodies never ran, so uncount them).
-          std::lock_guard lock(mu);
-          started -= base + take - i;
-          for (long j = i; j < base + take; ++j)
-            done[static_cast<std::size_t>(j)] = 1;
-          while (low < u && done[static_cast<std::size_t>(low)]) ++low;
-          break;
-        }
-        const IterAction act = body(i, vpn);
-        if (act == IterAction::kExit) quit.quit(i);
-        if (act == IterAction::kExitAfter) quit.quit(i + 1);
-
-        {
-          std::lock_guard lock(mu);
-          if (act == IterAction::kExit)
-            trip_candidate = std::min(trip_candidate, i);
-          if (act == IterAction::kExitAfter)
-            trip_candidate = std::min(trip_candidate, i + 1);
-          done[static_cast<std::size_t>(i)] = 1;
-          while (low < u && done[static_cast<std::size_t>(low)]) ++low;
-        }
-        cv.notify_all();
+      long exit_at = std::numeric_limits<long>::max();
+      note_exit(body(i, vpn), i, exit_at, quit);
+      {
+        std::lock_guard lock(mu);
+        trip_candidate = std::min(trip_candidate, exit_at);
+        done[static_cast<std::size_t>(i)] = 1;
+        while (low < u && done[static_cast<std::size_t>(low)]) ++low;
       }
       cv.notify_all();
     }
@@ -329,7 +297,7 @@ void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
   wr.exec.overshot = std::max(0L, started - wr.exec.trip);
   wr.max_span = max_span;
   wr.final_window = window;
-  wr.claims = claims;
+  wr.claims = started;  // one iteration per claim
   wr.peak_stamp_bytes = peak_bytes;
   wr.exec.peak_spec_bytes = peak_bytes;
   wr.window_shrinks = ctl.shrinks();
@@ -337,7 +305,7 @@ void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
   wr.final_cap = ctl.cap();
   wr.cap_bytes = ctl.cap_bytes();
   WLP_OBS_COUNT("wlp.window.runs", 1);
-  WLP_OBS_COUNT("wlp.window.claims", claims);
+  WLP_OBS_COUNT("wlp.window.claims", started);
   WLP_OBS_HIST("wlp.window.span", max_span);
   WLP_OBS_HIST("wlp.window.overshoot", wr.exec.overshot);
   WLP_OBS_GAUGE_SET("wlp.window.final_size", window);

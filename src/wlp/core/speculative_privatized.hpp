@@ -94,7 +94,7 @@ ExecReport speculative_privatized_while(ThreadPool& pool, long u,
                                         Body&& body, SeqRun&& run_sequential,
                                         DoallOptions opts = {}) {
   ExecReport r;
-  r.method = Method::kInduction2;
+  r.method = opts.use_quit ? Method::kInduction2 : Method::kInduction1;
   r.used_checkpoint = false;  // the original data IS the backup
   r.used_stamps = true;       // the write trails are time-stamped
   r.pd_tested = true;

@@ -40,8 +40,7 @@ struct StripSpecReport {
   long strips_run = 0;
   long strips_failed = 0;  ///< strips that fell back to sequential execution
   long claims = 0;         ///< scheduler grabs across all strips (see
-                           ///< QuitResult::claims); guided opts.doall.sched
-                           ///< shrinks this without changing strip semantics
+                           ///< QuitResult::claims)
   // Transaction-aware strip control (active when opts.memory_budget != 0):
   // the driver polls the transaction's fused memory_bytes() after every
   // strip and halves the NEXT strip when the measured footprint crosses

@@ -19,20 +19,18 @@
 #include <span>
 
 #include "wlp/obs/obs.hpp"
-#include "wlp/core/cost_model.hpp"
 #include "wlp/core/report.hpp"
 #include "wlp/core/speculative.hpp"
 #include "wlp/sched/doall.hpp"
 
 namespace wlp {
 
-namespace detail {
-
-/// The Section 4 strip loop behind both strip-mined drivers: every strip is
-/// one QUIT-aware DOALL whose options `strip_opts(base, end)` picks.
-template <class Body, class StripOpts>
-ExecReport strip_loop(ThreadPool& pool, long u, long strip, Body&& body,
-                      StripOpts&& strip_opts) {
+/// Strip-mined speculative WHILE loop over [0, u): every strip is one
+/// QUIT-aware DOALL under `opts`.  `body(i, vpn) -> IterAction`.  Overshoot
+/// never exceeds one strip.
+template <class Body>
+ExecReport strip_mined_while(ThreadPool& pool, long u, long strip, Body&& body,
+                             DoallOptions opts = {}) {
   ExecReport r;
   r.method = Method::kStripMined;
   if (strip <= 0) strip = u;
@@ -40,8 +38,7 @@ ExecReport strip_loop(ThreadPool& pool, long u, long strip, Body&& body,
     const long end = std::min(base + strip, u);
     WLP_TRACE_SCOPE("strip", base, end - base);
     WLP_OBS_COUNT("wlp.strip.runs", 1);
-    const QuitResult qr =
-        doall_quit(pool, base, end, body, strip_opts(base, end));
+    const QuitResult qr = doall_quit(pool, base, end, body, opts);
     r.started += qr.started;
     if (qr.trip < end) {
       r.trip = qr.trip;
@@ -51,36 +48,6 @@ ExecReport strip_loop(ThreadPool& pool, long u, long strip, Body&& body,
   }
   r.trip = u;
   return r;
-}
-
-}  // namespace detail
-
-/// Strip-mined speculative WHILE loop over [0, u).
-/// `body(i, vpn) -> IterAction`.  Overshoot never exceeds one strip.
-template <class Body>
-ExecReport strip_mined_while(ThreadPool& pool, long u, long strip, Body&& body,
-                             DoallOptions opts = {}) {
-  return detail::strip_loop(pool, u, strip, body,
-                            [&](long, long) { return opts; });
-}
-
-/// Strip-mined run whose per-strip DOALL schedule is picked by the cost
-/// model (Section 8.1's statistics feeding the runtime): each strip asks
-/// `choose_schedule` with the trip count still expected *within* that strip,
-/// so early strips (exit unlikely inside them) run guided with large decayed
-/// grabs and the strip containing the expected exit drops back to
-/// finer-grained self-scheduling to bound overshoot.
-template <class Body>
-ExecReport strip_mined_while_tuned(ThreadPool& pool, long u, long strip,
-                                   double expected_trip, double iter_cost_cv,
-                                   Body&& body) {
-  return detail::strip_loop(pool, u, strip, body, [&](long base, long end) {
-    const double trip_in_strip =
-        expected_trip <= 0 ? 0 : std::clamp(expected_trip - base, 0.0,
-                                            static_cast<double>(end - base));
-    return choose_schedule(end - base, trip_in_strip, iter_cost_cv,
-                           pool.size());
-  });
 }
 
 /// Statistics-enhanced stamping threshold (Section 8.1): n'_i as a fraction
@@ -111,7 +78,7 @@ ExecReport stats_enhanced_while(ThreadPool& pool, long u, StampThreshold thresho
                                 std::span<SpecTarget* const> targets, Body&& body,
                                 SeqRun&& run_sequential, SpecOptions opts = {}) {
   ExecReport r;
-  r.method = Method::kInduction2;
+  r.method = opts.doall.use_quit ? Method::kInduction2 : Method::kInduction1;
   SpecRound round(pool, targets, r, opts.verdict_cache);
   round.begin();
   QuitResult qr{};

@@ -58,8 +58,7 @@ namespace wlp {
 /// restore_all() allocate nothing in steady state.
 class SpecTransaction : public FootprintListener {
  public:
-  /// Elements per fused-checkpoint chunk (matches VersionedArray's
-  /// internal checkpoint granularity).
+  /// Elements per fused-checkpoint chunk.
   static constexpr std::size_t kCpChunk = 1u << 15;
   /// Hash slots per fused-undo chunk (matches HashBackup::undo_into).
   static constexpr std::size_t kSlotChunk = 1024;

@@ -7,11 +7,16 @@
 // 3x memory cost (data + checkpoint + write record, measured by
 // memory_bytes()); the sparse alternative lives in sparse_backup.hpp.
 //
+// The array has no checkpoint or undo pass of its own: it exposes span
+// hooks (txn_checkpoint_span, txn_undo, txn_restore_all_span), and
+// SpecTransaction (txn.hpp) runs them as one fused parallel pass over all
+// of a loop's targets.
+//
 // The write record is one append-only log per worker of 8-byte
 // (index, iteration) entries.  Every schedule the speculative drivers use
-// (doall_quit under all four Sched values, the strip driver, the sliding
+// (doall_quit under every Sched value, the strip driver, the sliding
 // window) hands each worker its iterations in increasing order, so each
-// worker's log is sorted by iteration as it is written.  undo_beyond(trip)
+// worker's log is sorted by iteration as it is written.  txn_undo(trip, ...)
 // walks every log from its tail while the iteration is >= trip and restores
 // those indices from the checkpoint.  That restores exactly
 // {i : some write to i came from an iteration >= trip} — the set a
@@ -28,14 +33,15 @@
 // Storage: the backup and the log segments draw from the constructing
 // thread's wlp::mem arena, so a retired array's buffers are recycled in
 // O(1) by the next array of the same shape and every byte shows up in the
-// wlp.mem budget.  A segment holds min(n, kSegmentEntries) entries and is
-// allocated on a worker's first write past its open segment; clear_log()
-// rewinds the fill positions and keeps the segments, so warm retries
-// allocate nothing.
+// wlp.mem budget.  Sizing the backup does not zero it: the checkpoint copy
+// overwrites every element anyway.  A segment holds min(n, kSegmentEntries)
+// entries and is allocated on a worker's first write past its open segment;
+// clear_log() rewinds the fill positions and keeps the segments, so warm
+// retries allocate nothing.
 //
 // Concurrency contract: worker vpn appends only to log vpn (the data stores
 // race only when iterations genuinely collide, which the PD test reports);
-// checkpoint / undo_beyond / restore_all / clear_log and the exact
+// the checkpoint, undo and restore hooks, clear_log and the exact
 // logged_writes() / dirty_block_count() run only when no writes are in
 // flight — the fork-join barrier of the speculative drivers is the
 // happens-before edge that publishes the logs to the undo pass.
@@ -47,17 +53,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
 
 #include "wlp/mem/arena.hpp"
-#include "wlp/obs/obs.hpp"
-#include "wlp/sched/doall.hpp"
 #include "wlp/support/cacheline.hpp"
 
 namespace wlp {
@@ -65,11 +69,9 @@ namespace wlp {
 /// Bookkeeping the tests read: how many resets and checkpoints the array
 /// has paid for, and how many log segments it holds.
 struct UndoStats {
-  long resets = 0;          ///< clear_log() calls
-  long checkpoints = 0;     ///< checkpoint() calls
-  long segments = 0;        ///< log segments allocated (kept across resets)
-  double checkpoint_ns = 0; ///< total time in checkpoint() (the Tb term)
-  double restore_ns = 0;    ///< total time in undo_beyond/restore_all (Ta)
+  long resets = 0;       ///< clear_log() calls
+  long checkpoints = 0;  ///< txn_checkpoint_begin() calls
+  long segments = 0;     ///< log segments allocated (kept across resets)
 };
 
 template <class T>
@@ -89,7 +91,7 @@ class VersionedArray {
   /// each); write() takes the writer's vpn, which must be below it.
   VersionedArray(std::vector<T> init, unsigned workers)
       : data_(std::move(init)),
-        backup_(Alloc(mem::local_arena())),
+        backup_(BackupAlloc<T>(mem::local_arena())),
         arena_(&mem::local_arena()),
         seg_entries_(std::clamp<std::size_t>(data_.size(), 1, kSegmentEntries)) {
     if (data_.size() > kMaxIndex + 1)
@@ -134,27 +136,15 @@ class VersionedArray {
   /// Unlogged write (sequential / non-speculative contexts).
   void write_raw(std::size_t idx, const T& v) noexcept { data_[idx] = v; }
 
-  /// Snapshot the current contents — the Tb overhead of Section 7.  With a
-  /// pool, the copy is chunked across the workers (memcpy per chunk for
-  /// trivially-copyable T).  The backup buffer is allocated once and reused
-  /// across checkpoints (steady-state strip loops allocate nothing).
-  void checkpoint(ThreadPool* pool = nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
-    txn_checkpoint_begin();
-    copy_between(data_.data(), backup_.data(), data_.size(), pool);
-    const double ns = ns_since(t0);
-    stats_.checkpoint_ns += ns;
-    WLP_OBS_COUNT("wlp.undo.checkpoint_ns", static_cast<long>(ns));
-  }
-
   bool has_checkpoint() const noexcept { return has_checkpoint_ || data_.empty(); }
 
   // ---- fused-transaction hooks (SpecTransaction, txn.hpp) ------------------
   // The transaction runs ONE pool-parallel checkpoint over the concatenated
-  // element ranges of all its members, so checkpoint() / restore_all() are
-  // exposed as span operations: begin resizes the pooled buffer and counts
-  // the checkpoint, the span calls do the copies, and the transaction — not
-  // the member — publishes the wlp.undo.* metrics once.
+  // element ranges of all its members, so the checkpoint, the undo and the
+  // full restore are span operations: begin sizes the pooled buffer and
+  // counts the checkpoint (the Tb term), the span calls do the copies, and
+  // the transaction — not the member — times them and publishes the
+  // wlp.undo.* metrics once.
 
   /// Prepare the pooled backup buffer; returns elements to copy.
   std::size_t txn_checkpoint_begin() {
@@ -171,43 +161,18 @@ class VersionedArray {
     copy_span(backup_.data(), data_.data(), b, e);
   }
 
-  /// The undo walk without timing or metrics (a transaction's undo unit):
-  /// every worker's log from its tail while the entry's iteration is >=
-  /// trip, restoring the logged indices that fall in [lo, hi) from the
-  /// backup.  Walks over disjoint index ranges may run concurrently: a
-  /// location two overshot workers wrote is still restored by one thread
-  /// only.  Returns the log entries taken back.
+  /// The undo walk (a transaction's undo unit, the Ta term): every
+  /// worker's log from its tail while the entry's iteration is >= trip,
+  /// restoring the logged indices that fall in [lo, hi) from the backup.
+  /// Walks over disjoint index ranges may run concurrently: a location two
+  /// overshot workers wrote is still restored by one thread only.  Returns
+  /// the log entries taken back: a location written by k overshot writes
+  /// counts k times.
   long txn_undo(long trip, std::size_t lo, std::size_t hi) noexcept {
     assert(has_checkpoint());
     long undone = 0;
     for (const auto& pl : logs_) undone += undo_log(pl.value, trip, lo, hi);
     return undone;
-  }
-
-  /// Restore every location written by an iteration >= trip (the tail walk
-  /// above over the whole index range, timed as the Ta term).  Returns the
-  /// log entries taken back: a location written by k overshot writes
-  /// counts k times.
-  long undo_beyond(long trip) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const long undone = txn_undo(trip, 0, data_.size());
-    const double ns = ns_since(t0);
-    stats_.restore_ns += ns;
-    WLP_OBS_COUNT("wlp.undo.restore_ns", static_cast<long>(ns));
-    return undone;
-  }
-
-  /// Restore the full checkpoint (failed speculation: re-execute serially).
-  /// Copies every element, logged or not: bodies writing below a stamping
-  /// threshold (strategies.hpp) leave unlogged speculative writes.
-  void restore_all(ThreadPool* pool = nullptr) {
-    assert(has_checkpoint());
-    const auto t0 = std::chrono::steady_clock::now();
-    copy_between(backup_.data(), data_.data(), data_.size(), pool);
-    const double ns = ns_since(t0);
-    stats_.restore_ns += ns;
-    WLP_OBS_COUNT("wlp.undo.restore_ns", static_cast<long>(ns));
-    clear_log();
   }
 
   /// O(workers): rewind every log; the segments stay allocated for reuse.
@@ -222,7 +187,7 @@ class VersionedArray {
   }
 
   /// Commit: drop the checkpoint.  The buffer is KEPT (pooled) so the next
-  /// strip's checkpoint() allocates nothing; memory_bytes() still counts it.
+  /// strip's checkpoint allocates nothing; memory_bytes() still counts it.
   void discard_checkpoint() noexcept { has_checkpoint_ = false; }
 
   /// Writes logged since the last clear_log(), across all workers (exact;
@@ -287,8 +252,25 @@ class VersionedArray {
     std::uint32_t idx;
     std::uint32_t iter;
   };
-  using Alloc = mem::ArenaAllocator<T>;
   using SegAlloc = mem::ArenaAllocator<Entry*>;
+
+  /// The backup's allocator: the arena allocator, except that a
+  /// no-argument construct default-initializes.  resize() then leaves the
+  /// elements as the arena handed them out (no stores at all for a
+  /// trivial T) instead of zero-filling a buffer the checkpoint copy
+  /// overwrites whole.
+  template <class U>
+  struct BackupAlloc : mem::ArenaAllocator<U> {
+    using mem::ArenaAllocator<U>::ArenaAllocator;
+    template <class V>
+    struct rebind {
+      using other = BackupAlloc<V>;
+    };
+    template <class V>
+    void construct(V* p) noexcept(std::is_nothrow_default_constructible_v<V>) {
+      ::new (static_cast<void*>(p)) V;
+    }
+  };
 
   /// One worker's log: arena segments filled front to back.  The open
   /// segment is segs[open - 1]; [pos, end) is its free tail.
@@ -299,12 +281,6 @@ class VersionedArray {
     std::size_t open = 0;
     std::vector<Entry*, SegAlloc> segs;
   };
-
-  static double ns_since(std::chrono::steady_clock::time_point t0) noexcept {
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  }
 
   /// Move a full (or never opened) log onto its next segment, allocating
   /// one only when no kept segment is left.
@@ -342,28 +318,10 @@ class VersionedArray {
     return undone;
   }
 
-  /// Chunked parallel copy src -> dst (n elements; raw pointers because the
-  /// backup vector and the data vector use different allocators).  memcpy
-  /// per chunk for trivially-copyable T; element assignment otherwise (the
-  /// fast path MUST NOT be taken for types with real copy semantics).
-  void copy_between(const T* src, T* dst, std::size_t n, ThreadPool* pool) {
-    constexpr std::size_t kChunk = 1 << 15;  // elements per claimed chunk
-    if (pool == nullptr || n <= kChunk) {
-      copy_span(src, dst, 0, n);
-      return;
-    }
-    const long nchunks = static_cast<long>((n + kChunk - 1) / kChunk);
-    DoallOptions opts;
-    opts.sched = Sched::kStaticBlock;
-    doall(
-        *pool, 0, nchunks,
-        [&](long c, unsigned) {
-          const std::size_t b = static_cast<std::size_t>(c) * kChunk;
-          copy_span(src, dst, b, std::min(b + kChunk, n));
-        },
-        opts);
-  }
-
+  /// Copy [b, e) src -> dst: memcpy for trivially-copyable T, element
+  /// assignment otherwise (the fast path MUST NOT be taken for types with
+  /// real copy semantics).  Raw pointers because the backup vector and the
+  /// data vector use different allocators.
   void copy_span(const T* src, T* dst, std::size_t b, std::size_t e) noexcept {
     if constexpr (std::is_trivially_copyable_v<T>) {
       if (e > b) std::memcpy(dst + b, src + b, (e - b) * sizeof(T));
@@ -373,7 +331,8 @@ class VersionedArray {
   }
 
   std::vector<T> data_;
-  std::vector<T, Alloc> backup_;  ///< arena-pooled (recycled across arrays)
+  /// Arena-pooled (recycled across arrays); sized without a zero fill.
+  std::vector<T, BackupAlloc<T>> backup_;
   mem::Arena* arena_;             ///< the constructing thread's arena
   std::size_t seg_entries_;       ///< entries per log segment
   std::vector<Padded<Log>> logs_;  ///< one per worker, written only by it

@@ -7,7 +7,7 @@
 // counter is *begun* after the QUIT lands; iterations already in flight may
 // complete (that is exactly the overshoot the undo machinery handles).
 //
-// Four schedules are provided:
+// Three schedules are provided:
 //   * kDynamic      — self-scheduled from a shared counter (iterations are
 //                     therefore *issued in order*, like the Alliant FX/80).
 //                     With `chunk` 0 (the default) each worker sizes its own
@@ -16,12 +16,6 @@
 //   * kStaticCyclic — iteration i goes to processor i mod p (General-2's
 //                     static assignment).
 //   * kStaticBlock  — contiguous blocks of u/p iterations per processor.
-//   * kGuided       — guided self-scheduling (Polychronopoulos & Kuck):
-//                     each grab claims max(remaining/p, chunk) iterations,
-//                     so contention on the shared counter decays
-//                     geometrically while the tail still load-balances at
-//                     `chunk` granularity.  Issue order stays monotone, so
-//                     QUIT semantics are identical to kDynamic.
 #pragma once
 
 #include <algorithm>
@@ -44,12 +38,12 @@ enum class IterAction {
                ///< iteration `i` is the last valid one
 };
 
-enum class Sched { kDynamic, kStaticCyclic, kStaticBlock, kGuided };
+enum class Sched { kDynamic, kStaticCyclic, kStaticBlock };
 
 struct DoallOptions {
   Sched sched = Sched::kDynamic;
   long chunk = 0;       ///< claim granularity for kDynamic (0 = self-sized
-                        ///< blocks); floor for kGuided (0 counts as 1)
+                        ///< blocks)
   bool use_quit = true; ///< honor the QUIT (false = machines without it:
                         ///< every iteration in [lo, u) executes, as in the
                         ///< unoptimized Induction-1 of Fig. 2)
@@ -84,7 +78,7 @@ struct QuitResult {
   long started = 0;  ///< iterations whose body actually ran in the parallel run
   long claims = 0;   ///< grabs against the shared counter (1 per worker for
                      ///< the static schedules) — the contention metric the
-                     ///< guided schedule exists to shrink
+                     ///< self-sized blocks exist to shrink
 };
 
 /// Target wall time of one self-sized claim block (kDynamic with chunk 0,
@@ -211,7 +205,6 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
                      local_started[vpn], local_trip[vpn]);
   };
 
-  const long chunk = opts.chunk > 0 ? opts.chunk : 1;
   switch (opts.sched) {
     case Sched::kDynamic:
       pool.parallel([&](unsigned vpn) {
@@ -226,22 +219,6 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
           const long end = std::min(base + take, u);
           if (!run(base, end, 1, vpn)) return;
           blk.ran(end - base);
-        }
-      });
-      break;
-    case Sched::kGuided:
-      pool.parallel([&](unsigned vpn) {
-        for (;;) {
-          long base = next->load(std::memory_order_relaxed);
-          long take;
-          do {
-            if (base >= u || cut(base)) return;
-            take = std::max(chunk, (u - base) / static_cast<long>(p));
-          } while (!next->compare_exchange_weak(base, base + take,
-                                                std::memory_order_relaxed));
-          ++local_claims[vpn];
-          WLP_TRACE_SCOPE("claim", base, take);
-          if (!run(base, std::min(base + take, u), 1, vpn)) return;
         }
       });
       break;
@@ -274,7 +251,7 @@ QuitResult doall_quit_impl(ThreadPool& pool, long lo, long u, Body&& body,
   r.started = local_started.reduce(0L, [](long a, long b) { return a + b; });
   r.claims = local_claims.reduce(0L, [](long a, long b) { return a + b; });
   // Aggregated once per DOALL (never per iteration): the claim-contention
-  // and overshoot figures the cost model's schedule choice is judged by.
+  // and overshoot figures the claim rule is judged by.
   WLP_OBS_COUNT("wlp.doall.runs", 1);
   WLP_OBS_COUNT("wlp.doall.claims", r.claims);
   WLP_OBS_COUNT("wlp.doall.started", r.started);

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "wlp/core/adaptive.hpp"
 
 namespace wlp {
@@ -93,65 +91,6 @@ TEST(LoopStatistics, MixedHistoryBalancesExpectation) {
   st.record(fail);
   st.record(fail);
   EXPECT_FALSE(st.should_speculate(pred));
-}
-
-TEST(LoopStatistics, IterCostCvNeedsTwoTimedRuns) {
-  LoopStatistics st;
-  ExecReport r;
-  r.trip = r.started = 1000;
-  EXPECT_DOUBLE_EQ(st.iter_cost_cv(), 0.0);
-  st.record_run(r, 1e-3);
-  EXPECT_DOUBLE_EQ(st.iter_cost_cv(), 0.0) << "one sample: assume uniform";
-  st.record_run(r, 1e-3);
-  EXPECT_NEAR(st.iter_cost_cv(), 0.0, 1e-9) << "identical runs: no variation";
-}
-
-TEST(LoopStatistics, IterCostCvTracksVariability) {
-  LoopStatistics st;
-  ExecReport r;
-  r.trip = r.started = 1000;
-  // Per-iteration costs 1us, 1us, 4us: mean 2us, stddev ~1.73us, cv ~0.87.
-  st.record_run(r, 1e-3);
-  st.record_run(r, 1e-3);
-  st.record_run(r, 4e-3);
-  EXPECT_NEAR(st.iter_cost_cv(), std::sqrt(3.0) / 2.0, 1e-9);
-  // Degenerate inputs never poison the estimate.
-  st.record_run(r, 0.0);
-  ExecReport empty;
-  st.record_run(empty, 1e-3);
-  EXPECT_NEAR(st.iter_cost_cv(), std::sqrt(3.0) / 2.0, 1e-9);
-}
-
-TEST(LoopStatistics, ObservedScheduleFollowsMeasurements) {
-  // A site whose measured bodies are wildly irregular must get the
-  // fine-grain dynamic schedule even though its trip is long and uniform
-  // cost would have picked guided.
-  LoopStatistics st;
-  ExecReport r;
-  r.trip = r.started = 100000;
-  st.record_run(r, 1e-2);
-  st.record_run(r, 1e-2);
-  st.record_run(r, 9e-2);
-  ASSERT_GT(st.iter_cost_cv(), 1.0);
-  const DoallOptions o = st.observed_schedule(100000, 8);
-  EXPECT_EQ(o.sched, Sched::kDynamic);
-  EXPECT_EQ(o.chunk, 1);
-
-  // The same trips timed uniformly pick the low-overhead guided schedule.
-  LoopStatistics uniform;
-  uniform.record_run(r, 1e-2);
-  uniform.record_run(r, 1e-2);
-  const DoallOptions u = uniform.observed_schedule(100000, 8);
-  EXPECT_EQ(u.sched, Sched::kGuided);
-}
-
-TEST(LoopStatistics, ObservedScheduleUsesEstimatedTrip) {
-  // Short observed trips against a huge static bound: the schedule must be
-  // sized for the trips the site actually exhibits.
-  LoopStatistics st;
-  for (int k = 0; k < 5; ++k) st.record_trip(6);
-  const DoallOptions o = st.observed_schedule(1 << 20, 8);
-  EXPECT_EQ(o.sched, Sched::kStaticCyclic);
 }
 
 TEST(ExpectedSpeculativeSpeedup, BlendsHistoryIntoThePrediction) {

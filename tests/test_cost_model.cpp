@@ -120,33 +120,6 @@ TEST(BranchStats, EmptyStats) {
   EXPECT_DOUBLE_EQ(b.exit_probability(), 0.0);
 }
 
-TEST(ChooseSchedule, ShortTripPicksStaticCyclic) {
-  const DoallOptions o = choose_schedule(1 << 20, /*expected_trip=*/6,
-                                         /*iter_cost_cv=*/0.0, /*p=*/8);
-  EXPECT_EQ(o.sched, Sched::kStaticCyclic);
-}
-
-TEST(ChooseSchedule, IrregularBodiesPickFineGrainDynamic) {
-  const DoallOptions o = choose_schedule(100000, 100000, /*iter_cost_cv=*/1.5, 8);
-  EXPECT_EQ(o.sched, Sched::kDynamic);
-  EXPECT_EQ(o.chunk, 1);
-}
-
-TEST(ChooseSchedule, EarlyExitAvoidsGuidedOvershoot) {
-  // Exit expected at 1% of the bound: guided's first grab (~u/p) would be
-  // almost pure overshoot.
-  const DoallOptions o = choose_schedule(100000, 1000, 0.0, 8);
-  EXPECT_EQ(o.sched, Sched::kDynamic);
-  EXPECT_GT(o.chunk, 1);
-  EXPECT_LT(o.chunk, 1000);
-}
-
-TEST(ChooseSchedule, LongUniformLoopPicksGuided) {
-  const DoallOptions o = choose_schedule(100000, /*expected_trip=*/0, 0.0, 8);
-  EXPECT_EQ(o.sched, Sched::kGuided);
-  EXPECT_GE(o.chunk, 1);
-}
-
 TEST(ObservedOverheads, BuildsProfileFromMeasuredMarks) {
   const OverheadProfile o =
       observed_overheads(/*marks_per_iteration=*/2.5, /*expected_trip=*/1000,
@@ -158,14 +131,6 @@ TEST(ObservedOverheads, BuildsProfileFromMeasuredMarks) {
   // Degenerate inputs clamp to zero instead of going negative.
   EXPECT_EQ(observed_overheads(-1.0, 1000, true, true).accesses, 0);
   EXPECT_EQ(observed_overheads(2.0, -5, true, true).accesses, 0);
-}
-
-TEST(ChooseSchedule, GuidedChunkScalesWithTrip) {
-  const DoallOptions small = choose_schedule(10000, 10000, 0.0, 4);
-  const DoallOptions large = choose_schedule(1000000, 1000000, 0.0, 4);
-  EXPECT_EQ(small.sched, Sched::kGuided);
-  EXPECT_EQ(large.sched, Sched::kGuided);
-  EXPECT_GT(large.chunk, small.chunk);
 }
 
 }  // namespace

@@ -33,8 +33,6 @@ std::string sched_case_name(const DoallSchedCase& c) {
       return "cyclic";
     case Sched::kStaticBlock:
       return "block";
-    case Sched::kGuided:
-      return "guided" + std::to_string(c.chunk);
   }
   std::abort();
 }
@@ -87,22 +85,14 @@ struct ClaimedBlock {
 };
 
 // The blocks `opts` claims over [0, n) on p workers when they do not depend
-// on timing: fixed kDynamic chunks, kGuided's max(chunk, remaining/p) grabs,
-// and each worker's whole share under the static schedules.  Empty for the
-// self-sized kDynamic default.
+// on timing: fixed kDynamic chunks and each worker's whole share under the
+// static schedules.  Empty for the self-sized kDynamic default.
 std::vector<ClaimedBlock> claimed_blocks(const DoallOptions& opts, long n, long p) {
   std::vector<ClaimedBlock> out;
-  const long chunk = std::max(opts.chunk, 1L);
   switch (opts.sched) {
     case Sched::kDynamic:
-      if (opts.chunk > 0)
-        for (long b = 0; b < n; b += chunk) out.push_back({b, std::min(b + chunk, n) - 1, 1});
-      break;
-    case Sched::kGuided:
-      for (long b = 0, take = 0; b < n; b += take) {
-        take = std::max(chunk, (n - b) / p);
-        out.push_back({b, std::min(b + take, n) - 1, 1});
-      }
+      for (long b = 0; opts.chunk > 0 && b < n; b += opts.chunk)
+        out.push_back({b, std::min(b + opts.chunk, n) - 1, 1});
       break;
     case Sched::kStaticBlock:
       for (long b = 0, blk = (n + p - 1) / p; b < n; b += blk)
@@ -186,71 +176,8 @@ INSTANTIATE_TEST_SUITE_P(
         DoallSchedCase{static_cast<std::int64_t>(Sched::kDynamic), 1, 4},
         DoallSchedCase{static_cast<std::int64_t>(Sched::kDynamic), 16, 4},
         DoallSchedCase{static_cast<std::int64_t>(Sched::kStaticCyclic), 1, 4},
-        DoallSchedCase{static_cast<std::int64_t>(Sched::kStaticBlock), 1, 4},
-        DoallSchedCase{static_cast<std::int64_t>(Sched::kGuided), 1, 4},
-        DoallSchedCase{static_cast<std::int64_t>(Sched::kGuided), 8, 4}),
+        DoallSchedCase{static_cast<std::int64_t>(Sched::kStaticBlock), 1, 4}),
     [](const auto& info) { return sched_case_name(info.param); });
-
-// Guided self-scheduling must deliver identical semantics to kDynamic (the
-// parameterized suite above covers trip/coverage/QUIT) while touching the
-// shared iteration counter geometrically fewer times.
-TEST(DoallGuided, ClaimsFarFewerChunksThanDynamic) {
-  ThreadPool pool(4);
-  const long n = 20000;
-  auto count_claims = [&](Sched sched) {
-    DoallOptions opts;
-    opts.sched = sched;
-    opts.chunk = 1;
-    const QuitResult qr = doall_quit(
-        pool, 0, n, [](long, unsigned) { return IterAction::kContinue; }, opts);
-    EXPECT_EQ(qr.trip, n);
-    EXPECT_EQ(qr.started, n);
-    return qr.claims;
-  };
-  const long dynamic_claims = count_claims(Sched::kDynamic);
-  const long guided_claims = count_claims(Sched::kGuided);
-  EXPECT_EQ(dynamic_claims, n);  // chunk 1: one claim per iteration
-  EXPECT_GT(guided_claims, 0);
-  // Guided claim count is O(p log(n/p)) — orders of magnitude below n.
-  EXPECT_LT(guided_claims, n / 20);
-}
-
-TEST(DoallGuided, ChunkFloorBoundsClaimSize) {
-  ThreadPool pool(4);
-  const long n = 1000;
-  DoallOptions opts;
-  opts.sched = Sched::kGuided;
-  opts.chunk = 64;  // floor: tail grabs never shrink below this
-  std::atomic<long> ran{0};
-  const QuitResult qr = doall_quit(
-      pool, 0, n,
-      [&](long, unsigned) {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        return IterAction::kContinue;
-      },
-      opts);
-  EXPECT_EQ(qr.trip, n);
-  EXPECT_EQ(ran.load(), n);
-  // With a floor of 64, at most ceil(1000/64) + p claims can happen.
-  EXPECT_LE(qr.claims, n / 64 + 1 + 4);
-}
-
-TEST(DoallGuided, QuitCutsOvershootMidChunk) {
-  ThreadPool pool(4);
-  const long n = 100000;
-  DoallOptions opts;
-  opts.sched = Sched::kGuided;
-  const QuitResult qr = doall_quit(
-      pool, 0, n,
-      [](long i, unsigned) {
-        return i == 10 ? IterAction::kExit : IterAction::kContinue;
-      },
-      opts);
-  EXPECT_EQ(qr.trip, 10);
-  // The first grabs are ~n/p iterations, but the in-chunk cut must stop
-  // them soon after the QUIT lands — the whole range must not execute.
-  EXPECT_LT(qr.started, n / 2);
-}
 
 /// A few nanoseconds of work the optimizer cannot elide (xorshift step).
 std::uint64_t tiny_work(std::uint64_t x) {

@@ -24,36 +24,6 @@ TEST(StripMined, TripExactAndOvershootBoundedByStrip) {
   EXPECT_LE(r.started, ((exit_at / strip) + 1) * strip);
 }
 
-TEST(StripMinedTuned, CostModelScheduleRecoversExactTrip) {
-  ThreadPool pool(4);
-  const long u = 10000, strip = 512, exit_at = 4321;
-  std::vector<std::atomic<int>> hit(u);
-  const ExecReport r = strip_mined_while_tuned(
-      pool, u, strip, /*expected_trip=*/4000.0, /*iter_cost_cv=*/0.0,
-      [&](long i, unsigned) {
-        hit[static_cast<std::size_t>(i)].fetch_add(1);
-        return i == exit_at ? IterAction::kExit : IterAction::kContinue;
-      });
-  EXPECT_EQ(r.trip, exit_at);
-  for (long i = 0; i < exit_at; ++i)
-    ASSERT_EQ(hit[static_cast<std::size_t>(i)].load(), 1) << i;
-  for (long i = 0; i < u; ++i) ASSERT_LE(hit[static_cast<std::size_t>(i)].load(), 1);
-  EXPECT_LE(r.overshot, strip);
-}
-
-TEST(StripMinedTuned, UnknownTripStillCorrect) {
-  ThreadPool pool(4);
-  std::atomic<long> runs{0};
-  const ExecReport r = strip_mined_while_tuned(
-      pool, 2000, 256, /*expected_trip=*/0.0, /*iter_cost_cv=*/2.0,
-      [&](long, unsigned) {
-        runs.fetch_add(1);
-        return IterAction::kContinue;
-      });
-  EXPECT_EQ(r.trip, 2000);
-  EXPECT_EQ(runs.load(), 2000);
-}
-
 TEST(StripMined, NoExitRunsAllStrips) {
   ThreadPool pool(4);
   std::atomic<long> runs{0};
@@ -84,32 +54,44 @@ TEST(StampThreshold, FromEstimateScalesByConfidence) {
 TEST(StatsEnhanced, GoodEstimateUndoesOnlyStampedTail) {
   ThreadPool pool(4);
   const long n = 2000, exit_at = 1900;
-  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
-                        pool.size(), false);
-  SpecTarget* targets[] = {&arr};
   const StampThreshold thr = StampThreshold::from_estimate(exit_at, 0.9);  // 1710
 
-  // RV shape: the work (and its write) happens BEFORE the error is
-  // detected, so overshot iterations really do write — and must be undone
-  // through their stamps.
-  const ExecReport r = stats_enhanced_while(
-      pool, n, thr, std::span<SpecTarget* const>(targets, 1),
-      [&](long i, unsigned vpn, bool stamped) {
-        arr.begin_iteration(vpn, i);
-        if (stamped) {
-          arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
-        } else {
-          arr.data()[static_cast<std::size_t>(i)] = 1.0;  // unstamped fast path
-        }
-        return i == exit_at ? IterAction::kExitAfter : IterAction::kContinue;
-      },
-      [&] { return exit_at + 1; });
+  // With the QUIT this is Induction-2; without it every iteration in
+  // [0, n) runs (Induction-1), and the stamped tail still undoes them all.
+  for (const bool use_quit : {true, false}) {
+    SCOPED_TRACE(use_quit ? "QUIT" : "no QUIT");
+    SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
+                          pool.size(), false);
+    SpecTarget* targets[] = {&arr};
+    SpecOptions opts;
+    opts.doall.use_quit = use_quit;
 
-  EXPECT_FALSE(r.reexecuted_sequentially);
-  EXPECT_EQ(r.trip, exit_at + 1);
-  EXPECT_EQ(r.undone_writes, r.overshot);  // every overshot write undone
-  for (long i = 0; i < n; ++i)
-    EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], i <= exit_at ? 1.0 : 0.0) << i;
+    // RV shape: the work (and its write) happens BEFORE the error is
+    // detected, so overshot iterations really do write — and must be undone
+    // through their stamps.
+    const ExecReport r = stats_enhanced_while(
+        pool, n, thr, std::span<SpecTarget* const>(targets, 1),
+        [&](long i, unsigned vpn, bool stamped) {
+          arr.begin_iteration(vpn, i);
+          if (stamped) {
+            arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
+          } else {
+            arr.data()[static_cast<std::size_t>(i)] = 1.0;  // unstamped fast path
+          }
+          return i == exit_at ? IterAction::kExitAfter : IterAction::kContinue;
+        },
+        [&] { return exit_at + 1; }, opts);
+
+    EXPECT_EQ(r.method, use_quit ? Method::kInduction2 : Method::kInduction1);
+    EXPECT_FALSE(r.reexecuted_sequentially);
+    EXPECT_EQ(r.trip, exit_at + 1);
+    if (!use_quit) {
+      EXPECT_EQ(r.started, n);
+    }
+    EXPECT_EQ(r.undone_writes, r.overshot);  // every overshot write undone
+    for (long i = 0; i < n; ++i)
+      EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], i <= exit_at ? 1.0 : 0.0) << i;
+  }
 }
 
 TEST(StatsEnhanced, BadEstimateFallsBackToSequential) {

@@ -256,7 +256,7 @@ struct TailWalkCase {
 
 std::string tail_walk_name(const TailWalkCase& c) {
   static const char* const kDrivers[] = {"loop", "strip", "window"};
-  static const char* const kScheds[] = {"dynamic", "cyclic", "block", "guided"};
+  static const char* const kScheds[] = {"dynamic", "cyclic", "block"};
   return std::string(kDrivers[static_cast<int>(c.driver)]) + "_" +
          kScheds[c.sched] + std::to_string(c.chunk);
 }
@@ -333,7 +333,6 @@ TEST_P(TxnTailWalk, StateMatchesSequentialAndUndoneMatchesOracle) {
     case Driver::kWindow: {
       WindowOptions opts;
       opts.window = 64;
-      opts.sched = sched;
       r = sliding_window_speculative_while(pool, n, members, body, seq_all,
                                            opts)
               .exec;
@@ -367,13 +366,10 @@ INSTANTIATE_TEST_SUITE_P(
         TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticCyclic), 16},
         TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticBlock), 1},
         TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticBlock), 16},
-        TailWalkCase{Driver::kLoop, sched_id(Sched::kGuided), 1},
-        TailWalkCase{Driver::kLoop, sched_id(Sched::kGuided), 16},
         TailWalkCase{Driver::kStrip, sched_id(Sched::kDynamic), 0},
         TailWalkCase{Driver::kStrip, sched_id(Sched::kDynamic), 1},
-        TailWalkCase{Driver::kStrip, sched_id(Sched::kGuided), 16},
-        TailWalkCase{Driver::kWindow, sched_id(Sched::kDynamic), 1},
-        TailWalkCase{Driver::kWindow, sched_id(Sched::kGuided), 1}),
+        TailWalkCase{Driver::kStrip, sched_id(Sched::kDynamic), 16},
+        TailWalkCase{Driver::kWindow, sched_id(Sched::kDynamic), 1}),
     [](const auto& info) { return tail_walk_name(info.param); });
 
 TEST(TxnAdaptive, PicksHashForSparseAndDenseForDenseTouches) {

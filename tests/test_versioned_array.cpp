@@ -14,14 +14,49 @@
 namespace wlp {
 namespace {
 
+// The array's only checkpoint/undo/restore path is its transaction hooks
+// (SpecTransaction runs them as fused parallel passes).  These helpers run
+// them over the whole array on the calling thread.
+template <class T>
+void checkpoint(VersionedArray<T>& a) {
+  a.txn_checkpoint_span(0, a.txn_checkpoint_begin());
+}
+
+template <class T>
+long undo_beyond(VersionedArray<T>& a, long trip) {
+  return a.txn_undo(trip, 0, a.size());
+}
+
+/// A full restore, then the spent logs dropped (txn_restore_all_done).
+template <class T>
+void restore_all(VersionedArray<T>& a) {
+  a.txn_restore_all_span(0, a.size());
+  a.clear_log();
+}
+
+/// The undo as the transaction runs it: one index-stripe walk per worker,
+/// in parallel.
+template <class T>
+long undo_in_stripes(VersionedArray<T>& a, long trip, ThreadPool& pool) {
+  const std::size_t n = a.size(), k = pool.size();
+  std::vector<long> part(k, 0);
+  doall(pool, 0, static_cast<long>(k), [&](long s, unsigned) {
+    const auto u = static_cast<std::size_t>(s);
+    part[u] = a.txn_undo(trip, n * u / k, n * (u + 1) / k);
+  });
+  long undone = 0;
+  for (const long x : part) undone += x;
+  return undone;
+}
+
 TEST(VersionedArray, UndoRestoresExactlyOvershotWrites) {
   VersionedArray<int> a(std::vector<int>(10, 0), 1);
-  a.checkpoint();
+  checkpoint(a);
   a.write(0, 1, 2, 100);  // valid (trip will be 5)
   a.write(0, 4, 3, 200);  // valid
   a.write(0, 5, 4, 300);  // overshot
   a.write(0, 9, 5, 400);  // overshot
-  const long undone = a.undo_beyond(5);
+  const long undone = undo_beyond(a, 5);
   EXPECT_EQ(undone, 2);
   EXPECT_EQ(a.get(2), 100);
   EXPECT_EQ(a.get(3), 200);
@@ -34,11 +69,11 @@ TEST(VersionedArray, ParallelUndoMatchesSequential) {
   const long n = 10000, trip = 6000;
   VersionedArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1),
                          pool.size());
-  a.checkpoint();
+  checkpoint(a);
   doall(pool, 0, n, [&](long i, unsigned vpn) {
     a.write(vpn, i, static_cast<std::size_t>(i), i * 10);
   });
-  const long undone = a.undo_beyond(trip);
+  const long undone = undo_in_stripes(a, trip, pool);
   EXPECT_EQ(undone, n - trip);
   for (long i = 0; i < n; ++i)
     EXPECT_EQ(a.get(static_cast<std::size_t>(i)), i < trip ? i * 10 : -1) << i;
@@ -46,16 +81,16 @@ TEST(VersionedArray, ParallelUndoMatchesSequential) {
 
 TEST(VersionedArray, RestoreAllAfterFailedSpeculation) {
   VersionedArray<double> a(std::vector<double>{1.0, 2.0, 3.0}, 1);
-  a.checkpoint();
+  checkpoint(a);
   a.write(0, 0, 0, 9.0);
   a.write(0, 1, 1, 9.0);
   a.write_raw(2, 9.0);  // below a stamping threshold: never logged
-  a.restore_all();
+  restore_all(a);
   EXPECT_EQ(a.get(0), 1.0);
   EXPECT_EQ(a.get(1), 2.0);
   EXPECT_EQ(a.get(2), 3.0);  // the full copy takes unlogged writes back too
   // Logs cleared: nothing left to undo.
-  EXPECT_EQ(a.undo_beyond(0), 0);
+  EXPECT_EQ(undo_beyond(a, 0), 0);
 }
 
 TEST(VersionedArray, StampKeepsMaximumWriter) {
@@ -63,27 +98,27 @@ TEST(VersionedArray, StampKeepsMaximumWriter) {
   // every worker's log: a lower iteration writing later on another worker
   // (a parallel interleaving) does not save it from the undo.
   VersionedArray<int> a(std::vector<int>(4, 0), 2);
-  a.checkpoint();
+  checkpoint(a);
   a.write(1, 7, 1, 70);
   a.write(0, 3, 1, 30);
   // Undo at trip 5: writer 7 >= 5 -> restored to the checkpoint value.
-  EXPECT_EQ(a.undo_beyond(5), 1);
+  EXPECT_EQ(undo_beyond(a, 5), 1);
   EXPECT_EQ(a.get(1), 0);
 }
 
 TEST(VersionedArray, WriteRawBypassesStamps) {
   VersionedArray<int> a(std::vector<int>(3, 5), 1);
-  a.checkpoint();
+  checkpoint(a);
   a.write_raw(0, 9);
   EXPECT_EQ(a.logged_writes(), 0u);
-  EXPECT_EQ(a.undo_beyond(0), 0);  // raw writes are never undone
+  EXPECT_EQ(undo_beyond(a, 0), 0);  // raw writes are never undone
   EXPECT_EQ(a.get(0), 9);
 }
 
 TEST(VersionedArray, UndoWithNoWritesIsNoop) {
   VersionedArray<int> a(std::vector<int>(100, 1), 1);
-  a.checkpoint();
-  EXPECT_EQ(a.undo_beyond(0), 0);
+  checkpoint(a);
+  EXPECT_EQ(undo_beyond(a, 0), 0);
 }
 
 TEST(VersionedArray, DataEscapeHatchAliasesStorage) {
@@ -96,13 +131,13 @@ TEST(VersionedArray, EntriesKeepThe32BitIterationLimit) {
   static_assert(VersionedArray<int>::kMaxIter == 0xfffffffeL);
   static_assert(VersionedArray<int>::kMaxIndex == 0xfffffffeu);
   VersionedArray<int> a(std::vector<int>(8, 0), 1);
-  a.checkpoint();
+  checkpoint(a);
   a.write(0, 5, 2, 1);
   a.write(0, VersionedArray<int>::kMaxIter, 3, 1);
   // The largest iteration survives the round trip through 32 bits.
-  EXPECT_EQ(a.undo_beyond(VersionedArray<int>::kMaxIter + 1), 0);
+  EXPECT_EQ(undo_beyond(a, VersionedArray<int>::kMaxIter + 1), 0);
   EXPECT_EQ(a.get(3), 1);
-  EXPECT_EQ(a.undo_beyond(VersionedArray<int>::kMaxIter), 1);
+  EXPECT_EQ(undo_beyond(a, VersionedArray<int>::kMaxIter), 1);
   EXPECT_EQ(a.get(3), 0);
   EXPECT_EQ(a.get(2), 1);
 }
@@ -133,7 +168,7 @@ TEST(VersionedArray, NonTriviallyCopyableTakesElementCopyPath) {
   for (long i = 0; i < n; ++i) a.data()[static_cast<std::size_t>(i)].v = i;
 
   Tracked::copies = 0;
-  a.checkpoint();
+  checkpoint(a);
   // A memcpy checkpoint could not have bumped the counter: exactly one
   // element copy per location proves the element path ran.
   EXPECT_EQ(Tracked::copies, n);
@@ -141,12 +176,12 @@ TEST(VersionedArray, NonTriviallyCopyableTakesElementCopyPath) {
   for (long i = 0; i < n; ++i)
     a.write(0, i, static_cast<std::size_t>(i), Tracked(i + 1000));
   Tracked::copies = 0;
-  EXPECT_EQ(a.undo_beyond(120), n - 120);
+  EXPECT_EQ(undo_beyond(a, 120), n - 120);
   EXPECT_EQ(Tracked::copies, n - 120);  // one copy per restored element
   for (long i = 0; i < n; ++i)
     EXPECT_EQ(a.get(static_cast<std::size_t>(i)).v, i < 120 ? i + 1000 : i) << i;
 
-  a.restore_all();
+  restore_all(a);
   for (long i = 0; i < n; ++i)
     EXPECT_EQ(a.get(static_cast<std::size_t>(i)).v, i) << i;
 }
@@ -155,15 +190,15 @@ TEST(VersionedArray, ConcurrentAppendsUndoOvershotCollision) {
   // Every worker appends to its own log while the others do; two overshot
   // iterations on different workers write ONE index (a pattern the
   // trip-filtered PD test accepts, since both are past the trip).  That
-  // index then sits in two logs, and the array's single undo walk restores
-  // it from one thread.  (Run under TSan in CI via the VersionedArray*
-  // filter; the handshake orders the two data stores.)
+  // index then sits in two logs, and only the undo stripe that holds it
+  // restores it, from one thread.  (Run under TSan in CI via the
+  // VersionedArray* filter; the handshake orders the two data stores.)
   ThreadPool pool(4);
   const long n = 1 << 14, trip = 9000;
   const long late = n - 6, later = n - 1;  // workers 2 and 3 under cyclic
   VersionedArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1),
                          pool.size());
-  a.checkpoint(&pool);
+  checkpoint(a);
   std::atomic<bool> late_done{false};
   DoallOptions opts;
   opts.sched = Sched::kStaticCyclic;
@@ -178,7 +213,7 @@ TEST(VersionedArray, ConcurrentAppendsUndoOvershotCollision) {
   }, opts);
   EXPECT_EQ(a.logged_writes(), static_cast<std::size_t>(n));
   // Test-local oracle: one entry per write by an iteration >= trip.
-  EXPECT_EQ(a.undo_beyond(trip), n - trip);
+  EXPECT_EQ(undo_in_stripes(a, trip, pool), n - trip);
   for (long i = 0; i < n; ++i)
     ASSERT_EQ(a.get(static_cast<std::size_t>(i)), i < trip ? i * 3 : -1) << i;
 }
@@ -187,10 +222,10 @@ TEST(VersionedArray, ClearLogKeepsSegmentsForWarmRetries) {
   const long n = 4096;
   VersionedArray<int> a(std::vector<int>(static_cast<std::size_t>(n), 0), 1);
   for (int round = 0; round < 100; ++round) {
-    a.checkpoint();
+    checkpoint(a);
     a.write(0, 7, 100, round);
     a.write(0, 9, 2100, round);
-    ASSERT_EQ(a.undo_beyond(8), 1) << round;
+    ASSERT_EQ(undo_beyond(a, 8), 1) << round;
     ASSERT_EQ(a.get(2100), 0) << round;
     ASSERT_EQ(a.get(100), round) << round;
     a.data()[100] = 0;  // reset for the next round
@@ -208,14 +243,14 @@ TEST(VersionedArray, SegmentsAreSizedByTheArrayAndChain) {
   // segment chain into the next, and the tail walk crosses the boundary.
   const std::size_t n = 16;
   VersionedArray<int> a(std::vector<int>(n, 0), 1);
-  a.checkpoint();
+  checkpoint(a);
   for (long i = 0; i < 40; ++i)
     a.write(0, i, static_cast<std::size_t>(i) % n, static_cast<int>(i + 1));
   EXPECT_EQ(a.stats().segments, 3);  // 40 entries in segments of 16
   EXPECT_EQ(a.logged_writes(), 40u);
   // Iterations 30..39 span the last two segments and wrote indices 14, 15
   // and 0..7; indices 8..13 keep their last write, by iteration i + 16.
-  EXPECT_EQ(a.undo_beyond(30), 10);
+  EXPECT_EQ(undo_beyond(a, 30), 10);
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(a.get(i), i >= 8 && i <= 13 ? static_cast<int>(i + 17) : 0) << i;
 }
@@ -227,7 +262,7 @@ TEST(VersionedArray, MemoryBytesCountsDataBackupAndLog) {
   VA a(std::vector<long>(n, 0), workers);
   const std::size_t before = a.memory_bytes();
   EXPECT_EQ(before, n * sizeof(long));  // data only: no backup, no log yet
-  a.checkpoint();
+  checkpoint(a);
   const std::size_t with_backup = a.memory_bytes();
   EXPECT_EQ(with_backup, before + n * sizeof(long));  // + backup
   // Each element written once, split across two workers: 12 291 and 12 290
@@ -263,7 +298,7 @@ TEST(VersionedArray, FusedUndoMatchesPerElementReference) {
   VersionedArray<long> fused(std::vector<long>(n, -7), workers);
   std::vector<long> ref(n, -7);
   std::vector<long> max_writer(n, -1);
-  fused.checkpoint();
+  checkpoint(fused);
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
   for (long iter = 0; iter < 2000; ++iter) {
     x ^= x << 13;
@@ -278,7 +313,7 @@ TEST(VersionedArray, FusedUndoMatchesPerElementReference) {
   for (std::size_t i = 0; i < n; ++i)
     if (max_writer[i] >= trip) ref[i] = -7;
   // One entry per write: iterations trip..1999 wrote once each.
-  EXPECT_EQ(fused.undo_beyond(trip), 2000 - trip);
+  EXPECT_EQ(undo_beyond(fused, trip), 2000 - trip);
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(fused.get(i), ref[i]) << i;
 }

@@ -220,9 +220,10 @@ TEST(WindowReexec, OvershotRecomputedAfterSequentialFallback) {
 // ---- regression: peak missed the post-claim growth ------------------------
 
 TEST(WindowPeak, PostClaimGrowthObserved) {
-  // Guided claiming on one worker issues the WHOLE range in a single claim
-  // before any body runs, so every byte the bodies pin afterwards is
-  // invisible to the in-claim polls: only the post-join poll can see it.
+  // One worker claims one iteration at a time, and each claim polls the
+  // footprint before that iteration's body runs: the last poll inside a
+  // claim sees (u - 1) bodies' growth.  The last body's 64 bytes come after
+  // the last claim, so only the post-join poll can report the full peak.
   ThreadPool pool(1);
   const long u = 256;
   std::atomic<std::size_t> live{0};
@@ -230,7 +231,6 @@ TEST(WindowPeak, PostClaimGrowthObserved) {
   opts.window = 1024;
   opts.max_window = 4096;
   opts.memory_budget = 1u << 30;
-  opts.sched = Sched::kGuided;
   opts.live_bytes = [&] { return live.load(std::memory_order_relaxed); };
 
   const WindowReport wr = sliding_window_while(
@@ -242,7 +242,7 @@ TEST(WindowPeak, PostClaimGrowthObserved) {
       opts);
 
   EXPECT_EQ(wr.exec.trip, u);
-  EXPECT_EQ(wr.claims, 1);  // the whole range went out in one guided claim
+  EXPECT_EQ(wr.claims, u);
   EXPECT_EQ(wr.peak_stamp_bytes, static_cast<std::size_t>(u) * 64);
   EXPECT_EQ(wr.exec.peak_spec_bytes, wr.peak_stamp_bytes);
 }
