@@ -9,9 +9,9 @@
 //
 //   1. Construction leg — a new consumer's blocks now come from the arena
 //      free lists instead of fresh OS memory.  Measured as the
-//      allocate+touch+free pair: arena recycle (pages stay resident and
-//      placed) vs operator new (glibc returns >= 128 KiB blocks to the OS
-//      on free, so every rebirth refaults its pages).  The arena must not
+//      allocate+touch+free pair: arena recycle (pages stay resident) vs
+//      operator new (glibc returns >= 128 KiB blocks to the OS on free, so
+//      every rebirth refaults its pages).  The arena must not
 //      lose at any size and must win outright in the mmap regime
 //      (>= 256 KiB) — that is the `reuse_no_slower` flag, the "arena reuse
 //      no slower than the retired pools" CI gate read at the lifecycle
@@ -23,20 +23,14 @@
 //      The per-retry cost must also stay flat across shadow sizes (the
 //      epoch-bump reset is O(1)): the `retry_flat` flag.
 //
-// Two informational series round out the picture (printed + emitted, not
+// One informational series rounds out the picture (printed + emitted, not
 // gated): the raw arena pair vs the retired pools' cached-freelist pair at
 // chain-slot size (the arena pays one uncontended mutex the thread-local
-// pools skipped — tens of ns fronting multi-us block streams), and a
-// first-touch placement A/B (per-thread streaming bandwidth over
-// worker-arena blocks touched by their owner vs operator-new buffers
-// touched by the main thread).  The placement series only separates on
-// multi-node hosts; `node_count`/`placement_enabled` record the shape so
-// a single-node artifact is read as the degraded (parity) case.
+// pools skipped — tens of ns fronting multi-us block streams).
 //
 // Emits BENCH_mem.json (path overridable via argv[1]).  Plain chrono,
 // links wlp only.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <new>
@@ -46,7 +40,6 @@
 #include "wlp/core/shadow.hpp"
 #include "wlp/mem/arena.hpp"
 #include "wlp/mem/budget.hpp"
-#include "wlp/mem/topology.hpp"
 #include "wlp/sched/doacross.hpp"
 #include "wlp/sched/thread_pool.hpp"
 #include "wlp/support/stats.hpp"
@@ -169,83 +162,12 @@ RetryPoint shadow_retry_cost(int log2_n) {
   return pt;
 }
 
-struct PlacementPoint {
-  unsigned p = 0;
-  double arena_gbs = 0;   ///< blocks from each worker's arena, owner-touched
-  double malloc_gbs = 0;  ///< operator-new blocks, all touched by main
-};
-
-/// First-touch A/B: p threads each stream a private 4 MiB buffer.  The
-/// arena leg allocates AND first-touches from the streaming thread (pages
-/// land on its node); the malloc leg faults everything from the main
-/// thread first (pages land wherever main runs).  Only separates on
-/// multi-node hosts.
-PlacementPoint placement_bandwidth(unsigned p) {
-  PlacementPoint pt;
-  pt.p = p;
-  constexpr std::size_t kDoubles = (4u << 20) / sizeof(double);
-  constexpr std::size_t kBytes = kDoubles * sizeof(double);
-  constexpr int kStreams = 24;
-
-  const auto run = [&](bool arena_leg) {
-    std::vector<double*> main_bufs;
-    if (!arena_leg) {
-      for (unsigned t = 0; t < p; ++t) {
-        auto* b = static_cast<double*>(
-            ::operator new(kBytes, std::align_val_t(64)));
-        for (std::size_t i = 0; i < kDoubles; ++i) b[i] = 1.0;  // main touches
-        main_bufs.push_back(b);
-      }
-    }
-    std::atomic<unsigned> ready{0};
-    std::atomic<bool> go{false};
-    std::atomic<std::uint64_t> sink{0};
-    std::vector<std::thread> ts;
-    Clock::time_point t0;
-    for (unsigned t = 0; t < p; ++t) {
-      ts.emplace_back([&, t] {
-        double* buf;
-        if (arena_leg) {
-          buf = wlp::mem::worker_arena(t).allocate_array<double>(kDoubles);
-          for (std::size_t i = 0; i < kDoubles; ++i) buf[i] = 1.0;  // owner
-        } else {
-          buf = main_bufs[t];
-        }
-        ready.fetch_add(1);
-        while (!go.load(std::memory_order_acquire)) {
-        }
-        double acc = 0;
-        for (int s = 0; s < kStreams; ++s)
-          for (std::size_t i = 0; i < kDoubles; ++i) acc += buf[i];
-        sink.fetch_add(static_cast<std::uint64_t>(acc));
-        if (arena_leg)
-          wlp::mem::worker_arena(t).deallocate_array(buf, kDoubles);
-      });
-    }
-    while (ready.load() != p) {
-    }
-    t0 = Clock::now();
-    go.store(true, std::memory_order_release);
-    for (auto& th : ts) th.join();
-    const double secs = seconds_since(t0);
-    for (double* b : main_bufs) ::operator delete(b, std::align_val_t(64));
-    if (sink.load() == 42) std::printf("!");  // keep the reads alive
-    return static_cast<double>(kBytes) * kStreams * p / secs / 1e9;
-  };
-
-  pt.arena_gbs = run(true);
-  pt.malloc_gbs = run(false);
-  return pt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_mem.json";
-  const wlp::mem::Topology& topo = wlp::mem::Topology::process();
-  std::printf("== wlp::mem microbench (nodes=%u cpus=%u placement=%s) ==\n",
-              topo.node_count(), topo.cpu_count(),
-              wlp::mem::numa_placement_enabled() ? "on" : "off");
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  std::printf("== wlp::mem microbench ==\n");
 
   // ---- 1. construction leg: recycle vs allocator churn ---------------------
   std::printf("\n== allocate+touch+free pair (us; min of %d) ==\n", kReps);
@@ -299,18 +221,6 @@ int main(int argc, char** argv) {
                 retries.back().us_per_retry);
   }
 
-  // ---- 4. placement A/B ----------------------------------------------------
-  std::printf("\n== first-touch placement A/B (aggregate GB/s) ==\n");
-  std::vector<PlacementPoint> placement;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  for (unsigned p : {1u, 2u, 4u, 8u}) {
-    if (p > 2 * hw) break;
-    placement.push_back(placement_bandwidth(p));
-    const PlacementPoint& pt = placement.back();
-    std::printf("  p=%u  owner-touched arena %7.2f  main-touched malloc %7.2f\n",
-                pt.p, pt.arena_gbs, pt.malloc_gbs);
-  }
-
   // ---- machine-checkable flags ---------------------------------------------
   // reuse_no_slower: the lifecycle gate — a 1.10 band everywhere (identical
   // warm-memory work, runner jitter only).  The outright-win flag is pinned
@@ -338,9 +248,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"micro_mem\",\n");
   std::fprintf(f, "  \"host_hw_concurrency\": %u,\n", hw);
-  std::fprintf(f, "  \"node_count\": %u,\n", topo.node_count());
-  std::fprintf(f, "  \"placement_enabled\": %s,\n",
-               wlp::mem::numa_placement_enabled() ? "true" : "false");
   std::fprintf(f, "  \"reuse\": {\n");
   std::fprintf(f, "    \"method\": \"allocate+touch(1B/page)+free pair, min of %d reps; arena recycles one warm block, malloc goes through operator new each rep (glibc returns >=128 KiB to the OS on free)\",\n",
                kReps);
@@ -366,16 +273,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "      {\"log2_n\": %d, \"us_per_retry\": %.4f}%s\n",
                  retries[i].log2_n, retries[i].us_per_retry,
                  i + 1 < retries.size() ? "," : "");
-  std::fprintf(f, "    ]\n  },\n");
-  std::fprintf(f, "  \"placement\": {\n");
-  std::fprintf(f, "    \"method\": \"p threads each stream a private 4 MiB buffer 24x; arena leg allocated+first-touched by the streaming thread, malloc leg faulted by main; separates only on multi-node hosts\",\n");
-  std::fprintf(f, "    \"series\": [\n");
-  for (std::size_t i = 0; i < placement.size(); ++i)
-    std::fprintf(f,
-                 "      {\"p\": %u, \"arena_gbs\": %.2f, \"malloc_gbs\": "
-                 "%.2f}%s\n",
-                 placement[i].p, placement[i].arena_gbs,
-                 placement[i].malloc_gbs, i + 1 < placement.size() ? "," : "");
   std::fprintf(f, "    ]\n  },\n");
   std::fprintf(f, "  \"flags\": {\n");
   std::fprintf(f, "    \"reuse_no_slower\": %s,\n",

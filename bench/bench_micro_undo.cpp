@@ -16,6 +16,10 @@
 //      seed's element-assignment loop.
 //   4. Hash backup — record throughput and the slot-partitioned parallel
 //      undo vs its serial scan.
+//   Each pooled leg also reports the pool's stolen shares and parked waits
+//   per launch (informational): a pooled leg no faster than serial with
+//   ~p-1 stolen shares per launch ran on the caller alone while the
+//   helpers were still waking.
 //
 // Emits BENCH_undo.json (path overridable via argv[1]) in the same schema
 // family as BENCH_pd.json, plus a human-readable table.  Exit code is
@@ -24,6 +28,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <span>
 #include <thread>
@@ -81,6 +86,22 @@ struct SeedVersioned {
 
 double min_of(const std::vector<double>& v) {
   return *std::min_element(v.begin(), v.end());
+}
+
+/// The pool's work-distribution counters per launch since its last
+/// reset_stats(): shares the caller ran beyond its own, and waits (helper
+/// start or caller join) that parked on a futex.
+struct PerLaunch {
+  double stolen_shares = 0;
+  double park_wakeups = 0;
+};
+
+PerLaunch per_launch(const wlp::ThreadPool& pool) {
+  const wlp::PoolStats s = pool.stats();
+  const auto launches =
+      static_cast<double>(std::max<std::uint64_t>(1, s.launches));
+  return {static_cast<double>(s.stolen_shares) / launches,
+          static_cast<double>(s.park_wakeups) / launches};
 }
 
 /// The array's checkpoint hooks over the whole array, on this thread.
@@ -220,6 +241,7 @@ int main(int argc, char** argv) {
   std::printf("\n== checkpoint of 2^20 doubles (ms) ==\n");
   constexpr std::size_t kCpN = 1 << 20;
   double cp_serial_ms, cp_pool_ms, cp_seed_ms;
+  PerLaunch cp_pool;
   {
     wlp::ThreadPool pool(wlp::ThreadPool::default_concurrency());
     wlp::SpecArray<double> arr(std::vector<double>(kCpN, 1.0), 1, false);
@@ -229,6 +251,7 @@ int main(int argc, char** argv) {
     txn.begin(nullptr);  // warmup: fault in the pooled buffer
     txn.begin(&pool);
     seed.checkpoint();
+    pool.reset_stats();
     std::vector<double> ser, par, sed;
     for (int r = 0; r < kReps; ++r) {
       auto t0 = Clock::now();
@@ -244,16 +267,20 @@ int main(int argc, char** argv) {
     cp_serial_ms = wlp::median(ser);
     cp_pool_ms = wlp::median(par);
     cp_seed_ms = wlp::median(sed);
+    cp_pool = per_launch(pool);
   }
   std::printf("  txn begin, no pool     : %8.3f\n", cp_serial_ms);
-  std::printf("  txn begin, pooled      : %8.3f  (p=%u)\n", cp_pool_ms,
-              wlp::ThreadPool::default_concurrency());
+  std::printf("  txn begin, pooled      : %8.3f  (p=%u; per launch: %.2f "
+              "stolen, %.2f parked)\n",
+              cp_pool_ms, wlp::ThreadPool::default_concurrency(),
+              cp_pool.stolen_shares, cp_pool.park_wakeups);
   std::printf("  seed vector assign     : %8.3f\n", cp_seed_ms);
 
   // ---- 4. hash backup ------------------------------------------------------
   std::printf("\n== hash backup (2^16 touched locations) ==\n");
   constexpr std::size_t kTouched = 1 << 16;
   double rec_ns, hundo_serial_ms, hundo_pool_ms;
+  PerLaunch hundo_pool;
   {
     wlp::ThreadPool pool(wlp::ThreadPool::default_concurrency());
     std::vector<double> data(kTouched * 4, 0.0);
@@ -261,6 +288,7 @@ int main(int argc, char** argv) {
     wlp::Xoshiro256 rng(7);
     std::vector<std::size_t> keys(kTouched);
     for (auto& k : keys) k = rng.below(data.size());
+    pool.reset_stats();
     std::vector<double> rec, hs, hp;
     for (int r = 0; r < kReps; ++r) {
       backup.clear();
@@ -280,10 +308,14 @@ int main(int argc, char** argv) {
     rec_ns = wlp::median(rec);
     hundo_serial_ms = wlp::median(hs);
     hundo_pool_ms = wlp::median(hp);
+    hundo_pool = per_launch(pool);
   }
   std::printf("  record              : %8.1f ns/op\n", rec_ns);
   std::printf("  undo_into, serial   : %8.3f ms\n", hundo_serial_ms);
-  std::printf("  undo_into, pooled   : %8.3f ms\n", hundo_pool_ms);
+  std::printf("  undo_into, pooled   : %8.3f ms  (per launch: %.2f stolen, "
+              "%.2f parked)\n",
+              hundo_pool_ms, hundo_pool.stolen_shares,
+              hundo_pool.park_wakeups);
 
   // ---- machine-checkable flags --------------------------------------------
   // Both rules compare the largest size against the smallest: an O(n) pass
@@ -329,12 +361,18 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  },\n");
   std::fprintf(f,
                "  \"checkpoint\": {\"n\": %zu, \"serial_ms\": %.3f, "
-               "\"pooled_ms\": %.3f, \"seed_assign_ms\": %.3f},\n",
-               kCpN, cp_serial_ms, cp_pool_ms, cp_seed_ms);
+               "\"pooled_ms\": %.3f, \"stolen_shares_per_launch\": %.2f, "
+               "\"park_wakeups_per_launch\": %.2f, "
+               "\"seed_assign_ms\": %.3f},\n",
+               kCpN, cp_serial_ms, cp_pool_ms, cp_pool.stolen_shares,
+               cp_pool.park_wakeups, cp_seed_ms);
   std::fprintf(f,
                "  \"hash\": {\"touched\": %zu, \"record_ns_per_op\": %.1f, "
-               "\"undo_serial_ms\": %.3f, \"undo_pooled_ms\": %.3f},\n",
-               kTouched, rec_ns, hundo_serial_ms, hundo_pool_ms);
+               "\"undo_serial_ms\": %.3f, \"undo_pooled_ms\": %.3f, "
+               "\"stolen_shares_per_launch\": %.2f, "
+               "\"park_wakeups_per_launch\": %.2f},\n",
+               kTouched, rec_ns, hundo_serial_ms, hundo_pool_ms,
+               hundo_pool.stolen_shares, hundo_pool.park_wakeups);
   std::fprintf(f, "  \"host_note\": \"the log-vs-seed undo and clear "
                "comparisons run on one thread and hold on any host; the "
                "pooled checkpoint and hash undo need more than one core to "

@@ -150,9 +150,8 @@ long PDSharedShadow::second_exposed_reader(std::size_t idx) const noexcept {
 PDPrivateShadow::Segment::Segment(std::size_t n_cells, unsigned owner)
     : n(n_cells), vpn(owner) {
   // Carved from the owning worker's arena ON the owning worker's thread
-  // (this constructor only runs from the first-mark cold path), so first
-  // touch lands the pages on that worker's node.  Arena memory is recycled
-  // rather than OS-zeroed, so `gens` must be cleared here; gen 0 is stale
+  // (this constructor only runs from the first-mark cold path).  Arena
+  // memory is recycled rather than OS-zeroed, so `gens` must be cleared here; gen 0 is stale
   // under every epoch.  `cells` is left raw — see the header.
   mem::Arena& arena = mem::worker_arena(owner);
   cells = arena.allocate_array<PrivCell>(n);

@@ -247,11 +247,10 @@ class PDSharedShadow {
 
 /// The privatized shadow: worker `vpn` marks into its own segment with
 /// plain stores; analyze() merges segments cell-wise under the current
-/// epoch.  Segments are allocated lazily on a worker's first mark — from
-/// mem::worker_arena(vpn), so the allocation happens on the marking
-/// worker's thread and first-touch places the segment's pages on that
-/// worker's node; destroying the shadow returns the blocks to the same
-/// arena for O(1) reuse by the next shadow of the same shape.  A
+/// epoch.  Segments are allocated lazily on a worker's first mark, on the
+/// marking worker's thread, from mem::worker_arena(vpn); destroying the
+/// shadow returns the blocks to the same arena for O(1) reuse by the next
+/// shadow of the same shape.  A
 /// speculation that never runs the PD test — or runs on fewer workers than
 /// the pool has — pays nothing for the idle segments.
 ///
@@ -426,10 +425,9 @@ class PDPrivateShadow {
   };
   struct Segment {
     // Storage comes from mem::worker_arena(vpn), carved on the owning
-    // worker's thread (first touch = right node).  Arena blocks are
-    // recycled, NOT OS-zeroed, so the constructor clears `gens` explicitly
-    // — gen 0 is below any epoch (epochs start at 1), making every cell
-    // stale.  `cells` stays uninitialized: a cell is only read under a
+    // worker's thread.  Arena blocks are recycled, NOT OS-zeroed, so the
+    // constructor clears `gens` explicitly — gen 0 is below any epoch
+    // (epochs start at 1), making every cell stale.  `cells` stays uninitialized: a cell is only read under a
     // current-epoch gen, and the first mark of an epoch fully writes it.
     Segment(std::size_t n, unsigned vpn);
     ~Segment();

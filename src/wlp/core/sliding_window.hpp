@@ -206,8 +206,6 @@ struct WindowReport {
   ExecReport exec;
   long max_span = 0;       ///< max (h - l) observed; must stay <= max window used
   long final_window = 0;   ///< window size when the loop ended
-  long claims = 0;         ///< grabs of the issue lock that yielded work
-                           ///< (one iteration each)
   std::size_t peak_stamp_bytes = 0;
   // Controller decisions (zero when no memory_budget was set).
   long window_shrinks = 0;     ///< multiplicative-decrease decisions
@@ -297,7 +295,6 @@ void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
   wr.exec.overshot = std::max(0L, started - wr.exec.trip);
   wr.max_span = max_span;
   wr.final_window = window;
-  wr.claims = started;  // one iteration per claim
   wr.peak_stamp_bytes = peak_bytes;
   wr.exec.peak_spec_bytes = peak_bytes;
   wr.window_shrinks = ctl.shrinks();
@@ -305,7 +302,6 @@ void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
   wr.final_cap = ctl.cap();
   wr.cap_bytes = ctl.cap_bytes();
   WLP_OBS_COUNT("wlp.window.runs", 1);
-  WLP_OBS_COUNT("wlp.window.claims", started);
   WLP_OBS_HIST("wlp.window.span", max_span);
   WLP_OBS_HIST("wlp.window.overshoot", wr.exec.overshot);
   WLP_OBS_GAUGE_SET("wlp.window.final_size", window);

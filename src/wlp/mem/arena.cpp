@@ -4,7 +4,6 @@
 #include <new>
 
 #include "wlp/mem/budget.hpp"
-#include "wlp/mem/topology.hpp"
 
 namespace wlp::mem {
 
@@ -36,11 +35,6 @@ void* pop_free(void*& head) noexcept {
 
 }  // namespace
 
-Arena::Arena(int node) : node_(node) {
-  // Stamping only pays when pages can land on a wrong node.
-  stamp_pages_ = numa_placement_enabled();
-}
-
 Arena::~Arena() {
   std::lock_guard<std::mutex> lock(mu_);
   Budget& budget = Budget::process();
@@ -68,16 +62,6 @@ void* Arena::take_os_block(std::size_t bytes, std::size_t align) {
   stats_.os_allocs += 1;
   stats_.bytes_held += static_cast<long>(bytes);
   Budget::process().on_os_alloc(bytes);
-  if (stamp_pages_) {
-    // First-touch commit: one write per page binds it to the calling CPU's
-    // node before the consumer streams the block.  The written byte is
-    // dead — consumers initialize their storage themselves.
-    auto* b = static_cast<unsigned char*>(p);
-    for (std::size_t off = 0; off < bytes; off += kPage) {
-      b[off] = 0;
-      stats_.pages_stamped += 1;
-    }
-  }
   return p;
 }
 
@@ -159,7 +143,7 @@ Arena& ArenaSet::worker(unsigned vpn) {
   std::lock_guard<std::mutex> lock(mu_);
   a = slots_[i].load(std::memory_order_relaxed);
   if (a == nullptr) {
-    a = new Arena(Topology::process().worker_node(i));
+    a = new Arena();
     slots_[i].store(a, std::memory_order_release);
   }
   return *a;

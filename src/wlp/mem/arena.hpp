@@ -20,20 +20,10 @@
 //     design: an arena belongs to one virtual processor, and the runtime's
 //     steady state performs no (de)allocations at all (the regression
 //     tests assert exactly that through the budget counters).
-//   * First-touch placement: a block's pages live on the node of the CPU
-//     that first writes them.  Because per-worker buffers are allocated
-//     lazily from the worker's own share (shadow segments on the first
-//     mark, chain slots on the first window), the natural first toucher is
-//     already the right one; when the topology is multi-node the arena
-//     additionally stamps one byte per page at OS-allocation time so the
-//     whole block is committed on the allocating worker's node before the
-//     hot loop streams it.  Recycled blocks keep their placement — and
-//     since recycling is per-arena and arenas are per-vpn, a recycled
-//     block returns to the same worker whose node holds its pages.
-//   * Single-node hosts: stamping is disabled (Topology::numa_mode() is
-//     kOff) and every placement decision degenerates to a no-op; behavior
-//     and layout are then identical to the per-subsystem pools this layer
-//     retired.
+//   * Lazy, owner-side allocation: per-worker buffers are allocated from
+//     the worker's own share (shadow segments on the first mark, chain
+//     slots on the first window), so an idle worker's arena stays empty
+//     and a recycled block returns to the worker that streamed it.
 //
 // EpochClock (mem/epoch.hpp, re-exported here) is the other half of the
 // retired idiom: the 32-bit generation counter with a once-per-2^32 wrap
@@ -61,7 +51,6 @@ struct ArenaStats {
   long os_allocs = 0;      ///< slabs/oversize blocks taken from the OS
   long frees = 0;          ///< deallocate() calls
   long bytes_held = 0;     ///< OS bytes this arena currently owns
-  long pages_stamped = 0;  ///< pages first-touched at allocation time
 };
 
 class Arena {
@@ -71,11 +60,7 @@ class Arena {
   static constexpr std::size_t kMinClass = kCacheLine;
   static constexpr std::size_t kLargeMin = 64u * 1024;  ///< dedicated block
 
-  /// `node` is the NUMA node this arena's blocks are intended for (-1 =
-  /// unknown/don't care).  Placement is by first touch, so the node is
-  /// advisory: it records intent for stats/tests; the actual binding is
-  /// performed by stamping from the owning worker's thread.
-  explicit Arena(int node = -1);
+  Arena() = default;
   ~Arena();
 
   Arena(const Arena&) = delete;
@@ -83,12 +68,11 @@ class Arena {
 
   /// A cache-line-aligned block of at least `bytes`.  Thread-safe, but the
   /// intended discipline is single-owner: allocate from the thread that
-  /// will stream the block (first-touch placement follows the caller).
+  /// will stream the block.
   void* allocate(std::size_t bytes, std::size_t align = kCacheLine);
 
   /// Return a block for O(1) reuse.  `bytes` and `align` must match the
-  /// allocate() call (they recompute the same size class).  The block's
-  /// pages keep their placement.
+  /// allocate() call (they recompute the same size class).
   void deallocate(void* p, std::size_t bytes,
                   std::size_t align = kCacheLine) noexcept;
 
@@ -102,7 +86,6 @@ class Arena {
     deallocate(p, n * sizeof(T), alignof(T));
   }
 
-  int node() const noexcept { return node_; }
   ArenaStats stats() const;
 
  private:
@@ -116,8 +99,6 @@ class Arena {
   void* take_os_block(std::size_t bytes, std::size_t align);
 
   mutable std::mutex mu_;
-  int node_ = -1;
-  bool stamp_pages_ = false;  ///< first-touch stamping (multi-node only)
   std::vector<OsBlock> os_blocks_;  ///< everything owned, freed in dtor
   // Intrusive free lists: the first word of a free block points at the
   // next.  Small classes are indexed by log2; large blocks keyed by exact
@@ -132,17 +113,16 @@ class Arena {
 };
 
 /// The process's arena set: one lazily-built arena per virtual processor
-/// slot, node-mapped through Topology::process().  Leaked (consumers may
-/// be destroyed during static teardown and must still be able to return
-/// blocks).
+/// slot.  Leaked (consumers may be destroyed during static teardown and
+/// must still be able to return blocks).
 class ArenaSet {
  public:
   static constexpr unsigned kSlots = 256;
 
   static ArenaSet& process();
 
-  /// Arena for virtual processor `vpn` (vpn beyond kSlots wraps — a pool
-  /// that wide is already far past the placement heuristic's resolution).
+  /// Arena for virtual processor `vpn` (vpn beyond kSlots wraps and shares
+  /// a slot; the arena's mutex keeps the shared slot correct).
   Arena& worker(unsigned vpn);
 
   /// The calling thread's home arena: each thread is assigned a slot on

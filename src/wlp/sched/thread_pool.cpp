@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <limits>
 
-#include "wlp/mem/topology.hpp"
 #include "wlp/obs/obs.hpp"
 #include "wlp/support/backoff.hpp"
 
 #if defined(__linux__)
 #include <linux/futex.h>
-#include <pthread.h>
-#include <sched.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 #endif
@@ -37,30 +34,6 @@ struct CurrentPoolGuard {
 // the bottom 16 (pool sizes are far below 2^16, so a claim is just +1).
 constexpr std::uint64_t claim_pack(std::uint64_t epoch, unsigned next_vpn) {
   return (epoch << 16) | next_vpn;
-}
-
-// WLP_NUMA=pin: bind helper `widx` to the CPUs of its heuristic node.
-// Share-stealing makes the vpn->thread binding dynamic, so this pins by
-// helper index (the common static-spread case where helper w mostly runs
-// vpn w); first-touch placement stays correct either way because the
-// arenas, not the pin, decide where pages land.  No-op on single-node
-// shapes, non-Linux hosts, and every mode but kPin.
-void maybe_pin_helper(unsigned widx) {
-#if defined(__linux__)
-  const mem::Topology& topo = mem::Topology::process();
-  if (topo.numa_mode() != mem::NumaMode::kPin) return;
-  const int node = topo.worker_node(widx);
-  if (node < 0 || static_cast<std::size_t>(node) >= topo.nodes().size()) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (unsigned cpu : topo.nodes()[static_cast<std::size_t>(node)].cpus) {
-    if (cpu < CPU_SETSIZE) CPU_SET(cpu, &set);
-  }
-  if (CPU_COUNT(&set) != 0)
-    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)widx;
-#endif
 }
 
 }  // namespace
@@ -123,12 +96,6 @@ ThreadPool::ThreadPool(unsigned n) {
   // budget before parking — each yield donates the core to a helper, and
   // skipping the park elides the last helper's wake syscall entirely.
   join_spin_limit_ = 128;
-  // vpn -> node map from the process topology (all zeros on single-node
-  // hosts): consumers use it to reason about placement; the arenas derive
-  // the same map themselves so the two always agree.
-  worker_node_.resize(n);
-  for (unsigned vpn = 0; vpn < n; ++vpn)
-    worker_node_[vpn] = mem::Topology::process().worker_node(vpn);
   wait_counters_ = std::vector<WaitCounters>(n);
   threads_.reserve(n - 1);
   for (unsigned widx = 1; widx < n; ++widx)
@@ -315,7 +282,6 @@ void ThreadPool::run(detail::JobRef job) {
 }
 
 void ThreadPool::worker_main(unsigned widx) {
-  maybe_pin_helper(widx);
   std::uint64_t seen = 0;
   auto& ctr = wait_counters_[widx];
   for (;;) {

@@ -128,14 +128,6 @@ class ThreadPool {
   /// instead of burning a spin budget.
   bool oversubscribed() const noexcept { return oversubscribed_; }
 
-  /// Heuristic NUMA node for virtual processor `vpn`, from the same
-  /// mem::Topology map the arenas use — so the thread that executes vpn's
-  /// share and the arena that placed vpn's buffers agree on where the pages
-  /// should live.  Always 0 on single-node hosts (the fallback shape).
-  int node_of(unsigned vpn) const noexcept {
-    return worker_node_.empty() ? 0 : worker_node_[vpn % worker_node_.size()];
-  }
-
   /// Run `f(vpn)` for every vpn in [0, size()); blocks until all have
   /// finished.  The calling thread executes vpn 0's share itself and then
   /// steals any share no helper has claimed yet, so which thread runs a
@@ -203,7 +195,6 @@ class ThreadPool {
   std::atomic<bool> error_claimed_{false};
 
   std::vector<std::thread> threads_;        ///< the nproc_-1 helpers
-  std::vector<int> worker_node_;  ///< vpn -> heuristic node (mem::Topology)
   std::vector<WaitCounters> wait_counters_;  ///< slot per thread (0 = caller)
   std::atomic<std::uint64_t> launches_{0};
   std::atomic<std::uint64_t> inline_launches_{0};

@@ -1,18 +1,13 @@
-// wlp::mem coverage — topology parsing against fake-sysfs fixtures, arena
-// recycling/alignment/accounting, the EpochClock wrap path, and the
-// steady-state zero-allocation contract read through the process Budget:
-// strip retries, DOACROSS windows and PD shadow reuse must hand out zero
-// arena blocks once warm (the counters replace per-subsystem stats as the
-// allocation-regression surface).  The Mem* suites are also the TSan CI
+// wlp::mem coverage — arena recycling/alignment/accounting, the EpochClock
+// wrap path, and the steady-state zero-allocation contract read through the
+// process Budget: strip retries, DOACROSS windows and PD shadow reuse must
+// hand out zero arena blocks once warm (the counters replace per-subsystem
+// stats as the allocation-regression surface).  The Mem* suites are also the TSan CI
 // filter's entry point for the concurrent arena stress test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,176 +18,11 @@
 #include "wlp/mem/arena.hpp"
 #include "wlp/mem/budget.hpp"
 #include "wlp/mem/epoch.hpp"
-#include "wlp/mem/topology.hpp"
 #include "wlp/sched/doacross.hpp"
 #include "wlp/sched/thread_pool.hpp"
 
 namespace wlp {
 namespace {
-
-namespace fs = std::filesystem;
-
-// ---- cpulist parsing --------------------------------------------------------
-
-TEST(MemCpulist, ParsesRangesSinglesAndMixes) {
-  using V = std::vector<unsigned>;
-  EXPECT_EQ(mem::parse_cpulist("0-3,8,10-11"), (V{0, 1, 2, 3, 8, 10, 11}));
-  EXPECT_EQ(mem::parse_cpulist("5"), (V{5}));
-  EXPECT_EQ(mem::parse_cpulist("0-0"), (V{0}));
-  EXPECT_EQ(mem::parse_cpulist("3,1,2,1"), (V{1, 2, 3}));  // sorted, deduped
-  EXPECT_EQ(mem::parse_cpulist("0-7\n"), (V{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(MemCpulist, MalformedInputYieldsEmpty) {
-  EXPECT_TRUE(mem::parse_cpulist("").empty());
-  EXPECT_TRUE(mem::parse_cpulist("  \n").empty());
-  EXPECT_TRUE(mem::parse_cpulist("a-b").empty());
-  EXPECT_TRUE(mem::parse_cpulist("0-").empty());
-  EXPECT_TRUE(mem::parse_cpulist("-3").empty());
-  EXPECT_TRUE(mem::parse_cpulist("3-1").empty());      // inverted range
-  EXPECT_TRUE(mem::parse_cpulist("0-999999").empty()); // absurd range
-  EXPECT_TRUE(mem::parse_cpulist("1,,2").empty());
-}
-
-// ---- topology discovery against fake sysfs trees ----------------------------
-
-/// Builds a throwaway sysfs skeleton under /tmp; each writer appends one
-/// node directory.  The shape mirrors exactly what Topology::discover
-/// reads: devices/system/cpu/online + devices/system/node/nodeN/cpulist.
-class FakeSysfs {
- public:
-  FakeSysfs() {
-    std::string tmpl = (fs::temp_directory_path() / "wlpsysXXXXXX").string();
-    root_ = mkdtemp(tmpl.data());
-    fs::create_directories(fs::path(root_) / "devices/system/cpu");
-    fs::create_directories(fs::path(root_) / "devices/system/node");
-  }
-  ~FakeSysfs() {
-    std::error_code ec;
-    fs::remove_all(root_, ec);
-  }
-
-  void online(const std::string& list) {
-    write(fs::path(root_) / "devices/system/cpu/online", list);
-  }
-  void node(int id, const std::string& cpulist) {
-    const fs::path d =
-        fs::path(root_) / "devices/system/node" / ("node" + std::to_string(id));
-    fs::create_directories(d);
-    write(d / "cpulist", cpulist);
-  }
-  const std::string& root() const { return root_; }
-
- private:
-  static void write(const fs::path& p, const std::string& s) {
-    std::ofstream(p) << s << "\n";
-  }
-  std::string root_;
-};
-
-TEST(MemTopology, TwoNodeFixture) {
-  FakeSysfs sys;
-  sys.online("0-7");
-  sys.node(0, "0-3");
-  sys.node(1, "4-7");
-  const mem::Topology t = mem::Topology::discover(sys.root());
-  ASSERT_TRUE(t.discovered());
-  ASSERT_EQ(t.node_count(), 2u);
-  EXPECT_EQ(t.cpu_count(), 8u);
-  EXPECT_EQ(t.node_of_cpu(0), 0);
-  EXPECT_EQ(t.node_of_cpu(3), 0);
-  EXPECT_EQ(t.node_of_cpu(4), 1);
-  EXPECT_EQ(t.node_of_cpu(7), 1);
-  EXPECT_EQ(t.node_of_cpu(8), -1);  // beyond the machine
-  // Even spread: the first four workers land on node 0, the next four on
-  // node 1, then the map wraps.
-  for (unsigned v = 0; v < 4; ++v) EXPECT_EQ(t.worker_node(v), 0) << v;
-  for (unsigned v = 4; v < 8; ++v) EXPECT_EQ(t.worker_node(v), 1) << v;
-  EXPECT_EQ(t.worker_node(8), 0);
-  EXPECT_EQ(t.worker_node(13), 1);
-}
-
-TEST(MemTopology, OfflineCpusAreExcluded) {
-  FakeSysfs sys;
-  sys.online("0-2,4");  // CPU 3 and 5-7 offline
-  sys.node(0, "0-3");
-  sys.node(1, "4-7");
-  const mem::Topology t = mem::Topology::discover(sys.root());
-  ASSERT_TRUE(t.discovered());
-  ASSERT_EQ(t.node_count(), 2u);
-  EXPECT_EQ(t.cpu_count(), 4u);
-  EXPECT_EQ(t.node_of_cpu(0), 0);
-  EXPECT_EQ(t.node_of_cpu(2), 0);
-  EXPECT_EQ(t.node_of_cpu(3), -1);  // offline: no workers, no pages
-  EXPECT_EQ(t.node_of_cpu(4), 1);
-  EXPECT_EQ(t.node_of_cpu(5), -1);
-  // node0 holds three online CPUs, node1 one: vpn 3 is node1's.
-  EXPECT_EQ(t.worker_node(0), 0);
-  EXPECT_EQ(t.worker_node(2), 0);
-  EXPECT_EQ(t.worker_node(3), 1);
-  EXPECT_EQ(t.worker_node(4), 0);  // wraps
-}
-
-TEST(MemTopology, SingleNodeFixtureForcesNumaOff) {
-  FakeSysfs sys;
-  sys.online("0-3");
-  sys.node(0, "0-3");
-  const mem::Topology t = mem::Topology::discover(sys.root());
-  ASSERT_TRUE(t.discovered());
-  ASSERT_EQ(t.node_count(), 1u);
-  EXPECT_EQ(t.cpu_count(), 4u);
-  for (unsigned v = 0; v < 9; ++v) EXPECT_EQ(t.worker_node(v), 0);
-  // One node ⇒ every placement decision is a no-op, whatever WLP_NUMA says.
-  EXPECT_EQ(t.numa_mode(), mem::NumaMode::kOff);
-}
-
-TEST(MemTopology, MemoryOnlyNodeIsSkipped) {
-  FakeSysfs sys;
-  sys.online("0-3");
-  sys.node(0, "0-3");
-  sys.node(1, "");  // CPU-less (memory-only) node
-  const mem::Topology t = mem::Topology::discover(sys.root());
-  ASSERT_TRUE(t.discovered());
-  EXPECT_EQ(t.node_count(), 1u);
-}
-
-TEST(MemTopology, MissingRootFallsBackToSingleNode) {
-  const mem::Topology t =
-      mem::Topology::discover("/nonexistent/wlp/sysfs/root");
-  EXPECT_FALSE(t.discovered());
-  ASSERT_EQ(t.node_count(), 1u);
-  EXPECT_GE(t.cpu_count(), 1u);
-  EXPECT_EQ(t.numa_mode(), mem::NumaMode::kOff);
-  for (unsigned v = 0; v < 4; ++v) EXPECT_EQ(t.worker_node(v), 0);
-}
-
-TEST(MemTopology, NumaModeFollowsEnvironmentOnMultiNodeShapes) {
-  FakeSysfs sys;
-  sys.online("0-7");
-  sys.node(0, "0-3");
-  sys.node(1, "4-7");
-  const mem::Topology t = mem::Topology::discover(sys.root());
-  ASSERT_EQ(t.node_count(), 2u);
-
-  const char* saved = std::getenv("WLP_NUMA");
-  const std::string saved_copy = saved != nullptr ? saved : "";
-
-  unsetenv("WLP_NUMA");
-  EXPECT_EQ(t.numa_mode(), mem::NumaMode::kFirstTouch);
-  setenv("WLP_NUMA", "0", 1);
-  EXPECT_EQ(t.numa_mode(), mem::NumaMode::kOff);
-  setenv("WLP_NUMA", "off", 1);
-  EXPECT_EQ(t.numa_mode(), mem::NumaMode::kOff);
-  setenv("WLP_NUMA", "pin", 1);
-  EXPECT_EQ(t.numa_mode(), mem::NumaMode::kPin);
-  setenv("WLP_NUMA", "anything-else", 1);
-  EXPECT_EQ(t.numa_mode(), mem::NumaMode::kFirstTouch);
-
-  if (saved != nullptr)
-    setenv("WLP_NUMA", saved_copy.c_str(), 1);
-  else
-    unsetenv("WLP_NUMA");
-}
 
 // ---- the epoch clock --------------------------------------------------------
 

@@ -29,7 +29,6 @@ TEST(SlidingWindow, CoversRangeAndRecoversTrip) {
   // Overshoot stays bounded by the window: nothing past the exit is issued
   // once the QUIT lands, and before that h - l <= w with l <= exit_at.
   EXPECT_LE(wr.exec.started, exit_at + opts.window);
-  EXPECT_EQ(wr.claims, wr.exec.started);  // one iteration per claim
 }
 
 TEST(SlidingWindow, SpanNeverExceedsWindow) {

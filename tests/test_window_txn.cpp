@@ -242,7 +242,7 @@ TEST(WindowPeak, PostClaimGrowthObserved) {
       opts);
 
   EXPECT_EQ(wr.exec.trip, u);
-  EXPECT_EQ(wr.claims, u);
+  EXPECT_EQ(wr.exec.started, u);
   EXPECT_EQ(wr.peak_stamp_bytes, static_cast<std::size_t>(u) * 64);
   EXPECT_EQ(wr.exec.peak_spec_bytes, wr.peak_stamp_bytes);
 }
