@@ -16,12 +16,13 @@
 //      (>= 256 KiB) — that is the `reuse_no_slower` flag, the "arena reuse
 //      no slower than the retired pools" CI gate read at the lifecycle
 //      level where the pools actually paid an allocator.
-//   2. Steady-state leg — a warm retry loop (PD shadow reset+mark cycles,
-//      real DOACROSS windows) must perform ZERO arena block hand-outs and
-//      ZERO OS trips, observed through the process Budget counters exactly
-//      like the regression tests: the `zero_steady_state_allocs` flag.
-//      The per-retry cost must also stay flat across shadow sizes (the
-//      epoch-bump reset is O(1)): the `retry_flat` flag.
+//   2. Steady-state leg — a warm retry loop (PD marks reset + mark +
+//      analysis cycles, real DOACROSS windows) must perform ZERO arena
+//      block hand-outs and ZERO OS trips, observed through the process
+//      Budget counters exactly like the regression tests: the
+//      `zero_steady_state_allocs` flag.  The per-retry cost must also stay
+//      flat across array sizes (the log rewind is O(workers)): the
+//      `retry_flat` flag.
 //
 // One informational series rounds out the picture (printed + emitted, not
 // gated): the raw arena pair vs the retired pools' cached-freelist pair at
@@ -33,6 +34,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <new>
 #include <thread>
 #include <vector>
@@ -139,27 +141,42 @@ struct RetryPoint {
   double us_per_retry = 0;
 };
 
-/// One steady-state shadow retry: epoch-bump reset + a handful of marks.
-/// Cost must be independent of the shadow size (nothing O(n) per retry).
-RetryPoint shadow_retry_cost(int log2_n) {
-  RetryPoint pt;
-  pt.log2_n = log2_n;
-  const auto n = static_cast<std::size_t>(1) << log2_n;
-  wlp::PDPrivateShadow shadow(n, /*workers=*/4);
-  for (unsigned w = 0; w < 4; ++w) shadow.mark_write(w, 1, w);  // warm
-  constexpr int kRetries = 2000;
-  std::vector<double> us;
-  for (int r = 0; r < 15; ++r) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < kRetries; ++i) {
-      shadow.reset();
-      for (unsigned w = 0; w < 4; ++w)
-        shadow.mark_write(w, i, (static_cast<std::size_t>(i) * 7 + w) % n);
-    }
-    us.push_back(seconds_since(t0) * 1e6 / kRetries);
+/// One steady-state PD retry: reset + one write mark per worker.
+void pd_retry(wlp::PDMarks& marks, std::size_t n, long i) {
+  marks.reset();
+  for (unsigned w = 0; w < 4; ++w) {
+    marks.begin_iteration(w, i);
+    marks.on_write(w, (static_cast<std::size_t>(i) * 7 + w) % n);
   }
-  pt.us_per_retry = *std::min_element(us.begin(), us.end());
-  return pt;
+}
+
+/// Per-retry cost at each array size, which must be independent of the
+/// size (nothing O(n) per retry).  Min of reps; each rep times every size
+/// back to back, and the reps run until at least 120 ms have passed, so a
+/// short stall of the host lands in a few reps of every size, never in all
+/// reps of one.
+std::vector<RetryPoint> retry_costs(const std::vector<int>& log2_ns) {
+  constexpr int kRetries = 2000;
+  constexpr int kMinReps = 15;
+  constexpr double kMinSeconds = 0.12;
+  std::vector<std::unique_ptr<wlp::PDMarks>> marks;
+  std::vector<RetryPoint> pts;
+  for (int log2_n : log2_ns) {
+    const auto n = static_cast<std::size_t>(1) << log2_n;
+    marks.push_back(std::make_unique<wlp::PDMarks>(n, /*workers=*/4, /*on=*/true));
+    pd_retry(*marks.back(), n, 1);  // warm
+    pts.push_back({log2_n, 1e30});
+  }
+  const auto start = Clock::now();
+  for (int rep = 0; rep < kMinReps || seconds_since(start) < kMinSeconds; ++rep)
+    for (std::size_t k = 0; k < pts.size(); ++k) {
+      const auto n = static_cast<std::size_t>(1) << pts[k].log2_n;
+      const auto t0 = Clock::now();
+      for (int i = 0; i < kRetries; ++i) pd_retry(*marks[k], n, i);
+      pts[k].us_per_retry =
+          std::min(pts[k].us_per_retry, seconds_since(t0) * 1e6 / kRetries);
+    }
+  return pts;
 }
 
 }  // namespace
@@ -191,17 +208,22 @@ int main(int argc, char** argv) {
   {
     wlp::ThreadPool pool(4);
     // Warm every consumer once...
-    wlp::PDPrivateShadow shadow(1 << 16, pool.size());
-    for (unsigned w = 0; w < pool.size(); ++w) shadow.mark_write(w, 1, w);
+    constexpr std::size_t kN = 1 << 16;
+    wlp::PDMarks marks(kN, pool.size(), /*on=*/true);
+    auto pd_round = [&](long r) {
+      marks.reset();
+      for (unsigned w = 0; w < pool.size(); ++w) {
+        marks.begin_iteration(w, r);
+        marks.on_write(w, (static_cast<std::size_t>(r) + w) % kN);
+      }
+      (void)marks.analyze(pool, r + 1);
+    };
+    pd_round(1);
     (void)wlp::doacross_while(
         pool, 4096, [](long i) { return i < 2048; }, [](long, unsigned) {});
     s0 = wlp::mem::Budget::process().snapshot();
     // ...then the steady-state loop the flag gates.
-    for (int r = 0; r < 200; ++r) {
-      shadow.reset();
-      for (unsigned w = 0; w < pool.size(); ++w)
-        shadow.mark_write(w, r, (static_cast<std::size_t>(r) + w) % (1 << 16));
-    }
+    for (int r = 0; r < 200; ++r) pd_round(r);
     for (int r = 0; r < 50; ++r)
       (void)wlp::doacross_while(
           pool, 4096, [](long i) { return i < 2048; }, [](long, unsigned) {});
@@ -209,17 +231,14 @@ int main(int argc, char** argv) {
   }
   const long steady_blocks = s1.arena_allocs - s0.arena_allocs;
   const long steady_os = s1.slow_allocs - s0.slow_allocs;
-  std::printf("\n== steady state (200 shadow retries + 50 DOACROSS windows) "
+  std::printf("\n== steady state (200 PD retries + 50 DOACROSS windows) "
               "==\n  arena blocks handed out: %ld\n  OS trips: %ld\n",
               steady_blocks, steady_os);
 
   std::printf("\n== per-retry reset+mark cost (us; must be flat in n) ==\n");
-  std::vector<RetryPoint> retries;
-  for (int log2_n : {14, 17, 20}) {
-    retries.push_back(shadow_retry_cost(log2_n));
-    std::printf("  n=2^%-2d  %8.3f\n", retries.back().log2_n,
-                retries.back().us_per_retry);
-  }
+  const std::vector<RetryPoint> retries = retry_costs({14, 17, 20});
+  for (const RetryPoint& pt : retries)
+    std::printf("  n=2^%-2d  %8.3f\n", pt.log2_n, pt.us_per_retry);
 
   // ---- machine-checkable flags ---------------------------------------------
   // reuse_no_slower: the lifecycle gate — a 1.10 band everywhere (identical

@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
     wlp::SpecTarget* targets[] = {&a, &b};
     // Static schedule, as in TxnSteadyState: under kDynamic a worker that
     // claims no iteration of these short strips during the warm-up takes
-    // its first shadow and log segments inside the measured rounds.
+    // its first PD and write-log segments inside the measured rounds.
     wlp::SpecOptions opts;
     opts.doall.sched = wlp::Sched::kStaticCyclic;
     auto run_once = [&] {
@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
           },
           [&](long, long end) { return end; }, opts);
     };
-    (void)run_once();  // warm: pooled buffers, shadow segments, worker arenas
+    (void)run_once();  // warm: pooled buffers, log segments, worker arenas
     (void)run_once();
     const wlp::mem::BudgetSnapshot s0 = wlp::mem::Budget::process().snapshot();
     for (int round = 0; round < 20; ++round)

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 
@@ -96,11 +95,12 @@ struct ExecState {
   /// exact pre-loop state without a snapshot.
   std::atomic<long> ticket{0};
 
-  // PD machinery for the plan's unknown-access arrays (privatized shadow:
-  // each worker marks its own segment, merged at analyze time).
-  std::map<std::string, std::unique_ptr<PDPrivateShadow>> shadows;
-  // accessors[worker][array]
-  std::vector<std::map<std::string, PDPrivateAccessor>> accessors;
+  // PD marks for the plan's unknown-access arrays.  Every parallel block
+  // restarts its iterations at 0, and a mark log needs increasing
+  // iterations, so each (parallel block, worker) pair marks as its own
+  // stream: mark_base + vpn, with mark_base = -1 outside parallel blocks.
+  std::map<std::string, PDMarks> marks;
+  long mark_base = -1;
 
   long limit_now(int s) const {
     return stmt_limit(s, loop->max_iters, fired);
@@ -114,9 +114,9 @@ struct ExecState {
 
 /// Expression evaluation with plan-aware scalar resolution.
 /// `step` = plan step being executed; `at_stmt` = consuming statement;
-/// `vpn` = worker (for PD read marks); `in_parallel` = same-block scalar
-/// reads resolve through the expansion (per-iteration) instead of a live
-/// value.
+/// `vpn` = worker (for PD read marks inside a parallel block); `live` =
+/// null for a parallel block, whose same-block scalar reads resolve through
+/// the expansion (per-iteration) instead of a live value.
 double evalx(ExecState& st, const ExprPtr& e, int step, int at_stmt, long i,
              unsigned vpn, const std::map<std::string, double>* live) {
   switch (e->kind) {
@@ -157,9 +157,12 @@ double evalx(ExecState& st, const ExprPtr& e, int step, int at_stmt, long i,
           static_cast<long>(evalx(st, e->a, step, at_stmt, i, vpn, live));
       if (idx < 0 || idx >= static_cast<long>(it->second.size()))
         throw std::runtime_error("plan-exec: " + e->name + " out of range");
-      const auto ait = st.accessors[vpn].find(e->name);
-      if (ait != st.accessors[vpn].end())
-        ait->second.on_read(static_cast<std::size_t>(idx));
+      if (st.mark_base >= 0) {
+        const auto mit = st.marks.find(e->name);
+        if (mit != st.marks.end())
+          mit->second.on_read(static_cast<unsigned>(st.mark_base) + vpn,
+                              static_cast<std::size_t>(idx));
+      }
       return it->second[static_cast<std::size_t>(idx)];
     }
     case ExprKind::kBinary: {
@@ -221,9 +224,12 @@ bool execute_stmt(ExecState& st, int step, int s, long i, unsigned vpn,
       if (idx < 0 || idx >= static_cast<long>(arr.size()))
         throw std::runtime_error("plan-exec: store out of range");
       const double v = evalx(st, stmt.rhs, step, s, i, vpn, live);
-      const auto ait = st.accessors[vpn].find(stmt.lhs);
-      if (ait != st.accessors[vpn].end())
-        ait->second.on_write(static_cast<std::size_t>(idx));
+      if (st.mark_base >= 0) {
+        const auto mit = st.marks.find(stmt.lhs);
+        if (mit != st.marks.end())
+          mit->second.on_write(static_cast<unsigned>(st.mark_base) + vpn,
+                               static_cast<std::size_t>(idx));
+      }
       st.store_locks.lock(static_cast<std::size_t>(idx));
       const double old = arr[static_cast<std::size_t>(idx)];
       arr[static_cast<std::size_t>(idx)] = v;
@@ -306,7 +312,6 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
                         .count();
   WLP_OBS_COUNT("wlp.undo.checkpoint_ns", static_cast<long>(out.snapshot_ns));
   st.logs.resize(pool.size());
-  st.accessors.resize(pool.size());
 
   for (std::size_t k = 0; k < loop.body.size(); ++k)
     if (loop.body[k].kind == StmtKind::kAssignScalar)
@@ -321,26 +326,27 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
                               std::numeric_limits<double>::quiet_NaN());
   }
 
-  // PD shadows for the arrays the plan flags as unanalyzable.
+  // PD marks for the arrays the plan flags as unanalyzable: one stream per
+  // (parallel block, worker).
+  unsigned parallel_steps = 0;
+  for (const PlanStep& step : plan.steps)
+    if (step.block.rec.kind == BlockKind::kParallel ||
+        step.block.rec.kind == BlockKind::kUnknownAccess)
+      ++parallel_steps;
   for (const std::string& a : plan.pd_arrays) {
     const auto it = env.arrays.find(a);
     if (it == env.arrays.end()) continue;
-    st.shadows[a] =
-        std::make_unique<PDPrivateShadow>(it->second.size(), pool.size());
-    // With a verdict cache attached, shadows accumulate access summaries so
-    // the verdict step below can memoize by signature (before any marking —
-    // the accessors' markers bind lazily and pick the mode up then).
-    if (opts.verdict_cache != nullptr) st.shadows[a]->enable_signatures(true);
-    for (unsigned w = 0; w < pool.size(); ++w)
-      st.accessors[w].emplace(
-          a, PDPrivateAccessor(*st.shadows[a], it->second.size(), w));
+    st.marks.try_emplace(a, it->second.size(), parallel_steps * pool.size(),
+                         /*on=*/true);
   }
+  long next_mark_base = 0;
 
   // ---- execute the plan's steps in order ------------------------------------
   for (std::size_t b = 0; b < plan.steps.size(); ++b) {
     const PlanStep& step = plan.steps[static_cast<std::size_t>(b)];
     const Block& block = step.block;
     const int bi = static_cast<int>(b);
+    st.mark_base = -1;  // only parallel blocks record PD marks
 
     switch (block.rec.kind) {
       case BlockKind::kInduction: {
@@ -398,16 +404,18 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
       case BlockKind::kParallel:
       case BlockKind::kUnknownAccess: {
         ++out.parallel_blocks;
+        st.mark_base = next_mark_base;
+        next_mark_base += static_cast<long>(pool.size());
         auto block_body = [&](long i, unsigned vpn) {
+          for (auto& [name, m] : st.marks) {
+            (void)name;
+            m.begin_iteration(static_cast<unsigned>(st.mark_base) + vpn, i);
+          }
           bool any = false;
           bool exited = false;
           for (int s : block.stmts) {
             if (i >= st.limit_now(s)) continue;
             any = true;
-            for (auto& [name, acc] : st.accessors[vpn]) {
-              (void)name;
-              acc.begin_iteration(i);
-            }
             if (execute_stmt(st, bi, s, i, vpn, nullptr)) {
               exited = true;
               break;  // statements after the exit don't run this iteration
@@ -482,37 +490,9 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
   long trip = loop.max_iters;
   for (const FiredExit& e : st.fired) trip = std::min(trip, e.iter);
 
-  const pdcache::CacheStats pc0 = opts.verdict_cache != nullptr
-                                      ? opts.verdict_cache->stats()
-                                      : pdcache::CacheStats{};
-  for (const auto& [name, shadow] : st.shadows) {
+  for (const auto& [name, m] : st.marks) {
     (void)name;
-    PDVerdict v;
-    if (opts.verdict_cache != nullptr && shadow->signatures_enabled()) {
-      // No VersionedArray here (the interpreter undoes through its own
-      // ticketed write log), so the signature's write-density field is 0 —
-      // constant across executions of one plan, which is all it needs to be.
-      const pdcache::AccessSignature sig = pdcache::make_signature(
-          shadow->access_summary(), /*base=*/0, trip, /*dirty_blocks=*/0);
-      pdcache::Verdict cached;
-      if (opts.verdict_cache->lookup(sig, &cached)) {
-        v = cached.pd;
-      } else {
-        v = shadow->analyze(pool, trip);
-        opts.verdict_cache->insert(sig, pdcache::Verdict::from(v));
-      }
-    } else {
-      v = shadow->analyze(pool, trip);
-    }
-    if (!v.fully_parallel()) out.speculation_failed = true;
-  }
-  if (out.speculation_failed && opts.verdict_cache != nullptr)
-    opts.verdict_cache->invalidate_all();
-  if (opts.verdict_cache != nullptr) {
-    const pdcache::CacheStats pc1 = opts.verdict_cache->stats();
-    out.pdcache_hits = pc1.hits - pc0.hits;
-    out.pdcache_misses = pc1.misses - pc0.misses;
-    out.pdcache_invalidations = pc1.invalidations - pc0.invalidations;
+    if (!m.analyze(pool, trip).fully_parallel()) out.speculation_failed = true;
   }
   std::vector<LoggedWrite> writes;
   for (auto& l : st.logs) {

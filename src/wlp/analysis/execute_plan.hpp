@@ -12,8 +12,9 @@
 //     expansion (the inherently sequential case);
 //   * parallel blocks run as DOALLs via doall_quit, with every array write
 //     logged with its (iteration, statement) time-stamp;
-//   * unknown-access blocks additionally drive PD shadow marking, and a
-//     failed verdict falls back to a plain sequential execution;
+//   * unknown-access blocks additionally record PD marks (one PDMarks per
+//     unanalyzable array), and a failed verdict falls back to a plain
+//     sequential execution;
 //   * sequential blocks run as DOACROSS pipelines (ordered, overlapped is
 //     not attempted for interpreted statements — program order preserved);
 //   * exits distribute with their blocks; after all blocks ran, only the
@@ -28,8 +29,9 @@
 // pure/thread-safe (they are invoked concurrently).
 #pragma once
 
+#include <cstddef>
+
 #include "wlp/analysis/plan.hpp"
-#include "wlp/pd/verdict_cache.hpp"
 #include "wlp/sched/thread_pool.hpp"
 
 namespace wlp::ir {
@@ -46,11 +48,6 @@ struct PlanExecOptions {
   long min_window = 2;
   long max_window = 1 << 20;
   bool charge_process_budget = false;  ///< share the process-wide ceiling
-  /// Optional cross-execution verdict memoization for the unknown-access
-  /// blocks' PD analysis (pd/verdict_cache.hpp).  A caller re-running the
-  /// same plan in steady state shares one cache across executions; a
-  /// failed speculation invalidates it.
-  pdcache::VerdictCache* verdict_cache = nullptr;
 };
 
 struct PlanExecution {
@@ -76,8 +73,8 @@ struct PlanExecution {
   // What this execution cost the process memory budget (wlp::mem::Budget
   // deltas between entry and exit): how many arena blocks the run consumed
   // and how many of those reached the OS.  A steady-state caller re-running
-  // the same plan should see both deltas go to zero — the shadows' and
-  // logs' storage recycles through the arenas.
+  // the same plan should see both deltas go to zero — the PD logs'
+  // storage recycles through the arenas.
   long mem_arena_allocs = 0;  ///< arena blocks handed out during the run
   long mem_slow_allocs = 0;   ///< ... of which came from the OS (cold path)
   long mem_bytes_live = 0;    ///< process-wide arena bytes live at exit
@@ -91,11 +88,6 @@ struct PlanExecution {
   long window_cap = 0;         ///< final derived cap (iterations)
   long window_cap_bytes = 0;   ///< bytes that cap represents (EWMA estimate)
   long window_peak_bytes = 0;  ///< max measured logged-write footprint
-  // Verdict-cache activity during THIS execution (wlp.pd.cache.* counter
-  // deltas between entry and exit; all zero without a cache attached).
-  long pdcache_hits = 0;
-  long pdcache_misses = 0;
-  long pdcache_invalidations = 0;
 };
 
 PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,

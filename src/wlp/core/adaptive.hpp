@@ -45,10 +45,6 @@ class LoopStatistics {
       checkpoint_ns_sum_ += r.checkpoint_ns;
       undo_ns_sum_ += r.undo_ns;
     }
-    // Verdict-cache activity: feeds the PD post-analysis discount in
-    // observed_profile() (0 probes = no cache = no discount).
-    verdict_probes_ += r.verdict_probes;
-    verdict_hits_ += r.verdict_hits;
     WLP_OBS_HIST("wlp.adaptive.trip", r.trip);
   }
 
@@ -81,8 +77,9 @@ class LoopStatistics {
 
   /// Shadow marks per executed iteration, measured across PD-tested runs
   /// (ExecReport::shadow_marks).  This is the paper's `a` expressed per
-  /// iteration — but *observed*, so the accessor's last-writer filtering and
-  /// the loop's real access pattern are already folded in.
+  /// iteration — but *observed*, so reads covered by a same-iteration write
+  /// (never marked) and the loop's real access pattern are already folded
+  /// in.
   double marks_per_iteration() const noexcept {
     if (marked_iters_ <= 0) return 0.0;
     return static_cast<double>(marks_sum_) /
@@ -112,20 +109,12 @@ class LoopStatistics {
                                    double seconds_per_unit = 0.0) const {
     OverheadProfile o = observed_overheads(
         marks_per_iteration(), static_cast<double>(estimated_trip()), pd_test,
-        needs_undo, access_cost, -1.0, -1.0, verdict_hit_rate());
+        needs_undo, access_cost);
     if (seconds_per_unit > 0 && undo_samples_ > 0) {
       o.measured_tb = mean_checkpoint_seconds() / seconds_per_unit;
       o.measured_ta = mean_undo_seconds() / seconds_per_unit;
     }
     return o;
-  }
-
-  /// Fraction of PD analyses the verdict cache served for this site, in
-  /// [0, 1].  0 until a cache-attached run is recorded.
-  double verdict_hit_rate() const noexcept {
-    if (verdict_probes_ <= 0) return 0.0;
-    return static_cast<double>(verdict_hits_) /
-           static_cast<double>(verdict_probes_);
   }
 
   /// Empirical probability a speculation on this loop succeeds.
@@ -162,8 +151,6 @@ class LoopStatistics {
   long undo_samples_ = 0;
   double checkpoint_ns_sum_ = 0;
   double undo_ns_sum_ = 0;
-  long verdict_probes_ = 0;
-  long verdict_hits_ = 0;
 };
 
 }  // namespace wlp

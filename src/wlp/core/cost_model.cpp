@@ -47,14 +47,8 @@ OverheadTerms overhead_terms(const OverheadProfile& o, unsigned p, double spid) 
   // term; making it per-mechanism would overstate the Section 7 worst case.
   const double during_scale = std::max(1.0, spid);
   if (o.needs_undo || o.pd_test) terms.t_d = a / during_scale;
-  if (o.pd_test) {
-    // The PD test's post-execution analysis adds the fifth a/p term —
-    // discounted by the fraction of analyses the verdict cache serves
-    // (a hit is one O(workers) summary fold + a table probe, negligible
-    // next to the O(a/p) merge it replaces).
-    const double hit = std::clamp(o.verdict_hit_rate, 0.0, 1.0);
-    terms.t_a += (1.0 - hit) * (a / pd);
-  }
+  // The PD test's post-execution analysis adds the fifth a/p term.
+  if (o.pd_test) terms.t_a += a / pd;
   return terms;
 }
 
@@ -85,8 +79,7 @@ Prediction predict(const LoopTiming& t, const OverheadProfile& o, unsigned p,
 OverheadProfile observed_overheads(double marks_per_iteration,
                                    double expected_trip, bool pd_test,
                                    bool needs_undo, double access_cost,
-                                   double measured_tb, double measured_ta,
-                                   double verdict_hit_rate) {
+                                   double measured_tb, double measured_ta) {
   OverheadProfile o;
   o.accesses = static_cast<long>(std::max(0.0, marks_per_iteration) *
                                  std::max(0.0, expected_trip));
@@ -95,7 +88,6 @@ OverheadProfile observed_overheads(double marks_per_iteration,
   o.needs_undo = needs_undo;
   o.measured_tb = measured_tb;
   o.measured_ta = measured_ta;
-  o.verdict_hit_rate = verdict_hit_rate;
   return o;
 }
 

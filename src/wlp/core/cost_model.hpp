@@ -35,11 +35,6 @@ struct OverheadProfile {
   /// implementation's real Tb/Ta instead of the paper's worst-case O(a/p).
   double measured_tb = -1.0;
   double measured_ta = -1.0;
-  /// Fraction of PD analyses served by the verdict cache (wlp::pdcache),
-  /// in [0, 1].  A hit replaces the O(a/p) post-analysis term with one
-  /// summary fold + table probe (~free at this granularity), so the term is
-  /// scaled by (1 - verdict_hit_rate).  0 = no cache / never hits.
-  double verdict_hit_rate = 0.0;
 };
 
 struct Prediction {
@@ -89,20 +84,16 @@ Prediction predict(const LoopTiming& t, const OverheadProfile& o, unsigned p,
 /// Build an OverheadProfile from MEASURED instrumentation volume instead of
 /// a compiler estimate of `a`: `marks_per_iteration` is the shadow marks the
 /// runtime actually recorded per executed iteration (ExecReport::shadow_marks
-/// over started iterations — the accessor's last-writer filter means this is
-/// usually well below the static access count), and `expected_trip` the
-/// trip estimate the prediction is being made for.
+/// over started iterations — reads covered by a same-iteration write are
+/// not marked, so this is usually below the static access count), and
+/// `expected_trip` the trip estimate the prediction is being made for.
 /// `measured_tb` / `measured_ta` (optional, negative = unmeasured) carry the
-/// runtime's observed checkpoint/undo cost straight into the profile;
-/// `verdict_hit_rate` the observed verdict-cache hit fraction
-/// (LoopStatistics::verdict_hit_rate()), which discounts the PD
-/// post-analysis term.
+/// runtime's observed checkpoint/undo cost straight into the profile.
 OverheadProfile observed_overheads(double marks_per_iteration,
                                    double expected_trip, bool pd_test,
                                    bool needs_undo, double access_cost = 1.0,
                                    double measured_tb = -1.0,
-                                   double measured_ta = -1.0,
-                                   double verdict_hit_rate = 0.0);
+                                   double measured_ta = -1.0);
 
 /// Branch statistics for the termination condition (Section 7: "the
 /// compiler could predict the number of iterations using branch statistics").

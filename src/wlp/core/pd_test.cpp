@@ -1,256 +1,288 @@
 #include "wlp/core/shadow.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <chrono>
+#include <iterator>
+#include <stdexcept>
+#include <utility>
 
-#include "wlp/mem/arena.hpp"
 #include "wlp/obs/obs.hpp"
-#include "wlp/sched/reduce.hpp"
-#include "wlp/support/prng.hpp"
+#include "wlp/sched/doall.hpp"
 
 namespace wlp {
 
-// ---- PDSharedShadow ---------------------------------------------------------
+namespace {
 
-PDSharedShadow::PDSharedShadow(std::size_t n) : cells_(n) {}
+/// Absent iteration: after every iteration an entry records.
+constexpr std::uint32_t kNone = 0xffffffffu;
+constexpr std::uint32_t kMultiWrite = 1, kMultiRead = 2;
 
-void PDSharedShadow::lock_stripe(std::size_t idx) noexcept {
-  auto& f = locks_[mix64(idx) & (kStripes - 1)];
-  while (f.test_and_set(std::memory_order_acquire)) {
+/// Index bucket of the dense path: 2^kBucketBits consecutive elements,
+/// whose table of cells (16 KiB) stays in L1.
+constexpr unsigned kBucketBits = 10;
+/// The dense path runs when the logs hold at least one mark per
+/// 2^kDenseBits elements, so its per-bucket arrays stay O(marks).
+constexpr unsigned kDenseBits = 6;
+
+/// Note iteration `iter` in one kind's (smallest, second distinct seen):
+/// the verdict never needs the second iteration itself, only that one
+/// below the trip exists.
+void note(std::uint32_t& first, std::uint32_t& multi, std::uint32_t bit,
+          std::uint32_t iter) noexcept {
+  if (first == kNone) {
+    first = iter;
+  } else if (first != iter) {
+    multi |= bit;
+    first = std::min(first, iter);
   }
 }
 
-void PDSharedShadow::unlock_stripe(std::size_t idx) noexcept {
-  locks_[mix64(idx) & (kStripes - 1)].clear(std::memory_order_release);
-}
-
-void PDSharedShadow::insert(TwoSmallest& set, long iter, std::size_t idx) noexcept {
-  // Fast path: already recorded, or provably not among the two smallest.
-  // The monotone-`hi` early exit is what makes in-order marking cheap: once
-  // both slots are full, any later (larger) iteration bails on two loads.
-  const long lo = set.lo.load(std::memory_order_acquire);
-  if (lo == iter) return;
-  const long hi = set.hi.load(std::memory_order_acquire);
-  if (hi == iter) return;
-  if (lo != kNone && hi != kNone && iter > hi) return;
-
-  lock_stripe(idx);
-  long a = set.lo.load(std::memory_order_relaxed);
-  long b = set.hi.load(std::memory_order_relaxed);
-  if (iter != a && iter != b) {
-    if (a == kNone) {
-      a = iter;
-    } else if (iter < a) {
-      b = a;
-      a = iter;
-    } else if (b == kNone || iter < b) {
-      b = iter;
-    }
-    set.lo.store(a, std::memory_order_relaxed);
-    set.hi.store(b, std::memory_order_relaxed);
-  }
-  unlock_stripe(idx);
-}
-
-void PDSharedShadow::mark_write(long iter, std::size_t idx) noexcept {
-  insert(cells_[idx].w, iter, idx);
-}
-
-void PDSharedShadow::mark_exposed_read(long iter, std::size_t idx) noexcept {
-  insert(cells_[idx].r, iter, idx);
-}
-
-PDVerdict PDSharedShadow::analyze_cell(const Cell& c, long trip) const noexcept {
+/// One element's verdict from its smallest writer and exposed-reader
+/// iterations below the trip and the second-distinct bits.
+PDVerdict verdict_of(std::uint32_t w0, std::uint32_t r0,
+                     std::uint32_t multi) noexcept {
   PDVerdict v;
-  const long w0 = c.w.lo.load(std::memory_order_relaxed);
-  const long w1 = c.w.hi.load(std::memory_order_relaxed);
-  const long r0 = c.r.lo.load(std::memory_order_relaxed);
-  const long r1 = c.r.hi.load(std::memory_order_relaxed);
-  const bool written = w0 != kNone && w0 < trip;
-  const bool multi_w = w1 != kNone && w1 < trip;
-  const bool exposed = r0 != kNone && r0 < trip;
-  const bool multi_r = r1 != kNone && r1 < trip;
+  const bool written = w0 != kNone;
+  const bool exposed = r0 != kNone;
   v.written_elements = written ? 1 : 0;
-  v.multi_written = multi_w ? 1 : 0;
+  v.multi_written = (multi & kMultiWrite) != 0 ? 1 : 0;
   v.exposed_read_elements = exposed ? 1 : 0;
-  // Cross-iteration flow/anti dependence: a writer and an exposed reader in
-  // DIFFERENT iterations.  With two-smallest sets this is exact: if either
-  // side has two distinct valid iterations, some pair differs; otherwise
-  // compare the single writer to the single reader.
-  const bool conflict =
-      written && exposed && (multi_w || multi_r || w0 != r0);
-  v.conflicts = conflict ? 1 : 0;
+  // Cross-iteration flow/anti dependence: a writer and an exposed reader
+  // in DIFFERENT iterations (exact with two-smallest sets; see the header).
+  v.conflicts = (written && exposed && (multi != 0 || w0 != r0)) ? 1 : 0;
   return v;
 }
 
-namespace {
+/// Insert into a two-smallest set held as (lo <= hi, kNone-padded).
+void insert2(std::uint32_t& lo, std::uint32_t& hi, std::uint32_t iter) noexcept {
+  if (iter == lo || iter == hi) return;
+  if (iter < lo) {
+    hi = lo;
+    lo = iter;
+  } else if (iter < hi) {
+    hi = iter;
+  }
+}
 
-using MergeClock = std::chrono::steady_clock;
-
-/// Emit the merge-pass metrics shared by both shadow stores' analyze().
-inline void record_merge(MergeClock::time_point t0, std::size_t cells) {
-#if defined(WLP_OBS_ENABLED)
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      MergeClock::now() - t0)
-                      .count();
-  WLP_OBS_HIST("wlp.pd.merge_ns", ns);
-  WLP_OBS_COUNT("wlp.pd.merged_cells", cells);
-#else
-  (void)t0;
-  (void)cells;
-#endif
+/// Stable LSD radix sort of a[0, k) by index (indices below 2^bits), with
+/// tmp[0, k) as the other buffer.  Returns whichever holds the result.
+IterEntry* sort_by_index(IterEntry* a, IterEntry* tmp, std::size_t k,
+                         unsigned bits) {
+  if (k <= 256) {  // below a few histogram sweeps: compare sort
+    std::sort(a, a + k, [](const IterEntry& x, const IterEntry& y) {
+      return x.idx < y.idx;
+    });
+    return a;
+  }
+  constexpr unsigned kDigit = 11;
+  constexpr std::uint32_t kMask = (1u << kDigit) - 1;
+  std::size_t count[1u << kDigit];
+  for (unsigned shift = 0; shift < bits; shift += kDigit) {
+    std::fill(std::begin(count), std::end(count), 0);
+    for (std::size_t i = 0; i < k; ++i) ++count[(a[i].idx >> shift) & kMask];
+    std::size_t sum = 0;
+    for (std::size_t& c : count) sum += std::exchange(c, sum);
+    for (std::size_t i = 0; i < k; ++i)
+      tmp[count[(a[i].idx >> shift) & kMask]++] = a[i];
+    std::swap(a, tmp);
+  }
+  return a;
 }
 
 }  // namespace
 
-PDVerdict PDSharedShadow::analyze(ThreadPool& pool, long trip) const {
-  WLP_TRACE_SCOPE("pd.merge", cells_.size(), trip);
-  const auto t0 = MergeClock::now();
-  PDVerdict v = parallel_reduce(
-      pool, 0, static_cast<long>(cells_.size()), PDVerdict{},
-      [&](long i) { return analyze_cell(cells_[static_cast<std::size_t>(i)], trip); },
-      [](PDVerdict a, const PDVerdict& b) { return a.merge(b); });
-  record_merge(t0, cells_.size());
-  return v;
-}
-
-PDVerdict PDSharedShadow::analyze_seq(long trip) const {
+PDVerdict PDMarks::fold_slot(Folder& f, mem::Arena& arena, IterEntry* ws,
+                             std::size_t nw, IterEntry* rs, std::size_t nr,
+                             bool dense, unsigned bits) {
   PDVerdict v;
-  for (const auto& c : cells_) v.merge(analyze_cell(c, trip));
+  if (nw + nr == 0) return v;
+  if (!dense) {
+    f.sorted.reserve(arena, nw + nr);
+    const IterEntry* w = sort_by_index(ws, f.sorted.data(), nw, bits);
+    const IterEntry* r = sort_by_index(rs, f.sorted.data() + nw, nr, bits);
+    const IterEntry* const w_end = w + nw;
+    const IterEntry* const r_end = r + nr;
+    while (w != w_end || r != r_end) {
+      const std::uint32_t idx = std::min(w != w_end ? w->idx : kNone,
+                                         r != r_end ? r->idx : kNone);
+      std::uint32_t w0 = kNone, r0 = kNone, multi = 0;
+      for (; w != w_end && w->idx == idx; ++w) note(w0, multi, kMultiWrite, w->iter);
+      for (; r != r_end && r->idx == idx; ++r) note(r0, multi, kMultiRead, r->iter);
+      v.merge(verdict_of(w0, r0, multi));
+    }
+    return v;
+  }
+
+  // One table of cells, stamped per bucket so it is never cleared.
+  constexpr std::uint32_t kCells = 1u << kBucketBits;
+  if (!f.cells.reserve(arena, kCells)) {
+    for (std::uint32_t i = 0; i < kCells; ++i) f.cells.data()[i].stamp = 0;
+    f.stamp = mem::EpochClock{};  // starts past 0, which marks empty
+  }
+  f.touched.reserve(arena, kCells);
+  Cell* const cells = f.cells.data();
+  std::uint32_t* const touched = f.touched.data();
+  f.stamp.bump([&] {
+    for (std::uint32_t i = 0; i < kCells; ++i) cells[i].stamp = 0;
+  });
+  const std::uint32_t stamp = f.stamp.value();
+  std::uint32_t n_touched = 0;
+  auto fold = [&](const IterEntry* e, const IterEntry* last,
+                  std::uint32_t Cell::*first, std::uint32_t bit) {
+    for (; e != last; ++e) {
+      const std::uint32_t at = e->idx & (kCells - 1);
+      Cell& c = cells[at];
+      if (c.stamp != stamp) {
+        c = Cell{stamp, kNone, kNone, 0};
+        touched[n_touched++] = at;
+      }
+      note(c.*first, c.multi, bit, e->iter);
+    }
+  };
+  fold(ws, ws + nw, &Cell::w0, kMultiWrite);
+  fold(rs, rs + nr, &Cell::r0, kMultiRead);
+  for (std::uint32_t t = 0; t < n_touched; ++t) {
+    const Cell& c = cells[touched[t]];
+    v.merge(verdict_of(c.w0, c.r0, c.multi));
+  }
   return v;
 }
 
-void PDSharedShadow::reset() noexcept {
-  for (auto& c : cells_) {
-    c.w.lo.store(kNone, std::memory_order_relaxed);
-    c.w.hi.store(kNone, std::memory_order_relaxed);
-    c.r.lo.store(kNone, std::memory_order_relaxed);
-    c.r.hi.store(kNone, std::memory_order_relaxed);
-  }
-  ++stats_.resets;
-  ++stats_.cell_sweeps;
-  WLP_OBS_COUNT("wlp.pd.resets", 1);
+PDMarks::PDMarks(std::size_t n, unsigned workers, bool on) : on_(on), n_(n) {
+  if (n > IterLog::kMaxIndex + 1)
+    throw std::length_error("PDMarks: size exceeds the log's 32-bit index");
+  if (!on_) return;
+  mem::Arena& arena = mem::local_arena();
+  workers_.reserve(workers);
+  for (unsigned w = 0; w < workers; ++w) workers_.emplace_back(arena);
 }
 
-long PDSharedShadow::first_writer(std::size_t idx) const noexcept {
-  return cells_[idx].w.lo.load(std::memory_order_relaxed);
-}
-long PDSharedShadow::second_writer(std::size_t idx) const noexcept {
-  return cells_[idx].w.hi.load(std::memory_order_relaxed);
-}
-long PDSharedShadow::first_exposed_reader(std::size_t idx) const noexcept {
-  return cells_[idx].r.lo.load(std::memory_order_relaxed);
-}
-long PDSharedShadow::second_exposed_reader(std::size_t idx) const noexcept {
-  return cells_[idx].r.hi.load(std::memory_order_relaxed);
-}
+PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
+  const auto marks_now = static_cast<std::size_t>(marks());
+  WLP_TRACE_SCOPE("pd.merge", marks_now, trip);
+  const auto t0 = std::chrono::steady_clock::now();
+  PDVerdict v;
+  if (marks_now != 0) {
+    // Marks at or past the trip belong to overshot iterations: ignored.
+    const auto lim = static_cast<std::uint64_t>(
+        std::clamp(trip, 0L, static_cast<long>(kNone)));
+    // Large logs fold on the pool; small ones on the calling thread.
+    const bool parallel = marks_now >= kSequentialMarks && pool.size() > 1;
+    const std::size_t p = parallel ? pool.size() : 1;
+    auto run = [&](std::size_t k, auto&& f) {
+      if (parallel)
+        doall(pool, 0, static_cast<long>(k),
+              [&](long i, unsigned vpn) { f(static_cast<std::size_t>(i), vpn); });
+      else
+        for (std::size_t i = 0; i < k; ++i) f(i, 0u);
+    };
+    // Slots are disjoint index ranges.  At least one mark per 2^kDenseBits
+    // elements: buckets of 2^kBucketBits, each folded through a table;
+    // fewer: a few ranges per worker, each sorted.  Either way the slot
+    // arrays below stay O(marks).
+    const bool dense = (n_ >> kDenseBits) <= marks_now;
+    const unsigned shift =
+        dense ? kBucketBits
+              : std::max<unsigned>(kBucketBits,
+                                   static_cast<unsigned>(std::bit_width((n_ - 1) / (4 * p))));
+    const std::size_t slots = ((n_ - 1) >> shift) + 1;
+    const std::size_t owners = workers_.size();
+    mem::Arena& local = mem::local_arena();
 
-// ---- PDPrivateShadow --------------------------------------------------------
-
-PDPrivateShadow::Segment::Segment(std::size_t n_cells, unsigned owner)
-    : n(n_cells), vpn(owner) {
-  // Carved from the owning worker's arena ON the owning worker's thread
-  // (this constructor only runs from the first-mark cold path).  Arena
-  // memory is recycled rather than OS-zeroed, so `gens` must be cleared here; gen 0 is stale
-  // under every epoch.  `cells` is left raw — see the header.
-  mem::Arena& arena = mem::worker_arena(owner);
-  cells = arena.allocate_array<PrivCell>(n);
-  gens = arena.allocate_array<std::uint32_t>(n);
-  std::fill(gens, gens + n, 0u);
-}
-
-PDPrivateShadow::Segment::~Segment() {
-  mem::Arena& arena = mem::worker_arena(vpn);
-  arena.deallocate_array(cells, n);
-  arena.deallocate_array(gens, n);
-}
-
-PDPrivateShadow::Segment* PDPrivateShadow::allocate_segment(unsigned vpn) {
-  // Only the worker owning `vpn` reaches here, so the slot write is
-  // unshared; the counter is atomic because several workers can be in
-  // their own first-mark cold path at once.
-  segs_[vpn] = std::make_unique<Segment>(n_, vpn);
-  segment_allocs_.fetch_add(1, std::memory_order_relaxed);
-  return segs_[vpn].get();
-}
-
-void PDPrivateShadow::sweep_generations() noexcept {
-  // The 32-bit stamp wrapped (once per 2^32 resets): clear every gen array
-  // so no surviving stamp can alias the restarted epoch counter.
-  for (auto& seg : segs_)
-    if (seg) std::fill(seg->gens, seg->gens + seg->n, 0u);
-}
-
-PDPrivateShadow::Merged PDPrivateShadow::merged_cell(std::size_t idx) const noexcept {
-  Merged m;
-  for (const auto& seg : segs_) {
-    if (!seg) continue;
-    if (seg->gens[idx] != epoch_.value()) continue;  // stale gen == unmarked
-    const PrivCell& c = seg->cells[idx];
-    merge2(m.w0, m.w1, c.w0, c.w1);
-    merge2(m.r0, m.r1, c.r0, c.r1);
-  }
-  return m;
-}
-
-PDVerdict PDPrivateShadow::analyze(ThreadPool& pool, long trip) const {
-  // Collect the segments that exist once, so the per-cell kernel is a tight
-  // loop over base pointers: per cell it is s gen-compares plus, for live
-  // cells only, 2 min-merges.  The gen scan streams the dense uint32 array
-  // (16 stamps per cache line), so segments a worker never marked this
-  // epoch cost a quarter-byte-per-cell read instead of a 32-byte payload.
-  std::vector<const PrivCell*> bases;
-  std::vector<const std::uint32_t*> gens;
-  bases.reserve(segs_.size());
-  gens.reserve(segs_.size());
-  for (const auto& seg : segs_) {
-    if (!seg) continue;
-    bases.push_back(seg->cells);
-    gens.push_back(seg->gens);
-  }
-
-  WLP_TRACE_SCOPE("pd.merge", n_, bases.size());
-  const auto t0 = MergeClock::now();
-  const std::uint32_t epoch = epoch_.value();
-  PDVerdict v = parallel_reduce(
-      pool, 0, static_cast<long>(n_), PDVerdict{},
-      [&](long i) {
-        const auto idx = static_cast<std::size_t>(i);
-        Merged m;
-        for (std::size_t s = 0; s < bases.size(); ++s) {
-          if (gens[s][idx] != epoch) continue;
-          const PrivCell& c = bases[s][idx];
-          merge2(m.w0, m.w1, c.w0, c.w1);
-          merge2(m.r0, m.r1, c.r0, c.r1);
+    // 1. Split every log by slot, each log by one worker: count, place,
+    // copy.  at[(kind * owners + o) * slots + s] is owner o's count of
+    // slot s, then where its next entry of s goes; start[kind * (slots + 1)
+    // + s] is where slot s begins among that kind's entries.
+    slots_.reserve(local, 2 * owners * slots + 2 * (slots + 1));
+    std::size_t* const at = slots_.data();
+    std::size_t* const start = at + 2 * owners * slots;
+    std::fill(at, at + 2 * owners * slots, 0);
+    auto per_log = [&](auto&& f) {
+      run(owners, [&](std::size_t o, unsigned) {
+        f(workers_[o].writes, at + o * slots, std::size_t{0});
+        f(workers_[o].reads, at + (owners + o) * slots, std::size_t{1});
+      });
+    };
+    per_log([&](const IterLog& log, std::size_t* count, std::size_t) {
+      log.for_each_run([&](const IterEntry* e, const IterEntry* last) {
+        for (; e != last; ++e)
+          if (e->iter < lim) ++count[e->idx >> shift];
+      });
+    });
+    std::size_t kept[2] = {0, 0};
+    for (std::size_t kind = 0; kind < 2; ++kind) {
+      for (std::size_t s = 0; s < slots; ++s) {
+        start[kind * (slots + 1) + s] = kept[kind];
+        for (std::size_t o = 0; o < owners; ++o) {
+          std::size_t& slot = at[(kind * owners + o) * slots + s];
+          const std::size_t count = slot;
+          slot = kept[kind];
+          kept[kind] += count;
         }
-        return verdict_of(m, trip);
-      },
-      [](PDVerdict a, const PDVerdict& b) { return a.merge(b); });
-  record_merge(t0, n_ * bases.size());
+      }
+      start[kind * (slots + 1) + slots] = kept[kind];
+    }
+    parts_.reserve(local, kept[0] + kept[1]);
+    IterEntry* const part[2] = {parts_.data(), parts_.data() + kept[0]};
+    per_log([&](const IterLog& log, std::size_t* next, std::size_t kind) {
+      IterEntry* const out = part[kind];
+      log.for_each_run([&](const IterEntry* e, const IterEntry* last) {
+        for (; e != last; ++e)
+          if (e->iter < lim) out[next[e->idx >> shift]++] = *e;
+      });
+    });
+
+    // 2. Fold the slots, a contiguous group of them per task.
+    if (folders_.size() < p) folders_.resize(p);
+    const std::size_t groups = std::min(slots, 4 * p);
+    const auto bits = static_cast<unsigned>(std::bit_width(n_ - 1));
+    std::atomic<long> written{0}, multi{0}, exposed{0}, conflicts{0};
+    run(groups, [&](std::size_t g, unsigned vpn) {
+      mem::Arena& arena = parallel ? mem::worker_arena(vpn) : local;
+      const std::size_t* const ws = start;
+      const std::size_t* const rs = start + slots + 1;
+      PDVerdict sum;
+      for (std::size_t s = slots * g / groups; s < slots * (g + 1) / groups; ++s)
+        sum.merge(fold_slot(folders_[vpn].value, arena, part[0] + ws[s],
+                            ws[s + 1] - ws[s], part[1] + rs[s], rs[s + 1] - rs[s],
+                            dense, bits));
+      written.fetch_add(sum.written_elements, std::memory_order_relaxed);
+      multi.fetch_add(sum.multi_written, std::memory_order_relaxed);
+      exposed.fetch_add(sum.exposed_read_elements, std::memory_order_relaxed);
+      conflicts.fetch_add(sum.conflicts, std::memory_order_relaxed);
+    });
+    v.written_elements = written.load(std::memory_order_relaxed);
+    v.multi_written = multi.load(std::memory_order_relaxed);
+    v.exposed_read_elements = exposed.load(std::memory_order_relaxed);
+    v.conflicts = conflicts.load(std::memory_order_relaxed);
+  }
+#if defined(WLP_OBS_ENABLED)
+  WLP_OBS_HIST("wlp.pd.merge_ns",
+               std::chrono::duration_cast<std::chrono::nanoseconds>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count());
+#else
+  (void)t0;
+#endif
   return v;
 }
 
-PDVerdict PDPrivateShadow::analyze_seq(long trip) const {
-  PDVerdict v;
-  for (std::size_t i = 0; i < n_; ++i) v.merge(verdict_of(merged_cell(i), trip));
-  return v;
-}
-
-long PDPrivateShadow::first_writer(std::size_t idx) const noexcept {
-  const Merged m = merged_cell(idx);
-  return m.w0 == kEmpty ? -1 : m.w0;
-}
-long PDPrivateShadow::second_writer(std::size_t idx) const noexcept {
-  const Merged m = merged_cell(idx);
-  return m.w1 == kEmpty ? -1 : m.w1;
-}
-long PDPrivateShadow::first_exposed_reader(std::size_t idx) const noexcept {
-  const Merged m = merged_cell(idx);
-  return m.r0 == kEmpty ? -1 : m.r0;
-}
-long PDPrivateShadow::second_exposed_reader(std::size_t idx) const noexcept {
-  const Merged m = merged_cell(idx);
-  return m.r1 == kEmpty ? -1 : m.r1;
+PDMarks::Iterations PDMarks::iterations_of(std::size_t idx) const {
+  std::uint32_t w0 = kNone, w1 = kNone, r0 = kNone, r1 = kNone;
+  for (const Worker& w : workers_) {
+    w.writes.for_each_run([&](const IterEntry* e, const IterEntry* last) {
+      for (; e != last; ++e)
+        if (e->idx == idx) insert2(w0, w1, e->iter);
+    });
+    w.reads.for_each_run([&](const IterEntry* e, const IterEntry* last) {
+      for (; e != last; ++e)
+        if (e->idx == idx) insert2(r0, r1, e->iter);
+    });
+  }
+  auto out = [](std::uint32_t it) { return it == kNone ? -1L : static_cast<long>(it); };
+  return {out(w0), out(w1), out(r0), out(r1)};
 }
 
 }  // namespace wlp

@@ -53,8 +53,6 @@ struct ExecReport {
   long dispatcher_steps = 0;  ///< total recurrence evaluations (hops) across
                               ///< all processors; ~trip for General-1/3,
                               ///< ~p*trip for General-2
-  long verdict_probes = 0;  ///< verdict-cache lookups issued (0 = no cache)
-  long verdict_hits = 0;    ///< lookups served from the cache
   double checkpoint_ns = 0;  ///< measured wall time snapshotting state (Tb)
   double undo_ns = 0;        ///< measured wall time undoing/restoring (Ta)
   std::size_t peak_spec_bytes = 0;  ///< max bytes the backups measurably

@@ -14,9 +14,8 @@
 // by construction.
 //
 // Repeated invocations against the same targets are cheap: reset_marks()
-// is an O(1) epoch bump (shadow cells and accessor last-writer tables are
-// generation-stamped), so the per-call setup no longer scales with the
-// array size.
+// rewinds the per-worker PD and write logs in O(workers), so the per-call
+// setup does not scale with the array size.
 #pragma once
 
 #include <span>

@@ -65,10 +65,6 @@ struct WindowOptions {
   /// budget against the process-wide SUM: concurrent budgeted loops then
   /// share one ceiling instead of each assuming it owns the whole budget.
   bool charge_process_budget = false;
-  /// Optional cross-run verdict memoization (pd/verdict_cache.hpp): a loop
-  /// re-windowed with the same access pattern skips the PD merge.  Same
-  /// contract as SpecOptions::verdict_cache (speculative wrapper only).
-  pdcache::VerdictCache* verdict_cache = nullptr;
 };
 
 /// The transaction-aware budget controller: one instance per windowed run.
@@ -335,7 +331,7 @@ WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
 /// `body(i, vpn) -> IterAction` must route accesses through the registered
 /// targets (begin_iteration first); `run_sequential() -> trip` is the
 /// fallback after a full restore.  Retries against the same targets are
-/// cheap: reset_marks() is an O(1) epoch bump plus a rewind of the logs.
+/// cheap: reset_marks() rewinds the PD and write logs in O(workers).
 template <class Body, class SeqRun>
 WindowReport sliding_window_speculative_while(
     ThreadPool& pool, long u, std::span<SpecTarget* const> targets,
@@ -349,7 +345,7 @@ WindowReport sliding_window_speculative_while(
                        wopts.memory_budget, wopts.bytes_per_iteration,
                        wopts.charge_process_budget);
   WindowReport wr;
-  SpecRound round(pool, targets, wr.exec, wopts.verdict_cache);
+  SpecRound round(pool, targets, wr.exec);
   round.begin();
   round.txn().set_footprint_listener(&ctl);
   // Feed the budget controller the backups' MEASURED footprint (Section 8.2
@@ -360,7 +356,7 @@ WindowReport sliding_window_speculative_while(
     wopts.live_bytes = [&round] { return round.txn().memory_bytes(); };
   round.run([&] { detail::window_run(pool, u, body, wopts, ctl, wr); });
 
-  if (round.validate(0, wr.exec.trip)) {
+  if (round.validate(wr.exec.trip)) {
     round.commit(wr.exec.trip);
     return wr;
   }

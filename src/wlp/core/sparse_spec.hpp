@@ -12,9 +12,8 @@
 // builds the next recycles the same arena block, so the steady state stays
 // allocation-free and every byte is accounted in the wlp.mem budget.
 //
-// Shadow marking for the PD test is optional and, when enabled, also sized
-// to the array (dense shadows; a hash-table shadow variant is a possible
-// further refinement the paper hints at).
+// The PD test's marks are optional; when enabled they are per-worker logs
+// proportional to the accesses made, like the backup (shadow.hpp).
 #pragma once
 
 #include <vector>
@@ -76,18 +75,6 @@ class SparseSpecArray final : public SpecTarget {
   }
   long marks() const override { return pd_.marks(); }
   void discard() override { backup_.clear(); }
-
-  // ---- verdict-cache hooks -------------------------------------------------
-
-  void enable_access_signatures(bool on) override {
-    pd_.enable_signatures(on);
-  }
-  bool access_summary(PDAccessSummary* out) const override {
-    return pd_.access_summary(out);
-  }
-  long dirty_block_count() const override {
-    return backup_.dirty_block_count();
-  }
 
   // ---- fused-transaction hooks --------------------------------------------
   // No dense checkpoint (the backup saves on first touch); the fused undo

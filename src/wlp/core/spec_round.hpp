@@ -6,13 +6,12 @@
 //   run       exception boundary around the driver's parallel section:
 //             an exception is a failed speculation (Section 5.1)
 //   validate  marks, peak footprint, backup overflow, then the
-//             trip-filtered PD test through the verdict cache  Td's analysis
+//             trip-filtered PD test                            Td's analysis
 //   commit    undo the overshoot through the per-worker write logs   Ta
 //   rollback  full restore + sequential re-execution                 Ta
 //
-// Every step writes into the caller's ExecReport by one rule: times, marks,
-// undone writes and verdict probes accumulate, the peak is a max, and the
-// flags latch, so a driver that runs one round per strip reports the sum.
+// Every step writes into the caller's ExecReport by one rule: times, marks
+// and undone writes accumulate, the peak is a max, and the flags latch, so a driver that runs one round per strip reports the sum.
 // DESIGN.md §12 lists the schedule each driver keeps around these steps.
 #pragma once
 
@@ -25,24 +24,17 @@
 #include "wlp/core/spec_target.hpp"
 #include "wlp/core/txn.hpp"
 #include "wlp/obs/obs.hpp"
-#include "wlp/pd/verdict_cache.hpp"
 #include "wlp/sched/thread_pool.hpp"
 
 namespace wlp {
 
 class SpecRound {
  public:
-  /// `cache` (nullable) memoizes PD verdicts across rounds; with a cache
-  /// every target accumulates access signatures.
   SpecRound(ThreadPool& pool, std::span<SpecTarget* const> targets,
-            ExecReport& report, pdcache::VerdictCache* cache = nullptr)
-      : pool_(pool), targets_(targets), r_(report), cache_(cache),
-        txn_(targets) {
+            ExecReport& report)
+      : pool_(pool), targets_(targets), r_(report), txn_(targets) {
     r_.used_checkpoint = true;
     r_.used_stamps = true;
-    if (cache_ != nullptr)
-      for (SpecTarget* t : targets_) t->enable_access_signatures(true);
-    footprint_seen_ = txn_.footprint_epochs();
   }
 
   /// The round's transaction: drivers poll its footprint and register a
@@ -70,23 +62,15 @@ class SpecRound {
     }
   }
 
-  /// True when the parallel execution of iterations [base, trip) is valid
-  /// and may be committed.  `base` is the round's first iteration (the
-  /// verdict cache rebases signatures on it).
-  bool validate(long base, long trip) {
-    // Accessors count marks in plain per-worker counters during the run;
-    // fold them here, off the hot path.
+  /// True when the round's parallel execution up to `trip` is valid and
+  /// may be committed.
+  bool validate(long trip) {
+    // Marks are log lengths: fold them here, off the hot path.
     const long marks = txn_.marks();
     r_.shadow_marks += marks;
     WLP_OBS_COUNT("wlp.pd.marks", marks);
     // Backups are at their fullest right after the parallel section.
     r_.peak_spec_bytes = std::max(r_.peak_spec_bytes, txn_.memory_bytes());
-    // A backend flip (AdaptiveSpecArray hash <-> dense) changes the write
-    // density the signatures embed: drop memoized verdicts from before it.
-    if (cache_ != nullptr && txn_.footprint_epochs() != footprint_seen_) {
-      footprint_seen_ = txn_.footprint_epochs();
-      cache_->invalidate_all();
-    }
     // A sparse backup that hit capacity dropped writes: the parallel
     // execution is incomplete whatever the PD test would say (the backup
     // still restores the exact pre-round state, because overflowing
@@ -104,14 +88,7 @@ class SpecRound {
     for (SpecTarget* t : targets_) {
       if (!t->shadowed()) continue;
       tested = true;
-      bool hit = false;
-      const PDVerdict v =
-          pdcache::analyze_with_cache(cache_, *t, pool_, base, trip, &hit);
-      if (cache_ != nullptr) {
-        ++r_.verdict_probes;
-        if (hit) ++r_.verdict_hits;
-      }
-      passed = passed && v.fully_parallel();
+      passed = passed && t->analyze(pool_, trip).fully_parallel();
     }
     if (tested) {
       r_.pd_tested = true;
@@ -139,9 +116,6 @@ class SpecRound {
   /// return `run_sequential()`, which re-executes against the raw data.
   template <class SeqRun>
   decltype(auto) rollback(SeqRun&& run_sequential) {
-    // The loop's behavior just diverged from whatever patterns were
-    // memoized: drop the table.
-    if (cache_ != nullptr) cache_->invalidate_all();
     WLP_TRACE_SCOPE("spec.seq_reexec", 0, 0);
     WLP_OBS_COUNT("wlp.spec.seq_reexec", 1);
     const auto t0 = std::chrono::steady_clock::now();
@@ -155,9 +129,7 @@ class SpecRound {
   ThreadPool& pool_;
   std::span<SpecTarget* const> targets_;
   ExecReport& r_;
-  pdcache::VerdictCache* cache_;
   SpecTransaction txn_;
-  long footprint_seen_ = 0;
   bool threw_ = false;
 };
 

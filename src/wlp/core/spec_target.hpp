@@ -52,7 +52,7 @@ class SpecTarget {
   virtual bool shadowed() const = 0;
   virtual PDVerdict analyze(ThreadPool& pool, long trip) const = 0;
   virtual void reset_marks() = 0;
-  /// Shadow marks recorded since the last reset_marks() (0 if not shadowed).
+  /// PD marks recorded since the last reset_marks() (0 if not shadowed).
   virtual long marks() const { return 0; }
   /// Did the backup lose a write since the last reset_marks()?  A sparse
   /// backup that hits capacity latches this instead of throwing from a pool
@@ -66,24 +66,6 @@ class SpecTarget {
   /// Commit: the speculation succeeded with no overshoot in this region,
   /// the backup state can be dropped (strip-by-strip drivers use this).
   virtual void discard() = 0;
-
-  // ---- verdict-cache hooks (wlp::pdcache, pd/verdict_cache.hpp) ------------
-
-  /// Turn per-mark access-summary accumulation on/off in this target's
-  /// shadow.  Drivers call it once, before any marking, when a verdict
-  /// cache is attached; an unshadowed target ignores it (its
-  /// access_summary() stays false and the cache is bypassed for it).
-  virtual void enable_access_signatures(bool /*on*/) {}
-  /// Fold the shadow's per-worker access summaries into `*out` (only valid
-  /// after the fork-join barrier, like analyze()).  Returns false when this
-  /// target cannot produce one — signatures disabled or not shadowed — in
-  /// which case the caller must run the full analysis.
-  virtual bool access_summary(PDAccessSummary* /*out*/) const { return false; }
-  /// Write density for the verdict signature: ceil(writes / 64), counted
-  /// as logged writes (dense) or recorded locations (sparse backups).
-  /// Cheap by construction — log lengths or an occupancy read, never an
-  /// element sweep.
-  virtual long dirty_block_count() const { return 0; }
 
   // ---- fused-transaction hooks (SpecTransaction, txn.hpp) ------------------
 

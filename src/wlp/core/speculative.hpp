@@ -3,7 +3,7 @@
 //
 // The compiler (or the user, through this API) cannot prove the remainder
 // independent, so the loop runs speculatively as a DOALL with the PD test's
-// shadow marking woven into every access.  After the run:
+// marks (shadow.hpp) woven into every access.  After the run:
 //   * the last valid iteration (trip) is recovered from the QUIT minima,
 //   * the PD analysis — filtered by trip, so overshot iterations' marks are
 //     ignored — decides whether the parallel execution was valid,
@@ -27,21 +27,18 @@
 #include "wlp/core/spec_round.hpp"
 #include "wlp/core/spec_target.hpp"
 #include "wlp/core/versioned_array.hpp"
-#include "wlp/pd/verdict_cache.hpp"
 #include "wlp/sched/doall.hpp"
 
 namespace wlp {
 
 /// A shared array under speculation: versioned data + (optionally) PD
-/// marks with one accessor per worker.  Loop bodies use the vpn-qualified
-/// get/set, which both append to the worker's write log and drive the
-/// shadow marking.
+/// marks.  Loop bodies use the vpn-qualified get/set, which both append to
+/// the worker's write log and record the PD marks.
 template <class T>
 class SpecArray final : public SpecTarget {
  public:
   /// `run_pd_test` = false means the accesses are statically analyzable
-  /// (only the write log for undo is needed, no shadow marking) — the
-  /// accessors (and their O(n) last-writer tables) are not even built.
+  /// (only the write log for undo is needed): no PD log is built.
   SpecArray(std::vector<T> init, unsigned workers, bool run_pd_test)
       : array_(std::move(init), workers),
         pd_(array_.size(), workers, run_pd_test) {}
@@ -82,18 +79,6 @@ class SpecArray final : public SpecTarget {
   std::size_t memory_bytes() const override { return array_.memory_bytes(); }
   void discard() override { array_.discard_checkpoint(); }
 
-  // ---- verdict-cache hooks -------------------------------------------------
-
-  void enable_access_signatures(bool on) override {
-    pd_.enable_signatures(on);
-  }
-  bool access_summary(PDAccessSummary* out) const override {
-    return pd_.access_summary(out);
-  }
-  long dirty_block_count() const override {
-    return array_.dirty_block_count();
-  }
-
   // ---- fused-transaction hooks --------------------------------------------
 
   std::size_t txn_dense_size() const override { return array_.size(); }
@@ -126,11 +111,6 @@ struct SpecOptions {
   /// growing back additively while comfortable — so callers stop wiring
   /// per-target byte probes by hand; the drivers ask the transaction.
   std::size_t memory_budget = 0;
-  /// Optional cross-round verdict memoization (pd/verdict_cache.hpp),
-  /// handed to the SpecRound: every target accumulates access signatures,
-  /// each PD analysis consults the cache first, and misspeculation or a
-  /// footprint flip invalidates it.  nullptr = always run the full analysis.
-  pdcache::VerdictCache* verdict_cache = nullptr;
 };
 
 /// Run a WHILE loop speculatively in parallel over [0, u): one SpecRound
@@ -149,14 +129,14 @@ ExecReport speculative_while(ThreadPool& pool, long u,
   // Without the QUIT every iteration in [0, u) runs: Induction-1 (Fig. 2).
   r.method = opts.doall.use_quit ? Method::kInduction2 : Method::kInduction1;
   WLP_TRACE_SCOPE("spec.round", u, targets.size());
-  SpecRound round(pool, targets, r, opts.verdict_cache);
+  SpecRound round(pool, targets, r);
   round.begin();
   QuitResult qr{};
   round.run([&] { qr = doall_quit(pool, 0, u, body, opts.doall); });
   r.trip = qr.trip;
   r.started = qr.started;
   r.overshot = std::max(0L, qr.started - qr.trip);
-  if (round.validate(0, qr.trip))
+  if (round.validate(qr.trip))
     round.commit(qr.trip);
   else
     r.trip = round.rollback(run_sequential);

@@ -66,11 +66,8 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
 
   // ONE round (and so one transaction) for the whole strip sequence: the
   // chunk maps are built once here, so every strip's begin/undo/restore
-  // allocates nothing.  With a verdict cache, a steady-state loop touches
-  // the same elements at the same strip-relative iterations every strip,
-  // so after the first strip the PD analysis is one summary fold + one
-  // cache probe.
-  SpecRound round(pool, targets, out.exec, opts.verdict_cache);
+  // allocates nothing.
+  SpecRound round(pool, targets, out.exec);
 
   long cur_strip = strip;
   out.final_strip = cur_strip;
@@ -85,7 +82,7 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
     QuitResult qr{};
     round.run([&] { qr = doall_quit(pool, base, end, body, opts.doall); });
     out.claims += qr.claims;
-    const bool valid = round.validate(base, qr.trip);
+    const bool valid = round.validate(qr.trip);
 
     // Transaction-aware strip control: the backups are at their fullest
     // right after the strip's parallel section, so poll the fused footprint

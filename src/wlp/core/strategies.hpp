@@ -79,7 +79,7 @@ ExecReport stats_enhanced_while(ThreadPool& pool, long u, StampThreshold thresho
                                 SeqRun&& run_sequential, SpecOptions opts = {}) {
   ExecReport r;
   r.method = opts.doall.use_quit ? Method::kInduction2 : Method::kInduction1;
-  SpecRound round(pool, targets, r, opts.verdict_cache);
+  SpecRound round(pool, targets, r);
   round.begin();
   QuitResult qr{};
   round.run([&] {
@@ -93,7 +93,7 @@ ExecReport stats_enhanced_while(ThreadPool& pool, long u, StampThreshold thresho
   r.trip = qr.trip;
   r.started = qr.started;
   r.overshot = std::max(0L, qr.started - qr.trip);
-  if (round.validate(0, qr.trip) && qr.trip >= threshold.value)
+  if (round.validate(qr.trip) && qr.trip >= threshold.value)
     round.commit(qr.trip);
   else
     r.trip = round.rollback(run_sequential);

@@ -443,21 +443,6 @@ class AdaptiveSpecArray final : public SpecTarget {
     hash_.clear();
   }
 
-  // ---- verdict-cache hooks -------------------------------------------------
-
-  void enable_access_signatures(bool on) override {
-    pd_.enable_signatures(on);
-  }
-  bool access_summary(PDAccessSummary* out) const override {
-    return pd_.access_summary(out);
-  }
-  long dirty_block_count() const override {
-    // Whichever backend held this retry's writes knows the density; the
-    // idle side reports 0 (empty table / empty logs), so the sum is the
-    // live count even right after a mid-run flip.
-    return array_.dirty_block_count() + hash_.dirty_block_count();
-  }
-
   // ---- fused-transaction hooks --------------------------------------------
   // Both personalities are always reported (see the class comment); on a
   // hash retry the dense hooks do nothing, since the dense backup holds no

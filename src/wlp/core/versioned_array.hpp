@@ -30,21 +30,21 @@
 // Violations of the assumption are exactly what the PD test (Section 5)
 // detects.
 //
-// Storage: the backup and the log segments draw from the constructing
-// thread's wlp::mem arena, so a retired array's buffers are recycled in
-// O(1) by the next array of the same shape and every byte shows up in the
-// wlp.mem budget.  Sizing the backup does not zero it: the checkpoint copy
-// overwrites every element anyway.  A segment holds min(n, kSegmentEntries)
-// entries and is allocated on a worker's first write past its open segment;
-// clear_log() rewinds the fill positions and keeps the segments, so warm
-// retries allocate nothing.
+// Storage: the backup and the log segments (IterLog, iter_log.hpp) draw
+// from the constructing thread's wlp::mem arena, so a retired array's
+// buffers are recycled in O(1) by the next array of the same shape and
+// every byte shows up in the wlp.mem budget.  Sizing the backup does not
+// zero it: the checkpoint copy overwrites every element anyway.  A segment
+// holds min(n, kSegmentEntries) entries and is allocated on a worker's
+// first write past its open segment; clear_log() rewinds the fill
+// positions and keeps the segments, so warm retries allocate nothing.
 //
 // Concurrency contract: worker vpn appends only to log vpn (the data stores
 // race only when iterations genuinely collide, which the PD test reports);
 // the checkpoint, undo and restore hooks, clear_log and the exact
-// logged_writes() / dirty_block_count() run only when no writes are in
-// flight — the fork-join barrier of the speculative drivers is the
-// happens-before edge that publishes the logs to the undo pass.
+// logged_writes() run only when no writes are in flight — the fork-join
+// barrier of the speculative drivers is the happens-before edge that
+// publishes the logs to the undo pass.
 // memory_bytes() is the one reader allowed while workers append (the
 // sliding window polls it at every claim): it reads capacities and a
 // relaxed count of opened segments, never a log's fill position.
@@ -61,6 +61,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "wlp/core/iter_log.hpp"
 #include "wlp/mem/arena.hpp"
 #include "wlp/support/cacheline.hpp"
 
@@ -77,13 +78,10 @@ struct UndoStats {
 template <class T>
 class VersionedArray {
  public:
-  /// Largest iteration an entry records: entries keep it in 32 bits.  Loops
-  /// beyond 4G iterations would need the strip/window drivers anyway, which
-  /// reset the logs per strip.
-  static constexpr long kMaxIter = 0xfffffffeL;
-  /// Largest index an entry records; the constructor applies the same
-  /// 32-bit limit to the array size.
-  static constexpr std::size_t kMaxIndex = 0xfffffffeu;
+  /// Largest iteration and index an entry records (32-bit fields); the
+  /// constructor applies the index limit to the array size.
+  static constexpr long kMaxIter = IterLog::kMaxIter;
+  static constexpr std::size_t kMaxIndex = IterLog::kMaxIndex;
   /// Entries per log segment for arrays at least this large (64 KiB).
   static constexpr std::size_t kSegmentEntries = 8192;
 
@@ -99,13 +97,7 @@ class VersionedArray {
           "VersionedArray: size exceeds the log's 32-bit index");
     logs_.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
-      logs_.emplace_back(Log(*arena_));
-  }
-
-  ~VersionedArray() {
-    for (auto& pl : logs_)
-      for (Entry* s : pl.value.segs)
-        arena_->deallocate_array(s, seg_entries_);
+      logs_.emplace_back(*arena_, seg_entries_, &open_segments_);
   }
 
   VersionedArray(const VersionedArray&) = delete;
@@ -124,13 +116,9 @@ class VersionedArray {
     assert(vpn < logs_.size());
     assert(iter >= 0 && iter <= kMaxIter);
     data_[idx] = v;
-    Log& log = logs_[vpn].value;
-    // Checked before a full segment is left, so pos[-1] is the log's newest
-    // entry even when this write opens the next segment.
-    assert(log.pos == nullptr || static_cast<long>(log.pos[-1].iter) <= iter);
-    if (log.pos == log.end) open_segment(log);
-    *log.pos++ = Entry{static_cast<std::uint32_t>(idx),
-                       static_cast<std::uint32_t>(iter)};
+    IterLog& log = logs_[vpn];
+    assert(log.last_iter() <= iter);
+    log.push(idx, iter);
   }
 
   /// Unlogged write (sequential / non-speculative contexts).
@@ -171,17 +159,21 @@ class VersionedArray {
   long txn_undo(long trip, std::size_t lo, std::size_t hi) noexcept {
     assert(has_checkpoint());
     long undone = 0;
-    for (const auto& pl : logs_) undone += undo_log(pl.value, trip, lo, hi);
+    for (const IterLog& log : logs_)
+      log.walk_back([&](const IterEntry& e) {
+        if (static_cast<long>(e.iter) < trip) return false;
+        if (e.idx - lo < hi - lo) {  // else another walk's range
+          data_[e.idx] = backup_[e.idx];
+          ++undone;
+        }
+        return true;
+      });
     return undone;
   }
 
   /// O(workers): rewind every log; the segments stay allocated for reuse.
   void clear_log() noexcept {
-    for (auto& pl : logs_) {
-      Log& log = pl.value;
-      log.open = 0;
-      log.pos = log.end = nullptr;
-    }
+    for (IterLog& log : logs_) log.clear();
     open_segments_.store(0, std::memory_order_relaxed);
     ++stats_.resets;
   }
@@ -194,7 +186,7 @@ class VersionedArray {
   /// quiescent only).
   std::size_t logged_writes() const noexcept {
     std::size_t n = 0;
-    for (const auto& pl : logs_) n += log_length(pl.value);
+    for (const IterLog& log : logs_) n += log.size();
     return n;
   }
 
@@ -208,13 +200,7 @@ class VersionedArray {
   std::size_t memory_bytes() const noexcept {
     return data_.capacity() * sizeof(T) + backup_.capacity() * sizeof(T) +
            open_segments_.load(std::memory_order_relaxed) * seg_entries_ *
-               sizeof(Entry);
-  }
-
-  /// Write density for the verdict signature: ceil(logged writes / 64), the
-  /// same unit HashBackup::dirty_block_count() reports.
-  long dirty_block_count() const noexcept {
-    return static_cast<long>((logged_writes() + 63) / 64);
+               sizeof(IterEntry);
   }
 
   /// Bytes the pooled dense backup retains on its own (allocated once,
@@ -238,8 +224,8 @@ class VersionedArray {
 
   UndoStats stats() const noexcept {
     UndoStats s = stats_;
-    for (const auto& pl : logs_)
-      s.segments += static_cast<long>(pl.value.segs.size());
+    for (const IterLog& log : logs_)
+      s.segments += static_cast<long>(log.segments());
     return s;
   }
 
@@ -248,12 +234,6 @@ class VersionedArray {
   const std::vector<T>& data() const noexcept { return data_; }
 
  private:
-  struct Entry {
-    std::uint32_t idx;
-    std::uint32_t iter;
-  };
-  using SegAlloc = mem::ArenaAllocator<Entry*>;
-
   /// The backup's allocator: the arena allocator, except that a
   /// no-argument construct default-initializes.  resize() then leaves the
   /// elements as the arena handed them out (no stores at all for a
@@ -272,52 +252,6 @@ class VersionedArray {
     }
   };
 
-  /// One worker's log: arena segments filled front to back.  The open
-  /// segment is segs[open - 1]; [pos, end) is its free tail.
-  struct Log {
-    explicit Log(mem::Arena& a) : segs(SegAlloc(a)) {}
-    Entry* pos = nullptr;
-    Entry* end = nullptr;
-    std::size_t open = 0;
-    std::vector<Entry*, SegAlloc> segs;
-  };
-
-  /// Move a full (or never opened) log onto its next segment, allocating
-  /// one only when no kept segment is left.
-  void open_segment(Log& log) {
-    if (log.open == log.segs.size())
-      log.segs.push_back(arena_->allocate_array<Entry>(seg_entries_));
-    open_segments_.fetch_add(1, std::memory_order_relaxed);
-    Entry* s = log.segs[log.open++];
-    log.pos = s;
-    log.end = s + seg_entries_;
-  }
-
-  std::size_t log_length(const Log& log) const noexcept {
-    if (log.open == 0) return 0;
-    return (log.open - 1) * seg_entries_ +
-           static_cast<std::size_t>(log.pos - log.segs[log.open - 1]);
-  }
-
-  /// Tail walk of one sorted log: while iteration >= trip, restore the
-  /// entries whose index lies in [lo, hi).
-  long undo_log(const Log& log, long trip, std::size_t lo,
-                std::size_t hi) noexcept {
-    long undone = 0;
-    for (std::size_t s = log.open; s-- > 0;) {
-      const Entry* first = log.segs[s];
-      const Entry* e = s + 1 == log.open ? log.pos : first + seg_entries_;
-      while (e != first) {
-        --e;
-        if (static_cast<long>(e->iter) < trip) return undone;
-        if (e->idx - lo >= hi - lo) continue;  // another walk's range
-        data_[e->idx] = backup_[e->idx];
-        ++undone;
-      }
-    }
-    return undone;
-  }
-
   /// Copy [b, e) src -> dst: memcpy for trivially-copyable T, element
   /// assignment otherwise (the fast path MUST NOT be taken for types with
   /// real copy semantics).  Raw pointers because the backup vector and the
@@ -333,9 +267,9 @@ class VersionedArray {
   std::vector<T> data_;
   /// Arena-pooled (recycled across arrays); sized without a zero fill.
   std::vector<T, BackupAlloc<T>> backup_;
-  mem::Arena* arena_;             ///< the constructing thread's arena
-  std::size_t seg_entries_;       ///< entries per log segment
-  std::vector<Padded<Log>> logs_;  ///< one per worker, written only by it
+  mem::Arena* arena_;        ///< the constructing thread's arena
+  std::size_t seg_entries_;  ///< entries per log segment
+  std::vector<IterLog> logs_;  ///< one per worker, written only by it
   /// Segments opened since the last clear_log(), summed over the workers:
   /// the log term of memory_bytes(), safe to read mid-run.  Own cache line,
   /// so its once-per-segment bump stays off the lines every write reads.

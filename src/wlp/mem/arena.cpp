@@ -74,7 +74,7 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
 
   if (cls >= kLargeMin) {
     // Dedicated block, recycled by exact rounded size: the big consumers
-    // (shadow segments, backup tables) recur with identical sizes, so
+    // (log segments, backup tables) recur with identical sizes, so
     // exact keys recycle perfectly without power-of-two waste.
     auto it = large_free_.find(cls);
     if (it != large_free_.end()) {

@@ -21,14 +21,13 @@
 //     steady state performs no (de)allocations at all (the regression
 //     tests assert exactly that through the budget counters).
 //   * Lazy, owner-side allocation: per-worker buffers are allocated from
-//     the worker's own share (shadow segments on the first mark, chain
-//     slots on the first window), so an idle worker's arena stays empty
-//     and a recycled block returns to the worker that streamed it.
+//     the worker's own share (chain slots on the first window), so an idle
+//     worker's arena stays empty and a recycled block returns to the
+//     worker that streamed it.
 //
 // EpochClock (mem/epoch.hpp, re-exported here) is the other half of the
 // retired idiom: the 32-bit generation counter with a once-per-2^32 wrap
-// sweep that the PD shadow, the versioned array, the hash backup and the
-// DOACROSS slots each hand-rolled.
+// sweep that the hash backup and the DOACROSS slots each hand-rolled.
 #pragma once
 
 #include <atomic>

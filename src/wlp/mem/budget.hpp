@@ -1,6 +1,6 @@
 // wlp::mem — the process-wide memory accountant.
 //
-// Every subsystem that speculates pins memory: checkpoint backups, shadow
+// Every subsystem that speculates pins memory: checkpoint backups, log
 // segments, hash-backup slots, chain slots.  Before this accountant each of
 // them kept its own `memory_bytes()` plumbing and the sliding-window budget
 // controller had to be hand-wired to the right set of targets.  The Budget

@@ -46,8 +46,8 @@
 //     the kernel.
 //   * **Pooled chain state.**  The chain state is O(1) words plus one
 //     padded wait-stat slot per virtual processor (the pipeline depth) —
-//     pooled per calling thread and epoch-stamped (mem::EpochClock, the
-//     same clock the PD shadow uses), so a loop that exits after a handful
+//     pooled per calling thread and epoch-stamped (mem::EpochClock), so
+//     a loop that exits after a handful
 //     of iterations pays no O(max_iters) allocation or zero-fill, and
 //     repeated calls allocate nothing at all.  The slot array itself is an
 //     arena block (mem::local_arena), so even pool-width growth recycles
@@ -86,7 +86,7 @@ struct DoacrossResult {
 };
 
 /// Calling-thread-local reuse counters for the pooled chain state — the
-/// allocation-regression hook (mirrors PDShadowStats for the PD shadow).
+/// allocation-regression hook.
 struct DoacrossChainStats {
   long chain_allocs = 0;  ///< chain-state objects ever constructed
   long slot_grows = 0;    ///< wait-slot array growths (pool got wider)

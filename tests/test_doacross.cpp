@@ -124,11 +124,10 @@ TEST(Doacross, MultiWindowRunsCrossTheFrontierReset) {
 // ---- pooled chain state: the allocation regression ------------------------
 
 TEST(Doacross, PooledChainStateIsReusedAcrossCalls) {
-  // Mirrors PDPrivateShadow.SegmentsAreLazyAndPooled: the seed allocated and
-  // zero-filled an O(max_iters) flag vector per call; the chain state must
-  // be leased from the calling thread's pool and epoch-stamped, so repeated
-  // calls — including ones that exit after a handful of iterations — pay no
-  // per-call allocation at all.
+  // The seed allocated and zero-filled an O(max_iters) flag vector per
+  // call; the chain state must be leased from the calling thread's pool and
+  // epoch-stamped, so repeated calls — including ones that exit after a
+  // handful of iterations — pay no per-call allocation at all.
   ThreadPool pool(4);
   doacross_while(pool, 8, [](long) { return true; }, [](long, unsigned) {});
 

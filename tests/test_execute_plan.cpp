@@ -124,6 +124,26 @@ TEST(ExecutePlan, UnknownAccessPassesPDWhenIndependent) {
   expect_plan_equivalent(pool, loop, base);
 }
 
+TEST(ExecutePlan, UnknownAccessWriteThenReadAcrossStatementsPassesPD) {
+  // A[S[i]] = i ; x = A[S[i]]  — statement 2 reads the element statement 1
+  // wrote in the same iteration: a covered read, so the block passes the
+  // PD test although its two statements mark one iteration each.
+  ThreadPool pool(4);
+  Loop loop;
+  loop.max_iters = 100;
+  loop.body.push_back(assign_array("A", array("S", index()), index()));
+  loop.body.push_back(assign_scalar("x", array("A", array("S", index()))));
+
+  Env base = rich_env(100);
+  base.scalars["x"] = 0;
+  Env par = base;
+  const ParallelPlan plan = make_plan(loop);
+  ASSERT_EQ(plan.pd_arrays.size(), 1u);
+  const PlanExecution ex = run_parallel_plan(pool, loop, plan, par);
+  EXPECT_FALSE(ex.speculation_failed);
+  expect_plan_equivalent(pool, loop, base);
+}
+
 TEST(ExecutePlan, UnknownAccessFailsPDAndFallsBack) {
   // A[S2[i]] = i where S2 collides: the PD test must fail and the fallback
   // must still produce the exact sequential result.

@@ -201,40 +201,48 @@ TEST(MemSteadyState, DoacrossWindowsAllocateNothingOnceWarm) {
 }
 
 TEST(MemSteadyState, ShadowResetReusesArenaSegments) {
-  PDPrivateShadow shadow(4096, /*workers=*/4);
-  for (unsigned w = 0; w < 4; ++w) shadow.mark_write(w, 1, w);  // warm-up
+  PDMarks marks(4096, /*workers=*/4, /*on=*/true);
+  ThreadPool pool(1);
+  auto round = [&](long r) {
+    marks.reset();
+    for (unsigned w = 0; w < 4; ++w) {
+      marks.begin_iteration(w, r);
+      marks.on_write(w, (static_cast<std::size_t>(r) + w) % 4096);
+      marks.on_read(w, (static_cast<std::size_t>(r) + w + 1) % 4096);
+    }
+    return marks.analyze(pool, r + 1);
+  };
+  (void)round(1);  // warm-up: log segments and the analysis buffer
   const mem::BudgetSnapshot s0 = mem::Budget::process().snapshot();
-  for (int round = 0; round < 100; ++round) {
-    shadow.reset();
-    for (unsigned w = 0; w < 4; ++w)
-      shadow.mark_write(w, round, (static_cast<std::size_t>(round) + w) % 4096);
-  }
+  for (int r = 0; r < 100; ++r) (void)round(r);
   const mem::BudgetSnapshot s1 = mem::Budget::process().snapshot();
   EXPECT_EQ(s1.arena_allocs - s0.arena_allocs, 0);  // segments pooled
   EXPECT_EQ(s1.slow_allocs - s0.slow_allocs, 0);
-  EXPECT_EQ(shadow.stats().resets, 100);
-  EXPECT_EQ(shadow.stats().cell_sweeps, 0);
 }
 
 TEST(MemSteadyState, ShadowOnRecycledBlocksStartsClean) {
-  // Construct, dirty and destroy a shadow; the next same-shape shadow gets
-  // the SAME arena blocks back — with whatever generation stamps the first
-  // life left behind.  The Segment constructor must clear the gens array
-  // (arena memory is recycled, not OS-zeroed) or stale marks leak into the
-  // new shadow's first epoch as phantom conflicts.
+  // Construct, fill and destroy a store; the next same-shape store gets
+  // the SAME arena blocks back, holding whatever entries the first life
+  // left behind.  The new store's logs start empty, or stale entries leak
+  // into its first round as phantom conflicts.
   const std::size_t n = 2048;
+  ThreadPool pool(1);
   {
-    PDPrivateShadow first(n, /*workers=*/2);
+    PDMarks first(n, /*workers=*/2, /*on=*/true);
     for (long i = 0; i < 64; ++i) {
-      first.mark_write(0u, i, static_cast<std::size_t>(i));
-      first.mark_write(1u, i + 500, static_cast<std::size_t>(i));  // 2nd writer
+      first.begin_iteration(0u, i);
+      first.on_write(0u, static_cast<std::size_t>(i));
+      first.begin_iteration(1u, i + 500);
+      first.on_write(1u, static_cast<std::size_t>(i));  // 2nd writer
     }
-    EXPECT_GT(first.analyze_seq(1L << 40).multi_written, 0);
+    EXPECT_GT(first.analyze(pool, 1L << 40).multi_written, 0);
   }
-  PDPrivateShadow second(n, /*workers=*/2);
-  second.mark_write(0u, 3, 7);  // force segment (re)allocation for vpn 0
-  second.mark_write(1u, 4, 9);
-  const PDVerdict v = second.analyze_seq(1L << 40);
+  PDMarks second(n, /*workers=*/2, /*on=*/true);
+  second.begin_iteration(0u, 3);
+  second.on_write(0u, 7);  // reopens a segment for vpn 0
+  second.begin_iteration(1u, 4);
+  second.on_write(1u, 9);
+  const PDVerdict v = second.analyze(pool, 1L << 40);
   EXPECT_EQ(v.written_elements, 2);  // only this life's marks are visible
   EXPECT_EQ(v.multi_written, 0);
   EXPECT_EQ(v.conflicts, 0);

@@ -1,21 +1,117 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <set>
+#include <vector>
+
+#include "pd_oracle.hpp"
 #include "wlp/core/shadow.hpp"
 #include "wlp/sched/doall.hpp"
 #include "wlp/support/prng.hpp"
 
 namespace wlp {
+
+/// PDMarks, the privatized (per-worker) store every target marks into,
+/// behind the PDShadowPolicy surface the oracle (pd_oracle.hpp) has.  A raw
+/// mark without a worker goes to the first worker whose iterations it keeps
+/// in order; an exposed read goes to a worker that has not started `iter`
+/// yet, so no write of it covers the read.
+class PDPrivateShadow {
+ public:
+  explicit PDPrivateShadow(std::size_t n, unsigned workers = 1)
+      : marks_(n, std::max(workers, kRouted), /*on=*/true),
+        iter_(std::max(workers, kRouted), -1) {}
+
+  void begin_iteration(unsigned vpn, long iter) {
+    marks_.begin_iteration(vpn, iter);
+    iter_[vpn] = iter;
+  }
+  void on_read(unsigned vpn, std::size_t idx) { marks_.on_read(vpn, idx); }
+  void on_write(unsigned vpn, std::size_t idx) { marks_.on_write(vpn, idx); }
+  long marks() const { return marks_.marks(); }
+
+  void mark_write(unsigned vpn, long iter, std::size_t idx) {
+    begin_iteration(vpn, iter);
+    on_write(vpn, idx);
+  }
+  void mark_exposed_read(unsigned vpn, long iter, std::size_t idx) {
+    begin_iteration(vpn, iter);
+    on_read(vpn, idx);
+  }
+  void mark_write(long iter, std::size_t idx) {
+    marks_.on_write(route(iter, /*fresh=*/false), idx);
+  }
+  void mark_exposed_read(long iter, std::size_t idx) {
+    marks_.on_read(route(iter, /*fresh=*/true), idx);
+  }
+
+  void reset() {
+    marks_.reset();
+    std::fill(iter_.begin(), iter_.end(), -1L);
+  }
+
+  PDVerdict analyze(ThreadPool& pool, long trip) const {
+    return marks_.analyze(pool, trip);
+  }
+  PDVerdict analyze_seq(long trip) const { return marks_.analyze(one_, trip); }
+
+  long first_writer(std::size_t idx) const { return marks_.iterations_of(idx).w0; }
+  long second_writer(std::size_t idx) const { return marks_.iterations_of(idx).w1; }
+  long first_exposed_reader(std::size_t idx) const {
+    return marks_.iterations_of(idx).r0;
+  }
+  long second_exposed_reader(std::size_t idx) const {
+    return marks_.iterations_of(idx).r1;
+  }
+
+ private:
+  static constexpr unsigned kRouted = 32;
+
+  unsigned route(long iter, bool fresh) {
+    for (unsigned w = 0; w < iter_.size(); ++w)
+      if (fresh ? iter_[w] < iter : iter_[w] <= iter) {
+        begin_iteration(w, iter);
+        return w;
+      }
+    ADD_FAILURE() << "no worker can take iteration " << iter;
+    return 0;
+  }
+
+  PDMarks marks_;
+  std::vector<long> iter_;
+  mutable ThreadPool one_{1};
+};
+
 namespace {
 
 constexpr long kBig = 1L << 40;  // trip filter that keeps every mark
 
 // ---- semantics shared by both marking policies ------------------------------
 //
-// Every test here runs against PDSharedShadow (atomic cells + striped locks)
-// and PDPrivateShadow (per-worker plain-store segments): the verdicts — the
-// PD test's observable behavior — must be identical.
+// Every test here runs against PDSharedShadow (the dense oracle: atomic
+// cells + striped locks, pd_oracle.hpp) and PDPrivateShadow (PDMarks'
+// per-worker logs): the verdicts — the PD test's observable behavior —
+// must be identical.
 
-template <class Shadow>
+/// One worker's view of a store, with PDMarks' body-side calls.
+template <class Store>
+class Accessor {
+ public:
+  explicit Accessor(Store& s, unsigned vpn = 0) : s_(&s), vpn_(vpn) {}
+  void begin_iteration(long iter) { s_->begin_iteration(vpn_, iter); }
+  void on_read(std::size_t idx) { s_->on_read(vpn_, idx); }
+  void on_write(std::size_t idx) { s_->on_write(vpn_, idx); }
+  long marks() const { return s_->marks(); }
+  void reset() { s_->reset(); }
+
+ private:
+  Store* s_;
+  unsigned vpn_;
+};
+
+template <class Store>
 class PDShadowPolicy : public ::testing::Test {};
 
 using ShadowPolicies = ::testing::Types<PDSharedShadow, PDPrivateShadow>;
@@ -26,7 +122,7 @@ TYPED_TEST_SUITE(PDShadowPolicy, ShadowPolicies);
 TYPED_TEST(PDShadowPolicy, Fig5a_ReadThenWriteSameIterationIsParallel) {
   // do i: A[i] = 2*A[i]  — loop-independent dependence only.
   TypeParam shadow(100);
-  PDAccessorT<TypeParam> acc(shadow, 100);
+  Accessor<TypeParam> acc(shadow);
   for (long i = 0; i < 100; ++i) {
     acc.begin_iteration(i);
     acc.on_read(static_cast<std::size_t>(i));   // exposed (read before write)
@@ -43,7 +139,7 @@ TYPED_TEST(PDShadowPolicy, Fig5b_PrivatizableTemporary) {
   // location (slot 0): written then read each iteration -> reads are NOT
   // exposed, but the slot is written by many iterations (output deps).
   TypeParam shadow(1);
-  PDAccessorT<TypeParam> acc(shadow, 1);
+  Accessor<TypeParam> acc(shadow);
   for (long i = 0; i < 50; ++i) {
     acc.begin_iteration(i);
     acc.on_write(0);  // tmp = ...
@@ -59,7 +155,7 @@ TYPED_TEST(PDShadowPolicy, Fig5b_PrivatizableTemporary) {
 TYPED_TEST(PDShadowPolicy, Fig5c_CrossIterationFlowFails) {
   // A[i] = A[i] + A[i-1]: iteration i exposed-reads A[i-1], written by i-1.
   TypeParam shadow(100);
-  PDAccessorT<TypeParam> acc(shadow, 100);
+  Accessor<TypeParam> acc(shadow);
   for (long i = 1; i < 100; ++i) {
     acc.begin_iteration(i);
     acc.on_read(static_cast<std::size_t>(i));
@@ -75,7 +171,7 @@ TYPED_TEST(PDShadowPolicy, Fig5c_CrossIterationFlowFails) {
 
 TYPED_TEST(PDShadowPolicy, MarksFromOvershotIterationsAreIgnored) {
   TypeParam shadow(10);
-  PDAccessorT<TypeParam> acc(shadow, 10);
+  Accessor<TypeParam> acc(shadow);
   // Valid region (iter < 5): element 0 written once by iteration 2.
   acc.begin_iteration(2);
   acc.on_write(0);
@@ -151,8 +247,8 @@ TYPED_TEST(PDShadowPolicy, MarksAfterResetStartFresh) {
   shadow.mark_write(7, 0);
   shadow.mark_exposed_read(9, 1);
   shadow.reset();
-  // New marks after the reset must not merge with pre-reset state — epoch
-  // staleness (privatized) must behave exactly like the O(n) wipe (shared).
+  // New marks after the reset must not merge with pre-reset state: the
+  // rewound logs must behave exactly like the oracle's O(n) wipe.
   shadow.mark_write(3, 0);
   EXPECT_EQ(shadow.first_writer(0), 3);
   EXPECT_EQ(shadow.second_writer(0), -1);
@@ -166,13 +262,28 @@ TYPED_TEST(PDShadowPolicy, ParallelAnalysisMatchesSequential) {
   ThreadPool pool(4);
   TypeParam shadow(5000, pool.size());
   Xoshiro256 rng(31);
+  // Enough marks that PDMarks splits the analysis into index ranges.
+  struct Mark {
+    long iter;
+    std::size_t idx;
+    bool write;
+  };
+  std::vector<Mark> ms;
   for (int k = 0; k < 20000; ++k) {
     const auto idx = static_cast<std::size_t>(rng.below(5000));
     const long iter = static_cast<long>(rng.below(1000));
-    if (rng.chance(0.5))
-      shadow.mark_write(iter, idx);
+    ms.push_back({iter, idx, rng.chance(0.5)});
+  }
+  // Each worker takes its marks in iteration order.
+  std::stable_sort(ms.begin(), ms.end(),
+                   [](const Mark& a, const Mark& b) { return a.iter < b.iter; });
+  for (std::size_t k = 0; k < ms.size(); ++k) {
+    const auto vpn = static_cast<unsigned>(k % pool.size());
+    shadow.begin_iteration(vpn, ms[k].iter);
+    if (ms[k].write)
+      shadow.on_write(vpn, ms[k].idx);
     else
-      shadow.mark_exposed_read(iter, idx);
+      shadow.on_read(vpn, ms[k].idx);
   }
   for (long trip : {0L, 100L, 500L, 1000L}) {
     const PDVerdict s = shadow.analyze_seq(trip);
@@ -186,7 +297,7 @@ TYPED_TEST(PDShadowPolicy, ParallelAnalysisMatchesSequential) {
 
 TYPED_TEST(PDShadowPolicy, AccessorExposureResetsPerIteration) {
   TypeParam shadow(2);
-  PDAccessorT<TypeParam> acc(shadow, 2);
+  Accessor<TypeParam> acc(shadow);
   acc.begin_iteration(0);
   acc.on_write(1);
   acc.on_read(1);  // covered
@@ -196,12 +307,12 @@ TYPED_TEST(PDShadowPolicy, AccessorExposureResetsPerIteration) {
 }
 
 TYPED_TEST(PDShadowPolicy, AccessorResetInvalidatesLastWriteTable) {
-  // Two runs of the "same loop" against one reused (accessor, shadow) pair.
-  // Without the generation stamp the second run's read of slot 0 at
-  // iteration 4 would be suppressed by the FIRST run's write stamp — hiding
-  // a genuine exposed read.
+  // Two runs of the "same loop" against one reused store.  If the reset
+  // left the first run's write of slot 0 visible, the second run's read of
+  // it at iteration 4 would count as covered — hiding a genuine exposed
+  // read.
   TypeParam shadow(1);
-  PDAccessorT<TypeParam> acc(shadow, 1);
+  Accessor<TypeParam> acc(shadow);
   acc.begin_iteration(4);
   acc.on_write(0);
 
@@ -215,7 +326,7 @@ TYPED_TEST(PDShadowPolicy, AccessorResetInvalidatesLastWriteTable) {
 
 TYPED_TEST(PDShadowPolicy, AccessorCountsMarks) {
   TypeParam shadow(8);
-  PDAccessorT<TypeParam> acc(shadow, 8);
+  Accessor<TypeParam> acc(shadow);
   acc.begin_iteration(0);
   acc.on_write(3);  // mark
   acc.on_read(3);   // covered: no mark
@@ -225,7 +336,7 @@ TYPED_TEST(PDShadowPolicy, AccessorCountsMarks) {
   EXPECT_EQ(acc.marks(), 0);
 }
 
-// ---- shared-policy specifics ------------------------------------------------
+// ---- oracle specifics ---------------------------------------------------------
 
 TEST(PDSharedShadow, ConcurrentMarkingKeepsTwoSmallest) {
   ThreadPool pool(8);
@@ -251,22 +362,15 @@ TEST(PDSharedShadow, MonotoneHiFastPathStaysExact) {
   EXPECT_EQ(shadow.second_writer(0), 7);
 }
 
-TEST(PDSharedShadow, ResetPaysOneSweepPerCall) {
-  PDSharedShadow shadow(64);
-  for (int k = 0; k < 5; ++k) shadow.reset();
-  EXPECT_EQ(shadow.stats().resets, 5);
-  EXPECT_EQ(shadow.stats().cell_sweeps, 5);  // the O(n) cost being replaced
-}
-
 // ---- privatized-policy specifics --------------------------------------------
 
 TEST(PDPrivateShadow, MergesMarksAcrossWorkerSegments) {
   PDPrivateShadow shadow(2, /*workers=*/4);
-  // The two smallest writers of slot 0 live in DIFFERENT segments.
-  shadow.mark_write(0u, 9, 0);
+  // The two smallest writers of slot 0 live in DIFFERENT workers' logs.
+  shadow.mark_write(0u, 2, 0);
   shadow.mark_write(1u, 4, 0);
   shadow.mark_write(2u, 6, 0);
-  shadow.mark_write(3u, 2, 0);
+  shadow.mark_write(3u, 9, 0);
   EXPECT_EQ(shadow.first_writer(0), 2);
   EXPECT_EQ(shadow.second_writer(0), 4);
   // Duplicate iteration from two workers collapses in the merge.
@@ -279,22 +383,33 @@ TEST(PDPrivateShadow, MergesMarksAcrossWorkerSegments) {
 
 TEST(PDPrivateShadow, VerdictMatchesSharedUnderSplitMarking) {
   // The same random mark stream, routed to the shared store and scattered
-  // round-robin across the privatized segments, must yield equal verdicts.
+  // across the privatized store's workers, must yield equal verdicts.
   ThreadPool pool(4);
   const std::size_t n = 512;
   PDSharedShadow shared(n);
   PDPrivateShadow priv(n, 4);
   Xoshiro256 rng(77);
+  struct Mark {
+    long iter;
+    std::size_t idx;
+    bool write;
+  };
+  std::vector<Mark> ms;
   for (int k = 0; k < 5000; ++k) {
     const auto idx = static_cast<std::size_t>(rng.below(n));
     const long iter = static_cast<long>(rng.below(300));
-    const unsigned vpn = static_cast<unsigned>(k % 4);
-    if (rng.chance(0.5)) {
-      shared.mark_write(iter, idx);
-      priv.mark_write(vpn, iter, idx);
+    ms.push_back({iter, idx, rng.chance(0.5)});
+  }
+  // Workers take their iterations in order.
+  std::stable_sort(ms.begin(), ms.end(),
+                   [](const Mark& a, const Mark& b) { return a.iter < b.iter; });
+  for (const Mark& m : ms) {
+    if (m.write) {
+      shared.mark_write(m.iter, m.idx);
+      priv.mark_write(m.iter, m.idx);
     } else {
-      shared.mark_exposed_read(iter, idx);
-      priv.mark_exposed_read(vpn, iter, idx);
+      shared.mark_exposed_read(m.iter, m.idx);
+      priv.mark_exposed_read(m.iter, m.idx);
     }
   }
   for (long trip : {0L, 50L, 150L, 300L}) {
@@ -307,68 +422,136 @@ TEST(PDPrivateShadow, VerdictMatchesSharedUnderSplitMarking) {
   }
 }
 
-TEST(PDPrivateShadow, SegmentsAreLazyAndPooled) {
-  PDPrivateShadow shadow(1024, /*workers=*/8);
-  EXPECT_EQ(shadow.stats().segment_allocs, 0);  // nothing until first mark
-  shadow.mark_write(2u, 1, 0);
-  shadow.mark_write(2u, 2, 7);
-  EXPECT_EQ(shadow.stats().segment_allocs, 1);  // only vpn 2's segment
-  shadow.mark_write(5u, 1, 3);
-  EXPECT_EQ(shadow.stats().segment_allocs, 2);
-  // Resets reuse the pooled segments: no re-allocation, ever.
-  for (int round = 0; round < 100; ++round) {
-    shadow.reset();
-    shadow.mark_write(2u, round, 0);
-    shadow.mark_write(5u, round, 3);
-  }
-  EXPECT_EQ(shadow.stats().segment_allocs, 2);
-  EXPECT_EQ(shadow.stats().cell_sweeps, 0);  // reset never sweeps
-  EXPECT_EQ(shadow.stats().resets, 100);
-}
-
 TEST(PDPrivateShadow, StaleSegmentFromEarlierEpochIsInvisible) {
+  // An epoch here is one round between resets: the rewound logs keep their
+  // segments, and nothing the last round appended is visible in this one.
   PDPrivateShadow shadow(4, /*workers=*/2);
   shadow.mark_write(0u, 1, 2);
   shadow.mark_write(1u, 3, 2);
   shadow.reset();
-  // Only worker 0 marks this epoch; worker 1's segment holds stale cells.
+  // Only worker 0 marks this round; worker 1's segment holds last round's.
   shadow.mark_write(0u, 8, 2);
   EXPECT_EQ(shadow.first_writer(2), 8);
   EXPECT_EQ(shadow.second_writer(2), -1);
   EXPECT_EQ(shadow.analyze_seq(kBig).multi_written, 0);
 }
 
-// ---- the satellite regression: no O(n) cost per retry ----------------------
-
-TEST(PDPrivateShadow, HundredStripRetriesPayNoPerRetryAllocationsOrFills) {
-  // Models 100 short strip retries against one pooled (shadow, accessors)
-  // set, as the strip/run-twice/window drivers do via reset_marks().  The
-  // seed paid: O(n) shadow sweep per retry + O(n) last-write zero-fill per
-  // (array, worker, run).  The epoch scheme must pay neither.
-  const std::size_t n = 4096;
-  const unsigned workers = 4;
-  PDPrivateShadow shadow(n, workers);
-  std::vector<PDPrivateAccessor> accs;
-  for (unsigned w = 0; w < workers; ++w) accs.emplace_back(shadow, n, w);
-
-  for (int strip = 0; strip < 100; ++strip) {
-    shadow.reset();
-    for (auto& a : accs) a.reset();
-    // A short strip touches a handful of elements per worker.
-    for (unsigned w = 0; w < workers; ++w) {
-      accs[w].begin_iteration(strip * 4 + w);
-      accs[w].on_write((static_cast<std::size_t>(strip) * 7 + w) % n);
-      accs[w].on_read((static_cast<std::size_t>(strip) * 13 + w) % n);
-    }
-    const PDVerdict v = shadow.analyze_seq(kBig);
-    EXPECT_LE(v.written_elements, static_cast<long>(workers));
+TEST(PDPrivateShadow, SparseParallelAnalysisMatchesReference) {
+  // Marks far sparser than the array, enough of them for the parallel
+  // analysis: both analysis paths against a reference kept per element.
+  const std::size_t n = std::size_t{1} << 24;
+  ThreadPool pool(4);
+  PDPrivateShadow shadow(n, 4);
+  Xoshiro256 rng(5);
+  struct Mark {
+    long iter;
+    std::size_t idx;
+    bool write;
+  };
+  std::vector<Mark> ms;
+  for (std::size_t k = 0; k < PDMarks::kSequentialMarks + 4000; ++k) {
+    // A few hot elements, so some elements carry several marks.
+    const auto idx = static_cast<std::size_t>(rng.chance(0.1) ? rng.below(16) : rng.below(n));
+    ms.push_back({static_cast<long>(rng.below(2000)), idx, rng.chance(0.5)});
   }
+  std::stable_sort(ms.begin(), ms.end(),
+                   [](const Mark& a, const Mark& b) { return a.iter < b.iter; });
+  for (const Mark& m : ms) {
+    if (m.write)
+      shadow.mark_write(m.iter, m.idx);
+    else
+      shadow.mark_exposed_read(m.iter, m.idx);
+  }
+  for (long trip : {0L, 700L, 2000L}) {
+    std::map<std::size_t, std::array<std::set<long>, 2>> seen;
+    for (const Mark& m : ms)
+      if (m.iter < trip) seen[m.idx][m.write ? 0 : 1].insert(m.iter);
+    PDVerdict ref;
+    for (const auto& [idx, kinds] : seen) {
+      const std::set<long>& w = kinds[0];
+      const std::set<long>& r = kinds[1];
+      ref.written_elements += w.empty() ? 0 : 1;
+      ref.multi_written += w.size() > 1 ? 1 : 0;
+      ref.exposed_read_elements += r.empty() ? 0 : 1;
+      ref.conflicts += !w.empty() && !r.empty() &&
+                               (w.size() > 1 || r.size() > 1 || *w.begin() != *r.begin())
+                           ? 1
+                           : 0;
+    }
+    for (const PDVerdict& v : {shadow.analyze(pool, trip), shadow.analyze_seq(trip)}) {
+      EXPECT_EQ(v.written_elements, ref.written_elements) << trip;
+      EXPECT_EQ(v.multi_written, ref.multi_written) << trip;
+      EXPECT_EQ(v.exposed_read_elements, ref.exposed_read_elements) << trip;
+      EXPECT_EQ(v.conflicts, ref.conflicts) << trip;
+    }
+  }
+}
 
-  const PDShadowStats st = shadow.stats();
-  EXPECT_EQ(st.resets, 100);
-  EXPECT_EQ(st.cell_sweeps, 0);                          // no O(n) resets
-  EXPECT_EQ(st.segment_allocs, static_cast<long>(workers));  // one-time
-  for (auto& a : accs) EXPECT_EQ(a.fills(), 1);          // construction only
+/// The same accesses into PDMarks and the oracle, over many random shapes:
+/// equal verdicts at every trip and equal mark counts, round after round.
+TEST(PDPrivateShadow, MatchesOracleOnRandomAccesses) {
+  ThreadPool pool(4);
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Xoshiro256 rng(seed);
+    const unsigned workers = 1 + static_cast<unsigned>(rng.below(4));
+    // Mostly small arrays; every tenth seed a dense one big enough for the
+    // parallel analysis, and every tenth (offset 5) a sparse one, far
+    // larger than its marks.
+    const std::size_t n = seed % 10 == 0   ? 1 + rng.below(4096)
+                          : seed % 10 == 5 ? (std::size_t{1} << 18) + rng.below(1024)
+                                           : 1 + rng.below(64);
+    // A few "hot" elements take a share of every round's accesses.
+    const std::size_t hot = 1 + rng.below(3);
+    PDMarks marks(n, workers, /*on=*/true);
+    PDSharedShadow oracle(n, workers);
+    for (int round = 0; round < 3; ++round) {
+      marks.reset();
+      oracle.reset();
+      // Every tenth seed logs enough to take the parallel analysis path.
+      const long per_worker =
+          seed % 10 == 0
+              ? static_cast<long>(PDMarks::kSequentialMarks / workers) + 64
+              : 1 + static_cast<long>(rng.below(200));
+      long top = 0;
+      for (unsigned w = 0; w < workers; ++w) {
+        // Worker w runs iterations w, w + workers, ... (a cyclic schedule),
+        // several accesses each, skipping some.
+        long step = static_cast<long>(rng.below(8));
+        for (long k = 0; k < per_worker; ++k) {
+          if (rng.chance(0.3)) step += 1 + static_cast<long>(rng.below(3));
+          const long iter = step * workers + w;
+          top = std::max(top, iter);
+          // Calling begin_iteration again with the same iteration (as
+          // each statement of a block might) must not forget coverage.
+          marks.begin_iteration(w, iter);
+          oracle.begin_iteration(w, iter);
+          const std::size_t idx = rng.chance(0.2)
+                                      ? rng.below(std::min(hot, n))
+                                      : rng.below(n);
+          if (rng.chance(0.45)) {
+            marks.on_write(w, idx);
+            oracle.on_write(w, idx);
+          } else {
+            marks.on_read(w, idx);
+            oracle.on_read(w, idx);
+          }
+        }
+      }
+      ASSERT_EQ(marks.marks(), oracle.marks()) << "seed " << seed;
+      const long mid = top / 2;
+      for (long trip : {0L, 1L, mid, top, top + 1, kBig}) {
+        const PDVerdict a = marks.analyze(pool, trip);
+        const PDVerdict b = oracle.analyze_seq(trip);
+        ASSERT_EQ(a.written_elements, b.written_elements)
+            << "seed " << seed << " trip " << trip;
+        ASSERT_EQ(a.multi_written, b.multi_written)
+            << "seed " << seed << " trip " << trip;
+        ASSERT_EQ(a.exposed_read_elements, b.exposed_read_elements)
+            << "seed " << seed << " trip " << trip;
+        ASSERT_EQ(a.conflicts, b.conflicts) << "seed " << seed << " trip " << trip;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -276,7 +276,6 @@ TEST(VersionedArray, MemoryBytesCountsDataBackupAndLog) {
   EXPECT_LE(a.memory_bytes(),
             with_backup + n * sizeof(std::uint64_t) + workers * seg_bytes);
   EXPECT_EQ(a.logged_writes(), n);
-  EXPECT_EQ(a.dirty_block_count(), static_cast<long>((n + 63) / 64));
   // discard keeps the pooled buffer: the footprint (and therefore the
   // window controller's charge) does not shrink.
   a.discard_checkpoint();
