@@ -20,11 +20,14 @@ constexpr std::uint32_t kNone = 0xffffffffu;
 constexpr std::uint32_t kMultiWrite = 1, kMultiRead = 2;
 
 /// Index bucket of the dense path: 2^kBucketBits consecutive elements,
-/// whose table of cells (16 KiB) stays in L1.
+/// whose table of cells (12 KiB) stays in L1.
 constexpr unsigned kBucketBits = 10;
 /// The dense path runs when the logs hold at least one mark per
-/// 2^kDenseBits elements, so its per-bucket arrays stay O(marks).
-constexpr unsigned kDenseBits = 6;
+/// 2^kDenseBits elements, so its per-bucket arrays stay O(marks).  That is
+/// the measured crossover: at one mark per 256 elements the bucket tables
+/// fold 1.2x faster than sorting, at one per 512 sorting is 1.2x faster
+/// (EXPERIMENTS.md, "PD marks as per-worker logs").
+constexpr unsigned kDenseBits = 8;
 
 /// Note iteration `iter` in one kind's (smallest, second distinct seen):
 /// the verdict never needs the second iteration itself, only that one
@@ -93,15 +96,15 @@ IterEntry* sort_by_index(IterEntry* a, IterEntry* tmp, std::size_t k,
 
 }  // namespace
 
-PDVerdict PDMarks::fold_slot(Folder& f, mem::Arena& arena, IterEntry* ws,
-                             std::size_t nw, IterEntry* rs, std::size_t nr,
-                             bool dense, unsigned bits) {
+PDVerdict PDMarks::fold_slot(Folder& f, IterEntry* ws, std::size_t nw,
+                             IterEntry* rs, std::size_t nr, bool dense,
+                             unsigned bits) {
   PDVerdict v;
   if (nw + nr == 0) return v;
   if (!dense) {
-    f.sorted.reserve(arena, nw + nr);
-    const IterEntry* w = sort_by_index(ws, f.sorted.data(), nw, bits);
-    const IterEntry* r = sort_by_index(rs, f.sorted.data() + nw, nr, bits);
+    IterEntry* const tmp = grow(f.sorted, nw + nr);
+    const IterEntry* w = sort_by_index(ws, tmp, nw, bits);
+    const IterEntry* r = sort_by_index(rs, tmp + nw, nr, bits);
     const IterEntry* const w_end = w + nw;
     const IterEntry* const r_end = r + nr;
     while (w != w_end || r != r_end) {
@@ -115,48 +118,51 @@ PDVerdict PDMarks::fold_slot(Folder& f, mem::Arena& arena, IterEntry* ws,
     return v;
   }
 
-  // One table of cells, stamped per bucket so it is never cleared.
+  // One table of cells, empty between buckets: the verdict loop empties
+  // every cell the bucket touched.
   constexpr std::uint32_t kCells = 1u << kBucketBits;
-  if (!f.cells.reserve(arena, kCells)) {
-    for (std::uint32_t i = 0; i < kCells; ++i) f.cells.data()[i].stamp = 0;
-    f.stamp = mem::EpochClock{};  // starts past 0, which marks empty
-  }
-  f.touched.reserve(arena, kCells);
-  Cell* const cells = f.cells.data();
-  std::uint32_t* const touched = f.touched.data();
-  f.stamp.bump([&] {
-    for (std::uint32_t i = 0; i < kCells; ++i) cells[i].stamp = 0;
-  });
-  const std::uint32_t stamp = f.stamp.value();
+  Cell* const cells = grow(f.cells, kCells);
+  std::uint32_t* const touched = grow(f.touched, kCells);
   std::uint32_t n_touched = 0;
   auto fold = [&](const IterEntry* e, const IterEntry* last,
                   std::uint32_t Cell::*first, std::uint32_t bit) {
     for (; e != last; ++e) {
       const std::uint32_t at = e->idx & (kCells - 1);
       Cell& c = cells[at];
-      if (c.stamp != stamp) {
-        c = Cell{stamp, kNone, kNone, 0};
-        touched[n_touched++] = at;
-      }
+      if (c.w0 == kNone && c.r0 == kNone) touched[n_touched++] = at;
       note(c.*first, c.multi, bit, e->iter);
     }
   };
   fold(ws, ws + nw, &Cell::w0, kMultiWrite);
   fold(rs, rs + nr, &Cell::r0, kMultiRead);
   for (std::uint32_t t = 0; t < n_touched; ++t) {
-    const Cell& c = cells[touched[t]];
+    Cell& c = cells[touched[t]];
     v.merge(verdict_of(c.w0, c.r0, c.multi));
+    c = Cell{};
   }
   return v;
 }
 
-PDMarks::PDMarks(std::size_t n, unsigned workers, bool on) : on_(on), n_(n) {
+PDMarks::PDMarks(std::size_t n, std::span<IterLog> writes, bool on)
+    : on_(on), n_(n) {
   if (n > IterLog::kMaxIndex + 1)
     throw std::length_error("PDMarks: size exceeds the log's 32-bit index");
+  if (on_) attach(writes);
+}
+
+PDMarks::PDMarks(std::size_t n, unsigned workers, bool on)
+    : PDMarks(n, std::span<IterLog>(), on) {
   if (!on_) return;
+  own_.reserve(workers);
+  for (unsigned w = 0; w < workers; ++w)
+    own_.emplace_back(mem::local_arena(), kSegmentEntries);
+  attach(own_);
+}
+
+void PDMarks::attach(std::span<IterLog> writes) {
   mem::Arena& arena = mem::local_arena();
-  workers_.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) workers_.emplace_back(arena);
+  workers_.reserve(writes.size());
+  for (IterLog& log : writes) workers_.emplace_back(log, arena);
 }
 
 PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
@@ -189,19 +195,17 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
                                    static_cast<unsigned>(std::bit_width((n_ - 1) / (4 * p))));
     const std::size_t slots = ((n_ - 1) >> shift) + 1;
     const std::size_t owners = workers_.size();
-    mem::Arena& local = mem::local_arena();
 
     // 1. Split every log by slot, each log by one worker: count, place,
     // copy.  at[(kind * owners + o) * slots + s] is owner o's count of
     // slot s, then where its next entry of s goes; start[kind * (slots + 1)
     // + s] is where slot s begins among that kind's entries.
-    slots_.reserve(local, 2 * owners * slots + 2 * (slots + 1));
-    std::size_t* const at = slots_.data();
+    std::size_t* const at = grow(slots_, 2 * owners * slots + 2 * (slots + 1));
     std::size_t* const start = at + 2 * owners * slots;
     std::fill(at, at + 2 * owners * slots, 0);
     auto per_log = [&](auto&& f) {
       run(owners, [&](std::size_t o, unsigned) {
-        f(workers_[o].writes, at + o * slots, std::size_t{0});
+        f(*workers_[o].writes, at + o * slots, std::size_t{0});
         f(workers_[o].reads, at + (owners + o) * slots, std::size_t{1});
       });
     };
@@ -224,8 +228,8 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
       }
       start[kind * (slots + 1) + slots] = kept[kind];
     }
-    parts_.reserve(local, kept[0] + kept[1]);
-    IterEntry* const part[2] = {parts_.data(), parts_.data() + kept[0]};
+    IterEntry* const parts = grow(parts_, kept[0] + kept[1]);
+    IterEntry* const part[2] = {parts, parts + kept[0]};
     per_log([&](const IterLog& log, std::size_t* next, std::size_t kind) {
       IterEntry* const out = part[kind];
       log.for_each_run([&](const IterEntry* e, const IterEntry* last) {
@@ -235,17 +239,16 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
     });
 
     // 2. Fold the slots, a contiguous group of them per task.
-    if (folders_.size() < p) folders_.resize(p);
+    while (folders_.size() < p) folders_.emplace_back(mem::worker_arena(folders_.size()));
     const std::size_t groups = std::min(slots, 4 * p);
     const auto bits = static_cast<unsigned>(std::bit_width(n_ - 1));
     std::atomic<long> written{0}, multi{0}, exposed{0}, conflicts{0};
     run(groups, [&](std::size_t g, unsigned vpn) {
-      mem::Arena& arena = parallel ? mem::worker_arena(vpn) : local;
       const std::size_t* const ws = start;
       const std::size_t* const rs = start + slots + 1;
       PDVerdict sum;
       for (std::size_t s = slots * g / groups; s < slots * (g + 1) / groups; ++s)
-        sum.merge(fold_slot(folders_[vpn].value, arena, part[0] + ws[s],
+        sum.merge(fold_slot(folders_[vpn], part[0] + ws[s],
                             ws[s + 1] - ws[s], part[1] + rs[s], rs[s + 1] - rs[s],
                             dense, bits));
       written.fetch_add(sum.written_elements, std::memory_order_relaxed);
@@ -272,7 +275,7 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
 PDMarks::Iterations PDMarks::iterations_of(std::size_t idx) const {
   std::uint32_t w0 = kNone, w1 = kNone, r0 = kNone, r1 = kNone;
   for (const Worker& w : workers_) {
-    w.writes.for_each_run([&](const IterEntry* e, const IterEntry* last) {
+    w.writes->for_each_run([&](const IterEntry* e, const IterEntry* last) {
       for (; e != last; ++e)
         if (e->idx == idx) insert2(w0, w1, e->iter);
     });

@@ -30,18 +30,18 @@
 // (index, iteration) entries — the IterLog that VersionedArray keeps for
 // undo (iter_log.hpp): one for writes, one for exposed reads.  A mark is one
 // append to the worker's own log, with no shared word and no per-element
-// table, and reset() rewinds the logs in O(workers).  A worker's
+// table, and reset() rewinds the logs in O(workers).  A SpecArray's write
+// marks are its undo log's entries, so one append serves both.  A worker's
 // iterations arrive in increasing order, so the current iteration's writes
 // sit at the tail of its write log: "covered by a write in the same
 // iteration" is a walk of that tail.  analyze() groups the entries below
 // trip by element in O(marks) (pd_test.cpp); nothing here is O(n).
 #pragma once
 
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "wlp/core/iter_log.hpp"
@@ -92,6 +92,11 @@ class PDMarks {
   /// Indices have the 32-bit limit of the log entries: throws
   /// std::length_error for n beyond it.
   PDMarks(std::size_t n, unsigned workers, bool on);
+  /// Write marks kept in the owner's logs, one per worker: the owner
+  /// appends every write to `writes[vpn]` at the iteration
+  /// begin_iteration(vpn, ...) started, and rewinds them; on_write() is not
+  /// called.  SpecArray passes its undo logs.
+  PDMarks(std::size_t n, std::span<IterLog> writes, bool on);
 
   PDMarks(const PDMarks&) = delete;
   PDMarks& operator=(const PDMarks&) = delete;
@@ -112,8 +117,8 @@ class PDMarks {
   void on_write(unsigned vpn, std::size_t idx) {
     if (!on_) return;
     Worker& w = workers_[vpn];
-    assert(w.iter >= 0 && idx < n_);
-    w.writes.push(idx, w.iter);
+    assert(w.iter >= 0 && idx < n_ && !own_.empty());
+    w.writes->push(idx, w.iter);
   }
 
   /// A read is covered — and not marked — when this worker's current
@@ -122,9 +127,10 @@ class PDMarks {
     if (!on_) return;
     Worker& w = workers_[vpn];
     assert(w.iter >= 0 && idx < n_);
+    assert(w.writes->last_iter() <= w.iter);
     const auto iter = static_cast<std::uint32_t>(w.iter);
     bool covered = false;
-    w.writes.walk_back([&](const IterEntry& e) {
+    w.writes->walk_back([&](const IterEntry& e) {
       if (e.iter != iter) return false;
       covered = e.idx == idx;
       return !covered;
@@ -132,10 +138,11 @@ class PDMarks {
     if (!covered) w.reads.push(idx, w.iter);
   }
 
-  /// O(workers): rewind every log; the segments stay for the next round.
+  /// O(workers): rewind every log but an owner's (the owner rewinds
+  /// those); the segments stay for the next round.
   void reset() noexcept {
+    for (IterLog& log : own_) log.clear();
     for (Worker& w : workers_) {
-      w.writes.clear();
       w.reads.clear();
       w.iter = -1;
     }
@@ -147,7 +154,7 @@ class PDMarks {
   /// shadow_marks, LoopStatistics::marks_per_iteration).
   long marks() const noexcept {
     std::size_t m = 0;
-    for (const Worker& w : workers_) m += w.writes.size() + w.reads.size();
+    for (const Worker& w : workers_) m += w.writes->size() + w.reads.size();
     return static_cast<long>(m);
   }
 
@@ -168,74 +175,61 @@ class PDMarks {
   static constexpr std::size_t kSegmentEntries = 8192;
 
   struct Worker {
-    explicit Worker(mem::Arena& a)
-        : writes(a, kSegmentEntries), reads(a, kSegmentEntries) {}
-    IterLog writes;
+    Worker(IterLog& w, mem::Arena& a) : writes(&w), reads(a, kSegmentEntries) {}
+    IterLog* writes;
     IterLog reads;  ///< exposed reads
     long iter = -1;  ///< current iteration, -1 before the first of a round
   };
 
-  /// Analysis scratch: an arena array that only grows, kept across calls;
-  /// its contents are overwritten, never cleared.
+  /// Analysis scratch: an arena vector that only grows (grow()), kept
+  /// across calls; its contents are overwritten, never cleared.
   template <class T>
-  class Scratch {
-   public:
-    Scratch() = default;
-    Scratch(Scratch&& o) noexcept
-        : arena_(o.arena_), data_(std::exchange(o.data_, nullptr)),
-          size_(std::exchange(o.size_, 0)) {}
-    Scratch(const Scratch&) = delete;
-    Scratch& operator=(const Scratch&) = delete;
-    ~Scratch() {
-      if (data_ != nullptr) arena_->deallocate_array(data_, size_);
-    }
-    /// At least `n` elements; false when the storage is new (unwritten).
-    bool reserve(mem::Arena& arena, std::size_t n) {
-      if (size_ >= n) return true;
-      if (data_ != nullptr) arena_->deallocate_array(data_, size_);
-      arena_ = &arena;
-      size_ = std::bit_ceil(n);
-      data_ = arena.allocate_array<T>(size_);
-      return false;
-    }
-    T* data() const noexcept { return data_; }
+  using Scratch = std::vector<T, mem::ArenaAllocator<T>>;
+  template <class T>
+  static T* grow(Scratch<T>& s, std::size_t n) {
+    if (s.size() < n) s.resize(n);
+    return s.data();
+  }
 
-   private:
-    mem::Arena* arena_ = nullptr;
-    T* data_ = nullptr;
-    std::size_t size_ = 0;
-  };
-
-  /// One element's marks below the trip in a bucket table, valid only under
-  /// the table's current stamp: the smallest writer and exposed-reader
-  /// iterations and whether a second distinct one of each was seen.
+  /// One element's marks below the trip in a bucket table: the smallest
+  /// writer and exposed-reader iterations (~0u, above every iteration a log
+  /// records, when absent) and whether a second distinct one of each was
+  /// seen.  Cell{} is empty.
   struct Cell {
-    std::uint32_t stamp, w0, r0, multi;
+    std::uint32_t w0 = ~0u, r0 = ~0u, multi = 0;
   };
 
-  /// One pool worker's scratch for folding slots (pd_test.cpp).
-  struct Folder {
+  /// One pool worker's scratch for folding slots, in its arena
+  /// (pd_test.cpp).
+  struct alignas(kCacheLine) Folder {
+    explicit Folder(mem::Arena& a)
+        : sorted(mem::ArenaAllocator<IterEntry>(a)),
+          cells(mem::ArenaAllocator<Cell>(a)),
+          touched(mem::ArenaAllocator<std::uint32_t>(a)) {}
     Scratch<IterEntry> sorted;  ///< sparse slots: the radix sort's buffer
-    Scratch<Cell> cells;        ///< dense slots: one bucket's table
-    Scratch<std::uint32_t> touched;
-    mem::EpochClock stamp;
+    Scratch<Cell> cells;        ///< dense slots: one bucket's table, empty
+    Scratch<std::uint32_t> touched;  ///< cells the bucket filled
   };
 
   /// The verdict of one slot from its writes ws[0, nw) and exposed reads
   /// rs[0, nr), all below the trip: a bucket of consecutive elements
-  /// folded through a stamped table when `dense`, else a range whose
-  /// entries are sorted by index (indices below 2^bits) and merged.
-  static PDVerdict fold_slot(Folder& f, mem::Arena& arena, IterEntry* ws,
-                             std::size_t nw, IterEntry* rs, std::size_t nr,
-                             bool dense, unsigned bits);
+  /// folded through a table when `dense`, else a range whose entries are
+  /// sorted by index (indices below 2^bits) and merged.
+  static PDVerdict fold_slot(Folder& f, IterEntry* ws, std::size_t nw,
+                             IterEntry* rs, std::size_t nr, bool dense,
+                             unsigned bits);
+
+  /// One Worker per write log; read logs from the constructing thread.
+  void attach(std::span<IterLog> writes);
 
   bool on_;
   std::size_t n_;
+  std::vector<IterLog> own_;  ///< the write logs, unless an owner keeps them
   std::vector<Worker> workers_;
   // Analysis scratch (analyze() is const; no marking runs during it).
-  mutable Scratch<IterEntry> parts_;
-  mutable Scratch<std::size_t> slots_;
-  mutable std::vector<Padded<Folder>> folders_;
+  mutable Scratch<IterEntry> parts_{mem::ArenaAllocator<IterEntry>(mem::local_arena())};
+  mutable Scratch<std::size_t> slots_{mem::ArenaAllocator<std::size_t>(mem::local_arena())};
+  mutable std::vector<Folder> folders_;  ///< folders_[vpn], in vpn's arena
 };
 
 }  // namespace wlp

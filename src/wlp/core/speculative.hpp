@@ -32,8 +32,9 @@
 namespace wlp {
 
 /// A shared array under speculation: versioned data + (optionally) PD
-/// marks.  Loop bodies use the vpn-qualified get/set, which both append to
-/// the worker's write log and record the PD marks.
+/// marks.  Loop bodies use the vpn-qualified get/set: a set appends to the
+/// worker's write log, whose entries are also the PD test's write marks,
+/// and a get records an exposed-read mark when the PD test is on.
 template <class T>
 class SpecArray final : public SpecTarget {
  public:
@@ -41,7 +42,7 @@ class SpecArray final : public SpecTarget {
   /// (only the write log for undo is needed): no PD log is built.
   SpecArray(std::vector<T> init, unsigned workers, bool run_pd_test)
       : array_(std::move(init), workers),
-        pd_(array_.size(), workers, run_pd_test) {}
+        pd_(array_.size(), array_.logs(), run_pd_test) {}
 
   // ---- body-side API -----------------------------------------------------
 
@@ -55,8 +56,8 @@ class SpecArray final : public SpecTarget {
     return array_.get(idx);
   }
 
+  /// `iter` must be the iteration begin_iteration(vpn, ...) started.
   void set(unsigned vpn, long iter, std::size_t idx, const T& v) {
-    pd_.on_write(vpn, idx);
     array_.write(vpn, iter, idx, v);
   }
 

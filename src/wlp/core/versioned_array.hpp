@@ -57,6 +57,7 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -221,6 +222,11 @@ class VersionedArray {
     assert(has_checkpoint());
     backup_[idx] = v;
   }
+
+  /// The per-worker write logs, for a PDMarks that reads them as its write
+  /// marks (SpecArray): one append per write then serves the undo and the
+  /// PD test.
+  std::span<IterLog> logs() noexcept { return logs_; }
 
   UndoStats stats() const noexcept {
     UndoStats s = stats_;

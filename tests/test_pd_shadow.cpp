@@ -367,15 +367,16 @@ TEST(PDSharedShadow, MonotoneHiFastPathStaysExact) {
 TEST(PDPrivateShadow, MergesMarksAcrossWorkerSegments) {
   PDPrivateShadow shadow(2, /*workers=*/4);
   // The two smallest writers of slot 0 live in DIFFERENT workers' logs.
-  shadow.mark_write(0u, 2, 0);
+  shadow.mark_write(0u, 9, 0);
   shadow.mark_write(1u, 4, 0);
   shadow.mark_write(2u, 6, 0);
-  shadow.mark_write(3u, 9, 0);
+  shadow.mark_write(3u, 2, 0);
   EXPECT_EQ(shadow.first_writer(0), 2);
   EXPECT_EQ(shadow.second_writer(0), 4);
-  // Duplicate iteration from two workers collapses in the merge.
-  shadow.mark_exposed_read(0u, 5, 1);
+  // Duplicate iteration from two workers collapses in the merge (workers 1
+  // and 3, whose iterations so far are below 5).
   shadow.mark_exposed_read(1u, 5, 1);
+  shadow.mark_exposed_read(3u, 5, 1);
   EXPECT_EQ(shadow.first_exposed_reader(1), 5);
   EXPECT_EQ(shadow.second_exposed_reader(1), -1);
   EXPECT_EQ(shadow.analyze_seq(kBig).multi_written, 1);

@@ -128,6 +128,41 @@ TEST(Speculative, OutputDependenceIsDetected) {
   EXPECT_EQ(arr.data()[3], 99.0);
 }
 
+/// A SpecArray's write marks are its undo log's entries.  A read before
+/// the iteration's own write is an exposed-read mark at that iteration
+/// (A[i] = f(A[i]) still passes); a read after it is covered through the
+/// undo log's tail and marks nothing; each round counts from zero.
+TEST(Speculative, ReadAfterOwnWriteIsCoveredThroughTheUndoLog) {
+  ThreadPool pool(4);
+  const long n = 1000;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 1.0),
+                        pool.size(), true);
+  SpecTarget* targets[] = {&arr};
+  for (int round = 0; round < 2; ++round) {
+    const ExecReport r = speculative_while(
+        pool, n, std::span<SpecTarget* const>(targets, 1),
+        [&](long i, unsigned vpn) {
+          arr.begin_iteration(vpn, i);
+          const auto idx = static_cast<std::size_t>(i);
+          arr.set(vpn, i, idx, arr.get(vpn, idx) + static_cast<double>(i));
+          arr.set(vpn, i, idx, arr.get(vpn, idx) * 2.0);
+          return IterAction::kContinue;
+        },
+        [&] {
+          ADD_FAILURE() << "fell back in round " << round;
+          return n;
+        });
+    EXPECT_TRUE(r.pd_passed) << round;
+    EXPECT_FALSE(r.reexecuted_sequentially) << round;
+    EXPECT_EQ(r.shadow_marks, 3 * n) << round;  // 2 writes + 1 exposed read
+  }
+  for (long i = 0; i < n; ++i) {
+    const double once = (1.0 + static_cast<double>(i)) * 2.0;
+    EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)],
+              (once + static_cast<double>(i)) * 2.0) << i;
+  }
+}
+
 /// Non-shadowed arrays skip the PD test but still get write logs and undo.
 TEST(Speculative, UnshadowedArraySkipsPDButUndoes) {
   ThreadPool pool(4);
