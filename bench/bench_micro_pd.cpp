@@ -10,9 +10,11 @@
 //   2. Reset cost — the oracle sweeps O(n) cells; PDMarks rewinds its logs
 //      in O(workers) and must be flat across array sizes 2^14..2^22.
 //   3. Analysis and log size — the PD analysis time and the log bytes per
-//      marked element in a dense case (every element marked once) and a
-//      hot case (every iteration marks the same few elements), the shape
-//      where a log grows past the one cell per element a dense store keeps.
+//      marked element in a dense case (every element marked once), a hot
+//      case (every iteration marks the same few elements, the shape where
+//      a log grows past the one cell per element a dense store keeps) and
+//      a sparse case (few marks over a large array: the sorting side of
+//      the analysis; the other two fold bucket tables).
 //   4. End-to-end — a real speculative WHILE loop (checkpoint + marking +
 //      analysis + undo) through the production SpecArray.  The Fig. 8-14
 //      reproductions run in the simulator and don't execute this code; this
@@ -158,35 +160,46 @@ struct AnalysisPoint {
   double log_bytes_per_element = 0;
 };
 
-/// PDMarks analysis on a pool of 4 over 2^18 elements.  `hot` = every
-/// iteration writes one of 8 elements and reads another; otherwise every
-/// element is written once.
-AnalysisPoint analysis_cost(bool hot) {
-  constexpr long kN = 1 << 18;
+enum class Shape { kDense, kHot, kSparse };
+
+/// PDMarks analysis on a pool of 4.  Dense: 2^18 elements, each written
+/// once.  Hot: 2^18 iterations, each writing one of 8 elements and reading
+/// another.  Both fold bucket tables.  Sparse: 2^16 of 2^26 elements, each
+/// written once: one mark per 1 024 elements, under the one per 256 below
+/// which the analysis sorts instead.
+AnalysisPoint analysis_cost(Shape shape) {
   constexpr unsigned kP = 4;
   constexpr long kHot = 8;
+  const long n = shape == Shape::kSparse ? 1L << 26 : 1L << 18;
+  const long iters = shape == Shape::kSparse ? 1L << 16 : 1L << 18;
   wlp::ThreadPool pool(kP);
-  wlp::PDMarks logs(kN, kP, /*on=*/true);
+  wlp::PDMarks logs(static_cast<std::size_t>(n), kP, /*on=*/true);
   pool.parallel([&](unsigned vpn) {
-    for (long i = vpn; i < kN; i += kP) {
+    for (long i = vpn; i < iters; i += kP) {
       logs.begin_iteration(vpn, i);
-      if (hot) {
-        logs.on_write(vpn, static_cast<std::size_t>(i % kHot) * 4099);
-        logs.on_read(vpn, static_cast<std::size_t>((i + 3) % kHot) * 4099);
-      } else {
-        logs.on_write(vpn, static_cast<std::size_t>((i * 7901) % kN));
+      switch (shape) {
+        case Shape::kDense:
+          logs.on_write(vpn, static_cast<std::size_t>((i * 7901) % n));
+          break;
+        case Shape::kHot:
+          logs.on_write(vpn, static_cast<std::size_t>(i % kHot) * 4099);
+          logs.on_read(vpn, static_cast<std::size_t>((i + 3) % kHot) * 4099);
+          break;
+        case Shape::kSparse:  // odd multiplier: distinct indices mod 2^26
+          logs.on_write(vpn, static_cast<std::size_t>((i * 2654435761L) & (n - 1)));
+          break;
       }
     }
   });
   AnalysisPoint pt;
   pt.marks = logs.marks();
-  pt.elements = hot ? kHot : kN;
+  pt.elements = shape == Shape::kHot ? kHot : iters;
   std::vector<double> us;
   for (int r = 0; r < 9; ++r) {
     const auto t0 = Clock::now();
-    const wlp::PDVerdict v = logs.analyze(pool, kN);
+    const wlp::PDVerdict v = logs.analyze(pool, iters);
     us.push_back(seconds_since(t0) * 1e6);
-    if (v.written_elements != (hot ? kHot : kN)) {
+    if (v.written_elements != pt.elements) {
       std::fprintf(stderr, "unexpected verdict in bench\n");
       std::exit(1);
     }
@@ -257,13 +270,17 @@ int main(int argc, char** argv) {
                 r.shared_us, r.priv_us);
   }
 
-  std::printf("\n== PDMarks analysis, n=2^18, pool of 4 (us; log bytes per marked element) ==\n");
-  const AnalysisPoint dense = analysis_cost(/*hot=*/false);
-  const AnalysisPoint hot = analysis_cost(/*hot=*/true);
-  std::printf("  dense: %ld marks on %ld elements  %9.1f us  %9.1f B/element\n",
+  std::printf("\n== PDMarks analysis, pool of 4 (us; log bytes per marked element) ==\n");
+  const AnalysisPoint dense = analysis_cost(Shape::kDense);
+  const AnalysisPoint hot = analysis_cost(Shape::kHot);
+  const AnalysisPoint sparse = analysis_cost(Shape::kSparse);
+  std::printf("  dense : %ld marks on %ld elements  %9.1f us  %9.1f B/element\n",
               dense.marks, dense.elements, dense.us, dense.log_bytes_per_element);
-  std::printf("  hot  : %ld marks on %ld elements  %9.1f us  %9.1f B/element\n",
+  std::printf("  hot   : %ld marks on %ld elements  %9.1f us  %9.1f B/element\n",
               hot.marks, hot.elements, hot.us, hot.log_bytes_per_element);
+  std::printf("  sparse: %ld marks on %ld elements  %9.1f us  %9.1f B/element\n",
+              sparse.marks, sparse.elements, sparse.us,
+              sparse.log_bytes_per_element);
 
   std::printf("\n== end-to-end speculative loop (n=65536, steady-state, ms) ==\n");
   const long e2e_n = 1 << 16;
@@ -332,15 +349,15 @@ int main(int argc, char** argv) {
                    : "false");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"analysis\": {\n");
-  std::fprintf(f, "    \"note\": \"informational: PDMarks analyze() on a pool of 4, n = 2^18, median of 9; log bytes = marks x 8 B over distinct marked elements\",\n");
-  const AnalysisPoint* pts[] = {&dense, &hot};
-  const char* names[] = {"dense", "hot"};
-  for (int i = 0; i < 2; ++i)
+  std::fprintf(f, "    \"note\": \"informational: PDMarks analyze() on a pool of 4, median of 9; dense and hot n = 2^18 (bucket tables), sparse n = 2^26 (sorted); log bytes = marks x 8 B over distinct marked elements\",\n");
+  const AnalysisPoint* pts[] = {&dense, &hot, &sparse};
+  const char* names[] = {"dense", "hot", "sparse"};
+  for (int i = 0; i < 3; ++i)
     std::fprintf(f,
                  "    \"%s\": {\"marks\": %ld, \"elements\": %ld, "
                  "\"analysis_us\": %.1f, \"log_bytes_per_element\": %.1f}%s\n",
                  names[i], pts[i]->marks, pts[i]->elements, pts[i]->us,
-                 pts[i]->log_bytes_per_element, i == 0 ? "," : "");
+                 pts[i]->log_bytes_per_element, i < 2 ? "," : "");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"end_to_end\": {\"n\": %ld, \"ms\": %.3f, "
                "\"ms_min\": %.3f, \"ms_max\": %.3f},\n",
