@@ -7,9 +7,12 @@
 #include <iterator>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
+#include "wlp/mem/arena.hpp"
 #include "wlp/obs/obs.hpp"
 #include "wlp/sched/doall.hpp"
+#include "wlp/support/cacheline.hpp"
 
 namespace wlp {
 
@@ -94,11 +97,54 @@ IterEntry* sort_by_index(IterEntry* a, IterEntry* tmp, std::size_t k,
   return a;
 }
 
-}  // namespace
+template <class T>
+using ArenaVec = std::vector<T, mem::ArenaAllocator<T>>;
 
-PDVerdict PDMarks::fold_slot(Folder& f, IterEntry* ws, std::size_t nw,
-                             IterEntry* rs, std::size_t nr, bool dense,
-                             unsigned bits) {
+/// At least `n` elements of `v`: it only grows, and growth zero-fills.
+template <class T>
+T* grow(ArenaVec<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+  return v.data();
+}
+
+/// One element's marks below the trip in a bucket table: the smallest
+/// writer and exposed-reader iterations (kNone when absent) and whether a
+/// second distinct one of each was seen.  Cell{} is empty.
+struct Cell {
+  std::uint32_t w0 = kNone, r0 = kNone, multi = 0;
+};
+
+/// One pool worker's scratch for folding slots, in its arena.
+struct alignas(kCacheLine) Folder {
+  explicit Folder(mem::Arena& a)
+      : sorted(mem::ArenaAllocator<IterEntry>(a)),
+        cells(mem::ArenaAllocator<Cell>(a)),
+        touched(mem::ArenaAllocator<std::uint32_t>(a)) {}
+  ArenaVec<IterEntry> sorted;  ///< sparse slots: the radix sort's buffer
+  ArenaVec<Cell> cells;        ///< dense slots: one bucket's table, empty
+  ArenaVec<std::uint32_t> touched;  ///< cells the bucket filled
+};
+
+/// The analysis scratch of the calling thread, kept across calls and
+/// across stores (TRACK builds its targets per call and analyzes two in a
+/// row): it only grows, and its contents are overwritten, never cleared.
+struct Scratch {
+  ArenaVec<IterEntry> parts{mem::ArenaAllocator<IterEntry>(mem::local_arena())};
+  ArenaVec<std::size_t> slots{mem::ArenaAllocator<std::size_t>(mem::local_arena())};
+  std::vector<Folder> folders;  ///< folders[vpn], in vpn's arena
+};
+
+Scratch& thread_scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+/// The verdict of one slot from its writes ws[0, nw) and exposed reads
+/// rs[0, nr), all below the trip: a bucket of consecutive elements folded
+/// through a table when `dense`, else a range whose entries are sorted by
+/// index (indices below 2^bits) and merged.
+PDVerdict fold_slot(Folder& f, IterEntry* ws, std::size_t nw, IterEntry* rs,
+                    std::size_t nr, bool dense, unsigned bits) {
   PDVerdict v;
   if (nw + nr == 0) return v;
   if (!dense) {
@@ -142,6 +188,8 @@ PDVerdict PDMarks::fold_slot(Folder& f, IterEntry* ws, std::size_t nw,
   }
   return v;
 }
+
+}  // namespace
 
 PDMarks::PDMarks(std::size_t n, std::span<IterLog> writes, bool on)
     : on_(on), n_(n) {
@@ -195,12 +243,13 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
                                    static_cast<unsigned>(std::bit_width((n_ - 1) / (4 * p))));
     const std::size_t slots = ((n_ - 1) >> shift) + 1;
     const std::size_t owners = workers_.size();
+    Scratch& scratch = thread_scratch();
 
     // 1. Split every log by slot, each log by one worker: count, place,
     // copy.  at[(kind * owners + o) * slots + s] is owner o's count of
     // slot s, then where its next entry of s goes; start[kind * (slots + 1)
     // + s] is where slot s begins among that kind's entries.
-    std::size_t* const at = grow(slots_, 2 * owners * slots + 2 * (slots + 1));
+    std::size_t* const at = grow(scratch.slots, 2 * owners * slots + 2 * (slots + 1));
     std::size_t* const start = at + 2 * owners * slots;
     std::fill(at, at + 2 * owners * slots, 0);
     auto per_log = [&](auto&& f) {
@@ -228,7 +277,7 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
       }
       start[kind * (slots + 1) + slots] = kept[kind];
     }
-    IterEntry* const parts = grow(parts_, kept[0] + kept[1]);
+    IterEntry* const parts = grow(scratch.parts, kept[0] + kept[1]);
     IterEntry* const part[2] = {parts, parts + kept[0]};
     per_log([&](const IterLog& log, std::size_t* next, std::size_t kind) {
       IterEntry* const out = part[kind];
@@ -239,7 +288,8 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
     });
 
     // 2. Fold the slots, a contiguous group of them per task.
-    while (folders_.size() < p) folders_.emplace_back(mem::worker_arena(folders_.size()));
+    std::vector<Folder>& folders = scratch.folders;
+    while (folders.size() < p) folders.emplace_back(mem::worker_arena(folders.size()));
     const std::size_t groups = std::min(slots, 4 * p);
     const auto bits = static_cast<unsigned>(std::bit_width(n_ - 1));
     std::atomic<long> written{0}, multi{0}, exposed{0}, conflicts{0};
@@ -248,7 +298,7 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
       const std::size_t* const rs = start + slots + 1;
       PDVerdict sum;
       for (std::size_t s = slots * g / groups; s < slots * (g + 1) / groups; ++s)
-        sum.merge(fold_slot(folders_[vpn], part[0] + ws[s],
+        sum.merge(fold_slot(folders[vpn], part[0] + ws[s],
                             ws[s + 1] - ws[s], part[1] + rs[s], rs[s + 1] - rs[s],
                             dense, bits));
       written.fetch_add(sum.written_elements, std::memory_order_relaxed);

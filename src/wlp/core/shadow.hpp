@@ -48,7 +48,6 @@
 #include "wlp/mem/arena.hpp"
 #include "wlp/obs/obs.hpp"
 #include "wlp/sched/thread_pool.hpp"
-#include "wlp/support/cacheline.hpp"
 
 namespace wlp {
 
@@ -181,44 +180,6 @@ class PDMarks {
     long iter = -1;  ///< current iteration, -1 before the first of a round
   };
 
-  /// Analysis scratch: an arena vector that only grows (grow()), kept
-  /// across calls; its contents are overwritten, never cleared.
-  template <class T>
-  using Scratch = std::vector<T, mem::ArenaAllocator<T>>;
-  template <class T>
-  static T* grow(Scratch<T>& s, std::size_t n) {
-    if (s.size() < n) s.resize(n);
-    return s.data();
-  }
-
-  /// One element's marks below the trip in a bucket table: the smallest
-  /// writer and exposed-reader iterations (~0u, above every iteration a log
-  /// records, when absent) and whether a second distinct one of each was
-  /// seen.  Cell{} is empty.
-  struct Cell {
-    std::uint32_t w0 = ~0u, r0 = ~0u, multi = 0;
-  };
-
-  /// One pool worker's scratch for folding slots, in its arena
-  /// (pd_test.cpp).
-  struct alignas(kCacheLine) Folder {
-    explicit Folder(mem::Arena& a)
-        : sorted(mem::ArenaAllocator<IterEntry>(a)),
-          cells(mem::ArenaAllocator<Cell>(a)),
-          touched(mem::ArenaAllocator<std::uint32_t>(a)) {}
-    Scratch<IterEntry> sorted;  ///< sparse slots: the radix sort's buffer
-    Scratch<Cell> cells;        ///< dense slots: one bucket's table, empty
-    Scratch<std::uint32_t> touched;  ///< cells the bucket filled
-  };
-
-  /// The verdict of one slot from its writes ws[0, nw) and exposed reads
-  /// rs[0, nr), all below the trip: a bucket of consecutive elements
-  /// folded through a table when `dense`, else a range whose entries are
-  /// sorted by index (indices below 2^bits) and merged.
-  static PDVerdict fold_slot(Folder& f, IterEntry* ws, std::size_t nw,
-                             IterEntry* rs, std::size_t nr, bool dense,
-                             unsigned bits);
-
   /// One Worker per write log; read logs from the constructing thread.
   void attach(std::span<IterLog> writes);
 
@@ -226,10 +187,6 @@ class PDMarks {
   std::size_t n_;
   std::vector<IterLog> own_;  ///< the write logs, unless an owner keeps them
   std::vector<Worker> workers_;
-  // Analysis scratch (analyze() is const; no marking runs during it).
-  mutable Scratch<IterEntry> parts_{mem::ArenaAllocator<IterEntry>(mem::local_arena())};
-  mutable Scratch<std::size_t> slots_{mem::ArenaAllocator<std::size_t>(mem::local_arena())};
-  mutable std::vector<Folder> folders_;  ///< folders_[vpn], in vpn's arena
 };
 
 }  // namespace wlp
