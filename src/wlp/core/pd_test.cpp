@@ -5,6 +5,7 @@
 #include <bit>
 #include <chrono>
 #include <iterator>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -139,16 +140,49 @@ Scratch& thread_scratch() {
   return s;
 }
 
-/// The verdict of one slot from its writes ws[0, nw) and exposed reads
-/// rs[0, nr), all below the trip: a bucket of consecutive elements folded
-/// through a table when `dense`, else a range whose entries are sorted by
-/// index (indices below 2^bits) and merged.
-PDVerdict fold_slot(Folder& f, IterEntry* ws, std::size_t nw, IterEntry* rs,
-                    std::size_t nr, bool dense, unsigned bits) {
+/// Where the split put the entries below the trip: log l (writes of owner
+/// o at l = o, its exposed reads at l = owners + o) has its own stretch of
+/// `parts` from stretch[l], and its entries of slot s lie at [cut[s],
+/// cut[s + 1]) in it, cut = cuts + l * (slots + 2).
+struct Split {
+  const IterEntry* parts;
+  const std::size_t* cuts;
+  const std::size_t* stretch;
+  std::size_t owners, slots;
+
+  /// f(first, last) on slot s's entries of one kind, one run per owner.
+  template <class F>
+  void each(std::size_t kind, std::size_t s, F&& f) const {
+    for (std::size_t l = kind * owners; l < (kind + 1) * owners; ++l) {
+      const std::size_t* const cut = cuts + l * (slots + 2);
+      f(parts + stretch[l] + cut[s], parts + stretch[l] + cut[s + 1]);
+    }
+  }
+};
+
+/// The verdict of slot s, all of its entries below the trip: a bucket of
+/// consecutive elements folded through a table when `dense`, else a range
+/// whose entries are gathered, sorted by index (indices below 2^bits) and
+/// merged.
+PDVerdict fold_slot(Folder& f, const Split& split, std::size_t s, bool dense,
+                    unsigned bits) {
   PDVerdict v;
-  if (nw + nr == 0) return v;
   if (!dense) {
-    IterEntry* const tmp = grow(f.sorted, nw + nr);
+    std::size_t n[2] = {0, 0};
+    for (std::size_t kind = 0; kind < 2; ++kind)
+      split.each(kind, s, [&](const IterEntry* e, const IterEntry* last) {
+        n[kind] += static_cast<std::size_t>(last - e);
+      });
+    const std::size_t nw = n[0], nr = n[1];
+    if (nw + nr == 0) return v;
+    IterEntry* const ws = grow(f.sorted, 2 * (nw + nr));
+    IterEntry* const rs = ws + nw;
+    IterEntry* const tmp = rs + nr;
+    IterEntry* out = ws;
+    for (std::size_t kind = 0; kind < 2; ++kind)
+      split.each(kind, s, [&](const IterEntry* e, const IterEntry* last) {
+        out = std::copy(e, last, out);
+      });
     const IterEntry* w = sort_by_index(ws, tmp, nw, bits);
     const IterEntry* r = sort_by_index(rs, tmp + nw, nr, bits);
     const IterEntry* const w_end = w + nw;
@@ -179,8 +213,12 @@ PDVerdict fold_slot(Folder& f, IterEntry* ws, std::size_t nw, IterEntry* rs,
       note(c.*first, c.multi, bit, e->iter);
     }
   };
-  fold(ws, ws + nw, &Cell::w0, kMultiWrite);
-  fold(rs, rs + nr, &Cell::r0, kMultiRead);
+  split.each(0, s, [&](const IterEntry* e, const IterEntry* last) {
+    fold(e, last, &Cell::w0, kMultiWrite);
+  });
+  split.each(1, s, [&](const IterEntry* e, const IterEntry* last) {
+    fold(e, last, &Cell::r0, kMultiRead);
+  });
   for (std::uint32_t t = 0; t < n_touched; ++t) {
     Cell& c = cells[touched[t]];
     v.merge(verdict_of(c.w0, c.r0, c.multi));
@@ -245,47 +283,40 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
     const std::size_t owners = workers_.size();
     Scratch& scratch = thread_scratch();
 
-    // 1. Split every log by slot, each log by one worker: count, place,
-    // copy.  at[(kind * owners + o) * slots + s] is owner o's count of
-    // slot s, then where its next entry of s goes; start[kind * (slots + 1)
-    // + s] is where slot s begins among that kind's entries.
-    std::size_t* const at = grow(scratch.slots, 2 * owners * slots + 2 * (slots + 1));
-    std::size_t* const start = at + 2 * owners * slots;
-    std::fill(at, at + 2 * owners * slots, 0);
-    auto per_log = [&](auto&& f) {
-      run(owners, [&](std::size_t o, unsigned) {
-        f(*workers_[o].writes, at + o * slots, std::size_t{0});
-        f(workers_[o].reads, at + (owners + o) * slots, std::size_t{1});
-      });
+    // 1. Split each log by slot into its own stretch of parts, as long as
+    // the log: count, then place, one owner's two logs per task, so the
+    // place pass re-reads what the count pass just brought into cache.
+    const std::size_t logs = 2 * owners;
+    auto log_of = [&](std::size_t l) -> const IterLog& {
+      return l < owners ? *workers_[l].writes : workers_[l - owners].reads;
     };
-    per_log([&](const IterLog& log, std::size_t* count, std::size_t) {
-      log.for_each_run([&](const IterEntry* e, const IterEntry* last) {
-        for (; e != last; ++e)
-          if (e->iter < lim) ++count[e->idx >> shift];
-      });
-    });
-    std::size_t kept[2] = {0, 0};
-    for (std::size_t kind = 0; kind < 2; ++kind) {
-      for (std::size_t s = 0; s < slots; ++s) {
-        start[kind * (slots + 1) + s] = kept[kind];
-        for (std::size_t o = 0; o < owners; ++o) {
-          std::size_t& slot = at[(kind * owners + o) * slots + s];
-          const std::size_t count = slot;
-          slot = kept[kind];
-          kept[kind] += count;
-        }
-      }
-      start[kind * (slots + 1) + slots] = kept[kind];
+    std::size_t* const cuts = grow(scratch.slots, logs * (slots + 3));
+    std::size_t* const stretch = cuts + logs * (slots + 2);
+    for (std::size_t l = 0, at = 0; l < logs; ++l) {
+      stretch[l] = at;
+      at += log_of(l).size();
     }
-    IterEntry* const parts = grow(scratch.parts, kept[0] + kept[1]);
-    IterEntry* const part[2] = {parts, parts + kept[0]};
-    per_log([&](const IterLog& log, std::size_t* next, std::size_t kind) {
-      IterEntry* const out = part[kind];
-      log.for_each_run([&](const IterEntry* e, const IterEntry* last) {
-        for (; e != last; ++e)
-          if (e->iter < lim) out[next[e->idx >> shift]++] = *e;
-      });
+    IterEntry* const parts = grow(scratch.parts, marks_now);
+    run(owners, [&](std::size_t o, unsigned) {
+      for (const std::size_t l : {o, owners + o}) {
+        const IterLog& log = log_of(l);
+        // Slot s is counted at cut[s + 2]; after the prefix sum cut[s + 1]
+        // is where it starts, and placing moves that to where it ends.
+        std::size_t* const cut = cuts + l * (slots + 2);
+        std::fill(cut, cut + slots + 2, 0);
+        log.for_each_run([&](const IterEntry* e, const IterEntry* last) {
+          for (; e != last; ++e)
+            if (e->iter < lim) ++cut[(e->idx >> shift) + 2];
+        });
+        std::partial_sum(cut + 1, cut + slots + 2, cut + 1);
+        IterEntry* const out = parts + stretch[l];
+        log.for_each_run([&](const IterEntry* e, const IterEntry* last) {
+          for (; e != last; ++e)
+            if (e->iter < lim) out[cut[(e->idx >> shift) + 1]++] = *e;
+        });
+      }
     });
+    const Split split{parts, cuts, stretch, owners, slots};
 
     // 2. Fold the slots, a contiguous group of them per task.
     std::vector<Folder>& folders = scratch.folders;
@@ -294,13 +325,9 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
     const auto bits = static_cast<unsigned>(std::bit_width(n_ - 1));
     std::atomic<long> written{0}, multi{0}, exposed{0}, conflicts{0};
     run(groups, [&](std::size_t g, unsigned vpn) {
-      const std::size_t* const ws = start;
-      const std::size_t* const rs = start + slots + 1;
       PDVerdict sum;
       for (std::size_t s = slots * g / groups; s < slots * (g + 1) / groups; ++s)
-        sum.merge(fold_slot(folders[vpn], part[0] + ws[s],
-                            ws[s + 1] - ws[s], part[1] + rs[s], rs[s + 1] - rs[s],
-                            dense, bits));
+        sum.merge(fold_slot(folders[vpn], split, s, dense, bits));
       written.fetch_add(sum.written_elements, std::memory_order_relaxed);
       multi.fetch_add(sum.multi_written, std::memory_order_relaxed);
       exposed.fetch_add(sum.exposed_read_elements, std::memory_order_relaxed);
