@@ -121,7 +121,7 @@ struct alignas(kCacheLine) Folder {
       : sorted(mem::ArenaAllocator<IterEntry>(a)),
         cells(mem::ArenaAllocator<Cell>(a)),
         touched(mem::ArenaAllocator<std::uint32_t>(a)) {}
-  ArenaVec<IterEntry> sorted;  ///< sparse slots: the radix sort's buffer
+  ArenaVec<IterEntry> sorted;  ///< sparse slots: gathered runs, sort buffer
   ArenaVec<Cell> cells;        ///< dense slots: one bucket's table, empty
   ArenaVec<std::uint32_t> touched;  ///< cells the bucket filled
 };
@@ -131,7 +131,7 @@ struct alignas(kCacheLine) Folder {
 /// row): it only grows, and its contents are overwritten, never cleared.
 struct Scratch {
   ArenaVec<IterEntry> parts{mem::ArenaAllocator<IterEntry>(mem::local_arena())};
-  ArenaVec<std::size_t> slots{mem::ArenaAllocator<std::size_t>(mem::local_arena())};
+  ArenaVec<std::size_t> cuts{mem::ArenaAllocator<std::size_t>(mem::local_arena())};
   std::vector<Folder> folders;  ///< folders[vpn], in vpn's arena
 };
 
@@ -290,7 +290,7 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
     auto log_of = [&](std::size_t l) -> const IterLog& {
       return l < owners ? *workers_[l].writes : workers_[l - owners].reads;
     };
-    std::size_t* const cuts = grow(scratch.slots, logs * (slots + 3));
+    std::size_t* const cuts = grow(scratch.cuts, logs * (slots + 3));
     std::size_t* const stretch = cuts + logs * (slots + 2);
     for (std::size_t l = 0, at = 0; l < logs; ++l) {
       stretch[l] = at;
