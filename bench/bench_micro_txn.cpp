@@ -1,7 +1,7 @@
 // Multi-array transaction microbenchmark: the fused SpecTransaction paths
 // vs the per-array loops they replaced.
 //
-// Three questions, answered on the real host (not the simulator):
+// Two questions, answered on the real host (not the simulator):
 //   1. Fused undo — ONE pool pass with one log-walk unit per array vs the
 //      old driver loop (k undo passes: one single-member transaction per
 //      array, each walking its array's logs on the calling thread).
@@ -14,19 +14,12 @@
 //      reset+checkpoint+write preparation, min over alternating reps.  The
 //      committed flag is PARITY (>= 0.95x): the win is one dispatch chain
 //      and one obs publication instead of k, which only grows with k.
-//   2. Adaptive backup — AdaptiveSpecArray (measured-density decision,
-//      cost_model::choose_backup) vs forced-dense (SpecArray) and
-//      forced-hash (SparseSpecArray) on a sparse (~1% touched) and a dense
-//      (100% touched) workload.  Timed quantity is the full retry:
-//      reset+checkpoint, the instrumented writes, and the undo.  Flag: the
-//      adaptive picker stays within 1.1x of the better static backend on
-//      BOTH workloads — i.e. it never pays the wrong backend's penalty.
-//   3. Steady state — a warm 2-array strip loop re-run under the process
+//   2. Steady state — a warm 2-array strip loop re-run under the process
 //      mem::Budget: zero arena blocks and zero OS allocations (flag).
 //
 // Emits BENCH_txn.json (path overridable via argv[1]); exit code is the
-// AND of the flags, so CI fails on a fused-undo regression below parity,
-// a mispicking adaptive backend, or any steady-state allocation.
+// AND of the flags, so CI fails on a fused-undo regression below parity or
+// any steady-state allocation.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "wlp/core/sparse_spec.hpp"
 #include "wlp/core/speculative.hpp"
 #include "wlp/core/speculative_strips.hpp"
 #include "wlp/core/txn.hpp"
@@ -140,88 +132,6 @@ FusedPoint fused_regime(wlp::ThreadPool& pool, int k, std::size_t total_n,
   return pt;
 }
 
-struct AdaptivePoint {
-  const char* workload = "";
-  double adaptive_us = 0;
-  double dense_us = 0;
-  double hash_us = 0;
-  double ratio = 0;  ///< median of per-rep paired adaptive/min(dense,hash)
-  const char* picked = "";
-};
-
-/// Backup overhead of one backend for one retry: reset+checkpoint (via a
-/// single-member transaction) plus the undo of everything written — the
-/// two costs the backend choice controls.  The `touched` instrumented
-/// writes run between them UNTIMED: per-write instrumentation (log append
-/// vs hash record vs the adaptive tally) differs by design and is reported
-/// by the undo microbench, not re-measured here.
-template <class Target>
-double retry_once(wlp::ThreadPool& pool, wlp::SpecTransaction& txn,
-                  Target* target, const std::vector<std::size_t>& idx) {
-  const auto t0 = Clock::now();
-  txn.begin(&pool);
-  const double begin_us = seconds_since(t0) * 1e6;
-  long iter = 0;
-  for (const std::size_t i : idx) target->set(0, iter++, i, 1.0);
-  const auto t1 = Clock::now();
-  const long undone = txn.undo_beyond(0, &pool);
-  const double us = begin_us + seconds_since(t1) * 1e6;
-  if (undone < static_cast<long>(idx.size()) / 2) {
-    std::fprintf(stderr, "adaptive bench: undo restored %ld of %zu writes\n",
-                 undone, idx.size());
-    std::exit(1);
-  }
-  return us;
-}
-
-AdaptivePoint adaptive_regime(wlp::ThreadPool& pool, const char* name,
-                              std::size_t n, std::size_t touched, int reps) {
-  // Distinct scattered indices: odd multiplier mod a power of two is a
-  // bijection, so `touched` draws are `touched` distinct locations.
-  std::vector<std::size_t> idx(touched);
-  for (std::size_t i = 0; i < touched; ++i) idx[i] = (i * 9973u) & (n - 1);
-
-  AdaptivePoint pt;
-  pt.workload = name;
-  wlp::SpecArray<double> dense(std::vector<double>(n, 0.0), pool.size(),
-                               false);
-  std::vector<double> data(n, 0.0);
-  wlp::SparseSpecArray<double> hash(data, pool.size(), touched, false);
-  // Same expected-writes sizing the forced-hash backend gets, so the
-  // comparison isolates the DECISION cost, not table-size handicaps.
-  // (Convergence from a wrong hint is covered by the Txn* tests.)
-  wlp::AdaptiveSpecArray<double> adaptive(std::vector<double>(n, 0.0),
-                                          pool.size(), touched, false);
-  wlp::SpecTarget* d1[] = {&dense};
-  wlp::SpecTarget* h1[] = {&hash};
-  wlp::SpecTarget* a1[] = {&adaptive};
-  wlp::SpecTransaction dense_txn(std::span<wlp::SpecTarget* const>(d1, 1));
-  wlp::SpecTransaction hash_txn(std::span<wlp::SpecTarget* const>(h1, 1));
-  wlp::SpecTransaction adapt_txn(std::span<wlp::SpecTarget* const>(a1, 1));
-
-  // All three backends run back-to-back within each rep (rep -1 = warmup),
-  // so the paired per-rep ratios see the same host conditions; the flag
-  // uses their median, the reported times the per-backend min.
-  std::vector<double> d_us, h_us, a_us, ratios;
-  for (int r = -1; r < reps; ++r) {
-    const double d = retry_once(pool, dense_txn, &dense, idx);
-    const double h = retry_once(pool, hash_txn, &hash, idx);
-    const double a = retry_once(pool, adapt_txn, &adaptive, idx);
-    if (r < 0) continue;
-    d_us.push_back(d);
-    h_us.push_back(h);
-    a_us.push_back(a);
-    ratios.push_back(a / std::min(d, h));
-  }
-  pt.dense_us = min_of(d_us);
-  pt.hash_us = min_of(h_us);
-  pt.adaptive_us = min_of(a_us);
-  pt.ratio = wlp::median(ratios);
-  pt.picked =
-      adaptive.backup_kind() == wlp::BackupKind::kDense ? "dense" : "hash";
-  return pt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -258,23 +168,7 @@ int main(int argc, char** argv) {
       std::all_of(dense_pts.begin(), dense_pts.end(), parity) &&
       std::all_of(strided_pts.begin(), strided_pts.end(), parity);
 
-  // ---- 2. adaptive vs forced backends -------------------------------------
-  constexpr std::size_t kAdaptN = 1 << 18;
-  std::printf("\n== adaptive backup vs forced backends (full retry; us) ==\n");
-  const AdaptivePoint sparse_pt =
-      adaptive_regime(pool, "sparse_1pct", kAdaptN, kAdaptN / 100, kReps);
-  const AdaptivePoint dense_pt =
-      adaptive_regime(pool, "dense_100pct", kAdaptN, kAdaptN, kReps);
-  bool adaptive_ok = true;
-  for (const AdaptivePoint& p : {sparse_pt, dense_pt}) {
-    std::printf("  %-12s adaptive %9.1f (picked %-5s, median %.2fx of best)  "
-                "dense %9.1f  hash %9.1f\n",
-                p.workload, p.adaptive_us, p.picked, p.ratio, p.dense_us,
-                p.hash_us);
-    adaptive_ok = adaptive_ok && p.ratio <= 1.1;
-  }
-
-  // ---- 3. steady-state allocations under the fused transaction ------------
+  // ---- 2. steady-state allocations under the fused transaction ------------
   long steady_arena_allocs, steady_slow_allocs;
   {
     const long n = 64 * 256, strip = 256;
@@ -288,8 +182,8 @@ int main(int argc, char** argv) {
     // Static schedule, as in TxnSteadyState: under kDynamic a worker that
     // claims no iteration of these short strips during the warm-up takes
     // its first PD and write-log segments inside the measured rounds.
-    wlp::SpecOptions opts;
-    opts.doall.sched = wlp::Sched::kStaticCyclic;
+    wlp::DoallOptions opts;
+    opts.sched = wlp::Sched::kStaticCyclic;
     auto run_once = [&] {
       return wlp::strip_speculative_while(
           pool, n, strip, std::span<wlp::SpecTarget* const>(targets, 2),
@@ -316,8 +210,8 @@ int main(int argc, char** argv) {
   std::printf("  OS allocations          : %ld\n", steady_slow_allocs);
   const bool steady_clean = steady_arena_allocs == 0 && steady_slow_allocs == 0;
 
-  std::printf("\nfused_parity=%d  adaptive_ok=%d  steady_clean=%d\n",
-              fused_parity, adaptive_ok, steady_clean);
+  std::printf("\nfused_parity=%d  steady_clean=%d\n", fused_parity,
+              steady_clean);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {
@@ -347,20 +241,6 @@ int main(int argc, char** argv) {
   emit_points("stride8", strided_pts);
   std::fprintf(f, "    \"fused_parity\": %s\n", fused_parity ? "true" : "false");
   std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"adaptive\": {\n");
-  std::fprintf(f, "    \"method\": \"timed = reset+checkpoint plus undo-all (the costs the backend choice controls); the instrumented writes run untimed between them; all three backends run back-to-back within each rep and vs_best_ratio is the MEDIAN of per-rep adaptive/min(dense,hash); adaptive gets the same expected-writes sizing as the forced-hash backend and re-decides per retry from measured touches; flag requires vs_best_ratio <= 1.1 on both workloads\",\n");
-  const AdaptivePoint adaptive_pts[] = {sparse_pt, dense_pt};
-  for (std::size_t i = 0; i < 2; ++i) {
-    const AdaptivePoint& p = adaptive_pts[i];
-    std::fprintf(f,
-                 "    \"%s\": {\"adaptive_us\": %.2f, \"picked\": \"%s\", "
-                 "\"vs_best_ratio\": %.3f, "
-                 "\"forced_dense_us\": %.2f, \"forced_hash_us\": %.2f}%s\n",
-                 p.workload, p.adaptive_us, p.picked, p.ratio, p.dense_us,
-                 p.hash_us, ",");
-  }
-  std::fprintf(f, "    \"adaptive_ok\": %s\n", adaptive_ok ? "true" : "false");
-  std::fprintf(f, "  },\n");
   std::fprintf(f,
                "  \"steady_state\": {\"rounds\": 20, \"arena_allocs\": %ld, "
                "\"slow_allocs\": %ld, \"clean\": %s},\n",
@@ -373,5 +253,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path);
-  return !(fused_parity && adaptive_ok && steady_clean);
+  return !(fused_parity && steady_clean);
 }

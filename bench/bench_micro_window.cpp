@@ -1,41 +1,22 @@
 // Transaction-aware sliding-window microbench (Section 8.2 + DESIGN.md §10).
 //
-// Three questions, answered on the real host:
-//   1. Budget compliance under a forced backend flip — the acceptance
-//      scenario for the measured controller: a windowed speculative loop
-//      over an AdaptiveSpecArray starts on the hash backend (tiny pinned
-//      footprint) and flips to dense mid-run, a ~100x step jump in
-//      memory_bytes().  The reported peak_stamp_bytes must stay within the
-//      budget (flag), the window must have shrunk, and the final cap must
-//      come from the MEASURED bytes (far below max_window).  Single-worker
-//      pool: flip_to_dense requires quiescence, and budget compliance is
-//      the point here, not scaling.
-//   2. Reaction lag to a notified step vs EWMA smoothing — two controllers
-//      fed identical post-flip samples, one notified via
-//      footprint_changed(), one not: decisions until the window first
-//      reaches the re-derived cap.  The notified controller must clamp on
-//      the FIRST decision (flag); the unnotified one shows the smoothing
-//      lag the hook exists to kill.  Pure controller arithmetic — no
-//      timing, host-independent.
-//   3. Controller overhead — the same trivial windowed loop with no budget
-//      vs with a budget + live-bytes poll (EWMA fold + cap re-derivation
-//      under the issue lock at every claim).  Paired per-rep ratio, median
-//      over alternating reps; flag: <= 1.5x (the claim lock dominates both
-//      sides, the controller must stay noise).
+// One question, answered on the real host: controller overhead — the same
+// trivial windowed loop with no budget vs with a budget + live-bytes poll
+// (EWMA fold + cap re-derivation under the issue lock at every claim).
+// Paired per-rep ratio, median over alternating reps; flag: <= 1.5x (the
+// claim lock dominates both sides, the controller must stay noise).  The
+// budget itself is pinned by the WindowBudget tests.
 //
 // Emits BENCH_window.json (path overridable via argv[1]); exit code is the
-// AND of the flags, so CI fails on a budget breach, a lost clamp, or a
-// controller that got expensive.
+// flag, so CI fails on a controller that got expensive.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <span>
 #include <thread>
 #include <vector>
 
 #include "wlp/core/sliding_window.hpp"
-#include "wlp/core/txn.hpp"
 #include "wlp/support/stats.hpp"
 
 namespace {
@@ -48,106 +29,6 @@ double seconds_since(Clock::time_point t0) {
 
 double min_of(const std::vector<double>& v) {
   return *std::min_element(v.begin(), v.end());
-}
-
-struct FlipOutcome {
-  std::size_t budget = 0;
-  std::size_t peak_bytes = 0;       ///< max over reps (worst observed)
-  std::size_t dense_base_bytes = 0; ///< what the flip pinned (final poll)
-  long shrinks = 0;
-  long final_window = 0;
-  long final_cap = 0;
-  std::size_t cap_bytes = 0;
-  bool within_budget = false;
-  bool flipped = false;
-};
-
-/// The acceptance scenario, repeated `reps` times against fresh arrays;
-/// the peak is the max across reps (a single breach is a breach).
-FlipOutcome flip_budget_run(int reps) {
-  wlp::ThreadPool pool(1);
-  const long n = 1 << 14, u = 2048, flip_at = 16;
-  FlipOutcome out;
-  out.budget = 512 * 1024;  // dense base ~3n doubles = 384 KiB < budget
-  out.within_budget = true;
-  out.flipped = true;
-  for (int r = 0; r < reps; ++r) {
-    wlp::AdaptiveSpecArray<double> a(
-        std::vector<double>(static_cast<std::size_t>(n), 0.0), pool.size(),
-        32, /*run_pd_test=*/false);
-    if (a.backup_kind() != wlp::BackupKind::kHash) {
-      std::fprintf(stderr, "flip bench: expected a hash first retry\n");
-      std::exit(1);
-    }
-    wlp::SpecTarget* targets[] = {&a};
-    wlp::WindowOptions opts;
-    opts.window = 64;
-    opts.min_window = 2;
-    opts.memory_budget = out.budget;
-    const wlp::WindowReport wr = wlp::sliding_window_speculative_while(
-        pool, u, std::span<wlp::SpecTarget* const>(targets, 1),
-        [&](long i, unsigned vpn) {
-          a.begin_iteration(vpn, i);
-          if (i == flip_at) a.flip_to_dense();
-          a.set(vpn, i, static_cast<std::size_t>(i),
-                static_cast<double>(i) + 1.0);
-          return wlp::IterAction::kContinue;
-        },
-        [&] { return u; }, opts);
-    if (wr.exec.trip != u || wr.exec.reexecuted_sequentially) {
-      std::fprintf(stderr, "flip bench: speculation unexpectedly failed\n");
-      std::exit(1);
-    }
-    out.peak_bytes = std::max(out.peak_bytes, wr.peak_stamp_bytes);
-    out.within_budget =
-        out.within_budget && wr.peak_stamp_bytes <= out.budget;
-    out.flipped = out.flipped && a.backup_kind() == wlp::BackupKind::kDense;
-    out.shrinks = wr.window_shrinks;
-    out.final_window = wr.final_window;
-    out.final_cap = wr.final_cap;
-    out.cap_bytes = wr.cap_bytes;
-    out.dense_base_bytes = a.memory_bytes();
-  }
-  return out;
-}
-
-struct ReactionOutcome {
-  long notified_decisions = 0;
-  long polled_decisions = 0;
-  long derived_cap = 0;
-  bool notified_immediate = false;
-};
-
-/// Deterministic controller arithmetic: after a 256x per-iteration jump,
-/// how many adjust() decisions until the window first lands at the
-/// re-derived cap, with vs without the footprint_changed() notification.
-ReactionOutcome reaction_lag() {
-  constexpr std::size_t kBudget = 1 << 20;
-  constexpr std::size_t kSmall = 64;           // pre-flip bytes/iteration
-  constexpr std::size_t kBig = kSmall * 256;   // post-flip bytes/iteration
-  ReactionOutcome out;
-  const auto run = [&](bool notify) {
-    wlp::WindowController ctl(2, 1 << 20, kBudget, kSmall);
-    long w = 64;
-    for (int i = 0; i < 16; ++i) w = ctl.adjust(w, 8, 8 * kSmall);
-    if (notify) ctl.footprint_changed();
-    const long target = static_cast<long>(kBudget / kBig);  // true new cap
-    long decisions = 0;
-    // The occupancy samples a real run would produce: span bounded by the
-    // (shrinking) window, every in-flight iteration pinning kBig bytes.
-    for (int i = 0; i < 64; ++i) {
-      const long span = std::min<long>(w, 8);
-      w = ctl.adjust(w, span, static_cast<std::size_t>(span) * kBig);
-      ++decisions;
-      if (w <= target) break;
-    }
-    out.derived_cap = ctl.cap();
-    return decisions;
-  };
-  out.notified_decisions = run(true);
-  out.polled_decisions = run(false);
-  out.notified_immediate = out.notified_decisions == 1;
-  return out;
 }
 
 struct OverheadOutcome {
@@ -211,31 +92,14 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_window.json";
   constexpr int kReps = 31;
 
-  std::printf("== budgeted window under a forced hash->dense flip ==\n");
-  const FlipOutcome flip = flip_budget_run(5);
-  std::printf("  budget %zu  peak %zu  dense-base %zu  within=%d\n",
-              flip.budget, flip.peak_bytes, flip.dense_base_bytes,
-              flip.within_budget);
-  std::printf("  shrinks %ld  final window %ld  final cap %ld (cap bytes %zu)\n",
-              flip.shrinks, flip.final_window, flip.final_cap, flip.cap_bytes);
-  const bool flip_ok = flip.within_budget && flip.flipped &&
-                       flip.shrinks > 0 && flip.final_cap < 64;
-
-  std::printf("\n== decisions to clamp after a 256x footprint step ==\n");
-  const ReactionOutcome react = reaction_lag();
-  std::printf("  notified  : %ld decision(s)\n", react.notified_decisions);
-  std::printf("  poll-only : %ld decision(s)  (derived cap %ld)\n",
-              react.polled_decisions, react.derived_cap);
-
   wlp::ThreadPool pool(wlp::ThreadPool::default_concurrency());
-  std::printf("\n== controller overhead on a trivial %d-rep windowed loop ==\n",
+  std::printf("== controller overhead on a trivial %d-rep windowed loop ==\n",
               kReps);
   const OverheadOutcome ovh = controller_overhead(pool, kReps);
   std::printf("  unbudgeted %8.1f us   budgeted %8.1f us   (median %.3fx)\n",
               ovh.unbudgeted_us, ovh.budgeted_us, ovh.ratio);
 
-  std::printf("\nflip_ok=%d  notified_immediate=%d  overhead_ok=%d\n",
-              flip_ok, react.notified_immediate, ovh.ok);
+  std::printf("\noverhead_ok=%d\n", ovh.ok);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {
@@ -246,30 +110,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"bench\": \"micro_window\",\n");
   std::fprintf(f, "  \"host_hw_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"flip_budget\": {\n");
-  std::fprintf(f, "    \"method\": \"windowed speculative loop over an AdaptiveSpecArray (2^14 elements, 2048 iterations) that flips hash->dense at iteration 16 under a 512 KiB budget; single-worker pool (flip_to_dense requires quiescence); peak is the max over 5 fresh-array reps; within_budget requires peak_stamp_bytes <= budget on EVERY rep, and the final cap must be re-derived from the measured bytes (< the initial window, not max_window)\",\n");
-  std::fprintf(f,
-               "    \"budget_bytes\": %zu, \"peak_bytes\": %zu, "
-               "\"dense_base_bytes\": %zu,\n",
-               flip.budget, flip.peak_bytes, flip.dense_base_bytes);
-  std::fprintf(f,
-               "    \"window_shrinks\": %ld, \"final_window\": %ld, "
-               "\"final_cap\": %ld, \"cap_bytes\": %zu,\n",
-               flip.shrinks, flip.final_window, flip.final_cap,
-               flip.cap_bytes);
-  std::fprintf(f, "    \"within_budget\": %s, \"flip_ok\": %s\n",
-               flip.within_budget ? "true" : "false",
-               flip_ok ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"reaction\": {\n");
-  std::fprintf(f, "    \"method\": \"two WindowControllers fed identical samples after a 256x bytes-per-iteration step (64 -> 16384 B under a 1 MiB budget): adjust() decisions until the window first reaches the re-derived cap; the notified controller adopts the fresh sample outright and must clamp on decision 1, the poll-only controller shows the EWMA smoothing lag; pure arithmetic, host-independent\",\n");
-  std::fprintf(f,
-               "    \"notified_decisions\": %ld, \"polled_decisions\": %ld, "
-               "\"derived_cap\": %ld, \"notified_immediate\": %s\n",
-               react.notified_decisions, react.polled_decisions,
-               react.derived_cap,
-               react.notified_immediate ? "true" : "false");
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"overhead\": {\n");
   std::fprintf(f, "    \"method\": \"%d alternating reps of a trivial 20000-iteration windowed loop, no budget vs 1 GiB budget + relaxed-atomic live-bytes poll (per-claim EWMA fold + cap re-derivation under the issue lock); ratio is the MEDIAN of per-rep paired budgeted/unbudgeted times (pairing cancels host drift); flag <= 1.5x\",\n",
                kReps);
@@ -279,12 +119,10 @@ int main(int argc, char** argv) {
                ovh.unbudgeted_us, ovh.budgeted_us, ovh.ratio,
                ovh.ok ? "true" : "false");
   std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"host_note\": \"the flip and reaction sections are "
-               "deterministic (budget compliance and controller arithmetic, "
-               "not timing); only the overhead ratio is host-sensitive and "
-               "it is paired same-run A/B\"\n");
+  std::fprintf(f, "  \"host_note\": \"the overhead ratio is host-sensitive "
+               "and is paired same-run A/B\"\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path);
-  return !(flip_ok && react.notified_immediate && ovh.ok);
+  return !ovh.ok;
 }

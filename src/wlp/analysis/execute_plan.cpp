@@ -434,7 +434,6 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
           wopts.min_window = opts.min_window;
           wopts.max_window = opts.max_window;
           wopts.memory_budget = opts.memory_budget;
-          wopts.charge_process_budget = opts.charge_process_budget;
           wopts.live_bytes = [&st] {
             return static_cast<std::size_t>(
                        st.ticket.load(std::memory_order_relaxed)) *

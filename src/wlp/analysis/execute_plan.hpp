@@ -47,7 +47,6 @@ struct PlanExecOptions {
   long window = 64;               ///< initial window when budgeted
   long min_window = 2;
   long max_window = 1 << 20;
-  bool charge_process_budget = false;  ///< share the process-wide ceiling
 };
 
 struct PlanExecution {

@@ -71,13 +71,13 @@ template <class Probe, class Work, class SeqRun>
 RunTwiceReport run_twice_speculative(ThreadPool& pool, long u, Probe&& probe,
                                      std::span<SpecTarget* const> targets,
                                      Work&& work, SeqRun&& run_sequential,
-                                     SpecOptions opts = {}) {
+                                     DoallOptions opts = {}) {
   RunTwiceReport out;
   WLP_OBS_COUNT("wlp.runtwice.runs", 1);
   QuitResult pass1{};
   {
     WLP_TRACE_SCOPE("runtwice.probe", u, 0);
-    pass1 = doall_quit(pool, 0, u, probe, opts.doall);
+    pass1 = doall_quit(pool, 0, u, probe, opts);
   }
   out.probe_started = pass1.started;
   const long trip = pass1.trip;

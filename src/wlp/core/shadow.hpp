@@ -74,9 +74,8 @@ struct PDVerdict {
 };
 
 /// The PD marks of one speculation target.  Every target (SpecArray,
-/// SparseSpecArray, AdaptiveSpecArray, PrivatizedSpecArray) and every
-/// unknown-access array of an executed plan holds one and forwards its
-/// body-side accesses here.  With `on` = false the accesses are statically
+/// SparseSpecArray, PrivatizedSpecArray) and every unknown-access array of
+/// an executed plan holds one and forwards its body-side accesses here.  With `on` = false the accesses are statically
 /// analyzable: no log is built and every mark is a predictable no-op.
 ///
 /// Concurrency contract: marks for one vpn come from one thread at a time

@@ -13,17 +13,10 @@
 // capping the window once from a static bytes-per-iteration guess, it keeps
 // an EWMA of the MEASURED bytes the backups pin per in-flight iteration
 // (live_bytes() / span, sampled at every claim) and re-derives the hard cap
-// budget / EWMA live.  A footprint_changed() notification from the
-// transaction (an AdaptiveSpecArray flipping hash -> dense is a step jump
-// the poll can miss) makes the next decision adopt the fresh sample
-// outright and clamp straight to the re-derived cap — no waiting for one
-// halving per claim to catch up.  Optionally the controller settles its
-// measured footprint into the process-wide wlp::mem Budget so concurrent
-// loops budget against the SUM and share one ceiling.
+// budget / EWMA live.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <condition_variable>
 #include <functional>
@@ -35,7 +28,6 @@
 #include "wlp/obs/obs.hpp"
 #include "wlp/core/report.hpp"
 #include "wlp/core/speculative.hpp"
-#include "wlp/mem/budget.hpp"
 #include "wlp/sched/doall.hpp"
 #include "wlp/sched/thread_pool.hpp"
 
@@ -57,68 +49,42 @@ struct WindowOptions {
   /// to the transaction's fused memory_bytes() (sparse backups report their
   /// live touched set, dense ones data + backup + their opened log
   /// segments), so the window reacts to what the backups actually pinned.
-  /// To throttle on the WHOLE process's speculative footprint instead of
-  /// one target set's, prefer charge_process_budget below over hand-wiring
-  /// probes.
+  /// To throttle on the WHOLE process's arena footprint instead of one
+  /// target set's, point it at mem::process_bytes_live.
   std::function<std::size_t()> live_bytes;
-  /// Settle the measured footprint into wlp::mem::Budget::spec_bytes() and
-  /// budget against the process-wide SUM: concurrent budgeted loops then
-  /// share one ceiling instead of each assuming it owns the whole budget.
-  bool charge_process_budget = false;
 };
 
 /// The transaction-aware budget controller: one instance per windowed run.
-/// adjust() runs under the issue lock at every claim; footprint_changed()
-/// may fire concurrently from any pool worker (it only flips an atomic).
-class WindowController final : public FootprintListener {
+/// adjust() runs under the issue lock at every claim.
+class WindowController {
  public:
   WindowController(long min_window, long max_window, std::size_t budget,
-                   std::size_t seed_bytes_per_iter = 0,
-                   bool charge_process_budget = false)
+                   std::size_t seed_bytes_per_iter = 0)
       : min_w_(std::max(1L, min_window)),
         max_w_(std::max(min_w_, max_window)),
-        budget_(budget),
-        charge_(charge_process_budget) {
+        budget_(budget) {
     if (seed_bytes_per_iter != 0)
       ewma_bpi_ = static_cast<double>(seed_bytes_per_iter);
     recompute_cap();
   }
 
-  ~WindowController() override { release(); }
-
-  WindowController(const WindowController&) = delete;
-  WindowController& operator=(const WindowController&) = delete;
-
-  /// A member of the transaction step-changed its footprint (backend flip):
-  /// make the next adjust() adopt the fresh sample outright and clamp to
-  /// the re-derived cap instead of smoothing the jump away.
-  void footprint_changed() noexcept override {
-    step_.store(true, std::memory_order_release);
-  }
-
   /// One budget decision: fold the measured bytes/iteration sample into the
-  /// EWMA, re-derive the cap, settle the process charge, and move the
-  /// window — multiplicative decrease when occupancy approaches the budget,
-  /// additive increase while comfortably under it, always inside the cap.
-  /// Returns the new window size.
+  /// EWMA, re-derive the cap, and move the window — multiplicative decrease
+  /// when occupancy approaches the budget, additive increase while
+  /// comfortably under it, always inside the cap.  Returns the new window
+  /// size.
   long adjust(long window, long span, std::size_t in_use) {
     if (budget_ == 0) return window;
-    const bool step = step_.exchange(false, std::memory_order_acq_rel);
-    const std::size_t occupied = charge_ ? settle(in_use) : in_use;
-    foreign_ = occupied > in_use ? occupied - in_use : 0;
     if (span > 0 && in_use > 0) {
       const double sample =
           static_cast<double>(in_use) / static_cast<double>(span);
-      // A notified step jump resets the average outright: smoothing a ~Nx
-      // flip over 1/alpha claims is exactly the lag the hook exists to
-      // kill.
-      ewma_bpi_ = (ewma_bpi_ <= 0.0 || step)
+      ewma_bpi_ = ewma_bpi_ <= 0.0
                       ? sample
                       : kAlpha * sample + (1.0 - kAlpha) * ewma_bpi_;
     }
     recompute_cap();
     long w = window;
-    if (occupied * 2 > budget_) {
+    if (in_use * 2 > budget_) {
       w = std::max(min_w_, w / 2);
     } else if (w < cap_) {
       ++w;
@@ -129,15 +95,6 @@ class WindowController final : public FootprintListener {
     else if (w > window)
       ++grows_;
     return w;
-  }
-
-  /// Settle any process-budget charge back to zero (run over).  Idempotent;
-  /// the destructor calls it too.
-  void release() noexcept {
-    if (charge_ && charged_ != 0) {
-      mem::Budget::process().add_spec_bytes(-static_cast<long>(charged_));
-      charged_ = 0;
-    }
   }
 
   /// Current hard cap on the window (iterations), re-derived at every
@@ -162,38 +119,21 @@ class WindowController final : public FootprintListener {
       return;
     }
     long cap = max_w_;
-    // Budget left for THIS loop: the whole budget minus what concurrent
-    // loops have charged (foreign_ is 0 outside process-budget mode).
-    const std::size_t avail = budget_ > foreign_ ? budget_ - foreign_ : 0;
     if (ewma_bpi_ > 0.0)
-      cap = static_cast<long>(static_cast<double>(avail) / ewma_bpi_);
+      cap = static_cast<long>(static_cast<double>(budget_) / ewma_bpi_);
     cap_ = std::clamp(cap, min_w_, max_w_);
     cap_bytes_ = ewma_bpi_ > 0.0
                      ? static_cast<std::size_t>(ewma_bpi_ *
                                                 static_cast<double>(cap_))
-                     : avail;
-  }
-
-  /// Process-budget mode: publish our measured footprint delta and return
-  /// the process-wide total (ours + every concurrent loop's).
-  std::size_t settle(std::size_t now) noexcept {
-    mem::Budget::process().add_spec_bytes(static_cast<long>(now) -
-                                          static_cast<long>(charged_));
-    charged_ = now;
-    const long total = mem::Budget::process().spec_bytes();
-    return total > 0 ? static_cast<std::size_t>(total) : 0;
+                     : budget_;
   }
 
   const long min_w_;
   const long max_w_;
   const std::size_t budget_;
-  const bool charge_;
-  std::atomic<bool> step_{false};
   double ewma_bpi_ = 0.0;         ///< EWMA of measured bytes per iteration
   long cap_ = 0;                  ///< derived hard cap (iterations)
   std::size_t cap_bytes_ = 0;     ///< bytes cap_ represents under the EWMA
-  std::size_t foreign_ = 0;       ///< concurrent loops' charged bytes
-  std::size_t charged_ = 0;       ///< our last settled footprint
   long shrinks_ = 0;
   long grows_ = 0;
 };
@@ -212,14 +152,16 @@ struct WindowReport {
 
 namespace detail {
 
-/// The windowed self-scheduling loop over [0, u), driven by `ctl` (one
-/// controller per run) and writing into `wr`.
+/// The windowed self-scheduling loop over [0, u), driven by one
+/// controller per run and writing into `wr`.
 template <class Body>
 void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
-                WindowController& ctl, WindowReport& wr) {
+                WindowReport& wr) {
   wr.exec.method = Method::kSlidingWindow;
   if (u <= 0) return;
   WLP_TRACE_SCOPE("window.run", u, opts.window);
+  WindowController ctl(opts.min_window, opts.max_window, opts.memory_budget,
+                       opts.bytes_per_iteration);
 
   std::mutex mu;
   std::condition_variable cv;
@@ -284,7 +226,6 @@ void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
   // peak covers the post-claim growth the in-claim polls cannot see.
   if (opts.memory_budget != 0 && opts.live_bytes)
     peak_bytes = std::max(peak_bytes, opts.live_bytes());
-  ctl.release();
 
   wr.exec.trip = std::min(trip_candidate, u);
   wr.exec.started = started;
@@ -316,10 +257,8 @@ void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
 template <class Body>
 WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
                                   WindowOptions opts = {}) {
-  WindowController ctl(opts.min_window, opts.max_window, opts.memory_budget,
-                       opts.bytes_per_iteration, opts.charge_process_budget);
   WindowReport wr;
-  detail::window_run(pool, u, body, opts, ctl, wr);
+  detail::window_run(pool, u, body, opts, wr);
   return wr;
 }
 
@@ -337,24 +276,16 @@ WindowReport sliding_window_speculative_while(
     ThreadPool& pool, long u, std::span<SpecTarget* const> targets,
     Body&& body, SeqRun&& run_sequential, WindowOptions wopts = {}) {
   WLP_TRACE_SCOPE("window.spec", u, wopts.window);
-  // Transaction-aware control: the controller is the transaction's
-  // footprint listener (so it outlives the round), and a member flipping
-  // backends mid-run (a step jump in memory_bytes() the per-claim poll can
-  // miss) clamps the window on the very next claim.
-  WindowController ctl(wopts.min_window, wopts.max_window,
-                       wopts.memory_budget, wopts.bytes_per_iteration,
-                       wopts.charge_process_budget);
   WindowReport wr;
   SpecRound round(pool, targets, wr.exec);
   round.begin();
-  round.txn().set_footprint_listener(&ctl);
   // Feed the budget controller the backups' MEASURED footprint (Section 8.2
   // against real bytes): sparse targets grow as locations are touched, so
   // the window shrinks when the backup — not a guess — nears the budget.
   // The transaction sums its members.
   if (wopts.memory_budget != 0 && !wopts.live_bytes)
     wopts.live_bytes = [&round] { return round.txn().memory_bytes(); };
-  round.run([&] { detail::window_run(pool, u, body, wopts, ctl, wr); });
+  round.run([&] { detail::window_run(pool, u, body, wopts, wr); });
 
   if (round.validate(wr.exec.trip)) {
     round.commit(wr.exec.trip);

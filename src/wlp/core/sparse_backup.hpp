@@ -120,10 +120,9 @@ class HashBackup {
   /// transaction still runs one pool dispatch and one join.
   long undo_slots(std::vector<T>& data, long trip, std::size_t lo,
                   std::size_t hi) noexcept {
-    // Empty-table early-out: an AdaptiveSpecArray running a DENSE retry
-    // still exposes its (unused) slot chunks to the transaction's static
-    // unit map; without this check every fused undo would stream the whole
-    // empty table just to find no live tags.
+    // Empty-table early-out: a retry that recorded nothing (no write, or a
+    // full restore already cleared the table) would otherwise stream every
+    // slot chunk of the transaction's static unit map to find no live tags.
     if (entries() == 0) return 0;
     return undo_range(data, stamp_threshold(trip), static_cast<long>(lo),
                       static_cast<long>(std::min(hi, slots_.size())));
@@ -147,19 +146,6 @@ class HashBackup {
   /// window controller budgets against.
   std::size_t memory_bytes() const noexcept {
     return entries() * sizeof(Slot);
-  }
-
-  /// Visit every live recorded entry as (array index, saved pre-loop
-  /// value).  Quiescent-only — no concurrent record() may be in flight:
-  /// the AdaptiveSpecArray mid-run hash->dense upgrade uses this to graft
-  /// the saved values onto the freshly built dense backup.
-  template <class F>
-  void for_each_entry(F&& fn) const {
-    for (const Slot& s : slots_) {
-      const std::uint64_t tag = s.tag.load(std::memory_order_acquire);
-      if ((tag >> 32) != epoch_.value()) continue;  // free or stale slot
-      fn(static_cast<std::size_t>(tag & 0xffffffffu) - 1, s.saved);
-    }
   }
 
   long resets() const noexcept { return epoch_.resets(); }

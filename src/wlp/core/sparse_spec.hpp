@@ -59,7 +59,6 @@ class SparseSpecArray final : public SpecTarget {
   std::vector<T>& data() noexcept { return data_; }
 
   std::size_t backup_entries() const noexcept { return backup_.entries(); }
-  std::size_t backup_bytes() const noexcept { return backup_.memory_bytes(); }
 
   // ---- SpecTarget ----------------------------------------------------------
 

@@ -37,9 +37,8 @@ class SpecRound {
     r_.used_stamps = true;
   }
 
-  /// The round's transaction: drivers poll its footprint and register a
-  /// footprint listener on it; a round that committed with no overshoot
-  /// discards its backups through it.
+  /// The round's transaction: drivers poll its footprint, and a round that
+  /// committed with no overshoot discards its backups through it.
   SpecTransaction& txn() noexcept { return txn_; }
 
   void begin() {

@@ -11,7 +11,6 @@
 // reports neither.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 
@@ -21,34 +20,11 @@
 
 namespace wlp {
 
-/// Receives footprint step-change notifications.  The chain is
-/// SpecTarget::footprint_changed() -> SpecTransaction -> window controller:
-/// the per-claim memory_bytes() poll tracks gradual backup growth, but a
-/// backend flip (AdaptiveSpecArray hash -> dense) is a step jump the poll
-/// can miss for a claim or more — the hook lets the window clamp on the
-/// very next decision.  Implementations are called from pool workers and
-/// must be lock-free and noexcept.
-class FootprintListener {
- public:
-  virtual ~FootprintListener() = default;
-  virtual void footprint_changed() noexcept = 0;
-};
-
 /// Type-erased interface over one array participating in a speculation.
 class SpecTarget {
  public:
   virtual ~SpecTarget() = default;
 
-  /// Notify the registered listener that memory_bytes() just step-changed
-  /// (backend flip, bulk adoption of a checkpoint).  Safe to call with no
-  /// listener registered; subclasses call this, drivers register.
-  void footprint_changed() noexcept {
-    FootprintListener* l = footprint_listener_.load(std::memory_order_acquire);
-    if (l != nullptr) l->footprint_changed();
-  }
-  void set_footprint_listener(FootprintListener* l) noexcept {
-    footprint_listener_.store(l, std::memory_order_release);
-  }
   virtual bool shadowed() const = 0;
   virtual PDVerdict analyze(ThreadPool& pool, long trip) const = 0;
   virtual void reset_marks() = 0;
@@ -75,10 +51,9 @@ class SpecTarget {
   /// without one (it must then report sparse slots below).
   virtual std::size_t txn_dense_size() const { return kNoDense; }
   /// Prepare for a fused checkpoint (resize the pooled backup, count the
-  /// checkpoint); returns the element count the transaction's single
-  /// parallel pass must copy for this member.  0 = nothing to copy up
-  /// front (sparse backups save on first touch).
-  virtual std::size_t txn_checkpoint_begin() { return 0; }
+  /// checkpoint) before the transaction's single parallel pass copies
+  /// [0, txn_dense_size()) through txn_checkpoint_span.
+  virtual void txn_checkpoint_begin() {}
   /// Copy live elements [b, e) into the backup (one chunk of the fused
   /// checkpoint pass).
   virtual void txn_checkpoint_span(std::size_t /*b*/, std::size_t /*e*/) {}
@@ -108,9 +83,6 @@ class SpecTarget {
                               std::size_t /*hi*/) {
     return 0;
   }
-
- private:
-  std::atomic<FootprintListener*> footprint_listener_{nullptr};
 };
 
 namespace detail {

@@ -83,9 +83,7 @@ class SpecArray final : public SpecTarget {
   // ---- fused-transaction hooks --------------------------------------------
 
   std::size_t txn_dense_size() const override { return array_.size(); }
-  std::size_t txn_checkpoint_begin() override {
-    return array_.txn_checkpoint_begin();
-  }
+  void txn_checkpoint_begin() override { array_.txn_checkpoint_begin(); }
   void txn_checkpoint_span(std::size_t b, std::size_t e) override {
     array_.txn_checkpoint_span(b, e);
   }
@@ -104,16 +102,6 @@ class SpecArray final : public SpecTarget {
   PDMarks pd_;
 };
 
-struct SpecOptions {
-  DoallOptions doall{};
-  /// Memory budget for the transaction's measured footprint (0 = none).
-  /// The strip driver adapts its strip length against it — halving the next
-  /// strip when the fused memory_bytes() poll crosses half the budget,
-  /// growing back additively while comfortable — so callers stop wiring
-  /// per-target byte probes by hand; the drivers ask the transaction.
-  std::size_t memory_budget = 0;
-};
-
 /// Run a WHILE loop speculatively in parallel over [0, u): one SpecRound
 /// over the whole loop.
 ///
@@ -125,15 +113,15 @@ struct SpecOptions {
 template <class Body, class SeqRun>
 ExecReport speculative_while(ThreadPool& pool, long u,
                              std::span<SpecTarget* const> targets, Body&& body,
-                             SeqRun&& run_sequential, SpecOptions opts = {}) {
+                             SeqRun&& run_sequential, DoallOptions opts = {}) {
   ExecReport r;
   // Without the QUIT every iteration in [0, u) runs: Induction-1 (Fig. 2).
-  r.method = opts.doall.use_quit ? Method::kInduction2 : Method::kInduction1;
+  r.method = opts.use_quit ? Method::kInduction2 : Method::kInduction1;
   WLP_TRACE_SCOPE("spec.round", u, targets.size());
   SpecRound round(pool, targets, r);
   round.begin();
   QuitResult qr{};
-  round.run([&] { qr = doall_quit(pool, 0, u, body, opts.doall); });
+  round.run([&] { qr = doall_quit(pool, 0, u, body, opts); });
   r.trip = qr.trip;
   r.started = qr.started;
   r.overshot = std::max(0L, qr.started - qr.trip);

@@ -23,7 +23,7 @@
 // it.  The strip length also bounds the time-stamp memory (Section 8.1).
 // Each strip is one begin/run/validate/commit-or-rollback cycle of a
 // single SpecRound (spec_round.hpp); this driver keeps only the strip
-// schedule and its budget control.
+// schedule.
 #pragma once
 
 #include <algorithm>
@@ -41,14 +41,6 @@ struct StripSpecReport {
   long strips_failed = 0;  ///< strips that fell back to sequential execution
   long claims = 0;         ///< scheduler grabs across all strips (see
                            ///< QuitResult::claims)
-  // Transaction-aware strip control (active when opts.memory_budget != 0):
-  // the driver polls the transaction's fused memory_bytes() after every
-  // strip and halves the NEXT strip when the measured footprint crosses
-  // half the budget (committing more often pins less), growing back
-  // additively while comfortable.  exec.peak_spec_bytes carries the max
-  // footprint over all strips, budget or not.
-  long strip_shrinks = 0;  ///< times the next strip was halved
-  long final_strip = 0;    ///< strip length in effect when the loop ended
 };
 
 /// `body(i, vpn) -> IterAction` is the instrumented parallel body (routes
@@ -59,7 +51,7 @@ template <class Body, class SeqStrip>
 StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
                                         std::span<SpecTarget* const> targets,
                                         Body&& body, SeqStrip&& run_strip_sequential,
-                                        SpecOptions opts = {}) {
+                                        DoallOptions opts = {}) {
   StripSpecReport out;
   out.exec.method = Method::kStripMined;
   if (strip <= 0) strip = u;
@@ -69,37 +61,19 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
   // allocates nothing.
   SpecRound round(pool, targets, out.exec);
 
-  long cur_strip = strip;
-  out.final_strip = cur_strip;
   long base = 0;
   while (base < u) {
-    const long end = std::min(base + cur_strip, u);
+    const long end = std::min(base + strip, u);
     ++out.strips_run;
     WLP_TRACE_SCOPE("strip", base, end - base);
     WLP_OBS_COUNT("wlp.strip.runs", 1);
 
     round.begin();
     QuitResult qr{};
-    round.run([&] { qr = doall_quit(pool, base, end, body, opts.doall); });
+    round.run([&] { qr = doall_quit(pool, base, end, body, opts); });
     out.claims += qr.claims;
-    const bool valid = round.validate(qr.trip);
 
-    // Transaction-aware strip control: the backups are at their fullest
-    // right after the strip's parallel section, so poll the fused footprint
-    // here — before commit/restore clears it — and resize the NEXT strip
-    // against the budget.
-    if (opts.memory_budget != 0) {
-      if (round.txn().memory_bytes() * 2 > opts.memory_budget) {
-        const long before = cur_strip;
-        cur_strip = std::max(1L, cur_strip / 2);
-        if (cur_strip != before) ++out.strip_shrinks;
-      } else {
-        cur_strip = std::min(strip, cur_strip + std::max(1L, strip / 8));
-      }
-      out.final_strip = cur_strip;
-    }
-
-    if (!valid) {
+    if (!round.validate(qr.trip)) {
       // Restore the strip and execute it sequentially, which also
       // re-evaluates the terminator against committed state.
       ++out.strips_failed;

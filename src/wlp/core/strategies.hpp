@@ -76,9 +76,9 @@ struct StampThreshold {
 template <class Body, class SeqRun>
 ExecReport stats_enhanced_while(ThreadPool& pool, long u, StampThreshold threshold,
                                 std::span<SpecTarget* const> targets, Body&& body,
-                                SeqRun&& run_sequential, SpecOptions opts = {}) {
+                                SeqRun&& run_sequential, DoallOptions opts = {}) {
   ExecReport r;
-  r.method = opts.doall.use_quit ? Method::kInduction2 : Method::kInduction1;
+  r.method = opts.use_quit ? Method::kInduction2 : Method::kInduction1;
   SpecRound round(pool, targets, r);
   round.begin();
   QuitResult qr{};
@@ -88,7 +88,7 @@ ExecReport stats_enhanced_while(ThreadPool& pool, long u, StampThreshold thresho
         [&](long i, unsigned vpn) {
           return body(i, vpn, threshold.should_stamp(i));
         },
-        opts.doall);
+        opts);
   });
   r.trip = qr.trip;
   r.started = qr.started;

@@ -23,28 +23,15 @@
 // These fused passes are the only checkpoint/undo/restore a target has: a
 // target reporting neither a dense checkpoint nor sparse slots would get no
 // checkpoint at all, so the constructor rejects it.
-//
-// AdaptiveSpecArray is the per-array, per-retry backend picker the ROADMAP
-// calls for: it owns BOTH a dense VersionedArray and a HashBackup and
-// chooses between them at every reset from the measured touch density of
-// the previous retry (cost_model::choose_backup), retiring the static
-// dense-vs-sparse plan flag.  A hash overflow permanently bans the hash
-// side for that array — without disturbing sibling arrays in the same
-// transaction.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
-#include "wlp/core/cost_model.hpp"
-#include "wlp/core/shadow.hpp"
-#include "wlp/core/sparse_backup.hpp"
 #include "wlp/core/spec_target.hpp"
 #include "wlp/obs/obs.hpp"
 #include "wlp/sched/doall.hpp"
@@ -56,7 +43,7 @@ namespace wlp {
 /// ONCE per driver invocation (the strip driver keeps it across strips) —
 /// the constructor precomputes the chunk maps, so begin()/undo_beyond()/
 /// restore_all() allocate nothing in steady state.
-class SpecTransaction : public FootprintListener {
+class SpecTransaction {
  public:
   /// Elements per fused-checkpoint chunk.
   static constexpr std::size_t kCpChunk = 1u << 15;
@@ -92,51 +79,18 @@ class SpecTransaction : public FootprintListener {
       sparse_prefix_.push_back(
           sparse_prefix_.back() +
           static_cast<long>((s.slots + kSlotChunk - 1) / kSlotChunk));
-    // Footprint chain: every member reports its step jumps (backend flips)
-    // to the transaction, which forwards ONE fused event to whoever
-    // registered via set_footprint_listener (the window controller).
-    for (SpecTarget* t : all_) t->set_footprint_listener(this);
-  }
-
-  ~SpecTransaction() override {
-    for (SpecTarget* t : all_) t->set_footprint_listener(nullptr);
   }
 
   SpecTransaction(const SpecTransaction&) = delete;
   SpecTransaction& operator=(const SpecTransaction&) = delete;
-
-  /// A member's footprint just step-changed: count it and forward the fused
-  /// event.  Called from pool workers — lock-free, noexcept.
-  void footprint_changed() noexcept override {
-    footprint_epochs_.fetch_add(1, std::memory_order_relaxed);
-    FootprintListener* l = listener_.load(std::memory_order_acquire);
-    if (l != nullptr) l->footprint_changed();
-  }
-
-  /// Register the downstream listener (the sliding-window controller); null
-  /// detaches.  The transaction stays registered with its members either
-  /// way, so the epoch counter below keeps counting.
-  void set_footprint_listener(FootprintListener* l) noexcept {
-    listener_.store(l, std::memory_order_release);
-  }
-
-  /// Step-change notifications received since construction (tests pin the
-  /// flip -> transaction -> controller chain on this).
-  long footprint_epochs() const noexcept {
-    return footprint_epochs_.load(std::memory_order_relaxed);
-  }
 
   /// Reset every member's marks and take the fused checkpoint: one parallel
   /// pass over all members' element ranges.
   void begin(ThreadPool* pool) {
     for (SpecTarget* t : all_) t->reset_marks();
     const auto t0 = std::chrono::steady_clock::now();
-    std::size_t cp_elems = 0;
-    for (SpecTarget* t : fused_) cp_elems += t->txn_checkpoint_begin();
-    // Members with nothing to copy (e.g. an AdaptiveSpecArray on a hash
-    // retry) report 0; when EVERY member does, skip the chunk dispatch
-    // outright instead of running a pool pass of no-ops.
-    const long nchunks = cp_elems == 0 ? 0 : cp_prefix_.back();
+    for (SpecTarget* t : fused_) t->txn_checkpoint_begin();
+    const long nchunks = cp_prefix_.back();
     if (pool != nullptr && nchunks > 1) {
       DoallOptions opts;
       opts.sched = Sched::kStaticBlock;
@@ -290,215 +244,6 @@ class SpecTransaction : public FootprintListener {
   std::vector<SparseEntry> sparse_;  ///< members with hash-slot chunks
   std::vector<long> cp_prefix_;      ///< chunk-id prefix per dense member
   std::vector<long> sparse_prefix_;  ///< slot-chunk-id prefix per sparse member
-  std::atomic<FootprintListener*> listener_{nullptr};
-  std::atomic<long> footprint_epochs_{0};
-};
-
-/// A speculation target that picks dense VersionedArray vs sparse
-/// HashBackup PER RETRY from measured touch density — the adaptive backend
-/// selection ROADMAP's "adaptive backup selection" item calls for.
-///
-/// The decision (cost_model::choose_backup) runs at every reset_marks()
-/// using the write count the workers tallied during the previous retry
-/// (the first retry uses the caller's `expected_writes` hint).  A hash
-/// overflow latches a permanent ban on the hash side for THIS array only:
-/// the next retry runs dense, siblings in the same transaction are
-/// untouched.
-///
-/// Inside a SpecTransaction the target reports both personalities: its
-/// dense side joins the fused log walk (a no-op on hash retries — nothing
-/// was logged) and its hash slots join the sparse chunks (an empty table on
-/// dense retries returns at once).  Whichever side was active holds
-/// the retry's writes; the other contributes nothing, so mode flips
-/// between retries need no re-registration.
-template <class T>
-class AdaptiveSpecArray final : public SpecTarget {
- public:
-  /// `expected_writes` sizes the hash table (~2x headroom added by its
-  /// power-of-two rounding) and seeds the first density decision.
-  AdaptiveSpecArray(std::vector<T> init, unsigned workers,
-                    std::size_t expected_writes, bool run_pd_test)
-      : array_(std::move(init), workers),
-        hash_(expected_writes * 2),
-        expected_writes_(expected_writes),
-        pd_(array_.size(), workers, run_pd_test) {
-    touches_.resize(workers);
-    decide(expected_writes_);
-  }
-
-  // ---- body-side API -----------------------------------------------------
-
-  void begin_iteration(unsigned vpn, long iter) {
-    pd_.begin_iteration(vpn, iter);
-  }
-
-  T get(unsigned vpn, std::size_t idx) {
-    pd_.on_read(vpn, idx);
-    return array_.get(idx);
-  }
-
-  void set(unsigned vpn, long iter, std::size_t idx, const T& v) {
-    pd_.on_write(vpn, idx);
-    // Write tally, not distinct locations: an upper bound on the touched
-    // set, which is the conservative direction for the density decision
-    // (overcounting pushes toward dense, never toward an overflowing
-    // hash table).
-    touches_[static_cast<std::size_t>(vpn)].value += 1;
-    if (mode_ == BackupKind::kHash) {
-      // Save-before-write; a full table skips the data write too, so the
-      // recorded set still restores the exact pre-loop state.
-      if (!hash_.record(iter, idx, array_.get(idx))) return;
-      array_.write_raw(idx, v);
-    } else {
-      array_.write(vpn, iter, idx, v);
-    }
-  }
-
-  std::vector<T>& data() noexcept { return array_.data(); }
-  const std::vector<T>& data() const noexcept { return array_.data(); }
-
-  /// Backend chosen for the CURRENT retry.
-  BackupKind backup_kind() const noexcept { return mode_; }
-
-  UndoStats undo_stats() const { return array_.stats(); }
-
-  /// Mid-run upgrade hash -> dense: adopt the dense backend NOW without
-  /// losing the hash-recorded undo state.  The dense backup is rebuilt to
-  /// the pre-loop view — bulk copy of the current data, then the hash's
-  /// saved values grafted over the locations it recorded (their data
-  /// elements already hold speculative writes) — so a later undo behaves
-  /// as if the retry had two logged backends: pre-flip writes restore
-  /// through the hash slots, post-flip writes through the dense logs.
-  ///
-  /// The caller must be quiescent: no concurrent body may be mid-iteration
-  /// (a claim boundary, or a single-worker pool).  This is the step jump in
-  /// memory_bytes() the footprint_changed() chain exists for, so the
-  /// registered listener is notified before returning.
-  void flip_to_dense(ThreadPool* pool = nullptr) {
-    if (mode_ != BackupKind::kHash) return;
-    const std::size_t n = array_.data().size();
-    array_.txn_checkpoint_begin();
-    if (pool != nullptr && n > SpecTransaction::kCpChunk) {
-      const long nchunks = static_cast<long>(
-          (n + SpecTransaction::kCpChunk - 1) / SpecTransaction::kCpChunk);
-      doall(*pool, 0, nchunks, [&](long c, unsigned) {
-        const std::size_t b =
-            static_cast<std::size_t>(c) * SpecTransaction::kCpChunk;
-        array_.txn_checkpoint_span(b,
-                                   std::min(b + SpecTransaction::kCpChunk, n));
-      });
-    } else {
-      array_.txn_checkpoint_span(0, n);
-    }
-    hash_.for_each_entry([this](std::size_t idx, const T& saved) {
-      array_.patch_backup(idx, saved);
-    });
-    mode_ = BackupKind::kDense;
-    WLP_OBS_COUNT("wlp.txn.backup_flips", 1);
-    footprint_changed();
-  }
-
-  // ---- SpecTarget ----------------------------------------------------------
-
-  bool shadowed() const override { return pd_.on(); }
-  PDVerdict analyze(ThreadPool& pool, long trip) const override {
-    return pd_.analyze(pool, trip);
-  }
-  void reset_marks() override {
-    pd_.reset();
-    long touched = 0;
-    for (auto& c : touches_) {
-      touched += c.value;
-      c.value = 0;
-    }
-    // An overflow means the observed touch set outgrew the table: ban the
-    // hash side for good (this array only — siblings decide for
-    // themselves).
-    if (hash_.overflowed()) hash_banned_ = true;
-    decide(ran_once_ ? static_cast<std::size_t>(touched) : expected_writes_);
-    ran_once_ = true;
-    array_.clear_log();
-    hash_.clear();
-  }
-  long marks() const override { return pd_.marks(); }
-  bool overflowed() const override {
-    return mode_ == BackupKind::kHash && hash_.overflowed();
-  }
-  std::size_t memory_bytes() const override {
-    // Only the LIVE backend's state is pinned by this retry — summing both
-    // sides charged the window budget ~3n dense bytes on a hash retry whose
-    // true footprint was a handful of slots, collapsing the window to its
-    // minimum for no reason.  The idle side still charges what it actually
-    // holds: on a dense retry the hash table is empty (0 bytes) except
-    // right after a mid-run flip, when its recorded pre-flip entries stay
-    // pinned until the next clear; on a hash retry the dense data/logs
-    // are not speculative state, but a pooled backup buffer allocated by an
-    // earlier dense retry remains held.
-    if (mode_ == BackupKind::kDense)
-      return array_.memory_bytes() + hash_.memory_bytes();
-    return hash_.memory_bytes() + array_.backup_bytes();
-  }
-  void discard() override {
-    array_.discard_checkpoint();
-    hash_.clear();
-  }
-
-  // ---- fused-transaction hooks --------------------------------------------
-  // Both personalities are always reported (see the class comment); on a
-  // hash retry the dense hooks do nothing, since the dense backup holds no
-  // checkpoint of this retry.  After a mid-run flip_to_dense the pre-flip
-  // writes live only in the hash slots, which the fused undo scans on every
-  // retry (an empty table on plain dense retries).
-
-  std::size_t txn_dense_size() const override { return array_.size(); }
-  std::size_t txn_checkpoint_begin() override {
-    return mode_ == BackupKind::kDense ? array_.txn_checkpoint_begin() : 0;
-  }
-  void txn_checkpoint_span(std::size_t b, std::size_t e) override {
-    if (mode_ == BackupKind::kDense) array_.txn_checkpoint_span(b, e);
-  }
-  long txn_undo(long trip, std::size_t lo, std::size_t hi) override {
-    return mode_ == BackupKind::kDense ? array_.txn_undo(trip, lo, hi) : 0;
-  }
-  void txn_restore_all_span(std::size_t b, std::size_t e) override {
-    if (mode_ == BackupKind::kDense) array_.txn_restore_all_span(b, e);
-  }
-  void txn_restore_all_done() override {
-    array_.clear_log();
-    // The hash side's recorded set is spent too — but the overflow fact
-    // must outlive the clear (reset_marks may not run before the next
-    // decision reads it), so latch the ban first.
-    if (hash_.overflowed()) hash_banned_ = true;
-    hash_.clear();
-  }
-  std::size_t txn_sparse_slots() const override { return hash_.capacity(); }
-  long txn_undo_slots(long trip, std::size_t lo, std::size_t hi) override {
-    return hash_.undo_slots(array_.data(), trip, lo, hi);
-  }
-
- private:
-  void decide(std::size_t touched) {
-    const BackupKind before = mode_;
-    mode_ = hash_banned_ ? BackupKind::kDense
-                         : choose_backup(array_.size(), touched).kind;
-    WLP_OBS_COUNT(mode_ == BackupKind::kDense ? "wlp.txn.backup_dense"
-                                              : "wlp.txn.backup_hash",
-                  1);
-    // A backend change is a step jump in memory_bytes() (dense pins
-    // data+backup+log where hash pinned live slots): tell the window
-    // controller instead of letting the next claim's poll discover it late.
-    if (mode_ != before) footprint_changed();
-  }
-
-  VersionedArray<T> array_;
-  HashBackup<T> hash_;
-  std::size_t expected_writes_;
-  PDMarks pd_;
-  /// Per-worker write tallies (cache-line padded: bumped on every set()).
-  std::vector<Padded<long>> touches_;
-  BackupKind mode_ = BackupKind::kDense;
-  bool hash_banned_ = false;
-  bool ran_once_ = false;
 };
 
 }  // namespace wlp

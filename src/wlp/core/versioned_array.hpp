@@ -204,25 +204,6 @@ class VersionedArray {
                sizeof(IterEntry);
   }
 
-  /// Bytes the pooled dense backup retains on its own (allocated once,
-  /// reused across checkpoints).  An AdaptiveSpecArray on a HASH retry
-  /// charges only this slice of the dense side: the data array and logs
-  /// are not speculative state on a hash retry, but a backup buffer
-  /// allocated by an earlier dense retry stays held.
-  std::size_t backup_bytes() const noexcept {
-    return backup_.capacity() * sizeof(T);
-  }
-
-  /// Overwrite one pooled-backup element.  The AdaptiveSpecArray mid-run
-  /// hash->dense upgrade rebuilds the backup's pre-loop view with a bulk
-  /// copy of the current data followed by this patch for every location the
-  /// hash side saved first (those data elements already hold speculative
-  /// values).
-  void patch_backup(std::size_t idx, const T& v) noexcept {
-    assert(has_checkpoint());
-    backup_[idx] = v;
-  }
-
   /// The per-worker write logs, for a PDMarks that reads them as its write
   /// marks (SpecArray): one append per write then serves the undo and the
   /// PD test.

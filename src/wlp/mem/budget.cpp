@@ -25,7 +25,6 @@ Budget::Budget() {
     push("wlp.mem.arena_allocs", Kind::kCounter, s.arena_allocs);
     push("wlp.mem.slow_allocs", Kind::kCounter, s.slow_allocs);
     push("wlp.mem.frees", Kind::kCounter, s.frees);
-    push("wlp.mem.spec_bytes", Kind::kGauge, s.spec_bytes);
   });
 #endif
 }

@@ -1,12 +1,10 @@
 // wlp::mem — the process-wide memory accountant.
 //
 // Every subsystem that speculates pins memory: checkpoint backups, log
-// segments, hash-backup slots, chain slots.  Before this accountant each of
-// them kept its own `memory_bytes()` plumbing and the sliding-window budget
-// controller had to be hand-wired to the right set of targets.  The Budget
-// is the one ledger they all charge: arenas debit/credit it as slabs move
-// between the OS and the free lists, and its counters are the surface the
-// allocation-regression tests and the CI guard read.
+// segments, hash-backup slots, chain slots.  The Budget is the one ledger
+// they all charge: arenas debit/credit it as slabs move between the OS and
+// the free lists, and its counters are the surface the allocation-regression
+// tests and the CI guard read.
 //
 // Counter vocabulary (also published as wlp.mem.* obs metrics):
 //   * bytes_live    — bytes currently held from the OS by all arenas
@@ -40,7 +38,6 @@ struct BudgetSnapshot {
   long arena_allocs = 0;  ///< blocks handed out (carve + recycle)
   long slow_allocs = 0;   ///< allocations that reached the OS
   long frees = 0;         ///< blocks returned to arena free lists
-  long spec_bytes = 0;    ///< backup bytes window controllers have charged
 };
 
 class Budget {
@@ -77,21 +74,6 @@ class Budget {
     frees_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // ---- speculative-footprint charge (window controllers) -------------------
-
-  /// Bytes of backup state the sliding-window controllers have published as
-  /// pinned by in-flight speculative runs (charge_process_budget mode).
-  /// Concurrent loops each settle their own measured footprint here and
-  /// budget against the SUM, so they share one ceiling instead of each
-  /// assuming it owns the whole budget.  A controller settles back to zero
-  /// when its run ends.
-  void add_spec_bytes(long delta) noexcept {
-    spec_bytes_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  long spec_bytes() const noexcept {
-    return spec_bytes_.load(std::memory_order_relaxed);
-  }
-
   // ---- read side -----------------------------------------------------------
 
   long bytes_live() const noexcept {
@@ -114,7 +96,6 @@ class Budget {
     s.arena_allocs = arena_allocs();
     s.slow_allocs = slow_allocs();
     s.frees = frees_.load(std::memory_order_relaxed);
-    s.spec_bytes = spec_bytes();
     return s;
   }
 
@@ -126,12 +107,11 @@ class Budget {
   alignas(64) std::atomic<long> arena_allocs_{0};
   alignas(64) std::atomic<long> slow_allocs_{0};
   alignas(64) std::atomic<long> frees_{0};
-  alignas(64) std::atomic<long> spec_bytes_{0};
 };
 
-/// Convenience for budget-driven controllers (the sliding-window memory
-/// budget can point its live_bytes probe here to throttle on the whole
-/// process's speculative footprint instead of one target set's).
+/// Convenience for budget-driven controllers: the sliding-window memory
+/// budget can point its live_bytes probe here to throttle on every arena's
+/// bytes in the process instead of one target set's memory_bytes().
 inline long process_bytes_live() { return Budget::process().bytes_live(); }
 
 }  // namespace wlp::mem

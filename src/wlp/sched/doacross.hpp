@@ -71,13 +71,6 @@
 
 namespace wlp {
 
-struct DoacrossOptions {
-  /// Sentinel: derive the spin budget from the pool — park immediately when
-  /// the pool is oversubscribed, Backoff::kDefaultSpinLimit otherwise.
-  static constexpr unsigned kAutoSpin = ~0u;
-  unsigned spin_limit = kAutoSpin;  ///< backoff rounds before a waiter parks
-};
-
 struct DoacrossResult {
   long trip = 0;  ///< iterations whose parallel phase executed
   std::uint64_t wait_rounds = 0;  ///< backoff rounds summed over all waits
@@ -388,10 +381,9 @@ DoacrossResult doacross_run(ThreadPool& pool, long max_iters, long window,
 /// releases the slot before running the body — see core/wu_lewis.hpp).
 template <class Seq, class Par>
 DoacrossResult doacross_while(ThreadPool& pool, long max_iters, Seq&& seq,
-                              Par&& par, DoacrossOptions opts = {}) {
-  unsigned spin = opts.spin_limit;
-  if (spin == DoacrossOptions::kAutoSpin)
-    spin = pool.oversubscribed() ? 0 : Backoff::kDefaultSpinLimit;
+                              Par&& par) {
+  // Park immediately when the pool is oversubscribed; spin first otherwise.
+  const unsigned spin = pool.oversubscribed() ? 0 : Backoff::kDefaultSpinLimit;
   return detail::doacross_run(pool, max_iters, detail::kFrontierWindow, spin,
                               std::forward<Seq>(seq), std::forward<Par>(par));
 }

@@ -71,8 +71,8 @@ ExecReport TrackLoop::run_round(ThreadPool& pool, std::vector<double>& pos,
   SpecArray<double> spos(std::move(pos), pool.size(), run_pd_test);
   SpecArray<double> svel(std::move(vel), pool.size(), run_pd_test);
   SpecTarget* targets[] = {&spos, &svel};
-  SpecOptions opts;
-  opts.doall.use_quit = use_quit;
+  DoallOptions opts;
+  opts.use_quit = use_quit;
 
   ExecReport r = speculative_while(
       pool, cfg_.candidates, std::span<SpecTarget* const>(targets, 2),

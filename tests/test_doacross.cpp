@@ -161,10 +161,11 @@ TEST(Doacross, ChainSlotArrayGrowsOnlyWhenThePoolWidens) {
 
 // ---- parked-frontier stress (TSan-covered via the *Doacross* CI filter) ----
 
-// Forcing spin_limit = 0 makes every waiter park on the frontier futex word
+// A spin limit of 0 makes every waiter park on the frontier futex word
 // immediately, so these tests drive the park/wake protocol deterministically
-// regardless of the host's core count.
-constexpr DoacrossOptions kParkAtOnce{0};
+// regardless of the host's core count.  doacross_while derives the limit
+// from the pool, so they call the window loop behind it directly.
+constexpr unsigned kParkAtOnce = 0;
 
 TEST(DoacrossStress, OversubscribedPoolEarlyTermination) {
   // More threads than any CI host has cores: every frontier handoff crosses
@@ -173,14 +174,14 @@ TEST(DoacrossStress, OversubscribedPoolEarlyTermination) {
   for (int round = 0; round < 20; ++round) {
     std::atomic<long> par_runs{0};
     long x = 0;
-    const DoacrossResult r = doacross_while(
-        pool, 20000,
+    const DoacrossResult r = detail::doacross_run(
+        pool, 20000, detail::kFrontierWindow, kParkAtOnce,
         [&](long i) {
           EXPECT_EQ(x, i);
           ++x;
           return i < 777;
         },
-        [&](long, unsigned) { par_runs.fetch_add(1); }, kParkAtOnce);
+        [&](long, unsigned) { par_runs.fetch_add(1); });
     EXPECT_EQ(r.trip, 777);
     EXPECT_EQ(par_runs.load(), 777);  // no overshoot, no lost wakeup
   }
@@ -194,13 +195,13 @@ TEST(DoacrossStress, StopSentinelPropagatesPastClaimedIterations) {
   ThreadPool pool(8);
   for (int round = 0; round < 50; ++round) {
     std::atomic<long> par_runs{0};
-    const DoacrossResult r = doacross_while(
-        pool, 10000, [&](long i) { return i < 3; },
+    const DoacrossResult r = detail::doacross_run(
+        pool, 10000, detail::kFrontierWindow, kParkAtOnce,
+        [&](long i) { return i < 3; },
         [&](long i, unsigned) {
           EXPECT_LT(i, 3);
           par_runs.fetch_add(1);
-        },
-        kParkAtOnce);
+        });
     EXPECT_EQ(r.trip, 3);
     EXPECT_EQ(par_runs.load(), 3);
   }
@@ -226,8 +227,8 @@ TEST(DoacrossStress, ParkedWaitersWakeOnKeepGoingPath) {
   std::vector<long> handed(static_cast<std::size_t>(n), -1);
   std::vector<long> staged(static_cast<std::size_t>(n));
   long x = 1;
-  const DoacrossResult r = doacross_while(
-      pool, n,
+  const DoacrossResult r = detail::doacross_run(
+      pool, n, detail::kFrontierWindow, kParkAtOnce,
       [&](long i) {
         staged[static_cast<std::size_t>(i)] = x;
         x = (x + seq_work(x + i)) % 1000003;
@@ -235,8 +236,7 @@ TEST(DoacrossStress, ParkedWaitersWakeOnKeepGoingPath) {
       },
       [&](long i, unsigned) {
         handed[static_cast<std::size_t>(i)] = staged[static_cast<std::size_t>(i)];
-      },
-      kParkAtOnce);
+      });
   EXPECT_EQ(r.trip, n);
   long expect = 1;
   for (long i = 0; i < n; ++i) {
@@ -256,8 +256,8 @@ TEST(DoacrossStress, ParkedWaitersWakeOnKeepGoingPath) {
   // (the wlp.doacross.wait_rounds histogram input) and — given the budget
   // is effectively unbounded — never parks.
   x = 1;
-  const DoacrossResult spin = doacross_while(
-      pool, n,
+  const DoacrossResult spin = detail::doacross_run(
+      pool, n, detail::kFrontierWindow, Backoff::kRoundCap,
       [&](long i) {
         staged[static_cast<std::size_t>(i)] = x;
         x = (x + seq_work(x + i)) % 1000003;
@@ -265,8 +265,7 @@ TEST(DoacrossStress, ParkedWaitersWakeOnKeepGoingPath) {
       },
       [&](long i, unsigned) {
         handed[static_cast<std::size_t>(i)] = staged[static_cast<std::size_t>(i)];
-      },
-      DoacrossOptions{Backoff::kRoundCap});
+      });
   EXPECT_EQ(spin.trip, n);
   EXPECT_GT(spin.wait_rounds, 0u);
 }
@@ -275,13 +274,13 @@ TEST(DoacrossStress, ParkedWaitersWakeOnStopPath) {
   ThreadPool pool(8);
   for (int round = 0; round < 30; ++round) {
     std::atomic<long> par_runs{0};
-    const DoacrossResult r = doacross_while(
-        pool, 10000,
+    const DoacrossResult r = detail::doacross_run(
+        pool, 10000, detail::kFrontierWindow, kParkAtOnce,
         [&](long i) {
           if (i == 100) std::this_thread::yield();  // widen the parked window
           return i < 100;
         },
-        [&](long, unsigned) { par_runs.fetch_add(1); }, kParkAtOnce);
+        [&](long, unsigned) { par_runs.fetch_add(1); });
     EXPECT_EQ(r.trip, 100);
     EXPECT_EQ(par_runs.load(), 100);
   }

@@ -154,8 +154,8 @@ TEST(MemSteadyState, StripRetriesAllocateNothingOnceWarm) {
   // Static schedule: under kDynamic a worker that claims nothing in the
   // warm run first-touches its shadow segment inside the measured one.  A
   // cyclic schedule makes every worker mark in every strip of both runs.
-  SpecOptions opts;
-  opts.doall.sched = Sched::kStaticCyclic;
+  DoallOptions opts;
+  opts.sched = Sched::kStaticCyclic;
   auto run_once = [&] {
     return strip_speculative_while(
         pool, n, strip, std::span<SpecTarget* const>(targets, 1),

@@ -196,8 +196,8 @@ TEST(Speculative, NoQuitRunIsLabelledInduction1) {
   SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), -2.0),
                         pool.size(), /*run_pd_test=*/false);
   SpecTarget* targets[] = {&arr};
-  SpecOptions opts;
-  opts.doall.use_quit = false;
+  DoallOptions opts;
+  opts.use_quit = false;
 
   const ExecReport r = speculative_while(
       pool, n, std::span<SpecTarget* const>(targets, 1),
@@ -216,7 +216,7 @@ TEST(Speculative, NoQuitRunIsLabelledInduction1) {
   for (long i = 0; i < n; ++i)
     EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], i < exit_at ? 1.0 : -2.0);
 
-  opts.doall.use_quit = true;
+  opts.use_quit = true;
   const ExecReport q = speculative_while(
       pool, n, std::span<SpecTarget* const>(targets, 1),
       [&](long i, unsigned vpn) {

@@ -63,8 +63,8 @@ TEST(StatsEnhanced, GoodEstimateUndoesOnlyStampedTail) {
     SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                           pool.size(), false);
     SpecTarget* targets[] = {&arr};
-    SpecOptions opts;
-    opts.doall.use_quit = use_quit;
+    DoallOptions opts;
+    opts.use_quit = use_quit;
 
     // RV shape: the work (and its write) happens BEFORE the error is
     // detected, so overshot iterations really do write — and must be undone
@@ -176,8 +176,8 @@ TEST(StatsEnhanced, ShadowedAntiDependenceFailsPDAndReexecutes) {
     init[static_cast<std::size_t>(i)] = static_cast<double>(i);
   SpecArray<double> arr(init, pool.size(), /*run_pd_test=*/true);
   SpecTarget* targets[] = {&arr};
-  SpecOptions opts;
-  opts.doall.sched = Sched::kStaticBlock;
+  DoallOptions opts;
+  opts.sched = Sched::kStaticBlock;
   auto sequential = [n](std::vector<double>& d) {
     for (long i = 0; i < n; ++i)
       d[static_cast<std::size_t>(i)] = d[static_cast<std::size_t>(i + 1)] + 1.0;

@@ -8,8 +8,6 @@
 //     Txn*),
 //   * every driver schedule hands each worker its iterations in increasing
 //     order, which the log tail walk relies on (TxnTailWalk),
-//   * an AdaptiveSpecArray's hash overflow falls back to dense without
-//     disturbing its siblings,
 //   * cost_model::choose_backup picks the documented sides of the 1/6
 //     crossover,
 //   * steady-state strip retries over a 2-array transaction allocate
@@ -26,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "wlp/core/cost_model.hpp"
 #include "wlp/core/sliding_window.hpp"
 #include "wlp/core/sparse_spec.hpp"
 #include "wlp/core/speculative.hpp"
@@ -161,9 +160,9 @@ TEST(TxnStress, MixedDenseHashConcurrentWriters) {
                             true);
   SpecTarget* targets[] = {&a, &b, &s};
 
-  SpecOptions opts;
-  opts.doall.sched = Sched::kDynamic;
-  opts.doall.chunk = 1;
+  DoallOptions opts;
+  opts.sched = Sched::kDynamic;
+  opts.chunk = 1;
 
   const ExecReport r = speculative_while(
       pool, n, std::span<SpecTarget* const>(targets, 3),
@@ -311,16 +310,16 @@ TEST_P(TxnTailWalk, StateMatchesSequentialAndUndoneMatchesOracle) {
   ExecReport r;
   switch (GetParam().driver) {
     case Driver::kLoop: {
-      SpecOptions opts;
-      opts.doall.sched = sched;
-      opts.doall.chunk = GetParam().chunk;
+      DoallOptions opts;
+      opts.sched = sched;
+      opts.chunk = GetParam().chunk;
       r = speculative_while(pool, n, members, body, seq_all, opts);
       break;
     }
     case Driver::kStrip: {
-      SpecOptions opts;
-      opts.doall.sched = sched;
-      opts.doall.chunk = GetParam().chunk;
+      DoallOptions opts;
+      opts.sched = sched;
+      opts.chunk = GetParam().chunk;
       r = strip_speculative_while(
               pool, n, 1024, members, body,
               [&](long lo, long hi) {
@@ -372,75 +371,6 @@ INSTANTIATE_TEST_SUITE_P(
         TailWalkCase{Driver::kWindow, sched_id(Sched::kDynamic), 1}),
     [](const auto& info) { return tail_walk_name(info.param); });
 
-TEST(TxnAdaptive, PicksHashForSparseAndDenseForDenseTouches) {
-  ThreadPool pool(2);
-  const std::size_t n = 1 << 14;
-  // Hint says ~0.4% of the array: well under theta -> hash.
-  AdaptiveSpecArray<double> sparse(std::vector<double>(n, 0.0), pool.size(),
-                                   64, false);
-  EXPECT_EQ(sparse.backup_kind(), BackupKind::kHash);
-  // Hint says every element: dense.
-  AdaptiveSpecArray<double> dense(std::vector<double>(n, 0.0), pool.size(), n,
-                                  false);
-  EXPECT_EQ(dense.backup_kind(), BackupKind::kDense);
-
-  // After a retry the tallied writes replace the hint: run the sparse one
-  // through a dense-touch retry and watch it flip.
-  SpecTarget* targets[] = {&sparse};
-  SpecTransaction txn(std::span<SpecTarget* const>(targets, 1));
-  txn.begin(&pool);  // decision from the hint: still hash
-  EXPECT_EQ(sparse.backup_kind(), BackupKind::kHash);
-  for (std::size_t i = 0; i < n; ++i)
-    sparse.set(0, static_cast<long>(i % 64), i, 1.0);
-  // The 64-hint table overflowed under n distinct writes; the data stayed
-  // consistent (overflowing writes were skipped) and the next begin() both
-  // re-decides from the measured n touches AND latches the overflow ban.
-  EXPECT_TRUE(sparse.overflowed());
-  txn.restore_all(&pool);
-  txn.begin(&pool);
-  EXPECT_EQ(sparse.backup_kind(), BackupKind::kDense);
-}
-
-TEST(TxnAdaptive, HashOverflowFallsBackDenseWithoutDisturbingSibling) {
-  ThreadPool pool(4);
-  const std::size_t n = 1 << 13;
-  // A: tiny hash table, will overflow.  B: plain dense sibling in the same
-  // transaction, whose state and backend must be unaffected.
-  AdaptiveSpecArray<double> a_arr(std::vector<double>(n, 5.0), pool.size(), 16,
-                                  false);
-  AdaptiveSpecArray<double> b_arr(std::vector<double>(n, 6.0), pool.size(), n,
-                                  false);
-  ASSERT_EQ(a_arr.backup_kind(), BackupKind::kHash);
-  ASSERT_EQ(b_arr.backup_kind(), BackupKind::kDense);
-  SpecTarget* targets[] = {&a_arr, &b_arr};
-  SpecTransaction txn(std::span<SpecTarget* const>(targets, 2));
-
-  txn.begin(&pool);
-  for (std::size_t i = 0; i < n; ++i) {
-    a_arr.set(0, 0, i, -1.0);  // blows through the 16-entry hint
-    b_arr.set(0, 0, i, -2.0);
-  }
-  ASSERT_TRUE(txn.overflowed());
-
-  // Failed speculation path: restore everything, then the next begin()
-  // re-decides.  A is banned from hash for good; B keeps its backend.
-  txn.restore_all(&pool);
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(a_arr.data()[i], 5.0) << i;
-    ASSERT_EQ(b_arr.data()[i], 6.0) << i;
-  }
-  txn.begin(&pool);
-  EXPECT_EQ(a_arr.backup_kind(), BackupKind::kDense);
-  EXPECT_EQ(b_arr.backup_kind(), BackupKind::kDense);
-
-  // The ban is permanent even if the touch set shrinks back to sparse.
-  a_arr.set(0, 0, 3, -1.0);
-  b_arr.set(0, 0, 3, -2.0);
-  txn.undo_beyond(0, &pool);
-  txn.begin(&pool);
-  EXPECT_EQ(a_arr.backup_kind(), BackupKind::kDense);
-}
-
 TEST(TxnChooseBackup, CrossoverAndClamps) {
   const std::size_t n = 1 << 16;
   // Far below theta (1/6): hash.
@@ -479,8 +409,8 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   // Static schedule: under kDynamic a worker that claims nothing in the
   // warm runs first-touches both shadows' segments inside the measured
   // one.  A cyclic schedule makes every worker mark in every strip.
-  SpecOptions opts;
-  opts.doall.sched = Sched::kStaticCyclic;
+  DoallOptions opts;
+  opts.sched = Sched::kStaticCyclic;
 
   auto run_once = [&] {
     return strip_speculative_while(

@@ -5,8 +5,9 @@
 //     log segments kept across resets),
 //   * the sliding-window memory budget controller reacts to the backups'
 //     MEASURED footprint (memory_bytes) instead of a bytes-per-iteration
-//     guess, and a dense target's footprint is safe to poll while workers
-//     append to their logs,
+//     guess, a dense target's footprint is safe to poll while workers
+//     append to their logs, and a binding budget over a dense target keeps
+//     the measured peak inside it,
 //   * ExecReport carries the measured Tb/Ta and LoopStatistics feeds them
 //     into the cost model's overhead terms.
 #include <gtest/gtest.h>
@@ -116,8 +117,8 @@ TEST(StripRetries, SteadyStateAllocatesNothing) {
   SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                         pool.size(), /*run_pd_test=*/true);
   SpecTarget* targets[] = {&arr};
-  SpecOptions opts;
-  opts.doall.sched = Sched::kStaticCyclic;
+  DoallOptions opts;
+  opts.sched = Sched::kStaticCyclic;
 
   auto run_once = [&] {
     return strip_speculative_while(
@@ -227,6 +228,55 @@ TEST(WindowBudget, DenseFootprintPolledWhileWorkersAppend) {
     ASSERT_EQ(arr.data()[static_cast<std::size_t>(i)],
               i < exit_at ? static_cast<double>(i) : -1.0)
         << i;
+}
+
+TEST(WindowBudget, DenseTargetPeakStaysWithinBindingBudget) {
+  // A binding budget over a plain dense target.  Data, backup and one 32 KiB
+  // log segment pin 96 KiB, so occupancy x 2 crosses the 128 KiB budget:
+  // the controller must clamp the window to its floor and keep the measured
+  // peak inside the budget.  One worker, so the footprint only grows
+  // between claims.
+  ThreadPool pool(1);
+  const long n = 4096, u = 512;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
+                        pool.size(), /*run_pd_test=*/false);
+  SpecTarget* targets[] = {&arr};
+
+  WindowOptions opts;
+  opts.window = 64;
+  opts.min_window = 2;
+  opts.memory_budget = 128 * 1024;
+
+  const WindowReport wr = sliding_window_speculative_while(
+      pool, u, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        arr.begin_iteration(vpn, i);
+        arr.set(vpn, i, static_cast<std::size_t>(i), static_cast<double>(i) + 1.0);
+        return IterAction::kContinue;
+      },
+      [&] { return u; }, opts);
+
+  EXPECT_EQ(wr.exec.trip, u);
+  EXPECT_FALSE(wr.exec.reexecuted_sequentially);
+
+  // The measured peak never exceeded the budget, and it covers the dense
+  // footprint (data + backup at least).
+  EXPECT_LE(wr.peak_stamp_bytes, opts.memory_budget);
+  EXPECT_GE(wr.peak_stamp_bytes, 2u * static_cast<std::size_t>(n) * sizeof(double));
+
+  // The window halved down to its floor, and the cap was re-derived from
+  // the MEASURED bytes (with no bytes_per_iteration seed a guess would have
+  // left the cap at max_window).
+  EXPECT_GT(wr.window_shrinks, 0);
+  EXPECT_EQ(wr.final_window, opts.min_window);
+  EXPECT_LT(wr.final_cap, opts.window);
+  EXPECT_GT(wr.cap_bytes, 0u);
+
+  for (long i = 0; i < u; ++i)
+    ASSERT_EQ(arr.data()[static_cast<std::size_t>(i)], static_cast<double>(i) + 1.0)
+        << i;
+  for (long i = u; i < n; ++i)
+    ASSERT_EQ(arr.data()[static_cast<std::size_t>(i)], 0.0) << i;
 }
 
 TEST(MeasuredOverheads, ReportsFeedCostModelTerms) {
