@@ -19,6 +19,13 @@
 // step and an `is_end` predicate (the RI component of the terminator that is
 // strongly connected to the dispatcher — `tmp == null` in Fig. 1(b)).
 // The body may additionally report RV exits via IterAction.
+//
+// General-2 and General-3 load the next cursor before the body runs, so a
+// hop's cache miss overlaps the body's work instead of following it.  Both
+// therefore need `next` to be safe on any cursor for which `is_end` is
+// false, and a body that does not change the links the walk follows: the
+// contract General-3 already sets, since its workers replay past an RV exit
+// while other bodies run.
 #pragma once
 
 #include <atomic>
@@ -117,12 +124,13 @@ ExecReport while_general2(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
         return;
       }
       if (acc.quit->cut(i)) return;
+      const Cursor cur = pt;
+      pt = next(cur);  // the look-ahead: node i + 1 loads while body(i) runs
+      ++acc.hops[vpn];
       if (i % static_cast<long>(p) == static_cast<long>(vpn)) {
         ++acc.started[vpn];
-        detail::note_exit(body(i, pt, vpn), i, acc.trip[vpn], *acc.quit);
+        detail::note_exit(body(i, cur, vpn), i, acc.trip[vpn], *acc.quit);
       }
-      pt = next(pt);
-      ++acc.hops[vpn];
       ++i;
     }
   });
@@ -131,13 +139,17 @@ ExecReport while_general2(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
 
 namespace detail {
 
-/// General-3's block runner: walks the claimed block [base, end) from the
-/// worker's cursor `pt` at index `prev`, replaying the recurrence over the
-/// gap to `base` first.  The QUIT is checked before every iteration after
-/// the first (the claim checked `base`).  The cursor, hops, started count
-/// and exit minimum stay in locals and are written back once, at the end.
-/// Returns false when the worker must stop: the QUIT cut the block short or
-/// the list ended inside it (recorded like an exit at the list's length).
+/// General-3's block runner: replays the recurrence from the worker's cursor
+/// `pt` at index `prev` (at most `base`) over the gap to `base`, then walks
+/// the claimed block [base, end) with the look-ahead: `next` for i + 1 runs
+/// before body(i), so the walk ends one hop past the last body it ran.  The
+/// QUIT is checked before every iteration after the first (the claim checked
+/// `base`).  The cursor, its index, the started count and the exit minimum
+/// stay in locals and are written back once, at the end; every hop advances
+/// the index by one, so the hops are its distance moved.  Returns false when
+/// the worker must stop: the QUIT cut the block short or the list ended
+/// (recorded like an exit at the list's length, the index `prev` the end
+/// cursor sits at).
 /// Out of line and never cloned for the same reasons as doall's run_block.
 template <class Cursor, class Next, class End, class Body>
 [[gnu::noinline, gnu::noclone]] bool general3_block(
@@ -146,31 +158,35 @@ template <class Cursor, class Next, class End, class Body>
   QuitBound& quit = *acc.quit;
   Cursor pt = pt_io;
   long prev = prev_io;  // index pt refers to
-  long hops = 0, ran = 0;
+  long ran = 0;
   long exit_min = std::numeric_limits<long>::max();
   bool go = true;
-  for (long i = base; i < end; ++i) {
+  while (go && prev < base) {
+    pt = next(pt);
+    ++prev;
+    if (is_end(pt)) {
+      note_exit(IterAction::kExit, prev, exit_min, quit);
+      go = false;
+    }
+  }
+  for (long i = base; go && i < end; ++i) {
     if (i > base && quit.cut(i)) {
       go = false;
       break;
     }
-    while (prev < i) {
-      pt = next(pt);
-      ++hops;
-      ++prev;
-      if (is_end(pt)) {
-        note_exit(IterAction::kExit, prev, exit_min, quit);
-        go = false;
-        break;
-      }
-    }
-    if (!go) break;
+    const Cursor cur = pt;
+    pt = next(cur);
+    prev = i + 1;
     ++ran;
-    note_exit(body(i, pt, vpn), i, exit_min, quit);
+    note_exit(body(i, cur, vpn), i, exit_min, quit);
+    if (is_end(pt)) {
+      note_exit(IterAction::kExit, prev, exit_min, quit);
+      go = false;
+    }
   }
+  acc.hops[vpn] += prev - prev_io;
   pt_io = pt;
   prev_io = prev;
-  acc.hops[vpn] += hops;
   acc.started[vpn] += ran;
   acc.trip[vpn] = std::min(acc.trip[vpn], exit_min);
   return go;
@@ -180,10 +196,11 @@ template <class Cursor, class Next, class End, class Body>
 
 /// General-3: private traversal, dynamic self-scheduling.  Each processor
 /// claims a block [base, base + take), replays the recurrence from the last
-/// position it held over the gap to `base`, then walks the block, so hops
-/// stay close to one list length per processor while keeping dynamic load
-/// balance.  The list length is unknown, so only the time target bounds a
-/// block; the QUIT is checked at every iteration inside it.
+/// position it held over the gap to `base`, then walks the block one hop
+/// ahead of its bodies, so hops stay close to one list length per processor
+/// while keeping dynamic load balance.  The list length is unknown, so only
+/// the time target bounds a block; the QUIT is checked at every iteration
+/// inside it.
 template <class Cursor, class Next, class End, class Body>
 ExecReport while_general3(ThreadPool& pool, Cursor head, Next&& next, End&& is_end,
                           Body&& body, long u = std::numeric_limits<long>::max()) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -156,50 +157,85 @@ TEST(GeneralHops, General2TraversesPerProcessorGeneral13CooperateOrReplay) {
   EXPECT_LE(g3.dispatcher_steps, n * 4);
 }
 
-// General-3's block runner keeps the hops, the started count and the exit
-// minimum in locals and writes them back once per block.  The reported
+// General-3's block runner keeps its cursor's index, the started count and
+// the exit minimum in locals and writes them back once per block, and
+// General-2 and General-3 both load the next cursor before each body.  The
+// reported trip,
 // dispatcher_steps and started must still equal per-hop and per-iteration
-// tallies: on short lists that end inside a claimed block, and with an RV
-// exit inside one.  The second pass launches from a task of the same pool,
-// where the workers run one after another in vpn order: worker 0 then walks
-// the whole list alone and meets its end in a claimed block.
+// tallies: on short lists that end inside a claimed block, with an RV exit
+// inside one, with a kExitAfter on the last node, a kExit at index 0 and a
+// bound `u` below the list's length.  The counting `next` fails the test if
+// the look-ahead ever calls it on an end cursor.  General-2's walk stays
+// exactly min(n, u) hops per processor whenever no RV exit lands below that.
+// The second pass launches from a task of the same pool, where the workers
+// run one after another in vpn order: General-3's worker 0 then walks alone,
+// one hop per body it starts, the last of which finds the end or the cut.
 TEST(GeneralHops, General3CountsMatchPerIterationTallies) {
-  ThreadPool pool(4);
-  for (const bool nested : {false, true}) {
-    for (auto [n, exit_at] : {std::pair{1L, 1L}, std::pair{5L, 5L}, std::pair{12L, 12L},
-                              std::pair{31L, 31L}, std::pair{503L, 503L},
-                              std::pair{20000L, 20000L}, std::pair{20000L, 5003L}}) {
-      SCOPED_TRACE("n " + std::to_string(n) + " exit " + std::to_string(exit_at) +
-                   (nested ? " nested" : ""));
-      ChainFixture chain(n);
-      std::atomic<long> hops{0}, ran{0};
-      ExecReport r;
-      const auto run = [&] {
-        r = while_general3(
-            pool, chain.head(),
-            [&](long c) {
-              hops.fetch_add(1, std::memory_order_relaxed);
-              return chain.next[static_cast<std::size_t>(c)];
-            },
-            &ChainFixture::is_end,
-            [&](long i, long, unsigned) {
-              ran.fetch_add(1, std::memory_order_relaxed);
-              return i == exit_at ? IterAction::kExit : IterAction::kContinue;
-            });
-      };
-      if (nested) {
-        pool.parallel([&](unsigned vpn) {
-          if (vpn == 0) run();
-        });
-      } else {
-        run();
-      }
-      EXPECT_EQ(r.trip, std::min(n, exit_at));
-      EXPECT_EQ(r.dispatcher_steps, hops.load());
-      EXPECT_EQ(r.started, ran.load());
-      if (nested && exit_at == n) {
-        EXPECT_EQ(r.started, n);
-        EXPECT_EQ(r.dispatcher_steps, n);  // worker 0's walk, end included
+  struct Case {
+    long n;
+    long exit_at;  // the body returns `act` here; at n or beyond it never does
+    IterAction act;
+    long u;
+  };
+  constexpr long kNoBound = std::numeric_limits<long>::max();
+  constexpr IterAction kExit = IterAction::kExit;
+  constexpr IterAction kExitAfter = IterAction::kExitAfter;
+  const Case cases[] = {
+      {1, 1, kExit, kNoBound},          {5, 5, kExit, kNoBound},
+      {12, 12, kExit, kNoBound},        {31, 31, kExit, kNoBound},
+      {503, 503, kExit, kNoBound},      {20000, 20000, kExit, kNoBound},
+      {20000, 5003, kExit, kNoBound},   {503, 502, kExitAfter, kNoBound},
+      {1, 0, kExitAfter, kNoBound},     {503, 0, kExit, kNoBound},
+      {1, 0, kExit, kNoBound},          {503, 503, kExit, 200},
+      {20000, 20000, kExit, 7777},      {503, 503, kExit, 1}};
+  const long p = 4;
+  ThreadPool pool(static_cast<unsigned>(p));
+  for (const Gen which : {Gen::k2, Gen::k3}) {
+    for (const bool nested : {false, true}) {
+      for (const Case& c : cases) {
+        SCOPED_TRACE("General-" + std::to_string(static_cast<int>(which) + 1) + " n " +
+                     std::to_string(c.n) + " exit " + std::to_string(c.exit_at) +
+                     (c.act == kExit ? "" : " after") + " u " + std::to_string(c.u) +
+                     (nested ? " nested" : ""));
+        ChainFixture chain(c.n);
+        std::atomic<long> hops{0}, ran{0};
+        const auto next = [&](long cur) {
+          hops.fetch_add(1, std::memory_order_relaxed);
+          if (ChainFixture::is_end(cur)) {
+            ADD_FAILURE() << "next called on an end cursor";
+            return cur;
+          }
+          return chain.next[static_cast<std::size_t>(cur)];
+        };
+        const auto body = [&](long i, long, unsigned) {
+          ran.fetch_add(1, std::memory_order_relaxed);
+          return i == c.exit_at ? c.act : IterAction::kContinue;
+        };
+        const auto is_end = &ChainFixture::is_end;
+        ExecReport r;
+        const auto run = [&] {
+          r = which == Gen::k2 ? while_general2(pool, chain.head(), next, is_end, body, c.u)
+                               : while_general3(pool, chain.head(), next, is_end, body, c.u);
+        };
+        if (nested) {
+          pool.parallel([&](unsigned vpn) {
+            if (vpn == 0) run();
+          });
+        } else {
+          run();
+        }
+        const long walk = std::min(c.n, c.u);
+        const long trip = std::min(walk, c.act == kExit ? c.exit_at : c.exit_at + 1);
+        EXPECT_EQ(r.trip, trip);
+        EXPECT_EQ(r.dispatcher_steps, hops.load());
+        EXPECT_EQ(r.started, ran.load());
+        if (which == Gen::k2 && trip == walk) {
+          EXPECT_EQ(r.dispatcher_steps, walk * p);
+        }
+        if (which == Gen::k3 && nested) {
+          EXPECT_EQ(r.started, std::min(walk, c.exit_at + 1));
+          EXPECT_EQ(r.dispatcher_steps, r.started);
+        }
       }
     }
   }
