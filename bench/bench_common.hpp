@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -36,14 +37,15 @@ struct Series {
 
 /// Emit one figure's data as BENCH_<name>.json: the same schema family as
 /// BENCH_forkjoin.json (a "bench" slug, host info, then the payload), so one
-/// script can sweep every artifact the benches produce.
+/// script can sweep every artifact the benches produce.  Exits 1 when the
+/// file cannot be written, so a stale copy is never read as this run's.
 inline void write_figure_json(const std::string& name, const std::string& title,
                               const std::vector<Series>& series) {
   const std::string path = "BENCH_" + name + ".json";
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
+    std::exit(1);
   }
   JsonWriter w(os);
   w.begin_object();

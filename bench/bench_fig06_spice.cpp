@@ -1,47 +1,4 @@
-// Figure 6 — SPICE subroutine LOAD, loop 40: linked-list traversal of the
-// capacitor device models.  General-1 (cooperative traversal, next() under a
-// lock) vs General-3 (private traversal, dynamic self-scheduling, no locks).
-// Paper speedups at p = 8: General-1 = 2.9, General-3 = 4.9; no backups, no
-// time-stamps (RI terminator).
-#include "bench_common.hpp"
+// Figure 6 — SPICE LOAD loop 40: General-1 vs General-3.
+#include "paper_figures.hpp"
 
-#include "wlp/workloads/spice.hpp"
-
-using namespace wlp;
-using namespace wlp::bench;
-
-int main() {
-  // Functional check through the real threaded runtime first.
-  ThreadPool pool;
-  workloads::SpiceConfig cfg;
-  cfg.devices = 4000;
-  const workloads::SpiceLoad load(cfg);
-  std::vector<double> ref = load.fresh_matrix();
-  load.run_sequential(ref);
-  std::vector<double> out = load.fresh_matrix();
-  const ExecReport g3 = load.run_general3(pool, out);
-  if (out != ref || g3.trip != cfg.devices) {
-    std::printf("FUNCTIONAL FAILURE: General-3 result differs from sequential\n");
-    return 1;
-  }
-
-  // Speedup curves on the simulated 8-way machine.
-  const sim::Simulator sim;
-  const sim::LoopProfile profile = load.profile();
-
-  std::vector<Series> series;
-  series.push_back({"General-1 (locks)",
-                    sim.speedup_curve(Method::kGeneral1, profile, processor_counts()),
-                    2.9});
-  series.push_back({"General-3 (no locks)",
-                    sim.speedup_curve(Method::kGeneral3, profile, processor_counts()),
-                    4.9});
-  print_figure("Figure 6: SPICE LOAD loop 40 (device list, RI terminator)",
-               series, "fig06_spice");
-
-  std::printf("devices=%ld  mean work/device=%.2f cycles  hops(G3 runtime)=%ld\n",
-              cfg.devices,
-              profile.total_work_below(profile.trip) / static_cast<double>(profile.trip),
-              g3.dispatcher_steps);
-  return 0;
-}
+int main() { return wlp::bench::run_figure(6); }

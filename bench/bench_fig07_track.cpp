@@ -1,66 +1,4 @@
-// Figure 7 — TRACK subroutine FPTRAK, loop 300: a DO loop with a conditional
-// error exit whose body writes arrays through a run-time subscript array.
-// Induction dispatcher x RV terminator: checkpoint + time-stamps required.
-// The paper reports Induction-1 speedup 5.8 at p = 8 and also plots the
-// hand-parallelized ideal, which we reproduce as the oracle DOALL.
-#include "bench_common.hpp"
+// Figure 7 — TRACK FPTRAK loop 300: Induction-1 with backups and stamps.
+#include "paper_figures.hpp"
 
-#include "wlp/workloads/track.hpp"
-
-using namespace wlp;
-using namespace wlp::bench;
-
-int main() {
-  ThreadPool pool;
-  workloads::TrackConfig cfg;
-  cfg.candidates = 5000;
-  const workloads::TrackLoop loop(cfg);
-
-  // Functional check: stamped parallel execution == sequential execution.
-  std::vector<double> pos_ref = loop.fresh_positions();
-  std::vector<double> vel_ref = loop.fresh_velocities();
-  loop.run_sequential(pos_ref, vel_ref);
-  std::vector<double> pos = loop.fresh_positions();
-  std::vector<double> vel = loop.fresh_velocities();
-  const ExecReport rt = loop.run_induction1(pool, pos, vel);
-  if (pos != pos_ref || vel != vel_ref) {
-    std::printf("FUNCTIONAL FAILURE: undo did not restore the sequential state\n");
-    return 1;
-  }
-
-  const sim::Simulator sim;
-  const sim::LoopProfile profile = loop.profile();
-  sim::SimOptions stamped;
-  stamped.stamps = true;
-  stamped.checkpoint = true;
-
-  // The hand-parallelized ideal: trip known up front, no overheads.
-  sim::LoopProfile ideal = profile;
-  ideal.u = ideal.trip;  // no overshoot possible
-  ideal.overshoot_does_work = false;
-
-  std::vector<Series> series;
-  series.push_back({"Induction-1 (+backup +stamps)",
-                    sim.speedup_curve(Method::kInduction1, profile,
-                                      processor_counts(), stamped),
-                    5.8});
-  // The Wu-Lewis DOACROSS pipeline is the baseline every General/Induction
-  // comparison rests on (Sections 3.3/10): its speedup is capped near
-  // Twork/Tnext by the serialized dispatcher chain, which is exactly the
-  // gap Induction-1 closes.  The real-runtime pipeline behind this curve is
-  // the frontier-word handoff measured by bench_micro_doacross.
-  series.push_back({"Wu-Lewis DOACROSS (baseline)",
-                    sim.speedup_curve(Method::kWuLewisDoacross, profile,
-                                      processor_counts()),
-                    0});
-  series.push_back({"ideal (hand-parallelized)",
-                    sim.speedup_curve(Method::kInduction2, ideal,
-                                      processor_counts()),
-                    0});
-  print_figure("Figure 7: TRACK FPTRAK loop 300 (induction, RV error exit)",
-               series, "fig07_track");
-
-  std::printf("candidates=%ld  error at iteration %ld  runtime undo restored %ld writes\n",
-              cfg.candidates, loop.expected_trip(), rt.undone_writes);
-  return 0;
-}
+int main() { return wlp::bench::run_figure(7); }

@@ -1,9 +1,4 @@
-// Figure 8 — MCSPARSE DFACT loop 500 on gematt11.  Paper speedup at p=8: 7.0.
-#include "mcsparse_figure.hpp"
-#include "wlp/workloads/hb_generator.hpp"
+// Figure 8 — MCSPARSE DFACT loop 500 on gematt11.
+#include "paper_figures.hpp"
 
-int main() {
-  return wlp::bench::run_mcsparse_figure(
-      "Figure 8", "fig08_mcsparse_gematt11", "gematt11", wlp::workloads::gen_gematt11(),
-      /*accept_cost=*/0, /*paper_at_8=*/7.0);
-}
+int main() { return wlp::bench::run_figure(8); }

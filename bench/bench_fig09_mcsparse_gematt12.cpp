@@ -1,9 +1,4 @@
-// Figure 9 — MCSPARSE DFACT loop 500 on gematt12.  Paper speedup at p=8: 6.8.
-#include "mcsparse_figure.hpp"
-#include "wlp/workloads/hb_generator.hpp"
+// Figure 9 — MCSPARSE DFACT loop 500 on gematt12.
+#include "paper_figures.hpp"
 
-int main() {
-  return wlp::bench::run_mcsparse_figure(
-      "Figure 9", "fig09_mcsparse_gematt12", "gematt12", wlp::workloads::gen_gematt12(),
-      /*accept_cost=*/0, /*paper_at_8=*/6.8);
-}
+int main() { return wlp::bench::run_figure(9); }

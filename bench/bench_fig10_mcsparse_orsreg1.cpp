@@ -1,9 +1,4 @@
-// Figure 10 — MCSPARSE DFACT loop 500 on orsreg1.  Paper speedup at p=8: 4.8.
-#include "mcsparse_figure.hpp"
-#include "wlp/workloads/hb_generator.hpp"
+// Figure 10 — MCSPARSE DFACT loop 500 on orsreg1.
+#include "paper_figures.hpp"
 
-int main() {
-  return wlp::bench::run_mcsparse_figure(
-      "Figure 10", "fig10_mcsparse_orsreg1", "orsreg1", wlp::workloads::gen_orsreg1(),
-      /*accept_cost=*/25, /*paper_at_8=*/4.8);
-}
+int main() { return wlp::bench::run_figure(10); }

@@ -1,9 +1,4 @@
-// Figure 11 — MCSPARSE DFACT loop 500 on saylr4.  Paper speedup at p=8: 5.7.
-#include "mcsparse_figure.hpp"
-#include "wlp/workloads/hb_generator.hpp"
+// Figure 11 — MCSPARSE DFACT loop 500 on saylr4.
+#include "paper_figures.hpp"
 
-int main() {
-  return wlp::bench::run_mcsparse_figure(
-      "Figure 11", "fig11_mcsparse_saylr4", "saylr4", wlp::workloads::gen_saylr4(),
-      /*accept_cost=*/16, /*paper_at_8=*/5.7, /*order_seed=*/502);
-}
+int main() { return wlp::bench::run_figure(11); }

@@ -1,12 +1,4 @@
 // Figure 12 — MA28 MA30AD loops 270/320 on gematt11.
-// Paper speedups at p=8: loop 270 = 3.5, loop 320 = 4.8.
-#include "ma28_figure.hpp"
+#include "paper_figures.hpp"
 
-int main() {
-  using wlp::bench::Ma28LoopSetup;
-  using wlp::workloads::SearchAxis;
-  return wlp::bench::run_ma28_figure(
-      "Figure 12", "fig12_ma28_gematt11", "gematt11", wlp::workloads::gen_gematt11(),
-      Ma28LoopSetup{"loop 270", SearchAxis::kRows, 0.45, 3.5},
-      Ma28LoopSetup{"loop 320", SearchAxis::kColumns, 0.35, 4.8});
-}
+int main() { return wlp::bench::run_figure(12); }

@@ -1,12 +1,4 @@
 // Figure 13 — MA28 MA30AD loops 270/320 on gematt12.
-// Paper speedups at p=8: loop 270 = 3.4, loop 320 = 4.5.
-#include "ma28_figure.hpp"
+#include "paper_figures.hpp"
 
-int main() {
-  using wlp::bench::Ma28LoopSetup;
-  using wlp::workloads::SearchAxis;
-  return wlp::bench::run_ma28_figure(
-      "Figure 13", "fig13_ma28_gematt12", "gematt12", wlp::workloads::gen_gematt12(),
-      Ma28LoopSetup{"loop 270", SearchAxis::kRows, 0.50, 3.4},
-      Ma28LoopSetup{"loop 320", SearchAxis::kColumns, 0.35, 4.5});
-}
+int main() { return wlp::bench::run_figure(13); }

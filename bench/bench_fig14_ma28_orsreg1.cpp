@@ -1,12 +1,4 @@
 // Figure 14 — MA28 MA30AD loops 270/320 on orsreg1.
-// Paper speedups at p=8: loop 270 = 5.3, loop 320 = 2.8.
-#include "ma28_figure.hpp"
+#include "paper_figures.hpp"
 
-int main() {
-  using wlp::bench::Ma28LoopSetup;
-  using wlp::workloads::SearchAxis;
-  return wlp::bench::run_ma28_figure(
-      "Figure 14", "fig14_ma28_orsreg1", "orsreg1", wlp::workloads::gen_orsreg1(),
-      Ma28LoopSetup{"loop 270", SearchAxis::kRows, 0.30, 5.3},
-      Ma28LoopSetup{"loop 320", SearchAxis::kColumns, 0.50, 2.8});
-}
+int main() { return wlp::bench::run_figure(14); }

@@ -12,14 +12,15 @@
 //          the per-dispatch overhead is a larger fraction of the work).
 //      Both sides run on the SAME arrays with identical untimed
 //      reset+checkpoint+write preparation, min over alternating reps.  The
-//      committed flag is PARITY (>= 0.95x): the win is one dispatch chain
-//      and one obs publication instead of k, which only grows with k.
+//      gate (bench/guard.py) is PARITY on 2 and 4 arrays: the win is one
+//      dispatch chain and one obs publication instead of k, which only grows
+//      with k.
 //   2. Steady state — a warm 2-array strip loop re-run under the process
-//      mem::Budget: zero arena blocks and zero OS allocations (flag).
+//      mem::Budget: arena blocks and OS allocations, both gated at zero.
 //
-// Emits BENCH_txn.json (path overridable via argv[1]); exit code is the
-// AND of the flags, so CI fails on a fused-undo regression below parity or
-// any steady-state allocation.
+// Emits BENCH_txn.json (path overridable via argv[1]); exits nonzero only
+// when a functional check fails (the fused and per-array undo disagree, a
+// strip fails) or the file cannot be written.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -159,14 +160,6 @@ int main(int argc, char** argv) {
     std::printf("  stride-8 k=%d  fused %8.1f  per-array %8.1f  (median %.2fx)  undone=%ld\n",
                 p.arrays, p.fused_us, p.per_array_us, p.ratio, p.undone);
   }
-  // The flag covers the 2- and 4-array points (the shapes real multi-array
-  // WHILE loops have); k=8 is reported unflagged.
-  const auto parity = [](const FusedPoint& p) {
-    return p.arrays > 4 || p.ratio >= 0.95;
-  };
-  const bool fused_parity =
-      std::all_of(dense_pts.begin(), dense_pts.end(), parity) &&
-      std::all_of(strided_pts.begin(), strided_pts.end(), parity);
 
   // ---- 2. steady-state allocations under the fused transaction ------------
   long steady_arena_allocs, steady_slow_allocs;
@@ -208,10 +201,6 @@ int main(int argc, char** argv) {
   std::printf("\n== steady state, 20 warm 2-array strip runs ==\n");
   std::printf("  arena blocks handed out : %ld\n", steady_arena_allocs);
   std::printf("  OS allocations          : %ld\n", steady_slow_allocs);
-  const bool steady_clean = steady_arena_allocs == 0 && steady_slow_allocs == 0;
-
-  std::printf("\nfused_parity=%d  steady_clean=%d\n", fused_parity,
-              steady_clean);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {
@@ -223,10 +212,11 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"host_hw_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"fused_undo\": {\n");
-  std::fprintf(f, "    \"method\": \"%d alternating reps on the SAME k arrays (2^18 elements total); per side: untimed begin+writes, timed undo; fused is one pool pass over every array's index-stripe log walks, per_array the retired driver loop, one single-member transaction undo_beyond per array; speedup is the MEDIAN of per-rep paired per_array/fused ratios (both sides move identical bytes, so pairing cancels host drift the per-side mins keep); parity flag allows 0.95x and covers the 2- and 4-array points (k=8 reported unflagged)\",\n",
+  std::fprintf(f, "    \"method\": \"%d alternating reps on the SAME k arrays (2^18 elements total); per side: untimed begin+writes, timed undo; fused is one pool pass over every array's index-stripe log walks, per_array the retired driver loop, one single-member transaction undo_beyond per array; speedup is the MEDIAN of per-rep paired per_array/fused ratios (both sides move identical bytes, so pairing cancels host drift the per-side mins keep)\",\n",
                kReps);
   const auto emit_points = [&](const char* key,
-                               const std::vector<FusedPoint>& pts) {
+                               const std::vector<FusedPoint>& pts,
+                               const char* tail) {
     std::fprintf(f, "    \"%s\": [\n", key);
     for (std::size_t i = 0; i < pts.size(); ++i)
       std::fprintf(f,
@@ -235,17 +225,15 @@ int main(int argc, char** argv) {
                    pts[i].arrays, pts[i].fused_us, pts[i].per_array_us,
                    pts[i].ratio, pts[i].undone,
                    i + 1 < pts.size() ? "," : "");
-    std::fprintf(f, "    ],\n");
+    std::fprintf(f, "    ]%s\n", tail);
   };
-  emit_points("dense", dense_pts);
-  emit_points("stride8", strided_pts);
-  std::fprintf(f, "    \"fused_parity\": %s\n", fused_parity ? "true" : "false");
+  emit_points("dense", dense_pts, ",");
+  emit_points("stride8", strided_pts, "");
   std::fprintf(f, "  },\n");
   std::fprintf(f,
                "  \"steady_state\": {\"rounds\": 20, \"arena_allocs\": %ld, "
-               "\"slow_allocs\": %ld, \"clean\": %s},\n",
-               steady_arena_allocs, steady_slow_allocs,
-               steady_clean ? "true" : "false");
+               "\"slow_allocs\": %ld},\n",
+               steady_arena_allocs, steady_slow_allocs);
   std::fprintf(f, "  \"host_note\": \"single-core hosts time the pooled paths "
                "with no real parallelism; the fused-vs-per-array comparison "
                "is same-thread A/B over identical state and holds "
@@ -253,5 +241,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path);
-  return !(fused_parity && steady_clean);
+  return 0;
 }

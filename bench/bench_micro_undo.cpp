@@ -22,9 +22,10 @@
 //   helpers were still waking.
 //
 // Emits BENCH_undo.json (path overridable via argv[1]) in the same schema
-// family as BENCH_pd.json, plus a human-readable table.  Exit code is
-// nonzero unless both flags hold: undo_flat (undo time at a fixed overshoot
-// does not grow with n) and clear_flat (the log rewind is O(1) in n).
+// family as BENCH_pd.json, plus a human-readable table.  Two flags:
+// undo_flat (undo time at a fixed overshoot does not grow with n) and
+// clear_flat (the log rewind is O(1) in n); bench/guard.py gates both.  The
+// exit code is nonzero only when a run fails or the file cannot be written.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -380,5 +381,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path);
-  return !undo_flat || !clear_flat;
+  return 0;
 }

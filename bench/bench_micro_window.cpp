@@ -3,12 +3,12 @@
 // One question, answered on the real host: controller overhead — the same
 // trivial windowed loop with no budget vs with a budget + live-bytes poll
 // (EWMA fold + cap re-derivation under the issue lock at every claim).
-// Paired per-rep ratio, median over alternating reps; flag: <= 1.5x (the
-// claim lock dominates both sides, the controller must stay noise).  The
-// budget itself is pinned by the WindowBudget tests.
+// Paired per-rep ratio, median over alternating reps; bench/guard.py bounds
+// it (the claim lock dominates both sides, the controller must stay noise).
+// The budget itself is pinned by the WindowBudget tests.
 //
-// Emits BENCH_window.json (path overridable via argv[1]); exit code is the
-// flag, so CI fails on a controller that got expensive.
+// Emits BENCH_window.json (path overridable via argv[1]); exits nonzero only
+// when a run ends early or the file cannot be written.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -35,7 +35,6 @@ struct OverheadOutcome {
   double unbudgeted_us = 0;
   double budgeted_us = 0;
   double ratio = 0;  ///< median of per-rep paired budgeted/unbudgeted
-  bool ok = false;
 };
 
 /// Same trivial windowed loop with and without the controller active; the
@@ -82,7 +81,6 @@ OverheadOutcome controller_overhead(wlp::ThreadPool& pool, int reps) {
   out.unbudgeted_us = min_of(base_us);
   out.budgeted_us = min_of(ctl_us);
   out.ratio = wlp::median(ratios);
-  out.ok = out.ratio <= 1.5;
   return out;
 }
 
@@ -99,8 +97,6 @@ int main(int argc, char** argv) {
   std::printf("  unbudgeted %8.1f us   budgeted %8.1f us   (median %.3fx)\n",
               ovh.unbudgeted_us, ovh.budgeted_us, ovh.ratio);
 
-  std::printf("\noverhead_ok=%d\n", ovh.ok);
-
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
@@ -111,18 +107,17 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"host_hw_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"overhead\": {\n");
-  std::fprintf(f, "    \"method\": \"%d alternating reps of a trivial 20000-iteration windowed loop, no budget vs 1 GiB budget + relaxed-atomic live-bytes poll (per-claim EWMA fold + cap re-derivation under the issue lock); ratio is the MEDIAN of per-rep paired budgeted/unbudgeted times (pairing cancels host drift); flag <= 1.5x\",\n",
+  std::fprintf(f, "    \"method\": \"%d alternating reps of a trivial 20000-iteration windowed loop, no budget vs 1 GiB budget + relaxed-atomic live-bytes poll (per-claim EWMA fold + cap re-derivation under the issue lock); ratio is the MEDIAN of per-rep paired budgeted/unbudgeted times (pairing cancels host drift)\",\n",
                kReps);
   std::fprintf(f,
                "    \"unbudgeted_us\": %.1f, \"budgeted_us\": %.1f, "
-               "\"ratio\": %.3f, \"overhead_ok\": %s\n",
-               ovh.unbudgeted_us, ovh.budgeted_us, ovh.ratio,
-               ovh.ok ? "true" : "false");
+               "\"ratio\": %.3f\n",
+               ovh.unbudgeted_us, ovh.budgeted_us, ovh.ratio);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"host_note\": \"the overhead ratio is host-sensitive "
                "and is paired same-run A/B\"\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path);
-  return !ovh.ok;
+  return 0;
 }

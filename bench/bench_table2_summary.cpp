@@ -1,119 +1,33 @@
 // Table 2 — summary of experimental results: all five loops, their methods,
 // inputs, backup/time-stamp requirements, and the speedup at p = 8 on the
-// simulated machine next to the paper's Alliant FX/80 numbers.  Also emits
-// BENCH_table2.json so CI can diff the measured column against the
-// committed reference.
+// simulated machine next to the paper's Alliant FX/80 numbers.  Each row is
+// the p = 8 point of a Figs. 6-14 curve, built from the same config table
+// (paper_figures.hpp).  Also emits BENCH_table2.json.
 #include <cstdio>
 #include <fstream>
 
-#include "bench_common.hpp"
-#include "wlp/workloads/hb_generator.hpp"
-#include "wlp/workloads/sparse_lu.hpp"
-#include "wlp/workloads/ma28_pivot.hpp"
-#include "wlp/workloads/mcsparse_pivot.hpp"
-#include "wlp/workloads/spice.hpp"
-#include "wlp/workloads/track.hpp"
+#include "paper_figures.hpp"
 
 using namespace wlp;
 using namespace wlp::bench;
-using namespace wlp::workloads;
 
 int main() {
-  const sim::Simulator sim;
-  sim::SimOptions none;
-  sim::SimOptions stamped;
-  stamped.stamps = true;
-  stamped.checkpoint = true;
+  ThreadPool pool;
+  std::vector<Table2Row> rows;
+  for (int number = 6; number <= 14; ++number) {
+    const Figure f = figure(pool, number);
+    if (!f.failure.empty()) {
+      std::printf("FUNCTIONAL FAILURE (%s): %s\n", f.slug.c_str(), f.failure.c_str());
+      return 1;
+    }
+    rows.insert(rows.end(), f.rows.begin(), f.rows.end());
+  }
 
   TextTable table({"benchmark / loop", "technique", "input", "paper", "measured",
                    "backups+stamps"});
-
-  struct Row {
-    std::string loop, tech, input, undo;
-    double paper = 0, measured = 0;
-  };
-  std::vector<Row> rows;
-
-  auto row = [&](const char* loop, const char* tech, const char* input,
-                 double paper, const sim::LoopProfile& lp, Method m,
-                 const sim::SimOptions& o, const char* undo) {
-    const double s = sim.run(m, lp, 8, o).speedup;
-    table.row({loop, tech, input, TextTable::num(paper, 1), TextTable::num(s, 2),
-               undo});
-    rows.push_back({loop, tech, input, undo, paper, s});
-  };
-
-  // SPICE LOAD loop 40 — General-1 / General-3, RI, no undo machinery.
-  {
-    const SpiceLoad load(
-        {.devices = 4000, .min_terms = 4, .max_terms = 24, .seed = 42});
-    const auto lp = load.profile();
-    row("SPICE LOAD 40", "General-1 (locks)", "-", 2.9, lp, Method::kGeneral1,
-        none, "no");
-    row("SPICE LOAD 40", "General-3 (no locks)", "-", 4.9, lp, Method::kGeneral3,
-        none, "no");
-  }
-
-  // TRACK FPTRAK loop 300 — Induction-1, RV, backups + stamps.
-  {
-    const TrackLoop loop(
-        {.candidates = 5000, .error_position = 0.93, .seed = 7});
-    row("TRACK FPTRAK 300", "Induction-1", "-", 5.8, loop.profile(),
-        Method::kInduction1, stamped, "yes");
-  }
-
-  // MCSPARSE DFACT loop 500 — WHILE-DOANY, RV + overshoot, NO undo.
-  // Acceptance bounds / search order per input as calibrated in
-  // EXPERIMENTS.md (the bounds determine the search depth, which is the
-  // input-dependent available parallelism).
-  {
-    const struct {
-      const char* input;
-      SparseMatrix m;
-      long accept;
-      std::uint64_t seed;
-      double paper;
-    } inputs[] = {{"gematt11", gen_gematt11(), 0, 500, 7.0},
-                  {"gematt12", gen_gematt12(), 0, 500, 6.8},
-                  {"orsreg1", gen_orsreg1(), 25, 500, 4.8},
-                  {"saylr4", gen_saylr4(), 16, 502, 5.7}};
-    for (const auto& in : inputs) {
-      DoanyConfig cfg;
-      cfg.accept_cost = in.accept;
-      cfg.seed = in.seed;
-      const McsparsePivotSearch search(in.m, cfg);
-      row("MCSPARSE DFACT 500", "WHILE-DOANY", in.input, in.paper,
-          search.profile(), Method::kDoany, none, "no");
-    }
-  }
-
-  // MA28 MA30AD loops 270/320 — Induction-1 (ordered issue) + General-3,
-  // backups + stamps.  Searches run on mid-factorization active submatrices
-  // (see ma28_figure.hpp; elimination fractions from EXPERIMENTS.md).
-  {
-    const struct {
-      const char* input;
-      SparseMatrix m;
-      double frac270, frac320;
-      double paper270, paper320;
-    } inputs[] = {{"gematt11", gen_gematt11(), 0.45, 0.35, 3.5, 4.8},
-                  {"gematt12", gen_gematt12(), 0.50, 0.35, 3.4, 4.5},
-                  {"orsreg1", gen_orsreg1(), 0.30, 0.50, 5.3, 2.8}};
-    for (const auto& in : inputs) {
-      auto active = [&](double frac) {
-        MarkowitzLU lu(in.m);
-        lu.factor_steps(static_cast<std::int32_t>(in.m.rows() * frac));
-        return lu.active_submatrix();
-      };
-      const Ma28PivotSearch l270(active(in.frac270), {0.1, SearchAxis::kRows});
-      const Ma28PivotSearch l320(active(in.frac320), {0.1, SearchAxis::kColumns});
-      row("MA28 MA30AD 270", "Ind-1 + Gen-3", in.input, in.paper270,
-          l270.profile(), Method::kInduction2, stamped, "yes");
-      row("MA28 MA30AD 320", "Ind-1 + Gen-3", in.input, in.paper320,
-          l320.profile(), Method::kInduction2, stamped, "yes");
-    }
-  }
-
+  for (const Table2Row& r : rows)
+    table.row({r.loop, r.technique, r.input, TextTable::num(r.paper, 1),
+               TextTable::num(r.measured, 2), r.undo});
   std::printf("==== Table 2: summary of experimental results (p = 8) ====\n\n");
   table.print();
   std::printf(
@@ -121,32 +35,30 @@ int main() {
       "'measured' = this library's runtime schedules executed on the simulated\n"
       "8-processor machine (see DESIGN.md, Substitutions).\n");
 
-  {
-    std::ofstream os("BENCH_table2.json");
-    if (!os) {
-      std::fprintf(stderr, "cannot open BENCH_table2.json\n");
-      return 1;
-    }
-    JsonWriter w(os);
-    w.begin_object();
-    w.kv("bench", "table2_summary");
-    w.kv("title", "Table 2: summary of experimental results (p = 8)");
-    w.kv("host_hw_concurrency", std::thread::hardware_concurrency());
-    w.key("rows").begin_array();
-    for (const Row& r : rows) {
-      w.begin_object();
-      w.kv("loop", r.loop);
-      w.kv("technique", r.tech);
-      w.kv("input", r.input);
-      w.kv("paper_at_8", r.paper);
-      w.kv("measured_at_8", r.measured);
-      w.kv("backups_and_stamps", r.undo);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    os << '\n';
-    std::printf("wrote BENCH_table2.json\n");
+  std::ofstream os("BENCH_table2.json");
+  if (!os) {
+    std::fprintf(stderr, "cannot open BENCH_table2.json\n");
+    return 1;
   }
+  JsonWriter w(os);
+  w.begin_object();
+  w.kv("bench", "table2_summary");
+  w.kv("title", "Table 2: summary of experimental results (p = 8)");
+  w.kv("host_hw_concurrency", std::thread::hardware_concurrency());
+  w.key("rows").begin_array();
+  for (const Table2Row& r : rows) {
+    w.begin_object();
+    w.kv("loop", r.loop);
+    w.kv("technique", r.technique);
+    w.kv("input", r.input);
+    w.kv("paper_at_8", r.paper);
+    w.kv("measured_at_8", r.measured);
+    w.kv("backups_and_stamps", r.undo);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  os << '\n';
+  std::printf("wrote BENCH_table2.json\n");
   return 0;
 }
