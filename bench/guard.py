@@ -171,7 +171,8 @@ def comparisons(row, out, ref):
     for fname in (f"BENCH_{name}.json" for name in row.file.split()):
         try:
             if fname not in out or (row.test in ("drift", "band") and fname not in ref):
-                errors.append(f"{fname}: missing or unreadable")
+                errors.append(f"{fname}: {'output' if fname not in out else 'reference'} "
+                              "missing or unreadable")
                 continue
             got = select(out[fname], row)
             if not got:
