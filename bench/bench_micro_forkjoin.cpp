@@ -6,10 +6,11 @@
 //      below is the pre-rewrite ThreadPool verbatim), because the launch
 //      cost is exactly the overhead every strip, window slide and prefix
 //      pass of the paper's methods pays.
-//   2. How do the DOALL schedules compare when the per-iteration grain is
-//      tiny — the regime where claim traffic on the shared counter is the
-//      bottleneck that the default self-sized kDynamic blocks
-//      (`DoallOptions{}`) exist to remove?
+//   2. What do doall_quit's self-sized claim blocks save when the
+//      per-iteration grain is tiny — the regime where claim traffic on the
+//      shared counter is the bottleneck?  Measured against the
+//      one-claim-per-iteration loop they replaced (`claim_per_iteration`
+//      below, kept here as the baseline).
 //
 // Emits BENCH_forkjoin.json (path overridable via argv[1]) so the perf
 // trajectory is recorded in-repo, plus a human-readable table.
@@ -27,6 +28,7 @@
 
 #include "wlp/sched/doall.hpp"
 #include "wlp/sched/thread_pool.hpp"
+#include "wlp/support/cacheline.hpp"
 #include "wlp/support/stats.hpp"
 
 namespace baseline {
@@ -142,26 +144,38 @@ struct SweepPoint {
   long claims = 0;   ///< scheduler grabs observed
 };
 
-SweepPoint sweep_schedule(wlp::ThreadPool& pool, const char* label,
-                          wlp::Sched sched, long chunk, long n, int reps) {
-  wlp::DoallOptions opts;
-  opts.sched = sched;
-  opts.chunk = chunk;
-  std::vector<std::uint64_t> sink(pool.size() * 8, 0);
+/// The baseline claim loop: one fetch_add on the shared counter per
+/// iteration, the QUIT checked before each one, as doall_quit claimed before
+/// its blocks were sized from measured time.  Returns the claims.
+template <class Body>
+long claim_per_iteration(wlp::ThreadPool& pool, long n, Body& body) {
+  wlp::Padded<wlp::QuitBound> quit;
+  wlp::Padded<std::atomic<long>> next;
+  next->store(0, std::memory_order_relaxed);
+  wlp::PerWorker<long> claims(pool.size(), 0);
+  pool.parallel([&](unsigned vpn) {
+    for (;;) {
+      const long i = next->fetch_add(1, std::memory_order_relaxed);
+      if (i >= n || quit->cut(i)) return;
+      ++claims[vpn];
+      const wlp::IterAction act = body(i, vpn);
+      if (act != wlp::IterAction::kContinue)
+        quit->quit(act == wlp::IterAction::kExit ? i : i + 1);
+    }
+  });
+  return claims.reduce(0L, [](long a, long b) { return a + b; });
+}
+
+/// Median over `reps` timed runs of `run() -> claims`.
+template <class Run>
+SweepPoint sweep_point(const char* label, int reps, Run&& run) {
   SweepPoint pt;
   pt.label = label;
   std::vector<double> times;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
-    const wlp::QuitResult qr = wlp::doall_quit(
-        pool, 0, n,
-        [&](long i, unsigned vpn) {
-          sink[vpn * 8] += tiny_work(static_cast<std::uint64_t>(i) + 0x9e3779b9u);
-          return wlp::IterAction::kContinue;
-        },
-        opts);
+    pt.claims = run();
     times.push_back(seconds_since(t0) * 1e3);
-    pt.claims = qr.claims;
   }
   pt.ms = wlp::median(times);
   return pt;
@@ -210,23 +224,25 @@ int main(int argc, char** argv) {
   wlp::ThreadPool pool(p);
   const long n = 1 << 16;
   const int reps = 9;
-  std::vector<SweepPoint> sweep;
-  sweep.push_back(sweep_schedule(pool, "dynamic_chunk1", wlp::Sched::kDynamic, 1, n, reps));
-  // kDynamic with chunk 0 is DoallOptions{}: blocks sized from measured time.
-  sweep.push_back(sweep_schedule(pool, "dynamic_auto", wlp::Sched::kDynamic, 0, n, reps));
-  sweep.push_back(sweep_schedule(pool, "dynamic_chunk64", wlp::Sched::kDynamic, 64, n, reps));
-  sweep.push_back(sweep_schedule(pool, "static_cyclic", wlp::Sched::kStaticCyclic, 1, n, reps));
-  sweep.push_back(sweep_schedule(pool, "static_block", wlp::Sched::kStaticBlock, 1, n, reps));
+  std::vector<std::uint64_t> sink(pool.size() * 8, 0);
+  auto body = [&](long i, unsigned vpn) {
+    sink[vpn * 8] += tiny_work(static_cast<std::uint64_t>(i) + 0x9e3779b9u);
+    return wlp::IterAction::kContinue;
+  };
+  const std::vector<SweepPoint> sweep = {
+      sweep_point("dynamic_chunk1", reps,
+                  [&] { return claim_per_iteration(pool, n, body); }),
+      // doall_quit's claim: blocks sized from measured time.
+      sweep_point("dynamic_auto", reps,
+                  [&] { return wlp::doall_quit(pool, 0, n, body).claims; }),
+  };
   for (const SweepPoint& pt : sweep)
     std::printf("  %-16s %8.3f ms   %8ld claims\n", pt.label.c_str(), pt.ms,
                 pt.claims);
 
-  double dyn1_ms = 0, auto_ms = 0;
-  for (const SweepPoint& pt : sweep) {
-    if (pt.label == "dynamic_chunk1") dyn1_ms = pt.ms;
-    if (pt.label == "dynamic_auto") auto_ms = pt.ms;
-  }
-  std::printf("  DoallOptions{} vs dynamic{chunk=1}: %.2fx faster\n", dyn1_ms / auto_ms);
+  const double dyn1_ms = sweep[0].ms, auto_ms = sweep[1].ms;
+  std::printf("  self-sized blocks vs one claim per iteration: %.2fx faster\n",
+              dyn1_ms / auto_ms);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {

@@ -172,11 +172,16 @@ int main(int argc, char** argv) {
         std::vector<double>(static_cast<std::size_t>(n), 0.0), pool.size(),
         true);
     wlp::SpecTarget* targets[] = {&a, &b};
-    // Static schedule, as in TxnSteadyState: under kDynamic a worker that
-    // claims no iteration of these short strips during the warm-up takes
-    // its first PD and write-log segments inside the measured rounds.
-    wlp::DoallOptions opts;
-    opts.sched = wlp::Sched::kStaticCyclic;
+    // Warm every worker's logs, as in TxnSteadyState: one share per vpn
+    // opens their first segments.  A worker the self-sized claims skip in
+    // the warm-up runs would otherwise open them inside the measured
+    // rounds.
+    pool.parallel([&](unsigned vpn) {
+      a.begin_iteration(vpn, 0);
+      b.begin_iteration(vpn, 0);
+      a.set(vpn, 0, vpn, 1.0);
+      b.set(vpn, 0, vpn, 2.0);
+    });
     auto run_once = [&] {
       return wlp::strip_speculative_while(
           pool, n, strip, std::span<wlp::SpecTarget* const>(targets, 2),
@@ -187,7 +192,7 @@ int main(int argc, char** argv) {
             b.set(vpn, i, static_cast<std::size_t>(i), 2.0);
             return wlp::IterAction::kContinue;
           },
-          [&](long, long end) { return end; }, opts);
+          [&](long, long end) { return end; });
     };
     (void)run_once();  // warm: pooled buffers, log segments, worker arenas
     (void)run_once();

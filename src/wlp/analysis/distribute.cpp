@@ -80,18 +80,17 @@ Distribution fuse(const Loop& loop, const Distribution& d) {
 
 namespace {
 
-struct FiredExit {
-  int stmt = 0;   ///< textual position of the exit
-  long iter = 0;  ///< iteration at which it fired
-};
+constexpr long kNotFired = std::numeric_limits<long>::max();
 
-/// Iterations statement `s` may validly execute given the fired exits:
-/// statements textually before an exit run through its firing iteration
-/// inclusive; statements after it stop one earlier.
-long stmt_limit(int s, long max_iters, const std::vector<FiredExit>& fired) {
+/// Iterations statement `s` may validly execute given each exit's lowest
+/// firing iteration (`fired`, indexed by statement; kNotFired where none
+/// fired): statements textually before an exit run through its firing
+/// iteration inclusive; statements after it stop one earlier.
+long stmt_limit(int s, long max_iters, const std::vector<long>& fired) {
   long lim = max_iters;
-  for (const FiredExit& e : fired)
-    lim = std::min(lim, e.iter + (s < e.stmt ? 1 : 0));
+  for (std::size_t e = 0; e < fired.size(); ++e)
+    if (fired[e] != kNotFired)
+      lim = std::min(lim, fired[e] + (static_cast<std::size_t>(s) < e ? 1 : 0));
   return lim;
 }
 
@@ -133,7 +132,7 @@ long run_distributed(const Loop& loop, const Distribution& d, Env& env) {
                            std::numeric_limits<double>::quiet_NaN());
   }
 
-  std::vector<FiredExit> fired;
+  std::vector<long> fired(loop.body.size(), kNotFired);
   std::vector<LoggedWrite> writes;
 
   for (std::size_t bi = 0; bi < d.blocks.size(); ++bi) {
@@ -235,7 +234,10 @@ long run_distributed(const Loop& loop, const Distribution& d, Env& env) {
         }
         switch (st.kind) {
           case StmtKind::kExitIf:
-            if (evalx(st.rhs, s, i) != 0.0) fired.push_back({s, i});
+            if (evalx(st.rhs, s, i) != 0.0) {
+              long& at = fired[static_cast<std::size_t>(s)];
+              at = std::min(at, i);
+            }
             break;
           case StmtKind::kAssignScalar: {
             const double v = evalx(st.rhs, s, i);
@@ -284,7 +286,7 @@ long run_distributed(const Loop& loop, const Distribution& d, Env& env) {
 
   // ---- trip count -------------------------------------------------------------
   long trip = loop.max_iters;
-  for (const FiredExit& e : fired) trip = std::min(trip, e.iter);
+  for (const long at : fired) trip = std::min(trip, at);
   return trip;
 }
 

@@ -7,12 +7,9 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 
-#include "wlp/core/cost_model.hpp"
 #include "wlp/core/shadow.hpp"
-#include "wlp/core/sliding_window.hpp"
 #include "wlp/mem/budget.hpp"
 #include "wlp/obs/obs.hpp"
 #include "wlp/sched/doacross.hpp"
@@ -26,29 +23,13 @@ namespace wlp::ir {
 
 namespace {
 
-struct FiredExit {
-  int stmt;
-  long iter;
-};
-
-/// Iterations statement `s` may validly execute (same rule as the
-/// distributed interpreter): statements textually before an exit run
-/// through its firing iteration inclusive.
-long stmt_limit(int s, long max_iters, const std::vector<FiredExit>& fired) {
-  long lim = max_iters;
-  for (const FiredExit& e : fired)
-    lim = std::min(lim, e.iter + (s < e.stmt ? 1 : 0));
-  return lim;
-}
-
 struct LoggedWrite {
   long iter;
   int stmt;
   const std::string* array;  // interned: points into the loop's name set
   long idx;
   double value;
-  double old;   ///< value the store displaced (write-log undo for
-                ///< arrays that skipped the entry snapshot)
+  double old;   ///< value the store displaced (the write-log undo)
   long ticket;  ///< global store order, claimed under the striped lock
 };
 
@@ -83,10 +64,11 @@ struct ExecState {
   std::vector<int> step_of;                      // stmt -> plan step index
   std::map<std::string, std::vector<double>> expansion;
   std::map<std::string, double> entry_scalars;
-  std::map<std::string, std::vector<double>> entry_arrays;
 
-  std::mutex fired_mu;
-  std::vector<FiredExit> fired;
+  /// Each statement's lowest firing iteration (only exits fire).  The
+  /// limits below need nothing else, and the workers of a parallel block
+  /// fire and read these at once: each is a lock-free fetch-min.
+  std::vector<QuitBound> fired;
 
   std::vector<Padded<std::vector<LoggedWrite>>> logs;  // per worker
   StripedLocks store_locks;
@@ -102,14 +84,21 @@ struct ExecState {
   std::map<std::string, PDMarks> marks;
   long mark_base = -1;
 
+  /// Iterations statement `s` may validly execute (same rule as the
+  /// distributed interpreter): statements textually before an exit run
+  /// through its firing iteration inclusive; statements after it stop one
+  /// earlier.
   long limit_now(int s) const {
-    return stmt_limit(s, loop->max_iters, fired);
+    long lim = loop->max_iters;
+    for (std::size_t e = 0; e < fired.size(); ++e) {
+      const long at = fired[e].bound();
+      if (at != QuitBound::kUnset)
+        lim = std::min(lim, at + (static_cast<std::size_t>(s) < e ? 1 : 0));
+    }
+    return lim;
   }
 
-  void fire(int s, long i) {
-    std::lock_guard lock(fired_mu);
-    fired.push_back({s, i});
-  }
+  void fire(int s, long i) { fired[static_cast<std::size_t>(s)].quit(i); }
 };
 
 /// Expression evaluation with plan-aware scalar resolution.
@@ -264,8 +253,7 @@ void scan_recurrence_exits(ExecState& st, int step, const Block& block,
 }  // namespace
 
 PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
-                                const ParallelPlan& plan, Env& env,
-                                const PlanExecOptions& opts) {
+                                const ParallelPlan& plan, Env& env) {
   if (auto err = validate(loop))
     throw std::runtime_error("run_parallel_plan: " + *err);
 
@@ -276,41 +264,11 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
   st.plan = &plan;
   st.env = &env;
   st.pool = &pool;
-  // The entry-state copy is this scheme's checkpoint (Tb) — decided PER
-  // ARRAY through the same cost model the runtime targets use: an array the
-  // plan stores into densely gets a snapshot (restore = one copy); one
-  // written sparsely relies on the write log instead (every store records
-  // the value it displaced plus a ticket, and replaying the `old` values in
-  // descending ticket order is an exact inverse); one never written needs
-  // neither.  The density estimate here is static — stores-per-iteration
-  // times max_iters, an upper bound on distinct touched locations, so the
-  // decision errs toward the dense snapshot.
-  const auto snap0 = std::chrono::steady_clock::now();
+  // No entry copy of the arrays: every store logs the value it displaced
+  // and a ticket, and replaying the `old` values in descending ticket order
+  // restores each array's entry state exactly.
   st.entry_scalars = env.scalars;
-  std::map<std::string, long> array_write_stmts;
-  for (const Stmt& bstmt : loop.body)
-    if (bstmt.kind == StmtKind::kAssignArray) ++array_write_stmts[bstmt.lhs];
-  for (const auto& [aname, arr] : env.arrays) {
-    const auto wit = array_write_stmts.find(aname);
-    if (wit == array_write_stmts.end()) {
-      // Never written by this loop: no snapshot, no log, nothing to restore.
-      out.snapshot_bytes_saved += static_cast<long>(arr.size() * sizeof(double));
-      continue;
-    }
-    const std::size_t expected = static_cast<std::size_t>(wit->second) *
-                                 static_cast<std::size_t>(loop.max_iters);
-    if (choose_backup(arr.size(), expected).kind == BackupKind::kDense) {
-      st.entry_arrays.emplace(aname, arr);
-      ++out.arrays_dense_snapshot;
-    } else {
-      ++out.arrays_log_undo;
-      out.snapshot_bytes_saved += static_cast<long>(arr.size() * sizeof(double));
-    }
-  }
-  out.snapshot_ns = std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - snap0)
-                        .count();
-  WLP_OBS_COUNT("wlp.undo.checkpoint_ns", static_cast<long>(out.snapshot_ns));
+  st.fired = std::vector<QuitBound>(loop.body.size());
   st.logs.resize(pool.size());
 
   for (std::size_t k = 0; k < loop.body.size(); ++k)
@@ -424,35 +382,7 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
           if (exited) return IterAction::kExit;
           return any ? IterAction::kContinue : IterAction::kExit;
         };
-        if (opts.memory_budget != 0) {
-          // Section 8.2 applied to the interpreter: bound the write-log
-          // footprint with the sliding-window controller.  Every logged
-          // store claimed a ticket, so ticket count x entry size IS the
-          // log's live bytes — a measured signal with no per-worker scan.
-          WindowOptions wopts;
-          wopts.window = opts.window;
-          wopts.min_window = opts.min_window;
-          wopts.max_window = opts.max_window;
-          wopts.memory_budget = opts.memory_budget;
-          wopts.live_bytes = [&st] {
-            return static_cast<std::size_t>(
-                       st.ticket.load(std::memory_order_relaxed)) *
-                   sizeof(LoggedWrite);
-          };
-          const WindowReport wrep =
-              sliding_window_while(pool, loop.max_iters, block_body, wopts);
-          ++out.window_runs;
-          out.window_final = wrep.final_window;
-          out.window_shrinks += wrep.window_shrinks;
-          out.window_grows += wrep.window_grows;
-          out.window_cap = wrep.final_cap;
-          out.window_cap_bytes = static_cast<long>(wrep.cap_bytes);
-          out.window_peak_bytes =
-              std::max(out.window_peak_bytes,
-                       static_cast<long>(wrep.peak_stamp_bytes));
-        } else {
-          doall_quit(pool, 0, loop.max_iters, block_body);
-        }
+        doall_quit(pool, 0, loop.max_iters, block_body);
         break;
       }
       case BlockKind::kSequential: {
@@ -487,7 +417,7 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
 
   // ---- PD verdicts (filtered by the final trip) ------------------------------
   long trip = loop.max_iters;
-  for (const FiredExit& e : st.fired) trip = std::min(trip, e.iter);
+  for (const QuitBound& b : st.fired) trip = std::min(trip, b.bound());
 
   for (const auto& [name, m] : st.marks) {
     (void)name;
@@ -499,23 +429,20 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
     out.logged_writes += static_cast<long>(l.value.size());
   }
 
-  // Return every array to its exact pre-loop state: snapshot copy-back for
-  // the dense-decided arrays, FULL reverse-ticket write-log undo for the
-  // rest.  Full (not selective) undo is load-bearing: undoing only invalid
-  // writes would clobber a kept valid value whenever an invalid-early /
-  // valid-late pair hit the same location, so the only order-safe scheme is
-  // undo everything, then re-apply the valid writes in program order.
+  // Return every array to its exact pre-loop state: FULL reverse-ticket
+  // write-log undo.  Per location, lock order is ticket order, so the
+  // lowest-ticket store's `old` is the entry value and lands last.  Full
+  // (not selective) undo is load-bearing: undoing only invalid writes would
+  // clobber a kept valid value whenever an invalid-early / valid-late pair
+  // hit the same location, so the only order-safe scheme is undo
+  // everything, then re-apply the valid writes in program order.
   const auto undo_to_entry = [&] {
-    for (const auto& [aname, snap] : st.entry_arrays)
-      env.arrays.at(aname) = snap;
     std::sort(writes.begin(), writes.end(),
               [](const LoggedWrite& a, const LoggedWrite& b) {
                 return a.ticket > b.ticket;
               });
-    for (const LoggedWrite& w : writes) {
-      if (st.entry_arrays.count(*w.array) != 0) continue;  // snapshot-restored
+    for (const LoggedWrite& w : writes)
       env.arrays.at(*w.array)[static_cast<std::size_t>(w.idx)] = w.old;
-    }
   };
 
   if (out.speculation_failed) {
@@ -535,7 +462,7 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
                      return a.stmt < b.stmt;
                    });
   for (const LoggedWrite& w : writes) {
-    if (w.iter >= stmt_limit(w.stmt, loop.max_iters, st.fired)) {
+    if (w.iter >= st.limit_now(w.stmt)) {
       ++out.discarded_writes;
       continue;
     }
@@ -548,7 +475,7 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
 
   // ---- final scalar values ----------------------------------------------------
   for (const auto& [name, def_stmt] : st.def_of) {
-    const long lim = stmt_limit(def_stmt, loop.max_iters, st.fired);
+    const long lim = st.limit_now(def_stmt);
     if (lim > 0) {
       env.scalars[name] = st.expansion.at(name)[static_cast<std::size_t>(lim - 1)];
     } else if (st.entry_scalars.count(name)) {
@@ -563,11 +490,6 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
 
   out.trip = trip;
   return out;
-}
-
-PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
-                                const ParallelPlan& plan, Env& env) {
-  return run_parallel_plan(pool, loop, plan, env, PlanExecOptions{});
 }
 
 }  // namespace wlp::ir

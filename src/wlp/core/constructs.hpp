@@ -25,9 +25,8 @@ namespace wlp {
 /// WHILE-DOALL: all iterations independent (or speculatively treated as
 /// such); the terminator is evaluated per iteration and min-reduced.
 template <class Body>
-ExecReport while_doall(ThreadPool& pool, long u, Body&& body,
-                       DoallOptions opts = {}) {
-  return while_induction2(pool, u, std::forward<Body>(body), opts);
+ExecReport while_doall(ThreadPool& pool, long u, Body&& body) {
+  return while_induction2(pool, u, std::forward<Body>(body));
 }
 
 /// WHILE-DOACROSS: `seq(i) -> bool` is the ordered phase (false = the

@@ -110,28 +110,4 @@ double expected_speculative_speedup(const Prediction& pred, double p_parallel) {
   return p * pred.spat + (1.0 - p) / (1.0 + pred.failed_slowdown);
 }
 
-BackupDecision choose_backup(std::size_t n, std::size_t touched) noexcept {
-  BackupDecision d;
-  if (n == 0) return d;
-  d.density = static_cast<double>(std::min(touched, n)) /
-              static_cast<double>(n);
-  // Cost model in checkpoint-copy units (one element copied to the backup
-  // = 1).  The dense path pays the full checkpoint up front plus ~2 units
-  // per touched location (the stamp on write, the restore at undo).  The
-  // hash path skips the checkpoint but pays per touched location: a record
-  // is a hash + probe + tag CAS + stamp fetch-max (~kHashOp copies' worth
-  // of memory traffic), and the undo slot scan visits ~2x touched slots
-  // (power-of-two table sized with 2x headroom) at ~kHashScan each.
-  //
-  //   dense(t) = n + 2t         hash(t) = kHashOp*t + 2*kHashScan*t
-  //
-  // Hash wins while t < n / (kHashOp + 2*kHashScan - 2), i.e. below a
-  // density theta = 1/6.
-  constexpr double kHashOp = 4.0;
-  constexpr double kHashScan = 2.0;
-  d.theta = 1.0 / (kHashOp + 2.0 * kHashScan - 2.0);
-  d.kind = d.density < d.theta ? BackupKind::kHash : BackupKind::kDense;
-  return d;
-}
-
 }  // namespace wlp

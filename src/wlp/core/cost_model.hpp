@@ -115,22 +115,4 @@ double estimate_trip(const BranchStats& b);
 /// the sequential re-execution plus the wasted attempt.
 double expected_speculative_speedup(const Prediction& pred, double p_parallel);
 
-/// Which backup representation a speculated array uses.
-enum class BackupKind { kDense, kHash };
-
-/// The dense-vs-sparse decision, with the inputs it was made from (tests
-/// assert on these).
-struct BackupDecision {
-  BackupKind kind = BackupKind::kDense;
-  double density = 0.0;  ///< touched / n that drove the decision
-  double theta = 0.0;    ///< crossover density actually used
-};
-
-/// Pick a dense checkpoint vs a sparse backup for ONE array, before the
-/// loop runs, from its expected touch density (`touched` locations written,
-/// array size `n`): Section 4's "known to be sparse" test.  execute_plan
-/// feeds it a static estimate per array, so one loop can back one array
-/// dense and a sibling sparse (DESIGN.md §9).
-BackupDecision choose_backup(std::size_t n, std::size_t touched) noexcept;
-
 }  // namespace wlp

@@ -36,19 +36,19 @@ struct RunTwiceReport {
 /// an exact DOALL over [0, trip).
 template <class Probe, class Work>
 RunTwiceReport run_twice_while(ThreadPool& pool, long u, Probe&& probe,
-                               Work&& work, DoallOptions opts = {}) {
+                               Work&& work) {
   RunTwiceReport out;
   WLP_OBS_COUNT("wlp.runtwice.runs", 1);
   QuitResult pass1{};
   {
     WLP_TRACE_SCOPE("runtwice.probe", u, 0);
-    pass1 = doall_quit(pool, 0, u, probe, opts);
+    pass1 = doall_quit(pool, 0, u, probe);
   }
   out.probe_started = pass1.started;
 
   {
     WLP_TRACE_SCOPE("runtwice.work", pass1.trip, 0);
-    doall(pool, 0, pass1.trip, work, opts);
+    doall(pool, 0, pass1.trip, work);
   }
   out.exec.method = Method::kInduction2;
   out.exec.trip = pass1.trip;
@@ -70,14 +70,13 @@ RunTwiceReport run_twice_while(ThreadPool& pool, long u, Probe&& probe,
 template <class Probe, class Work, class SeqRun>
 RunTwiceReport run_twice_speculative(ThreadPool& pool, long u, Probe&& probe,
                                      std::span<SpecTarget* const> targets,
-                                     Work&& work, SeqRun&& run_sequential,
-                                     DoallOptions opts = {}) {
+                                     Work&& work, SeqRun&& run_sequential) {
   RunTwiceReport out;
   WLP_OBS_COUNT("wlp.runtwice.runs", 1);
   QuitResult pass1{};
   {
     WLP_TRACE_SCOPE("runtwice.probe", u, 0);
-    pass1 = doall_quit(pool, 0, u, probe, opts);
+    pass1 = doall_quit(pool, 0, u, probe);
   }
   out.probe_started = pass1.started;
   const long trip = pass1.trip;
@@ -91,8 +90,7 @@ RunTwiceReport run_twice_speculative(ThreadPool& pool, long u, Probe&& probe,
       [&] {
         run_sequential(trip);
         return trip;
-      },
-      opts);
+      });
   out.exec.trip = trip;
   return out;
 }

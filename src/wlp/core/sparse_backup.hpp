@@ -25,10 +25,11 @@
 //
 // Capacity exhaustion does NOT throw: record() returns false and latches a
 // per-run overflow flag.  Throwing here would unwind through a pool worker
-// and terminate at the join; instead the speculative drivers check
-// overflowed() after the parallel section and fall back to the dense
-// VersionedArray path (the caller skips its data write when record() fails,
-// so the recorded set still restores the exact pre-loop state).
+// and terminate at the join; instead SpecRound::validate checks
+// overflowed() after the parallel section and fails the round: full
+// restore, then sequential re-execution (the caller skips its data write
+// when record() fails, so the recorded set still restores the exact
+// pre-loop state).
 #pragma once
 
 #include <atomic>

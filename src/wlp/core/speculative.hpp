@@ -113,15 +113,15 @@ class SpecArray final : public SpecTarget {
 template <class Body, class SeqRun>
 ExecReport speculative_while(ThreadPool& pool, long u,
                              std::span<SpecTarget* const> targets, Body&& body,
-                             SeqRun&& run_sequential, DoallOptions opts = {}) {
+                             SeqRun&& run_sequential, bool use_quit = true) {
   ExecReport r;
   // Without the QUIT every iteration in [0, u) runs: Induction-1 (Fig. 2).
-  r.method = opts.use_quit ? Method::kInduction2 : Method::kInduction1;
+  r.method = use_quit ? Method::kInduction2 : Method::kInduction1;
   WLP_TRACE_SCOPE("spec.round", u, targets.size());
   SpecRound round(pool, targets, r);
   round.begin();
   QuitResult qr{};
-  round.run([&] { qr = doall_quit(pool, 0, u, body, opts); });
+  round.run([&] { qr = doall_quit(pool, 0, u, body, use_quit); });
   r.trip = qr.trip;
   r.started = qr.started;
   r.overshot = std::max(0L, qr.started - qr.trip);

@@ -92,9 +92,9 @@ template <class Body, class SeqRun>
 ExecReport speculative_privatized_while(ThreadPool& pool, long u,
                                         std::span<PrivTarget* const> targets,
                                         Body&& body, SeqRun&& run_sequential,
-                                        DoallOptions opts = {}) {
+                                        bool use_quit = true) {
   ExecReport r;
-  r.method = opts.use_quit ? Method::kInduction2 : Method::kInduction1;
+  r.method = use_quit ? Method::kInduction2 : Method::kInduction1;
   r.used_checkpoint = false;  // the original data IS the backup
   r.used_stamps = true;       // the write trails are time-stamped
   r.pd_tested = true;
@@ -102,7 +102,7 @@ ExecReport speculative_privatized_while(ThreadPool& pool, long u,
   bool failed = false;
   QuitResult qr{};
   try {
-    qr = doall_quit(pool, 0, u, body, opts);
+    qr = doall_quit(pool, 0, u, body, use_quit);
   } catch (...) {
     failed = true;  // Section 5.1: exception == invalid parallel execution
   }

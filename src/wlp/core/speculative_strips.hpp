@@ -50,8 +50,7 @@ struct StripSpecReport {
 template <class Body, class SeqStrip>
 StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
                                         std::span<SpecTarget* const> targets,
-                                        Body&& body, SeqStrip&& run_strip_sequential,
-                                        DoallOptions opts = {}) {
+                                        Body&& body, SeqStrip&& run_strip_sequential) {
   StripSpecReport out;
   out.exec.method = Method::kStripMined;
   if (strip <= 0) strip = u;
@@ -70,7 +69,7 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
 
     round.begin();
     QuitResult qr{};
-    round.run([&] { qr = doall_quit(pool, base, end, body, opts); });
+    round.run([&] { qr = doall_quit(pool, base, end, body); });
     out.claims += qr.claims;
 
     if (!round.validate(qr.trip)) {

@@ -26,11 +26,10 @@
 namespace wlp {
 
 /// Strip-mined speculative WHILE loop over [0, u): every strip is one
-/// QUIT-aware DOALL under `opts`.  `body(i, vpn) -> IterAction`.  Overshoot
+/// QUIT-aware DOALL.  `body(i, vpn) -> IterAction`.  Overshoot
 /// never exceeds one strip.
 template <class Body>
-ExecReport strip_mined_while(ThreadPool& pool, long u, long strip, Body&& body,
-                             DoallOptions opts = {}) {
+ExecReport strip_mined_while(ThreadPool& pool, long u, long strip, Body&& body) {
   ExecReport r;
   r.method = Method::kStripMined;
   if (strip <= 0) strip = u;
@@ -38,7 +37,7 @@ ExecReport strip_mined_while(ThreadPool& pool, long u, long strip, Body&& body,
     const long end = std::min(base + strip, u);
     WLP_TRACE_SCOPE("strip", base, end - base);
     WLP_OBS_COUNT("wlp.strip.runs", 1);
-    const QuitResult qr = doall_quit(pool, base, end, body, opts);
+    const QuitResult qr = doall_quit(pool, base, end, body);
     r.started += qr.started;
     if (qr.trip < end) {
       r.trip = qr.trip;
@@ -76,9 +75,9 @@ struct StampThreshold {
 template <class Body, class SeqRun>
 ExecReport stats_enhanced_while(ThreadPool& pool, long u, StampThreshold threshold,
                                 std::span<SpecTarget* const> targets, Body&& body,
-                                SeqRun&& run_sequential, DoallOptions opts = {}) {
+                                SeqRun&& run_sequential, bool use_quit = true) {
   ExecReport r;
-  r.method = opts.use_quit ? Method::kInduction2 : Method::kInduction1;
+  r.method = use_quit ? Method::kInduction2 : Method::kInduction1;
   SpecRound round(pool, targets, r);
   round.begin();
   QuitResult qr{};
@@ -88,7 +87,7 @@ ExecReport stats_enhanced_while(ThreadPool& pool, long u, StampThreshold thresho
         [&](long i, unsigned vpn) {
           return body(i, vpn, threshold.should_stamp(i));
         },
-        opts);
+        use_quit);
   });
   r.trip = qr.trip;
   r.started = qr.started;

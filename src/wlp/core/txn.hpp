@@ -92,11 +92,16 @@ class SpecTransaction {
     for (SpecTarget* t : fused_) t->txn_checkpoint_begin();
     const long nchunks = cp_prefix_.back();
     if (pool != nullptr && nchunks > 1) {
-      DoallOptions opts;
-      opts.sched = Sched::kStaticBlock;
-      doall(
-          *pool, 0, nchunks,
-          [&](long c, unsigned) { checkpoint_chunk(c); }, opts);
+      // A static split, one share per vpn, as parallel_reduce splits its
+      // range: on a parked pool, self-sized claims would leave most of
+      // these few long chunks to the caller.
+      const long p = static_cast<long>(pool->size());
+      const long blk = (nchunks + p - 1) / p;
+      pool->parallel([&](unsigned vpn) {
+        const long b = static_cast<long>(vpn) * blk;
+        const long e = std::min(b + blk, nchunks);
+        for (long c = b; c < e; ++c) checkpoint_chunk(c);
+      });
     } else {
       for (long c = 0; c < nchunks; ++c) checkpoint_chunk(c);
     }

@@ -13,9 +13,9 @@
 // of a loop's targets.
 //
 // The write record is one append-only log per worker of 8-byte
-// (index, iteration) entries.  Every schedule the speculative drivers use
-// (doall_quit under every Sched value, the strip driver, the sliding
-// window) hands each worker its iterations in increasing order, so each
+// (index, iteration) entries.  Every driver's claim (doall_quit's
+// self-sized blocks, the strip driver, the sliding window) hands each
+// worker its iterations in increasing order, so each
 // worker's log is sorted by iteration as it is written.  txn_undo(trip, ...)
 // walks every log from its tail while the iteration is >= trip and restores
 // those indices from the checkpoint.  That restores exactly

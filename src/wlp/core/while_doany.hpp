@@ -24,10 +24,8 @@ namespace wlp {
 /// wind the loop down".  Nothing is undone; `trip` reports where the loop
 /// stopped issuing, not a sequential-consistency point.
 template <class Body>
-ExecReport while_doany(ThreadPool& pool, long u, Body&& body,
-                       DoallOptions opts = {}) {
-  opts.use_quit = true;
-  const QuitResult qr = doall_quit(pool, 0, u, std::forward<Body>(body), opts);
+ExecReport while_doany(ThreadPool& pool, long u, Body&& body) {
+  const QuitResult qr = doall_quit(pool, 0, u, std::forward<Body>(body));
   ExecReport r;
   r.method = Method::kDoany;
   r.trip = qr.trip;

@@ -215,7 +215,7 @@ ExecReport while_general3(ThreadPool& pool, Cursor head, Next&& next, End&& is_e
       acc.record_end(0, vpn);
       return;
     }
-    detail::ClaimBlock blk(0);
+    detail::ClaimBlock blk;
     for (;;) {
       const long take = blk.size();
       const long base = counter->fetch_add(take, std::memory_order_relaxed);

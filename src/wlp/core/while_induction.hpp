@@ -20,10 +20,9 @@ namespace wlp {
 /// termination condition and, when it does not hold, the remainder work for
 /// iteration i.  All of [0, u) executes; exit candidates are min-reduced.
 template <class Body>
-ExecReport while_induction1(ThreadPool& pool, long u, Body&& body,
-                            DoallOptions opts = {}) {
-  opts.use_quit = false;
-  const QuitResult qr = doall_quit(pool, 0, u, std::forward<Body>(body), opts);
+ExecReport while_induction1(ThreadPool& pool, long u, Body&& body) {
+  const QuitResult qr =
+      doall_quit(pool, 0, u, std::forward<Body>(body), /*use_quit=*/false);
   ExecReport r;
   r.method = Method::kInduction1;
   r.trip = qr.trip;
@@ -36,10 +35,8 @@ ExecReport while_induction1(ThreadPool& pool, long u, Body&& body,
 /// smallest QUIT issued so far are never begun; the overshoot is bounded by
 /// the iterations already in flight when the QUIT lands.
 template <class Body>
-ExecReport while_induction2(ThreadPool& pool, long u, Body&& body,
-                            DoallOptions opts = {}) {
-  opts.use_quit = true;
-  const QuitResult qr = doall_quit(pool, 0, u, std::forward<Body>(body), opts);
+ExecReport while_induction2(ThreadPool& pool, long u, Body&& body) {
+  const QuitResult qr = doall_quit(pool, 0, u, std::forward<Body>(body));
   ExecReport r;
   r.method = Method::kInduction2;
   r.trip = qr.trip;

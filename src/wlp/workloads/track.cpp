@@ -71,8 +71,6 @@ ExecReport TrackLoop::run_round(ThreadPool& pool, std::vector<double>& pos,
   SpecArray<double> spos(std::move(pos), pool.size(), run_pd_test);
   SpecArray<double> svel(std::move(vel), pool.size(), run_pd_test);
   SpecTarget* targets[] = {&spos, &svel};
-  DoallOptions opts;
-  opts.use_quit = use_quit;
 
   ExecReport r = speculative_while(
       pool, cfg_.candidates, std::span<SpecTarget* const>(targets, 2),
@@ -88,7 +86,7 @@ ExecReport TrackLoop::run_round(ThreadPool& pool, std::vector<double>& pos,
       },
       // Sequential fallback against the restored raw data.
       [&] { return run_sequential(spos.data(), svel.data()); },
-      opts);
+      use_quit);
   pos = std::move(spos.data());
   vel = std::move(svel.data());
   return r;

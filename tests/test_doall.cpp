@@ -4,9 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <mutex>
-#include <set>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,57 +13,23 @@
 namespace wlp {
 namespace {
 
-// gtest prints a parameter without operator<< as a dump of its bytes, and
-// gtest_discover_tests puts that dump into each ctest name. So the case holds
-// no pointer and no padding: three 64-bit fields (schedule, chunk, pool
-// size), and the name suffix is derived from the schedule and chunk.
-struct DoallSchedCase {
-  std::int64_t sched;  ///< a Sched value
-  std::int64_t chunk;
-  std::int64_t procs;
-};
-
-std::string sched_case_name(const DoallSchedCase& c) {
-  switch (static_cast<Sched>(c.sched)) {
-    case Sched::kDynamic:
-      return "dyn" + std::to_string(c.chunk);
-    case Sched::kStaticCyclic:
-      return "cyclic";
-    case Sched::kStaticBlock:
-      return "block";
-  }
-  std::abort();
-}
-
-class DoallAllSchedules : public ::testing::TestWithParam<DoallSchedCase> {};
-
-TEST_P(DoallAllSchedules, PlainDoallCoversRangeExactlyOnce) {
-  ThreadPool pool(static_cast<unsigned>(GetParam().procs));
+TEST(DoallQuit, PlainDoallCoversRangeExactlyOnce) {
+  ThreadPool pool(4);
   const long n = 1000;
   std::vector<std::atomic<int>> hits(n);
-  DoallOptions opts;
-  opts.sched = static_cast<Sched>(GetParam().sched);
-  opts.chunk = GetParam().chunk;
-  doall(pool, 0, n, [&](long i, unsigned) { hits[static_cast<std::size_t>(i)]++; },
-        opts);
+  doall(pool, 0, n, [&](long i, unsigned) { hits[static_cast<std::size_t>(i)]++; });
   for (long i = 0; i < n; ++i) EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1);
 }
 
-TEST_P(DoallAllSchedules, QuitTripIsExactAndPrefixComplete) {
-  ThreadPool pool(static_cast<unsigned>(GetParam().procs));
+TEST(DoallQuit, QuitTripIsExactAndPrefixComplete) {
+  ThreadPool pool(4);
   const long n = 2000;
   const long exit_at = 777;
   std::vector<std::atomic<int>> hits(n);
-  DoallOptions opts;
-  opts.sched = static_cast<Sched>(GetParam().sched);
-  opts.chunk = GetParam().chunk;
-  const QuitResult qr = doall_quit(
-      pool, 0, n,
-      [&](long i, unsigned) {
-        hits[static_cast<std::size_t>(i)]++;
-        return i >= exit_at ? IterAction::kExit : IterAction::kContinue;
-      },
-      opts);
+  const QuitResult qr = doall_quit(pool, 0, n, [&](long i, unsigned) {
+    hits[static_cast<std::size_t>(i)]++;
+    return i >= exit_at ? IterAction::kExit : IterAction::kContinue;
+  });
   EXPECT_EQ(qr.trip, exit_at);
   // Every iteration below the trip count must have executed exactly once.
   for (long i = 0; i < exit_at; ++i)
@@ -79,60 +43,30 @@ TEST_P(DoallAllSchedules, QuitTripIsExactAndPrefixComplete) {
   EXPECT_EQ(started, qr.started);
 }
 
-// One claimed block: iterations first, first + stride, ..., last.
-struct ClaimedBlock {
-  long first, last, stride;
+struct PlantedExit {
+  long at;
+  IterAction act;
 };
 
-// The blocks `opts` claims over [0, n) on p workers when they do not depend
-// on timing: fixed kDynamic chunks and each worker's whole share under the
-// static schedules.  Empty for the self-sized kDynamic default.
-std::vector<ClaimedBlock> claimed_blocks(const DoallOptions& opts, long n, long p) {
-  std::vector<ClaimedBlock> out;
-  switch (opts.sched) {
-    case Sched::kDynamic:
-      for (long b = 0; opts.chunk > 0 && b < n; b += opts.chunk)
-        out.push_back({b, std::min(b + opts.chunk, n) - 1, 1});
-      break;
-    case Sched::kStaticBlock:
-      for (long b = 0, blk = (n + p - 1) / p; b < n; b += blk)
-        out.push_back({b, std::min(b + blk, n) - 1, 1});
-      break;
-    case Sched::kStaticCyclic:
-      for (long v = 0; v < std::min(p, n); ++v) out.push_back({v, v + (n - 1 - v) / p * p, p});
-      break;
-  }
-  return out;
+std::string exit_trace(const PlantedExit& e, bool use_quit) {
+  return "exit at " + std::to_string(e.at) +
+         (e.act == IterAction::kExit ? " (kExit)" : " (kExitAfter)") +
+         (use_quit ? ", QUIT" : ", no QUIT");
 }
 
-// The block runner keeps `started` and the exit minimum in locals and
-// writes them back once per block.  Exits on a block's first, an interior
-// and its last iteration, and a kExitAfter on its last, must still give the
-// exact trip, a `started` equal to a per-iteration tally, and the claim
-// count of a run that finishes every block (with the QUIT: no more).
-TEST_P(DoallAllSchedules, BlockRunnerExitsAreExactWithAndWithoutQuit) {
-  ThreadPool pool(static_cast<unsigned>(GetParam().procs));
+// The self-sized blocks are unknown in advance, so over the whole range the
+// range's first, an interior and its last iteration stand in for a block's:
+// each exit must still give the exact trip and a `started` equal to a
+// per-iteration tally.
+TEST(DoallQuit, ExitsAreExactWithAndWithoutQuit) {
+  ThreadPool pool(4);
   const long n = 2000;
-  DoallOptions opts;
-  opts.sched = static_cast<Sched>(GetParam().sched);
-  opts.chunk = GetParam().chunk;
-  const std::vector<ClaimedBlock> blocks = claimed_blocks(opts, n, pool.size());
-  // A block in the middle of the range; the self-sized blocks are unknown,
-  // so there the range's first and last iterations stand in for a block's.
-  const ClaimedBlock b =
-      blocks.empty() ? ClaimedBlock{0, n - 1, 1} : blocks[blocks.size() / 2];
-  const long interior = b.first + (b.last - b.first) / b.stride / 2 * b.stride;
-  struct Exit {
-    long at;
-    IterAction act;
-  };
-  for (const Exit e : {Exit{b.first, IterAction::kExit}, Exit{interior, IterAction::kExit},
-                       Exit{b.last, IterAction::kExit}, Exit{b.last, IterAction::kExitAfter}}) {
+  for (const PlantedExit e :
+       {PlantedExit{0, IterAction::kExit}, PlantedExit{n / 2, IterAction::kExit},
+        PlantedExit{n - 1, IterAction::kExit},
+        PlantedExit{n - 1, IterAction::kExitAfter}}) {
     for (const bool use_quit : {false, true}) {
-      SCOPED_TRACE("exit at " + std::to_string(e.at) +
-                   (e.act == IterAction::kExit ? " (kExit)" : " (kExitAfter)") +
-                   (use_quit ? ", QUIT" : ", no QUIT"));
-      opts.use_quit = use_quit;
+      SCOPED_TRACE(exit_trace(e, use_quit));
       std::vector<std::atomic<int>> hits(n);
       std::atomic<long> tally{0};
       const QuitResult qr = doall_quit(
@@ -142,7 +76,7 @@ TEST_P(DoallAllSchedules, BlockRunnerExitsAreExactWithAndWithoutQuit) {
             tally.fetch_add(1, std::memory_order_relaxed);
             return i == e.at ? e.act : IterAction::kContinue;
           },
-          opts);
+          use_quit);
       const long trip = e.act == IterAction::kExit ? e.at : e.at + 1;
       EXPECT_EQ(qr.trip, trip);
       EXPECT_EQ(qr.started, tally.load());
@@ -156,28 +90,69 @@ TEST_P(DoallAllSchedules, BlockRunnerExitsAreExactWithAndWithoutQuit) {
       if (!use_quit) {
         EXPECT_EQ(qr.started, n);
       }
-      if (!blocks.empty()) {
-        const auto all = static_cast<long>(blocks.size());
-        if (use_quit) {
-          EXPECT_LE(qr.claims, all);
-        } else {
-          EXPECT_EQ(qr.claims, all);
-        }
-      }
       EXPECT_GE(qr.claims, 1);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, DoallAllSchedules,
-    ::testing::Values(
-        DoallSchedCase{static_cast<std::int64_t>(Sched::kDynamic), 0, 4},
-        DoallSchedCase{static_cast<std::int64_t>(Sched::kDynamic), 1, 4},
-        DoallSchedCase{static_cast<std::int64_t>(Sched::kDynamic), 16, 4},
-        DoallSchedCase{static_cast<std::int64_t>(Sched::kStaticCyclic), 1, 4},
-        DoallSchedCase{static_cast<std::int64_t>(Sched::kStaticBlock), 1, 4}),
-    [](const auto& info) { return sched_case_name(info.param); });
+// The block runner keeps `started` and the exit minimum in locals and adds
+// them to the worker's totals once, at the end.  Called directly over a
+// known block, an exit on its first, an interior and its last iteration,
+// and a kExitAfter on its last, must give the exact exit minimum and
+// started count, land the QUIT at once, and with the QUIT stop the block
+// right after the exiting iteration.
+TEST(DoallBlockRunner, BlockExitsAreExactWithAndWithoutQuit) {
+  const long first = 96, end = 160;  // one claimed block [96, 160)
+  const long prior_started = 5, prior_trip = 1000;  // the worker's totals
+  for (const PlantedExit e :
+       {PlantedExit{first, IterAction::kExit},
+        PlantedExit{(first + end) / 2, IterAction::kExit},
+        PlantedExit{end - 1, IterAction::kExit},
+        PlantedExit{end - 1, IterAction::kExitAfter}}) {
+    for (const bool use_quit : {false, true}) {
+      SCOPED_TRACE(exit_trace(e, use_quit));
+      std::vector<int> hits(end, 0);
+      auto body = [&](long i, unsigned vpn) {
+        EXPECT_EQ(vpn, 2u);
+        ++hits[static_cast<std::size_t>(i)];
+        return i == e.at ? e.act : IterAction::kContinue;
+      };
+      QuitBound quit;
+      long started = prior_started, trip = prior_trip;
+      const bool whole = detail::run_block(body, first, end, 2u, quit, use_quit,
+                                           started, trip);
+      const long at = e.act == IterAction::kExit ? e.at : e.at + 1;
+      const long last_run = use_quit ? e.at : end - 1;
+      EXPECT_EQ(trip, at);
+      EXPECT_EQ(quit.bound(), at);
+      EXPECT_EQ(started, prior_started + (last_run + 1 - first));
+      EXPECT_EQ(whole, last_run == end - 1);
+      for (long i = 0; i < end; ++i)
+        EXPECT_EQ(hits[static_cast<std::size_t>(i)], i >= first && i <= last_run ? 1 : 0)
+            << "iteration " << i;
+    }
+  }
+}
+
+// A QUIT landed by another worker stops the block before the first
+// iteration at or past it; the block's first iteration is the claim's to
+// check, so the runner begins it whatever the bound.
+TEST(DoallBlockRunner, LandedQuitCutsTheBlockAfterItsFirstIteration) {
+  auto body = [](long, unsigned) { return IterAction::kContinue; };
+  for (const long bound : {30L, 10L}) {
+    SCOPED_TRACE("bound " + std::to_string(bound));
+    QuitBound quit;
+    quit.quit(bound);
+    long started = 0, trip = std::numeric_limits<long>::max();
+    EXPECT_FALSE(detail::run_block(body, 20, 40, 0u, quit, true, started, trip));
+    EXPECT_EQ(started, bound > 20 ? bound - 20 : 1);
+    EXPECT_EQ(trip, std::numeric_limits<long>::max());
+    // Without the QUIT the same block runs whole.
+    started = 0;
+    EXPECT_TRUE(detail::run_block(body, 20, 40, 0u, quit, false, started, trip));
+    EXPECT_EQ(started, 20);
+  }
+}
 
 /// A few nanoseconds of work the optimizer cannot elide (xorshift step).
 std::uint64_t tiny_work(std::uint64_t x) {
@@ -187,7 +162,7 @@ std::uint64_t tiny_work(std::uint64_t x) {
   return x;
 }
 
-// The default kDynamic claim sizes its blocks from measured time: on a ~3 ns
+// The claim sizes its blocks from measured time: on a ~3 ns
 // body they grow until one block takes kBlockTarget, so the shared counter
 // is claimed far less often than once per iteration.
 TEST(DoallQuit, DefaultScheduleClaimsInBlocks) {
@@ -199,8 +174,7 @@ TEST(DoallQuit, DefaultScheduleClaimsInBlocks) {
       [&](long i, unsigned vpn) {
         *sink[vpn] += tiny_work(static_cast<std::uint64_t>(i) + 0x9e3779b9u);
         return IterAction::kContinue;
-      },
-      DoallOptions{});
+      });
   EXPECT_EQ(qr.trip, n);
   EXPECT_EQ(qr.started, n);
   EXPECT_LT(qr.claims * 16, n);
@@ -219,8 +193,7 @@ TEST(DoallQuit, CoarseBodyKeepsOneIterationPerClaim) {
         while (std::chrono::steady_clock::now() < until) {
         }
         return IterAction::kContinue;
-      },
-      DoallOptions{});
+      });
   EXPECT_EQ(qr.trip, 40);
   EXPECT_EQ(qr.started, 40);
   EXPECT_EQ(qr.claims, qr.started);
@@ -261,14 +234,12 @@ TEST(DoallQuit, EmptyRange) {
 
 TEST(DoallQuit, UseQuitFalseExecutesEverything) {
   ThreadPool pool(4);
-  DoallOptions opts;
-  opts.use_quit = false;
   const QuitResult qr = doall_quit(
       pool, 0, 300,
       [](long i, unsigned) {
         return i == 10 ? IterAction::kExit : IterAction::kContinue;
       },
-      opts);
+      /*use_quit=*/false);
   EXPECT_EQ(qr.trip, 10);
   EXPECT_EQ(qr.started, 300);  // Induction-1: no QUIT hardware
 }
@@ -292,35 +263,6 @@ TEST(DoallQuit, NonZeroLowerBound) {
   });
   EXPECT_EQ(qr.trip, 200);
   EXPECT_EQ(sum.load(), (100 + 199) * 100 / 2);
-}
-
-// Launched from a task of the same pool, a DOALL runs its worker shares
-// inline, one after another in vpn order (ThreadPool's re-entrancy rule), so
-// worker 0's exit lands before any other worker begins.  The static
-// schedules check the QUIT before a share's first iteration too, so no
-// other worker runs anything; every share still counts as claimed.
-TEST(DoallStatic, QuitBeforeFirstIterationStopsTheWorker) {
-  ThreadPool pool(4);
-  for (const Sched sched : {Sched::kStaticCyclic, Sched::kStaticBlock}) {
-    DoallOptions opts;
-    opts.sched = sched;
-    std::atomic<long> ran{0};
-    QuitResult qr;
-    pool.parallel([&](unsigned vpn) {
-      if (vpn != 0) return;
-      qr = doall_quit(
-          pool, 0, 400,
-          [&](long, unsigned) {
-            ran.fetch_add(1, std::memory_order_relaxed);
-            return IterAction::kExit;
-          },
-          opts);
-    });
-    EXPECT_EQ(qr.trip, 0);
-    EXPECT_EQ(qr.started, 1);
-    EXPECT_EQ(ran.load(), 1);
-    EXPECT_EQ(qr.claims, 4);
-  }
 }
 
 TEST(QuitBound, FetchMinSemantics) {

@@ -151,11 +151,13 @@ TEST(MemSteadyState, StripRetriesAllocateNothingOnceWarm) {
   SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                         pool.size(), /*run_pd_test=*/true);
   SpecTarget* targets[] = {&arr};
-  // Static schedule: under kDynamic a worker that claims nothing in the
-  // warm run first-touches its shadow segment inside the measured one.  A
-  // cyclic schedule makes every worker mark in every strip of both runs.
-  DoallOptions opts;
-  opts.sched = Sched::kStaticCyclic;
+  // Warm every worker's log: one share per vpn opens its first segment.  A
+  // worker the self-sized claims skip in the warm run would otherwise open
+  // it inside the measured one.
+  pool.parallel([&](unsigned vpn) {
+    arr.begin_iteration(vpn, 0);
+    arr.set(vpn, 0, vpn, 1.0);
+  });
   auto run_once = [&] {
     return strip_speculative_while(
         pool, n, strip, std::span<SpecTarget* const>(targets, 1),
@@ -164,7 +166,7 @@ TEST(MemSteadyState, StripRetriesAllocateNothingOnceWarm) {
           arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
           return IterAction::kContinue;
         },
-        [&](long, long end) { return end; }, opts);
+        [&](long, long end) { return end; });
   };
 
   const StripSpecReport warm = run_once();

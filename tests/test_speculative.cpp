@@ -196,8 +196,6 @@ TEST(Speculative, NoQuitRunIsLabelledInduction1) {
   SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), -2.0),
                         pool.size(), /*run_pd_test=*/false);
   SpecTarget* targets[] = {&arr};
-  DoallOptions opts;
-  opts.use_quit = false;
 
   const ExecReport r = speculative_while(
       pool, n, std::span<SpecTarget* const>(targets, 1),
@@ -207,7 +205,7 @@ TEST(Speculative, NoQuitRunIsLabelledInduction1) {
         arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
         return IterAction::kContinue;
       },
-      [&] { return exit_at; }, opts);
+      [&] { return exit_at; }, /*use_quit=*/false);
 
   EXPECT_EQ(r.method, Method::kInduction1);
   EXPECT_EQ(r.trip, exit_at);
@@ -216,14 +214,13 @@ TEST(Speculative, NoQuitRunIsLabelledInduction1) {
   for (long i = 0; i < n; ++i)
     EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], i < exit_at ? 1.0 : -2.0);
 
-  opts.use_quit = true;
   const ExecReport q = speculative_while(
       pool, n, std::span<SpecTarget* const>(targets, 1),
       [&](long i, unsigned vpn) {
         arr.begin_iteration(vpn, i);
         return i >= exit_at ? IterAction::kExit : IterAction::kContinue;
       },
-      [&] { return exit_at; }, opts);
+      [&] { return exit_at; });
   EXPECT_EQ(q.method, Method::kInduction2);
   EXPECT_EQ(q.trip, exit_at);
 }

@@ -113,8 +113,6 @@ TEST(SpeculativePrivatized, OvershootWritesFilteredByCopyOut) {
     std::vector<double> cell{0.0};
     PrivatizedSpecArray<double> pc(cell, pool.size());
     PrivTarget* targets[] = {&pc};
-    DoallOptions opts;
-    opts.use_quit = use_quit;
 
     const ExecReport r = speculative_privatized_while(
         pool, n, std::span<PrivTarget* const>(targets, 1),
@@ -123,7 +121,7 @@ TEST(SpeculativePrivatized, OvershootWritesFilteredByCopyOut) {
           pc.set(vpn, 0, static_cast<double>(i));  // every iteration writes
           return i == exit_at - 1 ? IterAction::kExitAfter : IterAction::kContinue;
         },
-        [&] { return exit_at; }, opts);
+        [&] { return exit_at; }, use_quit);
 
     EXPECT_EQ(r.method, use_quit ? Method::kInduction2 : Method::kInduction1);
     EXPECT_TRUE(r.pd_passed);

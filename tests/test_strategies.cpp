@@ -63,8 +63,6 @@ TEST(StatsEnhanced, GoodEstimateUndoesOnlyStampedTail) {
     SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                           pool.size(), false);
     SpecTarget* targets[] = {&arr};
-    DoallOptions opts;
-    opts.use_quit = use_quit;
 
     // RV shape: the work (and its write) happens BEFORE the error is
     // detected, so overshot iterations really do write — and must be undone
@@ -80,7 +78,7 @@ TEST(StatsEnhanced, GoodEstimateUndoesOnlyStampedTail) {
           }
           return i == exit_at ? IterAction::kExitAfter : IterAction::kContinue;
         },
-        [&] { return exit_at + 1; }, opts);
+        [&] { return exit_at + 1; }, use_quit);
 
     EXPECT_EQ(r.method, use_quit ? Method::kInduction2 : Method::kInduction1);
     EXPECT_FALSE(r.reexecuted_sequentially);
@@ -166,8 +164,8 @@ TEST(StatsEnhanced, ExceptionRollsBackAndReexecutes) {
 
 /// A shadowed target gets the PD test under the stamping threshold too:
 /// a[i] = a[i+1] + 1 reads in iteration i what iteration i+1 writes, so the
-/// verdict fails and the loop re-executes — even where the static blocks
-/// happened to run in sequential order at their boundaries.
+/// verdict fails and the loop re-executes, whatever order the workers'
+/// blocks happened to run in.
 TEST(StatsEnhanced, ShadowedAntiDependenceFailsPDAndReexecutes) {
   ThreadPool pool(4);
   const long n = 2000;
@@ -176,8 +174,6 @@ TEST(StatsEnhanced, ShadowedAntiDependenceFailsPDAndReexecutes) {
     init[static_cast<std::size_t>(i)] = static_cast<double>(i);
   SpecArray<double> arr(init, pool.size(), /*run_pd_test=*/true);
   SpecTarget* targets[] = {&arr};
-  DoallOptions opts;
-  opts.sched = Sched::kStaticBlock;
   auto sequential = [n](std::vector<double>& d) {
     for (long i = 0; i < n; ++i)
       d[static_cast<std::size_t>(i)] = d[static_cast<std::size_t>(i + 1)] + 1.0;
@@ -195,7 +191,7 @@ TEST(StatsEnhanced, ShadowedAntiDependenceFailsPDAndReexecutes) {
         arr.set(vpn, i, static_cast<std::size_t>(i), next + 1.0);
         return IterAction::kContinue;
       },
-      [&] { return sequential(arr.data()); }, opts);
+      [&] { return sequential(arr.data()); });
 
   EXPECT_TRUE(r.pd_tested);
   EXPECT_FALSE(r.pd_passed);

@@ -6,10 +6,9 @@
 //     overshot iterations on different workers writing one index pass the
 //     trip-filtered PD test and are undone (the TSan job runs these under
 //     Txn*),
-//   * every driver schedule hands each worker its iterations in increasing
-//     order, which the log tail walk relies on (TxnTailWalk),
-//   * cost_model::choose_backup picks the documented sides of the 1/6
-//     crossover,
+//   * every driver (whole loop, strips, window) hands each worker its
+//     iterations in increasing order, which the log tail walk relies on
+//     (TxnTailWalk),
 //   * steady-state strip retries over a 2-array transaction allocate
 //     nothing (wlp.mem Budget deltas pinned to zero).
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "wlp/core/cost_model.hpp"
 #include "wlp/core/sliding_window.hpp"
 #include "wlp/core/sparse_spec.hpp"
 #include "wlp/core/speculative.hpp"
@@ -77,7 +75,7 @@ TEST(TxnFused, MultiArrayUndoMatchesPerElementOracle) {
   long overshot_writes = 0;
   for (long i = 0; i < iters; ++i) {
     // Iterations go round-robin over the workers' logs, in increasing
-    // order per worker as every driver schedule guarantees.
+    // order per worker as every driver guarantees.
     const auto vpn = static_cast<unsigned>(i % pool.size());
     const auto idx = static_cast<std::size_t>(rng() % n);
     a.set(vpn, i, idx, i);
@@ -147,7 +145,7 @@ TEST(TxnFused, RestoreAllReturnsEveryMemberToEntryState) {
 TEST(TxnStress, MixedDenseHashConcurrentWriters) {
   // TSan coverage: two dense members take concurrent appends into every
   // worker's log; a hash member's record() races on its slot tags in the
-  // same run.  Chunk 1 dynamic scheduling maximizes interleaving.
+  // same run.
   ThreadPool pool(4);
   const long n = 1 << 14;
   const long exit_at = 4096;
@@ -159,10 +157,6 @@ TEST(TxnStress, MixedDenseHashConcurrentWriters) {
   SparseSpecArray<double> s(sdata, pool.size(), static_cast<std::size_t>(n),
                             true);
   SpecTarget* targets[] = {&a, &b, &s};
-
-  DoallOptions opts;
-  opts.sched = Sched::kDynamic;
-  opts.chunk = 1;
 
   const ExecReport r = speculative_while(
       pool, n, std::span<SpecTarget* const>(targets, 3),
@@ -178,7 +172,7 @@ TEST(TxnStress, MixedDenseHashConcurrentWriters) {
         s.set(vpn, i, idx, 1.0);
         return i >= exit_at ? IterAction::kExit : IterAction::kContinue;
       },
-      [&] { return exit_at; }, opts);
+      [&] { return exit_at; });
 
   ASSERT_TRUE(r.pd_passed);
   ASSERT_FALSE(r.reexecuted_sequentially);
@@ -202,7 +196,7 @@ TEST(TxnStress, OvershotCollisionOnTwoWorkersPassesPDAndIsUndone) {
   // handshake orders the two data stores, so TSan sees no race.
   ThreadPool pool(4);
   const long n = 4096, trip = 3000;
-  const long late = n - 6, later = n - 1;  // workers 2 and 3 under cyclic
+  const long late = n - 6, later = n - 1;  // workers 2 and 3: i mod 4
   SpecArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1),
                     pool.size(), true);
   SpecArray<long> b(std::vector<long>(static_cast<std::size_t>(n), -2),
@@ -212,20 +206,21 @@ TEST(TxnStress, OvershotCollisionOnTwoWorkersPassesPDAndIsUndone) {
   txn.begin(&pool);
 
   std::atomic<bool> late_done{false};
-  DoallOptions opts;
-  opts.sched = Sched::kStaticCyclic;
-  doall(pool, 0, n, [&](long i, unsigned vpn) {
-    a.begin_iteration(vpn, i);
-    b.begin_iteration(vpn, i);
-    auto idx = static_cast<std::size_t>(i);
-    if (i == later) {
-      while (!late_done.load(std::memory_order_acquire)) std::this_thread::yield();
-      idx = static_cast<std::size_t>(late);
+  // A fixed owner per iteration: worker vpn runs i = vpn, vpn + p, ...
+  pool.parallel([&](unsigned vpn) {
+    for (long i = vpn; i < n; i += pool.size()) {
+      a.begin_iteration(vpn, i);
+      b.begin_iteration(vpn, i);
+      auto idx = static_cast<std::size_t>(i);
+      if (i == later) {
+        while (!late_done.load(std::memory_order_acquire)) std::this_thread::yield();
+        idx = static_cast<std::size_t>(late);
+      }
+      a.set(vpn, i, idx, i);
+      b.set(vpn, i, idx, 2 * i);
+      if (i == late) late_done.store(true, std::memory_order_release);
     }
-    a.set(vpn, i, idx, i);
-    b.set(vpn, i, idx, 2 * i);
-    if (i == late) late_done.store(true, std::memory_order_release);
-  }, opts);
+  });
 
   EXPECT_TRUE(a.analyze(pool, trip).fully_parallel());
   EXPECT_TRUE(b.analyze(pool, trip).fully_parallel());
@@ -240,27 +235,14 @@ TEST(TxnStress, OvershotCollisionOnTwoWorkersPassesPDAndIsUndone) {
   }
 }
 
-// ---- the tail walk's precondition, under every driver schedule -------------
+// ---- the tail walk's precondition, under every driver -----------------------
 
 // gtest prints a parameter without operator<< as a dump of its bytes, and
 // gtest_discover_tests puts that dump into each ctest name, so the case is
-// three 64-bit fields: no padding, no pointer.
+// one 64-bit field: no padding, no pointer.
 enum class Driver : std::int64_t { kLoop, kStrip, kWindow };
 
-struct TailWalkCase {
-  Driver driver;
-  std::int64_t sched;  ///< a Sched value
-  std::int64_t chunk;
-};
-
-std::string tail_walk_name(const TailWalkCase& c) {
-  static const char* const kDrivers[] = {"loop", "strip", "window"};
-  static const char* const kScheds[] = {"dynamic", "cyclic", "block"};
-  return std::string(kDrivers[static_cast<int>(c.driver)]) + "_" +
-         kScheds[c.sched] + std::to_string(c.chunk);
-}
-
-class TxnTailWalk : public ::testing::TestWithParam<TailWalkCase> {};
+class TxnTailWalk : public ::testing::TestWithParam<Driver> {};
 
 TEST_P(TxnTailWalk, StateMatchesSequentialAndUndoneMatchesOracle) {
   // A two-array loop with a planted exit.  Each worker's log is walked from
@@ -269,7 +251,6 @@ TEST_P(TxnTailWalk, StateMatchesSequentialAndUndoneMatchesOracle) {
   // leave an overshot write in place and break the byte comparison.
   ThreadPool pool(4);
   const long n = 4096, exit_at = 2999;
-  const auto sched = static_cast<Sched>(GetParam().sched);
   const auto slot = [](long i) {
     return static_cast<std::size_t>((i * 7919) & (n - 1));  // a permutation
   };
@@ -308,27 +289,17 @@ TEST_P(TxnTailWalk, StateMatchesSequentialAndUndoneMatchesOracle) {
   auto seq_all = [&] { return run_seq(a.data(), b.data(), 0, n); };
 
   ExecReport r;
-  switch (GetParam().driver) {
-    case Driver::kLoop: {
-      DoallOptions opts;
-      opts.sched = sched;
-      opts.chunk = GetParam().chunk;
-      r = speculative_while(pool, n, members, body, seq_all, opts);
+  switch (GetParam()) {
+    case Driver::kLoop:
+      r = speculative_while(pool, n, members, body, seq_all);
       break;
-    }
-    case Driver::kStrip: {
-      DoallOptions opts;
-      opts.sched = sched;
-      opts.chunk = GetParam().chunk;
-      r = strip_speculative_while(
-              pool, n, 1024, members, body,
-              [&](long lo, long hi) {
-                return run_seq(a.data(), b.data(), lo, hi);
-              },
-              opts)
+    case Driver::kStrip:
+      r = strip_speculative_while(pool, n, 1024, members, body,
+                                  [&](long lo, long hi) {
+                                    return run_seq(a.data(), b.data(), lo, hi);
+                                  })
               .exec;
       break;
-    }
     case Driver::kWindow: {
       WindowOptions opts;
       opts.window = 64;
@@ -353,52 +324,22 @@ TEST_P(TxnTailWalk, StateMatchesSequentialAndUndoneMatchesOracle) {
   EXPECT_EQ(r.undone_writes, overshot_writes);
 }
 
-constexpr std::int64_t sched_id(Sched s) { return static_cast<std::int64_t>(s); }
-
-INSTANTIATE_TEST_SUITE_P(
-    TxnDrivers, TxnTailWalk,
-    ::testing::Values(
-        TailWalkCase{Driver::kLoop, sched_id(Sched::kDynamic), 0},
-        TailWalkCase{Driver::kLoop, sched_id(Sched::kDynamic), 1},
-        TailWalkCase{Driver::kLoop, sched_id(Sched::kDynamic), 16},
-        TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticCyclic), 1},
-        TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticCyclic), 16},
-        TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticBlock), 1},
-        TailWalkCase{Driver::kLoop, sched_id(Sched::kStaticBlock), 16},
-        TailWalkCase{Driver::kStrip, sched_id(Sched::kDynamic), 0},
-        TailWalkCase{Driver::kStrip, sched_id(Sched::kDynamic), 1},
-        TailWalkCase{Driver::kStrip, sched_id(Sched::kDynamic), 16},
-        TailWalkCase{Driver::kWindow, sched_id(Sched::kDynamic), 1}),
-    [](const auto& info) { return tail_walk_name(info.param); });
-
-TEST(TxnChooseBackup, CrossoverAndClamps) {
-  const std::size_t n = 1 << 16;
-  // Far below theta (1/6): hash.
-  const BackupDecision sparse = choose_backup(n, n / 100);
-  EXPECT_EQ(sparse.kind, BackupKind::kHash);
-  EXPECT_NEAR(sparse.density, static_cast<double>(n / 100) / n, 1e-12);
-  // Above it: dense.
-  const BackupDecision dense = choose_backup(n, n / 2);
-  EXPECT_EQ(dense.kind, BackupKind::kDense);
-  // Touch counts are write tallies and may exceed n: still dense, density
-  // just saturates past 1.
-  EXPECT_EQ(choose_backup(n, 4 * n).kind, BackupKind::kDense);
-  // Empty loop: nothing touched -> hash (a zero-entry table is free).
-  EXPECT_EQ(choose_backup(n, 0).kind, BackupKind::kHash);
-
-  // The crossover is the operation-cost model's fixed 1/6, and the
-  // decision flips exactly there.
-  EXPECT_DOUBLE_EQ(sparse.theta, 1.0 / 6.0);
-  EXPECT_DOUBLE_EQ(dense.theta, 1.0 / 6.0);
-  EXPECT_EQ(choose_backup(n, n / 6).kind, BackupKind::kHash);
-  EXPECT_EQ(choose_backup(n, n / 6 + 1).kind, BackupKind::kDense);
+std::string driver_name(const ::testing::TestParamInfo<Driver>& info) {
+  static const char* const kNames[] = {"loop", "strip", "window"};
+  return kNames[static_cast<int>(info.param)];
 }
+
+INSTANTIATE_TEST_SUITE_P(TxnDrivers, TxnTailWalk,
+                         ::testing::Values(Driver::kLoop, Driver::kStrip,
+                                           Driver::kWindow),
+                         driver_name);
 
 TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   // The multi-array version of StripRetries.SteadyStateAllocatesNothing:
   // the strip driver keeps ONE SpecTransaction across strips, so a warm
   // 2-array loop must run every later strip with zero arena traffic, no new
-  // log segments, and a constant budget-visible footprint.
+  // log segments, and a footprint bounded by data, backup and one open
+  // segment per worker.
   ThreadPool pool(4);
   const long n = 64 * 256, strip = 256;
   SpecArray<double> a(std::vector<double>(static_cast<std::size_t>(n), 0.0),
@@ -406,11 +347,15 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   SpecArray<double> b(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                       pool.size(), true);
   SpecTarget* targets[] = {&a, &b};
-  // Static schedule: under kDynamic a worker that claims nothing in the
-  // warm runs first-touches both shadows' segments inside the measured
-  // one.  A cyclic schedule makes every worker mark in every strip.
-  DoallOptions opts;
-  opts.sched = Sched::kStaticCyclic;
+  // Warm every worker's logs: one share per vpn opens their first
+  // segments.  A worker the self-sized claims skip in the warm runs would
+  // otherwise open them inside the measured one.
+  pool.parallel([&](unsigned vpn) {
+    a.begin_iteration(vpn, 0);
+    b.begin_iteration(vpn, 0);
+    a.set(vpn, 0, vpn, 1.0);
+    b.set(vpn, 0, vpn, 2.0);
+  });
 
   auto run_once = [&] {
     return strip_speculative_while(
@@ -422,16 +367,12 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
           b.set(vpn, i, static_cast<std::size_t>(i), 2.0);
           return IterAction::kContinue;
         },
-        [&](long, long end) { return end; }, opts);
+        [&](long, long end) { return end; });
   };
 
-  // Two warm-up rounds: the second covers a worker that sat out the first
-  // and would otherwise take its lazy arena allocation during the pinned
-  // run.
   ASSERT_EQ(run_once().strips_failed, 0);
   const StripSpecReport warm = run_once();
   ASSERT_EQ(warm.strips_failed, 0);
-  const std::size_t bytes_warm = a.memory_bytes() + b.memory_bytes();
   const UndoStats stats_warm = a.undo_stats();
   const mem::BudgetSnapshot mem_warm = mem::Budget::process().snapshot();
 
@@ -440,12 +381,22 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   const UndoStats stats_hot = a.undo_stats();
   const mem::BudgetSnapshot mem_hot = mem::Budget::process().snapshot();
 
-  EXPECT_EQ(a.memory_bytes() + b.memory_bytes(), bytes_warm);
+  // The process-wide ledger: no arena block handed out, nothing reached
+  // the OS in steady state.
+  EXPECT_EQ(mem_hot.arena_allocs - mem_warm.arena_allocs, 0);
+  EXPECT_EQ(mem_hot.slow_allocs - mem_warm.slow_allocs, 0);
   EXPECT_EQ(stats_hot.segments, stats_warm.segments);
   EXPECT_EQ(stats_hot.checkpoints - stats_warm.checkpoints, n / strip);
   EXPECT_EQ(stats_hot.resets - stats_warm.resets, n / strip);
-  // The process-wide ledger agrees: nothing reached the OS in steady state.
-  EXPECT_EQ(mem_hot.slow_allocs, mem_warm.slow_allocs);
+  // Both arrays' data and pooled backups, plus the segments the last strip
+  // opened: which workers claimed in it varies from run to run, but a
+  // strip's entries fit one segment per worker and array.
+  const std::size_t data_and_backup = 2 * 2 * static_cast<std::size_t>(n) * sizeof(double);
+  const std::size_t segment =
+      VersionedArray<double>::kSegmentEntries * sizeof(IterEntry);
+  const std::size_t bytes = a.memory_bytes() + b.memory_bytes();
+  EXPECT_GT(bytes, data_and_backup);
+  EXPECT_LE(bytes, data_and_backup + 2 * pool.size() * segment);
 
   for (long i = 0; i < n; ++i) {
     ASSERT_EQ(a.data()[static_cast<std::size_t>(i)], 1.0) << i;

@@ -2,7 +2,7 @@
 //   * sparse-backup capacity overflow degrades into a clean sequential
 //     fall-back (no exception escapes a pool worker),
 //   * steady-state strip retries allocate nothing (pooled checkpoint buffer,
-//     log segments kept across resets),
+//     log segments kept across resets, no arena block handed out),
 //   * the sliding-window memory budget controller reacts to the backups'
 //     MEASURED footprint (memory_bytes) instead of a bytes-per-iteration
 //     guess, a dense target's footprint is safe to poll while workers
@@ -21,6 +21,7 @@
 #include "wlp/core/sparse_spec.hpp"
 #include "wlp/core/speculative.hpp"
 #include "wlp/core/speculative_strips.hpp"
+#include "wlp/mem/budget.hpp"
 
 namespace wlp {
 namespace {
@@ -106,19 +107,21 @@ TEST(BackupOverflow, StripDriverContainsOverflowToOneStrip) {
 }
 
 TEST(StripRetries, SteadyStateAllocatesNothing) {
-  // PR 3/4 pattern: pin the allocation counters.  Across 100 strips the
-  // checkpoint buffer is pooled (memory_bytes constant) and every log reset
-  // rewinds the kept segments (segment count constant).  Static schedule:
-  // under kDynamic a worker that claims nothing in the warm-up would take
-  // its first segment inside the measured run; a cyclic schedule makes
-  // every worker write in every strip.
+  // Pin the allocation counters.  Across 64 strips the checkpoint buffer
+  // is pooled and every log reset rewinds the kept segments (segment count
+  // constant, no arena block handed out).
   ThreadPool pool(4);
   const long n = 64 * 256, strip = 256;
   SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
                         pool.size(), /*run_pd_test=*/true);
   SpecTarget* targets[] = {&arr};
-  DoallOptions opts;
-  opts.sched = Sched::kStaticCyclic;
+  // Warm every worker's log: one share per vpn opens its first segment.  A
+  // worker the self-sized claims skip in the warm-up would otherwise open
+  // it inside the measured run.
+  pool.parallel([&](unsigned vpn) {
+    arr.begin_iteration(vpn, 0);
+    arr.set(vpn, 0, vpn, 1.0);
+  });
 
   auto run_once = [&] {
     return strip_speculative_while(
@@ -128,23 +131,33 @@ TEST(StripRetries, SteadyStateAllocatesNothing) {
           arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
           return IterAction::kContinue;
         },
-        [&](long, long end) { return end; }, opts);
+        [&](long, long end) { return end; });
   };
 
   // Warm-up run allocates the pooled buffers.
   const StripSpecReport warm = run_once();
   ASSERT_EQ(warm.strips_failed, 0);
-  const std::size_t bytes_after_warmup = arr.memory_bytes();
   const UndoStats warm_stats = arr.undo_stats();
+  const mem::BudgetSnapshot warm_mem = mem::Budget::process().snapshot();
 
   const StripSpecReport hot = run_once();
   ASSERT_EQ(hot.strips_failed, 0);
   const UndoStats hot_stats = arr.undo_stats();
+  const mem::BudgetSnapshot hot_mem = mem::Budget::process().snapshot();
 
-  EXPECT_EQ(arr.memory_bytes(), bytes_after_warmup);  // zero new allocation
+  EXPECT_EQ(hot_mem.arena_allocs - warm_mem.arena_allocs, 0);  // zero new
+  EXPECT_EQ(hot_mem.slow_allocs - warm_mem.slow_allocs, 0);    // allocation
   EXPECT_EQ(hot_stats.segments, warm_stats.segments);  // segments reused
   EXPECT_EQ(hot_stats.checkpoints - warm_stats.checkpoints, n / strip);
   EXPECT_EQ(hot_stats.resets - warm_stats.resets, n / strip);
+  // Data and pooled backup, plus the segments the last strip opened: which
+  // workers claimed in it varies from run to run, but a strip's entries fit
+  // one segment per worker.
+  const std::size_t data_and_backup = 2 * static_cast<std::size_t>(n) * sizeof(double);
+  const std::size_t segment =
+      VersionedArray<double>::kSegmentEntries * sizeof(IterEntry);
+  EXPECT_GT(arr.memory_bytes(), data_and_backup);
+  EXPECT_LE(arr.memory_bytes(), data_and_backup + pool.size() * segment);
 }
 
 TEST(WindowBudget, ControllerUsesMeasuredBackupBytes) {

@@ -195,22 +195,23 @@ TEST(VersionedArray, ConcurrentAppendsUndoOvershotCollision) {
   // VersionedArray* filter; the handshake orders the two data stores.)
   ThreadPool pool(4);
   const long n = 1 << 14, trip = 9000;
-  const long late = n - 6, later = n - 1;  // workers 2 and 3 under cyclic
+  const long late = n - 6, later = n - 1;  // workers 2 and 3: i mod 4
   VersionedArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1),
                          pool.size());
   checkpoint(a);
   std::atomic<bool> late_done{false};
-  DoallOptions opts;
-  opts.sched = Sched::kStaticCyclic;
-  doall(pool, 0, n, [&](long i, unsigned vpn) {
-    auto idx = static_cast<std::size_t>(i);
-    if (i == later) {
-      while (!late_done.load(std::memory_order_acquire)) std::this_thread::yield();
-      idx = static_cast<std::size_t>(late);
+  // A fixed owner per iteration: worker vpn runs i = vpn, vpn + p, ...
+  pool.parallel([&](unsigned vpn) {
+    for (long i = vpn; i < n; i += pool.size()) {
+      auto idx = static_cast<std::size_t>(i);
+      if (i == later) {
+        while (!late_done.load(std::memory_order_acquire)) std::this_thread::yield();
+        idx = static_cast<std::size_t>(late);
+      }
+      a.write(vpn, i, idx, i * 3);
+      if (i == late) late_done.store(true, std::memory_order_release);
     }
-    a.write(vpn, i, idx, i * 3);
-    if (i == late) late_done.store(true, std::memory_order_release);
-  }, opts);
+  });
   EXPECT_EQ(a.logged_writes(), static_cast<std::size_t>(n));
   // Test-local oracle: one entry per write by an iteration >= trip.
   EXPECT_EQ(undo_in_stripes(a, trip, pool), n - trip);

@@ -1,7 +1,7 @@
 // The transaction-aware window/budget seam (DESIGN.md §10): the EWMA cap
 // derivation, plus one regression test per accounting bug this seam fixed
 // (stale overshoot after the sequential fallback, peak polled before the
-// post-claim growth) and the budgeted plan interpreter.
+// post-claim growth).
 //
 // Every suite here matches Window* so the CI TSan job picks it up.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <atomic>
 #include <vector>
 
-#include "wlp/analysis/execute_plan.hpp"
 #include "wlp/core/sliding_window.hpp"
 
 namespace wlp {
@@ -127,62 +126,3 @@ TEST(WindowPeak, PostClaimGrowthObserved) {
 
 }  // namespace
 }  // namespace wlp
-
-// ---- budgeted plan execution ----------------------------------------------
-
-namespace wlp::ir {
-namespace {
-
-TEST(WindowPlan, BudgetedParallelBlocksMatchSequential) {
-  // A[i] = R[i] * 3 — one parallel block whose write log grows monotonically
-  // under a tiny budget: the interpreter must run it through the window
-  // controller, report its decisions, and still produce the sequential
-  // result exactly.
-  ThreadPool pool(4);
-  Loop loop;
-  loop.max_iters = 400;
-  loop.body.push_back(
-      assign_array("A", index(), bin('*', array("R", index()), cnst(3))));
-
-  Env base;
-  base.arrays["A"] = std::vector<double>(400, 0.0);
-  base.arrays["R"] = std::vector<double>(400, 0.0);
-  for (long i = 0; i < 400; ++i)
-    base.arrays["R"][static_cast<std::size_t>(i)] = static_cast<double>(i % 7);
-
-  Env seq = base, par = base;
-  const long t1 = run_sequential(loop, seq);
-  const ParallelPlan plan = make_plan(loop);
-  PlanExecOptions opts;
-  opts.memory_budget = 1024;
-  opts.window = 8;
-  opts.min_window = 2;
-  const PlanExecution ex = run_parallel_plan(pool, loop, plan, par, opts);
-
-  EXPECT_EQ(ex.trip, t1);
-  EXPECT_EQ(par.arrays.at("A"), seq.arrays.at("A"));
-  EXPECT_GE(ex.window_runs, 1);
-  EXPECT_GT(ex.window_peak_bytes, 0);
-  EXPECT_GE(ex.window_shrinks, 1);  // the log outgrew the budget
-  EXPECT_GE(ex.window_cap, opts.min_window);
-  EXPECT_LE(ex.window_final, static_cast<long>(opts.window));
-}
-
-TEST(WindowPlan, UnbudgetedOverloadReportsNoWindowActivity) {
-  ThreadPool pool(2);
-  Loop loop;
-  loop.max_iters = 50;
-  loop.body.push_back(
-      assign_array("A", index(), bin('+', array("R", index()), cnst(1))));
-  Env env;
-  env.arrays["A"] = std::vector<double>(50, 0.0);
-  env.arrays["R"] = std::vector<double>(50, 2.0);
-  const ParallelPlan plan = make_plan(loop);
-  const PlanExecution ex = run_parallel_plan(pool, loop, plan, env);
-  EXPECT_EQ(ex.window_runs, 0);
-  EXPECT_EQ(ex.window_shrinks, 0);
-  EXPECT_EQ(ex.window_peak_bytes, 0);
-}
-
-}  // namespace
-}  // namespace wlp::ir
