@@ -17,13 +17,14 @@
 // contiguous blocks of a distribution is always legal: it merely undoes part
 // of the distribution.
 //
-// run_distributed() is the executable semantics of the transformed loop and
-// the oracle the tests compare against run_sequential(): blocks execute one
-// after another (each as its own loop), scalars crossing block boundaries
-// are expanded into per-iteration arrays, and writes are logged with
-// (iteration, statement) time-stamps so that overshot work — iterations a
-// later block's exit invalidates — is undone exactly the way Section 4
-// prescribes for the runtime.
+// run_distributed() is the executable semantics of the transformed loop,
+// which the tests compare against run_sequential(): blocks execute one
+// after another (each as its own sequential loop), scalars crossing block
+// boundaries are expanded into per-iteration arrays, and overshot work —
+// iterations a later block's exit invalidates — is undone the way Section 4
+// prescribes for the runtime.  It is the plan interpreter
+// (execute_plan.cpp) with every block run sequentially, so it keeps no
+// evaluator, exit rule, write log or entry copy of its own.
 #pragma once
 
 #include <string>

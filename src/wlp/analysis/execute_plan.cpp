@@ -23,6 +23,8 @@ namespace wlp::ir {
 
 namespace {
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 struct LoggedWrite {
   long iter;
   int stmt;
@@ -53,15 +55,40 @@ class StripedLocks {
   std::array<std::atomic_flag, kStripes> locks_{};
 };
 
-/// Everything one plan execution needs.
+/// Everything one execution of a distributed loop needs, whether its blocks
+/// run as the plan's methods (run_parallel_plan) or each as one sequential
+/// loop (run_distributed).
 struct ExecState {
+  /// `blocks[b]` is block b, in program order; `pool` is null when every
+  /// block runs sequentially.
+  ExecState(const Loop& l, Env& e, const std::vector<const Block*>& blocks,
+            ThreadPool* p)
+      : loop(&l),
+        env(&e),
+        pool(p),
+        step_of(l.body.size(), -1),
+        entry_scalars(e.scalars),
+        fired(l.body.size()),
+        logs(p != nullptr ? p->size() : 1) {
+    if (auto err = validate(l)) throw std::runtime_error("plan-exec: " + *err);
+    for (std::size_t k = 0; k < l.body.size(); ++k)
+      if (l.body[k].kind == StmtKind::kAssignScalar) {
+        def_of[l.body[k].lhs] = static_cast<int>(k);
+        expansion[l.body[k].lhs].assign(static_cast<std::size_t>(l.max_iters), kNaN);
+      }
+    for (std::size_t b = 0; b < blocks.size(); ++b)
+      for (int s : blocks[b]->stmts)
+        step_of[static_cast<std::size_t>(s)] = static_cast<int>(b);
+    if (std::find(step_of.begin(), step_of.end(), -1) != step_of.end())
+      throw std::runtime_error("plan-exec: statement not in any block");
+  }
+
   const Loop* loop;
-  const ParallelPlan* plan;
   Env* env;
   ThreadPool* pool;
 
-  std::map<std::string, int> def_of;             // scalar -> defining stmt
-  std::vector<int> step_of;                      // stmt -> plan step index
+  std::map<std::string, int> def_of;  // scalar -> defining stmt
+  std::vector<int> step_of;           // stmt -> block index
   std::map<std::string, std::vector<double>> expansion;
   std::map<std::string, double> entry_scalars;
 
@@ -84,10 +111,15 @@ struct ExecState {
   std::map<std::string, PDMarks> marks;
   long mark_base = -1;
 
-  /// Iterations statement `s` may validly execute (same rule as the
-  /// distributed interpreter): statements textually before an exit run
-  /// through its firing iteration inclusive; statements after it stop one
-  /// earlier.
+  /// A loop scalar's value at entry, NaN if it had none.
+  double entry(const std::string& x) const {
+    const auto it = entry_scalars.find(x);
+    return it != entry_scalars.end() ? it->second : kNaN;
+  }
+
+  /// Iterations statement `s` may validly execute: statements textually
+  /// before an exit run through its firing iteration inclusive; statements
+  /// after it stop one earlier.
   long limit_now(int s) const {
     long lim = loop->max_iters;
     for (std::size_t e = 0; e < fired.size(); ++e) {
@@ -99,10 +131,75 @@ struct ExecState {
   }
 
   void fire(int s, long i) { fired[static_cast<std::size_t>(s)].quit(i); }
+
+  long trip() const {
+    long t = loop->max_iters;
+    for (const QuitBound& b : fired) t = std::min(t, b.bound());
+    return t;
+  }
+
+  /// The live values of the scalars `block` defines, at loop entry.
+  std::map<std::string, double> live_scalars(const Block& block) const {
+    std::map<std::string, double> live;
+    for (int s : block.stmts) {
+      const Stmt& stmt = loop->body[static_cast<std::size_t>(s)];
+      if (stmt.kind == StmtKind::kAssignScalar) live[stmt.lhs] = entry(stmt.lhs);
+    }
+    return live;
+  }
+
+  /// Returns every array to its exact pre-loop state: FULL reverse-ticket
+  /// write-log undo.  Per location, lock order is ticket order, so the
+  /// lowest-ticket store's `old` is the entry value and lands last.  Full
+  /// (not selective) undo is load-bearing: undoing only invalid writes
+  /// would clobber a kept valid value whenever an invalid-early /
+  /// valid-late pair hit the same location, so the only order-safe scheme
+  /// is undo everything, then re-apply the valid writes in program order.
+  std::vector<LoggedWrite> undo_to_entry() {
+    std::vector<LoggedWrite> writes;
+    for (auto& l : logs) writes.insert(writes.end(), l.value.begin(), l.value.end());
+    std::sort(writes.begin(), writes.end(),
+              [](const LoggedWrite& a, const LoggedWrite& b) {
+                return a.ticket > b.ticket;
+              });
+    for (const LoggedWrite& w : writes)
+      env->arrays.at(*w.array)[static_cast<std::size_t>(w.idx)] = w.old;
+    return writes;
+  }
+
+  /// Section 4's undo in write-log form: undo every store, replay in
+  /// program order only the writes valid under the final exits, and give
+  /// each loop scalar its value at its last valid iteration.  Returns the
+  /// number of overshot writes dropped.
+  long commit() {
+    std::vector<LoggedWrite> writes = undo_to_entry();
+    std::stable_sort(writes.begin(), writes.end(),
+                     [](const LoggedWrite& a, const LoggedWrite& b) {
+                       if (a.iter != b.iter) return a.iter < b.iter;
+                       return a.stmt < b.stmt;
+                     });
+    long discarded = 0;
+    for (const LoggedWrite& w : writes) {
+      if (w.iter >= limit_now(w.stmt)) {
+        ++discarded;
+        continue;
+      }
+      env->arrays.at(*w.array)[static_cast<std::size_t>(w.idx)] = w.value;
+    }
+    for (const auto& [name, def_stmt] : def_of) {
+      const long lim = limit_now(def_stmt);
+      if (lim > 0) {
+        env->scalars[name] = expansion.at(name)[static_cast<std::size_t>(lim - 1)];
+      } else if (entry_scalars.count(name)) {
+        env->scalars[name] = entry_scalars.at(name);
+      }
+    }
+    return discarded;
+  }
 };
 
-/// Expression evaluation with plan-aware scalar resolution.
-/// `step` = plan step being executed; `at_stmt` = consuming statement;
+/// Expression evaluation with block-aware scalar resolution.
+/// `step` = block being executed; `at_stmt` = consuming statement;
 /// `vpn` = worker (for PD read marks inside a parallel block); `live` =
 /// null for a parallel block, whose same-block scalar reads resolve through
 /// the expansion (per-iteration) instead of a live value.
@@ -123,20 +220,15 @@ double evalx(ExecState& st, const ExprPtr& e, int step, int at_stmt, long i,
       }
       const int def_stmt = dit->second;
       const int def_step = st.step_of[static_cast<std::size_t>(def_stmt)];
+      if (def_step > step)
+        throw std::runtime_error("plan-exec: use before producing block for " +
+                                 e->name);
       if (def_step == step && live != nullptr) return live->at(e->name);
       // Same parallel block (def before use) or an earlier block: read the
       // expansion, shifted when the def is textually after the use.
       const long src = def_stmt < at_stmt ? i : i - 1;
-      if (src < 0) {
-        const auto sit = st.entry_scalars.find(e->name);
-        return sit != st.entry_scalars.end()
-                   ? sit->second
-                   : std::numeric_limits<double>::quiet_NaN();
-      }
-      if (def_step > step)
-        throw std::runtime_error("plan-exec: use before producing block for " +
-                                 e->name);
-      return st.expansion.at(e->name)[static_cast<std::size_t>(src)];
+      return src < 0 ? st.entry(e->name)
+                     : st.expansion.at(e->name)[static_cast<std::size_t>(src)];
     }
     case ExprKind::kArray: {
       const auto it = st.env->arrays.find(e->name);
@@ -232,6 +324,27 @@ bool execute_stmt(ExecState& st, int step, int s, long i, unsigned vpn,
   return false;
 }
 
+/// Iteration `i` of block `step`: runs, in textual order, the statements
+/// still under their exit limits.  Returns false when the block's loop
+/// stops here: an exit fired, or no statement ran.
+bool run_iteration(ExecState& st, int step, const Block& block, long i,
+                   unsigned vpn, std::map<std::string, double>* live) {
+  bool any = false;
+  for (int s : block.stmts) {
+    if (i >= st.limit_now(s)) continue;
+    any = true;
+    if (execute_stmt(st, step, s, i, vpn, live)) return false;
+  }
+  return any;
+}
+
+/// Block `step` as one sequential loop, the scalars it defines read live.
+void run_sequentially(ExecState& st, int step, const Block& block) {
+  std::map<std::string, double> live = st.live_scalars(block);
+  for (long i = 0; i < st.loop->max_iters; ++i)
+    if (!run_iteration(st, step, block, i, 0, &live)) break;
+}
+
 /// Scan a recurrence block's exit statements over the freshly computed
 /// expansion; fires the earliest triggering exit, if any.
 void scan_recurrence_exits(ExecState& st, int step, const Block& block,
@@ -252,37 +365,23 @@ void scan_recurrence_exits(ExecState& st, int step, const Block& block,
 
 }  // namespace
 
+long run_distributed(const Loop& loop, const Distribution& d, Env& env) {
+  std::vector<const Block*> blocks;
+  for (const Block& b : d.blocks) blocks.push_back(&b);
+  ExecState st(loop, env, blocks, nullptr);
+  for (std::size_t b = 0; b < blocks.size(); ++b)
+    run_sequentially(st, static_cast<int>(b), *blocks[b]);
+  st.commit();
+  return st.trip();
+}
+
 PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
                                 const ParallelPlan& plan, Env& env) {
-  if (auto err = validate(loop))
-    throw std::runtime_error("run_parallel_plan: " + *err);
-
   PlanExecution out;
   const mem::BudgetSnapshot mem0 = mem::Budget::process().snapshot();
-  ExecState st;
-  st.loop = &loop;
-  st.plan = &plan;
-  st.env = &env;
-  st.pool = &pool;
-  // No entry copy of the arrays: every store logs the value it displaced
-  // and a ticket, and replaying the `old` values in descending ticket order
-  // restores each array's entry state exactly.
-  st.entry_scalars = env.scalars;
-  st.fired = std::vector<QuitBound>(loop.body.size());
-  st.logs.resize(pool.size());
-
-  for (std::size_t k = 0; k < loop.body.size(); ++k)
-    if (loop.body[k].kind == StmtKind::kAssignScalar)
-      st.def_of[loop.body[k].lhs] = static_cast<int>(k);
-  st.step_of.assign(loop.body.size(), -1);
-  for (std::size_t b = 0; b < plan.steps.size(); ++b)
-    for (int s : plan.steps[b].block.stmts)
-      st.step_of[static_cast<std::size_t>(s)] = static_cast<int>(b);
-  for (const auto& [name, stmt] : st.def_of) {
-    (void)stmt;
-    st.expansion[name].assign(static_cast<std::size_t>(loop.max_iters),
-                              std::numeric_limits<double>::quiet_NaN());
-  }
+  std::vector<const Block*> blocks;
+  for (const PlanStep& step : plan.steps) blocks.push_back(&step.block);
+  ExecState st(loop, env, blocks, &pool);
 
   // PD marks for the arrays the plan flags as unanalyzable: one stream per
   // (parallel block, worker).
@@ -300,9 +399,8 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
   long next_mark_base = 0;
 
   // ---- execute the plan's steps in order ------------------------------------
-  for (std::size_t b = 0; b < plan.steps.size(); ++b) {
-    const PlanStep& step = plan.steps[static_cast<std::size_t>(b)];
-    const Block& block = step.block;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const Block& block = *blocks[b];
     const int bi = static_cast<int>(b);
     st.mark_base = -1;  // only parallel blocks record PD marks
 
@@ -311,10 +409,8 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
         // Closed form: x(i) = x0 + add*(i+1) (the def executes once per
         // iteration), evaluated fully in parallel.
         const std::string& x = block.rec.var;
-        const int def = st.def_of.at(x);
-        const long limit = st.limit_now(def);
-        const double x0 = st.entry_scalars.count(x) ? st.entry_scalars.at(x)
-                                                    : std::numeric_limits<double>::quiet_NaN();
+        const long limit = st.limit_now(st.def_of.at(x));
+        const double x0 = st.entry(x);
         const double add = block.rec.add;
         auto& exp = st.expansion.at(x);
         doall(pool, 0, limit, [&](long i, unsigned) {
@@ -326,12 +422,9 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
       case BlockKind::kAssociative: {
         // The real Section 3.2 path: parallel prefix over affine maps.
         const std::string& x = block.rec.var;
-        const int def = st.def_of.at(x);
-        const long limit = st.limit_now(def);
-        const double x0 = st.entry_scalars.count(x) ? st.entry_scalars.at(x)
-                                                    : std::numeric_limits<double>::quiet_NaN();
+        const long limit = st.limit_now(st.def_of.at(x));
         auto terms = affine_recurrence_terms<double>(
-            pool, x0, block.rec.mul, block.rec.add, limit);
+            pool, st.entry(x), block.rec.mul, block.rec.add, limit);
         auto& exp = st.expansion.at(x);
         for (long i = 0; i < limit; ++i)
           exp[static_cast<std::size_t>(i)] = terms[static_cast<std::size_t>(i)];
@@ -339,74 +432,33 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
         scan_recurrence_exits(st, bi, block, limit);
         break;
       }
-      case BlockKind::kGeneralRecurrence: {
+      case BlockKind::kGeneralRecurrence:
         // Inherently sequential chain.
-        const std::string& x = block.rec.var;
-        const int def = st.def_of.at(x);
-        std::map<std::string, double> live;
-        live[x] = st.entry_scalars.count(x) ? st.entry_scalars.at(x)
-                                            : std::numeric_limits<double>::quiet_NaN();
-        for (long i = 0; i < loop.max_iters; ++i) {
-          bool exited = false;
-          for (int s : block.stmts) {
-            if (i >= st.limit_now(s)) {
-              exited = true;
-              continue;
-            }
-            if (execute_stmt(st, bi, s, i, 0, &live)) exited = true;
-          }
-          if (exited && i >= st.limit_now(def)) break;
-        }
+        run_sequentially(st, bi, block);
         break;
-      }
       case BlockKind::kParallel:
       case BlockKind::kUnknownAccess: {
         ++out.parallel_blocks;
         st.mark_base = next_mark_base;
         next_mark_base += static_cast<long>(pool.size());
-        auto block_body = [&](long i, unsigned vpn) {
+        doall_quit(pool, 0, loop.max_iters, [&](long i, unsigned vpn) {
           for (auto& [name, m] : st.marks) {
             (void)name;
             m.begin_iteration(static_cast<unsigned>(st.mark_base) + vpn, i);
           }
-          bool any = false;
-          bool exited = false;
-          for (int s : block.stmts) {
-            if (i >= st.limit_now(s)) continue;
-            any = true;
-            if (execute_stmt(st, bi, s, i, vpn, nullptr)) {
-              exited = true;
-              break;  // statements after the exit don't run this iteration
-            }
-          }
-          if (exited) return IterAction::kExit;
-          return any ? IterAction::kContinue : IterAction::kExit;
-        };
-        doall_quit(pool, 0, loop.max_iters, block_body);
+          return run_iteration(st, bi, block, i, vpn, nullptr)
+                     ? IterAction::kContinue
+                     : IterAction::kExit;
+        });
         break;
       }
       case BlockKind::kSequential: {
         // Ordered execution through the DOACROSS pipeline (the whole
         // iteration is the sequential phase for interpreted statements).
-        std::map<std::string, double> live;
-        for (int s : block.stmts)
-          if (loop.body[static_cast<std::size_t>(s)].kind == StmtKind::kAssignScalar) {
-            const std::string& x = loop.body[static_cast<std::size_t>(s)].lhs;
-            live[x] = st.entry_scalars.count(x)
-                          ? st.entry_scalars.at(x)
-                          : std::numeric_limits<double>::quiet_NaN();
-          }
+        std::map<std::string, double> live = st.live_scalars(block);
         const DoacrossResult dr = doacross_while(
             pool, loop.max_iters,
-            [&](long i) {
-              bool any = false;
-              for (int s : block.stmts) {
-                if (i >= st.limit_now(s)) continue;
-                any = true;
-                if (execute_stmt(st, bi, s, i, 0, &live)) return false;
-              }
-              return any;
-            },
+            [&](long i) { return run_iteration(st, bi, block, i, 0, &live); },
             [](long, unsigned) {});
         out.doacross_parks += static_cast<long>(dr.parks);
         out.doacross_wait_rounds += static_cast<long>(dr.wait_rounds);
@@ -416,72 +468,28 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
   }
 
   // ---- PD verdicts (filtered by the final trip) ------------------------------
-  long trip = loop.max_iters;
-  for (const QuitBound& b : st.fired) trip = std::min(trip, b.bound());
-
+  const long trip = st.trip();
   for (const auto& [name, m] : st.marks) {
     (void)name;
     if (!m.analyze(pool, trip).fully_parallel()) out.speculation_failed = true;
   }
-  std::vector<LoggedWrite> writes;
-  for (auto& l : st.logs) {
-    writes.insert(writes.end(), l.value.begin(), l.value.end());
-    out.logged_writes += static_cast<long>(l.value.size());
-  }
-
-  // Return every array to its exact pre-loop state: FULL reverse-ticket
-  // write-log undo.  Per location, lock order is ticket order, so the
-  // lowest-ticket store's `old` is the entry value and lands last.  Full
-  // (not selective) undo is load-bearing: undoing only invalid writes would
-  // clobber a kept valid value whenever an invalid-early / valid-late pair
-  // hit the same location, so the only order-safe scheme is undo
-  // everything, then re-apply the valid writes in program order.
-  const auto undo_to_entry = [&] {
-    std::sort(writes.begin(), writes.end(),
-              [](const LoggedWrite& a, const LoggedWrite& b) {
-                return a.ticket > b.ticket;
-              });
-    for (const LoggedWrite& w : writes)
-      env.arrays.at(*w.array)[static_cast<std::size_t>(w.idx)] = w.old;
-  };
+  out.logged_writes = st.ticket.load(std::memory_order_relaxed);
 
   if (out.speculation_failed) {
     // Restore everything and run the loop the old-fashioned way.
     env.scalars = st.entry_scalars;
-    undo_to_entry();
+    st.undo_to_entry();
     out.trip = run_sequential(loop, env);
     return out;
   }
 
   // ---- undo/replay: apply only the writes valid under the final exits --------
   const auto replay0 = std::chrono::steady_clock::now();
-  undo_to_entry();
-  std::stable_sort(writes.begin(), writes.end(),
-                   [](const LoggedWrite& a, const LoggedWrite& b) {
-                     if (a.iter != b.iter) return a.iter < b.iter;
-                     return a.stmt < b.stmt;
-                   });
-  for (const LoggedWrite& w : writes) {
-    if (w.iter >= st.limit_now(w.stmt)) {
-      ++out.discarded_writes;
-      continue;
-    }
-    env.arrays.at(*w.array)[static_cast<std::size_t>(w.idx)] = w.value;
-  }
+  out.discarded_writes = st.commit();
   out.replay_ns = std::chrono::duration<double, std::nano>(
                       std::chrono::steady_clock::now() - replay0)
                       .count();
   WLP_OBS_COUNT("wlp.undo.restore_ns", static_cast<long>(out.replay_ns));
-
-  // ---- final scalar values ----------------------------------------------------
-  for (const auto& [name, def_stmt] : st.def_of) {
-    const long lim = st.limit_now(def_stmt);
-    if (lim > 0) {
-      env.scalars[name] = st.expansion.at(name)[static_cast<std::size_t>(lim - 1)];
-    } else if (st.entry_scalars.count(name)) {
-      env.scalars[name] = st.entry_scalars.at(name);
-    }
-  }
 
   const mem::BudgetSnapshot mem1 = mem::Budget::process().snapshot();
   out.mem_arena_allocs = mem1.arena_allocs - mem0.arena_allocs;

@@ -22,6 +22,12 @@
 //     order), and only the writes valid under the final exit set are
 //     replayed — the undo step of Section 4, in write-log form.
 //
+// The general-recurrence loop, each DOACROSS iteration and each DOALL
+// iteration run one step: the block's statements at iteration i that are
+// still under their exit limits.  run_distributed() (distribute.hpp) is
+// this interpreter with every block run as one sequential loop of that
+// step; run_sequential() (loop_ir.hpp) stays the independent reference.
+//
 // The contract (enforced by tests): final Env state and trip count are
 // identical to run_sequential(), up to floating-point reassociation in
 // parallel-prefix-evaluated recurrences.

@@ -75,7 +75,6 @@ ParallelPlan make_plan(const Loop& loop, unsigned p,
                                 : wlp::TerminatorClass::kRemainderInvariant;
   plan.may_overshoot = wlp::may_overshoot(plan.dispatcher, plan.terminator);
 
-  bool seen_dispatcher = false;
   for (const Block& b : dist.blocks) {
     PlanStep step;
     step.block = b;
@@ -108,7 +107,6 @@ ParallelPlan make_plan(const Loop& loop, unsigned p,
         step.note = "unanalyzable accesses: speculate under the PD test (Section 5)";
         break;
     }
-    if (is_recurrence_block(b.rec.kind) && !seen_dispatcher) seen_dispatcher = true;
     plan.steps.push_back(std::move(step));
   }
 

@@ -64,8 +64,7 @@ ExecReport while_assoc_prefix(ThreadPool& pool, T x0, AffineMap<T> step,
         pool, base, strip_end,
         [&](long i, unsigned vpn) {
           return body(i, vals[static_cast<std::size_t>(i - base)], vpn);
-        },
-        {});
+        });
     r.started += qr.started;
 
     if (qr.trip < strip_end) {  // RV exit inside this strip
@@ -85,10 +84,6 @@ ExecReport while_assoc_prefix(ThreadPool& pool, T x0, AffineMap<T> step,
 
   r.trip = u;
   return r;
-}
-
-namespace detail {
-// (no helpers needed; kept for future strip policies)
 }
 
 }  // namespace wlp

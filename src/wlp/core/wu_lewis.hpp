@@ -37,8 +37,7 @@ ExecReport while_wu_lewis_distribute(ThreadPool& pool, Cursor head, Next&& next,
 
   const QuitResult qr = doall_quit(
       pool, 0, length,
-      [&](long i, unsigned vpn) { return body(i, terms[static_cast<std::size_t>(i)], vpn); },
-      {});
+      [&](long i, unsigned vpn) { return body(i, terms[static_cast<std::size_t>(i)], vpn); });
 
   ExecReport r;
   r.method = Method::kWuLewisDistribute;

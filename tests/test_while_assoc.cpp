@@ -85,6 +85,24 @@ TEST(WhileAssoc, RVExitInsideRemainder) {
   EXPECT_LE(r.dispatcher_steps, 3 * 2048);
 }
 
+TEST(WhileAssoc, RVExitStopsIssuingLaterIterations) {
+  // One strip over a long range: the QUIT of an early RV exit stops the
+  // DOALL from starting the rest (the dispatcher terms are all computed
+  // up front, the superfluous-values cost).
+  ThreadPool pool(4);
+  const long u = 1L << 20;
+  const ExecReport r = while_assoc_prefix<std::uint64_t>(
+      pool, 1, {3, 1}, [](std::uint64_t) { return false; },
+      [](long i, std::uint64_t, unsigned) {
+        return i == 1000 ? IterAction::kExit : IterAction::kContinue;
+      },
+      u);
+  EXPECT_EQ(r.trip, 1000);
+  EXPECT_EQ(r.dispatcher_steps, u);
+  EXPECT_LT(r.started, u / 4);
+  EXPECT_EQ(r.overshot, r.started - r.trip);
+}
+
 TEST(WhileAssoc, NoExitRunsToBound) {
   ThreadPool pool(4);
   std::atomic<long> runs{0};

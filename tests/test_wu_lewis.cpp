@@ -52,6 +52,23 @@ TEST(WuLewisDistribute, RVExitInDoallPhase) {
   EXPECT_EQ(r.dispatcher_steps, 600);
 }
 
+TEST(WuLewisDistribute, RVExitStopsIssuingLaterIterations) {
+  // The prologue walks the whole range; the QUIT of an early RV exit stops
+  // the DOALL over the recorded terms from starting the rest.
+  ThreadPool pool(4);
+  const long u = 1L << 20;
+  const ExecReport r = while_wu_lewis_distribute(
+      pool, 0L, [](long c) { return c + 1; }, [](long) { return false; },
+      [](long i, long, unsigned) {
+        return i == 1000 ? IterAction::kExit : IterAction::kContinue;
+      },
+      u);
+  EXPECT_EQ(r.trip, 1000);
+  EXPECT_EQ(r.dispatcher_steps, u);
+  EXPECT_LT(r.started, u / 4);
+  EXPECT_EQ(r.overshot, r.started - r.trip);
+}
+
 TEST(WuLewisDistribute, RespectsUpperBound) {
   ThreadPool pool(4);
   Chain chain(600);
