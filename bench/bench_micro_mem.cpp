@@ -17,8 +17,9 @@
 //      no slower than the retired pools" CI gate read at the lifecycle
 //      level where the pools actually paid an allocator.
 //   2. Steady-state leg — a warm retry loop (PD marks reset + mark +
-//      analysis cycles, real DOACROSS windows) must perform ZERO arena
-//      block hand-outs and ZERO OS trips, observed through the process
+//      analysis cycles, real DOACROSS windows, whose per-call chain
+//      touches no arena) must perform ZERO arena block hand-outs and
+//      ZERO OS trips, observed through the process
 //      Budget counters exactly like the regression tests: the
 //      `zero_steady_state_allocs` flag.  The per-retry cost must also stay
 //      flat across array sizes (the log rewind is O(workers)): the
@@ -26,8 +27,9 @@
 //
 // One informational series rounds out the picture (printed + emitted, not
 // gated): the raw arena pair vs the retired pools' cached-freelist pair at
-// chain-slot size (the arena pays one uncontended mutex the thread-local
-// pools skipped — tens of ns fronting multi-us block streams).
+// a small (4 KiB) block (the arena pays one uncontended mutex the
+// thread-local pools skipped — tens of ns fronting multi-us block
+// streams).
 //
 // Emits BENCH_mem.json (path overridable via argv[1]).  Plain chrono,
 // links wlp only.
@@ -101,7 +103,7 @@ ReusePoint reuse_pair(std::size_t bytes) {
 
 /// The retired pools' inner operation: a thread-local cached free list
 /// (push/pop, no lock).  Compared against the arena's mutex-guarded pair at
-/// DOACROSS-chain-slot size.  Informational: in steady state NEITHER runs.
+/// a small block size.  Informational: in steady state NEITHER runs.
 struct PoolParity {
   double pool_ns = 0;
   double arena_ns = 0;

@@ -12,7 +12,6 @@
 #include "wlp/core/shadow.hpp"
 #include "wlp/mem/budget.hpp"
 #include "wlp/obs/obs.hpp"
-#include "wlp/sched/doacross.hpp"
 #include "wlp/sched/doall.hpp"
 #include "wlp/sched/parallel_prefix.hpp"
 #include "wlp/sched/reduce.hpp"
@@ -433,7 +432,10 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
         break;
       }
       case BlockKind::kGeneralRecurrence:
-        // Inherently sequential chain.
+      case BlockKind::kSequential:
+        // An inherently sequential chain, and an ordered block: its
+        // DOACROSS would have an empty overlapped phase and only move the
+        // frontier from thread to thread, so it runs in place.
         run_sequentially(st, bi, block);
         break;
       case BlockKind::kParallel:
@@ -450,18 +452,6 @@ PlanExecution run_parallel_plan(ThreadPool& pool, const Loop& loop,
                      ? IterAction::kContinue
                      : IterAction::kExit;
         });
-        break;
-      }
-      case BlockKind::kSequential: {
-        // Ordered execution through the DOACROSS pipeline (the whole
-        // iteration is the sequential phase for interpreted statements).
-        std::map<std::string, double> live = st.live_scalars(block);
-        const DoacrossResult dr = doacross_while(
-            pool, loop.max_iters,
-            [&](long i) { return run_iteration(st, bi, block, i, 0, &live); },
-            [](long, unsigned) {});
-        out.doacross_parks += static_cast<long>(dr.parks);
-        out.doacross_wait_rounds += static_cast<long>(dr.wait_rounds);
         break;
       }
     }

@@ -15,18 +15,20 @@
 //   * unknown-access blocks additionally record PD marks (one PDMarks per
 //     unanalyzable array), and a failed verdict falls back to a plain
 //     sequential execution;
-//   * sequential blocks run as DOACROSS pipelines (ordered, overlapped is
-//     not attempted for interpreted statements — program order preserved);
+//   * sequential blocks (planned as DOACROSS) run in place, in program
+//     order, as general recurrence blocks do: every interpreted statement
+//     would sit in the DOACROSS's ordered phase, so its pipeline would
+//     only move the frontier from thread to thread;
 //   * exits distribute with their blocks; after all blocks ran, every
 //     store is undone from the value it displaced (descending store
 //     order), and only the writes valid under the final exit set are
 //     replayed — the undo step of Section 4, in write-log form.
 //
-// The general-recurrence loop, each DOACROSS iteration and each DOALL
-// iteration run one step: the block's statements at iteration i that are
-// still under their exit limits.  run_distributed() (distribute.hpp) is
-// this interpreter with every block run as one sequential loop of that
-// step; run_sequential() (loop_ir.hpp) stays the independent reference.
+// The sequential block loop and each DOALL iteration run one step: the
+// block's statements at iteration i that are still under their exit
+// limits.  run_distributed() (distribute.hpp) is this interpreter with
+// every block run as one sequential loop of that step; run_sequential()
+// (loop_ir.hpp) stays the independent reference.
 //
 // The contract (enforced by tests): final Env state and trip count are
 // identical to run_sequential(), up to floating-point reassociation in
@@ -48,9 +50,6 @@ struct PlanExecution {
   long prefix_blocks = 0;           ///< recurrences evaluated by parallel prefix
   long logged_writes = 0;
   long discarded_writes = 0;  ///< overshot writes dropped during replay
-  long doacross_parks = 0;    ///< futex sleeps in sequential-block pipelines
-  long doacross_wait_rounds = 0;  ///< backoff rounds burned waiting on the
-                                  ///< DOACROSS frontier (pipeline stall cost)
   double replay_ns = 0;  ///< wall time in the undo/replay phase (Ta)
   // What this execution cost the process memory budget (wlp::mem::Budget
   // deltas between entry and exit): how many arena blocks the run consumed

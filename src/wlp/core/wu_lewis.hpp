@@ -31,9 +31,10 @@ template <class Cursor, class Next, class End, class Body>
 ExecReport while_wu_lewis_distribute(ThreadPool& pool, Cursor head, Next&& next,
                                      End&& is_end, Body&& body, long u) {
   std::vector<Cursor> terms;
-  const long length = sequential_dispatcher_pass(
-      terms, head, std::forward<Next>(next),
-      [&](const Cursor& c) { return is_end(c); }, u);
+  for (Cursor c = head; static_cast<long>(terms.size()) < u && !is_end(c);
+       c = next(c))
+    terms.push_back(c);
+  const long length = static_cast<long>(terms.size());
 
   const QuitResult qr = doall_quit(
       pool, 0, length,

@@ -1,13 +1,11 @@
 // wlp::mem — per-worker slab arenas with O(1) recycling.
 //
-// Three subsystems independently grew the same allocation discipline: the
-// PD shadow pooled per-worker segments (PR 3), DOACROSS pooled chain slots
-// per calling thread (PR 4), and the versioned array pooled its checkpoint
-// buffer (PR 5).  The shared idiom was always "allocate once from the
-// thread that will stream the buffer, keep it alive, and make logical
-// clears an epoch bump" — this header is that idiom as one implementation,
-// with one accounting surface (mem/budget.hpp) instead of three ad-hoc
-// stats structs.
+// The PD shadow's per-worker segments and the versioned array's checkpoint
+// buffer grew the same allocation discipline independently: "allocate once
+// from the thread that will stream the buffer, keep it alive, and make
+// logical clears an epoch bump".  This header is that idiom as one
+// implementation, with one accounting surface (mem/budget.hpp) instead of
+// ad-hoc stats structs.
 //
 // Layout and contract:
 //
@@ -21,13 +19,13 @@
 //     steady state performs no (de)allocations at all (the regression
 //     tests assert exactly that through the budget counters).
 //   * Lazy, owner-side allocation: per-worker buffers are allocated from
-//     the worker's own share (chain slots on the first window), so an idle
+//     the worker's own share (log segments on the first mark), so an idle
 //     worker's arena stays empty and a recycled block returns to the
 //     worker that streamed it.
 //
 // EpochClock (mem/epoch.hpp, re-exported here) is the other half of the
 // retired idiom: the 32-bit generation counter with a once-per-2^32 wrap
-// sweep that the hash backup and the DOACROSS slots each hand-rolled.
+// sweep that the hash backup used to hand-roll.
 #pragma once
 
 #include <atomic>

@@ -1,10 +1,10 @@
 // wlp::mem — the process-wide memory accountant.
 //
 // Every subsystem that speculates pins memory: checkpoint backups, log
-// segments, hash-backup slots, chain slots.  The Budget is the one ledger
-// they all charge: arenas debit/credit it as slabs move between the OS and
-// the free lists, and its counters are the surface the allocation-regression
-// tests and the CI guard read.
+// segments, hash-backup slots.  The Budget is the one ledger they all
+// charge: arenas debit/credit it as slabs move between the OS and the free
+// lists, and its counters are the surface the allocation-regression tests
+// and the CI guard read.
 //
 // Counter vocabulary (also published as wlp.mem.* obs metrics):
 //   * bytes_live    — bytes currently held from the OS by all arenas

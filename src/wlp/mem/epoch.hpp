@@ -1,13 +1,11 @@
 // wlp::mem — the generation-stamp clock.
 //
-// Every O(1)-reset structure in this runtime that is not a rewound log
-// (hash-backup slots, DOACROSS chain slots) uses the same trick: contents
-// carry a 32-bit generation stamp, a "clear" is one counter bump that makes
-// every old stamp read as empty, and the only real O(n) sweep happens once
-// per 2^32 clears when the counter wraps.  Each of them hand-rolled the
-// counter before this header existed; EpochClock is the one
-// implementation, in its own header so hot-path headers can stamp without
-// pulling in the allocator.
+// The O(1)-reset structure in this runtime that is not a rewound log (the
+// hash-backup slots) uses this trick: contents carry a 32-bit generation
+// stamp, a "clear" is one counter bump that makes every old stamp read as
+// empty, and the only real O(n) sweep happens once per 2^32 clears when
+// the counter wraps.  EpochClock is that counter, in its own header so
+// hot-path headers can stamp without pulling in the allocator.
 #pragma once
 
 #include <cstdint>

@@ -44,26 +44,19 @@
 //     seq_cst, and only then sleeps — the same protocol as the pool's
 //     doorbell, race-free because FUTEX_WAIT re-checks the word value in
 //     the kernel.
-//   * **Pooled chain state.**  The chain state is O(1) words plus one
-//     padded wait-stat slot per virtual processor (the pipeline depth) —
-//     pooled per calling thread and epoch-stamped (mem::EpochClock), so
-//     a loop that exits after a handful
-//     of iterations pays no O(max_iters) allocation or zero-fill, and
-//     repeated calls allocate nothing at all.  The slot array itself is an
-//     arena block (mem::local_arena), so even pool-width growth recycles
-//     in O(1) and shows up in the wlp.mem counters, not in malloc.
+//   * **Per-call state.**  The chain state is O(1) words plus one padded
+//     wait-stat slot per virtual processor (the pipeline depth), built in
+//     the call as doall_quit builds its per-worker minima: one O(p) heap
+//     allocation per call and nothing that grows with max_iters, so a loop
+//     that exits after a handful of iterations pays no O(max_iters)
+//     allocation or zero-fill.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <utility>
-#include <vector>
 
-#include "wlp/mem/arena.hpp"
-#include "wlp/mem/epoch.hpp"
 #include "wlp/obs/obs.hpp"
 #include "wlp/sched/thread_pool.hpp"
 #include "wlp/support/backoff.hpp"
@@ -76,14 +69,6 @@ struct DoacrossResult {
   std::uint64_t wait_rounds = 0;  ///< backoff rounds summed over all waits
   std::uint64_t parks = 0;        ///< futex sleeps summed over all waits
   std::uint64_t publishes = 0;    ///< frontier advances (< trip ⇒ batching)
-};
-
-/// Calling-thread-local reuse counters for the pooled chain state — the
-/// allocation-regression hook.
-struct DoacrossChainStats {
-  long chain_allocs = 0;  ///< chain-state objects ever constructed
-  long slot_grows = 0;    ///< wait-slot array growths (pool got wider)
-  long runs = 0;          ///< doacross_while calls served from the pool
 };
 
 namespace detail {
@@ -106,46 +91,28 @@ inline constexpr long kMaxSeqBatch = 8;
 /// The per-call rendezvous state.  One cache line for the frontier (every
 /// waiter hammers it), one for the waiter count (every parking waiter
 /// mutates it), one for the claim counter, plus a padded wait-stat slot per
-/// virtual processor.  Slots are epoch-stamped: begin_window() bumps the
-/// epoch instead of zeroing, and a slot lazily resets the first time its
-/// vpn touches it in the new epoch (each slot is written by exactly the
-/// thread executing that vpn's share, so the stamp check needs no atomics).
+/// virtual processor (each written only by the thread running that vpn's
+/// share).
 class DoacrossChain {
  public:
   struct Slot {
-    std::uint32_t epoch = 0;
     std::uint64_t rounds = 0;
     std::uint64_t parks = 0;
     std::uint64_t publishes = 0;
   };
 
-  DoacrossChain() = default;
-  ~DoacrossChain() {
-    if (slots_ != nullptr) arena_->deallocate_array(slots_, cap_);
-  }
-  DoacrossChain(const DoacrossChain&) = delete;
-  DoacrossChain& operator=(const DoacrossChain&) = delete;
+  explicit DoacrossChain(unsigned p) : slots_(p) {}
 
-  /// Arm the chain for a window of `win` iterations on `p` virtual
-  /// processors.  O(1) plus a one-time slot-array growth.
-  void begin_window(unsigned p, long win, DoacrossChainStats& stats) {
-    epoch_.bump([this] { sweep_slots(); });
+  /// Arm the chain for a window of `win` iterations.  The wait-stat slots
+  /// keep counting across windows.
+  void begin_window(long win) noexcept {
     frontier_.store(0, std::memory_order_relaxed);
     waiters_.store(0, std::memory_order_relaxed);
     next_.store(0, std::memory_order_relaxed);
     trip_.store(win, std::memory_order_relaxed);
-    if (cap_ < p) {
-      grow_slots(p);
-      ++stats.slot_grows;
-    }
-    nproc_ = p;
   }
 
-  Slot& slot(unsigned vpn) noexcept {
-    Slot& s = slots_[vpn].value;
-    if (s.epoch != epoch_.value()) s = Slot{epoch_.value(), 0, 0, 0};
-    return s;
-  }
+  Slot& slot(unsigned vpn) noexcept { return slots_[vpn]; }
 
   long claim() noexcept { return next_.fetch_add(1, std::memory_order_relaxed); }
   long claimed_watermark() const noexcept {
@@ -178,86 +145,22 @@ class DoacrossChain {
   }
   long trip() const noexcept { return trip_.load(std::memory_order_relaxed); }
 
-  /// Fold this window's wait stats (slots stamped with the current epoch)
-  /// into `r`.  Called after the join; no shares are in flight.
+  /// Fold every window's wait stats into `r`.  Called after the last join;
+  /// no shares are in flight.
   void accumulate(DoacrossResult& r) const noexcept {
-    for (unsigned vpn = 0; vpn < nproc_; ++vpn) {
-      const Slot& s = slots_[vpn].value;
-      if (s.epoch != epoch_.value()) continue;
-      r.wait_rounds += s.rounds;
-      r.parks += s.parks;
-      r.publishes += s.publishes;
+    for (std::size_t vpn = 0; vpn < slots_.size(); ++vpn) {
+      r.wait_rounds += slots_[vpn].rounds;
+      r.parks += slots_[vpn].parks;
+      r.publishes += slots_[vpn].publishes;
     }
   }
 
  private:
-  /// Replace the slot array with one of `p` slots from the calling
-  /// thread's arena.  Runs right after the window's epoch bump, so every
-  /// old slot is already stale — nothing to copy, the retired block just
-  /// goes back to the free list for the next chain of this width.
-  void grow_slots(unsigned p) {
-    if (arena_ == nullptr) arena_ = &mem::local_arena();
-    if (slots_ != nullptr) arena_->deallocate_array(slots_, cap_);
-    slots_ = arena_->allocate_array<Padded<Slot>>(p);
-    for (unsigned i = 0; i < p; ++i) new (&slots_[i]) Padded<Slot>();
-    cap_ = p;
-  }
-
-  /// 32-bit epoch wrap (once per 2^32 windows): unstamp every slot so no
-  /// survivor can alias the restarted counter.
-  void sweep_slots() noexcept {
-    for (unsigned i = 0; i < cap_; ++i) slots_[i].value.epoch = 0;
-  }
-
   alignas(kCacheLine) std::atomic<std::uint32_t> frontier_{0};
   alignas(kCacheLine) std::atomic<std::uint32_t> waiters_{0};
   alignas(kCacheLine) std::atomic<long> next_{0};
   std::atomic<long> trip_{0};
-  Padded<Slot>* slots_ = nullptr;  ///< arena block, cap_ wait-stat slots
-  mem::Arena* arena_ = nullptr;    ///< pinned so free pairs with alloc
-  unsigned cap_ = 0;
-  mem::EpochClock epoch_;
-  unsigned nproc_ = 0;
-};
-
-struct DoacrossChainPool {
-  std::vector<std::unique_ptr<DoacrossChain>> chains;
-  unsigned depth = 0;  ///< live leases (nested doacross on one thread)
-  DoacrossChainStats stats;
-};
-
-inline DoacrossChainPool& doacross_tl_pool() {
-  static thread_local DoacrossChainPool pool;
-  return pool;
-}
-
-/// Lease one pooled chain for the duration of a doacross_while call.  The
-/// pool is thread-local to the *calling* thread (the pool substrate allows
-/// one fork-join at a time, so two concurrent leases on one thread can only
-/// mean a nested doacross — which gets the next pool slot, not a fresh
-/// allocation on every call).
-class DoacrossChainLease {
- public:
-  DoacrossChainLease() : pool_(doacross_tl_pool()) {
-    if (pool_.chains.size() <= pool_.depth) {
-      pool_.chains.push_back(std::make_unique<DoacrossChain>());
-      ++pool_.stats.chain_allocs;
-    }
-    chain_ = pool_.chains[pool_.depth].get();
-    ++pool_.depth;
-    ++pool_.stats.runs;
-  }
-  ~DoacrossChainLease() { --pool_.depth; }
-
-  DoacrossChainLease(const DoacrossChainLease&) = delete;
-  DoacrossChainLease& operator=(const DoacrossChainLease&) = delete;
-
-  DoacrossChain& chain() noexcept { return *chain_; }
-  DoacrossChainStats& stats() noexcept { return pool_.stats; }
-
- private:
-  DoacrossChainPool& pool_;
-  DoacrossChain* chain_ = nullptr;
+  PerWorker<Slot> slots_;
 };
 
 /// One pipeline window over local iterations [0, win); global iteration
@@ -344,17 +247,15 @@ DoacrossResult doacross_run(ThreadPool& pool, long max_iters, long window,
   DoacrossResult res;
   if (max_iters <= 0) return res;
 
-  DoacrossChainLease lease;
-  DoacrossChain& st = lease.chain();
-
+  DoacrossChain st(pool.size());
   for (long bas = 0; bas < max_iters; bas += window) {
     const long win = std::min(max_iters - bas, window);
-    st.begin_window(pool.size(), win, lease.stats());
+    st.begin_window(win);
     const long t = doacross_window(pool, st, bas, win, spin_limit, seq, par);
-    st.accumulate(res);
     res.trip = bas + t;
     if (t < win) break;  // the termination condition fired in this window
   }
+  st.accumulate(res);
 
   WLP_OBS_COUNT("wlp.doacross.runs", 1);
   WLP_OBS_COUNT("wlp.doacross.iters", res.trip);
@@ -386,29 +287,6 @@ DoacrossResult doacross_while(ThreadPool& pool, long max_iters, Seq&& seq,
   const unsigned spin = pool.oversubscribed() ? 0 : Backoff::kDefaultSpinLimit;
   return detail::doacross_run(pool, max_iters, detail::kFrontierWindow, spin,
                               std::forward<Seq>(seq), std::forward<Par>(par));
-}
-
-/// Reuse counters of the calling thread's pooled chain state.
-inline DoacrossChainStats doacross_chain_stats() noexcept {
-  return detail::doacross_tl_pool().stats;
-}
-
-/// Wu & Lewis' other scheme ("naive loop distribution", Section 3.3/10):
-/// a purely sequential pass evaluates the dispatcher into `terms` until
-/// `term` says stop or `max_iters` is hit; the caller then runs the
-/// remainder as a DOALL over the recorded terms.  Returns the trip count.
-/// This is the baseline the figure benches compare the General-k methods to.
-template <class T, class Step, class Term>
-long sequential_dispatcher_pass(std::vector<T>& terms, T first, Step&& step,
-                                Term&& term, long max_iters) {
-  terms.clear();
-  T cur = first;
-  for (long i = 0; i < max_iters; ++i) {
-    if (term(cur)) return i;
-    terms.push_back(cur);
-    cur = step(cur);
-  }
-  return max_iters;
 }
 
 }  // namespace wlp

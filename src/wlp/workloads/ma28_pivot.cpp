@@ -145,10 +145,10 @@ struct CandidateLog {
 
 }  // namespace
 
-PivotCandidate Ma28PivotSearch::search_induction1(ThreadPool& pool,
-                                                  ExecReport& report) const {
-  const long n = candidates();
-  CandidateLog log(n);
+template <class Drive>
+PivotCandidate Ma28PivotSearch::search_parallel(Drive&& drive,
+                                                ExecReport& report) const {
+  CandidateLog log(candidates());
   // Running best for the *speculative* exit test, packed as (cost, iter).
   // The test fires only when the best candidate's ITERATION precedes i:
   // then a candidate with that cost exists among the sequential loop's
@@ -156,7 +156,7 @@ PivotCandidate Ma28PivotSearch::search_induction1(ThreadPool& pool,
   // by i — firing is safe; not firing merely executes extra iterations.
   BestCandidate running;
 
-  report = while_induction1(pool, n, [&](long i, unsigned) {
+  report = drive([&](long i) {
     if (!running.empty() && i > 0 &&
         counts_[static_cast<std::size_t>(i)] !=
             counts_[static_cast<std::size_t>(i - 1)] &&
@@ -173,41 +173,32 @@ PivotCandidate Ma28PivotSearch::search_induction1(ThreadPool& pool,
   });
 
   // Time-stamp-ordered reduction (the paper's sequential-consistency step).
-  report.method = Method::kInduction1;
   report.trip = true_trip(log.slots);
   report.used_stamps = true;
   return winner_before(log.slots, report.trip);
 }
 
+PivotCandidate Ma28PivotSearch::search_induction1(ThreadPool& pool,
+                                                  ExecReport& report) const {
+  return search_parallel(
+      [&](auto&& body) {
+        return while_induction1(pool, candidates(),
+                                [&](long i, unsigned) { return body(i); });
+      },
+      report);
+}
+
 PivotCandidate Ma28PivotSearch::search_general3(ThreadPool& pool,
                                                 ExecReport& report) const {
   const long n = candidates();
-  CandidateLog log(n);
-  BestCandidate running;
-
-  report = while_general3(
-      pool, 0L, [](long c) { return c + 1; }, [n](long c) { return c >= n; },
-      [&](long i, long /*cursor*/, unsigned) {
-        if (!running.empty() && i > 0 &&
-            counts_[static_cast<std::size_t>(i)] !=
-                counts_[static_cast<std::size_t>(i - 1)] &&
-            static_cast<long>(running.cost()) <= exit_bound(i) &&
-            static_cast<long>(running.payload()) < i)
-          return IterAction::kExit;
-        const PivotCandidate cand = scan_candidate(i);
-        log.publish(i, cand);
-        if (cand.valid())
-          running.publish(
-              static_cast<std::uint32_t>(std::min<long>(
-                  cand.cost, std::numeric_limits<std::int32_t>::max())),
-              static_cast<std::uint32_t>(i));
-        return IterAction::kContinue;
-      });
-
-  report.method = Method::kGeneral3;
-  report.trip = true_trip(log.slots);
-  report.used_stamps = true;
-  return winner_before(log.slots, report.trip);
+  return search_parallel(
+      [&](auto&& body) {
+        return while_general3(
+            pool, 0L, [](long c) { return c + 1; },
+            [n](long c) { return c >= n; },
+            [&](long i, long /*cursor*/, unsigned) { return body(i); });
+      },
+      report);
 }
 
 sim::LoopProfile Ma28PivotSearch::profile() const {

@@ -71,6 +71,13 @@ class Ma28PivotSearch {
   long exit_bound(long i) const;
   /// MA30AD's level-boundary exit test (see .cpp).
   bool level_exit(long i, const PivotCandidate& best) const;
+  /// The body both parallel searches share: the speculative exit test,
+  /// the candidate scan and its publication.  `drive(body)` runs body(i)
+  /// over the candidates under one method and returns its report; the
+  /// time-stamp-ordered reduction then recovers the sequential trip and
+  /// pivot.
+  template <class Drive>
+  PivotCandidate search_parallel(Drive&& drive, ExecReport& report) const;
   /// Exact sequential trip count given all candidate results.
   long true_trip(const std::vector<PivotCandidate>& found) const;
   PivotCandidate winner_before(const std::vector<PivotCandidate>& found,

@@ -121,44 +121,6 @@ TEST(Doacross, MultiWindowRunsCrossTheFrontierReset) {
   EXPECT_EQ(par_runs.load(), 500);
 }
 
-// ---- pooled chain state: the allocation regression ------------------------
-
-TEST(Doacross, PooledChainStateIsReusedAcrossCalls) {
-  // The seed allocated and zero-filled an O(max_iters) flag vector per
-  // call; the chain state must be leased from the calling thread's pool and
-  // epoch-stamped, so repeated calls — including ones that exit after a
-  // handful of iterations — pay no per-call allocation at all.
-  ThreadPool pool(4);
-  doacross_while(pool, 8, [](long) { return true; }, [](long, unsigned) {});
-
-  const DoacrossChainStats before = doacross_chain_stats();
-  for (int round = 0; round < 100; ++round) {
-    const DoacrossResult r = doacross_while(
-        pool, 1 << 20, [](long i) { return i < 5; }, [](long, unsigned) {});
-    EXPECT_EQ(r.trip, 5);
-  }
-  const DoacrossChainStats after = doacross_chain_stats();
-  EXPECT_EQ(after.chain_allocs, before.chain_allocs);  // no new chains
-  EXPECT_EQ(after.slot_grows, before.slot_grows);      // no slot regrowth
-  EXPECT_EQ(after.runs, before.runs + 100);
-}
-
-TEST(Doacross, ChainSlotArrayGrowsOnlyWhenThePoolWidens) {
-  ThreadPool narrow(2);
-  ThreadPool wide(8);
-  doacross_while(narrow, 4, [](long) { return true; }, [](long, unsigned) {});
-  doacross_while(wide, 4, [](long) { return true; }, [](long, unsigned) {});
-  const DoacrossChainStats before = doacross_chain_stats();
-  // Alternating pool widths below the high-water mark never reallocates.
-  for (int round = 0; round < 20; ++round) {
-    doacross_while(narrow, 4, [](long) { return true; }, [](long, unsigned) {});
-    doacross_while(wide, 4, [](long) { return true; }, [](long, unsigned) {});
-  }
-  const DoacrossChainStats after = doacross_chain_stats();
-  EXPECT_EQ(after.slot_grows, before.slot_grows);
-  EXPECT_EQ(after.chain_allocs, before.chain_allocs);
-}
-
 // ---- parked-frontier stress (TSan-covered via the *Doacross* CI filter) ----
 
 // A spin limit of 0 makes every waiter park on the frontier futex word
@@ -284,23 +246,6 @@ TEST(DoacrossStress, ParkedWaitersWakeOnStopPath) {
     EXPECT_EQ(r.trip, 100);
     EXPECT_EQ(par_runs.load(), 100);
   }
-}
-
-TEST(SequentialDispatcherPass, RecordsTermsUntilTerminator) {
-  std::vector<long> terms;
-  const long trip = sequential_dispatcher_pass<long>(
-      terms, 1, [](long x) { return x * 2; }, [](long x) { return x > 64; }, 100);
-  EXPECT_EQ(trip, 7);  // 1 2 4 8 16 32 64
-  const std::vector<long> expect{1, 2, 4, 8, 16, 32, 64};
-  EXPECT_EQ(terms, expect);
-}
-
-TEST(SequentialDispatcherPass, BoundedByMaxIters) {
-  std::vector<long> terms;
-  const long trip = sequential_dispatcher_pass<long>(
-      terms, 0, [](long x) { return x + 1; }, [](long) { return false; }, 10);
-  EXPECT_EQ(trip, 10);
-  EXPECT_EQ(terms.size(), 10u);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "wlp/analysis/execute_plan.hpp"
 #include "wlp/support/prng.hpp"
@@ -183,6 +186,46 @@ TEST(ExecutePlan, SequentialChainBlockViaDoacross) {
       "A", bin('+', index(), cnst(1)),
       bin('+', array("A", index()), array("R", index()))));
   expect_plan_equivalent(pool, loop, rich_env(61));
+}
+
+TEST(ExecutePlan, DoallBlockOvershootIsDiscarded) {
+  // exit-if stall(i) > 0 ; A[i] = seen(i)  — one DOALL block holding an RV
+  // exit.  stall() fires at iteration kExit, but only once a later
+  // iteration has reached the store (seen), so every run logs a write past
+  // the trip, and the replay must discard it.
+  constexpr long kExit = 20;
+  ThreadPool pool(4);
+  Loop loop;
+  loop.max_iters = 400;
+  loop.body.push_back(exit_if(bin('>', call("stall", index()), cnst(0))));
+  loop.body.push_back(assign_array("A", index(), call("seen", index())));
+
+  Env base = rich_env(400);
+  base.funcs["stall"] = [](double x) { return x == kExit ? 1.0 : 0.0; };
+  base.funcs["seen"] = [](double x) { return x + 1; };
+  Env seq = base;
+  ASSERT_EQ(run_sequential(loop, seq), kExit);
+
+  std::atomic<bool> later_stored{false};
+  Env par = base;
+  par.funcs["seen"] = [&](double x) {
+    if (x > kExit) later_stored.store(true);
+    return x + 1;
+  };
+  par.funcs["stall"] = [&](double x) {
+    if (x != kExit) return 0.0;
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!later_stored.load() && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+    return 1.0;
+  };
+  const ParallelPlan plan = make_plan(loop);
+  const PlanExecution ex = run_parallel_plan(pool, loop, plan, par);
+  EXPECT_EQ(ex.parallel_blocks, 1) << plan.to_text(loop);
+  EXPECT_GT(ex.discarded_writes, 0);
+  EXPECT_EQ(ex.trip, kExit);
+  EXPECT_EQ(par.arrays, seq.arrays);
+  EXPECT_EQ(par.scalars, seq.scalars);
 }
 
 // Property: randomized loops — planned parallel execution == sequential.

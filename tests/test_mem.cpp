@@ -191,7 +191,7 @@ TEST(MemSteadyState, DoacrossWindowsAllocateNothingOnceWarm) {
         pool, 1 << 14, [](long i) { return i < (1 << 13); },
         [](long, unsigned) {});
   };
-  (void)run_once();  // warm-up grows the chain's slot array
+  (void)run_once();  // warm-up; the per-call chain touches no arena
   const mem::BudgetSnapshot s0 = mem::Budget::process().snapshot();
   for (int round = 0; round < 50; ++round) {
     const DoacrossResult r = run_once();

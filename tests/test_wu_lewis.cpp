@@ -27,7 +27,8 @@ TEST(WuLewisDistribute, TraversesOnceThenDoall) {
   std::vector<std::atomic<int>> hit(600);
   const ExecReport r = while_wu_lewis_distribute(
       pool, 0L, chain.next_fn(), &Chain::is_end,
-      [&](long, long cursor, unsigned) {
+      [&](long i, long cursor, unsigned) {
+        EXPECT_EQ(i, cursor);  // the prologue recorded the terms in order
         hit[static_cast<std::size_t>(cursor)].fetch_add(1);
         return IterAction::kContinue;
       },
