@@ -17,10 +17,9 @@
 //      no slower than the retired pools" CI gate read at the lifecycle
 //      level where the pools actually paid an allocator.
 //   2. Steady-state leg — a warm retry loop (PD marks reset + mark +
-//      analysis cycles, real DOACROSS windows, whose per-call chain
-//      touches no arena) must perform ZERO arena block hand-outs and
-//      ZERO OS trips, observed through the process
-//      Budget counters exactly like the regression tests: the
+//      analysis cycles) must perform ZERO arena block hand-outs and ZERO
+//      OS trips, observed through the process Budget counters exactly like
+//      the regression tests: the
 //      `zero_steady_state_allocs` flag.  The per-retry cost must also stay
 //      flat across array sizes (the log rewind is O(workers)): the
 //      `retry_flat` flag.
@@ -44,7 +43,6 @@
 #include "wlp/core/shadow.hpp"
 #include "wlp/mem/arena.hpp"
 #include "wlp/mem/budget.hpp"
-#include "wlp/sched/doacross.hpp"
 #include "wlp/sched/thread_pool.hpp"
 #include "wlp/support/stats.hpp"
 
@@ -209,7 +207,7 @@ int main(int argc, char** argv) {
   wlp::mem::BudgetSnapshot s0, s1;
   {
     wlp::ThreadPool pool(4);
-    // Warm every consumer once...
+    // Warm the marks and the analysis scratch once...
     constexpr std::size_t kN = 1 << 16;
     wlp::PDMarks marks(kN, pool.size(), /*on=*/true);
     auto pd_round = [&](long r) {
@@ -221,19 +219,14 @@ int main(int argc, char** argv) {
       (void)marks.analyze(pool, r + 1);
     };
     pd_round(1);
-    (void)wlp::doacross_while(
-        pool, 4096, [](long i) { return i < 2048; }, [](long, unsigned) {});
     s0 = wlp::mem::Budget::process().snapshot();
     // ...then the steady-state loop the flag gates.
     for (int r = 0; r < 200; ++r) pd_round(r);
-    for (int r = 0; r < 50; ++r)
-      (void)wlp::doacross_while(
-          pool, 4096, [](long i) { return i < 2048; }, [](long, unsigned) {});
     s1 = wlp::mem::Budget::process().snapshot();
   }
   const long steady_blocks = s1.arena_allocs - s0.arena_allocs;
   const long steady_os = s1.slow_allocs - s0.slow_allocs;
-  std::printf("\n== steady state (200 PD retries + 50 DOACROSS windows) "
+  std::printf("\n== steady state (200 PD retries) "
               "==\n  arena blocks handed out: %ld\n  OS trips: %ld\n",
               steady_blocks, steady_os);
 
@@ -286,7 +279,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"pool_ns\": %.1f,\n    \"arena_ns\": %.1f\n  },\n",
                pp.pool_ns, pp.arena_ns);
   std::fprintf(f, "  \"steady_state\": {\n");
-  std::fprintf(f, "    \"retries\": 200,\n    \"doacross_windows\": 50,\n");
+  std::fprintf(f, "    \"retries\": 200,\n");
   std::fprintf(f, "    \"arena_allocs\": %ld,\n    \"slow_allocs\": %ld,\n",
                steady_blocks, steady_os);
   std::fprintf(f, "    \"retry_cost\": [\n");

@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
           },
           [&](long, long end) { return end; });
     };
-    (void)run_once();  // warm: pooled buffers, log segments, worker arenas
+    (void)run_once();  // warm: pooled buffers, log segments, PD scratch
     (void)run_once();
     const wlp::mem::BudgetSnapshot s0 = wlp::mem::Budget::process().snapshot();
     for (int round = 0; round < 20; ++round)

@@ -25,10 +25,6 @@ int main(int argc, char** argv) {
   const char* trace_path = argc > 1 ? argv[1] : "wlp_trace.json";
   const char* metrics_path = argc > 2 ? argv[2] : "wlp_metrics.json";
 
-  if (!wlp::obs::compiled_in())
-    std::printf("note: built with WLP_OBS=OFF — the runtime emits no events;\n"
-                "      the exported trace will contain only this example's own.\n");
-
   wlp::obs::Tracer& tracer = wlp::obs::Tracer::instance();
   tracer.set_enabled(true);
 

@@ -2,12 +2,13 @@
 // behind VersionedArray's undo (versioned_array.hpp) and behind the PD
 // test's write and exposed-read marks (PDMarks, shadow.hpp).
 //
-// Entries fill arena segments front to back.  clear() rewinds the fill
-// position and keeps the segments, so a warm retry allocates nothing.  Only
-// the owning worker appends; the walks run after the fork-join barrier that
-// publishes the log to them.  Every driver schedule hands a worker its
-// iterations in increasing order, so a log is sorted by iteration as it is
-// written and the newest iteration's entries sit at its tail.
+// Entries fill segments from the process arena front to back.  clear()
+// rewinds the fill position and keeps the segments, so a warm retry
+// allocates nothing.  Only the owning worker appends; the walks run after
+// the fork-join barrier that publishes the log to them.  Every driver
+// schedule hands a worker its iterations in increasing order, so a log is
+// sorted by iteration as it is written and the newest iteration's entries
+// sit at its tail.
 #pragma once
 
 #include <atomic>
@@ -37,20 +38,18 @@ class alignas(kCacheLine) IterLog {
   /// their array size.
   static constexpr std::size_t kMaxIndex = 0xfffffffeu;
 
-  /// Segments of `seg_entries` entries come from `arena`.  `opened`
-  /// (nullable) counts the segments opened since the last clear(), summed
-  /// over every log that shares it; it is the one figure a reader may poll
-  /// while the owner appends.
-  IterLog(mem::Arena& arena, std::size_t seg_entries,
-          std::atomic<std::size_t>* opened = nullptr)
-      : arena_(&arena), seg_entries_(seg_entries), opened_(opened),
-        segs_(SegAlloc(arena)) {}
+  /// Segments of `seg_entries` entries come from mem::process_arena().
+  /// `opened` (nullable) counts the segments opened since the last clear(),
+  /// summed over every log that shares it; it is the one figure a reader
+  /// may poll while the owner appends.
+  explicit IterLog(std::size_t seg_entries,
+                   std::atomic<std::size_t>* opened = nullptr)
+      : seg_entries_(seg_entries), opened_(opened) {}
 
   IterLog(IterLog&& o) noexcept
       : pos_(std::exchange(o.pos_, nullptr)),
         end_(std::exchange(o.end_, nullptr)),
         open_(std::exchange(o.open_, 0)),
-        arena_(o.arena_),
         seg_entries_(o.seg_entries_),
         opened_(o.opened_),
         segs_(std::move(o.segs_)) {}
@@ -58,7 +57,8 @@ class alignas(kCacheLine) IterLog {
   IterLog& operator=(const IterLog&) = delete;
 
   ~IterLog() {
-    for (IterEntry* s : segs_) arena_->deallocate_array(s, seg_entries_);
+    for (IterEntry* s : segs_)
+      mem::process_arena().deallocate_array(s, seg_entries_);
   }
 
   void push(std::size_t idx, long iter) {
@@ -111,13 +111,12 @@ class alignas(kCacheLine) IterLog {
   }
 
  private:
-  using SegAlloc = mem::ArenaAllocator<IterEntry*>;
-
   /// Move a full (or never opened) log onto its next segment, allocating
   /// one only when no kept segment is left.
   void open_segment() {
     if (open_ == segs_.size())
-      segs_.push_back(arena_->allocate_array<IterEntry>(seg_entries_));
+      segs_.push_back(
+          mem::process_arena().allocate_array<IterEntry>(seg_entries_));
     if (opened_ != nullptr) opened_->fetch_add(1, std::memory_order_relaxed);
     IterEntry* s = segs_[open_++];
     pos_ = s;
@@ -128,10 +127,9 @@ class alignas(kCacheLine) IterLog {
   IterEntry* pos_ = nullptr;
   IterEntry* end_ = nullptr;
   std::size_t open_ = 0;
-  mem::Arena* arena_;
   std::size_t seg_entries_;
   std::atomic<std::size_t>* opened_;
-  std::vector<IterEntry*, SegAlloc> segs_;
+  std::vector<IterEntry*, mem::ArenaAllocator<IterEntry*>> segs_;
 };
 
 }  // namespace wlp

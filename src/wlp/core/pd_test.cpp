@@ -115,12 +115,8 @@ struct Cell {
   std::uint32_t w0 = kNone, r0 = kNone, multi = 0;
 };
 
-/// One pool worker's scratch for folding slots, in its arena.
+/// One pool worker's scratch for folding slots.
 struct alignas(kCacheLine) Folder {
-  explicit Folder(mem::Arena& a)
-      : sorted(mem::ArenaAllocator<IterEntry>(a)),
-        cells(mem::ArenaAllocator<Cell>(a)),
-        touched(mem::ArenaAllocator<std::uint32_t>(a)) {}
   ArenaVec<IterEntry> sorted;  ///< sparse slots: gathered runs, sort buffer
   ArenaVec<Cell> cells;        ///< dense slots: one bucket's table, empty
   ArenaVec<std::uint32_t> touched;  ///< cells the bucket filled
@@ -130,9 +126,9 @@ struct alignas(kCacheLine) Folder {
 /// across stores (TRACK builds its targets per call and analyzes two in a
 /// row): it only grows, and its contents are overwritten, never cleared.
 struct Scratch {
-  ArenaVec<IterEntry> parts{mem::ArenaAllocator<IterEntry>(mem::local_arena())};
-  ArenaVec<std::size_t> cuts{mem::ArenaAllocator<std::size_t>(mem::local_arena())};
-  std::vector<Folder> folders;  ///< folders[vpn], in vpn's arena
+  ArenaVec<IterEntry> parts;
+  ArenaVec<std::size_t> cuts;
+  std::vector<Folder> folders;  ///< folders[vpn]
 };
 
 Scratch& thread_scratch() {
@@ -241,14 +237,13 @@ PDMarks::PDMarks(std::size_t n, unsigned workers, bool on)
   if (!on_) return;
   own_.reserve(workers);
   for (unsigned w = 0; w < workers; ++w)
-    own_.emplace_back(mem::local_arena(), kSegmentEntries);
+    own_.emplace_back(kSegmentEntries);
   attach(own_);
 }
 
 void PDMarks::attach(std::span<IterLog> writes) {
-  mem::Arena& arena = mem::local_arena();
   workers_.reserve(writes.size());
-  for (IterLog& log : writes) workers_.emplace_back(log, arena);
+  for (IterLog& log : writes) workers_.emplace_back(log);
 }
 
 PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
@@ -320,7 +315,7 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
 
     // 2. Fold the slots, a contiguous group of them per task.
     std::vector<Folder>& folders = scratch.folders;
-    while (folders.size() < p) folders.emplace_back(mem::worker_arena(folders.size()));
+    if (folders.size() < p) folders.resize(p);
     const std::size_t groups = std::min(slots, 4 * p);
     const auto bits = static_cast<unsigned>(std::bit_width(n_ - 1));
     std::atomic<long> written{0}, multi{0}, exposed{0}, conflicts{0};
@@ -338,14 +333,10 @@ PDVerdict PDMarks::analyze(ThreadPool& pool, long trip) const {
     v.exposed_read_elements = exposed.load(std::memory_order_relaxed);
     v.conflicts = conflicts.load(std::memory_order_relaxed);
   }
-#if defined(WLP_OBS_ENABLED)
   WLP_OBS_HIST("wlp.pd.merge_ns",
                std::chrono::duration_cast<std::chrono::nanoseconds>(
                    std::chrono::steady_clock::now() - t0)
                    .count());
-#else
-  (void)t0;
-#endif
   return v;
 }
 

@@ -173,7 +173,7 @@ class PDMarks {
   static constexpr std::size_t kSegmentEntries = 8192;
 
   struct Worker {
-    Worker(IterLog& w, mem::Arena& a) : writes(&w), reads(a, kSegmentEntries) {}
+    explicit Worker(IterLog& w) : writes(&w), reads(kSegmentEntries) {}
     IterLog* writes;
     IterLog reads;  ///< exposed reads
     long iter = -1;  ///< current iteration, -1 before the first of a round

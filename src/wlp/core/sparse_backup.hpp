@@ -11,17 +11,17 @@
 // Epoch-stamped slots: both the slot tag ((epoch << 32) | (key + 1)) and the
 // writer stamp ((epoch << 32) | (iter + 1)) carry the table's clear-epoch in
 // their high bits, so clear() is an O(1) epoch bump instead of an O(capacity)
-// sweep — the generation trick of mem::EpochClock.  A slot whose tag epoch is stale is free for
-// claiming; a real sweep happens once per 2^32 clears, when the 32-bit
-// epoch wraps.
+// sweep.  A slot whose tag epoch is stale is free for claiming; a real sweep
+// happens once per 2^32 clears, when the 32-bit epoch wraps, and restarts
+// the counter at 1 (epoch 0 is reserved for "never claimed").
 // Because the epoch only grows between sweeps, the stamp's numeric fetch-max
 // stays exact even when a slot is reclaimed: every current-epoch stamp
 // dominates every stale one.
 //
 // The slot table itself is an arena-backed open-addressing array: storage
-// comes from the constructing thread's mem::Arena, so a table retired by one
-// strip driver is recycled in O(1) by the next table of the same capacity
-// and the bytes are visible to the wlp.mem budget.
+// comes from mem::process_arena(), so a table retired by one strip driver
+// is recycled in O(1) by the next table of the same capacity and the bytes
+// are visible to the wlp.mem budget.
 //
 // Capacity exhaustion does NOT throw: record() returns false and latches a
 // per-run overflow flag.  Throwing here would unwind through a pool worker
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "wlp/mem/arena.hpp"
-#include "wlp/mem/epoch.hpp"
 #include "wlp/sched/reduce.hpp"
 #include "wlp/support/prng.hpp"
 
@@ -56,8 +55,7 @@ class HashBackup {
   /// `capacity` is rounded up to a power of two and should exceed the
   /// expected number of *distinct* written locations by ~2x.
   explicit HashBackup(std::size_t capacity)
-      : slots_(round_capacity(capacity),
-               SlotAlloc(mem::local_arena())) {
+      : slots_(round_capacity(capacity)) {
     mask_ = slots_.size() - 1;
   }
 
@@ -138,7 +136,12 @@ class HashBackup {
   /// Drop every recorded entry (commit point in strip-wise drivers): an O(1)
   /// epoch bump.  Slots stamped with older epochs read as free.
   void clear() noexcept {
-    epoch_.bump([this] { sweep_epochs(); });
+    if (++epoch_ == 0) {
+      sweep_epochs();
+      epoch_ = 1;
+      ++sweeps_;
+    }
+    ++resets_;
     occupied_.store(0, std::memory_order_relaxed);
     overflow_.store(false, std::memory_order_relaxed);
   }
@@ -149,13 +152,16 @@ class HashBackup {
     return entries() * sizeof(Slot);
   }
 
-  long resets() const noexcept { return epoch_.resets(); }
-  long sweeps() const noexcept { return epoch_.sweeps(); }
+  long resets() const noexcept { return resets_; }
+  long sweeps() const noexcept { return sweeps_; }
 
-  /// Test hook: jump the epoch close to the 32-bit wrap so a test can force
-  /// the once-per-2^32 sweep without 4G clears.
+  /// Test hook: sweep (counted: the hook really does erase every slot),
+  /// then jump the epoch to `e` so a test can force the once-per-2^32
+  /// sweep without 4G clears.
   void set_epoch_for_test(std::uint32_t e) noexcept {
-    epoch_.jump(e, [this] { sweep_epochs(); });
+    sweep_epochs();
+    ++sweeps_;
+    epoch_ = e;
   }
 
  private:
@@ -175,13 +181,13 @@ class HashBackup {
 
   std::uint64_t pack_tag(std::size_t idx) const noexcept {
     assert(idx <= kMaxKey);
-    return (static_cast<std::uint64_t>(epoch_.value()) << 32) |
+    return (static_cast<std::uint64_t>(epoch_) << 32) |
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(idx + 1));
   }
 
   std::uint64_t pack_stamp(long iter) const noexcept {
     assert(iter >= 0 && iter <= kMaxIter);
-    return (static_cast<std::uint64_t>(epoch_.value()) << 32) |
+    return (static_cast<std::uint64_t>(epoch_) << 32) |
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(iter + 1));
   }
 
@@ -189,7 +195,7 @@ class HashBackup {
     if (trip < 0) trip = -1;
     const std::uint64_t low =
         trip >= kMaxIter ? (1ull << 32) : static_cast<std::uint64_t>(trip + 1);
-    return (static_cast<std::uint64_t>(epoch_.value()) << 32) + low;
+    return (static_cast<std::uint64_t>(epoch_) << 32) + low;
   }
 
   long undo_range(std::vector<T>& data, std::uint64_t threshold, long lo,
@@ -198,7 +204,7 @@ class HashBackup {
     for (long i = lo; i < hi; ++i) {
       Slot& s = slots_[static_cast<std::size_t>(i)];
       const std::uint64_t tag = s.tag.load(std::memory_order_acquire);
-      if ((tag >> 32) != epoch_.value()) continue;  // free or stale slot
+      if ((tag >> 32) != epoch_) continue;  // free or stale slot
       if (s.stamp.load(std::memory_order_relaxed) >= threshold) {
         data[static_cast<std::size_t>(tag & 0xffffffffu) - 1] = s.saved;
         ++undone;
@@ -216,7 +222,7 @@ class HashBackup {
       Slot& s = slots_[h];
       std::uint64_t tag = s.tag.load(std::memory_order_acquire);
       if (tag == want_tag) return &s;
-      if ((tag >> 32) != epoch_.value()) {
+      if ((tag >> 32) != epoch_) {
         // Free (or stale-epoch) slot: claim it by publishing the tag first;
         // only the CAS winner writes `saved` (losers for the same key return
         // the slot and never touch the payload).  undo_into runs after the
@@ -236,7 +242,7 @@ class HashBackup {
   }
 
   /// Once per 2^32 clears: genuinely forget every slot by storing the
-  /// reserved epoch 0; the EpochClock restarts its counter above it.
+  /// reserved epoch 0; clear() restarts the counter above it.
   void sweep_epochs() noexcept {
     for (auto& s : slots_) {
       s.tag.store(0, std::memory_order_relaxed);
@@ -244,11 +250,11 @@ class HashBackup {
     }
   }
 
-  using SlotAlloc = mem::ArenaAllocator<Slot>;
-
-  std::vector<Slot, SlotAlloc> slots_;  ///< arena block, recycled on retire
+  std::vector<Slot, mem::ArenaAllocator<Slot>> slots_;  ///< recycled on retire
   std::size_t mask_ = 0;
-  mem::EpochClock epoch_;  ///< epoch 0 is reserved for "never claimed"
+  std::uint32_t epoch_ = 1;  ///< epoch 0 is reserved for "never claimed"
+  long resets_ = 0;          ///< clear() calls
+  long sweeps_ = 0;          ///< real sweeps: wraps and the test hook
   std::atomic<std::size_t> occupied_{0};
   std::atomic<bool> overflow_{false};
 };

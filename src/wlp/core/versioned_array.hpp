@@ -31,9 +31,9 @@
 // detects.
 //
 // Storage: the backup and the log segments (IterLog, iter_log.hpp) draw
-// from the constructing thread's wlp::mem arena, so a retired array's
-// buffers are recycled in O(1) by the next array of the same shape and
-// every byte shows up in the wlp.mem budget.  Sizing the backup does not
+// from the process arena (wlp::mem), so a retired array's buffers are
+// recycled in O(1) by the next array of the same shape and every byte
+// shows up in the wlp.mem budget.  Sizing the backup does not
 // zero it: the checkpoint copy overwrites every element anyway.  A segment
 // holds min(n, kSegmentEntries) entries and is allocated on a worker's
 // first write past its open segment; clear_log() rewinds the fill
@@ -90,15 +90,13 @@ class VersionedArray {
   /// each); write() takes the writer's vpn, which must be below it.
   VersionedArray(std::vector<T> init, unsigned workers)
       : data_(std::move(init)),
-        backup_(BackupAlloc<T>(mem::local_arena())),
-        arena_(&mem::local_arena()),
         seg_entries_(std::clamp<std::size_t>(data_.size(), 1, kSegmentEntries)) {
     if (data_.size() > kMaxIndex + 1)
       throw std::length_error(
           "VersionedArray: size exceeds the log's 32-bit index");
     logs_.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
-      logs_.emplace_back(*arena_, seg_entries_, &open_segments_);
+      logs_.emplace_back(seg_entries_, &open_segments_);
   }
 
   VersionedArray(const VersionedArray&) = delete;
@@ -254,7 +252,6 @@ class VersionedArray {
   std::vector<T> data_;
   /// Arena-pooled (recycled across arrays); sized without a zero fill.
   std::vector<T, BackupAlloc<T>> backup_;
-  mem::Arena* arena_;        ///< the constructing thread's arena
   std::size_t seg_entries_;  ///< entries per log segment
   std::vector<IterLog> logs_;  ///< one per worker, written only by it
   /// Segments opened since the last clear_log(), summed over the workers:

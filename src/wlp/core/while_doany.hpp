@@ -11,11 +11,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "wlp/core/report.hpp"
 #include "wlp/sched/doall.hpp"
-#include "wlp/support/cacheline.hpp"
 
 namespace wlp {
 
@@ -65,52 +63,6 @@ class BestCandidate {
 
  private:
   std::atomic<std::uint64_t> word_{kEmpty};
-};
-
-/// A time-stamped best-candidate cell for *sequentially consistent*
-/// reductions (the MA28 pivot search): among candidates published by valid
-/// iterations, the one the sequential loop would have produced is the one
-/// with the smallest cost, ties broken by the smallest iteration.  Filtering
-/// by the last valid iteration happens at read time.
-class StampedBest {
- public:
-  struct Entry {
-    long iter;
-    std::uint32_t cost;
-    std::uint32_t payload;
-  };
-
-  explicit StampedBest(unsigned workers) : slots_(workers) {}
-
-  /// Publish from worker `vpn` (its slot is private: no contention).
-  void publish(unsigned vpn, long iter, std::uint32_t cost, std::uint32_t payload) {
-    auto& v = slots_[vpn].value;
-    v.push_back({iter, cost, payload});
-  }
-
-  /// The winning entry among those with iter < trip (cost asc, iter asc).
-  /// Returns false if no valid candidate exists.
-  bool winner(long trip, Entry& out) const {
-    bool found = false;
-    for (const auto& s : slots_) {
-      for (const auto& e : s.value) {
-        if (e.iter >= trip) continue;
-        if (!found || e.cost < out.cost ||
-            (e.cost == out.cost && e.iter < out.iter)) {
-          out = e;
-          found = true;
-        }
-      }
-    }
-    return found;
-  }
-
-  void reset() {
-    for (auto& s : slots_) s.value.clear();
-  }
-
- private:
-  std::vector<Padded<std::vector<Entry>>> slots_;
 };
 
 }  // namespace wlp

@@ -59,8 +59,6 @@ std::size_t Arena::class_of(std::size_t bytes,
 void* Arena::take_os_block(std::size_t bytes, std::size_t align) {
   void* p = ::operator new(bytes, std::align_val_t(align));
   os_blocks_.push_back(OsBlock{p, bytes, align});
-  stats_.os_allocs += 1;
-  stats_.bytes_held += static_cast<long>(bytes);
   Budget::process().on_os_alloc(bytes);
   return p;
 }
@@ -69,7 +67,6 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
   assert(align <= kMaxAlign && (align & (align - 1)) == 0);
   const std::size_t cls = class_of(bytes, align);
   std::lock_guard<std::mutex> lock(mu_);
-  stats_.block_allocs += 1;
   Budget::process().on_block_alloc();
 
   if (cls >= kLargeMin) {
@@ -81,7 +78,6 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
       void* p = pop_free(it->second);
       if (p != nullptr) {
         if (it->second == nullptr) large_free_.erase(it);
-        stats_.recycles += 1;
         return p;
       }
       large_free_.erase(it);
@@ -90,10 +86,7 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
   }
 
   void*& head = small_free_[small_index(cls)];
-  if (void* p = pop_free(head)) {
-    stats_.recycles += 1;
-    return p;
-  }
+  if (void* p = pop_free(head)) return p;
   // Mixed classes carve from the same slab, so the bump pointer must be
   // re-aligned to this class (power-of-two classes from a page-aligned
   // base: aligning the offset to cls aligns the block to cls >= align).
@@ -117,7 +110,6 @@ void Arena::deallocate(void* p, std::size_t bytes, std::size_t align) noexcept {
   if (p == nullptr) return;
   const std::size_t cls = class_of(bytes, align);
   std::lock_guard<std::mutex> lock(mu_);
-  stats_.frees += 1;
   Budget::process().on_block_free();
   if (cls >= kLargeMin) {
     push_free(large_free_[cls], p);
@@ -126,33 +118,9 @@ void Arena::deallocate(void* p, std::size_t bytes, std::size_t align) noexcept {
   }
 }
 
-ArenaStats Arena::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-ArenaSet& ArenaSet::process() {
-  static ArenaSet* s = new ArenaSet();  // leaked: see header
-  return *s;
-}
-
-Arena& ArenaSet::worker(unsigned vpn) {
-  const unsigned i = vpn % kSlots;
-  Arena* a = slots_[i].load(std::memory_order_acquire);
-  if (a != nullptr) return *a;
-  std::lock_guard<std::mutex> lock(mu_);
-  a = slots_[i].load(std::memory_order_relaxed);
-  if (a == nullptr) {
-    a = new Arena();
-    slots_[i].store(a, std::memory_order_release);
-  }
+Arena& process_arena() {
+  static Arena* a = new Arena();  // leaked: see header
   return *a;
-}
-
-Arena& ArenaSet::local() {
-  thread_local unsigned mine =
-      next_local_.fetch_add(1, std::memory_order_relaxed) % kSlots;
-  return worker(mine);
 }
 
 }  // namespace wlp::mem

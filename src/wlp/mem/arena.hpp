@@ -1,11 +1,11 @@
-// wlp::mem — per-worker slab arenas with O(1) recycling.
+// wlp::mem — the slab arena behind the speculation layer's buffers.
 //
-// The PD shadow's per-worker segments and the versioned array's checkpoint
-// buffer grew the same allocation discipline independently: "allocate once
-// from the thread that will stream the buffer, keep it alive, and make
-// logical clears an epoch bump".  This header is that idiom as one
-// implementation, with one accounting surface (mem/budget.hpp) instead of
-// ad-hoc stats structs.
+// Section 4's backups and time-stamp logs are the only memory the runtime
+// pools, and they share one discipline: allocate once, keep the block while
+// its owner lives, make a logical clear a rewind (iter_log.hpp) or an epoch
+// bump (sparse_backup.hpp), and hand the block back when the owner dies so
+// the next owner of the same shape reuses it.  This header is that
+// allocator, with one accounting surface (mem/budget.hpp).
 //
 // Layout and contract:
 //
@@ -14,41 +14,24 @@
 //     bump-pointer slabs; large requests get a dedicated page-rounded OS
 //     block.  Freed blocks push onto intrusive per-class free lists, so a
 //     free/alloc pair of the same class is two pointer swaps under a mutex
-//     — O(1) reuse with no OS traffic.  The mutex is uncontended by
-//     design: an arena belongs to one virtual processor, and the runtime's
-//     steady state performs no (de)allocations at all (the regression
-//     tests assert exactly that through the budget counters).
-//   * Lazy, owner-side allocation: per-worker buffers are allocated from
-//     the worker's own share (log segments on the first mark), so an idle
-//     worker's arena stays empty and a recycled block returns to the
-//     worker that streamed it.
-//
-// EpochClock (mem/epoch.hpp, re-exported here) is the other half of the
-// retired idiom: the 32-bit generation counter with a once-per-2^32 wrap
-// sweep that the hash backup used to hand-roll.
+//     — O(1) reuse with no OS traffic.  The mutex is rarely contended: the
+//     runtime's steady state performs no (de)allocations at all (the
+//     regression tests assert exactly that through the budget counters).
+//   * process_arena() is the one arena the runtime draws from, and
+//     ArenaAllocator the container adapter onto it.  Blocks are taken
+//     lazily where they are first needed (a log segment on a worker's
+//     first mark), so an idle worker holds none.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <vector>
 
-#include "wlp/mem/epoch.hpp"
 #include "wlp/support/cacheline.hpp"
 
 namespace wlp::mem {
-
-/// Per-arena reuse counters (the Budget aggregates the same events
-/// process-wide; these are for tests that pin one arena's behavior).
-struct ArenaStats {
-  long block_allocs = 0;   ///< allocate() calls served
-  long recycles = 0;       ///< ... of which came from a free list
-  long os_allocs = 0;      ///< slabs/oversize blocks taken from the OS
-  long frees = 0;          ///< deallocate() calls
-  long bytes_held = 0;     ///< OS bytes this arena currently owns
-};
 
 class Arena {
  public:
@@ -63,9 +46,7 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// A cache-line-aligned block of at least `bytes`.  Thread-safe, but the
-  /// intended discipline is single-owner: allocate from the thread that
-  /// will stream the block.
+  /// A cache-line-aligned block of at least `bytes`.  Thread-safe.
   void* allocate(std::size_t bytes, std::size_t align = kCacheLine);
 
   /// Return a block for O(1) reuse.  `bytes` and `align` must match the
@@ -83,8 +64,6 @@ class Arena {
     deallocate(p, n * sizeof(T), alignof(T));
   }
 
-  ArenaStats stats() const;
-
  private:
   struct OsBlock {
     void* p = nullptr;
@@ -95,7 +74,7 @@ class Arena {
   std::size_t class_of(std::size_t bytes, std::size_t align) const noexcept;
   void* take_os_block(std::size_t bytes, std::size_t align);
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::vector<OsBlock> os_blocks_;  ///< everything owned, freed in dtor
   // Intrusive free lists: the first word of a free block points at the
   // next.  Small classes are indexed by log2; large blocks keyed by exact
@@ -106,74 +85,34 @@ class Arena {
   std::map<std::size_t, void*> large_free_;
   unsigned char* slab_cur_ = nullptr;  ///< bump pointer into the open slab
   std::size_t slab_left_ = 0;
-  ArenaStats stats_;
 };
 
-/// The process's arena set: one lazily-built arena per virtual processor
-/// slot.  Leaked (consumers may be destroyed during static teardown and
-/// must still be able to return blocks).
-class ArenaSet {
- public:
-  static constexpr unsigned kSlots = 256;
-
-  static ArenaSet& process();
-
-  /// Arena for virtual processor `vpn` (vpn beyond kSlots wraps and shares
-  /// a slot; the arena's mutex keeps the shared slot correct).
-  Arena& worker(unsigned vpn);
-
-  /// The calling thread's home arena: each thread is assigned a slot on
-  /// first use (the main thread, which calls first, lands on slot 0 —
-  /// matching vpn 0, whose share it executes).  The slot assignment is an
-  /// index only; the arena stays in the process set, so blocks survive the
-  /// thread.
-  Arena& local();
-
- private:
-  ArenaSet() = default;
-
-  std::atomic<Arena*> slots_[kSlots] = {};
-  std::mutex mu_;
-  std::atomic<unsigned> next_local_{0};
-};
-
-/// Shorthands used by the ported subsystems.
-inline Arena& worker_arena(unsigned vpn) {
-  return ArenaSet::process().worker(vpn);
-}
-inline Arena& local_arena() { return ArenaSet::process().local(); }
+/// The process's arena.  Leaked: consumers may be destroyed during static
+/// teardown and must still be able to return blocks.
+Arena& process_arena();
 
 /// Minimal std-allocator adapter so container-shaped consumers (backup
-/// buffers, stamp arrays, slot tables) draw from an arena without changing
-/// their access patterns.
+/// buffers, log segment tables, slot tables) draw from the process arena
+/// without changing their access patterns.
 template <class T>
-class ArenaAllocator {
- public:
+struct ArenaAllocator {
   using value_type = T;
-  using propagate_on_container_copy_assignment = std::true_type;
-  using propagate_on_container_move_assignment = std::true_type;
-  using propagate_on_container_swap = std::true_type;
 
-  explicit ArenaAllocator(Arena& a) noexcept : arena_(&a) {}
+  ArenaAllocator() noexcept = default;
   template <class U>
-  ArenaAllocator(const ArenaAllocator<U>& o) noexcept : arena_(o.arena()) {}
+  ArenaAllocator(const ArenaAllocator<U>&) noexcept {}
 
   T* allocate(std::size_t n) {
-    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
+    return static_cast<T*>(process_arena().allocate(n * sizeof(T), alignof(T)));
   }
   void deallocate(T* p, std::size_t n) noexcept {
-    arena_->deallocate(p, n * sizeof(T), alignof(T));
+    process_arena().deallocate(p, n * sizeof(T), alignof(T));
   }
-
-  Arena* arena() const noexcept { return arena_; }
-
- private:
-  Arena* arena_;
 };
 
 template <class A, class B>
-bool operator==(const ArenaAllocator<A>& a, const ArenaAllocator<B>& b) noexcept {
-  return a.arena() == b.arena();
+bool operator==(const ArenaAllocator<A>&, const ArenaAllocator<B>&) noexcept {
+  return true;
 }
 
 }  // namespace wlp::mem

@@ -5,7 +5,6 @@
 namespace wlp::mem {
 
 Budget::Budget() {
-#if defined(WLP_OBS_ENABLED)
   // Live provider: every snapshot sees the ledger's current values without
   // the hot charge points ever touching the registry.  Registered once for
   // the process lifetime (the Budget singleton is leaked).
@@ -26,7 +25,6 @@ Budget::Budget() {
     push("wlp.mem.slow_allocs", Kind::kCounter, s.slow_allocs);
     push("wlp.mem.frees", Kind::kCounter, s.frees);
   });
-#endif
 }
 
 Budget& Budget::process() {

@@ -2,9 +2,10 @@
 //
 // Every subsystem that speculates pins memory: checkpoint backups, log
 // segments, hash-backup slots.  The Budget is the one ledger they all
-// charge: arenas debit/credit it as slabs move between the OS and the free
-// lists, and its counters are the surface the allocation-regression tests
-// and the CI guard read.
+// charge: every Arena (the process arena, and any a test builds) debits
+// and credits it as slabs move between the OS and the free lists, and its
+// counters are the surface the arena tests, the allocation-regression
+// tests and the CI guard read, as deltas.
 //
 // Counter vocabulary (also published as wlp.mem.* obs metrics):
 //   * bytes_live    — bytes currently held from the OS by all arenas

@@ -1,14 +1,7 @@
 // wlp::obs — the observability subsystem's instrumentation surface.
 //
-// Everything the runtime's hot paths touch goes through the macros below so
-// that a WLP_OBS=OFF build (CMake option; compiles without the
-// WLP_OBS_ENABLED definition) removes every hook at compile time: the
-// macros expand to `((void)0)` and the instrumented binaries are
-// bit-for-bit equivalent to uninstrumented ones on the fast path.  The
-// *subsystem itself* (trace.hpp / metrics.hpp) always compiles, so tools
-// and tests can drive rings and registries directly in either mode.
-//
-// With WLP_OBS=ON the hooks are runtime-toggleable:
+// Everything the runtime's hot paths touch goes through the macros below.
+// The hooks are always compiled in and switched at run time:
 //   * tracing   — obs::Tracer::instance().set_enabled(true); default OFF.
 //     A disabled trace hook costs one relaxed bool load.
 //   * metrics   — obs::set_metrics_enabled(false); default ON.
@@ -27,18 +20,6 @@
 
 #include "wlp/obs/metrics.hpp"  // IWYU pragma: export
 #include "wlp/obs/trace.hpp"    // IWYU pragma: export
-
-namespace wlp::obs {
-
-/// What WLP_TRACE_SCOPE_NAMED binds in a WLP_OBS=OFF build: accepts the
-/// same member calls as ScopedTrace and optimizes to nothing.
-struct NullScope {
-  void args(std::uint64_t, std::uint64_t) noexcept {}
-};
-
-}  // namespace wlp::obs
-
-#if defined(WLP_OBS_ENABLED)
 
 #define WLP_OBS_CONCAT2(a, b) a##b
 #define WLP_OBS_CONCAT(a, b) WLP_OBS_CONCAT2(a, b)
@@ -84,30 +65,3 @@ struct NullScope {
       wlp_obs_h.record(static_cast<std::uint64_t>(value));                 \
     }                                                                      \
   } while (0)
-
-#else  // WLP_OBS disabled: every hook vanishes.
-
-#define WLP_TRACE_SCOPE(name, a0, a1) ((void)0)
-#define WLP_TRACE_SCOPE_NAMED(var, name, a0, a1) \
-  [[maybe_unused]] ::wlp::obs::NullScope var
-
-#define WLP_TRACE_INSTANT(name, a0, a1) ((void)0)
-#define WLP_TRACE_COUNTER(name, value) ((void)0)
-#define WLP_OBS_COUNT(name, delta) ((void)0)
-#define WLP_OBS_GAUGE_SET(name, value) ((void)0)
-#define WLP_OBS_HIST(name, value) ((void)0)
-
-#endif  // WLP_OBS_ENABLED
-
-namespace wlp::obs {
-
-/// True when the instrumentation hooks are compiled in (WLP_OBS=ON).
-constexpr bool compiled_in() noexcept {
-#if defined(WLP_OBS_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
-
-}  // namespace wlp::obs

@@ -23,9 +23,8 @@
 // EXPORT AND CLEAR ONLY AT QUIESCENT POINTS (no concurrent emission).
 //
 // Emission is runtime-toggleable (off by default: one relaxed bool load per
-// skipped event); compile-time removal of the call sites is handled by the
-// macros in obs.hpp, not here — this header always compiles so that tools
-// and tests can drive the ring directly in WLP_OBS=OFF builds too.
+// skipped event).  The runtime's call sites go through the macros in
+// obs.hpp; tools and tests may drive the ring directly.
 #pragma once
 
 #include <atomic>

@@ -101,7 +101,6 @@ ThreadPool::ThreadPool(unsigned n) {
   for (unsigned widx = 1; widx < n; ++widx)
     threads_.emplace_back([this, widx] { worker_main(widx); });
 
-#if defined(WLP_OBS_ENABLED)
   // Live view: each snapshot pulls this pool's counters.  The provider must
   // not call back into the registry (it runs under the registry lock), so
   // it only reads our atomics.
@@ -120,7 +119,6 @@ ThreadPool::ThreadPool(unsigned n) {
     push("wlp.pool.park_wakeups", s.park_wakeups);
     push("wlp.pool.stolen_shares", s.stolen_shares);
   });
-#endif
 }
 
 ThreadPool::~ThreadPool() {
@@ -131,19 +129,15 @@ ThreadPool::~ThreadPool() {
   detail::futex_wake_u32(doorbell_.word, std::numeric_limits<int>::max());
   for (auto& t : threads_) t.join();
 
-#if defined(WLP_OBS_ENABLED)
-  if (obs_provider_ != 0) {
-    obs::Registry::instance().remove_provider(obs_provider_);
-    // Fold the dying pool's totals into owned counters of the same names,
-    // so lifetime totals survive (snapshots merge same-name counters).
-    const PoolStats s = stats();
-    WLP_OBS_COUNT("wlp.pool.launches", s.launches);
-    WLP_OBS_COUNT("wlp.pool.inline_launches", s.inline_launches);
-    WLP_OBS_COUNT("wlp.pool.spin_wakeups", s.spin_wakeups);
-    WLP_OBS_COUNT("wlp.pool.park_wakeups", s.park_wakeups);
-    WLP_OBS_COUNT("wlp.pool.stolen_shares", s.stolen_shares);
-  }
-#endif
+  obs::Registry::instance().remove_provider(obs_provider_);
+  // Fold the dying pool's totals into owned counters of the same names,
+  // so lifetime totals survive (snapshots merge same-name counters).
+  const PoolStats s = stats();
+  WLP_OBS_COUNT("wlp.pool.launches", s.launches);
+  WLP_OBS_COUNT("wlp.pool.inline_launches", s.inline_launches);
+  WLP_OBS_COUNT("wlp.pool.spin_wakeups", s.spin_wakeups);
+  WLP_OBS_COUNT("wlp.pool.park_wakeups", s.park_wakeups);
+  WLP_OBS_COUNT("wlp.pool.stolen_shares", s.stolen_shares);
 }
 
 PoolStats ThreadPool::stats() const {

@@ -199,11 +199,10 @@ class ThreadPool {
   std::atomic<std::uint64_t> launches_{0};
   std::atomic<std::uint64_t> inline_launches_{0};
   std::atomic<std::uint64_t> stolen_shares_{0};
-  int obs_provider_ = 0;  ///< wlp::obs registry provider id (0 = none); the
-                          ///< pool publishes its PoolStats as live
-                          ///< `wlp.pool.*` samples while alive and folds the
-                          ///< final values into registry counters on
-                          ///< destruction (WLP_OBS=ON builds only)
+  int obs_provider_ = 0;  ///< wlp::obs registry provider id: the pool
+                          ///< publishes its PoolStats as live `wlp.pool.*`
+                          ///< samples while alive and folds the final
+                          ///< values into registry counters on destruction
 };
 
 }  // namespace wlp

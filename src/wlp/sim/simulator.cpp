@@ -32,6 +32,22 @@ ProcQueue make_procs(unsigned p) {
 
 enum class DispatchMode { kClosedForm, kSerializedNext, kReplayNext };
 
+/// Iterations [base, base + len) of `lp` as a loop of their own: the
+/// strip's work, its share of the trip and the per-iteration counts.
+LoopProfile strip_of(const LoopProfile& lp, long base, long len) {
+  const long n = static_cast<long>(lp.work.size());
+  LoopProfile sub;
+  sub.work.assign(lp.work.begin() + std::min(base, n),
+                  lp.work.begin() + std::min(base + len, n));
+  sub.trip = std::clamp(lp.trip - base, 0L, len);
+  sub.u = len;
+  sub.next_cost = lp.next_cost;
+  sub.writes_per_iter = lp.writes_per_iter;
+  sub.reads_per_iter = lp.reads_per_iter;
+  sub.overshoot_does_work = lp.overshoot_does_work;
+  return sub;
+}
+
 }  // namespace
 
 double Simulator::sequential_time(const LoopProfile& lp) const {
@@ -133,22 +149,14 @@ SimResult Simulator::sim_assoc_prefix(const LoopProfile& lp, unsigned p,
          std::log2(std::max(2.0, pd)) * m_.t_prefix_op +
          static_cast<double>(len) / pd * m_.t_term + m_.barrier(p);
     // Remainder DOALL over the strip's valid iterations.
-    const long end = std::min(base + len, std::max(lp.trip, base));
-    LoopProfile sub;
-    sub.work.assign(lp.work.begin() + std::min<long>(base, static_cast<long>(lp.work.size())),
-                    lp.work.begin() + std::min<long>(base + len, static_cast<long>(lp.work.size())));
-    sub.trip = std::max(0L, std::min(lp.trip - base, len));
-    sub.u = lp.overshoot_does_work ? len : std::max(sub.trip, 0L);
+    LoopProfile sub = strip_of(lp, base, len);
+    if (!lp.overshoot_does_work) sub.u = sub.trip;
     sub.next_cost = 0;  // terms precomputed
-    sub.writes_per_iter = lp.writes_per_iter;
-    sub.reads_per_iter = lp.reads_per_iter;
-    sub.overshoot_does_work = lp.overshoot_does_work;
     const SimResult stripped = run(wlp::Method::kInduction2, sub, p,
                                    SimOptions{o.stamps, false, o.pd_test, 0, 0});
     t += stripped.time + m_.barrier(p);
     r.executed += stripped.executed;
     r.overshot += stripped.overshot;
-    (void)end;
     if (lp.trip < base + len) break;  // exit found in this strip
   }
   r.time = t;
@@ -202,7 +210,8 @@ SimResult Simulator::sim_wu_lewis_doacross(const LoopProfile& lp, unsigned p,
 }
 
 // ---------------------------------------------------------------------------
-// Strip-mined and sliding-window variants (Sections 4/8)
+// Strip-mined variant (Section 4).  The sliding window (Section 8) is
+// run()'s dynamic loop with its window bound.
 // ---------------------------------------------------------------------------
 
 SimResult Simulator::sim_strip_mined(const LoopProfile& lp, unsigned p,
@@ -212,55 +221,14 @@ SimResult Simulator::sim_strip_mined(const LoopProfile& lp, unsigned p,
   double t = 0;
   for (long base = 0; base < lp.u; base += strip) {
     const long len = std::min(strip, lp.u - base);
-    LoopProfile sub;
-    sub.work.assign(
-        lp.work.begin() + std::min<long>(base, static_cast<long>(lp.work.size())),
-        lp.work.begin() + std::min<long>(base + len, static_cast<long>(lp.work.size())));
-    sub.trip = std::clamp(lp.trip - base, 0L, len);
-    sub.u = len;
-    sub.next_cost = lp.next_cost;
-    sub.writes_per_iter = lp.writes_per_iter;
-    sub.reads_per_iter = lp.reads_per_iter;
-    sub.overshoot_does_work = lp.overshoot_does_work;
-    const SimResult s = run(wlp::Method::kInduction2, sub, p,
-                            SimOptions{o.stamps, false, o.pd_test, 0, 0});
+    const SimResult s = run(wlp::Method::kInduction2, strip_of(lp, base, len),
+                            p, SimOptions{o.stamps, false, o.pd_test, 0, 0});
     t += s.time + m_.barrier(p);
     r.executed += s.executed;
     r.overshot += s.overshot;
     if (lp.trip < base + len) break;
   }
   r.time = t;
-  return r;
-}
-
-SimResult Simulator::sim_sliding_window(const LoopProfile& lp, unsigned p,
-                                        const SimOptions& o) const {
-  SimResult r;
-  const long w = o.window > 0 ? o.window : lp.u;
-  ProcQueue procs = make_procs(p);
-  std::vector<double> completion(static_cast<std::size_t>(lp.u), 0);
-  double quit_time = kInf;
-  double makespan = 0;
-  for (long i = 0; i < lp.u; ++i) {
-    Proc pr = procs.top();
-    if (i >= lp.trip && pr.time >= quit_time) break;
-    procs.pop();
-    double start = pr.time + m_.t_claim;
-    if (i >= w) start = std::max(start, completion[static_cast<std::size_t>(i - w)]);
-    const double done =
-        start + lp.next_cost * m_.t_next + iteration_cost(lp, i, o);
-    completion[static_cast<std::size_t>(i)] = done;
-    if (i >= lp.trip) {
-      if (!lp.singular_exit || i == lp.trip)
-        quit_time = std::min(quit_time, done);
-      ++r.overshot;
-    }
-    ++r.executed;
-    pr.time = done;
-    makespan = std::max(makespan, done);
-    procs.push(pr);
-  }
-  r.time = makespan;
   return r;
 }
 
@@ -280,9 +248,13 @@ SimResult Simulator::run(wlp::Method method, const LoopProfile& lp, unsigned p,
   auto cost = [this](const LoopProfile& l, long i, const SimOptions& o) {
     return iteration_cost(l, i, o);
   };
-  auto dynamic = [&](bool use_quit, DispatchMode mode) {
+  // `window` > 0 adds the Section 8.2 bound: iteration i starts only after
+  // iteration i - window has completed.
+  auto dynamic = [&](bool use_quit, DispatchMode mode, long window = 0) {
     SimResult res;
     ProcQueue procs = make_procs(p);
+    std::vector<double> completion(
+        window > 0 ? static_cast<std::size_t>(lp.u) : 0);
     double lock_free = 0;
     double quit_time = kInf;
     double makespan = 0;
@@ -311,7 +283,11 @@ SimResult Simulator::run(wlp::Method method, const LoopProfile& lp, unsigned p,
           break;
         }
       }
+      if (window > 0 && i >= window)
+        start = std::max(start,
+                         completion[static_cast<std::size_t>(i - window)]);
       const double done = start + dispatch + cost(lp, i, opts);
+      if (window > 0) completion[static_cast<std::size_t>(i)] = done;
       if (i >= lp.trip) {
         if (!lp.singular_exit || i == lp.trip)
           quit_time = std::min(quit_time, done);
@@ -360,7 +336,7 @@ SimResult Simulator::run(wlp::Method method, const LoopProfile& lp, unsigned p,
       r = sim_strip_mined(lp, p, opts);
       break;
     case wlp::Method::kSlidingWindow:
-      r = sim_sliding_window(lp, p, opts);
+      r = dynamic(true, DispatchMode::kClosedForm, opts.window);
       break;
   }
 

@@ -61,8 +61,6 @@ class Simulator {
                                   const SimOptions& o) const;
   SimResult sim_strip_mined(const LoopProfile& lp, unsigned p,
                             const SimOptions& o) const;
-  SimResult sim_sliding_window(const LoopProfile& lp, unsigned p,
-                               const SimOptions& o) const;
 
   MachineModel m_;
 };

@@ -61,5 +61,6 @@
 #include "wlp/sim/simulator.hpp"       // IWYU pragma: export
 
 // Observability: per-thread trace rings (Chrome trace export) + metrics
-// registry.  Instrumentation hooks compile away under WLP_OBS=OFF.
+// registry.  The hooks are always compiled in; tracing (off by default) and
+// metrics (on) are switched at run time.
 #include "wlp/obs/obs.hpp"             // IWYU pragma: export

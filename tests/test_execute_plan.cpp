@@ -176,9 +176,10 @@ TEST(ExecutePlan, UnknownAccessFailsPDAndFallsBack) {
   EXPECT_EQ(par.scalars.at("x"), seq.scalars.at("x"));
 }
 
-TEST(ExecutePlan, SequentialChainBlockViaDoacross) {
-  // A[i+1] = A[i] + R[i]: an unrecognized cycle — the plan schedules it as
-  // DOACROSS and the result must match exactly.
+TEST(ExecutePlan, SequentialChainBlockRunsInPlace) {
+  // A[i+1] = A[i] + R[i]: an unrecognized cycle — the plan marks the block
+  // sequential, the interpreter runs it in place on the calling thread, and
+  // the result must match exactly.
   ThreadPool pool(4);
   Loop loop;
   loop.max_iters = 60;

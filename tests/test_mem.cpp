@@ -1,9 +1,8 @@
-// wlp::mem coverage — arena recycling/alignment/accounting, the EpochClock
-// wrap path, and the steady-state zero-allocation contract read through the
-// process Budget: strip retries, DOACROSS windows and PD shadow reuse must
-// hand out zero arena blocks once warm (the counters replace per-subsystem
-// stats as the allocation-regression surface).  The Mem* suites are also the TSan CI
-// filter's entry point for the concurrent arena stress test.
+// wlp::mem coverage — arena recycling/alignment/accounting and the
+// steady-state zero-allocation contract, both read through the process
+// Budget's deltas: strip retries and PD shadow reuse must hand out zero
+// arena blocks once warm.  The Mem* suites are also the TSan CI filter's
+// entry point for the concurrent arena stress test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,41 +16,17 @@
 #include "wlp/core/speculative_strips.hpp"
 #include "wlp/mem/arena.hpp"
 #include "wlp/mem/budget.hpp"
-#include "wlp/mem/epoch.hpp"
-#include "wlp/sched/doacross.hpp"
 #include "wlp/sched/thread_pool.hpp"
 
 namespace wlp {
 namespace {
 
-// ---- the epoch clock --------------------------------------------------------
-
-TEST(MemEpoch, BumpAdvancesWithoutSweeping) {
-  mem::EpochClock c;
-  EXPECT_EQ(c.value(), 1u);  // 0 is reserved for "never stamped"
-  int sweeps = 0;
-  for (int i = 0; i < 100; ++i) c.bump([&] { ++sweeps; });
-  EXPECT_EQ(c.value(), 101u);
-  EXPECT_EQ(sweeps, 0);
-  EXPECT_EQ(c.resets(), 100);
-  EXPECT_EQ(c.sweeps(), 0);
-}
-
-TEST(MemEpoch, WrapSweepsOnceAndSkipsZero) {
-  mem::EpochClock c;
-  c.jump(0xffffffffu, [] {});  // the hook's own sweep is counted too
-  ASSERT_EQ(c.value(), 0xffffffffu);
-  EXPECT_EQ(c.sweeps(), 1);
-  int sweeps = 0;
-  c.bump([&] { ++sweeps; });
-  EXPECT_EQ(sweeps, 1);        // the once-per-2^32 O(n) sweep
-  EXPECT_EQ(c.value(), 1u);    // restarted past the reserved 0
-  EXPECT_EQ(c.sweeps(), 2);
-}
+mem::BudgetSnapshot ledger() { return mem::Budget::process().snapshot(); }
 
 // ---- arena block recycling --------------------------------------------------
 
 TEST(MemArena, SmallBlockRecyclesThroughTheFreeList) {
+  const mem::BudgetSnapshot s0 = ledger();
   mem::Arena a;
   void* p = a.allocate(4096);
   ASSERT_NE(p, nullptr);
@@ -59,17 +34,17 @@ TEST(MemArena, SmallBlockRecyclesThroughTheFreeList) {
   a.deallocate(p, 4096);
   void* q = a.allocate(4096);
   EXPECT_EQ(q, p);  // same class ⇒ the freed block comes straight back
-  const mem::ArenaStats st = a.stats();
-  EXPECT_EQ(st.block_allocs, 2);
-  EXPECT_EQ(st.recycles, 1);
-  EXPECT_EQ(st.frees, 1);
-  EXPECT_EQ(st.os_allocs, 1);  // one slab served both
+  const mem::BudgetSnapshot s1 = ledger();
+  EXPECT_EQ(s1.arena_allocs - s0.arena_allocs, 2);
+  EXPECT_EQ(s1.frees - s0.frees, 1);
+  EXPECT_EQ(s1.slow_allocs - s0.slow_allocs, 1);  // one slab served both
 }
 
 TEST(MemArena, MixedClassCarvesStayClassAligned) {
   // Sequential carves of different classes from one slab must re-align the
   // bump pointer: a 64 B carve followed by a 1 KiB-class request cannot
   // hand out an offset that is merely 64-aligned.
+  const mem::BudgetSnapshot s0 = ledger();
   mem::Arena a;
   (void)a.allocate(64);
   void* p1k = a.allocate(1000);  // class 1024
@@ -77,23 +52,23 @@ TEST(MemArena, MixedClassCarvesStayClassAligned) {
   (void)a.allocate(64);
   void* p8k = a.allocate(5000);  // class 8192
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p8k) % 8192, 0u);
-  EXPECT_EQ(a.stats().os_allocs, 1);  // all carved from one slab
+  EXPECT_EQ(ledger().slow_allocs - s0.slow_allocs, 1);  // one slab
 }
 
 TEST(MemArena, LargeBlocksRecycleByExactSize) {
+  const mem::BudgetSnapshot s0 = ledger();
   mem::Arena a;
   const std::size_t big = 256u * 1024;  // >= kLargeMin ⇒ dedicated block
   void* p = a.allocate(big);
   ASSERT_NE(p, nullptr);
-  const mem::ArenaStats after_first = a.stats();
-  EXPECT_EQ(after_first.os_allocs, 1);
+  const mem::BudgetSnapshot after_first = ledger();
+  EXPECT_EQ(after_first.slow_allocs - s0.slow_allocs, 1);
   a.deallocate(p, big);
   void* q = a.allocate(big);
   EXPECT_EQ(q, p);  // exact-size key ⇒ perfect reuse, no pow2 waste
-  const mem::ArenaStats st = a.stats();
-  EXPECT_EQ(st.os_allocs, 1);  // the OS was never asked twice
-  EXPECT_EQ(st.recycles, 1);
-  EXPECT_EQ(st.bytes_held, after_first.bytes_held);
+  const mem::BudgetSnapshot s1 = ledger();
+  EXPECT_EQ(s1.slow_allocs - s0.slow_allocs, 1);  // the OS was asked once
+  EXPECT_EQ(s1.bytes_live, after_first.bytes_live);
 }
 
 TEST(MemArena, TypedArraysRoundTrip) {
@@ -106,15 +81,6 @@ TEST(MemArena, TypedArraysRoundTrip) {
   double* e = a.allocate_array<double>(1000);
   EXPECT_EQ(e, d);
   a.deallocate_array(e, 1000);
-}
-
-TEST(MemArena, WorkerArenasAreDistinctAndStable) {
-  mem::Arena& a0 = mem::worker_arena(0);
-  mem::Arena& a1 = mem::worker_arena(1);
-  EXPECT_NE(&a0, &a1);
-  EXPECT_EQ(&mem::worker_arena(0), &a0);  // stable across calls
-  EXPECT_EQ(&mem::worker_arena(mem::ArenaSet::kSlots), &a0);  // wraps
-  EXPECT_EQ(&mem::local_arena(), &mem::local_arena());
 }
 
 // ---- the process ledger -----------------------------------------------------
@@ -182,24 +148,6 @@ TEST(MemSteadyState, StripRetriesAllocateNothingOnceWarm) {
   EXPECT_EQ(s1.arena_allocs - s0.arena_allocs, 0);
   EXPECT_EQ(s1.slow_allocs - s0.slow_allocs, 0);
   EXPECT_EQ(s1.bytes_live, s0.bytes_live);
-}
-
-TEST(MemSteadyState, DoacrossWindowsAllocateNothingOnceWarm) {
-  ThreadPool pool(4);
-  auto run_once = [&] {
-    return doacross_while(
-        pool, 1 << 14, [](long i) { return i < (1 << 13); },
-        [](long, unsigned) {});
-  };
-  (void)run_once();  // warm-up; the per-call chain touches no arena
-  const mem::BudgetSnapshot s0 = mem::Budget::process().snapshot();
-  for (int round = 0; round < 50; ++round) {
-    const DoacrossResult r = run_once();
-    ASSERT_EQ(r.trip, 1 << 13);
-  }
-  const mem::BudgetSnapshot s1 = mem::Budget::process().snapshot();
-  EXPECT_EQ(s1.arena_allocs - s0.arena_allocs, 0);
-  EXPECT_EQ(s1.slow_allocs - s0.slow_allocs, 0);
 }
 
 TEST(MemSteadyState, ShadowResetReusesArenaSegments) {
@@ -280,16 +228,16 @@ TEST(MemSteadyState, WindowBudgetCanThrottleOnTheProcessLedger) {
 // ---- concurrent arena stress (TSan runs Mem* in CI) -------------------------
 
 TEST(MemArenaStress, ConcurrentAllocateFreeIsRaceFree) {
-  // Two access patterns under contention: every thread hammering its own
-  // local arena (the intended discipline — uncontended mutex), plus all
-  // threads sharing ONE arena (the mutex actually contended).  TSan watches
-  // the free-list splicing and the budget's relaxed counters.
+  // Every thread hammers both the process arena and one arena of its own
+  // making, so each mutex is contended.  TSan watches the free-list
+  // splicing and the budget's relaxed counters.
+  const mem::BudgetSnapshot s0 = ledger();
   mem::Arena shared;
   constexpr int kThreads = 4, kRounds = 500;
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
     ts.emplace_back([&shared, t] {
-      mem::Arena& local = mem::local_arena();
+      mem::Arena& local = mem::process_arena();
       for (int r = 0; r < kRounds; ++r) {
         const std::size_t sz = 64u << (r % 5);  // 64 B ... 1 KiB
         auto* a = static_cast<unsigned char*>(local.allocate(sz));
@@ -304,9 +252,9 @@ TEST(MemArenaStress, ConcurrentAllocateFreeIsRaceFree) {
     });
   }
   for (auto& t : ts) t.join();
-  const mem::ArenaStats st = shared.stats();
-  EXPECT_EQ(st.block_allocs, kThreads * kRounds);
-  EXPECT_EQ(st.frees, kThreads * kRounds);
+  const mem::BudgetSnapshot s1 = ledger();
+  EXPECT_EQ(s1.arena_allocs - s0.arena_allocs, 2 * kThreads * kRounds);
+  EXPECT_EQ(s1.frees - s0.frees, 2 * kThreads * kRounds);
 }
 
 }  // namespace

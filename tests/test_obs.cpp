@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "wlp/core/speculative.hpp"
+#include "wlp/mem/arena.hpp"
 #include "wlp/obs/obs.hpp"
 #include "wlp/sched/thread_pool.hpp"
 
@@ -387,9 +388,6 @@ TEST(ObsExport, AllPhaseKindsRoundTrip) {
 // timeline shows the fork-join launches, the scheduler claims, and the undo
 // span — the ISSUE's acceptance criterion for the subsystem.
 TEST(ObsExport, SpeculativeRunContainsForkJoinClaimAndUndo) {
-  if (!obs::compiled_in())
-    GTEST_SKIP() << "runtime hooks compiled out (WLP_OBS=OFF)";
-
   Tracer& t = Tracer::instance();
   t.clear();
   t.set_enabled(true);
@@ -554,6 +552,31 @@ TEST(ObsMetrics, ProviderMergesWithOwnedCounter) {
   EXPECT_EQ(occurrences, 1u) << "owned metric remains after provider leaves";
 }
 
+// The runtime's two live providers: a ThreadPool publishes `wlp.pool.*`
+// while it lives and folds its totals into owned counters when it dies;
+// the process Budget publishes `wlp.mem.*` for the life of the process.
+TEST(ObsMetrics, PoolAndBudgetProvidersPublishLiveTotals) {
+  auto read = [](std::string_view name) {
+    for (const obs::MetricSample& s : obs::Registry::instance().snapshot())
+      if (s.name == name) return s.value;
+    return std::int64_t{0};
+  };
+  const std::int64_t launches0 = read("wlp.pool.launches");
+  {
+    ThreadPool pool(2);
+    for (int k = 0; k < 5; ++k) pool.parallel([](unsigned) {});
+    EXPECT_EQ(read("wlp.pool.launches") - launches0, 5) << "live provider";
+  }
+  EXPECT_EQ(read("wlp.pool.launches") - launches0, 5)
+      << "the dead pool's total is folded into the owned counter";
+
+  const std::int64_t allocs0 = read("wlp.mem.arena_allocs");
+  mem::Arena& arena = mem::process_arena();
+  void* p = arena.allocate(256);
+  EXPECT_EQ(read("wlp.mem.arena_allocs") - allocs0, 1);
+  arena.deallocate(p, 256);
+}
+
 TEST(ObsMetrics, RuntimeToggleGatesTheMacros) {
   obs::Registry& reg = obs::Registry::instance();
   obs::Counter& c = reg.counter("wlp.test.obs.toggle");
@@ -563,11 +586,7 @@ TEST(ObsMetrics, RuntimeToggleGatesTheMacros) {
   EXPECT_EQ(c.value(), base);
   obs::set_metrics_enabled(true);
   WLP_OBS_COUNT("wlp.test.obs.toggle", 1);
-  if (obs::compiled_in()) {
-    EXPECT_EQ(c.value(), base + 1);
-  } else {
-    EXPECT_EQ(c.value(), base) << "hooks compiled out";
-  }
+  EXPECT_EQ(c.value(), base + 1);
 }
 
 TEST(ObsMetrics, WriteJsonIsValid) {

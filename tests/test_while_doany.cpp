@@ -72,32 +72,5 @@ TEST(BestCandidate, ConcurrentPublishes) {
   EXPECT_EQ(b.cost(), 1u);
 }
 
-TEST(StampedBest, WinnerFiltersByTrip) {
-  StampedBest sb(3);
-  sb.publish(0, /*iter=*/10, /*cost=*/5, /*payload=*/100);
-  sb.publish(1, /*iter=*/3, /*cost=*/9, /*payload=*/101);
-  sb.publish(2, /*iter=*/7, /*cost=*/2, /*payload=*/102);
-
-  StampedBest::Entry e;
-  // All valid: cost 2 wins.
-  ASSERT_TRUE(sb.winner(100, e));
-  EXPECT_EQ(e.payload, 102u);
-  // trip = 7: iterations {3} remain.
-  ASSERT_TRUE(sb.winner(7, e));
-  EXPECT_EQ(e.payload, 101u);
-  // trip = 3: nothing valid.
-  EXPECT_FALSE(sb.winner(3, e));
-}
-
-TEST(StampedBest, CostTieBreaksOnIteration) {
-  StampedBest sb(2);
-  sb.publish(0, 9, 4, 1);
-  sb.publish(1, 2, 4, 2);
-  StampedBest::Entry e;
-  ASSERT_TRUE(sb.winner(100, e));
-  EXPECT_EQ(e.iter, 2);
-  EXPECT_EQ(e.payload, 2u);
-}
-
 }  // namespace
 }  // namespace wlp
