@@ -1,15 +1,15 @@
 // Observability overhead microbenchmark.
 //
 // The contract the obs subsystem makes: with tracing disabled at run time,
-// an instrumented fork-join launch costs the same as a launch measured
-// without tracing (an earlier disabled run of this bench, or the substrate
-// in BENCH_forkjoin.json), and with tracing enabled each recorded event
-// stays in the tens-of-nanoseconds range.
+// an instrumented fork-join launch pays only the hooks' enabled checks, and
+// with tracing enabled each recorded event stays in the tens-of-nanoseconds
+// range.  The hooks are always compiled in, so there is no uninstrumented
+// binary to compare against: the disabled launch is measured against the
+// enabled one, batch by batch in one process.
 //
 // Measurements (real host, plain chrono):
 //   1. empty `parallel(f)` launch latency with tracing disabled vs enabled,
-//      compared against the `substrate_ns` baseline parsed from
-//      BENCH_forkjoin.json (argv[2], default ./BENCH_forkjoin.json);
+//      interleaved batch by batch;
 //   2. per-event cost of the hook vocabulary: instant, scoped span, metrics
 //      counter, metrics histogram — and the raw ring emit the hooks sit on.
 //
@@ -17,9 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -55,28 +53,10 @@ double per_op_ns(int batches, long n, F&& f) {
   return wlp::median(xs);
 }
 
-/// Pull the baseline launch latency out of the baseline file without a JSON
-/// parser.  Accepts either BENCH_forkjoin.json ("substrate_ns") or an
-/// earlier run of this very bench ("tracing_disabled_ns") — the latter is
-/// the apples-to-apples baseline, since bench_micro_forkjoin measures with
-/// a second (condvar) pool resident and this bench does not.
-double parse_substrate_ns(const char* path) {
-  std::ifstream is(path);
-  if (!is) return 0;
-  std::string text((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
-  const char* p = std::strstr(text.c_str(), "\"substrate_ns\"");
-  if (!p) p = std::strstr(text.c_str(), "\"tracing_disabled_ns\"");
-  if (!p) return 0;
-  p = std::strchr(p, ':');
-  return p ? std::strtod(p + 1, nullptr) : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_obs.json";
-  const char* baseline_path = argc > 2 ? argv[2] : "BENCH_forkjoin.json";
   const unsigned p = wlp::ThreadPool::default_concurrency();
   wlp::obs::Tracer& tracer = wlp::obs::Tracer::instance();
 
@@ -105,12 +85,8 @@ int main(int argc, char** argv) {
     disabled_ns = *std::min_element(off_batches.begin(), off_batches.end());
     enabled_ns = *std::min_element(on_batches.begin(), on_batches.end());
   }
-  const double baseline_ns = parse_substrate_ns(baseline_path);
   std::printf("  launch, tracing disabled : %10.1f ns\n", disabled_ns);
   std::printf("  launch, tracing enabled  : %10.1f ns\n", enabled_ns);
-  if (baseline_ns > 0)
-    std::printf("  uninstrumented baseline  : %10.1f ns  (disabled/baseline = %.3f)\n",
-                baseline_ns, disabled_ns / baseline_ns);
 
   // -- 2. per-event costs --------------------------------------------------
   const long n_events = 1 << 18;
@@ -165,10 +141,6 @@ int main(int argc, char** argv) {
   w.kv("method", "min of 25 interleaved batches, empty job");
   w.kv("tracing_disabled_ns", disabled_ns);
   w.kv("tracing_enabled_ns", enabled_ns);
-  if (baseline_ns > 0) {
-    w.kv("baseline_substrate_ns", baseline_ns);
-    w.kv("disabled_over_baseline", disabled_ns / baseline_ns);
-  }
   w.end_object();
   w.key("per_event_ns").begin_object();
   w.kv("trace_instant_enabled", instant_ns);

@@ -108,15 +108,10 @@ ROWS = [
         "every Table 2 row stays near the paper's Alliant FX/80 number"),
 ]
 
-SMOKE = [[f"bench_{name}"] for name in FIGURES.split()] + [
-    ["bench_table2_summary"],
-    ["bench_micro_forkjoin"],
-    # The obs bench takes its own disabled-path launch as the baseline: same
-    # binary, same pool.
-    ["bench_micro_obs", "BENCH_obs_seed.json", "/dev/null"],
-    ["bench_micro_obs", "BENCH_obs.json", "BENCH_obs_seed.json"],
-    ["bench_micro_pd"], ["bench_micro_doacross"], ["bench_micro_undo"],
-    ["bench_micro_mem"], ["bench_micro_txn"], ["bench_micro_window"],
+SMOKE = [f"bench_{name}" for name in FIGURES.split()] + [
+    "bench_table2_summary", "bench_micro_forkjoin", "bench_micro_obs",
+    "bench_micro_pd", "bench_micro_doacross", "bench_micro_undo",
+    "bench_micro_mem", "bench_micro_txn", "bench_micro_window",
 ]
 
 # One comparison: holder[key] op limit.  `other` locates the value the limit
@@ -338,14 +333,14 @@ def main():
     for stale in glob.glob(os.path.join(out, "BENCH_*.json")):
         os.remove(stale)
     failed = []
-    for cmd in SMOKE:
-        print(f"==> {' '.join(cmd)}", flush=True)
+    for name in SMOKE:
+        print(f"==> {name}", flush=True)
         try:
-            rc = subprocess.run([os.path.join(build, "bench", cmd[0]), *cmd[1:]], cwd=out).returncode
+            rc = subprocess.run([os.path.join(build, "bench", name)], cwd=out).returncode
         except OSError as e:
             rc = e
         if rc != 0:
-            failed.append(f"{' '.join(cmd)}: {rc if isinstance(rc, OSError) else f'exit {rc}'}")
+            failed.append(f"{name}: {rc if isinstance(rc, OSError) else f'exit {rc}'}")
 
     current, refs = load(out), load(REPO)
     print(f"\n==== bench guard: {out} against the references in {REPO} ====")

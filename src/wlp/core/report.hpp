@@ -47,8 +47,8 @@ struct ExecReport {
   long started = 0;   ///< iteration bodies that actually executed
   long overshot = 0;  ///< bodies executed with index >= trip (to be undone)
   long undone_writes = 0;  ///< overshot writes taken back after the run
-                           ///< (dense: log entries; sparse: recorded
-                           ///< locations)
+                           ///< (dense: element writes, one per lane of
+                           ///< each log entry; sparse: recorded locations)
   long shadow_marks = 0;   ///< PD shadow marks recorded during the run
   long dispatcher_steps = 0;  ///< total recurrence evaluations (hops) across
                               ///< all processors; ~trip for General-1/3,

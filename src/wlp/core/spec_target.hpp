@@ -60,7 +60,8 @@ class SpecTarget {
   /// One dense undo unit: walk this member's per-worker write logs from
   /// their tails, restoring every write by an iteration >= trip whose index
   /// lies in [lo, hi) from the backup.  Units over disjoint ranges run
-  /// concurrently.  Returns the log entries taken back.
+  /// concurrently.  Returns the element writes taken back: a member with K
+  /// lanes restores, and counts, K elements per log entry.
   virtual long txn_undo(long /*trip*/, std::size_t /*lo*/, std::size_t /*hi*/) {
     return 0;
   }

@@ -18,6 +18,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <concepts>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -35,13 +38,27 @@ namespace wlp {
 /// marks.  Loop bodies use the vpn-qualified get/set: a set appends to the
 /// worker's write log, whose entries are also the PD test's write marks,
 /// and a get records an exposed-read mark when the PD test is on.
-template <class T>
+///
+/// K > 1 makes it a lane group (VersionedArray's lanes): K arrays the body
+/// always writes through one subscript in one iteration.  A set stores
+/// every lane and appends one entry, so the group keeps one log, takes one
+/// undo walk and gets one PD analysis.  Because every set writes every
+/// lane, "this iteration already set idx" covers a get of any lane exactly,
+/// and the group passes the PD test exactly when K single-lane targets over
+/// the same body would all pass.
+template <class T, std::size_t K = 1>
 class SpecArray final : public SpecTarget {
  public:
   /// `run_pd_test` = false means the accesses are statically analyzable
   /// (only the write log for undo is needed): no PD log is built.
   SpecArray(std::vector<T> init, unsigned workers, bool run_pd_test)
-      : array_(std::move(init), workers),
+    requires(K == 1)
+      : SpecArray(std::array<std::vector<T>, 1>{std::move(init)}, workers,
+                  run_pd_test) {}
+  /// K lanes of one length (std::invalid_argument otherwise).
+  SpecArray(std::array<std::vector<T>, K> lanes, unsigned workers,
+            bool run_pd_test)
+      : array_(std::move(lanes), workers),
         pd_(array_.size(), array_.logs(), run_pd_test) {}
 
   // ---- body-side API -----------------------------------------------------
@@ -51,20 +68,28 @@ class SpecArray final : public SpecTarget {
     pd_.begin_iteration(vpn, iter);
   }
 
-  T get(unsigned vpn, std::size_t idx) {
+  T get(unsigned vpn, std::size_t idx, std::size_t lane = 0) {
     pd_.on_read(vpn, idx);
-    return array_.get(idx);
+    return array_.get(idx, lane);
   }
 
-  /// `iter` must be the iteration begin_iteration(vpn, ...) started.
-  void set(unsigned vpn, long iter, std::size_t idx, const T& v) {
-    array_.write(vpn, iter, idx, v);
+  /// Stores one value per lane at `idx`.  `iter` must be the iteration
+  /// begin_iteration(vpn, ...) started.
+  template <std::convertible_to<T>... V>
+    requires(sizeof...(V) + 1 == K)
+  void set(unsigned vpn, long iter, std::size_t idx, const T& v0,
+           const V&... v) {
+    array_.write(vpn, iter, idx, v0, v...);
   }
 
   // ---- sequential-side API (fallback path, verification) ------------------
 
-  std::vector<T>& data() noexcept { return array_.data(); }
-  const std::vector<T>& data() const noexcept { return array_.data(); }
+  std::vector<T>& data(std::size_t lane = 0) noexcept {
+    return array_.data(lane);
+  }
+  const std::vector<T>& data(std::size_t lane = 0) const noexcept {
+    return array_.data(lane);
+  }
 
   // ---- SpecTarget ----------------------------------------------------------
 
@@ -80,7 +105,7 @@ class SpecArray final : public SpecTarget {
   std::size_t memory_bytes() const override { return array_.memory_bytes(); }
   void discard() override { array_.discard_checkpoint(); }
 
-  // ---- fused-transaction hooks --------------------------------------------
+  // ---- fused-transaction hooks: one dense member of size() indices ---------
 
   std::size_t txn_dense_size() const override { return array_.size(); }
   void txn_checkpoint_begin() override { array_.txn_checkpoint_begin(); }
@@ -98,7 +123,7 @@ class SpecArray final : public SpecTarget {
   UndoStats undo_stats() const { return array_.stats(); }
 
  private:
-  VersionedArray<T> array_;
+  VersionedArray<T, K> array_;
   PDMarks pd_;
 };
 

@@ -16,6 +16,10 @@
 //     slot chunks, so a mixed dense+hash transaction still costs one
 //     dispatch.  Workers claim units dynamically: a long dense walk never
 //     queues behind a block of empty hash chunks;
+//   * treats a lane group (SpecArray<T, K>) as ONE dense member of n
+//     indices: a checkpoint chunk copies every lane of its index range, and
+//     an undo stripe restores every lane of each overshot entry, counting K
+//     element writes per entry;
 //   * publishes wlp.undo.{checkpoint_ns,restore_ns} once per transaction
 //     operation, not once per target, so multi-array loops stop inflating
 //     the histograms k-fold.
@@ -45,7 +49,7 @@ namespace wlp {
 /// restore_all() allocate nothing in steady state.
 class SpecTransaction {
  public:
-  /// Elements per fused-checkpoint chunk.
+  /// Indices per fused-checkpoint chunk (every lane of a lane group).
   static constexpr std::size_t kCpChunk = 1u << 15;
   /// Hash slots per fused-undo chunk (matches HashBackup::undo_into).
   static constexpr std::size_t kSlotChunk = 1024;
@@ -113,8 +117,9 @@ class SpecTransaction {
 
   /// ONE fused parallel undo pass over every member: the dense members'
   /// index-stripe walks and the sparse members' slot chunks, claimed
-  /// dynamically.  Returns the writes taken back (dense: log entries at or
-  /// past `trip`; sparse: recorded locations).
+  /// dynamically.  Returns the writes taken back (dense: element writes, K
+  /// per log entry at or past `trip` of a K-lane member; sparse: recorded
+  /// locations).
   long undo_beyond(long trip, ThreadPool* pool) {
     const auto t0 = std::chrono::steady_clock::now();
     const long stripes = pool == nullptr ? 1 : static_cast<long>(pool->size());

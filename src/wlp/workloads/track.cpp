@@ -68,27 +68,27 @@ long TrackLoop::run_sequential(std::vector<double>& pos,
 ExecReport TrackLoop::run_round(ThreadPool& pool, std::vector<double>& pos,
                                 std::vector<double>& vel, bool run_pd_test,
                                 bool use_quit) const {
-  SpecArray<double> spos(std::move(pos), pool.size(), run_pd_test);
-  SpecArray<double> svel(std::move(vel), pool.size(), run_pd_test);
-  SpecTarget* targets[] = {&spos, &svel};
+  // pos and vel are always written through sub[i] in the same iteration:
+  // one two-lane target, so one write log, one undo walk and one PD test.
+  SpecArray<double, 2> state({std::move(pos), std::move(vel)}, pool.size(),
+                             run_pd_test);
+  SpecTarget* targets[] = {&state};
 
   ExecReport r = speculative_while(
-      pool, cfg_.candidates, std::span<SpecTarget* const>(targets, 2),
+      pool, cfg_.candidates, std::span<SpecTarget* const>(targets, 1),
       [&](long i, unsigned vpn) {
-        spos.begin_iteration(vpn, i);
-        svel.begin_iteration(vpn, i);
+        state.begin_iteration(vpn, i);
         double p, v;
         if (extrapolate(i, p, v)) return IterAction::kExit;
         const auto slot = static_cast<std::size_t>(sub_[static_cast<std::size_t>(i)]);
-        spos.set(vpn, i, slot, p);
-        svel.set(vpn, i, slot, v);
+        state.set(vpn, i, slot, p, v);
         return IterAction::kContinue;
       },
       // Sequential fallback against the restored raw data.
-      [&] { return run_sequential(spos.data(), svel.data()); },
+      [&] { return run_sequential(state.data(0), state.data(1)); },
       use_quit);
-  pos = std::move(spos.data());
-  vel = std::move(svel.data());
+  pos = std::move(state.data(0));
+  vel = std::move(state.data(1));
   return r;
 }
 

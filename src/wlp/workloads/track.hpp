@@ -15,6 +15,11 @@
 // exactly as Table 2 records for this loop.  The subscript array is a
 // permutation, so the iterations are in fact independent — but only the PD
 // test can establish that at run time, which run_speculative() exercises.
+//
+// P and V are written through the same subscript in the same iteration, so
+// every method speculates them as ONE two-lane SpecArray: one write log
+// entry per iteration serves both arrays' undo and the PD test's write
+// marks, and the PD test analyzes that log once.
 #pragma once
 
 #include <cstdint>
@@ -73,9 +78,10 @@ class TrackLoop {
   /// One track extrapolation step; also reports whether this candidate
   /// triggers the error exit.
   bool extrapolate(long i, double& p_out, double& v_out) const;
-  /// One SpecRound over the loop, shared by all three speculative methods:
-  /// `run_pd_test` shadows the subscripted writes for the PD test, and
-  /// `use_quit` picks Induction-2's QUIT over Induction-1's full range.
+  /// One SpecRound over the loop, shared by all three speculative methods,
+  /// with pos and vel as the two lanes of one target: `run_pd_test` shadows
+  /// the subscripted writes for the PD test, and `use_quit` picks
+  /// Induction-2's QUIT over Induction-1's full range.
   ExecReport run_round(ThreadPool& pool, std::vector<double>& pos,
                        std::vector<double>& vel, bool run_pd_test,
                        bool use_quit) const;

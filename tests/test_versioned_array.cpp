@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -17,27 +19,27 @@ namespace {
 // The array's only checkpoint/undo/restore path is its transaction hooks
 // (SpecTransaction runs them as fused parallel passes).  These helpers run
 // them over the whole array on the calling thread.
-template <class T>
-void checkpoint(VersionedArray<T>& a) {
+template <class T, std::size_t K>
+void checkpoint(VersionedArray<T, K>& a) {
   a.txn_checkpoint_span(0, a.txn_checkpoint_begin());
 }
 
-template <class T>
-long undo_beyond(VersionedArray<T>& a, long trip) {
+template <class T, std::size_t K>
+long undo_beyond(VersionedArray<T, K>& a, long trip) {
   return a.txn_undo(trip, 0, a.size());
 }
 
 /// A full restore, then the spent logs dropped (txn_restore_all_done).
-template <class T>
-void restore_all(VersionedArray<T>& a) {
+template <class T, std::size_t K>
+void restore_all(VersionedArray<T, K>& a) {
   a.txn_restore_all_span(0, a.size());
   a.clear_log();
 }
 
 /// The undo as the transaction runs it: one index-stripe walk per worker,
 /// in parallel.
-template <class T>
-long undo_in_stripes(VersionedArray<T>& a, long trip, ThreadPool& pool) {
+template <class T, std::size_t K>
+long undo_in_stripes(VersionedArray<T, K>& a, long trip, ThreadPool& pool) {
   const std::size_t n = a.size(), k = pool.size();
   std::vector<long> part(k, 0);
   doall(pool, 0, static_cast<long>(k), [&](long s, unsigned) {
@@ -316,6 +318,97 @@ TEST(VersionedArray, FusedUndoMatchesPerElementReference) {
   EXPECT_EQ(undo_beyond(fused, trip), 2000 - trip);
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(fused.get(i), ref[i]) << i;
+}
+
+// ---- lanes: K arrays under one subscript share one log ---------------------
+
+using TwoLanes = VersionedArray<double, 2>;
+
+/// Two lanes of n elements, lane 0 all `a` and lane 1 all `b`.
+std::array<std::vector<double>, 2> lanes(std::size_t n, double a, double b) {
+  return {std::vector<double>(n, a), std::vector<double>(n, b)};
+}
+
+TEST(VersionedArray, TwoLaneOvershotCollisionRestoresBothLanes) {
+  // ConcurrentAppendsUndoOvershotCollision with two lanes: one set stores
+  // both lanes and appends one entry, so the colliding index sits in two
+  // logs once each, and the stripe that holds it restores both lanes.
+  ThreadPool pool(4);
+  const long n = 1 << 14, trip = 9000;
+  const long late = n - 6, later = n - 1;  // workers 2 and 3: i mod 4
+  TwoLanes a(lanes(static_cast<std::size_t>(n), -1.0, -2.0), pool.size());
+  checkpoint(a);
+  std::atomic<bool> late_done{false};
+  pool.parallel([&](unsigned vpn) {
+    for (long i = vpn; i < n; i += pool.size()) {
+      auto idx = static_cast<std::size_t>(i);
+      if (i == later) {
+        while (!late_done.load(std::memory_order_acquire)) std::this_thread::yield();
+        idx = static_cast<std::size_t>(late);
+      }
+      a.write(vpn, i, idx, static_cast<double>(i), static_cast<double>(-i));
+      if (i == late) late_done.store(true, std::memory_order_release);
+    }
+  });
+  EXPECT_EQ(a.logged_writes(), static_cast<std::size_t>(n));
+  // Two element writes per entry at or past the trip.
+  EXPECT_EQ(undo_in_stripes(a, trip, pool), 2 * (n - trip));
+  for (long i = 0; i < n; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    ASSERT_EQ(a.get(idx, 0), i < trip ? static_cast<double>(i) : -1.0) << i;
+    ASSERT_EQ(a.get(idx, 1), i < trip ? static_cast<double>(-i) : -2.0) << i;
+  }
+}
+
+TEST(VersionedArray, TwoLaneRestoreAllRestoresBothLanes) {
+  TwoLanes a({std::vector<double>{1.0, 2.0, 3.0},
+              std::vector<double>{4.0, 5.0, 6.0}},
+             1);
+  checkpoint(a);
+  a.write(0, 0, 0, 9.0, 9.5);
+  a.write(0, 1, 1, 9.0, 9.5);
+  a.data(1)[2] = 9.5;  // unlogged: only the full copy takes it back
+  restore_all(a);
+  EXPECT_EQ(a.data(0), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(a.data(1), (std::vector<double>{4.0, 5.0, 6.0}));
+  EXPECT_EQ(a.logged_writes(), 0u);
+  EXPECT_EQ(undo_beyond(a, 0), 0);
+}
+
+TEST(VersionedArray, TwoLaneLogsOneEntryPerSet) {
+  TwoLanes a(lanes(64, 0.0, 0.0), 2);
+  checkpoint(a);
+  for (long i = 0; i < 10; ++i)
+    a.write(static_cast<unsigned>(i % 2), i, static_cast<std::size_t>(i),
+            1.0, 2.0);
+  EXPECT_EQ(a.logged_writes(), 10u);  // one entry per set, not per lane
+  EXPECT_EQ(undo_beyond(a, 6), 2 * 4);  // iterations 6..9, two lanes each
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(a.get(i, 0), i < 6 ? 1.0 : 0.0) << i;
+    EXPECT_EQ(a.get(i, 1), i < 6 ? 2.0 : 0.0) << i;
+  }
+}
+
+TEST(VersionedArray, TwoLaneMemoryBytesCountsOneLog) {
+  const std::size_t n = 3 * TwoLanes::kSegmentEntries + 5;
+  TwoLanes a(lanes(n, 0.0, 0.0), 2);
+  const std::size_t data = 2 * n * sizeof(double);
+  EXPECT_EQ(a.memory_bytes(), data);  // both lanes, no backup, no log yet
+  checkpoint(a);
+  EXPECT_EQ(a.memory_bytes(), 2 * data);  // + both lanes' backups
+  // Every index set once, split across two workers: 12 291 and 12 290
+  // entries, two segments each — the segments of ONE log, not two.
+  const std::size_t seg_bytes = TwoLanes::kSegmentEntries * sizeof(IterEntry);
+  for (std::size_t i = 0; i < n; ++i)
+    a.write(static_cast<unsigned>(i % 2), static_cast<long>(i), i, 1.0, 2.0);
+  EXPECT_EQ(a.memory_bytes(), 2 * data + 4 * seg_bytes);
+  EXPECT_EQ(a.stats().segments, 4);
+}
+
+TEST(VersionedArray, LanesOfDifferentSizesThrow) {
+  EXPECT_THROW(TwoLanes({std::vector<double>(8), std::vector<double>(7)}, 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(TwoLanes(lanes(8, 0.0, 0.0), 1));
 }
 
 }  // namespace
