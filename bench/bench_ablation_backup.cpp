@@ -9,7 +9,6 @@
 
 #include "bench_common.hpp"
 #include "wlp/core/sparse_backup.hpp"
-#include "wlp/core/versioned_array.hpp"
 #include "wlp/sched/doall.hpp"
 #include "wlp/workloads/track.hpp"
 
@@ -36,7 +35,7 @@ int main() {
     }
   });
   const double hash_mb = static_cast<double>(hash.memory_bytes()) / 1e6;
-  const long undone = hash.undo_into(state, trip);
+  const long undone = hash.undo_slots(state, trip, 0, hash.capacity());
 
   // ---- simulated time --------------------------------------------------------
   const sim::Simulator sim;

@@ -1,10 +1,11 @@
-// Multi-array transaction microbenchmark: the fused SpecTransaction paths
-// vs the per-array loops they replaced.
+// Multi-array round microbenchmark: the SpecRound's fused passes vs the
+// per-array loops they replaced.
 //
 // Two questions, answered on the real host (not the simulator):
-//   1. Fused undo — ONE pool pass with one log-walk unit per array vs the
-//      old driver loop (k undo passes: one single-member transaction per
-//      array, each walking its array's logs on the calling thread).
+//   1. Fused undo — ONE round over all k arrays, whose commit is one pool
+//      pass over every array's index-stripe log walks, vs the old driver
+//      loop (k undo passes: one single-target round per array, each
+//      committing on its own).
 //      k in {2, 4, 8} at constant total footprint (2^18 elements split
 //      across the arrays), in two regimes:
 //        * dense: every element written, half the range overshot;
@@ -29,9 +30,9 @@
 #include <thread>
 #include <vector>
 
+#include "wlp/core/spec_round.hpp"
 #include "wlp/core/speculative.hpp"
 #include "wlp/core/speculative_strips.hpp"
-#include "wlp/core/txn.hpp"
 #include "wlp/mem/budget.hpp"
 #include "wlp/support/stats.hpp"
 
@@ -58,9 +59,9 @@ struct FusedPoint {
 /// One fused-vs-per-array sample: k arrays totalling
 /// `total_n` elements, every `stride`-th element of each written, half the
 /// written range overshot.  Per rep and per side: untimed begin (reset +
-/// fused checkpoint) + writes, then the timed undo — the fused transaction
-/// pass vs the retired driver loop (one undo dispatch per array, through a
-/// single-member transaction each).
+/// fused checkpoint) + writes, then the timed undo — the round's fused
+/// commit vs the retired driver loop (one undo dispatch per array, through
+/// a single-target round each).
 FusedPoint fused_regime(wlp::ThreadPool& pool, int k, std::size_t total_n,
                         std::size_t stride, int reps) {
   const std::size_t n = total_n / static_cast<std::size_t>(k);
@@ -74,17 +75,21 @@ FusedPoint fused_regime(wlp::ThreadPool& pool, int k, std::size_t total_n,
         std::vector<double>(n, 0.0), pool.size(), /*run_pd_test=*/false));
     targets.push_back(arrays.back().get());
   }
-  wlp::SpecTransaction txn(
-      std::span<wlp::SpecTarget* const>(targets.data(), targets.size()));
-  std::vector<std::unique_ptr<wlp::SpecTransaction>> singles;
+  // Every round writes into one report; its undone_writes deltas are the
+  // two sides' undo counts.
+  wlp::ExecReport report;
+  wlp::SpecRound round(
+      pool, std::span<wlp::SpecTarget* const>(targets.data(), targets.size()),
+      report);
+  std::vector<std::unique_ptr<wlp::SpecRound>> singles;
   for (wlp::SpecTarget*& t : targets)
-    singles.push_back(std::make_unique<wlp::SpecTransaction>(
-        std::span<wlp::SpecTarget* const>(&t, 1)));
+    singles.push_back(std::make_unique<wlp::SpecRound>(
+        pool, std::span<wlp::SpecTarget* const>(&t, 1), report));
 
   const long writes_per_array = static_cast<long>(n / stride);
   const long trip = writes_per_array / 2;
   const auto fill = [&] {
-    txn.begin(&pool);
+    round.begin();
     for (auto& arr : arrays)
       for (long i = 0; i < writes_per_array; ++i)
         arr->set(0, i, static_cast<std::size_t>(i) * stride, 1.0);
@@ -94,16 +99,19 @@ FusedPoint fused_regime(wlp::ThreadPool& pool, int k, std::size_t total_n,
   long fused_undone = 0, loop_undone = 0;
   const auto fused_pass = [&](bool record) {
     fill();
+    const long before = report.undone_writes;
     const auto t0 = Clock::now();
-    fused_undone = txn.undo_beyond(trip, &pool);
+    round.commit(trip);
     if (record) f_us.push_back(seconds_since(t0) * 1e6);
+    fused_undone = report.undone_writes - before;
   };
   const auto loop_pass = [&](bool record) {
     fill();
+    const long before = report.undone_writes;
     const auto t0 = Clock::now();
-    loop_undone = 0;
-    for (auto& single : singles) loop_undone += single->undo_beyond(trip, &pool);
+    for (auto& single : singles) single->commit(trip);
     if (record) p_us.push_back(seconds_since(t0) * 1e6);
+    loop_undone = report.undone_writes - before;
   };
   for (int r = -1; r < reps; ++r) {  // rep -1 = warmup, not recorded
     if (r % 2 == 0) {
@@ -146,7 +154,7 @@ int main(int argc, char** argv) {
 
   // ---- 1. fused undo vs per-array dispatch loop ---------------------------
   constexpr std::size_t kTotal = 1 << 18;
-  std::printf("== fused txn undo vs per-array loop (2^18 elements total; us) ==\n");
+  std::printf("== fused round undo vs per-array loop (2^18 elements total; us) ==\n");
   std::vector<FusedPoint> dense_pts, strided_pts;
   for (int k : {2, 4, 8}) {
     dense_pts.push_back(fused_regime(pool, k, kTotal, 1, kReps));
@@ -161,7 +169,7 @@ int main(int argc, char** argv) {
                 p.arrays, p.fused_us, p.per_array_us, p.ratio, p.undone);
   }
 
-  // ---- 2. steady-state allocations under the fused transaction ------------
+  // ---- 2. steady-state allocations under the fused round ------------------
   long steady_arena_allocs, steady_slow_allocs;
   {
     const long n = 64 * 256, strip = 256;
@@ -217,7 +225,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"host_hw_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"fused_undo\": {\n");
-  std::fprintf(f, "    \"method\": \"%d alternating reps on the SAME k arrays (2^18 elements total); per side: untimed begin+writes, timed undo; fused is one pool pass over every array's index-stripe log walks, per_array the retired driver loop, one single-member transaction undo_beyond per array; speedup is the MEDIAN of per-rep paired per_array/fused ratios (both sides move identical bytes, so pairing cancels host drift the per-side mins keep)\",\n",
+  std::fprintf(f, "    \"method\": \"%d alternating reps on the SAME k arrays (2^18 elements total); per side: untimed begin+writes, timed undo; fused is one round's commit, one pool pass over every array's index-stripe log walks, per_array the retired driver loop, one single-target round commit per array; speedup is the MEDIAN of per-rep paired per_array/fused ratios (both sides move identical bytes, so pairing cancels host drift the per-side mins keep)\",\n",
                kReps);
   const auto emit_points = [&](const char* key,
                                const std::vector<FusedPoint>& pts,

@@ -11,11 +11,12 @@
 //      a time-sliced host the minimum approaches the uncontended cost.
 //   2. Clear cost — the seed cleared stamps with an O(n) fill per reuse;
 //      rewinding the logs must be flat across array sizes 2^14..2^22.
-//   3. Checkpoint — a one-member SpecTransaction's fused chunked memcpy,
-//      begun without a pool (serial) and with one (pool-parallel), plus the
-//      seed's element-assignment loop.
-//   4. Hash backup — record throughput and the slot-partitioned parallel
-//      undo vs its serial scan.
+//   3. Checkpoint — a one-target SpecRound's fused chunked memcpy, begun
+//      on a one-worker pool (serial) and on the full pool (pool-parallel),
+//      plus the seed's element-assignment loop.
+//   4. Hash backup — record throughput and its one undo, undo_slots, over
+//      the whole table on the calling thread vs in the round's slot chunks
+//      on the pool.
 //   Each pooled leg also reports the pool's stolen shares and parked waits
 //   per launch (informational): a pooled leg no faster than serial with
 //   ~p-1 stolen shares per launch ran on the caller alone while the
@@ -36,10 +37,11 @@
 #include <vector>
 
 #include "wlp/core/sparse_backup.hpp"
+#include "wlp/core/spec_round.hpp"
 #include "wlp/core/speculative.hpp"
-#include "wlp/core/txn.hpp"
-#include "wlp/core/versioned_array.hpp"
+#include "wlp/sched/doall.hpp"
 #include "wlp/sched/thread_pool.hpp"
+#include "wlp/support/cacheline.hpp"
 #include "wlp/support/prng.hpp"
 #include "wlp/support/stats.hpp"
 
@@ -106,8 +108,9 @@ PerLaunch per_launch(const wlp::ThreadPool& pool) {
 }
 
 /// The array's checkpoint hooks over the whole array, on this thread.
-void checkpoint(wlp::VersionedArray<double>& arr) {
-  arr.txn_checkpoint_span(0, arr.txn_checkpoint_begin());
+void checkpoint(wlp::SpecArray<double>& arr) {
+  arr.txn_checkpoint_begin();
+  arr.txn_checkpoint_span(0, arr.txn_dense_size());
 }
 
 constexpr std::size_t kStrip = 1 << 14;  ///< iterations written per rep
@@ -132,16 +135,17 @@ UndoPoint undo_point(int log2_n, int reps) {
   UndoPoint pt;
   pt.log2_n = log2_n;
 
-  wlp::VersionedArray<double> arr(std::vector<double>(n, 0.0), kWorkers);
+  wlp::SpecArray<double> arr(std::vector<double>(n, 0.0), kWorkers,
+                             /*run_pd_test=*/false);
   SeedVersioned seed(n);
   std::vector<double> l_us, s_us;
   long undone = 0, seed_undone = 0;
   const auto log_pass = [&](bool record) {
-    arr.clear_log();
+    arr.reset_marks();
     checkpoint(arr);
     for (std::size_t i = lo; i < lo + kStrip; ++i)
-      arr.write(static_cast<unsigned>(i % kWorkers), static_cast<long>(i), i,
-                1.0);
+      arr.set(static_cast<unsigned>(i % kWorkers), static_cast<long>(i), i,
+              1.0);
     const auto t0 = Clock::now();
     undone = arr.txn_undo(trip, 0, n);
     if (record) l_us.push_back(seconds_since(t0) * 1e6);
@@ -185,13 +189,14 @@ struct ClearPoint {
 
 ClearPoint clear_cost(int log2_n) {
   const auto n = static_cast<std::size_t>(1) << log2_n;
-  wlp::VersionedArray<double> arr(std::vector<double>(n, 0.0), 1);
+  wlp::SpecArray<double> arr(std::vector<double>(n, 0.0), 1,
+                             /*run_pd_test=*/false);
   SeedVersioned seed(n);
   // Dirty a little state so the reset is the realistic reuse path.
   checkpoint(arr);
   seed.checkpoint();
   for (std::size_t i = 0; i < 64; ++i) {
-    arr.write(0, static_cast<long>(i), i, 1.0);
+    arr.set(0, static_cast<long>(i), i, 1.0);
     seed.write(static_cast<long>(i), i, 1.0);
   }
   // The rewind is ~ns: time a batch of 256 so two Clock::now() calls and a
@@ -201,7 +206,7 @@ ClearPoint clear_cost(int log2_n) {
   std::vector<double> l_us, f_us;
   for (int r = 0; r < 9; ++r) {
     auto t0 = Clock::now();
-    for (int b = 0; b < kClears; ++b) arr.clear_log();
+    for (int b = 0; b < kClears; ++b) arr.reset_marks();
     l_us.push_back(seconds_since(t0) * 1e6 / kClears);
     t0 = Clock::now();
     seed.clear_stamps();
@@ -245,21 +250,25 @@ int main(int argc, char** argv) {
   PerLaunch cp_pool;
   {
     wlp::ThreadPool pool(wlp::ThreadPool::default_concurrency());
+    wlp::ThreadPool one(1);  // runs every launch inline on the caller
     wlp::SpecArray<double> arr(std::vector<double>(kCpN, 1.0), 1, false);
     wlp::SpecTarget* targets[] = {&arr};
-    wlp::SpecTransaction txn(std::span<wlp::SpecTarget* const>(targets, 1));
+    const std::span<wlp::SpecTarget* const> members(targets, 1);
+    wlp::ExecReport report;  // both rounds' times accumulate here, unread
+    wlp::SpecRound serial(one, members, report);
+    wlp::SpecRound pooled(pool, members, report);
     SeedVersioned seed(kCpN);
-    txn.begin(nullptr);  // warmup: fault in the pooled buffer
-    txn.begin(&pool);
+    serial.begin();  // warmup: fault in the pooled buffer
+    pooled.begin();
     seed.checkpoint();
     pool.reset_stats();
     std::vector<double> ser, par, sed;
     for (int r = 0; r < kReps; ++r) {
       auto t0 = Clock::now();
-      txn.begin(nullptr);
+      serial.begin();
       ser.push_back(seconds_since(t0) * 1e3);
       t0 = Clock::now();
-      txn.begin(&pool);
+      pooled.begin();
       par.push_back(seconds_since(t0) * 1e3);
       t0 = Clock::now();
       seed.checkpoint();
@@ -270,8 +279,8 @@ int main(int argc, char** argv) {
     cp_seed_ms = wlp::median(sed);
     cp_pool = per_launch(pool);
   }
-  std::printf("  txn begin, no pool     : %8.3f\n", cp_serial_ms);
-  std::printf("  txn begin, pooled      : %8.3f  (p=%u; per launch: %.2f "
+  std::printf("  round begin, 1 worker : %8.3f\n", cp_serial_ms);
+  std::printf("  round begin, pooled    : %8.3f  (p=%u; per launch: %.2f "
               "stolen, %.2f parked)\n",
               cp_pool_ms, wlp::ThreadPool::default_concurrency(),
               cp_pool.stolen_shares, cp_pool.park_wakeups);
@@ -289,6 +298,10 @@ int main(int argc, char** argv) {
     wlp::Xoshiro256 rng(7);
     std::vector<std::size_t> keys(kTouched);
     for (auto& k : keys) k = rng.below(data.size());
+    // The round's sparse undo units: slot chunks claimed on the pool.
+    constexpr std::size_t kSlotChunk = wlp::SpecRound::kSlotChunk;
+    const auto chunks = static_cast<long>(
+        (backup.capacity() + kSlotChunk - 1) / kSlotChunk);
     pool.reset_stats();
     std::vector<double> rec, hs, hp;
     for (int r = 0; r < kReps; ++r) {
@@ -299,10 +312,15 @@ int main(int argc, char** argv) {
       rec.push_back(seconds_since(t0) * 1e9 /
                     static_cast<double>(keys.size()));
       t0 = Clock::now();
-      long u = backup.undo_into(data, 0);
+      long u = backup.undo_slots(data, 0, 0, backup.capacity());
       hs.push_back(seconds_since(t0) * 1e3);
       t0 = Clock::now();
-      u += backup.undo_into(data, 0, &pool);
+      wlp::PerWorker<long> part(pool.size(), 0);
+      wlp::doall(pool, 0, chunks, [&](long c, unsigned vpn) {
+        const std::size_t lo = static_cast<std::size_t>(c) * kSlotChunk;
+        part[vpn] += backup.undo_slots(data, 0, lo, lo + kSlotChunk);
+      });
+      u += part.reduce(0L, [](long a, long b) { return a + b; });
       hp.push_back(seconds_since(t0) * 1e3);
       if (u <= 0) std::exit(1);
     }
@@ -312,8 +330,8 @@ int main(int argc, char** argv) {
     hundo_pool = per_launch(pool);
   }
   std::printf("  record              : %8.1f ns/op\n", rec_ns);
-  std::printf("  undo_into, serial   : %8.3f ms\n", hundo_serial_ms);
-  std::printf("  undo_into, pooled   : %8.3f ms  (per launch: %.2f stolen, "
+  std::printf("  undo_slots, serial  : %8.3f ms\n", hundo_serial_ms);
+  std::printf("  undo_slots, pooled  : %8.3f ms  (per launch: %.2f stolen, "
               "%.2f parked)\n",
               hundo_pool_ms, hundo_pool.stolen_shares,
               hundo_pool.park_wakeups);

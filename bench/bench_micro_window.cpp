@@ -1,4 +1,4 @@
-// Transaction-aware sliding-window microbench (Section 8.2 + DESIGN.md §10).
+// Measured-footprint sliding-window microbench (Section 8.2 + DESIGN.md §10).
 //
 // One question, answered on the real host: controller overhead — the same
 // trivial windowed loop with no budget vs with a budget + live-bytes poll

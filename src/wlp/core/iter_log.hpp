@@ -1,6 +1,6 @@
 // One worker's append-only log of (index, iteration) entries: the record
-// behind VersionedArray's undo (versioned_array.hpp) and behind the PD
-// test's write and exposed-read marks (PDMarks, shadow.hpp).
+// behind SpecArray's undo (speculative.hpp) and behind the PD test's write
+// and exposed-read marks (PDMarks, shadow.hpp).
 //
 // Entries fill segments from the process arena front to back.  clear()
 // rewinds the fill position and keeps the segments, so a warm retry

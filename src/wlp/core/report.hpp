@@ -56,7 +56,7 @@ struct ExecReport {
   double checkpoint_ns = 0;  ///< measured wall time snapshotting state (Tb)
   double undo_ns = 0;        ///< measured wall time undoing/restoring (Ta)
   std::size_t peak_spec_bytes = 0;  ///< max bytes the backups measurably
-                                    ///< pinned (SpecTransaction memory_bytes
+                                    ///< pinned (SpecRound::memory_bytes
                                     ///< polls; 0 = driver did not poll)
   bool used_checkpoint = false;
   bool used_stamps = false;

@@ -65,8 +65,8 @@ RunTwiceReport run_twice_while(ThreadPool& pool, long u, Probe&& probe,
 /// targets; `run_sequential() -> void` is the fallback over [0, trip).
 ///
 /// Pass 2 delegates to speculative_while, so multi-array target sets get
-/// the fused SpecTransaction checkpoint/restore (one parallel pass over
-/// all targets, one wlp.undo.* publication) with no wiring here.
+/// the SpecRound's fused checkpoint/restore (one parallel pass over all
+/// targets, one wlp.undo.* publication) with no wiring here.
 template <class Probe, class Work, class SeqRun>
 RunTwiceReport run_twice_speculative(ThreadPool& pool, long u, Probe&& probe,
                                      std::span<SpecTarget* const> targets,

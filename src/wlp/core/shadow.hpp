@@ -27,8 +27,8 @@
 // Fig. 5(a)) leaves w0 == r0 as the only marks and correctly passes.
 //
 // PDMarks keeps the marks as two append-only logs per worker of 8-byte
-// (index, iteration) entries — the IterLog that VersionedArray keeps for
-// undo (iter_log.hpp): one for writes, one for exposed reads.  A mark is one
+// (index, iteration) entries — the IterLog that SpecArray keeps for undo
+// (iter_log.hpp): one for writes, one for exposed reads.  A mark is one
 // append to the worker's own log, with no shared word and no per-element
 // table, and reset() rewinds the logs in O(workers).  A SpecArray's write
 // marks are its undo log's entries, so one append serves both.  A worker's

@@ -9,11 +9,11 @@
 // while the footprint is comfortably under budget, shrunk when it
 // approaches it.
 //
-// The budget controller is TRANSACTION-AWARE (DESIGN.md §10): instead of
-// capping the window once from a static bytes-per-iteration guess, it keeps
-// an EWMA of the MEASURED bytes the backups pin per in-flight iteration
-// (live_bytes() / span, sampled at every claim) and re-derives the hard cap
-// budget / EWMA live.
+// The budget controller reads the round's MEASURED footprint (DESIGN.md
+// §10): instead of capping the window once from a static
+// bytes-per-iteration guess, it keeps an EWMA of the bytes the backups pin
+// per in-flight iteration (live_bytes() / span, sampled at every claim) and
+// re-derives the hard cap budget / EWMA live.
 #pragma once
 
 #include <algorithm>
@@ -46,15 +46,16 @@ struct WindowOptions {
   /// controller compares this against the budget instead of multiplying the
   /// span by the bytes_per_iteration guess, and feeds the per-iteration
   /// EWMA that re-derives the window cap.  The speculative wrapper wires it
-  /// to the transaction's fused memory_bytes() (sparse backups report their
-  /// live touched set, dense ones data + backup + their opened log
-  /// segments), so the window reacts to what the backups actually pinned.
+  /// to SpecRound::memory_bytes(), the sum over its targets (sparse
+  /// backups report their live touched set, dense ones data + backup +
+  /// their opened log segments), so the window reacts to what the backups
+  /// actually pinned.
   /// To throttle on the WHOLE process's arena footprint instead of one
   /// target set's, point it at mem::process_bytes_live.
   std::function<std::size_t()> live_bytes;
 };
 
-/// The transaction-aware budget controller: one instance per windowed run.
+/// The measured-footprint budget controller: one instance per windowed run.
 /// adjust() runs under the issue lock at every claim.
 class WindowController {
  public:
@@ -282,9 +283,9 @@ WindowReport sliding_window_speculative_while(
   // Feed the budget controller the backups' MEASURED footprint (Section 8.2
   // against real bytes): sparse targets grow as locations are touched, so
   // the window shrinks when the backup — not a guess — nears the budget.
-  // The transaction sums its members.
+  // The round sums its targets.
   if (wopts.memory_budget != 0 && !wopts.live_bytes)
-    wopts.live_bytes = [&round] { return round.txn().memory_bytes(); };
+    wopts.live_bytes = [&round] { return round.memory_bytes(); };
   round.run([&] { detail::window_run(pool, u, body, wopts, wr); });
 
   if (round.validate(wr.exec.trip)) {

@@ -32,6 +32,7 @@
 // pre-loop state).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -39,7 +40,6 @@
 #include <vector>
 
 #include "wlp/mem/arena.hpp"
-#include "wlp/sched/reduce.hpp"
 #include "wlp/support/prng.hpp"
 
 namespace wlp {
@@ -66,7 +66,7 @@ class HashBackup {
   ///
   /// Returns false when the table is full: the entry was NOT recorded and
   /// overflowed() is latched.  The caller must then skip its own data write
-  /// so restore_all_into() can still reproduce the pre-loop state.
+  /// so a full restore can still reproduce the pre-loop state.
   bool record(long iter, std::size_t idx, const T& old_value) {
     Slot* s = find_or_claim(idx, &old_value);
     if (s == nullptr) {
@@ -88,43 +88,32 @@ class HashBackup {
     return overflow_.load(std::memory_order_relaxed);
   }
 
-  /// Restore into `data` every recorded location whose stamp >= trip.
-  /// With a pool, the slot range is partitioned across the workers (distinct
-  /// keys live in distinct slots, so writers never collide).  Returns the
-  /// number restored.
-  long undo_into(std::vector<T>& data, long trip, ThreadPool* pool = nullptr) {
-    const std::uint64_t threshold = stamp_threshold(trip);
-    const long nslots = static_cast<long>(slots_.size());
-    if (pool != nullptr && nslots > 1) {
-      constexpr long kChunk = 1024;  // slots per claimed range
-      const long nchunks = (nslots + kChunk - 1) / kChunk;
-      return parallel_sum<long>(*pool, 0, nchunks, [&](long c) {
-        const long lo = c * kChunk;
-        const long hi = lo + kChunk < nslots ? lo + kChunk : nslots;
-        return undo_range(data, threshold, lo, hi);
-      });
-    }
-    return undo_range(data, threshold, 0, nslots);
-  }
-
-  /// Restore everything recorded (failed speculation).
-  long restore_all_into(std::vector<T>& data, ThreadPool* pool = nullptr) {
-    return undo_into(data, -1, pool);
-  }
-
-  /// Fused-transaction unit of work: undo the slot range [lo, hi) against
-  /// the threshold for `trip` (trip < 0 restores everything recorded).  A
-  /// SpecTransaction packs these chunks into its single parallel undo pass
-  /// alongside the dense members' dirty-span chunks, so a mixed dense+hash
-  /// transaction still runs one pool dispatch and one join.
+  /// The one undo: restore into `data` every recorded location in the slot
+  /// range [lo, hi) whose stamp is >= trip (trip < 0 restores everything
+  /// recorded).  Returns the number restored.  Distinct keys live in
+  /// distinct slots, so calls over disjoint slot ranges may run
+  /// concurrently: a SpecRound packs these chunks into its single parallel
+  /// undo pass alongside the dense targets' log walks, so a mixed dense+hash
+  /// round still runs one pool dispatch and one join.
   long undo_slots(std::vector<T>& data, long trip, std::size_t lo,
                   std::size_t hi) noexcept {
     // Empty-table early-out: a retry that recorded nothing (no write, or a
     // full restore already cleared the table) would otherwise stream every
-    // slot chunk of the transaction's static unit map to find no live tags.
+    // slot chunk of the round's static unit map to find no live tags.
     if (entries() == 0) return 0;
-    return undo_range(data, stamp_threshold(trip), static_cast<long>(lo),
-                      static_cast<long>(std::min(hi, slots_.size())));
+    const std::uint64_t threshold = stamp_threshold(trip);
+    const std::size_t end = std::min(hi, slots_.size());
+    long undone = 0;
+    for (std::size_t i = lo; i < end; ++i) {
+      Slot& s = slots_[i];
+      const std::uint64_t tag = s.tag.load(std::memory_order_acquire);
+      if ((tag >> 32) != epoch_) continue;  // free or stale slot
+      if (s.stamp.load(std::memory_order_relaxed) >= threshold) {
+        data[static_cast<std::size_t>(tag & 0xffffffffu) - 1] = s.saved;
+        ++undone;
+      }
+    }
+    return undone;
   }
 
   std::size_t entries() const noexcept {
@@ -198,21 +187,6 @@ class HashBackup {
     return (static_cast<std::uint64_t>(epoch_) << 32) + low;
   }
 
-  long undo_range(std::vector<T>& data, std::uint64_t threshold, long lo,
-                  long hi) noexcept {
-    long undone = 0;
-    for (long i = lo; i < hi; ++i) {
-      Slot& s = slots_[static_cast<std::size_t>(i)];
-      const std::uint64_t tag = s.tag.load(std::memory_order_acquire);
-      if ((tag >> 32) != epoch_) continue;  // free or stale slot
-      if (s.stamp.load(std::memory_order_relaxed) >= threshold) {
-        data[static_cast<std::size_t>(tag & 0xffffffffu) - 1] = s.saved;
-        ++undone;
-      }
-    }
-    return undone;
-  }
-
   /// Returns the slot owning `idx`, claiming a free/stale one if needed, or
   /// nullptr when every slot on the probe path is live with another key.
   Slot* find_or_claim(std::size_t idx, const T* old_value) {
@@ -225,7 +199,7 @@ class HashBackup {
       if ((tag >> 32) != epoch_) {
         // Free (or stale-epoch) slot: claim it by publishing the tag first;
         // only the CAS winner writes `saved` (losers for the same key return
-        // the slot and never touch the payload).  undo_into runs after the
+        // the slot and never touch the payload).  undo_slots runs after the
         // parallel section, so the pool join publishes the value.
         if (s.tag.compare_exchange_strong(tag, want_tag,
                                           std::memory_order_acq_rel)) {

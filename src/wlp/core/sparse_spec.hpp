@@ -75,18 +75,18 @@ class SparseSpecArray final : public SpecTarget {
   long marks() const override { return pd_.marks(); }
   void discard() override { backup_.clear(); }
 
-  // ---- fused-transaction hooks --------------------------------------------
-  // No dense checkpoint (the backup saves on first touch); the fused undo
-  // pass scans this target's slot table in chunks alongside the dense
-  // members' log walks (one pool dispatch for the whole transaction).
+  // ---- fused-pass hooks (SpecRound) ----------------------------------------
+  // No dense checkpoint (the backup saves on first touch); the round's fused
+  // undo pass scans this target's slot table in chunks alongside the dense
+  // targets' log walks (one pool dispatch for the whole round).
 
   std::size_t txn_sparse_slots() const override { return backup_.capacity(); }
   long txn_undo_slots(long trip, std::size_t lo, std::size_t hi) override {
     return backup_.undo_slots(data_, trip, lo, hi);
   }
   /// After a fused full restore the recorded set is spent: drop it so the
-  /// transaction reads as empty, matching the dense members (whose logs
-  /// the restore clears).  The epoch bump keeps this O(1).
+  /// round reads as empty, matching the dense targets (whose logs the
+  /// restore clears).  The epoch bump keeps this O(1).
   void txn_restore_all_done() override { backup_.clear(); }
 
  private:

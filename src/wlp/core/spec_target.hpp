@@ -1,22 +1,20 @@
 // The type-erased interface over one array participating in a speculation —
-// split out of speculative.hpp so the SpecTransaction layer (txn.hpp) can
-// fuse checkpoint/undo work across targets without an include cycle with
-// the speculative drivers.
+// split out of speculative.hpp so the SpecRound (spec_round.hpp) can fuse
+// checkpoint/undo work across targets without an include cycle with the
+// speculative drivers.
 //
 // Checkpoint, undo and full restore exist only as the txn_* hooks: pieces a
-// SpecTransaction stitches into ONE pool-parallel pass over all its members
+// SpecRound stitches into ONE pool-parallel pass over all its targets
 // instead of k sequential parallel passes (rollback is bandwidth-bound in
 // one stream, not latency-bound in k).  A target must report a dense
-// checkpoint, sparse slots, or both; the transaction rejects one that
-// reports neither.
+// checkpoint, sparse slots, or both; the round rejects one that reports
+// neither.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 
 #include "wlp/core/shadow.hpp"
-#include "wlp/core/versioned_array.hpp"
-#include "wlp/sched/doall.hpp"
+#include "wlp/sched/thread_pool.hpp"
 
 namespace wlp {
 
@@ -43,7 +41,7 @@ class SpecTarget {
   /// the backup state can be dropped (strip-by-strip drivers use this).
   virtual void discard() = 0;
 
-  // ---- fused-transaction hooks (SpecTransaction, txn.hpp) ------------------
+  // ---- fused-pass hooks (SpecRound, spec_round.hpp) ------------------------
 
   /// txn_dense_size() of a target without a dense checkpoint.
   static constexpr std::size_t kNoDense = static_cast<std::size_t>(-1);
@@ -51,16 +49,16 @@ class SpecTarget {
   /// without one (it must then report sparse slots below).
   virtual std::size_t txn_dense_size() const { return kNoDense; }
   /// Prepare for a fused checkpoint (resize the pooled backup, count the
-  /// checkpoint) before the transaction's single parallel pass copies
+  /// checkpoint) before the round's single parallel pass copies
   /// [0, txn_dense_size()) through txn_checkpoint_span.
   virtual void txn_checkpoint_begin() {}
   /// Copy live elements [b, e) into the backup (one chunk of the fused
   /// checkpoint pass).
   virtual void txn_checkpoint_span(std::size_t /*b*/, std::size_t /*e*/) {}
-  /// One dense undo unit: walk this member's per-worker write logs from
+  /// One dense undo unit: walk this target's per-worker write logs from
   /// their tails, restoring every write by an iteration >= trip whose index
   /// lies in [lo, hi) from the backup.  Units over disjoint ranges run
-  /// concurrently.  Returns the element writes taken back: a member with K
+  /// concurrently.  Returns the element writes taken back: a target with K
   /// lanes restores, and counts, K elements per log entry.
   virtual long txn_undo(long /*trip*/, std::size_t /*lo*/, std::size_t /*hi*/) {
     return 0;
@@ -70,12 +68,12 @@ class SpecTarget {
   /// write below a stamping threshold (strategies.hpp) leave UNLOGGED
   /// speculative writes that only a full copy rolls back.
   virtual void txn_restore_all_span(std::size_t /*b*/, std::size_t /*e*/) {}
-  /// Called once per member after the fused full restore completes (clear
+  /// Called once per target after the fused full restore completes (clear
   /// the logs so the next undo pass sees none of the restored writes).
   virtual void txn_restore_all_done() {}
-  /// Sparse members: number of backup slots the fused undo pass must scan
-  /// (0 = not sparse).  The transaction partitions [0, slots) into chunks
-  /// and calls txn_undo_slots for each.
+  /// Sparse targets: number of backup slots the fused undo pass must scan
+  /// (0 = not sparse).  The round partitions [0, slots) into chunks and
+  /// calls txn_undo_slots for each.
   virtual std::size_t txn_sparse_slots() const { return 0; }
   /// Undo every slot in [lo, hi) whose writer iteration is >= trip
   /// (trip < 0 = restore all saved values: the sparse side of a fused full
@@ -85,13 +83,5 @@ class SpecTarget {
     return 0;
   }
 };
-
-namespace detail {
-inline double spec_ns_since(std::chrono::steady_clock::time_point t0) noexcept {
-  return std::chrono::duration<double, std::nano>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-}  // namespace detail
 
 }  // namespace wlp

@@ -1,5 +1,6 @@
 // Speculative execution WITH privatization under test — the second half of
-// Section 5.
+// Section 5, over Section 4's privatization with copy-in and
+// time-stamp-ordered copy-out.
 //
 // When the only cross-iteration dependences are memory related (output
 // dependences from re-used locations), privatization makes the loop a valid
@@ -13,20 +14,31 @@
 //     time-stamp not exceeding the last valid iteration;
 //   * failure — simply discard the private copies and run sequentially.
 //
+// Each virtual processor gets a private copy of the shared array (copy-in of
+// the pre-loop values).  Because a private location may legitimately be
+// written by *several* iterations of a valid parallel loop, last-value
+// copy-out cannot use a single stamp per location: the paper prescribes a
+// time-stamped *trail* of writes, from which copy-out selects, per location,
+// the value with the largest stamp that is not larger than the last valid
+// iteration.
+//
 // Note what is ABSENT compared to speculative.hpp: no checkpoint and no
 // restore.  "Privatized variables need not be backed up because the
 // original version of the variable can serve as the backup since it is not
-// altered during the parallel execution."
+// altered during the parallel execution."  DESIGN.md §12 keeps this driver
+// outside the SpecRound on purpose.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <span>
 #include <vector>
 
-#include "wlp/core/privatize.hpp"
 #include "wlp/core/report.hpp"
 #include "wlp/obs/obs.hpp"
 #include "wlp/core/shadow.hpp"
 #include "wlp/sched/doall.hpp"
+#include "wlp/support/cacheline.hpp"
 
 namespace wlp {
 
@@ -40,30 +52,41 @@ class PrivTarget {
   virtual long marks() const { return 0; }
 };
 
-/// A shared array speculated on through per-processor private copies.
-/// The shared vector stays untouched until copy_out().
+/// A shared array speculated on through per-processor private copies and
+/// their write trails.  The shared vector stays untouched until copy_out().
+/// Whether privatization was *valid* (every read preceded by a
+/// same-iteration write, per the Privatization Criterion) is the PD test's
+/// verdict; this class provides the mechanism.
 template <class T>
 class PrivatizedSpecArray final : public PrivTarget {
  public:
+  /// `shared` stays owned by the caller; its pre-loop contents are the
+  /// copy-in source and it receives the copy-out.
   PrivatizedSpecArray(std::vector<T>& shared, unsigned workers)
-      : priv_(shared, workers), pd_(shared.size(), workers, true),
-        iter_(workers, -1) {}
+      : shared_(shared),
+        copies_(workers, std::vector<T>(shared)),
+        trails_(workers),
+        pd_(shared.size(), workers, true) {}
 
   // ---- body-side API -----------------------------------------------------
 
   void begin_iteration(unsigned vpn, long iter) {
     pd_.begin_iteration(vpn, iter);
-    iter_[vpn] = iter;
   }
 
+  /// Private read on worker `vpn`.
   T get(unsigned vpn, std::size_t idx) {
     pd_.on_read(vpn, idx);
-    return priv_.read(vpn, idx);
+    return copies_[vpn][idx];
   }
 
-  void set(unsigned vpn, std::size_t idx, const T& v) {
+  /// Private write by iteration `iter` on worker `vpn`; appends to the
+  /// worker's trail so the value can be copied out later.  `iter` must be
+  /// the iteration begin_iteration(vpn, ...) started.
+  void set(unsigned vpn, long iter, std::size_t idx, const T& v) {
     pd_.on_write(vpn, idx);
-    priv_.write(vpn, iter_[vpn], idx, v);
+    copies_[vpn][idx] = v;
+    trails_[vpn].value.push_back({iter, idx, v});
   }
 
   // ---- PrivTarget ----------------------------------------------------------
@@ -71,16 +94,52 @@ class PrivatizedSpecArray final : public PrivTarget {
   PDVerdict analyze(ThreadPool& pool, long trip) const override {
     return pd_.analyze(pool, trip);
   }
-  long copy_out(long trip) override { return priv_.copy_out(trip); }
+
+  /// Copy out the last valid value of every written location: the last
+  /// write of the largest iteration below `trip`.  An iteration runs on one
+  /// worker, whose trail holds its writes in program order, so a stable
+  /// sort by (index, iteration) of the trails taken in turn leaves that
+  /// write last among its index's entries.  Returns the number of locations
+  /// copied out.
+  long copy_out(long trip) override {
+    std::vector<TrailEntry> all;
+    for (const auto& t : trails_)
+      for (const TrailEntry& e : t.value)
+        if (e.iter < trip) all.push_back(e);
+    std::stable_sort(all.begin(), all.end(),
+                     [](const TrailEntry& a, const TrailEntry& b) {
+                       if (a.idx != b.idx) return a.idx < b.idx;
+                       return a.iter < b.iter;
+                     });
+    long copied = 0;
+    for (std::size_t i = 0; i < all.size(); ++i)
+      if (i + 1 == all.size() || all[i + 1].idx != all[i].idx) {
+        shared_[all[i].idx] = all[i].value;
+        ++copied;
+      }
+    return copied;
+  }
+
   long marks() const override { return pd_.marks(); }
 
-  std::size_t trail_entries() const { return priv_.trail_entries(); }
+  /// Total trail length (the memory cost Section 8 manages).
+  std::size_t trail_entries() const noexcept {
+    std::size_t n = 0;
+    for (const auto& t : trails_) n += t.value.size();
+    return n;
+  }
 
  private:
-  PrivatizedArray<T> priv_;
+  struct TrailEntry {
+    long iter;
+    std::size_t idx;
+    T value;
+  };
+
+  std::vector<T>& shared_;
+  std::vector<std::vector<T>> copies_;
+  std::vector<Padded<std::vector<TrailEntry>>> trails_;
   PDMarks pd_;
-  // Current iteration per worker (PrivatizedArray wants it on write).
-  std::vector<long> iter_;
 };
 
 /// Run a WHILE loop speculatively with privatization under test.

@@ -55,9 +55,8 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
   out.exec.method = Method::kStripMined;
   if (strip <= 0) strip = u;
 
-  // ONE round (and so one transaction) for the whole strip sequence: the
-  // chunk maps are built once here, so every strip's begin/undo/restore
-  // allocates nothing.
+  // ONE round for the whole strip sequence: its unit maps are built once
+  // here, so every strip's begin/undo/restore allocates nothing.
   SpecRound round(pool, targets, out.exec);
 
   long base = 0;
@@ -95,7 +94,7 @@ StripSpecReport strip_speculative_while(ThreadPool& pool, long u, long strip,
       round.commit(qr.trip);
       return out;
     }
-    round.txn().discard();  // nothing overshot: commit without an undo pass
+    round.discard();  // nothing overshot: commit without an undo pass
     base = end;
   }
 

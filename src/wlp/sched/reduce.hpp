@@ -45,11 +45,4 @@ T parallel_sum(ThreadPool& pool, long lo, long hi, F&& f) {
                          [](T a, T b) { return a + b; });
 }
 
-/// Parallel logical-or of f(i) over [lo, hi).
-template <class F>
-bool parallel_any(ThreadPool& pool, long lo, long hi, F&& f) {
-  return parallel_reduce(pool, lo, hi, false, std::forward<F>(f),
-                         [](bool a, bool b) { return a || b; });
-}
-
 }  // namespace wlp

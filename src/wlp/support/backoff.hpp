@@ -76,12 +76,4 @@ class Backoff {
   unsigned spin_limit_;
 };
 
-/// Spin (never parking — yield escalation only) until `pred()` holds.
-/// For waits on plain atomics whose writers do not notify.
-template <class Pred>
-inline void spin_until(Pred&& pred) {
-  Backoff b;
-  while (!pred()) b.pause();
-}
-
 }  // namespace wlp

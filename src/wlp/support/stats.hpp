@@ -50,11 +50,6 @@ class RunningStats {
   }
   double stddev() const noexcept { return std::sqrt(variance()); }
 
-  /// Half-width of a ~95% normal confidence interval on the mean.
-  double ci95() const noexcept {
-    return n_ > 1 ? 1.96 * stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
-  }
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

@@ -1,8 +1,7 @@
-// Plain-text table / CSV emitters for the benchmark harnesses.
+// Plain-text table emitter for the benchmark harnesses.
 //
-// Every figure/table bench prints (a) a human-readable aligned table with
-// the paper's reference numbers next to ours and (b) an optional CSV block
-// that downstream plotting can consume.
+// Every figure/table bench prints a human-readable aligned table with the
+// paper's reference numbers next to ours.
 #pragma once
 
 #include <cstdio>
@@ -55,18 +54,6 @@ class TextTable {
     rule();
     for (const auto& r : rows_) line(r);
     rule();
-  }
-
-  void print_csv(std::ostream& os = std::cout) const {
-    auto emit = [&](const std::vector<std::string>& cells) {
-      for (std::size_t c = 0; c < cells.size(); ++c) {
-        if (c) os << ',';
-        os << cells[c];
-      }
-      os << '\n';
-    };
-    emit(header_);
-    for (const auto& r : rows_) emit(r);
   }
 
  private:

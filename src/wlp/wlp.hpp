@@ -32,8 +32,6 @@
 #include "wlp/core/while_doany.hpp"    // IWYU pragma: export
 #include "wlp/core/wu_lewis.hpp"       // IWYU pragma: export
 #include "wlp/core/constructs.hpp"     // IWYU pragma: export
-#include "wlp/core/versioned_array.hpp"  // IWYU pragma: export
-#include "wlp/core/privatize.hpp"      // IWYU pragma: export
 #include "wlp/core/sparse_backup.hpp"  // IWYU pragma: export
 #include "wlp/core/shadow.hpp"         // IWYU pragma: export
 #include "wlp/core/spec_round.hpp"    // IWYU pragma: export

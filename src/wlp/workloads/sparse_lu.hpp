@@ -49,7 +49,6 @@ class MarkowitzLU {
     return static_cast<std::int32_t>(perm_row_.size());
   }
 
-  bool factored() const noexcept { return factored_; }
   long fill_in() const noexcept { return fill_in_; }
   std::int32_t n() const noexcept { return n_; }
 

@@ -27,12 +27,6 @@ TEST(Reduce, EmptyRangeReturnsIdentity) {
   EXPECT_EQ(parallel_min<long>(pool, 5, 5, 77L, [](long i) { return i; }), 77);
 }
 
-TEST(Reduce, AnyShortsOnMatch) {
-  ThreadPool pool(4);
-  EXPECT_TRUE(parallel_any(pool, 0, 1000, [](long i) { return i == 999; }));
-  EXPECT_FALSE(parallel_any(pool, 0, 1000, [](long) { return false; }));
-}
-
 TEST(Reduce, RangeSmallerThanPool) {
   ThreadPool pool(8);
   EXPECT_EQ(parallel_sum<long>(pool, 0, 3, [](long i) { return i + 1; }), 6);

@@ -3,10 +3,19 @@
 #include <vector>
 
 #include "wlp/core/sparse_backup.hpp"
+#include "wlp/core/spec_round.hpp"
 #include "wlp/sched/doall.hpp"
+#include "wlp/support/cacheline.hpp"
 
 namespace wlp {
 namespace {
+
+/// The whole table through HashBackup's one undo, undo_slots, on the
+/// calling thread (trip < 0 restores everything recorded).
+template <class T>
+long undo_table(HashBackup<T>& backup, std::vector<T>& data, long trip) {
+  return backup.undo_slots(data, trip, 0, backup.capacity());
+}
 
 TEST(HashBackup, UndoRestoresOvershotLocationsOnly) {
   std::vector<double> data(100, 0.0);
@@ -17,7 +26,7 @@ TEST(HashBackup, UndoRestoresOvershotLocationsOnly) {
   backup.record(9, 20, data[20]);
   data[20] = 9.0;
 
-  EXPECT_EQ(backup.undo_into(data, 5), 1);  // only iteration 9's write undone
+  EXPECT_EQ(undo_table(backup, data, 5), 1);  // only iteration 9's write undone
   EXPECT_EQ(data[10], 3.0);
   EXPECT_EQ(data[20], 0.0);
 }
@@ -29,7 +38,7 @@ TEST(HashBackup, FirstRecorderKeepsPreLoopValue) {
   data[0] = 2.0;
   backup.record(7, 0, data[0]);  // second writer records the CURRENT value,
   data[0] = 7.0;                 // but the saved value stays the pre-loop one
-  EXPECT_EQ(backup.restore_all_into(data), 1);
+  EXPECT_EQ(undo_table(backup, data, -1), 1);
   EXPECT_EQ(data[0], 42.0);
 }
 
@@ -40,7 +49,7 @@ TEST(HashBackup, StampIsMaxWriter) {
   backup.record(3, 0, 0.0);
   data[0] = 1.0;
   // Max stamp is 9 >= trip 5: restored.
-  EXPECT_EQ(backup.undo_into(data, 5), 1);
+  EXPECT_EQ(undo_table(backup, data, 5), 1);
   EXPECT_EQ(data[0], 0.0);
 }
 
@@ -80,7 +89,7 @@ TEST(HashBackup, ClearIsEpochBumpNotSweep) {
   for (int round = 0; round < 100; ++round) {
     ASSERT_TRUE(backup.record(5, 1, data[1]));
     data[1] = 99.0;
-    ASSERT_EQ(backup.undo_into(data, 0), 1) << round;
+    ASSERT_EQ(undo_table(backup, data, 0), 1) << round;
     ASSERT_EQ(data[1], 2.0) << round;
     backup.clear();
     ASSERT_EQ(backup.entries(), 0u);
@@ -99,12 +108,12 @@ TEST(HashBackup, EpochWrapForcesExactlyOneSweep) {
   EXPECT_EQ(backup.sweeps(), 2);
   // Nothing from the pre-wrap run may leak into the new epoch.
   EXPECT_EQ(backup.entries(), 0u);
-  EXPECT_EQ(backup.restore_all_into(data), 0);
+  EXPECT_EQ(undo_table(backup, data, -1), 0);
   EXPECT_EQ(data[2], 50);
   // And the table is fully functional after the wrap.
   ASSERT_TRUE(backup.record(1, 2, data[2]));
   data[2] = 60;
-  EXPECT_EQ(backup.undo_into(data, 0), 1);
+  EXPECT_EQ(undo_table(backup, data, 0), 1);
   EXPECT_EQ(data[2], 50);
 }
 
@@ -118,9 +127,18 @@ TEST(HashBackup, ParallelUndoMatchesSerial) {
     backup.record(i, static_cast<std::size_t>(i), data[static_cast<std::size_t>(i)]);
     data[static_cast<std::size_t>(i)] = -1;
   });
-  // Slot-partitioned parallel undo: distinct keys live in distinct slots,
-  // so workers never write the same element.
-  EXPECT_EQ(backup.undo_into(data, 12000, &pool), n - 12000);
+  // The round's slot-partitioned parallel undo: undo_slots over
+  // SpecRound::kSlotChunk-slot chunks on the pool.  Distinct keys live in
+  // distinct slots, so workers never write the same element.
+  constexpr std::size_t kChunk = SpecRound::kSlotChunk;
+  const auto chunks =
+      static_cast<long>((backup.capacity() + kChunk - 1) / kChunk);
+  PerWorker<long> part(pool.size(), 0);
+  doall(pool, 0, chunks, [&](long c, unsigned vpn) {
+    const std::size_t lo = static_cast<std::size_t>(c) * kChunk;
+    part[vpn] += backup.undo_slots(data, 12000, lo, lo + kChunk);
+  });
+  EXPECT_EQ(part.reduce(0L, [](long a, long b) { return a + b; }), n - 12000);
   for (long i = 0; i < n; ++i)
     ASSERT_EQ(data[static_cast<std::size_t>(i)], i < 12000 ? -1 : i) << i;
 }
@@ -136,7 +154,7 @@ TEST(HashBackup, ConcurrentRecordingIsConsistent) {
     data[static_cast<std::size_t>(i)] = -1;
   });
   EXPECT_EQ(backup.entries(), static_cast<std::size_t>(n));
-  EXPECT_EQ(backup.undo_into(data, 2500), n - 2500);
+  EXPECT_EQ(undo_table(backup, data, 2500), n - 2500);
   for (long i = 0; i < n; ++i)
     EXPECT_EQ(data[static_cast<std::size_t>(i)], i < 2500 ? -1 : i) << i;
 }

@@ -10,37 +10,40 @@
 #include <type_traits>
 #include <vector>
 
-#include "wlp/core/versioned_array.hpp"
+#include "wlp/core/speculative.hpp"
 #include "wlp/sched/doall.hpp"
 
 namespace wlp {
 namespace {
 
-// The array's only checkpoint/undo/restore path is its transaction hooks
-// (SpecTransaction runs them as fused parallel passes).  These helpers run
-// them over the whole array on the calling thread.
+// The undo half of SpecArray (Section 4), with the PD test off
+// (run_pd_test = false): checkpoint, per-worker write logs, undo and full
+// restore.  The array's only checkpoint/undo/restore path is its fused-pass
+// hooks (a SpecRound runs them as parallel passes over all its targets).
+// These helpers run them over the whole array on the calling thread.
 template <class T, std::size_t K>
-void checkpoint(VersionedArray<T, K>& a) {
-  a.txn_checkpoint_span(0, a.txn_checkpoint_begin());
+void checkpoint(SpecArray<T, K>& a) {
+  a.txn_checkpoint_begin();
+  a.txn_checkpoint_span(0, a.txn_dense_size());
 }
 
 template <class T, std::size_t K>
-long undo_beyond(VersionedArray<T, K>& a, long trip) {
-  return a.txn_undo(trip, 0, a.size());
+long undo_beyond(SpecArray<T, K>& a, long trip) {
+  return a.txn_undo(trip, 0, a.txn_dense_size());
 }
 
-/// A full restore, then the spent logs dropped (txn_restore_all_done).
+/// A full restore, then the spent logs dropped.
 template <class T, std::size_t K>
-void restore_all(VersionedArray<T, K>& a) {
-  a.txn_restore_all_span(0, a.size());
-  a.clear_log();
+void restore_all(SpecArray<T, K>& a) {
+  a.txn_restore_all_span(0, a.txn_dense_size());
+  a.txn_restore_all_done();
 }
 
-/// The undo as the transaction runs it: one index-stripe walk per worker,
-/// in parallel.
+/// The undo as the round runs it: one index-stripe walk per worker, in
+/// parallel.
 template <class T, std::size_t K>
-long undo_in_stripes(VersionedArray<T, K>& a, long trip, ThreadPool& pool) {
-  const std::size_t n = a.size(), k = pool.size();
+long undo_in_stripes(SpecArray<T, K>& a, long trip, ThreadPool& pool) {
+  const std::size_t n = a.txn_dense_size(), k = pool.size();
   std::vector<long> part(k, 0);
   doall(pool, 0, static_cast<long>(k), [&](long s, unsigned) {
     const auto u = static_cast<std::size_t>(s);
@@ -51,97 +54,98 @@ long undo_in_stripes(VersionedArray<T, K>& a, long trip, ThreadPool& pool) {
   return undone;
 }
 
-TEST(VersionedArray, UndoRestoresExactlyOvershotWrites) {
-  VersionedArray<int> a(std::vector<int>(10, 0), 1);
+TEST(SpecArrayUndo, UndoRestoresExactlyOvershotWrites) {
+  SpecArray<int> a(std::vector<int>(10, 0), 1, false);
   checkpoint(a);
-  a.write(0, 1, 2, 100);  // valid (trip will be 5)
-  a.write(0, 4, 3, 200);  // valid
-  a.write(0, 5, 4, 300);  // overshot
-  a.write(0, 9, 5, 400);  // overshot
+  a.set(0, 1, 2, 100);  // valid (trip will be 5)
+  a.set(0, 4, 3, 200);  // valid
+  a.set(0, 5, 4, 300);  // overshot
+  a.set(0, 9, 5, 400);  // overshot
   const long undone = undo_beyond(a, 5);
   EXPECT_EQ(undone, 2);
-  EXPECT_EQ(a.get(2), 100);
-  EXPECT_EQ(a.get(3), 200);
-  EXPECT_EQ(a.get(4), 0);
-  EXPECT_EQ(a.get(5), 0);
+  EXPECT_EQ(a.data()[2], 100);
+  EXPECT_EQ(a.data()[3], 200);
+  EXPECT_EQ(a.data()[4], 0);
+  EXPECT_EQ(a.data()[5], 0);
 }
 
-TEST(VersionedArray, ParallelUndoMatchesSequential) {
+TEST(SpecArrayUndo, ParallelUndoMatchesSequential) {
   ThreadPool pool(4);
   const long n = 10000, trip = 6000;
-  VersionedArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1),
-                         pool.size());
+  SpecArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1),
+                    pool.size(), false);
   checkpoint(a);
   doall(pool, 0, n, [&](long i, unsigned vpn) {
-    a.write(vpn, i, static_cast<std::size_t>(i), i * 10);
+    a.set(vpn, i, static_cast<std::size_t>(i), i * 10);
   });
   const long undone = undo_in_stripes(a, trip, pool);
   EXPECT_EQ(undone, n - trip);
   for (long i = 0; i < n; ++i)
-    EXPECT_EQ(a.get(static_cast<std::size_t>(i)), i < trip ? i * 10 : -1) << i;
+    EXPECT_EQ(a.data()[static_cast<std::size_t>(i)], i < trip ? i * 10 : -1)
+        << i;
 }
 
-TEST(VersionedArray, RestoreAllAfterFailedSpeculation) {
-  VersionedArray<double> a(std::vector<double>{1.0, 2.0, 3.0}, 1);
+TEST(SpecArrayUndo, RestoreAllAfterFailedSpeculation) {
+  SpecArray<double> a(std::vector<double>{1.0, 2.0, 3.0}, 1, false);
   checkpoint(a);
-  a.write(0, 0, 0, 9.0);
-  a.write(0, 1, 1, 9.0);
-  a.write_raw(2, 9.0);  // below a stamping threshold: never logged
+  a.set(0, 0, 0, 9.0);
+  a.set(0, 1, 1, 9.0);
+  a.data()[2] = 9.0;  // below a stamping threshold: never logged
   restore_all(a);
-  EXPECT_EQ(a.get(0), 1.0);
-  EXPECT_EQ(a.get(1), 2.0);
-  EXPECT_EQ(a.get(2), 3.0);  // the full copy takes unlogged writes back too
+  EXPECT_EQ(a.data()[0], 1.0);
+  EXPECT_EQ(a.data()[1], 2.0);
+  EXPECT_EQ(a.data()[2], 3.0);  // the full copy takes unlogged writes back too
   // Logs cleared: nothing left to undo.
   EXPECT_EQ(undo_beyond(a, 0), 0);
 }
 
-TEST(VersionedArray, StampKeepsMaximumWriter) {
+TEST(SpecArrayUndo, StampKeepsMaximumWriter) {
   // A location's effective stamp is its largest writer iteration across
   // every worker's log: a lower iteration writing later on another worker
   // (a parallel interleaving) does not save it from the undo.
-  VersionedArray<int> a(std::vector<int>(4, 0), 2);
+  SpecArray<int> a(std::vector<int>(4, 0), 2, false);
   checkpoint(a);
-  a.write(1, 7, 1, 70);
-  a.write(0, 3, 1, 30);
+  a.set(1, 7, 1, 70);
+  a.set(0, 3, 1, 30);
   // Undo at trip 5: writer 7 >= 5 -> restored to the checkpoint value.
   EXPECT_EQ(undo_beyond(a, 5), 1);
-  EXPECT_EQ(a.get(1), 0);
+  EXPECT_EQ(a.data()[1], 0);
 }
 
-TEST(VersionedArray, WriteRawBypassesStamps) {
-  VersionedArray<int> a(std::vector<int>(3, 5), 1);
+TEST(SpecArrayUndo, DataWritesBypassTheLog) {
+  SpecArray<int> a(std::vector<int>(3, 5), 1, false);
   checkpoint(a);
-  a.write_raw(0, 9);
+  a.data()[0] = 9;
   EXPECT_EQ(a.logged_writes(), 0u);
   EXPECT_EQ(undo_beyond(a, 0), 0);  // raw writes are never undone
-  EXPECT_EQ(a.get(0), 9);
+  EXPECT_EQ(a.data()[0], 9);
 }
 
-TEST(VersionedArray, UndoWithNoWritesIsNoop) {
-  VersionedArray<int> a(std::vector<int>(100, 1), 1);
+TEST(SpecArrayUndo, UndoWithNoWritesIsNoop) {
+  SpecArray<int> a(std::vector<int>(100, 1), 1, false);
   checkpoint(a);
   EXPECT_EQ(undo_beyond(a, 0), 0);
 }
 
-TEST(VersionedArray, DataEscapeHatchAliasesStorage) {
-  VersionedArray<int> a(std::vector<int>{1, 2, 3}, 1);
+TEST(SpecArrayUndo, DataEscapeHatchAliasesStorage) {
+  SpecArray<int> a(std::vector<int>{1, 2, 3}, 1, false);
   a.data()[1] = 42;
-  EXPECT_EQ(a.get(1), 42);
+  EXPECT_EQ(a.get(0, 1), 42);  // the body-side read sees the raw store
 }
 
-TEST(VersionedArray, EntriesKeepThe32BitIterationLimit) {
-  static_assert(VersionedArray<int>::kMaxIter == 0xfffffffeL);
-  static_assert(VersionedArray<int>::kMaxIndex == 0xfffffffeu);
-  VersionedArray<int> a(std::vector<int>(8, 0), 1);
+TEST(SpecArrayUndo, EntriesKeepThe32BitIterationLimit) {
+  static_assert(SpecArray<int>::kMaxIter == 0xfffffffeL);
+  static_assert(SpecArray<int>::kMaxIndex == 0xfffffffeu);
+  SpecArray<int> a(std::vector<int>(8, 0), 1, false);
   checkpoint(a);
-  a.write(0, 5, 2, 1);
-  a.write(0, VersionedArray<int>::kMaxIter, 3, 1);
+  a.set(0, 5, 2, 1);
+  a.set(0, SpecArray<int>::kMaxIter, 3, 1);
   // The largest iteration survives the round trip through 32 bits.
-  EXPECT_EQ(undo_beyond(a, VersionedArray<int>::kMaxIter + 1), 0);
-  EXPECT_EQ(a.get(3), 1);
-  EXPECT_EQ(undo_beyond(a, VersionedArray<int>::kMaxIter), 1);
-  EXPECT_EQ(a.get(3), 0);
-  EXPECT_EQ(a.get(2), 1);
+  EXPECT_EQ(undo_beyond(a, SpecArray<int>::kMaxIter + 1), 0);
+  EXPECT_EQ(a.data()[3], 1);
+  EXPECT_EQ(undo_beyond(a, SpecArray<int>::kMaxIter), 1);
+  EXPECT_EQ(a.data()[3], 0);
+  EXPECT_EQ(a.data()[2], 1);
 }
 
 // ---- per-worker logs: element copies, segments, concurrency ----------------
@@ -163,10 +167,10 @@ struct Tracked {
 };
 static_assert(!std::is_trivially_copyable_v<Tracked>);
 
-TEST(VersionedArray, NonTriviallyCopyableTakesElementCopyPath) {
+TEST(SpecArrayUndo, NonTriviallyCopyableTakesElementCopyPath) {
   const long n = 200;
-  VersionedArray<Tracked> a(std::vector<Tracked>(static_cast<std::size_t>(n)),
-                            1);
+  SpecArray<Tracked> a(std::vector<Tracked>(static_cast<std::size_t>(n)), 1,
+                       false);
   for (long i = 0; i < n; ++i) a.data()[static_cast<std::size_t>(i)].v = i;
 
   Tracked::copies = 0;
@@ -176,30 +180,31 @@ TEST(VersionedArray, NonTriviallyCopyableTakesElementCopyPath) {
   EXPECT_EQ(Tracked::copies, n);
 
   for (long i = 0; i < n; ++i)
-    a.write(0, i, static_cast<std::size_t>(i), Tracked(i + 1000));
+    a.set(0, i, static_cast<std::size_t>(i), Tracked(i + 1000));
   Tracked::copies = 0;
   EXPECT_EQ(undo_beyond(a, 120), n - 120);
   EXPECT_EQ(Tracked::copies, n - 120);  // one copy per restored element
   for (long i = 0; i < n; ++i)
-    EXPECT_EQ(a.get(static_cast<std::size_t>(i)).v, i < 120 ? i + 1000 : i) << i;
+    EXPECT_EQ(a.data()[static_cast<std::size_t>(i)].v, i < 120 ? i + 1000 : i)
+        << i;
 
   restore_all(a);
   for (long i = 0; i < n; ++i)
-    EXPECT_EQ(a.get(static_cast<std::size_t>(i)).v, i) << i;
+    EXPECT_EQ(a.data()[static_cast<std::size_t>(i)].v, i) << i;
 }
 
-TEST(VersionedArray, ConcurrentAppendsUndoOvershotCollision) {
+TEST(SpecArrayUndo, ConcurrentAppendsUndoOvershotCollision) {
   // Every worker appends to its own log while the others do; two overshot
   // iterations on different workers write ONE index (a pattern the
   // trip-filtered PD test accepts, since both are past the trip).  That
   // index then sits in two logs, and only the undo stripe that holds it
   // restores it, from one thread.  (Run under TSan in CI via the
-  // VersionedArray* filter; the handshake orders the two data stores.)
+  // SpecArrayUndo* filter; the handshake orders the two data stores.)
   ThreadPool pool(4);
   const long n = 1 << 14, trip = 9000;
   const long late = n - 6, later = n - 1;  // workers 2 and 3: i mod 4
-  VersionedArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1),
-                         pool.size());
+  SpecArray<long> a(std::vector<long>(static_cast<std::size_t>(n), -1),
+                    pool.size(), false);
   checkpoint(a);
   std::atomic<bool> late_done{false};
   // A fixed owner per iteration: worker vpn runs i = vpn, vpn + p, ...
@@ -210,7 +215,7 @@ TEST(VersionedArray, ConcurrentAppendsUndoOvershotCollision) {
         while (!late_done.load(std::memory_order_acquire)) std::this_thread::yield();
         idx = static_cast<std::size_t>(late);
       }
-      a.write(vpn, i, idx, i * 3);
+      a.set(vpn, i, idx, i * 3);
       if (i == late) late_done.store(true, std::memory_order_release);
     }
   });
@@ -218,51 +223,53 @@ TEST(VersionedArray, ConcurrentAppendsUndoOvershotCollision) {
   // Test-local oracle: one entry per write by an iteration >= trip.
   EXPECT_EQ(undo_in_stripes(a, trip, pool), n - trip);
   for (long i = 0; i < n; ++i)
-    ASSERT_EQ(a.get(static_cast<std::size_t>(i)), i < trip ? i * 3 : -1) << i;
+    ASSERT_EQ(a.data()[static_cast<std::size_t>(i)], i < trip ? i * 3 : -1)
+        << i;
 }
 
-TEST(VersionedArray, ClearLogKeepsSegmentsForWarmRetries) {
+TEST(SpecArrayUndo, ResetMarksKeepsSegmentsForWarmRetries) {
   const long n = 4096;
-  VersionedArray<int> a(std::vector<int>(static_cast<std::size_t>(n), 0), 1);
+  SpecArray<int> a(std::vector<int>(static_cast<std::size_t>(n), 0), 1, false);
   for (int round = 0; round < 100; ++round) {
     checkpoint(a);
-    a.write(0, 7, 100, round);
-    a.write(0, 9, 2100, round);
+    a.set(0, 7, 100, round);
+    a.set(0, 9, 2100, round);
     ASSERT_EQ(undo_beyond(a, 8), 1) << round;
-    ASSERT_EQ(a.get(2100), 0) << round;
-    ASSERT_EQ(a.get(100), round) << round;
+    ASSERT_EQ(a.data()[2100], 0) << round;
+    ASSERT_EQ(a.data()[100], round) << round;
     a.data()[100] = 0;  // reset for the next round
-    a.clear_log();
+    a.reset_marks();
     ASSERT_EQ(a.logged_writes(), 0u);
   }
-  const UndoStats s = a.stats();
+  const UndoStats s = a.undo_stats();
   EXPECT_EQ(s.resets, 100);
   EXPECT_EQ(s.checkpoints, 100);
   EXPECT_EQ(s.segments, 1);  // one segment, allocated once and reused
 }
 
-TEST(VersionedArray, SegmentsAreSizedByTheArrayAndChain) {
+TEST(SpecArrayUndo, SegmentsAreSizedByTheArrayAndChain) {
   // A small array gets segments no larger than itself; writes past one
   // segment chain into the next, and the tail walk crosses the boundary.
   const std::size_t n = 16;
-  VersionedArray<int> a(std::vector<int>(n, 0), 1);
+  SpecArray<int> a(std::vector<int>(n, 0), 1, false);
   checkpoint(a);
   for (long i = 0; i < 40; ++i)
-    a.write(0, i, static_cast<std::size_t>(i) % n, static_cast<int>(i + 1));
-  EXPECT_EQ(a.stats().segments, 3);  // 40 entries in segments of 16
+    a.set(0, i, static_cast<std::size_t>(i) % n, static_cast<int>(i + 1));
+  EXPECT_EQ(a.undo_stats().segments, 3);  // 40 entries in segments of 16
   EXPECT_EQ(a.logged_writes(), 40u);
   // Iterations 30..39 span the last two segments and wrote indices 14, 15
   // and 0..7; indices 8..13 keep their last write, by iteration i + 16.
   EXPECT_EQ(undo_beyond(a, 30), 10);
   for (std::size_t i = 0; i < n; ++i)
-    ASSERT_EQ(a.get(i), i >= 8 && i <= 13 ? static_cast<int>(i + 17) : 0) << i;
+    ASSERT_EQ(a.data()[i], i >= 8 && i <= 13 ? static_cast<int>(i + 17) : 0)
+        << i;
 }
 
-TEST(VersionedArray, MemoryBytesCountsDataBackupAndLog) {
-  using VA = VersionedArray<long>;
-  const std::size_t n = 3 * VA::kSegmentEntries + 5;
+TEST(SpecArrayUndo, MemoryBytesCountsDataBackupAndLog) {
+  using SA = SpecArray<long>;
+  const std::size_t n = 3 * SA::kSegmentEntries + 5;
   const unsigned workers = 2;
-  VA a(std::vector<long>(n, 0), workers);
+  SA a(std::vector<long>(n, 0), workers, false);
   const std::size_t before = a.memory_bytes();
   EXPECT_EQ(before, n * sizeof(long));  // data only: no backup, no log yet
   checkpoint(a);
@@ -272,24 +279,23 @@ TEST(VersionedArray, MemoryBytesCountsDataBackupAndLog) {
   // entries, two segments each.  Opened segments count whole, which stays
   // within the 8-byte stamp per element the log replaced plus one partly
   // filled segment per worker.
-  const std::size_t seg_bytes = VA::kSegmentEntries * sizeof(std::uint64_t);
+  const std::size_t seg_bytes = SA::kSegmentEntries * sizeof(std::uint64_t);
   for (std::size_t i = 0; i < n; ++i)
-    a.write(static_cast<unsigned>(i % 2), static_cast<long>(i), i, 1);
+    a.set(static_cast<unsigned>(i % 2), static_cast<long>(i), i, 1);
   EXPECT_EQ(a.memory_bytes(), with_backup + 4 * seg_bytes);
   EXPECT_LE(a.memory_bytes(),
             with_backup + n * sizeof(std::uint64_t) + workers * seg_bytes);
   EXPECT_EQ(a.logged_writes(), n);
   // discard keeps the pooled buffer: the footprint (and therefore the
   // window controller's charge) does not shrink.
-  a.discard_checkpoint();
+  a.discard();
   EXPECT_EQ(a.memory_bytes(), with_backup + 4 * seg_bytes);
-  EXPECT_FALSE(a.has_checkpoint());
-  a.clear_log();
+  a.reset_marks();
   EXPECT_EQ(a.memory_bytes(), with_backup);
-  EXPECT_EQ(a.stats().segments, 4);  // kept for the next retry
+  EXPECT_EQ(a.undo_stats().segments, 4);  // kept for the next retry
 }
 
-TEST(VersionedArray, FusedUndoMatchesPerElementReference) {
+TEST(SpecArrayUndo, FusedUndoMatchesPerElementReference) {
   // The tail walk must agree with a per-element oracle on a scattered
   // pseudo-random write pattern spread over several workers' logs: every
   // location some iteration >= trip wrote goes back to its known pre-loop
@@ -297,7 +303,7 @@ TEST(VersionedArray, FusedUndoMatchesPerElementReference) {
   const std::size_t n = 1 << 14;
   const long trip = 1000;
   const unsigned workers = 3;
-  VersionedArray<long> fused(std::vector<long>(n, -7), workers);
+  SpecArray<long> fused(std::vector<long>(n, -7), workers, false);
   std::vector<long> ref(n, -7);
   std::vector<long> max_writer(n, -1);
   checkpoint(fused);
@@ -308,7 +314,7 @@ TEST(VersionedArray, FusedUndoMatchesPerElementReference) {
     x ^= x << 17;
     const auto idx = static_cast<std::size_t>(x % n);
     // Cyclic assignment: each worker's iterations arrive in increasing order.
-    fused.write(static_cast<unsigned>(iter % workers), iter, idx, iter);
+    fused.set(static_cast<unsigned>(iter % workers), iter, idx, iter);
     ref[idx] = iter;
     max_writer[idx] = std::max(max_writer[idx], iter);
   }
@@ -317,26 +323,27 @@ TEST(VersionedArray, FusedUndoMatchesPerElementReference) {
   // One entry per write: iterations trip..1999 wrote once each.
   EXPECT_EQ(undo_beyond(fused, trip), 2000 - trip);
   for (std::size_t i = 0; i < n; ++i)
-    ASSERT_EQ(fused.get(i), ref[i]) << i;
+    ASSERT_EQ(fused.data()[i], ref[i]) << i;
 }
 
 // ---- lanes: K arrays under one subscript share one log ---------------------
 
-using TwoLanes = VersionedArray<double, 2>;
+using TwoLanes = SpecArray<double, 2>;
 
 /// Two lanes of n elements, lane 0 all `a` and lane 1 all `b`.
 std::array<std::vector<double>, 2> lanes(std::size_t n, double a, double b) {
   return {std::vector<double>(n, a), std::vector<double>(n, b)};
 }
 
-TEST(VersionedArray, TwoLaneOvershotCollisionRestoresBothLanes) {
+TEST(SpecArrayUndo, TwoLaneOvershotCollisionRestoresBothLanes) {
   // ConcurrentAppendsUndoOvershotCollision with two lanes: one set stores
   // both lanes and appends one entry, so the colliding index sits in two
   // logs once each, and the stripe that holds it restores both lanes.
   ThreadPool pool(4);
   const long n = 1 << 14, trip = 9000;
   const long late = n - 6, later = n - 1;  // workers 2 and 3: i mod 4
-  TwoLanes a(lanes(static_cast<std::size_t>(n), -1.0, -2.0), pool.size());
+  TwoLanes a(lanes(static_cast<std::size_t>(n), -1.0, -2.0), pool.size(),
+             false);
   checkpoint(a);
   std::atomic<bool> late_done{false};
   pool.parallel([&](unsigned vpn) {
@@ -346,7 +353,7 @@ TEST(VersionedArray, TwoLaneOvershotCollisionRestoresBothLanes) {
         while (!late_done.load(std::memory_order_acquire)) std::this_thread::yield();
         idx = static_cast<std::size_t>(late);
       }
-      a.write(vpn, i, idx, static_cast<double>(i), static_cast<double>(-i));
+      a.set(vpn, i, idx, static_cast<double>(i), static_cast<double>(-i));
       if (i == late) late_done.store(true, std::memory_order_release);
     }
   });
@@ -355,18 +362,18 @@ TEST(VersionedArray, TwoLaneOvershotCollisionRestoresBothLanes) {
   EXPECT_EQ(undo_in_stripes(a, trip, pool), 2 * (n - trip));
   for (long i = 0; i < n; ++i) {
     const auto idx = static_cast<std::size_t>(i);
-    ASSERT_EQ(a.get(idx, 0), i < trip ? static_cast<double>(i) : -1.0) << i;
-    ASSERT_EQ(a.get(idx, 1), i < trip ? static_cast<double>(-i) : -2.0) << i;
+    ASSERT_EQ(a.data(0)[idx], i < trip ? static_cast<double>(i) : -1.0) << i;
+    ASSERT_EQ(a.data(1)[idx], i < trip ? static_cast<double>(-i) : -2.0) << i;
   }
 }
 
-TEST(VersionedArray, TwoLaneRestoreAllRestoresBothLanes) {
+TEST(SpecArrayUndo, TwoLaneRestoreAllRestoresBothLanes) {
   TwoLanes a({std::vector<double>{1.0, 2.0, 3.0},
               std::vector<double>{4.0, 5.0, 6.0}},
-             1);
+             1, false);
   checkpoint(a);
-  a.write(0, 0, 0, 9.0, 9.5);
-  a.write(0, 1, 1, 9.0, 9.5);
+  a.set(0, 0, 0, 9.0, 9.5);
+  a.set(0, 1, 1, 9.0, 9.5);
   a.data(1)[2] = 9.5;  // unlogged: only the full copy takes it back
   restore_all(a);
   EXPECT_EQ(a.data(0), (std::vector<double>{1.0, 2.0, 3.0}));
@@ -375,23 +382,23 @@ TEST(VersionedArray, TwoLaneRestoreAllRestoresBothLanes) {
   EXPECT_EQ(undo_beyond(a, 0), 0);
 }
 
-TEST(VersionedArray, TwoLaneLogsOneEntryPerSet) {
-  TwoLanes a(lanes(64, 0.0, 0.0), 2);
+TEST(SpecArrayUndo, TwoLaneLogsOneEntryPerSet) {
+  TwoLanes a(lanes(64, 0.0, 0.0), 2, false);
   checkpoint(a);
   for (long i = 0; i < 10; ++i)
-    a.write(static_cast<unsigned>(i % 2), i, static_cast<std::size_t>(i),
+    a.set(static_cast<unsigned>(i % 2), i, static_cast<std::size_t>(i),
             1.0, 2.0);
   EXPECT_EQ(a.logged_writes(), 10u);  // one entry per set, not per lane
   EXPECT_EQ(undo_beyond(a, 6), 2 * 4);  // iterations 6..9, two lanes each
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(a.get(i, 0), i < 6 ? 1.0 : 0.0) << i;
-    EXPECT_EQ(a.get(i, 1), i < 6 ? 2.0 : 0.0) << i;
+    EXPECT_EQ(a.data(0)[i], i < 6 ? 1.0 : 0.0) << i;
+    EXPECT_EQ(a.data(1)[i], i < 6 ? 2.0 : 0.0) << i;
   }
 }
 
-TEST(VersionedArray, TwoLaneMemoryBytesCountsOneLog) {
+TEST(SpecArrayUndo, TwoLaneMemoryBytesCountsOneLog) {
   const std::size_t n = 3 * TwoLanes::kSegmentEntries + 5;
-  TwoLanes a(lanes(n, 0.0, 0.0), 2);
+  TwoLanes a(lanes(n, 0.0, 0.0), 2, false);
   const std::size_t data = 2 * n * sizeof(double);
   EXPECT_EQ(a.memory_bytes(), data);  // both lanes, no backup, no log yet
   checkpoint(a);
@@ -400,15 +407,16 @@ TEST(VersionedArray, TwoLaneMemoryBytesCountsOneLog) {
   // entries, two segments each — the segments of ONE log, not two.
   const std::size_t seg_bytes = TwoLanes::kSegmentEntries * sizeof(IterEntry);
   for (std::size_t i = 0; i < n; ++i)
-    a.write(static_cast<unsigned>(i % 2), static_cast<long>(i), i, 1.0, 2.0);
+    a.set(static_cast<unsigned>(i % 2), static_cast<long>(i), i, 1.0, 2.0);
   EXPECT_EQ(a.memory_bytes(), 2 * data + 4 * seg_bytes);
-  EXPECT_EQ(a.stats().segments, 4);
+  EXPECT_EQ(a.undo_stats().segments, 4);
 }
 
-TEST(VersionedArray, LanesOfDifferentSizesThrow) {
-  EXPECT_THROW(TwoLanes({std::vector<double>(8), std::vector<double>(7)}, 1),
+TEST(SpecArrayUndo, LanesOfDifferentSizesThrow) {
+  EXPECT_THROW(
+      TwoLanes({std::vector<double>(8), std::vector<double>(7)}, 1, false),
                std::invalid_argument);
-  EXPECT_NO_THROW(TwoLanes(lanes(8, 0.0, 0.0), 1));
+  EXPECT_NO_THROW(TwoLanes(lanes(8, 0.0, 0.0), 1, false));
 }
 
 }  // namespace

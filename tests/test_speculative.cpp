@@ -234,6 +234,42 @@ TEST(Speculative, NoQuitRunIsLabelledInduction1) {
   EXPECT_EQ(q.trip, exit_at);
 }
 
+/// One clock pair per timed step: the round's checkpoint and undo times go
+/// to the ExecReport and to the wlp.undo.* counters (what bench_e2e's
+/// core.checkpoint_ms and core.undo_ms read), so the two agree exactly.
+TEST(Speculative, RoundTimesFeedReportAndUndoCounters) {
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Registry& reg = obs::Registry::instance();
+  const obs::Counter& cp = reg.counter("wlp.undo.checkpoint_ns");
+  const obs::Counter& undo = reg.counter("wlp.undo.restore_ns");
+  const std::uint64_t cp0 = cp.value(), undo0 = undo.value();
+
+  ThreadPool pool(4);
+  const long n = 128 * 1024, exit_at = n / 2;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
+                        pool.size(), /*run_pd_test=*/false);
+  SpecTarget* targets[] = {&arr};
+  const ExecReport r = speculative_while(
+      pool, n, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        arr.begin_iteration(vpn, i);
+        // Write before the exit test, so the overshoot has writes to undo.
+        arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
+        return i >= exit_at ? IterAction::kExit : IterAction::kContinue;
+      },
+      [&] { return exit_at; });
+  obs::set_metrics_enabled(metrics_were_on);
+
+  ASSERT_FALSE(r.reexecuted_sequentially);
+  EXPECT_EQ(r.trip, exit_at);
+  EXPECT_GT(r.undone_writes, 0);
+  EXPECT_EQ(static_cast<long>(cp.value() - cp0),
+            static_cast<long>(r.checkpoint_ns));
+  EXPECT_EQ(static_cast<long>(undo.value() - undo0),
+            static_cast<long>(r.undo_ns));
+}
+
 // ---- lane groups: SpecArray<T, K> -----------------------------------------
 
 using TwoLaneArray = SpecArray<double, 2>;

@@ -27,8 +27,8 @@ TEST(SpeculativePrivatized, OutputDepsPassUnderPrivatization) {
         ptmp.begin_iteration(vpn, i);
         pout.begin_iteration(vpn, i);
         if (i >= exit_at) return IterAction::kExit;
-        ptmp.set(vpn, 0, static_cast<double>(i) * 2);  // tmp = 2i
-        pout.set(vpn, static_cast<std::size_t>(i), ptmp.get(vpn, 0) + 1);
+        ptmp.set(vpn, i, 0, static_cast<double>(i) * 2);  // tmp = 2i
+        pout.set(vpn, i, static_cast<std::size_t>(i), ptmp.get(vpn, 0) + 1);
         return IterAction::kContinue;
       },
       [&] { return exit_at; });
@@ -61,7 +61,7 @@ TEST(SpeculativePrivatized, CrossIterationFlowFailsCleanly) {
       [&](long i, unsigned vpn) {
         pacc.begin_iteration(vpn, i);
         // acc = acc + 1: exposed read (no same-iteration write precedes it).
-        pacc.set(vpn, 0, pacc.get(vpn, 0) + 1.0);
+        pacc.set(vpn, i, 0, pacc.get(vpn, 0) + 1.0);
         return IterAction::kContinue;
       },
       [&] {
@@ -86,7 +86,7 @@ TEST(SpeculativePrivatized, ExceptionFallsBackWithoutRestore) {
       pool, 100, std::span<PrivTarget* const>(targets, 1),
       [&](long i, unsigned vpn) {
         pd.begin_iteration(vpn, i);
-        pd.set(vpn, static_cast<std::size_t>(i), 9.0);
+        pd.set(vpn, i, static_cast<std::size_t>(i), 9.0);
         if (i == 50) throw std::runtime_error("fault");
         return IterAction::kContinue;
       },
@@ -118,7 +118,7 @@ TEST(SpeculativePrivatized, OvershootWritesFilteredByCopyOut) {
         pool, n, std::span<PrivTarget* const>(targets, 1),
         [&](long i, unsigned vpn) {
           pc.begin_iteration(vpn, i);
-          pc.set(vpn, 0, static_cast<double>(i));  // every iteration writes
+          pc.set(vpn, i, 0, static_cast<double>(i));  // every iteration writes
           return i == exit_at - 1 ? IterAction::kExitAfter : IterAction::kContinue;
         },
         [&] { return exit_at; }, use_quit);
@@ -133,6 +133,41 @@ TEST(SpeculativePrivatized, OvershootWritesFilteredByCopyOut) {
     // largest stamp BELOW the trip.
     EXPECT_EQ(cell[0], static_cast<double>(exit_at - 1));
   }
+}
+
+/// Each iteration writes its cell twice; copy-out must keep the SECOND
+/// write of the cell's last valid iteration.  The trail keeps no sequence
+/// number: an iteration runs on one worker, whose trail holds its writes in
+/// program order, and copy-out's sort by (index, iteration) is stable.
+TEST(SpeculativePrivatized, SameIterationWritesCopyOutInProgramOrder) {
+  ThreadPool pool(4);
+  const long n = 20000, exit_at = 15000;
+  constexpr long kCells = 8;
+  std::vector<double> cells(kCells, -1.0);
+  PrivatizedSpecArray<double> pc(cells, pool.size());
+  PrivTarget* targets[] = {&pc};
+
+  const ExecReport r = speculative_privatized_while(
+      pool, n, std::span<PrivTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        pc.begin_iteration(vpn, i);
+        if (i >= exit_at) return IterAction::kExit;
+        const auto cell = static_cast<std::size_t>(i % kCells);
+        pc.set(vpn, i, cell, static_cast<double>(i));        // first
+        pc.set(vpn, i, cell, static_cast<double>(i) + 0.5);  // second
+        return IterAction::kContinue;
+      },
+      [&] { return exit_at; });
+
+  EXPECT_TRUE(r.pd_passed);
+  EXPECT_FALSE(r.reexecuted_sequentially);
+  EXPECT_EQ(r.trip, exit_at);
+  // exit_at is a multiple of kCells: cell c's last valid iteration is
+  // exit_at - kCells + c.
+  for (long c = 0; c < kCells; ++c)
+    EXPECT_EQ(cells[static_cast<std::size_t>(c)],
+              static_cast<double>(exit_at - kCells + c) + 0.5)
+        << c;
 }
 
 }  // namespace

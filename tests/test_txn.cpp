@@ -1,16 +1,16 @@
-// Multi-array speculation transactions (SpecTransaction, txn.hpp):
+// The SpecRound's fused multi-array passes (spec_round.hpp):
 //   * the fused multi-array undo agrees with a per-element oracle on every
-//     member,
+//     target,
 //   * a target the fused passes cannot checkpoint is rejected up front,
-//   * mixed dense+hash transactions survive concurrent writers, and two
+//   * mixed dense+hash rounds survive concurrent writers, and two
 //     overshot iterations on different workers writing one index pass the
 //     trip-filtered PD test and are undone (the TSan job runs these under
 //     Txn*),
 //   * every driver (whole loop, strips, window) hands each worker its
 //     iterations in increasing order, which the log tail walk relies on
 //     (TxnTailWalk),
-//   * steady-state strip retries over a 2-array transaction allocate
-//     nothing (wlp.mem Budget deltas pinned to zero).
+//   * steady-state strip retries over a 2-array round allocate nothing
+//     (wlp.mem Budget deltas pinned to zero).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,8 +26,8 @@
 #include "wlp/core/sliding_window.hpp"
 #include "wlp/core/sparse_spec.hpp"
 #include "wlp/core/speculative.hpp"
+#include "wlp/core/spec_round.hpp"
 #include "wlp/core/speculative_strips.hpp"
-#include "wlp/core/txn.hpp"
 #include "wlp/mem/budget.hpp"
 #include "wlp/support/prng.hpp"
 
@@ -52,8 +52,8 @@ struct UndoOracle {
 };
 
 TEST(TxnFused, MultiArrayUndoMatchesPerElementOracle) {
-  // Three members with scattered, colliding writes, undone by the fused
-  // transaction pass (one tail-walk unit per member); the per-element
+  // Three targets with scattered, colliding writes, undone by the round's
+  // fused pass (one tail-walk unit per target and stripe); the per-element
   // oracle replays the same writes.  Every element and the count of
   // writes taken back must agree.
   ThreadPool pool(4);
@@ -64,12 +64,12 @@ TEST(TxnFused, MultiArrayUndoMatchesPerElementOracle) {
   SpecArray<long> b(std::vector<long>(n, -2), pool.size(), false);
   SpecArray<long> c(std::vector<long>(n, -3), pool.size(), false);
   SpecTarget* targets[] = {&a, &b, &c};
-  SpecTransaction txn(std::span<SpecTarget* const>(targets, 3));
-  EXPECT_EQ(txn.fused_targets(), 3u);
+  ExecReport r;
+  SpecRound round(pool, std::span<SpecTarget* const>(targets, 3), r);
 
   UndoOracle ra(n, -1), rb(n, -2), rc(n, -3);
 
-  txn.begin(&pool);
+  round.begin();
 
   Xoshiro256 rng(0x5eedull);
   long overshot_writes = 0;
@@ -88,7 +88,8 @@ TEST(TxnFused, MultiArrayUndoMatchesPerElementOracle) {
     if (i >= trip) overshot_writes += 3;
   }
 
-  EXPECT_EQ(txn.undo_beyond(trip, &pool), overshot_writes);
+  round.commit(trip);
+  EXPECT_EQ(r.undone_writes, overshot_writes);
   ra.undo(trip, -1);
   rb.undo(trip, -2);
   rc.undo(trip, -3);
@@ -102,17 +103,19 @@ TEST(TxnFused, MultiArrayUndoMatchesPerElementOracle) {
 TEST(TxnShape, TargetWithNeitherIndexNorSlotsIsRejected) {
   // The fused passes are the only checkpoint/undo a target has: one that
   // reports neither a dense checkpoint nor sparse slots would silently run
-  // without a checkpoint, so the transaction refuses it.
+  // without a checkpoint, so the round refuses it.
   struct Bare final : SpecTarget {
     bool shadowed() const override { return false; }
     PDVerdict analyze(ThreadPool&, long) const override { return {}; }
     void reset_marks() override {}
     void discard() override {}
   } bare;
+  ThreadPool pool(1);
   SpecArray<double> dense(std::vector<double>(64, 0.0), 1, false);
   SpecTarget* targets[] = {&dense, &bare};
   const std::span<SpecTarget* const> members(targets, 2);
-  EXPECT_THROW(SpecTransaction txn(members), std::invalid_argument);
+  ExecReport r;
+  EXPECT_THROW(SpecRound round(pool, members, r), std::invalid_argument);
 }
 
 TEST(TxnFused, RestoreAllReturnsEveryMemberToEntryState) {
@@ -123,28 +126,30 @@ TEST(TxnFused, RestoreAllReturnsEveryMemberToEntryState) {
   std::vector<double> sparse_data(n, 3.5);
   SparseSpecArray<double> s(sparse_data, pool.size(), 256, false);
   SpecTarget* targets[] = {&a, &b, &s};
-  SpecTransaction txn(std::span<SpecTarget* const>(targets, 3));
+  ExecReport r;
+  SpecRound round(pool, std::span<SpecTarget* const>(targets, 3), r);
 
-  txn.begin(&pool);
+  round.begin();
   for (long i = 0; i < 500; ++i) {
     const auto idx = static_cast<std::size_t>(i * 7 % n);
     a.set(0, i, idx, -1.0);
     b.set(0, i, idx, -2.0);
     s.set(0, i, static_cast<std::size_t>(i), -3.0);
   }
-  txn.restore_all(&pool);
+  EXPECT_EQ(round.rollback([] { return 0L; }), 0);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(a.data()[i], 1.5) << i;
     ASSERT_EQ(b.data()[i], 2.5) << i;
     ASSERT_EQ(sparse_data[i], 3.5) << i;
   }
   // Logs cleared by the restore: nothing left to undo.
-  EXPECT_EQ(txn.undo_beyond(0, &pool), 0);
+  round.commit(0);
+  EXPECT_EQ(r.undone_writes, 0);
 }
 
 TEST(TxnStress, MixedDenseHashConcurrentWriters) {
-  // TSan coverage: two dense members take concurrent appends into every
-  // worker's log; a hash member's record() races on its slot tags in the
+  // TSan coverage: two dense targets take concurrent appends into every
+  // worker's log; a hash target's record() races on its slot tags in the
   // same run.
   ThreadPool pool(4);
   const long n = 1 << 14;
@@ -165,7 +170,7 @@ TEST(TxnStress, MixedDenseHashConcurrentWriters) {
         b.begin_iteration(vpn, i);
         s.begin_iteration(vpn, i);
         // Write BEFORE testing the exit: every overshot iteration leaves
-        // writes in all three members that the fused undo must take back.
+        // writes in all three targets that the fused undo must take back.
         const auto idx = static_cast<std::size_t>(i);
         a.set(vpn, i, idx, static_cast<double>(i));
         b.set(vpn, i, idx, static_cast<double>(2 * i));
@@ -202,8 +207,9 @@ TEST(TxnStress, OvershotCollisionOnTwoWorkersPassesPDAndIsUndone) {
   SpecArray<long> b(std::vector<long>(static_cast<std::size_t>(n), -2),
                     pool.size(), true);
   SpecTarget* targets[] = {&a, &b};
-  SpecTransaction txn(std::span<SpecTarget* const>(targets, 2));
-  txn.begin(&pool);
+  ExecReport r;
+  SpecRound round(pool, std::span<SpecTarget* const>(targets, 2), r);
+  round.begin();
 
   std::atomic<bool> late_done{false};
   // A fixed owner per iteration: worker vpn runs i = vpn, vpn + p, ...
@@ -227,7 +233,8 @@ TEST(TxnStress, OvershotCollisionOnTwoWorkersPassesPDAndIsUndone) {
   // A trip past both writers would see the output dependence.
   EXPECT_FALSE(a.analyze(pool, n).fully_parallel());
   // Oracle: one entry per write by an iteration >= trip, in each array.
-  EXPECT_EQ(txn.undo_beyond(trip, &pool), 2 * (n - trip));
+  round.commit(trip);
+  EXPECT_EQ(r.undone_writes, 2 * (n - trip));
   for (long i = 0; i < n; ++i) {
     ASSERT_EQ(a.data()[static_cast<std::size_t>(i)], i < trip ? i : -1) << i;
     ASSERT_EQ(b.data()[static_cast<std::size_t>(i)], i < trip ? 2 * i : -2)
@@ -336,7 +343,7 @@ INSTANTIATE_TEST_SUITE_P(TxnDrivers, TxnTailWalk,
 
 TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   // The multi-array version of StripRetries.SteadyStateAllocatesNothing:
-  // the strip driver keeps ONE SpecTransaction across strips, so a warm
+  // the strip driver keeps ONE SpecRound across strips, so a warm
   // 2-array loop must run every later strip with zero arena traffic, no new
   // log segments, and a footprint bounded by data, backup and one open
   // segment per worker.
@@ -393,7 +400,7 @@ TEST(TxnSteadyState, TwoArrayStripRetriesAllocateNothing) {
   // strip's entries fit one segment per worker and array.
   const std::size_t data_and_backup = 2 * 2 * static_cast<std::size_t>(n) * sizeof(double);
   const std::size_t segment =
-      VersionedArray<double>::kSegmentEntries * sizeof(IterEntry);
+      SpecArray<double>::kSegmentEntries * sizeof(IterEntry);
   const std::size_t bytes = a.memory_bytes() + b.memory_bytes();
   EXPECT_GT(bytes, data_and_backup);
   EXPECT_LE(bytes, data_and_backup + 2 * pool.size() * segment);

@@ -155,7 +155,7 @@ TEST(StripRetries, SteadyStateAllocatesNothing) {
   // one segment per worker.
   const std::size_t data_and_backup = 2 * static_cast<std::size_t>(n) * sizeof(double);
   const std::size_t segment =
-      VersionedArray<double>::kSegmentEntries * sizeof(IterEntry);
+      SpecArray<double>::kSegmentEntries * sizeof(IterEntry);
   EXPECT_GT(arr.memory_bytes(), data_and_backup);
   EXPECT_LE(arr.memory_bytes(), data_and_backup + pool.size() * segment);
 }
@@ -231,7 +231,7 @@ TEST(WindowBudget, DenseFootprintPolledWhileWorkersAppend) {
 
   const std::size_t elems = static_cast<std::size_t>(n) * sizeof(double);
   const std::size_t seg_bytes =
-      VersionedArray<double>::kSegmentEntries * sizeof(std::uint64_t);
+      SpecArray<double>::kSegmentEntries * sizeof(std::uint64_t);
   EXPECT_GE(wr.exec.peak_spec_bytes, 2 * elems);  // data + backup
   EXPECT_LE(wr.exec.peak_spec_bytes,
             2 * elems + static_cast<std::size_t>(n) * sizeof(std::uint64_t) +

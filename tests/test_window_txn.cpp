@@ -1,4 +1,4 @@
-// The transaction-aware window/budget seam (DESIGN.md §10): the EWMA cap
+// The measured-footprint window/budget seam (DESIGN.md §10): the EWMA cap
 // derivation, plus one regression test per accounting bug this seam fixed
 // (stale overshoot after the sequential fallback, peak polled before the
 // post-claim growth).
