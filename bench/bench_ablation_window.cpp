@@ -1,7 +1,8 @@
 // Ablation: sliding-window self-scheduling (Section 8.2).  The window bounds
 // time-stamp memory like strip-mining does, but without global barriers —
-// this sweep shows the speedup cost of small windows and the memory bound
-// holding, on both the simulated machine and the real runtime.
+// this sweep shows the speedup cost of small windows on the simulated
+// machine, the stamp memory each window bounds, and the spread the real
+// runtime reaches under each fixed window.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -26,31 +27,24 @@ int main() {
   const long bytes_per_iter = lp.writes_per_iter * 8;
 
   TextTable table({"window", "sim speedup @8", "vs unbounded", "stamp KiB bound",
-                   "runtime max spread", "runtime peak KiB"});
+                   "runtime max spread"});
 
   ThreadPool pool;
   for (const long window : {2L, 8L, 32L, 128L, 1024L, 8192L}) {
     opts.window = window;
     const sim::SimResult r = sim.run(Method::kSlidingWindow, lp, 8, opts);
 
-    WindowOptions wopts;
-    wopts.window = window;
-    wopts.min_window = 2;
-    wopts.max_window = window;
-    wopts.bytes_per_iteration = static_cast<std::size_t>(bytes_per_iter);
-    wopts.memory_budget = static_cast<std::size_t>(window * bytes_per_iter);
     const WindowReport wr = sliding_window_while(
         pool, lp.u,
         [&](long i, unsigned) {
           return i == lp.trip ? IterAction::kExit : IterAction::kContinue;
         },
-        wopts);
+        window);
 
     table.row({TextTable::num(window), TextTable::num(r.speedup, 2),
                TextTable::num(r.speedup / plain * 100, 1) + "%",
                TextTable::num(static_cast<double>(window * bytes_per_iter) / 1024, 2),
-               TextTable::num(wr.max_span),
-               TextTable::num(static_cast<double>(wr.peak_stamp_bytes) / 1024, 2)});
+               TextTable::num(wr.max_span)});
   }
   table.print();
   std::printf("\nunbounded Induction-2 speedup: %.2f\n", plain);

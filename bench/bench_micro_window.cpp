@@ -1,18 +1,22 @@
 // Measured-footprint sliding-window microbench (Section 8.2 + DESIGN.md §10).
 //
 // One question, answered on the real host: controller overhead — the same
-// trivial windowed loop with no budget vs with a budget + live-bytes poll
-// (EWMA fold + cap re-derivation under the issue lock at every claim).
-// Paired per-rep ratio, median over alternating reps; bench/guard.py bounds
-// it (the claim lock dominates both sides, the controller must stay noise).
+// speculative windowed loop with no budget vs with a budget, whose
+// controller polls the round's footprint (SpecRound::memory_bytes()),
+// folds it into the EWMA and re-derives the cap under the issue lock at
+// every claim.  The loop speculates over one SpecArray<double> of its own
+// length with the PD test off; each iteration sets its own index.  Paired
+// per-rep ratio, median over alternating reps; bench/guard.py bounds it
+// (the claim lock dominates both sides, the controller must stay noise).
 // The budget itself is pinned by the WindowBudget tests.
 //
 // Emits BENCH_window.json (path overridable via argv[1]); exits nonzero only
 // when a run ends early or the file cannot be written.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -37,29 +41,30 @@ struct OverheadOutcome {
   double ratio = 0;  ///< median of per-rep paired budgeted/unbudgeted
 };
 
-/// Same trivial windowed loop with and without the controller active; the
-/// delta is the per-claim EWMA fold + cap re-derivation + live-bytes poll.
+/// Same speculative windowed loop with and without the controller active;
+/// the delta is the per-claim footprint poll + EWMA fold + cap
+/// re-derivation.
 OverheadOutcome controller_overhead(wlp::ThreadPool& pool, int reps) {
   const long u = 20000;
-  std::atomic<std::size_t> live{0};
+  wlp::SpecArray<double> arr(
+      std::vector<double>(static_cast<std::size_t>(u), 0.0), pool.size(),
+      /*run_pd_test=*/false);
+  wlp::SpecTarget* targets[] = {&arr};
   const auto run = [&](bool budgeted) {
     wlp::WindowOptions opts;
     opts.window = 64;
-    if (budgeted) {
-      opts.memory_budget = 1u << 30;
-      opts.live_bytes = [&] { return live.load(std::memory_order_relaxed); };
-    }
+    if (budgeted) opts.memory_budget = 1u << 30;
     const auto t0 = Clock::now();
-    const wlp::WindowReport wr = wlp::sliding_window_while(
-        pool, u,
-        [&](long, unsigned) {
-          live.fetch_add(8, std::memory_order_relaxed);
+    const wlp::WindowReport wr = wlp::sliding_window_speculative_while(
+        pool, u, std::span<wlp::SpecTarget* const>(targets, 1),
+        [&](long i, unsigned vpn) {
+          arr.begin_iteration(vpn, i);
+          arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
           return wlp::IterAction::kContinue;
         },
-        opts);
+        [&] { return u; }, opts);
     const double us = seconds_since(t0) * 1e6;
-    if (wr.exec.trip != u) std::exit(1);
-    live.store(0, std::memory_order_relaxed);
+    if (wr.exec.trip != u || wr.exec.reexecuted_sequentially) std::exit(1);
     return us;
   };
   std::vector<double> base_us, ctl_us, ratios;
@@ -91,8 +96,9 @@ int main(int argc, char** argv) {
   constexpr int kReps = 31;
 
   wlp::ThreadPool pool(wlp::ThreadPool::default_concurrency());
-  std::printf("== controller overhead on a trivial %d-rep windowed loop ==\n",
-              kReps);
+  std::printf(
+      "== controller overhead on a %d-rep speculative windowed loop ==\n",
+      kReps);
   const OverheadOutcome ovh = controller_overhead(pool, kReps);
   std::printf("  unbudgeted %8.1f us   budgeted %8.1f us   (median %.3fx)\n",
               ovh.unbudgeted_us, ovh.budgeted_us, ovh.ratio);
@@ -107,7 +113,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"host_hw_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"overhead\": {\n");
-  std::fprintf(f, "    \"method\": \"%d alternating reps of a trivial 20000-iteration windowed loop, no budget vs 1 GiB budget + relaxed-atomic live-bytes poll (per-claim EWMA fold + cap re-derivation under the issue lock); ratio is the MEDIAN of per-rep paired budgeted/unbudgeted times (pairing cancels host drift)\",\n",
+  std::fprintf(f, "    \"method\": \"%d alternating reps of a 20000-iteration speculative windowed loop over one SpecArray<double> of its length (PD test off, each iteration sets its own index), no budget vs 1 GiB budget (per-claim SpecRound::memory_bytes() poll, EWMA fold and cap re-derivation under the issue lock); ratio is the MEDIAN of per-rep paired budgeted/unbudgeted times (pairing cancels host drift)\",\n",
                kReps);
   std::fprintf(f,
                "    \"unbudgeted_us\": %.1f, \"budgeted_us\": %.1f, "

@@ -137,8 +137,10 @@ class PDMarks {
   }
 
   /// O(workers): rewind every log but an owner's (the owner rewinds
-  /// those); the segments stay for the next round.
+  /// those); the segments stay for the next round.  With the test off
+  /// there is nothing to rewind, and no reset is counted.
   void reset() noexcept {
+    if (!on_) return;
     for (IterLog& log : own_) log.clear();
     for (Worker& w : workers_) {
       w.reads.clear();

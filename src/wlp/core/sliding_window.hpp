@@ -4,22 +4,22 @@
 // not-yet-completed iteration l and the maximum issued iteration h:
 // h - l <= w at all times, so the time-stamp memory (here, write-log
 // entries) is bounded by w times the writes per iteration *without* the
-// rigid global barriers of strip-mining.  The window is adjusted
-// dynamically at the application level against a memory budget: grown
-// while the footprint is comfortably under budget, shrunk when it
-// approaches it.
+// rigid global barriers of strip-mining.
 //
-// The budget controller reads the round's MEASURED footprint (DESIGN.md
-// §10): instead of capping the window once from a static
-// bytes-per-iteration guess, it keeps an EWMA of the bytes the backups pin
-// per in-flight iteration (live_bytes() / span, sampled at every claim) and
-// re-derives the hard cap budget / EWMA live.
+// Two drivers share one scheduler, detail::window_run:
+//   * sliding_window_while keeps the bound with a fixed window: a loop
+//     with no targets pins nothing to measure.
+//   * sliding_window_speculative_while runs it inside one SpecRound and
+//     adjusts the window against a memory budget (DESIGN.md §10).  Its one
+//     footprint is what the round pins, SpecRound::memory_bytes(), polled
+//     at every claim: the controller keeps an EWMA of it per in-flight
+//     iteration, re-derives the hard cap budget / EWMA, and moves the
+//     window inside that cap.  A round pins its data, backups and logs
+//     until it commits, so the footprint only grows during a run.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <condition_variable>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <span>
@@ -37,35 +37,18 @@ struct WindowOptions {
   long window = 64;          ///< initial window size
   long min_window = 2;
   long max_window = 1 << 20;
-  /// SEED for the controller's bytes-per-iteration estimate (first cap
-  /// derivation only).  As soon as measured samples exist the EWMA replaces
-  /// it; with live_bytes unset it doubles as the per-claim footprint guess.
-  std::size_t bytes_per_iteration = 0;
-  std::size_t memory_budget = 0;        ///< 0 disables dynamic adjustment
-  /// MEASURED backup footprint, polled at every claim: when set, the
-  /// controller compares this against the budget instead of multiplying the
-  /// span by the bytes_per_iteration guess, and feeds the per-iteration
-  /// EWMA that re-derives the window cap.  The speculative wrapper wires it
-  /// to SpecRound::memory_bytes(), the sum over its targets (sparse
-  /// backups report their live touched set, dense ones data + backup +
-  /// their opened log segments), so the window reacts to what the backups
-  /// actually pinned.
-  /// To throttle on the WHOLE process's arena footprint instead of one
-  /// target set's, point it at mem::process_bytes_live.
-  std::function<std::size_t()> live_bytes;
+  std::size_t memory_budget = 0;  ///< bytes the round may pin; 0 = fixed window
 };
 
-/// The measured-footprint budget controller: one instance per windowed run.
-/// adjust() runs under the issue lock at every claim.
+/// The measured-footprint budget controller: one instance per speculative
+/// windowed run.  With a budget, adjust() runs under the issue lock at
+/// every claim.
 class WindowController {
  public:
-  WindowController(long min_window, long max_window, std::size_t budget,
-                   std::size_t seed_bytes_per_iter = 0)
+  WindowController(long min_window, long max_window, std::size_t budget)
       : min_w_(std::max(1L, min_window)),
         max_w_(std::max(min_w_, max_window)),
         budget_(budget) {
-    if (seed_bytes_per_iter != 0)
-      ewma_bpi_ = static_cast<double>(seed_bytes_per_iter);
     recompute_cap();
   }
 
@@ -143,7 +126,6 @@ struct WindowReport {
   ExecReport exec;
   long max_span = 0;       ///< max (h - l) observed; must stay <= max window used
   long final_window = 0;   ///< window size when the loop ended
-  std::size_t peak_stamp_bytes = 0;
   // Controller decisions (zero when no memory_budget was set).
   long window_shrinks = 0;     ///< multiplicative-decrease decisions
   long window_grows = 0;       ///< additive-increase decisions
@@ -153,33 +135,27 @@ struct WindowReport {
 
 namespace detail {
 
-/// The windowed self-scheduling loop over [0, u), driven by one
-/// controller per run and writing into `wr`.
-template <class Body>
-void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
-                WindowReport& wr) {
+/// The windowed self-scheduling loop over [0, u), starting from a window
+/// of `window` iterations (at least 1) and writing into `wr`.  Every claim
+/// sets the window to `adjust(window, span)` under the issue lock.
+template <class Body, class Adjust>
+void window_run(ThreadPool& pool, long u, Body& body, long window,
+                Adjust&& adjust, WindowReport& wr) {
   wr.exec.method = Method::kSlidingWindow;
   if (u <= 0) return;
-  WLP_TRACE_SCOPE("window.run", u, opts.window);
-  WindowController ctl(opts.min_window, opts.max_window, opts.memory_budget,
-                       opts.bytes_per_iteration);
+  WLP_TRACE_SCOPE("window.run", u, window);
+  // A window below 1 would leave every worker waiting on next - low < 0.
+  window = std::max(1L, window);
 
   std::mutex mu;
   std::condition_variable cv;
   long next = 0;  // next iteration to issue
   long low = 0;   // min iteration not yet completed
-  // The controller caps the window outright: w * bytes-per-iteration <=
-  // budget is the guarantee (peak log memory is bounded by the window).
-  // The cap starts from the bytes_per_iteration seed and is re-derived at
-  // every claim from the EWMA of the measured footprint, so it tracks what
-  // the backups actually pin instead of a static guess.
-  long window = std::clamp(opts.window, opts.min_window, ctl.cap());
   std::vector<unsigned char> done(static_cast<std::size_t>(u), 0);
   QuitBound quit;
   long trip_candidate = std::numeric_limits<long>::max();
   long started = 0;
   long max_span = 0;
-  std::size_t peak_bytes = 0;
 
   // Section 8.2's rule: every grab of the issue lock claims one iteration.
   pool.parallel([&](unsigned vpn) {
@@ -195,19 +171,9 @@ void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
         ++started;
         max_span = std::max(max_span, next - low);
         WLP_TRACE_INSTANT("window.claim", i, 1);
-        if (opts.memory_budget != 0 &&
-            (opts.live_bytes || opts.bytes_per_iteration != 0)) {
-          // Prefer the measured footprint over the per-iteration guess.
-          const std::size_t in_use =
-              opts.live_bytes
-                  ? opts.live_bytes()
-                  : static_cast<std::size_t>(next - low) *
-                        opts.bytes_per_iteration;
-          peak_bytes = std::max(peak_bytes, in_use);
-          const long before = window;
-          window = ctl.adjust(window, next - low, in_use);
-          if (window != before) WLP_TRACE_COUNTER("window.size", window);
-        }
+        const long before = window;
+        window = adjust(window, next - low);
+        if (window != before) WLP_TRACE_COUNTER("window.size", window);
       }
 
       long exit_at = std::numeric_limits<long>::max();
@@ -222,44 +188,28 @@ void window_run(ThreadPool& pool, long u, Body& body, const WindowOptions& opts,
     }
   });
 
-  // The backups keep growing after the final claim (bodies still running):
-  // poll the measured footprint once more after the join so the reported
-  // peak covers the post-claim growth the in-claim polls cannot see.
-  if (opts.memory_budget != 0 && opts.live_bytes)
-    peak_bytes = std::max(peak_bytes, opts.live_bytes());
-
   wr.exec.trip = std::min(trip_candidate, u);
   wr.exec.started = started;
   wr.exec.overshot = std::max(0L, started - wr.exec.trip);
   wr.max_span = max_span;
   wr.final_window = window;
-  wr.peak_stamp_bytes = peak_bytes;
-  wr.exec.peak_spec_bytes = peak_bytes;
-  wr.window_shrinks = ctl.shrinks();
-  wr.window_grows = ctl.grows();
-  wr.final_cap = ctl.cap();
-  wr.cap_bytes = ctl.cap_bytes();
   WLP_OBS_COUNT("wlp.window.runs", 1);
   WLP_OBS_HIST("wlp.window.span", max_span);
   WLP_OBS_HIST("wlp.window.overshoot", wr.exec.overshot);
   WLP_OBS_GAUGE_SET("wlp.window.final_size", window);
-  if (opts.memory_budget != 0) {
-    WLP_OBS_COUNT("wlp.window.shrinks", wr.window_shrinks);
-    WLP_OBS_COUNT("wlp.window.grows", wr.window_grows);
-    WLP_OBS_GAUGE_SET("wlp.window.cap_bytes",
-                      static_cast<long>(wr.cap_bytes));
-  }
 }
 
 }  // namespace detail
 
 /// Execute `body(i, vpn) -> IterAction` over [0, u) with windowed dynamic
-/// self-scheduling.  Honors QUIT like the other methods.
+/// self-scheduling under a fixed window of `window` iterations (at least
+/// 1).  Honors QUIT like the other methods.
 template <class Body>
 WindowReport sliding_window_while(ThreadPool& pool, long u, Body&& body,
-                                  WindowOptions opts = {}) {
+                                  long window) {
   WindowReport wr;
-  detail::window_run(pool, u, body, opts, wr);
+  detail::window_run(pool, u, body, window, [](long w, long) { return w; },
+                     wr);
   return wr;
 }
 
@@ -279,26 +229,36 @@ WindowReport sliding_window_speculative_while(
   WLP_TRACE_SCOPE("window.spec", u, wopts.window);
   WindowReport wr;
   SpecRound round(pool, targets, wr.exec);
+  WindowController ctl(wopts.min_window, wopts.max_window,
+                       wopts.memory_budget);
+  const bool budgeted = wopts.memory_budget != 0;
   round.begin();
-  // Feed the budget controller the backups' MEASURED footprint (Section 8.2
-  // against real bytes): sparse targets grow as locations are touched, so
-  // the window shrinks when the backup — not a guess — nears the budget.
-  // The round sums its targets.
-  if (wopts.memory_budget != 0 && !wopts.live_bytes)
-    wopts.live_bytes = [&round] { return round.memory_bytes(); };
-  round.run([&] { detail::window_run(pool, u, body, wopts, wr); });
-
-  if (round.validate(wr.exec.trip)) {
-    round.commit(wr.exec.trip);
-    return wr;
+  // The budget reads what the round pins (Section 8.2 against real bytes):
+  // sparse targets grow as locations are touched, dense ones as their logs
+  // open segments, so the window shrinks when the backups near the budget.
+  round.run([&] {
+    detail::window_run(
+        pool, u, body,
+        std::clamp(wopts.window, wopts.min_window, ctl.cap()),
+        [&](long w, long span) {
+          return budgeted ? ctl.adjust(w, span, round.memory_bytes()) : w;
+        },
+        wr);
+  });
+  wr.window_shrinks = ctl.shrinks();
+  wr.window_grows = ctl.grows();
+  wr.final_cap = ctl.cap();
+  wr.cap_bytes = ctl.cap_bytes();
+  if (budgeted) {
+    WLP_OBS_COUNT("wlp.window.shrinks", wr.window_shrinks);
+    WLP_OBS_COUNT("wlp.window.grows", wr.window_grows);
+    WLP_OBS_GAUGE_SET("wlp.window.cap_bytes", static_cast<long>(wr.cap_bytes));
   }
-  wr.exec.trip = round.rollback(run_sequential);
-  // The sequential rerun redefines the trip; the overshoot (speculative
-  // bodies at or past it, all rolled back by the restore) must be
-  // recomputed against it, not left at the abandoned speculative value.
-  wr.exec.overshot = std::max(0L, wr.exec.started - wr.exec.trip);
-  assert(wr.exec.trip >= 0);
-  assert(wr.exec.overshot <= wr.exec.started);
+
+  if (round.validate(wr.exec.trip))
+    round.commit(wr.exec.trip);
+  else
+    wr.exec.trip = round.rollback(run_sequential);
   return wr;
 }
 

@@ -8,14 +8,18 @@
 //   validate  marks, peak footprint, backup overflow, then the
 //             trip-filtered PD test                            Td's analysis
 //   commit    fused undo of the overshoot through the write logs     Ta
-//   rollback  fused full restore + sequential re-execution           Ta
+//   rollback  fused full restore + sequential re-execution, which
+//             redefines the trip and so the overshoot                Ta
 //
 // Every step writes into the caller's ExecReport by one rule: times, marks
 // and undone writes accumulate, the peak is a max, and the flags latch, so
-// a driver that runs one round per strip reports the sum.  One clock pair
-// per timed step feeds both the report (checkpoint_ns, undo_ns) and the
-// wlp.undo.{checkpoint_ns,restore_ns} counters.  DESIGN.md §12 lists the
-// schedule each driver keeps around these steps.
+// a driver that runs one round per strip reports the sum.  The one field
+// a step sets is the overshoot: rollback recounts it as started - trip
+// against the sequential trip, from the started count the driver has
+// reported so far.  One clock pair per timed step feeds both the report
+// (checkpoint_ns, undo_ns) and the wlp.undo.{checkpoint_ns,restore_ns}
+// counters.  DESIGN.md §12 lists the schedule each driver keeps around
+// these steps.
 //
 // Fused passes (DESIGN.md §9).  A loop that speculates over k arrays pays
 // one pass per step, not k: the checkpoint, the undo and the full restore
@@ -44,6 +48,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <span>
@@ -172,7 +177,10 @@ class SpecRound {
     if (tested) {
       r_.pd_tested = true;
       r_.pd_passed = r_.pd_passed && passed;
-      WLP_OBS_COUNT(passed ? "wlp.spec.pd_pass" : "wlp.spec.pd_fail", 1);
+      if (passed)
+        WLP_OBS_COUNT("wlp.spec.pd_pass", 1);
+      else
+        WLP_OBS_COUNT("wlp.spec.pd_fail", 1);
     }
     return passed;
   }
@@ -207,10 +215,12 @@ class SpecRound {
   /// Misspeculation: restore the full checkpoint — every dense backup
   /// copied back whole, never a log-filtered undo, since writes below a
   /// stamping threshold (strategies.hpp) are not logged, and every sparse
-  /// target's recorded slots — and return `run_sequential()`, which
-  /// re-executes against the raw data.
+  /// target's recorded slots — and return `run_sequential() -> trip`,
+  /// which re-executes against the raw data.  The rerun redefines the
+  /// trip, so the overshoot is recounted against it: every body the
+  /// report started at or past that trip was rolled back.
   template <class SeqRun>
-  decltype(auto) rollback(SeqRun&& run_sequential) {
+  long rollback(SeqRun&& run_sequential) {
     WLP_TRACE_SCOPE("spec.seq_reexec", 0, 0);
     WLP_OBS_COUNT("wlp.spec.seq_reexec", 1);
     const auto t0 = std::chrono::steady_clock::now();
@@ -228,7 +238,11 @@ class SpecRound {
     r_.undo_ns += ns;
     WLP_OBS_COUNT("wlp.undo.restore_ns", static_cast<long>(ns));
     r_.reexecuted_sequentially = true;
-    return std::forward<SeqRun>(run_sequential)();
+    const long trip = std::forward<SeqRun>(run_sequential)();
+    r_.overshot = std::max(0L, r_.started - trip);
+    assert(trip >= 0);
+    assert(r_.overshot <= r_.started);
+    return trip;
   }
 
   /// Commit with no overshoot (strip drivers): drop every target's backup

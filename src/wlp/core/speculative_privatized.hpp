@@ -150,10 +150,9 @@ class PrivatizedSpecArray final : public PrivTarget {
 template <class Body, class SeqRun>
 ExecReport speculative_privatized_while(ThreadPool& pool, long u,
                                         std::span<PrivTarget* const> targets,
-                                        Body&& body, SeqRun&& run_sequential,
-                                        bool use_quit = true) {
+                                        Body&& body, SeqRun&& run_sequential) {
   ExecReport r;
-  r.method = use_quit ? Method::kInduction2 : Method::kInduction1;
+  r.method = Method::kInduction2;
   r.used_checkpoint = false;  // the original data IS the backup
   r.used_stamps = true;       // the write trails are time-stamped
   r.pd_tested = true;
@@ -161,7 +160,7 @@ ExecReport speculative_privatized_while(ThreadPool& pool, long u,
   bool failed = false;
   QuitResult qr{};
   try {
-    qr = doall_quit(pool, 0, u, body, use_quit);
+    qr = doall_quit(pool, 0, u, body);
   } catch (...) {
     failed = true;  // Section 5.1: exception == invalid parallel execution
   }

@@ -75,19 +75,16 @@ struct StampThreshold {
 template <class Body, class SeqRun>
 ExecReport stats_enhanced_while(ThreadPool& pool, long u, StampThreshold threshold,
                                 std::span<SpecTarget* const> targets, Body&& body,
-                                SeqRun&& run_sequential, bool use_quit = true) {
+                                SeqRun&& run_sequential) {
   ExecReport r;
-  r.method = use_quit ? Method::kInduction2 : Method::kInduction1;
+  r.method = Method::kInduction2;
   SpecRound round(pool, targets, r);
   round.begin();
   QuitResult qr{};
   round.run([&] {
-    qr = doall_quit(
-        pool, 0, u,
-        [&](long i, unsigned vpn) {
-          return body(i, vpn, threshold.should_stamp(i));
-        },
-        use_quit);
+    qr = doall_quit(pool, 0, u, [&](long i, unsigned vpn) {
+      return body(i, vpn, threshold.should_stamp(i));
+    });
   });
   r.trip = qr.trip;
   r.started = qr.started;
@@ -119,7 +116,10 @@ HedgeOutcome one_processor_hedge(ParRun&& run_parallel, SeqRun&& run_sequential)
   h.sequential_trip = run_sequential();
   h.parallel_won = !h.parallel.reexecuted_sequentially;
   WLP_OBS_COUNT("wlp.hedge.runs", 1);
-  WLP_OBS_COUNT(h.parallel_won ? "wlp.hedge.parallel_won" : "wlp.hedge.sequential_won", 1);
+  if (h.parallel_won)
+    WLP_OBS_COUNT("wlp.hedge.parallel_won", 1);
+  else
+    WLP_OBS_COUNT("wlp.hedge.sequential_won", 1);
   hedge_scope.args(static_cast<std::uint64_t>(h.sequential_trip),
                    static_cast<std::uint64_t>(h.parallel_won));
   return h;

@@ -5,7 +5,9 @@
 // charge: every Arena (the process arena, and any a test builds) debits
 // and credits it as slabs move between the OS and the free lists, and its
 // counters are the surface the arena tests, the allocation-regression
-// tests and the CI guard read, as deltas.
+// tests and the CI guard read, as deltas.  It is an accountant, not a
+// throttle: the sliding window budgets what its own round pins
+// (SpecRound::memory_bytes()), not this process-wide total.
 //
 // Counter vocabulary (also published as wlp.mem.* obs metrics):
 //   * bytes_live    — bytes currently held from the OS by all arenas
@@ -109,10 +111,5 @@ class Budget {
   alignas(64) std::atomic<long> slow_allocs_{0};
   alignas(64) std::atomic<long> frees_{0};
 };
-
-/// Convenience for budget-driven controllers: the sliding-window memory
-/// budget can point its live_bytes probe here to throttle on every arena's
-/// bytes in the process instead of one target set's memory_bytes().
-inline long process_bytes_live() { return Budget::process().bytes_live(); }
 
 }  // namespace wlp::mem

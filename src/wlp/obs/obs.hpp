@@ -7,7 +7,11 @@
 //   * metrics   — obs::set_metrics_enabled(false); default ON.
 //     An enabled metric hook costs one relaxed atomic add.
 //
-// Macro vocabulary (name arguments must be string literals):
+// Macro vocabulary (name arguments must be string literals).  A metric
+// macro binds a function-local static to the registry entry its first
+// call names, so a name chosen at run time would count every later call
+// under the first one's name; the three metric macros paste "" before the
+// name, which compiles only for a literal.
 //   WLP_TRACE_SCOPE(name, a0, a1)    RAII span -> one Chrome 'X' event
 //   WLP_TRACE_SCOPE_NAMED(var, ...)  same, but binds `var` so the span's
 //                                    args can be updated before it closes
@@ -43,7 +47,7 @@
   do {                                                                     \
     if (::wlp::obs::metrics_enabled()) {                                   \
       static ::wlp::obs::Counter& wlp_obs_c =                              \
-          ::wlp::obs::Registry::instance().counter(name);                  \
+          ::wlp::obs::Registry::instance().counter("" name);               \
       wlp_obs_c.add(static_cast<std::uint64_t>(delta));                    \
     }                                                                      \
   } while (0)
@@ -52,7 +56,7 @@
   do {                                                                     \
     if (::wlp::obs::metrics_enabled()) {                                   \
       static ::wlp::obs::Gauge& wlp_obs_g =                                \
-          ::wlp::obs::Registry::instance().gauge(name);                    \
+          ::wlp::obs::Registry::instance().gauge("" name);                 \
       wlp_obs_g.set(static_cast<std::int64_t>(value));                     \
     }                                                                      \
   } while (0)
@@ -61,7 +65,7 @@
   do {                                                                     \
     if (::wlp::obs::metrics_enabled()) {                                   \
       static ::wlp::obs::Histogram& wlp_obs_h =                            \
-          ::wlp::obs::Registry::instance().histogram(name);                \
+          ::wlp::obs::Registry::instance().histogram("" name);             \
       wlp_obs_h.record(static_cast<std::uint64_t>(value));                 \
     }                                                                      \
   } while (0)

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "wlp/core/shadow.hpp"
-#include "wlp/core/sliding_window.hpp"
 #include "wlp/core/speculative.hpp"
 #include "wlp/core/speculative_strips.hpp"
 #include "wlp/mem/arena.hpp"
@@ -196,33 +195,6 @@ TEST(MemSteadyState, ShadowOnRecycledBlocksStartsClean) {
   EXPECT_EQ(v.written_elements, 2);  // only this life's marks are visible
   EXPECT_EQ(v.multi_written, 0);
   EXPECT_EQ(v.conflicts, 0);
-}
-
-TEST(MemSteadyState, WindowBudgetCanThrottleOnTheProcessLedger) {
-  // Pins the documented wiring: opts.live_bytes pointed at the arena
-  // ledger instead of one target set's memory_bytes().
-  ThreadPool pool(4);
-  const long n = 2000;
-  SpecArray<double> arr(std::vector<double>(4096, 0.0), pool.size(),
-                        /*run_pd_test=*/true);
-  SpecTarget* targets[] = {&arr};
-  WindowOptions opts;
-  opts.window = 32;
-  opts.memory_budget = static_cast<std::size_t>(1) << 40;  // never binds
-  opts.live_bytes = [] {
-    return static_cast<std::size_t>(mem::process_bytes_live());
-  };
-  const WindowReport wr = sliding_window_speculative_while(
-      pool, n, std::span<SpecTarget* const>(targets, 1),
-      [&](long i, unsigned vpn) {
-        arr.begin_iteration(vpn, i);
-        arr.set(vpn, i, static_cast<std::size_t>(i) % 4096, 1.0);
-        return IterAction::kContinue;
-      },
-      [&] { return n; }, opts);
-  EXPECT_EQ(wr.exec.trip, n);
-  EXPECT_FALSE(wr.exec.reexecuted_sequentially);
-  EXPECT_GT(wr.peak_stamp_bytes, 0u);  // the probe really was consulted
 }
 
 // ---- concurrent arena stress (TSan runs Mem* in CI) -------------------------

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "wlp/core/speculative.hpp"
+#include "wlp/core/strategies.hpp"
 #include "wlp/mem/arena.hpp"
 #include "wlp/obs/obs.hpp"
 #include "wlp/sched/thread_pool.hpp"
@@ -599,6 +600,75 @@ TEST(ObsMetrics, WriteJsonIsValid) {
   ASSERT_TRUE(check.parse());
   EXPECT_TRUE(check.has_name("wlp.test.obs.json"));
   EXPECT_TRUE(check.has_name("wlp.test.obs.json_h"));
+}
+
+// Counters a run-time verdict picks: each call site names one literal, so
+// a verdict counts under its own name whatever the first call was.
+TEST(ObsMetrics, VerdictCountersCountEachVerdictOnce) {
+  obs::Registry& reg = obs::Registry::instance();
+  obs::Counter& pass = reg.counter("wlp.spec.pd_pass");
+  obs::Counter& fail = reg.counter("wlp.spec.pd_fail");
+  const std::uint64_t pass0 = pass.value(), fail0 = fail.value();
+
+  // One worker, so the dependent round's accesses never race.
+  ThreadPool pool(1);
+  const long n = 64;
+  SpecArray<double> arr(std::vector<double>(n + 1, 0.0), pool.size(),
+                        /*run_pd_test=*/true);
+  SpecTarget* targets[] = {&arr};
+  const std::span<SpecTarget* const> ts(targets, 1);
+  const ExecReport ok = speculative_while(
+      pool, n, ts,
+      [&](long i, unsigned vpn) {
+        arr.begin_iteration(vpn, i);
+        arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
+        return IterAction::kContinue;
+      },
+      [&] { return n; });
+  // a[i] = a[i + 1]: iteration i reads what iteration i + 1 writes.
+  const ExecReport bad = speculative_while(
+      pool, n, ts,
+      [&](long i, unsigned vpn) {
+        arr.begin_iteration(vpn, i);
+        const double next = arr.get(vpn, static_cast<std::size_t>(i + 1));
+        arr.set(vpn, i, static_cast<std::size_t>(i), next);
+        return IterAction::kContinue;
+      },
+      [&] { return n; });
+  ASSERT_TRUE(ok.pd_passed);
+  ASSERT_FALSE(bad.pd_passed);
+  EXPECT_EQ(pass.value() - pass0, 1u);
+  EXPECT_EQ(fail.value() - fail0, 1u);
+
+  obs::Counter& par = reg.counter("wlp.hedge.parallel_won");
+  obs::Counter& seq = reg.counter("wlp.hedge.sequential_won");
+  const std::uint64_t par0 = par.value(), seq0 = seq.value();
+  // Both calls run one instantiation, so one call site serves both.
+  bool reexecuted = false;
+  auto run_parallel = [&] {
+    ExecReport r;
+    r.reexecuted_sequentially = reexecuted;
+    return r;
+  };
+  auto run_sequential = [] { return 1L; };
+  one_processor_hedge(run_parallel, run_sequential);
+  reexecuted = true;
+  one_processor_hedge(run_parallel, run_sequential);
+  EXPECT_EQ(par.value() - par0, 1u);
+  EXPECT_EQ(seq.value() - seq0, 1u);
+}
+
+// With the PD test off there are no marks to rewind: a reset is counted
+// only by a target that keeps them.
+TEST(ObsMetrics, PdResetsCountOnlyWithTheTestOn) {
+  obs::Counter& resets = obs::Registry::instance().counter("wlp.pd.resets");
+  SpecArray<double> off(std::vector<double>(16, 0.0), 2, /*run_pd_test=*/false);
+  SpecArray<double> on(std::vector<double>(16, 0.0), 2, /*run_pd_test=*/true);
+  const std::uint64_t r0 = resets.value();
+  for (int k = 0; k < 5; ++k) off.reset_marks();
+  EXPECT_EQ(resets.value() - r0, 0u);
+  for (int k = 0; k < 5; ++k) on.reset_marks();
+  EXPECT_EQ(resets.value() - r0, 5u);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,16 +11,15 @@ namespace {
 TEST(SlidingWindow, CoversRangeAndRecoversTrip) {
   ThreadPool pool(4);
   const long u = 3000, exit_at = 2100;
+  const long window = 32;
   std::vector<std::atomic<int>> hit(u);
-  WindowOptions opts;
-  opts.window = 32;
   const WindowReport wr = sliding_window_while(
       pool, u,
       [&](long i, unsigned) {
         hit[static_cast<std::size_t>(i)].fetch_add(1);
         return i == exit_at ? IterAction::kExit : IterAction::kContinue;
       },
-      opts);
+      window);
   EXPECT_EQ(wr.exec.method, Method::kSlidingWindow);
   EXPECT_EQ(wr.exec.trip, exit_at);
   for (long i = 0; i < exit_at; ++i)
@@ -28,53 +27,108 @@ TEST(SlidingWindow, CoversRangeAndRecoversTrip) {
   for (long i = 0; i < u; ++i) ASSERT_LE(hit[static_cast<std::size_t>(i)].load(), 1);
   // Overshoot stays bounded by the window: nothing past the exit is issued
   // once the QUIT lands, and before that h - l <= w with l <= exit_at.
-  EXPECT_LE(wr.exec.started, exit_at + opts.window);
+  EXPECT_LE(wr.exec.started, exit_at + window);
 }
 
 TEST(SlidingWindow, SpanNeverExceedsWindow) {
   ThreadPool pool(8);
-  WindowOptions opts;
-  opts.window = 16;
-  opts.max_window = 16;  // fixed window: the h - l <= w invariant is strict
   const WindowReport wr = sliding_window_while(
-      pool, 5000, [](long, unsigned) { return IterAction::kContinue; }, opts);
+      pool, 5000, [](long, unsigned) { return IterAction::kContinue; }, 16);
   EXPECT_EQ(wr.exec.trip, 5000);
   EXPECT_LE(wr.max_span, 16);
+  EXPECT_EQ(wr.final_window, 16);  // the plain window never moves
+}
+
+/// The speculative window over a real target: each iteration sets its own
+/// element of a dense SpecArray with the PD test off.
+WindowReport speculative_run(ThreadPool& pool, SpecArray<double>& arr, long n,
+                          const WindowOptions& opts) {
+  SpecTarget* targets[] = {&arr};
+  return sliding_window_speculative_while(
+      pool, n, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        arr.begin_iteration(vpn, i);
+        arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
+        return IterAction::kContinue;
+      },
+      [&] { return n; }, opts);
 }
 
 TEST(SlidingWindow, BudgetShrinksWindow) {
+  // The round pins the data and its backup, 2 x 16 000 B, from the first
+  // claim on: past half of the 8 KiB budget, the window halves to its
+  // floor.
   ThreadPool pool(4);
+  const long n = 2000;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
+                        pool.size(), /*run_pd_test=*/false);
   WindowOptions opts;
   opts.window = 1024;
   opts.min_window = 2;
-  opts.bytes_per_iteration = 1024;   // each in-flight iteration pins 1 KiB
-  opts.memory_budget = 8 * 1024;     // only 8 iterations' worth allowed
-  const WindowReport wr = sliding_window_while(
-      pool, 2000, [](long, unsigned) { return IterAction::kContinue; }, opts);
-  EXPECT_EQ(wr.exec.trip, 2000);
+  opts.memory_budget = 8 * 1024;
+  const WindowReport wr = speculative_run(pool, arr, n, opts);
+  EXPECT_EQ(wr.exec.trip, n);
+  EXPECT_FALSE(wr.exec.reexecuted_sequentially);
   // The controller must have pulled the window well below the initial 1024.
+  EXPECT_GT(wr.window_shrinks, 0);
   EXPECT_LT(wr.final_window, 64);
-  EXPECT_LE(wr.peak_stamp_bytes, opts.bytes_per_iteration * 1024);
+  EXPECT_GE(wr.exec.peak_spec_bytes,
+            2 * static_cast<std::size_t>(n) * sizeof(double));
+  for (long i = 0; i < n; ++i)
+    ASSERT_EQ(arr.data()[static_cast<std::size_t>(i)], 1.0) << i;
 }
 
 TEST(SlidingWindow, BudgetGrowsWindowWhenComfortable) {
+  // Data, backup and at most one log segment (n entries) per worker,
+  // 144 000 B, stay far below half of the 1 MiB budget: the window grows
+  // past its start.
   ThreadPool pool(4);
+  const long n = 3000;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
+                        pool.size(), /*run_pd_test=*/false);
   WindowOptions opts;
   opts.window = 4;
   opts.max_window = 4096;
-  opts.bytes_per_iteration = 1;   // practically free
   opts.memory_budget = 1 << 20;
-  const WindowReport wr = sliding_window_while(
-      pool, 3000, [](long, unsigned) { return IterAction::kContinue; }, opts);
+  const WindowReport wr = speculative_run(pool, arr, n, opts);
+  EXPECT_EQ(wr.exec.trip, n);
+  EXPECT_GT(wr.window_grows, 0);
   EXPECT_GT(wr.final_window, 4);
 }
 
 TEST(SlidingWindow, EmptyRange) {
   ThreadPool pool(4);
   const WindowReport wr = sliding_window_while(
-      pool, 0, [](long, unsigned) { return IterAction::kExit; }, {});
+      pool, 0, [](long, unsigned) { return IterAction::kExit; }, 8);
   EXPECT_EQ(wr.exec.trip, 0);
   EXPECT_EQ(wr.exec.started, 0);
+}
+
+TEST(SlidingWindow, WindowOfZeroRunsToCompletion) {
+  // A window below 1 runs as a window of 1: one iteration in flight.
+  ThreadPool pool(4);
+  std::atomic<long> runs{0};
+  const WindowReport wr = sliding_window_while(
+      pool, 300,
+      [&](long, unsigned) {
+        runs.fetch_add(1);
+        return IterAction::kContinue;
+      },
+      0);
+  EXPECT_EQ(wr.exec.trip, 300);
+  EXPECT_EQ(runs.load(), 300);
+  EXPECT_LE(wr.max_span, 1);
+  EXPECT_EQ(wr.final_window, 1);
+
+  // The speculative window's options may say the same.
+  SpecArray<double> arr(std::vector<double>(300, 0.0), pool.size(),
+                        /*run_pd_test=*/false);
+  WindowOptions opts;
+  opts.window = 0;
+  opts.min_window = 0;
+  const WindowReport spec = speculative_run(pool, arr, 300, opts);
+  EXPECT_EQ(spec.exec.trip, 300);
+  EXPECT_LE(spec.max_span, 1);
 }
 
 // ---- speculative composition (Section 8.2 scheduler + Section 5 PD test) ---
@@ -172,10 +226,6 @@ TEST(SlidingWindowSpeculative, RetriesReuseTargetsCheaply) {
 
 TEST(SlidingWindow, WindowOfOneIsSequentialOrder) {
   ThreadPool pool(4);
-  WindowOptions opts;
-  opts.window = 1;
-  opts.min_window = 1;
-  opts.max_window = 1;
   std::vector<long> order;
   const WindowReport wr = sliding_window_while(
       pool, 200,
@@ -183,7 +233,7 @@ TEST(SlidingWindow, WindowOfOneIsSequentialOrder) {
         order.push_back(i);  // window 1 fully serializes iterations
         return IterAction::kContinue;
       },
-      opts);
+      1);
   EXPECT_EQ(wr.exec.trip, 200);
   ASSERT_EQ(order.size(), 200u);
   for (long i = 0; i < 200; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);

@@ -105,34 +105,25 @@ TEST(SpeculativePrivatized, ExceptionFallsBackWithoutRestore) {
 TEST(SpeculativePrivatized, OvershootWritesFilteredByCopyOut) {
   ThreadPool pool(4);
   const long n = 3000, exit_at = 2000;
+  std::vector<double> cell{0.0};
+  PrivatizedSpecArray<double> pc(cell, pool.size());
+  PrivTarget* targets[] = {&pc};
 
-  // Without the QUIT (Induction-1) every iteration in [0, n) runs and
-  // writes; copy-out filters them all the same.
-  for (const bool use_quit : {true, false}) {
-    SCOPED_TRACE(use_quit ? "QUIT" : "no QUIT");
-    std::vector<double> cell{0.0};
-    PrivatizedSpecArray<double> pc(cell, pool.size());
-    PrivTarget* targets[] = {&pc};
+  const ExecReport r = speculative_privatized_while(
+      pool, n, std::span<PrivTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        pc.begin_iteration(vpn, i);
+        pc.set(vpn, i, 0, static_cast<double>(i));  // every iteration writes
+        return i == exit_at - 1 ? IterAction::kExitAfter : IterAction::kContinue;
+      },
+      [&] { return exit_at; });
 
-    const ExecReport r = speculative_privatized_while(
-        pool, n, std::span<PrivTarget* const>(targets, 1),
-        [&](long i, unsigned vpn) {
-          pc.begin_iteration(vpn, i);
-          pc.set(vpn, i, 0, static_cast<double>(i));  // every iteration writes
-          return i == exit_at - 1 ? IterAction::kExitAfter : IterAction::kContinue;
-        },
-        [&] { return exit_at; }, use_quit);
-
-    EXPECT_EQ(r.method, use_quit ? Method::kInduction2 : Method::kInduction1);
-    EXPECT_TRUE(r.pd_passed);
-    EXPECT_EQ(r.trip, exit_at);
-    if (!use_quit) {
-      EXPECT_EQ(r.started, n);
-    }
-    // Overshot iterations wrote privately too; copy-out must pick the
-    // largest stamp BELOW the trip.
-    EXPECT_EQ(cell[0], static_cast<double>(exit_at - 1));
-  }
+  EXPECT_EQ(r.method, Method::kInduction2);
+  EXPECT_TRUE(r.pd_passed);
+  EXPECT_EQ(r.trip, exit_at);
+  // Overshot iterations wrote privately too; copy-out must pick the
+  // largest stamp BELOW the trip.
+  EXPECT_EQ(cell[0], static_cast<double>(exit_at - 1));
 }
 
 /// Each iteration writes its cell twice; copy-out must keep the SECOND

@@ -55,41 +55,32 @@ TEST(StatsEnhanced, GoodEstimateUndoesOnlyStampedTail) {
   ThreadPool pool(4);
   const long n = 2000, exit_at = 1900;
   const StampThreshold thr = StampThreshold::from_estimate(exit_at, 0.9);  // 1710
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
+                        pool.size(), false);
+  SpecTarget* targets[] = {&arr};
 
-  // With the QUIT this is Induction-2; without it every iteration in
-  // [0, n) runs (Induction-1), and the stamped tail still undoes them all.
-  for (const bool use_quit : {true, false}) {
-    SCOPED_TRACE(use_quit ? "QUIT" : "no QUIT");
-    SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
-                          pool.size(), false);
-    SpecTarget* targets[] = {&arr};
+  // RV shape: the work (and its write) happens BEFORE the error is
+  // detected, so overshot iterations really do write — and must be undone
+  // through their stamps.
+  const ExecReport r = stats_enhanced_while(
+      pool, n, thr, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn, bool stamped) {
+        arr.begin_iteration(vpn, i);
+        if (stamped) {
+          arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
+        } else {
+          arr.data()[static_cast<std::size_t>(i)] = 1.0;  // unstamped fast path
+        }
+        return i == exit_at ? IterAction::kExitAfter : IterAction::kContinue;
+      },
+      [&] { return exit_at + 1; });
 
-    // RV shape: the work (and its write) happens BEFORE the error is
-    // detected, so overshot iterations really do write — and must be undone
-    // through their stamps.
-    const ExecReport r = stats_enhanced_while(
-        pool, n, thr, std::span<SpecTarget* const>(targets, 1),
-        [&](long i, unsigned vpn, bool stamped) {
-          arr.begin_iteration(vpn, i);
-          if (stamped) {
-            arr.set(vpn, i, static_cast<std::size_t>(i), 1.0);
-          } else {
-            arr.data()[static_cast<std::size_t>(i)] = 1.0;  // unstamped fast path
-          }
-          return i == exit_at ? IterAction::kExitAfter : IterAction::kContinue;
-        },
-        [&] { return exit_at + 1; }, use_quit);
-
-    EXPECT_EQ(r.method, use_quit ? Method::kInduction2 : Method::kInduction1);
-    EXPECT_FALSE(r.reexecuted_sequentially);
-    EXPECT_EQ(r.trip, exit_at + 1);
-    if (!use_quit) {
-      EXPECT_EQ(r.started, n);
-    }
-    EXPECT_EQ(r.undone_writes, r.overshot);  // every overshot write undone
-    for (long i = 0; i < n; ++i)
-      EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], i <= exit_at ? 1.0 : 0.0) << i;
-  }
+  EXPECT_EQ(r.method, Method::kInduction2);
+  EXPECT_FALSE(r.reexecuted_sequentially);
+  EXPECT_EQ(r.trip, exit_at + 1);
+  EXPECT_EQ(r.undone_writes, r.overshot);  // every overshot write undone
+  for (long i = 0; i < n; ++i)
+    EXPECT_EQ(arr.data()[static_cast<std::size_t>(i)], i <= exit_at ? 1.0 : 0.0) << i;
 }
 
 TEST(StatsEnhanced, BadEstimateFallsBackToSequential) {
@@ -200,6 +191,45 @@ TEST(StatsEnhanced, ShadowedAntiDependenceFailsPDAndReexecutes) {
   std::vector<double> expect = init;
   sequential(expect);
   EXPECT_EQ(arr.data(), expect);
+}
+
+// The sequential rerun after a rollback redefines the trip, and the
+// overshoot is recounted against it: every body started at or past the
+// sequential trip was rolled back.  One worker runs the dependent bodies
+// in order, so they never race; the PD test fails all the same.
+TEST(SpeculativeRollback, OvershotCountsAgainstTheSequentialTrip) {
+  ThreadPool pool(1);
+  const long n = 64, seq_trip = 10;
+  SpecArray<double> arr(std::vector<double>(static_cast<std::size_t>(n), 0.0),
+                        pool.size(), /*run_pd_test=*/true);
+  SpecTarget* targets[] = {&arr};
+  const std::span<SpecTarget* const> ts(targets, 1);
+  auto body = [&](long i, unsigned vpn) {
+    arr.begin_iteration(vpn, i);
+    if (i == 0) return IterAction::kContinue;
+    const double prev = arr.get(vpn, static_cast<std::size_t>(i - 1));
+    arr.set(vpn, i, static_cast<std::size_t>(i), prev + 1.0);
+    return IterAction::kContinue;
+  };
+  auto sequential = [&] {
+    for (long i = 0; i < seq_trip; ++i)
+      arr.data()[static_cast<std::size_t>(i)] = static_cast<double>(i);
+    return seq_trip;
+  };
+
+  const ExecReport whole = speculative_while(pool, n, ts, body, sequential);
+  const ExecReport stamped = stats_enhanced_while(
+      pool, n, StampThreshold{0}, ts,
+      [&](long i, unsigned vpn, bool) { return body(i, vpn); }, sequential);
+  for (const ExecReport& r : {whole, stamped}) {
+    EXPECT_FALSE(r.pd_passed);
+    EXPECT_TRUE(r.reexecuted_sequentially);
+    EXPECT_EQ(r.trip, seq_trip);
+    EXPECT_EQ(r.started, n);
+    EXPECT_EQ(r.overshot, n - seq_trip);
+  }
+  EXPECT_EQ(arr.data()[5], 5.0);
+  EXPECT_EQ(arr.data()[20], 0.0);  // restored, then never re-executed
 }
 
 TEST(Hedge, ParallelWinsWhenSpeculationSucceeds) {

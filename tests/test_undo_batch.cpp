@@ -171,9 +171,8 @@ TEST(WindowBudget, ControllerUsesMeasuredBackupBytes) {
   WindowOptions opts;
   opts.window = 64;
   opts.min_window = 2;
-  // No bytes_per_iteration guess AT ALL: only the measured footprint can
-  // drive the controller.  The budget is small enough that the growing
-  // touched set must force the window down.
+  // Only the measured footprint drives the controller.  The budget is
+  // small enough that the growing touched set must force the window down.
   opts.memory_budget = 2048;
 
   const WindowReport wr = sliding_window_speculative_while(
@@ -190,9 +189,8 @@ TEST(WindowBudget, ControllerUsesMeasuredBackupBytes) {
   EXPECT_EQ(wr.exec.trip, n);
   // The backup's live bytes blew through the budget early, so the measured
   // controller must have (a) observed it and (b) shrunk the window to the
-  // floor.  A guess-based controller with no bytes_per_iteration would have
-  // done neither.
-  EXPECT_GT(wr.peak_stamp_bytes, opts.memory_budget / 2);
+  // floor.
+  EXPECT_GT(wr.exec.peak_spec_bytes, opts.memory_budget / 2);
   EXPECT_EQ(wr.final_window, opts.min_window);
   for (long i = 0; i < n; ++i)
     ASSERT_EQ(state[static_cast<std::size_t>(i)], 1.0) << i;
@@ -274,12 +272,11 @@ TEST(WindowBudget, DenseTargetPeakStaysWithinBindingBudget) {
 
   // The measured peak never exceeded the budget, and it covers the dense
   // footprint (data + backup at least).
-  EXPECT_LE(wr.peak_stamp_bytes, opts.memory_budget);
-  EXPECT_GE(wr.peak_stamp_bytes, 2u * static_cast<std::size_t>(n) * sizeof(double));
+  EXPECT_LE(wr.exec.peak_spec_bytes, opts.memory_budget);
+  EXPECT_GE(wr.exec.peak_spec_bytes, 2u * static_cast<std::size_t>(n) * sizeof(double));
 
   // The window halved down to its floor, and the cap was re-derived from
-  // the MEASURED bytes (with no bytes_per_iteration seed a guess would have
-  // left the cap at max_window).
+  // the MEASURED bytes.
   EXPECT_GT(wr.window_shrinks, 0);
   EXPECT_EQ(wr.final_window, opts.min_window);
   EXPECT_LT(wr.final_cap, opts.window);

@@ -1,15 +1,16 @@
 // The measured-footprint window/budget seam (DESIGN.md §10): the EWMA cap
 // derivation, plus one regression test per accounting bug this seam fixed
 // (stale overshoot after the sequential fallback, peak polled before the
-// post-claim growth).
+// post-claim growth).  The overshoot rule is SpecRound::rollback's, so
+// SpeculativeRollback.* pins it for the other two rollback drivers.
 //
 // Every suite here matches Window* so the CI TSan job picks it up.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <vector>
 
 #include "wlp/core/sliding_window.hpp"
+#include "wlp/core/sparse_spec.hpp"
 
 namespace wlp {
 namespace {
@@ -98,30 +99,36 @@ TEST(WindowReexec, OvershotRecomputedAfterSequentialFallback) {
 
 TEST(WindowPeak, PostClaimGrowthObserved) {
   // One worker claims one iteration at a time, and each claim polls the
-  // footprint before that iteration's body runs: the last poll inside a
-  // claim sees (u - 1) bodies' growth.  The last body's 64 bytes come after
-  // the last claim, so only the post-join poll can report the full peak.
+  // round's footprint before that iteration's body runs: the last poll
+  // inside a claim sees 255 touched slots.  The last body's slot lands
+  // after the last claim, so the report's peak is validate's poll after
+  // the join, which covers all 256.
   ThreadPool pool(1);
   const long u = 256;
-  std::atomic<std::size_t> live{0};
+  std::vector<double> state(static_cast<std::size_t>(u), 0.0);
+  SparseSpecArray<double> sparse(state, pool.size(),
+                                 static_cast<std::size_t>(u),
+                                 /*run_pd_test=*/false);
+  SpecTarget* targets[] = {&sparse};
   WindowOptions opts;
   opts.window = 1024;
   opts.max_window = 4096;
   opts.memory_budget = 1u << 30;
-  opts.live_bytes = [&] { return live.load(std::memory_order_relaxed); };
 
-  const WindowReport wr = sliding_window_while(
-      pool, u,
-      [&](long, unsigned) {
-        live.fetch_add(64, std::memory_order_relaxed);
+  const WindowReport wr = sliding_window_speculative_while(
+      pool, u, std::span<SpecTarget* const>(targets, 1),
+      [&](long i, unsigned vpn) {
+        sparse.begin_iteration(vpn, i);
+        sparse.set(vpn, i, static_cast<std::size_t>(i), 1.0);
         return IterAction::kContinue;
       },
-      opts);
+      [&] { return u; }, opts);
 
   EXPECT_EQ(wr.exec.trip, u);
   EXPECT_EQ(wr.exec.started, u);
-  EXPECT_EQ(wr.peak_stamp_bytes, static_cast<std::size_t>(u) * 64);
-  EXPECT_EQ(wr.exec.peak_spec_bytes, wr.peak_stamp_bytes);
+  EXPECT_GT(wr.exec.peak_spec_bytes, 0u);
+  EXPECT_EQ(wr.exec.peak_spec_bytes, sparse.memory_bytes());
+  EXPECT_EQ(state[static_cast<std::size_t>(u - 1)], 1.0);
 }
 
 }  // namespace
